@@ -32,7 +32,9 @@ pub use lola::{lola_cifar_uw, lola_mnist_ew, lola_mnist_uw};
 pub use logreg::{logistic_regression, logistic_regression_at};
 pub use lstm::{lstm, lstm_at};
 pub use resnet::{resnet20, resnet20_at};
-pub use runnable::{eval_plain, lola_layer_runnable, RunnableWorkload};
+pub use runnable::{
+    eval_plain, lola_layer_runnable, lola_mlp_runnable, DenseLayer, RunnableWorkload,
+};
 
 use cl_isa::HeGraph;
 

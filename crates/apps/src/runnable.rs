@@ -35,23 +35,27 @@ pub struct RunnableWorkload {
     pub slots: usize,
 }
 
-/// Deterministic weight diagonal `d`: small values in `[-0.5, 0.45]`,
-/// different per diagonal and per slot.
-fn diagonal_weights(slots: usize, d: usize) -> Vec<f64> {
+/// Deterministic weight diagonal `d` of layer `layer`: small values in
+/// `[-0.5, 0.45]`, different per layer, diagonal and slot.
+fn diagonal_weights(slots: usize, layer: usize, d: usize) -> Vec<f64> {
     (0..slots)
-        .map(|k| ((d * 31 + k * 7) % 20) as f64 / 20.0 - 0.5)
+        .map(|k| ((layer * 13 + d * 31 + k * 7) % 20) as f64 / 20.0 - 0.5)
         .collect()
 }
 
-/// One LoLa-MNIST layer with real weights: a BSGS (baby-step/giant-step)
-/// diagonal matrix-vector product over `diags` diagonals at `stride`,
-/// rescaled once, optionally followed by the LoLa square activation
-/// (`mul_ct(y, y)` + rescale).
-///
-/// The baby rotations all rotate the encrypted input, so the lowering's
-/// hoisting pass turns them into a single decompose-once batch; the giant
-/// rotations act on distinct partial sums and stay singletons. Consumes
-/// one level (two with `activate`).
+/// One dense layer of a [`lola_mlp_runnable`] network.
+#[derive(Debug, Clone, Copy)]
+pub struct DenseLayer {
+    /// Nonzero diagonals of the weight matrix.
+    pub diags: usize,
+    /// Rotation stride between consecutive diagonals.
+    pub stride: i64,
+    /// Whether the LoLa square activation follows the mat-vec.
+    pub activate: bool,
+}
+
+/// One LoLa-MNIST layer with real weights: [`lola_mlp_runnable`] with a
+/// single layer. Consumes one level (two with `activate`).
 ///
 /// # Panics
 ///
@@ -64,61 +68,100 @@ pub fn lola_layer_runnable(
     stride: i64,
     activate: bool,
 ) -> RunnableWorkload {
-    assert!(diags > 0, "matrix with no diagonals");
+    let layer = DenseLayer {
+        diags,
+        stride,
+        activate,
+    };
+    RunnableWorkload {
+        name: "LoLa-MNIST layer (runnable)",
+        ..lola_mlp_runnable(slots, level, &[layer])
+    }
+}
+
+/// A LoLa-MNIST-shaped multi-layer perceptron with real weights. Each
+/// layer is a BSGS (baby-step/giant-step) diagonal matrix-vector product
+/// over `diags` diagonals at `stride`, rescaled once, optionally followed
+/// by the LoLa square activation (`mul_ct(y, y)` + rescale).
+///
+/// A layer's baby rotations all rotate the layer input, so the lowering's
+/// hoisting pass turns them into a single decompose-once batch; the giant
+/// rotations act on distinct partial sums and stay singletons. Each layer
+/// consumes one level (two with `activate`).
+///
+/// # Panics
+///
+/// Panics if a layer has no diagonals, if `slots` is zero, or if
+/// `input_level` does not leave every rescale a level to drop.
+pub fn lola_mlp_runnable(
+    slots: usize,
+    input_level: usize,
+    layers: &[DenseLayer],
+) -> RunnableWorkload {
     assert!(slots > 0, "need at least one slot");
+    let consumed: usize = layers.iter().map(|l| 1 + usize::from(l.activate)).sum();
     assert!(
-        level >= if activate { 3 } else { 2 },
-        "not enough levels for the layer's rescales"
+        input_level > consumed,
+        "not enough levels for the network's rescales"
     );
     let mut g = HeGraph::new();
     let mut plain = BTreeMap::new();
-    let x = g.input(level);
-    let baby = (diags as f64).sqrt().ceil() as usize;
-    let giant = diags.div_ceil(baby);
-    let mut babies = vec![x];
-    for i in 1..baby {
-        babies.push(g.rotate(x, stride * i as i64));
-    }
-    let mut acc: Option<NodeId> = None;
-    let mut d = 0usize;
-    for j in 0..giant {
-        let remaining = diags - j * baby;
-        let mut inner: Option<NodeId> = None;
-        for &b in babies.iter().take(remaining.min(baby)) {
-            let w = g.plain_input(level);
-            plain.insert(w, diagonal_weights(slots, d));
-            d += 1;
-            let term = g.mul_plain(b, w);
-            inner = Some(match inner {
-                None => term,
-                Some(a) => g.add(a, term),
+    let x = g.input(input_level);
+    let (mut cur, mut level) = (x, input_level);
+    for (li, layer) in layers.iter().enumerate() {
+        let DenseLayer {
+            diags,
+            stride,
+            activate,
+        } = *layer;
+        assert!(diags > 0, "matrix with no diagonals");
+        let baby = (diags as f64).sqrt().ceil() as usize;
+        let giant = diags.div_ceil(baby);
+        let mut babies = vec![cur];
+        for i in 1..baby {
+            babies.push(g.rotate(cur, stride * i as i64));
+        }
+        let mut acc: Option<NodeId> = None;
+        let mut d = 0usize;
+        for j in 0..giant {
+            let remaining = diags - j * baby;
+            let mut inner: Option<NodeId> = None;
+            for &b in babies.iter().take(remaining.min(baby)) {
+                let w = g.plain_input(level);
+                plain.insert(w, diagonal_weights(slots, li, d));
+                d += 1;
+                let term = g.mul_plain(b, w);
+                inner = Some(match inner {
+                    None => term,
+                    Some(a) => g.add(a, term),
+                });
+            }
+            let inner = inner.expect("giant step with no work");
+            let rotated = if j == 0 {
+                inner
+            } else {
+                g.rotate(inner, stride * (j * baby) as i64)
+            };
+            acc = Some(match acc {
+                None => rotated,
+                Some(a) => g.add(a, rotated),
             });
         }
-        let inner = inner.expect("giant step with no work");
-        let rotated = if j == 0 {
-            inner
-        } else {
-            g.rotate(inner, stride * (j * baby) as i64)
-        };
-        acc = Some(match acc {
-            None => rotated,
-            Some(a) => g.add(a, rotated),
-        });
+        cur = g.rescale(acc.expect("empty matvec"));
+        level -= 1;
+        if activate {
+            let sq = g.mul_ct(cur, cur);
+            cur = g.rescale(sq);
+            level -= 1;
+        }
     }
-    let y = g.rescale(acc.expect("empty matvec"));
-    let out = if activate {
-        let sq = g.mul_ct(y, y);
-        g.rescale(sq)
-    } else {
-        y
-    };
-    g.output(out);
+    g.output(cur);
     RunnableWorkload {
-        name: "LoLa-MNIST layer (runnable)",
+        name: "LoLa-MNIST MLP (runnable)",
         graph: g,
         plain,
         inputs: vec![x],
-        input_level: level,
+        input_level,
         slots,
     }
 }
@@ -213,13 +256,38 @@ mod tests {
     }
 
     #[test]
+    fn mlp_chains_layers_and_spends_one_level_per_rescale() {
+        let layer = |diags, stride, activate| DenseLayer {
+            diags,
+            stride,
+            activate,
+        };
+        let layers = [layer(9, 1, true), layer(16, 2, true), layer(4, 4, false)];
+        let w = lola_mlp_runnable(128, 6, &layers);
+        w.graph.validate();
+        let h = w.graph.op_histogram();
+        // Baby + giant rotations per layer: 2+2, 3+3, 1+1.
+        assert_eq!(h.rotations, 12);
+        assert_eq!(h.plain_muls, 9 + 16 + 4);
+        assert_eq!(h.ct_muls, 2);
+        assert_eq!(h.rescales, 5);
+        assert_eq!(w.plain.len(), 29);
+        assert_eq!(w.input_level, 6);
+        let out = w.graph.iter().find_map(|(_, n)| match n.op {
+            HeOp::Output(a) => Some(w.graph.node(a).level),
+            _ => None,
+        });
+        assert_eq!(out, Some(1));
+    }
+
+    #[test]
     fn plain_reference_matches_direct_diagonal_arithmetic() {
         // diags = 1, stride = 1, no activation: y = w0 ⊙ x, so the
         // reference must equal the elementwise product exactly.
         let w = lola_layer_runnable(8, 2, 1, 1, false);
         let x: Vec<f64> = (0..8).map(|i| i as f64 * 0.25).collect();
         let got = eval_plain(&w, &[x.clone()]);
-        let w0 = diagonal_weights(8, 0);
+        let w0 = diagonal_weights(8, 0, 0);
         for i in 0..8 {
             assert!((got[i] - x[i] * w0[i]).abs() < 1e-12);
         }
@@ -231,7 +299,7 @@ mod tests {
         let w = lola_layer_runnable(4, 2, 2, 1, false);
         let x = vec![1.0, 2.0, 3.0, 4.0];
         let got = eval_plain(&w, &[x.clone()]);
-        let (w0, w1) = (diagonal_weights(4, 0), diagonal_weights(4, 1));
+        let (w0, w1) = (diagonal_weights(4, 0, 0), diagonal_weights(4, 0, 1));
         for i in 0..4 {
             let expect = w0[i] * x[i] + w1[i] * x[(i + 1) % 4];
             assert!((got[i] - expect).abs() < 1e-12, "slot {i}");

@@ -39,12 +39,7 @@ impl WorkState {
     pub fn validate(&self, ctx: &CkksContext) -> FheResult<()> {
         match self {
             WorkState::Ct(ct) => ctx.validate_ciphertext("checkpoint", ct),
-            WorkState::Boot(state) => {
-                for ct in state.ciphertexts() {
-                    ctx.validate_ciphertext("checkpoint", ct)?;
-                }
-                Ok(())
-            }
+            WorkState::Boot(state) => validate_boot_state(ctx, state),
         }
     }
 
@@ -61,6 +56,14 @@ impl WorkState {
             WorkState::Boot(state) => state.serialize(ctx),
         }
     }
+}
+
+/// Conformance-validates every ciphertext a bootstrap stage carries.
+pub(crate) fn validate_boot_state(ctx: &CkksContext, state: &BootState) -> FheResult<()> {
+    state
+        .ciphertexts()
+        .into_iter()
+        .try_for_each(|ct| ctx.validate_ciphertext("checkpoint", ct))
 }
 
 /// One checkpoint record: the micro program counter plus the work state at

@@ -13,7 +13,7 @@ use cl_ckks::{Ciphertext, CkksContext, FheError, FheResult, GuardrailPolicy};
 #[cfg(any(test, feature = "faults"))]
 use cl_ckks::faults::{FaultAction, FaultPlan};
 
-use crate::checkpoint::{Checkpoint, CheckpointStore, WorkState};
+use crate::checkpoint::{validate_boot_state, Checkpoint, CheckpointStore, WorkState};
 use crate::program::{PipelineOp, Program};
 
 /// Executor configuration.
@@ -267,6 +267,67 @@ pub enum RunOutcome {
     Crashed,
 }
 
+/// The accumulator at a micro-op boundary, held by reference count: the
+/// in-memory form of [`WorkState`]. The driving loop, `last_good` and any
+/// slot a `Store`/`Load` aliased it with all point at one payload; the
+/// payload itself is never written after it is wrapped.
+#[derive(Clone)]
+enum Acc {
+    Ct(Arc<Ciphertext>),
+    Boot(Arc<BootState>),
+}
+
+/// The named-slot environment, sharing payloads with [`Acc`].
+type Slots = BTreeMap<u16, Arc<Ciphertext>>;
+
+/// One execution point: `(pc, accumulator, slots)`. Cloning it is a
+/// handful of reference-count bumps, never a ciphertext copy.
+type Boundary = (u64, Acc, Slots);
+
+impl Acc {
+    fn ct(ct: Ciphertext) -> Self {
+        Acc::Ct(Arc::new(ct))
+    }
+
+    /// The ciphertext a fault injector corrupts. Copy-on-write: whoever
+    /// else holds the payload (`last_good`, an aliasing slot) keeps the
+    /// clean one, so an injected flip can only ever reach the state it was
+    /// aimed at.
+    #[cfg(any(test, feature = "faults"))]
+    fn primary_mut(&mut self) -> &mut Ciphertext {
+        match self {
+            Acc::Ct(ct) => Arc::make_mut(ct),
+            Acc::Boot(state) => Arc::make_mut(state).ciphertexts_mut().swap_remove(0),
+        }
+    }
+
+    /// [`WorkState::validate`] on the shared form.
+    fn validate(&self, ctx: &CkksContext) -> FheResult<()> {
+        match self {
+            Acc::Ct(ct) => ctx.validate_ciphertext("checkpoint", ct),
+            Acc::Boot(state) => validate_boot_state(ctx, state),
+        }
+    }
+
+    /// Deep copy into the owned form a [`Checkpoint`] carries.
+    fn to_work_state(&self) -> WorkState {
+        match self {
+            Acc::Ct(ct) => WorkState::Ct(Ciphertext::clone(ct)),
+            Acc::Boot(state) => WorkState::Boot(Box::new(BootState::clone(state))),
+        }
+    }
+}
+
+/// Takes ownership of a loaded record's payloads (no copy).
+fn boundary_of(cp: Checkpoint) -> Boundary {
+    let acc = match cp.state {
+        WorkState::Ct(ct) => Acc::ct(ct),
+        WorkState::Boot(state) => Acc::Boot(Arc::from(state)),
+    };
+    let slots = cp.slots.into_iter().map(|(id, ct)| (id, Arc::new(ct))).collect();
+    (cp.pc, acc, slots)
+}
+
 /// Runs a declared [`Program`] under [`GuardrailPolicy::Strict`],
 /// checkpointing to disk and recovering from detected faults by restoring
 /// the last good state and re-executing (deterministic ops make the retry
@@ -402,7 +463,7 @@ impl<'a> PipelineExecutor<'a> {
     pub fn run_graph(&mut self, inputs: &[Ciphertext], program: &Program) -> FheResult<RunOutcome> {
         let first = self.check_graph(inputs, program)?;
         self.binding = self.job_binding(inputs, program);
-        self.drive(0, WorkState::Ct(first.clone()), BTreeMap::new(), program, inputs)
+        self.drive((0, Acc::ct(first.clone()), Slots::new()), program, inputs)
     }
 
     /// Resumes `program` after a crash: reloads the newest valid durable
@@ -429,15 +490,15 @@ impl<'a> PipelineExecutor<'a> {
     ) -> FheResult<RunOutcome> {
         let first = self.check_graph(inputs, program)?;
         self.binding = self.job_binding(inputs, program);
-        let fresh = || (0, WorkState::Ct(first.clone()), BTreeMap::new());
-        let (start_pc, state, slots) = match &mut self.store {
+        let fresh = || (0, Acc::ct(first.clone()), Slots::new());
+        let start = match &mut self.store {
             Some(store) => match store.load_latest(self.ctx, self.binding) {
                 Ok((found, rejects)) => {
                     self.telemetry.faults_detected += rejects;
                     match found {
                         Some(cp) => {
                             self.telemetry.restores += 1;
-                            (cp.pc, cp.state, cp.slots.into_iter().collect())
+                            boundary_of(cp)
                         }
                         None => fresh(),
                     }
@@ -451,15 +512,20 @@ impl<'a> PipelineExecutor<'a> {
             },
             None => fresh(),
         };
-        self.drive(start_pc, state, slots, program, inputs)
+        self.drive(start, program, inputs)
     }
 
     /// Content digest binding checkpoints to this exact `(program,
     /// input)` pair. Derived from the serialized forms (which carry the
     /// params fingerprint), so it is stable across processes — a genuine
     /// crash/restart of the same job still resumes its own checkpoints.
+    /// Only the store ever reads it, so without one (`checkpoint_every =
+    /// 0`) nothing is serialized or hashed.
     fn job_binding(&self, inputs: &[Ciphertext], program: &Program) -> u64 {
         use cl_ckks::serialize::{fnv1a_chain, fnv1a_fast};
+        if self.store.is_none() {
+            return 0;
+        }
         // fnv1a_fast: this digest is internal to the store, not part of
         // the wire format, so it can take the word-wise fast path over the
         // megabyte-scale ciphertext blobs.
@@ -496,14 +562,12 @@ impl<'a> PipelineExecutor<'a> {
     /// last good state (preferring the durable copy) and re-executing.
     fn drive(
         &mut self,
-        pc: u64,
-        state: WorkState,
-        slots: BTreeMap<u16, Ciphertext>,
+        start: Boundary,
         program: &Program,
         inputs: &[Ciphertext],
     ) -> FheResult<RunOutcome> {
         let at_entry = cl_trace::OpSnapshot::capture();
-        let out = self.drive_inner(pc, state, slots, program, inputs);
+        let out = self.drive_inner(start, program, inputs);
         let delta = cl_trace::OpSnapshot::capture().delta_since(&at_entry);
         self.telemetry.ops = self.telemetry.ops.plus(&delta);
         out
@@ -511,22 +575,24 @@ impl<'a> PipelineExecutor<'a> {
 
     fn drive_inner(
         &mut self,
-        mut pc: u64,
-        mut state: WorkState,
-        mut slots: BTreeMap<u16, Ciphertext>,
+        start: Boundary,
         program: &Program,
         inputs: &[Ciphertext],
     ) -> FheResult<RunOutcome> {
         let schedule = program.micro_schedule();
         let end = schedule.len() as u64;
+        let (mut pc, mut state, mut slots) = start;
         if pc > end {
             return Err(FheError::InvalidParams {
                 op: "executor",
                 reason: format!("checkpoint pc {pc} beyond program end {end}"),
             });
         }
-        let mut last_good: (u64, WorkState, BTreeMap<u16, Ciphertext>) =
-            (pc, state.clone(), slots.clone());
+        // The boundary to fall back to shares its payloads with the live
+        // state; an op never writes a payload in place (it wraps a fresh
+        // output, or moves references), so holding a reference *is* the
+        // snapshot.
+        let mut last_good: Boundary = (pc, state.clone(), slots.clone());
         let mut retries_left = self.config.max_retries;
         self.note_live(&slots);
 
@@ -553,7 +619,7 @@ impl<'a> PipelineExecutor<'a> {
 
             let (op_idx, stage) = schedule[pc as usize];
             let step = self
-                .exec_micro(&program.ops()[op_idx], stage, state.clone(), &mut slots, inputs)
+                .exec_micro(&program.ops()[op_idx], stage, &state, &mut slots, inputs)
                 // A successful op can still hand a corrupted state to the
                 // *next* op; validating here bounds detection latency to
                 // one micro-op and keeps checkpoints clean.
@@ -596,35 +662,37 @@ impl<'a> PipelineExecutor<'a> {
                 }
             }
         }
+        // Release every other holder so the result is normally unwrapped,
+        // not copied (a program ending on `Store` still aliases a slot).
+        drop((last_good, slots));
         match state {
-            WorkState::Ct(ct) => Ok(RunOutcome::Completed(ct)),
-            WorkState::Boot(_) => Err(FheError::InvalidParams {
+            Acc::Ct(ct) => Ok(RunOutcome::Completed(
+                Arc::try_unwrap(ct).unwrap_or_else(|shared| Ciphertext::clone(&shared)),
+            )),
+            Acc::Boot(_) => Err(FheError::InvalidParams {
                 op: "executor",
                 reason: "program ended mid-bootstrap".into(),
             }),
         }
     }
 
-    /// Restores the last good execution point, preferring the durable
-    /// on-disk copy when it is at least as fresh (this exercises the full
-    /// load path — fingerprint and checksum verification — on every
-    /// recovery), falling back to the in-memory clone.
     /// Records the live-ciphertext count at a micro-op boundary (named
     /// slots plus the accumulator) into the telemetry high-water mark.
-    fn note_live(&mut self, slots: &BTreeMap<u16, Ciphertext>) {
+    fn note_live(&mut self, slots: &Slots) {
         let live = slots.len() as u64 + 1;
         self.telemetry.peak_live_cts = self.telemetry.peak_live_cts.max(live);
     }
 
-    fn restore(
-        &mut self,
-        last_good: &(u64, WorkState, BTreeMap<u16, Ciphertext>),
-    ) -> (u64, WorkState, BTreeMap<u16, Ciphertext>) {
+    /// Restores the last good execution point, preferring the durable
+    /// on-disk copy when it is at least as fresh (this exercises the full
+    /// load path — fingerprint and checksum verification — on every
+    /// recovery), falling back to the in-memory boundary.
+    fn restore(&mut self, last_good: &Boundary) -> Boundary {
         if let Some(store) = &mut self.store {
             if let Ok((Some(cp), _)) = store.load_latest(self.ctx, self.binding) {
                 if cp.pc >= last_good.0 {
                     self.telemetry.restores += 1;
-                    return (cp.pc, cp.state, cp.slots.into_iter().collect());
+                    return boundary_of(cp);
                 }
             }
         }
@@ -634,12 +702,9 @@ impl<'a> PipelineExecutor<'a> {
     /// Validates and durably writes a checkpoint. A state that fails
     /// validation is *not* written (the previous slots stay intact) —
     /// the caller sees the validation error through the normal fault path.
-    fn persist(
-        &mut self,
-        pc: u64,
-        state: &WorkState,
-        slots: &BTreeMap<u16, Ciphertext>,
-    ) -> FheResult<()> {
+    /// The one boundary where payload bytes must exist on their own: the
+    /// record owns deep copies of everything live.
+    fn persist(&mut self, pc: u64, state: &Acc, slots: &Slots) -> FheResult<()> {
         let store = self
             .store
             .as_mut()
@@ -649,10 +714,13 @@ impl<'a> PipelineExecutor<'a> {
             &Checkpoint {
                 pc,
                 binding: self.binding,
-                state: state.clone(),
+                state: state.to_work_state(),
                 // BTreeMap iteration is id-sorted — the strictly
                 // increasing order the record format requires.
-                slots: slots.iter().map(|(id, ct)| (*id, ct.clone())).collect(),
+                slots: slots
+                    .iter()
+                    .map(|(id, ct)| (*id, Ciphertext::clone(ct)))
+                    .collect(),
             },
         )?;
         self.telemetry.checkpoints_written += 1;
@@ -668,10 +736,10 @@ impl<'a> PipelineExecutor<'a> {
         &self,
         op: &PipelineOp,
         stage: usize,
-        state: WorkState,
-        slots: &mut BTreeMap<u16, Ciphertext>,
+        state: &Acc,
+        slots: &mut Slots,
         inputs: &[Ciphertext],
-    ) -> FheResult<WorkState> {
+    ) -> FheResult<Acc> {
         // Bootstrap stages operate on (and may produce) a BootState; every
         // other op needs a plain ciphertext.
         if let PipelineOp::Bootstrap = op {
@@ -679,10 +747,14 @@ impl<'a> PipelineExecutor<'a> {
                 op: "executor",
                 reason: "bootstrap stage without a Bootstrapper".into(),
             })?;
+            // `try_step` consumes its stage by value while `last_good`
+            // keeps the boundary alive for a retry: the hand-off copies.
             let boot_state = match (stage, state) {
-                (0, WorkState::Ct(ct)) => BootState::Start { ct },
-                (_, WorkState::Boot(s)) => *s,
-                (s, WorkState::Ct(_)) => {
+                (0, Acc::Ct(ct)) => BootState::Start {
+                    ct: Ciphertext::clone(ct),
+                },
+                (_, Acc::Boot(s)) => BootState::clone(s),
+                (s, Acc::Ct(_)) => {
                     return Err(FheError::InvalidParams {
                         op: "executor",
                         reason: format!("bootstrap stage {s} reached with a plain ciphertext"),
@@ -691,28 +763,31 @@ impl<'a> PipelineExecutor<'a> {
             };
             let next = booter.try_step(self.ctx, boot_state, self.keys)?;
             return Ok(match next {
-                BootState::Done { ct } => WorkState::Ct(ct),
-                mid => WorkState::Boot(Box::new(mid)),
+                BootState::Done { ct } => Acc::ct(ct),
+                mid => Acc::Boot(Arc::new(mid)),
             });
         }
 
-        let ct = match state {
-            WorkState::Ct(ct) => ct,
-            WorkState::Boot(_) => {
+        let ct: &Arc<Ciphertext> = match state {
+            Acc::Ct(ct) => ct,
+            Acc::Boot(_) => {
                 return Err(FheError::InvalidParams {
                     op: "executor",
                     reason: format!("op {} reached mid-bootstrap", op.name()),
                 })
             }
         };
+        // Arms that only move references return early; compute arms fall
+        // through with a fresh output, wrapped once at the end.
+        let shared = |ct: &Arc<Ciphertext>| Ok(Acc::Ct(Arc::clone(ct)));
         let out = match op {
             PipelineOp::Square => self
                 .ctx
-                .try_square(&ct, self.keys.try_relin(self.ctx)?.as_ref())?,
-            PipelineOp::Rescale => self.ctx.try_rescale(&ct)?,
+                .try_square(ct, self.keys.try_relin(self.ctx)?.as_ref())?,
+            PipelineOp::Rescale => self.ctx.try_rescale(ct)?,
             PipelineOp::AddPlain(vals) => {
                 let p = self.ctx.encode(vals, ct.scale(), ct.level());
-                self.ctx.try_add_plain(&ct, &p)?
+                self.ctx.try_add_plain(ct, &p)?
             }
             PipelineOp::MulPlainRescale(vals) => {
                 // Encode at exactly the dropped modulus' value so the
@@ -726,20 +801,20 @@ impl<'a> PipelineExecutor<'a> {
                 }
                 let q_drop = self.ctx.rns().modulus_value((ct.level() - 1) as u32) as f64;
                 let p = self.ctx.encode(vals, q_drop, ct.level());
-                let prod = self.ctx.try_mul_plain(&ct, &p)?;
+                let prod = self.ctx.try_mul_plain(ct, &p)?;
                 self.ctx.try_rescale(&prod)?
             }
             PipelineOp::Rotate(steps) => {
                 let key = self.keys.try_rot_key(self.ctx, *steps)?;
-                self.ctx.try_rotate(&ct, *steps, key.as_ref())?
+                self.ctx.try_rotate(ct, *steps, key.as_ref())?
             }
             PipelineOp::Conjugate => self
                 .ctx
-                .try_conjugate(&ct, self.keys.try_conj(self.ctx)?.as_ref())?,
-            PipelineOp::Load(slot) => Self::slot_get(slots, *slot, "load")?.clone(),
+                .try_conjugate(ct, self.keys.try_conj(self.ctx)?.as_ref())?,
+            PipelineOp::Load(slot) => return shared(Self::slot_get(slots, *slot, "load")?),
             PipelineOp::Store(slot) => {
-                slots.insert(*slot, ct.clone());
-                ct
+                slots.insert(*slot, Arc::clone(ct));
+                return shared(ct);
             }
             PipelineOp::Free(slot) => {
                 if slots.remove(slot).is_none() {
@@ -748,7 +823,7 @@ impl<'a> PipelineExecutor<'a> {
                         reason: format!("free of empty slot {slot}"),
                     });
                 }
-                ct
+                return shared(ct);
             }
             PipelineOp::Input(idx) => {
                 inputs
@@ -763,15 +838,15 @@ impl<'a> PipelineExecutor<'a> {
                     .clone()
             }
             PipelineOp::AddSlot(slot) => {
-                self.ctx.try_add(&ct, Self::slot_get(slots, *slot, "add_slot")?)?
+                self.ctx.try_add(ct, Self::slot_get(slots, *slot, "add_slot")?)?
             }
             PipelineOp::SubSlot(slot) => {
-                self.ctx.try_sub(&ct, Self::slot_get(slots, *slot, "sub_slot")?)?
+                self.ctx.try_sub(ct, Self::slot_get(slots, *slot, "sub_slot")?)?
             }
             PipelineOp::MulCtSlot(slot) => {
-                let rhs = Self::slot_get(slots, *slot, "mul_ct_slot")?.clone();
+                let rhs = Self::slot_get(slots, *slot, "mul_ct_slot")?;
                 self.ctx
-                    .try_mul(&ct, &rhs, self.keys.try_relin(self.ctx)?.as_ref())?
+                    .try_mul(ct, rhs, self.keys.try_relin(self.ctx)?.as_ref())?
             }
             PipelineOp::MulPlain(vals) => {
                 // Encode at the next-to-drop modulus' value (the
@@ -786,7 +861,7 @@ impl<'a> PipelineExecutor<'a> {
                 }
                 let q_drop = self.ctx.rns().modulus_value((ct.level() - 1) as u32) as f64;
                 let p = self.ctx.encode(vals, q_drop, ct.level());
-                self.ctx.try_mul_plain(&ct, &p)?
+                self.ctx.try_mul_plain(ct, &p)?
             }
             PipelineOp::RotateHoisted { steps, dsts } => {
                 if steps.len() != dsts.len() {
@@ -805,28 +880,28 @@ impl<'a> PipelineExecutor<'a> {
                     .collect::<FheResult<Vec<_>>>()?;
                 let key_refs: Vec<&cl_ckks::KeySwitchKey> =
                     keys.iter().map(|k| k.as_ref()).collect();
-                let outs = self.ctx.try_rotate_hoisted_many(&ct, steps, &key_refs)?;
+                let outs = self.ctx.try_rotate_hoisted_many(ct, steps, &key_refs)?;
                 for (dst, rotated) in dsts.iter().zip(outs) {
                     // Slot writes bypass the boundary validation of the
                     // accumulator, so validate them here — a corrupted
                     // rotation output must never be checkpointed as good.
                     self.ctx.validate_ciphertext("rotate_hoisted", &rotated)?;
-                    slots.insert(*dst, rotated);
+                    slots.insert(*dst, Arc::new(rotated));
                 }
-                ct
+                return shared(ct);
             }
-            PipelineOp::ModDropTo(level) => self.ctx.try_mod_drop(&ct, *level as usize)?,
+            PipelineOp::ModDropTo(level) => self.ctx.try_mod_drop(ct, *level as usize)?,
             PipelineOp::Bootstrap => unreachable!("handled above"),
         };
-        Ok(WorkState::Ct(out))
+        Ok(Acc::ct(out))
     }
 
     /// Reads a named slot, or fails with the op that needed it.
     fn slot_get<'s>(
-        slots: &'s BTreeMap<u16, Ciphertext>,
+        slots: &'s Slots,
         slot: u16,
         what: &'static str,
-    ) -> FheResult<&'s Ciphertext> {
+    ) -> FheResult<&'s Arc<Ciphertext>> {
         slots.get(&slot).ok_or_else(|| FheError::InvalidParams {
             op: "executor",
             reason: format!("{what} reads empty slot {slot}"),
@@ -838,6 +913,7 @@ impl<'a> PipelineExecutor<'a> {
 mod tests {
     use super::*;
     use cl_boot::Bootstrapper;
+    use cl_ckks::faults::flip_ciphertext_word;
     use cl_ckks::CkksParams;
     use rand::SeedableRng;
     use std::path::Path;
@@ -1203,17 +1279,7 @@ mod tests {
         let ctx = strict_ctx();
         let dir = tmpdir("dataflow");
         let (sk, keys) = graph_keys(&ctx, &[1, -1]);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let x = ctx.encrypt(
-            &ctx.encode(&[0.5, -0.25, 0.125, 0.75], ctx.default_scale(), ctx.max_level()),
-            &sk,
-            &mut rng,
-        );
-        let y = ctx.encrypt(
-            &ctx.encode(&[0.3, 0.6, -0.2, 0.1], ctx.default_scale(), ctx.max_level()),
-            &sk,
-            &mut rng,
-        );
+        let inputs = dataflow_inputs(&ctx, &sk, 5);
         let program = dataflow_program();
         let config = ExecutorConfig {
             checkpoint_every: 4,
@@ -1221,11 +1287,11 @@ mod tests {
             checkpoint_dir: Some(dir.clone()),
         };
         let mut exec = PipelineExecutor::new(&ctx, &keys, config).unwrap();
-        let out = match exec.run_graph(&[x.clone(), y.clone()], &program).unwrap() {
+        let out = match exec.run_graph(&inputs, &program).unwrap() {
             RunOutcome::Completed(ct) => ct,
             RunOutcome::Crashed => panic!("no fault plan attached"),
         };
-        let expect = dataflow_direct(&ctx, &keys, &x, &y);
+        let expect = dataflow_direct(&ctx, &keys, &inputs[0], &inputs[1]);
         assert_eq!(out, expect, "lowered dataflow must be bit-identical");
         let t = exec.telemetry();
         assert_eq!(t.ops_executed, program.len() as u64);
@@ -1234,58 +1300,123 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn dataflow_inputs(ctx: &CkksContext, sk: &cl_ckks::SecretKey, seed: u64) -> Vec<Ciphertext> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        [[0.5, -0.25, 0.125, 0.75], [0.3, 0.6, -0.2, 0.1]]
+            .iter()
+            .map(|vals| {
+                ctx.encrypt(
+                    &ctx.encode(vals, ctx.default_scale(), ctx.max_level()),
+                    sk,
+                    &mut rng,
+                )
+            })
+            .collect()
+    }
+
+    /// `checkpoint_every = 0` runs without a store (and so without a dir).
+    fn cadence_config(dir: &Path, every: u64) -> ExecutorConfig {
+        ExecutorConfig {
+            checkpoint_every: every,
+            max_retries: 64,
+            checkpoint_dir: (every > 0).then(|| dir.to_path_buf()),
+        }
+    }
+
     #[test]
-    fn dataflow_kill_resumes_with_live_slots_from_disk() {
+    fn fault_injection_copies_on_write_and_spares_every_other_holder() {
         let ctx = strict_ctx();
-        let dir = tmpdir("dataflow-kill");
-        let dir_clean = tmpdir("dataflow-kill-clean");
+        let (sk, _keys) = graph_keys(&ctx, &[]);
+        let clean = dataflow_inputs(&ctx, &sk, 5).remove(0);
+
+        // The accumulator as the loop holds it right after a `Store`:
+        // aliased by `last_good` and by a slot.
+        let mut state = Acc::ct(clean.clone());
+        let last_good = state.clone();
+        let Acc::Ct(slot) = state.clone() else { unreachable!() };
+        flip_ciphertext_word(state.primary_mut(), 0, 0, 3);
+
+        let (Acc::Ct(flipped), Acc::Ct(kept)) = (&state, &last_good) else { unreachable!() };
+        assert_ne!(**flipped, clean, "the flip must land in the live state");
+        assert!(!Arc::ptr_eq(flipped, kept), "a shared payload must be copied first");
+        assert_eq!(**kept, clean, "last_good must keep the clean payload");
+        assert_eq!(*slot, clean, "an aliasing slot must keep the clean payload");
+
+        // Mid-bootstrap the same rule holds one level down.
+        let mut boot = Acc::Boot(Arc::new(BootState::Start { ct: clean.clone() }));
+        let boot_good = boot.clone();
+        flip_ciphertext_word(boot.primary_mut(), 1, 0, 0);
+        let Acc::Boot(kept) = &boot_good else { unreachable!() };
+        assert_eq!(kept.ciphertexts()[0], &clean);
+        assert!(boot.validate(&ctx).is_err() && boot_good.validate(&ctx).is_ok());
+    }
+
+    #[test]
+    fn flipped_dataflow_runs_converge_bit_identically_at_every_cadence() {
+        let ctx = strict_ctx();
         let (sk, keys) = graph_keys(&ctx, &[1, -1]);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let x = ctx.encrypt(
-            &ctx.encode(&[0.4, -0.1], ctx.default_scale(), ctx.max_level()),
-            &sk,
-            &mut rng,
-        );
-        let y = ctx.encrypt(
-            &ctx.encode(&[0.2, 0.9], ctx.default_scale(), ctx.max_level()),
-            &sk,
-            &mut rng,
-        );
+        let inputs = dataflow_inputs(&ctx, &sk, 5);
         let program = dataflow_program();
-        let config = ExecutorConfig {
-            checkpoint_every: 1,
-            max_retries: 8,
-            checkpoint_dir: Some(dir.clone()),
-        };
-        let mut clean_config = config.clone();
-        clean_config.checkpoint_dir = Some(dir_clean.clone());
-        let mut clean = PipelineExecutor::new(&ctx, &keys, clean_config).unwrap();
-        let want = match clean.run_graph(&[x.clone(), y.clone()], &program).unwrap() {
-            RunOutcome::Completed(c) => c,
-            RunOutcome::Crashed => unreachable!(),
-        };
-        let mut exec = PipelineExecutor::new(&ctx, &keys, config).unwrap();
-        // Kill after 4 ops: slots {0,1,2} are live, so the pc-4 checkpoint
-        // must round-trip the whole slot environment through disk.
-        exec.set_fault_plan(FaultPlan::new(9, 0.0).with_kill_point(4));
-        assert!(matches!(
-            exec.run_graph(&[x.clone(), y.clone()], &program).unwrap(),
-            RunOutcome::Crashed
-        ));
-        let got = match exec.resume_graph(&[x, y], &program).unwrap() {
-            RunOutcome::Completed(c) => c,
-            RunOutcome::Crashed => panic!("kill point already consumed"),
-        };
-        assert_eq!(got, want, "resume with restored slots must be bit-identical");
-        let t = exec.telemetry();
-        assert!(t.restores >= 1);
-        assert_eq!(
-            t.ops_executed,
-            program.len() as u64,
-            "4 before the crash + the rest after resume"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&dir_clean);
+        let want = dataflow_direct(&ctx, &keys, &inputs[0], &inputs[1]);
+        // Cadence 0 recovers from the in-memory `last_good` alone — the
+        // one copy a flip leaking through a shared payload would corrupt.
+        for every in [0u64, 1, 4] {
+            let mut injected = 0;
+            for seed in 0..8u64 {
+                let dir = tmpdir(&format!("cow-{every}-{seed}"));
+                let mut exec =
+                    PipelineExecutor::new(&ctx, &keys, cadence_config(&dir, every)).unwrap();
+                let rate = 0.30 + 0.05 * (seed % 4) as f64;
+                exec.set_fault_plan(FaultPlan::new(0xC0DE + seed, rate));
+                let got = match exec.run_graph(&inputs, &program).unwrap() {
+                    RunOutcome::Completed(c) => c,
+                    RunOutcome::Crashed => unreachable!("no kill points in this plan"),
+                };
+                assert_eq!(got, want, "cadence {every}, seed {seed}");
+                let t = exec.telemetry();
+                // (A flip landing just before `Load`/`Input` is overwritten
+                // unseen, so detections can trail injections here.)
+                assert_eq!(t.retries, t.faults_detected, "every detection is retried");
+                injected += t.faults_injected;
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+            assert!(injected >= 8, "cadence {every}: plans must actually fire ({injected})");
+        }
+    }
+
+    #[test]
+    fn kill_at_every_pc_resumes_bit_identically() {
+        let ctx = strict_ctx();
+        let (sk, keys) = graph_keys(&ctx, &[1, -1]);
+        let inputs = dataflow_inputs(&ctx, &sk, 6);
+        let program = dataflow_program();
+        let want = dataflow_direct(&ctx, &keys, &inputs[0], &inputs[1]);
+        for every in [0u64, 1, 4] {
+            for kill_at in 0..program.len() as u64 {
+                let dir = tmpdir(&format!("kill-{every}-{kill_at}"));
+                let mut exec =
+                    PipelineExecutor::new(&ctx, &keys, cadence_config(&dir, every)).unwrap();
+                exec.set_fault_plan(FaultPlan::new(kill_at, 0.0).with_kill_point(kill_at));
+                assert!(matches!(
+                    exec.run_graph(&inputs, &program).unwrap(),
+                    RunOutcome::Crashed
+                ));
+                let got = match exec.resume_graph(&inputs, &program).unwrap() {
+                    RunOutcome::Completed(c) => c,
+                    RunOutcome::Crashed => panic!("kill point already consumed"),
+                };
+                assert_eq!(got, want, "cadence {every}, killed before op {kill_at}");
+                if every == 1 {
+                    // Every boundary is durable: the resume reloads the
+                    // whole live-slot environment from disk (three slots
+                    // at pc 4) and re-executes nothing.
+                    let t = exec.telemetry();
+                    assert_eq!(t.restores >= 1, kill_at > 0);
+                    assert_eq!(t.ops_executed, program.len() as u64);
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]

@@ -20,11 +20,14 @@
 //! transition. Completed entries are compacted away on a configurable
 //! cadence by rewriting live records into the next generation file
 //! (`journal-<gen>.wal`, tmp + fsync + rename), bounding journal growth
-//! for long-lived servers.
+//! for long-lived servers. The journal keeps an index of where each blob
+//! payload sits in the current generation, so compaction copies exactly
+//! the blobs live jobs reference and never reads finished jobs' outputs:
+//! its cost follows the live bytes, not the generation size.
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use cl_ckks::serialize::{
@@ -43,6 +46,17 @@ const FRAME_BYTES: usize = 4 + 4 + 8;
 const MAX_RECORD_BYTES: u32 = 1 << 26;
 /// Failure detail strings are truncated to this many bytes on append.
 const MAX_DETAIL_BYTES: usize = 512;
+/// Frame bytes ahead of a record body: marker + body length.
+const FRAME_HEAD_BYTES: usize = 8;
+/// `Blob` body bytes ahead of the payload: seq + kind + digest + length.
+const BLOB_PREFIX_BYTES: usize = 8 + 1 + 8 + 4;
+
+/// Where one blob payload sits in a generation file.
+#[derive(Debug, Clone, Copy)]
+struct BlobSpan {
+    at: u64,
+    len: u32,
+}
 
 /// When appended records are flushed to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,6 +142,9 @@ pub struct JournalReplay {
     pub records_replayed: u64,
     /// Records skipped: torn tails, flipped bytes, bad lengths.
     pub records_skipped: u64,
+    /// File position of every payload in `blobs`, seeding the journal's
+    /// compaction index.
+    blob_spans: HashMap<u64, BlobSpan>,
 }
 
 impl JournalReplay {
@@ -146,14 +163,17 @@ pub struct Journal {
     fsync: FsyncPolicy,
     unsynced: u32,
     seq: u64,
-    /// Blob digests already present in the current generation file.
-    written_blobs: HashSet<u64>,
+    /// Every blob in the current generation file and where its payload
+    /// sits: the dedup set for appends, and the index compaction copies
+    /// live blobs through.
+    blobs: HashMap<u64, BlobSpan>,
     /// Live (admitted, not finished) jobs in the current generation; used
     /// to decide what survives compaction.
     live: HashMap<u64, ReplayedJob>,
     done_since_compact: u64,
     compact_threshold: u64,
     compactions: u64,
+    compaction_bytes_read: u64,
 }
 
 impl Journal {
@@ -209,11 +229,12 @@ impl Journal {
             fsync,
             unsynced: 0,
             seq: replay.records_replayed,
-            written_blobs: replay.blobs.keys().copied().collect(),
+            blobs: std::mem::take(&mut replay.blob_spans),
             live,
             done_since_compact: 0,
             compact_threshold,
             compactions: 0,
+            compaction_bytes_read: 0,
         };
         Ok((journal, replay))
     }
@@ -240,13 +261,21 @@ impl Journal {
     ///
     /// [`FheError::Serialization`] on write failure.
     pub fn append_blob_with_digest(&mut self, blob: &[u8], digest: u64) -> FheResult<u64> {
-        if self.written_blobs.insert(digest) {
-            let mut body = Vec::with_capacity(21 + blob.len());
-            self.body_prefix(&mut body, KIND_BLOB);
-            put_u64(&mut body, digest);
-            put_u32(&mut body, blob.len() as u32);
+        if !self.blobs.contains_key(&digest) {
+            // The file is only ever appended through this handle, so its
+            // length is where the record lands.
+            let record_at = self
+                .file
+                .metadata()
+                .map_err(|e| io_err("journal_append", &e.to_string()))?
+                .len();
+            let len = blob.len() as u32;
+            let mut body = Vec::with_capacity(BLOB_PREFIX_BYTES + blob.len());
+            blob_prefix(&mut body, self.next_seq(), digest, len);
             body.extend_from_slice(blob);
             self.append_record(&body)?;
+            let at = record_at + (FRAME_HEAD_BYTES + BLOB_PREFIX_BYTES) as u64;
+            self.blobs.insert(digest, BlobSpan { at, len });
         }
         Ok(digest)
     }
@@ -266,30 +295,20 @@ impl Journal {
         input_digest: u64,
         key_digest: u64,
     ) -> FheResult<()> {
-        let mut body = Vec::with_capacity(64 + tenant.len());
-        self.body_prefix(&mut body, KIND_ADMITTED);
-        put_u64(&mut body, id);
-        put_u64(&mut body, deadline_ms.unwrap_or(u64::MAX));
-        put_u64(&mut body, program_digest);
-        put_u64(&mut body, input_digest);
-        put_u64(&mut body, key_digest);
-        put_u16(&mut body, tenant.len() as u16);
-        body.extend_from_slice(tenant.as_bytes());
-        self.append_record(&body)?;
-        self.live.insert(
+        let job = ReplayedJob {
             id,
-            ReplayedJob {
-                id,
-                tenant: tenant.to_string(),
-                deadline_ms,
-                program_digest,
-                input_digest,
-                key_digest,
-                admitted: true,
-                dispatched: false,
-                outcome: None,
-            },
-        );
+            tenant: tenant.to_string(),
+            deadline_ms,
+            program_digest,
+            input_digest,
+            key_digest,
+            admitted: true,
+            dispatched: false,
+            outcome: None,
+        };
+        let body = admitted_body(self.next_seq(), &job);
+        self.append_record(&body)?;
+        self.live.insert(id, job);
         Ok(())
     }
 
@@ -299,9 +318,7 @@ impl Journal {
     ///
     /// [`FheError::Serialization`] on write failure.
     pub fn append_dispatched(&mut self, id: u64) -> FheResult<()> {
-        let mut body = Vec::with_capacity(24);
-        self.body_prefix(&mut body, KIND_DISPATCHED);
-        put_u64(&mut body, id);
+        let body = dispatched_body(self.next_seq(), id);
         self.append_record(&body)?;
         if let Some(job) = self.live.get_mut(&id) {
             job.dispatched = true;
@@ -359,6 +376,13 @@ impl Journal {
         self.compactions
     }
 
+    /// Blob payload bytes compactions have read back from retired
+    /// generations — bounded by the blobs live jobs referenced, whatever
+    /// the generations' size.
+    pub fn compaction_bytes_read(&self) -> u64 {
+        self.compaction_bytes_read
+    }
+
     /// Path of the current generation file (tests damage it directly).
     pub fn path(&self) -> &Path {
         &self.path
@@ -373,37 +397,19 @@ impl Journal {
         Ok(())
     }
 
-    fn body_prefix(&mut self, body: &mut Vec<u8>, kind: u8) {
-        put_u64(body, self.seq);
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
         self.seq += 1;
+        seq
+    }
+
+    fn body_prefix(&mut self, body: &mut Vec<u8>, kind: u8) {
+        put_u64(body, self.next_seq());
         put_u8(body, kind);
     }
 
     fn append_record(&mut self, body: &[u8]) -> FheResult<()> {
-        // Word-wise trailer checksum: `Completed` bodies carry whole output
-        // ciphertext blobs, and the byte-wise FNV serial dependency chain is
-        // the dominant journaling cost at megabyte payloads. Large bodies
-        // are written in place rather than copied into a frame buffer; torn
-        // writes between the parts are tolerated by the replay resync scan.
-        let checksum = fnv1a_fast(body);
-        let write = |f: &mut File, buf: &[u8]| {
-            f.write_all(buf)
-                .map_err(|e| io_err("journal_append", &e.to_string()))
-        };
-        let mut head = [0u8; 8];
-        head[..4].copy_from_slice(&REC_MAGIC);
-        head[4..].copy_from_slice(&(body.len() as u32).to_le_bytes());
-        if body.len() <= 4096 {
-            let mut frame = Vec::with_capacity(FRAME_BYTES + body.len());
-            frame.extend_from_slice(&head);
-            frame.extend_from_slice(body);
-            put_u64(&mut frame, checksum);
-            write(&mut self.file, &frame)?;
-        } else {
-            write(&mut self.file, &head)?;
-            write(&mut self.file, body)?;
-            write(&mut self.file, &checksum.to_le_bytes())?;
-        }
+        write_frame(&mut self.file, body).map_err(|e| io_err("journal_append", &e.to_string()))?;
         cl_trace::record_journal_append((FRAME_BYTES + body.len()) as u64);
         match self.fsync {
             FsyncPolicy::Always => self.sync()?,
@@ -424,84 +430,153 @@ impl Journal {
     /// Finished jobs and their outputs are dropped — a restart after
     /// compaction no longer reconstructs their outcomes, which is the
     /// price of a bounded journal.
+    ///
+    /// Runs under the journal lock every `submit` and worker append needs,
+    /// so it touches only live bytes: each referenced blob is read back
+    /// through the index and re-checked against its digest. A blob damaged
+    /// on disk is left out — the restart then reports it lost, exactly as
+    /// replaying the damaged generation would have.
     fn compact(&mut self) -> FheResult<()> {
         self.sync()?;
-        let bytes = fs::read(&self.path)
-            .map_err(|e| io_err("journal_compact", &e.to_string()))?;
-        let mut replay = JournalReplay::default();
-        replay_bytes(&bytes, &mut replay);
-
+        let err = |e: io::Error| io_err("journal_compact", &e.to_string());
         let next_gen = self.gen + 1;
         let tmp = self.dir.join("journal.tmp");
         let next_path = gen_path(&self.dir, next_gen);
-        let mut out = Vec::with_capacity(1 << 12);
-        write_header(&mut out, ObjectTag::Journal, 0);
-        let mut seq = 0u64;
-        let mut kept_blobs: HashSet<u64> = HashSet::new();
-        let frame = |out: &mut Vec<u8>, body: &[u8]| {
-            out.extend_from_slice(&REC_MAGIC);
-            put_u32(out, body.len() as u32);
-            out.extend_from_slice(body);
-            put_u64(out, fnv1a_fast(body));
+        let mut src = File::open(&self.path).map_err(err)?;
+        let mut header = Vec::with_capacity(16);
+        write_header(&mut header, ObjectTag::Journal, 0);
+        let mut dst = NextGeneration {
+            file: File::create(&tmp).map_err(err)?,
+            at: header.len() as u64,
+            seq: 0,
         };
+        dst.file.write_all(&header).map_err(err)?;
+
+        let mut kept: HashMap<u64, BlobSpan> = HashMap::new();
+        let mut visited: HashSet<u64> = HashSet::new();
+        // One buffer for every blob record: peak memory is the largest live
+        // blob, not their sum.
+        let mut body = Vec::new();
         let mut live: Vec<&ReplayedJob> = self.live.values().collect();
         live.sort_by_key(|j| j.id);
-        for job in &live {
+        for job in live {
             for digest in [job.program_digest, job.input_digest, job.key_digest] {
-                if kept_blobs.insert(digest) {
-                    if let Some(blob) = replay.blobs.get(&digest) {
-                        let mut body = Vec::with_capacity(21 + blob.len());
-                        put_u64(&mut body, seq);
-                        seq += 1;
-                        put_u8(&mut body, KIND_BLOB);
-                        put_u64(&mut body, digest);
-                        put_u32(&mut body, blob.len() as u32);
-                        body.extend_from_slice(blob);
-                        frame(&mut out, &body);
-                    }
+                if !visited.insert(digest) {
+                    continue;
                 }
+                let Some(span) = self.blobs.get(&digest) else { continue };
+                body.clear();
+                blob_prefix(&mut body, dst.seq, digest, span.len);
+                body.resize(BLOB_PREFIX_BYTES + span.len as usize, 0);
+                src.seek(SeekFrom::Start(span.at)).map_err(err)?;
+                match src.read_exact(&mut body[BLOB_PREFIX_BYTES..]) {
+                    Ok(()) => {}
+                    // The generation was cut short under us: the blob is
+                    // as lost as a torn record is to replay.
+                    Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => continue,
+                    Err(e) => return Err(err(e)),
+                }
+                self.compaction_bytes_read += u64::from(span.len);
+                if fnv1a_fast(&body[BLOB_PREFIX_BYTES..]) != digest {
+                    continue;
+                }
+                let record_at = dst.emit(&body).map_err(err)?;
+                let at = record_at + (FRAME_HEAD_BYTES + BLOB_PREFIX_BYTES) as u64;
+                kept.insert(digest, BlobSpan { at, len: span.len });
             }
-            let mut body = Vec::with_capacity(64 + job.tenant.len());
-            put_u64(&mut body, seq);
-            seq += 1;
-            put_u8(&mut body, KIND_ADMITTED);
-            put_u64(&mut body, job.id);
-            put_u64(&mut body, job.deadline_ms.unwrap_or(u64::MAX));
-            put_u64(&mut body, job.program_digest);
-            put_u64(&mut body, job.input_digest);
-            put_u64(&mut body, job.key_digest);
-            put_u16(&mut body, job.tenant.len() as u16);
-            body.extend_from_slice(job.tenant.as_bytes());
-            frame(&mut out, &body);
+            dst.emit(&admitted_body(dst.seq, job)).map_err(err)?;
             if job.dispatched {
-                let mut body = Vec::with_capacity(24);
-                put_u64(&mut body, seq);
-                seq += 1;
-                put_u8(&mut body, KIND_DISPATCHED);
-                put_u64(&mut body, job.id);
-                frame(&mut out, &body);
+                dst.emit(&dispatched_body(dst.seq, job.id)).map_err(err)?;
             }
         }
-        fs::write(&tmp, &out).map_err(|e| io_err("journal_compact", &e.to_string()))?;
-        File::open(&tmp)
-            .and_then(|f| f.sync_data())
-            .map_err(|e| io_err("journal_compact", &e.to_string()))?;
-        fs::rename(&tmp, &next_path)
-            .map_err(|e| io_err("journal_compact", &e.to_string()))?;
+        dst.file.sync_data().map_err(err)?;
+        fs::rename(&tmp, &next_path).map_err(err)?;
+        // The rename itself must be durable before the old generation goes.
+        File::open(&self.dir).and_then(|d| d.sync_all()).map_err(err)?;
         let old_path = std::mem::replace(&mut self.path, next_path);
-        self.file = OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| io_err("journal_compact", &e.to_string()))?;
+        self.file = OpenOptions::new().append(true).open(&self.path).map_err(err)?;
         let _ = fs::remove_file(&old_path);
         self.gen = next_gen;
-        self.seq = seq;
-        self.written_blobs = kept_blobs;
+        self.seq = dst.seq;
+        self.blobs = kept;
         self.done_since_compact = 0;
         self.unsynced = 0;
         self.compactions += 1;
         Ok(())
     }
+}
+
+/// The generation file a compaction is writing: its write position and
+/// next sequence number.
+struct NextGeneration {
+    file: File,
+    at: u64,
+    seq: u64,
+}
+
+impl NextGeneration {
+    /// Appends one record; returns the file position its frame starts at.
+    fn emit(&mut self, body: &[u8]) -> io::Result<u64> {
+        write_frame(&mut self.file, body)?;
+        let record_at = self.at;
+        self.at += (FRAME_BYTES + body.len()) as u64;
+        self.seq += 1;
+        Ok(record_at)
+    }
+}
+
+/// Writes one framed record. Word-wise trailer checksum: `Completed` bodies
+/// carry whole output ciphertext blobs, and the byte-wise FNV serial
+/// dependency chain is the dominant journaling cost at megabyte payloads.
+/// Large bodies are written in place rather than copied into a frame
+/// buffer; torn writes between the parts are tolerated by the replay
+/// resync scan.
+fn write_frame(file: &mut File, body: &[u8]) -> io::Result<()> {
+    let checksum = fnv1a_fast(body);
+    let mut head = [0u8; FRAME_HEAD_BYTES];
+    head[..4].copy_from_slice(&REC_MAGIC);
+    head[4..].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    if body.len() <= 4096 {
+        let mut frame = Vec::with_capacity(FRAME_BYTES + body.len());
+        frame.extend_from_slice(&head);
+        frame.extend_from_slice(body);
+        put_u64(&mut frame, checksum);
+        file.write_all(&frame)
+    } else {
+        file.write_all(&head)?;
+        file.write_all(body)?;
+        file.write_all(&checksum.to_le_bytes())
+    }
+}
+
+/// Starts a `Blob` record body; the payload follows.
+fn blob_prefix(body: &mut Vec<u8>, seq: u64, digest: u64, len: u32) {
+    put_u64(body, seq);
+    put_u8(body, KIND_BLOB);
+    put_u64(body, digest);
+    put_u32(body, len);
+}
+
+fn admitted_body(seq: u64, job: &ReplayedJob) -> Vec<u8> {
+    let mut body = Vec::with_capacity(64 + job.tenant.len());
+    put_u64(&mut body, seq);
+    put_u8(&mut body, KIND_ADMITTED);
+    put_u64(&mut body, job.id);
+    put_u64(&mut body, job.deadline_ms.unwrap_or(u64::MAX));
+    put_u64(&mut body, job.program_digest);
+    put_u64(&mut body, job.input_digest);
+    put_u64(&mut body, job.key_digest);
+    put_u16(&mut body, job.tenant.len() as u16);
+    body.extend_from_slice(job.tenant.as_bytes());
+    body
+}
+
+fn dispatched_body(seq: u64, id: u64) -> Vec<u8> {
+    let mut body = Vec::with_capacity(24);
+    put_u64(&mut body, seq);
+    put_u8(&mut body, KIND_DISPATCHED);
+    put_u64(&mut body, id);
+    body
 }
 
 /// Returns the `journal-<gen>.wal` path for a generation number.
@@ -602,7 +677,7 @@ fn replay_bytes(bytes: &[u8], replay: &mut JournalReplay) {
             pos = resync(bytes, pos + 1, replay);
             continue;
         }
-        if apply_record(body, replay, &mut jobs) {
+        if apply_record(body, body_start as u64, replay, &mut jobs) {
             replay.records_replayed += 1;
         } else {
             replay.records_skipped += 1;
@@ -632,9 +707,15 @@ fn resync(bytes: &[u8], from: usize, replay: &mut JournalReplay) -> usize {
 /// Applies one checksum-verified record body. Records are merged by job id
 /// order-insensitively: `Dispatched`/`Completed` may land before their
 /// `Admitted` (appends from concurrent workers are not globally ordered).
+/// `body_at` is the body's position in the file (blob payloads are indexed).
 /// Returns `false` when the body is structurally malformed despite a
 /// clean checksum (only reachable via a hostile writer).
-fn apply_record(body: &[u8], replay: &mut JournalReplay, jobs: &mut HashMap<u64, usize>) -> bool {
+fn apply_record(
+    body: &[u8],
+    body_at: u64,
+    replay: &mut JournalReplay,
+    jobs: &mut HashMap<u64, usize>,
+) -> bool {
     let mut c = Cursor { buf: body, pos: 0 };
     let Some(_seq) = c.u64() else { return false };
     let Some(kind) = c.u8() else { return false };
@@ -698,6 +779,8 @@ fn apply_record(body: &[u8], replay: &mut JournalReplay, jobs: &mut HashMap<u64,
                 return false;
             }
             replay.blobs.insert(digest, blob.to_vec());
+            let at = body_at + BLOB_PREFIX_BYTES as u64;
+            replay.blob_spans.insert(digest, BlobSpan { at, len });
             true
         }
         _ => false,
@@ -934,6 +1017,111 @@ mod tests {
         assert!(replay.jobs[0].dispatched);
         // Blobs were re-deduplicated into the fresh generation.
         assert_eq!(replay.blobs.len(), 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// 64 finished jobs with 64 KiB outputs (a 4 MiB generation), then
+    /// live jobs 100 and 101 with 8 KiB blobs of their own: a shared
+    /// program and key bundle, one input each. Returns the journal one
+    /// completion short of compacting, and the live blobs by role.
+    fn generation_with_large_outputs(dir: &Path) -> (Journal, [Vec<u8>; 4]) {
+        const FINISHED: u64 = 64;
+        let (mut j, _) = Journal::open(dir, FsyncPolicy::Never, FINISHED + 1).expect("open");
+        let output = vec![0xA5u8; 64 << 10];
+        for id in 1..=FINISHED {
+            admit(&mut j, id, None);
+            j.append_completed(id, &output).expect("complete");
+        }
+        let blob = |tag: u8| -> Vec<u8> { (0..8192u32).map(|i| tag ^ (i % 251) as u8).collect() };
+        let live = [blob(0x10), blob(0x20), blob(0x30), blob(0x40)];
+        let [program, keys, input_100, input_101] = &live;
+        let pd = j.append_blob(program).expect("blob");
+        let kd = j.append_blob(keys).expect("blob");
+        for (id, input) in [(100, input_100), (101, input_101)] {
+            let ind = j.append_blob(input).expect("blob");
+            j.append_admitted(id, "acme", None, pd, ind, kd).expect("admit");
+        }
+        j.append_dispatched(100).expect("dispatch");
+        admit(&mut j, 65, None);
+        assert_eq!(j.compactions(), 0);
+        (j, live)
+    }
+
+    #[test]
+    fn compaction_cost_follows_live_bytes_not_generation_size() {
+        let dir = tmp_dir("compact-live-bytes");
+        let (mut j, live) = generation_with_large_outputs(&dir);
+        let live_bytes: u64 = live.iter().map(|b| b.len() as u64).sum();
+        let generation_bytes = fs::metadata(j.path()).expect("stat").len();
+        assert!(generation_bytes > 100 * live_bytes, "outputs must dwarf the live blobs");
+
+        j.append_completed(65, b"last").expect("complete"); // compacts
+        assert_eq!(j.compactions(), 1);
+        assert_eq!(j.compaction_bytes_read(), live_bytes, "exactly the live blobs are read");
+        let next_bytes = fs::metadata(j.path()).expect("stat").len();
+        assert!(
+            next_bytes < live_bytes + 1024,
+            "next generation holds the live blobs plus a few small records, got {next_bytes}"
+        );
+
+        // Appends after the rollover dedup against the carried-over blobs.
+        j.append_blob(&live[0]).expect("dedup");
+        assert_eq!(fs::metadata(j.path()).expect("stat").len(), next_bytes);
+        drop(j);
+        let (_, replay) = Journal::open(&dir, FsyncPolicy::Never, 0).expect("reopen");
+        assert_eq!(replay.records_skipped, 0);
+        let ids: Vec<u64> = replay.jobs.iter().map(|job| job.id).collect();
+        assert_eq!(ids, [100, 101], "exactly the live jobs survive");
+        assert!(replay.jobs[0].dispatched && !replay.jobs[1].dispatched);
+        assert_eq!(replay.blobs.len(), live.len());
+        for (job, input) in replay.jobs.iter().zip(&live[2..]) {
+            assert!(job.admitted && job.outcome.is_none());
+            assert_eq!(&replay.blobs[&job.program_digest], &live[0]);
+            assert_eq!(&replay.blobs[&job.key_digest], &live[1]);
+            assert_eq!(&replay.blobs[&job.input_digest], input);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_drops_a_live_blob_damaged_on_disk() {
+        let dir = tmp_dir("compact-damaged-blob");
+        let (mut j, live) = generation_with_large_outputs(&dir);
+        let damaged = &live[3]; // job 101's input
+        let mut bytes = fs::read(j.path()).expect("read");
+        let at = bytes
+            .windows(64)
+            .position(|w| w == &damaged[..64])
+            .expect("payload is in the file");
+        bytes[at + 4000] ^= 0x01;
+        // Rewritten in place: the journal's append handle stays valid.
+        OpenOptions::new()
+            .write(true)
+            .open(j.path())
+            .and_then(|mut f| f.write_all(&bytes))
+            .expect("damage");
+
+        j.append_completed(65, b"last").expect("complete"); // compacts
+        assert_eq!(j.compactions(), 1);
+        // The damaged blob was read, failed its digest and was left out —
+        // so it is no longer deduplicated against either.
+        let lost = fnv1a_fast(damaged);
+        assert!(!j.blobs.contains_key(&lost));
+        drop(j);
+        let (mut j, replay) = Journal::open(&dir, FsyncPolicy::Never, 0).expect("reopen");
+        // What replaying the damaged generation itself reports: both jobs
+        // admitted, job 101's input digest resolving to no blob.
+        assert_eq!(replay.records_skipped, 0);
+        assert_eq!(replay.jobs.len(), 2);
+        assert!(replay.blobs.contains_key(&replay.jobs[0].input_digest));
+        assert_eq!(replay.jobs[1].input_digest, lost);
+        assert!(!replay.blobs.contains_key(&lost));
+        assert_eq!(replay.blobs.len(), live.len() - 1);
+        // A resubmission journals the payload afresh.
+        j.append_blob(damaged).expect("re-journal");
+        drop(j);
+        let (_, replay) = Journal::open(&dir, FsyncPolicy::Never, 0).expect("reopen");
+        assert_eq!(&replay.blobs[&lost], damaged);
         let _ = fs::remove_dir_all(&dir);
     }
 

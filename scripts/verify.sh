@@ -6,7 +6,9 @@
 #  3. Fault-recovery smoke: a bootstrapped pipeline under a fixed-seed
 #     fault plan must converge, with >= 1 recorded recovery, to the clean
 #     run's bit-identical output (examples/fault_recovery_smoke.rs).
-#  4. Lint gate on every library target: warnings are errors and bare
+#  4. The end-to-end benchmark's smoke suite (compiles the detached
+#     benchmarks/e2e package against the workspace and runs it).
+#  5. Lint gate on every library target: warnings are errors and bare
 #     `unwrap()` is banned (tests and binaries are exempt — library code
 #     must name the violated invariant via `expect` or propagate with
 #     `?`/`FheResult`).
@@ -66,6 +68,15 @@ echo "== tier-1: compile-and-run smoke =="
 # peak the compiler predicted, and decrypt to the plain reference
 # (examples/compile_run_smoke.rs).
 cargo run --release --example compile_run_smoke
+
+echo "== tier-1: end-to-end benchmark smoke =="
+# benchmarks/e2e is a detached workspace the root build never compiles, so
+# an API break in cl-runtime / cl-server would otherwise surface only when
+# the benchmark next runs. The smoke suite builds it offline (plain and
+# traced) and runs all four workloads at toy shapes, checking outputs and
+# every metric BENCHMARK.json names; it writes only git-ignored files
+# (.bench_build/, benchmarks/e2e/results/smoke.json).
+bash benchmarks/e2e/run.sh --smoke
 
 echo "== tier-1: lint gate (library targets) =="
 cargo clippy -p cl-math -p cl-rns -p cl-ckks -p cl-boot -p cl-runtime \

@@ -21,10 +21,13 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use craterlake::apps::{eval_plain, lola_layer_runnable, RunnableWorkload};
+use craterlake::apps::{
+    eval_plain, lola_layer_runnable, lola_mlp_runnable, DenseLayer, RunnableWorkload,
+};
 use craterlake::boot::BootstrapKeys;
 use craterlake::ckks::{Ciphertext, CkksContext, CkksParams, GuardrailPolicy, KeySwitchKind};
 use craterlake::compiler::{lower_to_program, predict_program, LowerOptions, LoweredProgram};
+use craterlake::isa::{HeOp, NodeId};
 use craterlake::runtime::{ExecutorConfig, PipelineExecutor, RunOutcome};
 use cl_trace::OpSnapshot;
 use rand::SeedableRng;
@@ -321,5 +324,96 @@ fn prediction_holds_on_a_second_layer_shape() {
     let got = ctx.decode(&ctx.decrypt(&out, &sk), SLOTS);
     for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
         assert!((g - r).abs() < 1e-3, "slot {i}: {g} vs {r}");
+    }
+}
+
+/// Evaluates the *graph* node by node in construction order with the
+/// public `try_*` ops — no lowering, no reordering, no hoisting, no slots,
+/// no executor. Plaintexts are encoded at the to-be-dropped modulus, the
+/// convention `MulPlain` documents.
+fn eval_graph_direct(
+    ctx: &CkksContext,
+    keys: &BootstrapKeys,
+    w: &RunnableWorkload,
+    x: &Ciphertext,
+) -> Ciphertext {
+    let mut vals: Vec<Option<Ciphertext>> = Vec::with_capacity(w.graph.num_nodes());
+    for (_, node) in w.graph.iter() {
+        let at = |id: NodeId| vals[id.0 as usize].as_ref().expect("ciphertext operand");
+        let v = match node.op {
+            HeOp::Input => Some(x.clone()),
+            HeOp::PlainInput => None,
+            HeOp::Add(a, b) => Some(ctx.try_add(at(a), at(b)).unwrap()),
+            HeOp::MulPlain(a, p) => {
+                let ct = at(a);
+                let q_drop = ctx.rns().modulus_value((ct.level() - 1) as u32) as f64;
+                let pt = ctx.encode(&w.plain[&p], q_drop, ct.level());
+                Some(ctx.try_mul_plain(ct, &pt).unwrap())
+            }
+            HeOp::Rotate(a, step) => {
+                let key = keys.try_rot_key(ctx, step).unwrap();
+                Some(ctx.try_rotate(at(a), step, key.as_ref()).unwrap())
+            }
+            HeOp::Rescale(a) => Some(ctx.try_rescale(at(a)).unwrap()),
+            HeOp::MulCt(a, b) if a == b => {
+                Some(ctx.try_square(at(a), keys.try_relin(ctx).unwrap().as_ref()).unwrap())
+            }
+            HeOp::Output(a) => return at(a).clone(),
+            ref other => panic!("the MLP graph does not use {other:?}"),
+        };
+        vals.push(v);
+    }
+    panic!("graph has no Output node")
+}
+
+#[test]
+fn compiled_three_layer_mlp_is_bit_identical_to_node_by_node_evaluation() {
+    let _g = counter_lock();
+    const MLP_SLOTS: usize = 128;
+    let params = CkksParams::builder()
+        .ring_degree(2 * MLP_SLOTS)
+        .levels(7)
+        .special_limbs(7)
+        .limb_bits(45)
+        .scale_bits(40)
+        .build()
+        .unwrap();
+    let ctx = CkksContext::new(params)
+        .unwrap()
+        .with_policy(GuardrailPolicy::Strict { min_budget_bits: -60.0 });
+    // 9 / 16 / 4 diagonals at strides 1 / 2 / 4, square activation after
+    // the first two layers: five levels.
+    let layer = |diags, stride, activate| DenseLayer { diags, stride, activate };
+    let layers = [layer(9, 1, true), layer(16, 2, true), layer(4, 4, false)];
+    let w = lola_mlp_runnable(MLP_SLOTS, 6, &layers);
+    let lowered = lower_to_program(
+        &w.graph,
+        &LowerOptions {
+            slots: MLP_SLOTS,
+            plain: w.plain.clone(),
+            reorder: true,
+            auto_bootstrap: None,
+            max_live_cts: None,
+        },
+    )
+    .expect("MLP graph lowers");
+    let (sk, keys) = keys_for(&ctx, &lowered);
+    let image: Vec<f64> = (0..MLP_SLOTS).map(|i| ((i * 5) % 17) as f64 / 17.0 - 0.4).collect();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let x = ctx.encrypt(&ctx.encode(&image, ctx.default_scale(), w.input_level), &sk, &mut rng);
+
+    let (out, peak) = run_compiled(&ctx, &keys, &x, &lowered);
+    let expect = eval_graph_direct(&ctx, &keys, &w, &x);
+    assert_eq!(out, expect, "compiled MLP must equal node-by-node evaluation bit for bit");
+    assert_eq!(peak, lowered.predicted_peak_live, "residency plan vs executor high-water mark");
+    // The 16-diagonal layer is the high-water mark: its input and three
+    // hoisted baby rotations, the parked partial sum and inner term, and
+    // the accumulator.
+    assert_eq!(peak, 7);
+
+    let reference = eval_plain(&w, &[image]);
+    let got = ctx.decode(&ctx.decrypt(&out, &sk), MLP_SLOTS);
+    for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
+        assert!((g - r).abs() < 1e-3, "slot {i}: decrypted {g} vs plain reference {r}");
     }
 }

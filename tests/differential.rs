@@ -16,10 +16,12 @@
 //!   every backend and thread count, including under hint-cache eviction
 //!   and re-expansion mid-pipeline.
 //!
-//! Thread-count mutation is process-global, so every test that touches it
-//! serializes on [`THREADS`].
+//! Thread count, backend selection and the `cl-trace` op counters are all
+//! process-global, so every test in this binary holds [`THREADS`] for its
+//! whole body — set-up included: a keygen or NTT running beside
+//! `op_counters_are_thread_invariant` would leak into its measured delta.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use cl_boot::{try_bsgs_transform, BootstrapKeys, PrecomputedTransform};
 use cl_ckks::{Ciphertext, CkksContext, CkksParams, KeySwitchKey, KeySwitchKind};
@@ -28,14 +30,21 @@ use cl_rns::{Basis, RnsContext, RnsPoly};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
-/// Guards the process-global rayon thread-count while a differential pair
-/// runs. Poisoning is irrelevant — the guard only sequences tests.
+/// Guards the process-global state (see the module docs) for the length of
+/// one test. Poisoning is irrelevant — the guard only sequences tests.
 static THREADS: Mutex<()> = Mutex::new(());
+
+/// Proof that the caller's test holds [`THREADS`].
+type Held = MutexGuard<'static, ()>;
+
+/// Taken first thing in every test body, before any set-up.
+fn hold_threads() -> Held {
+    THREADS.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Runs `f` once with 1 thread and once with `n` threads, returning both
 /// results, with the global thread count restored to 1 afterwards.
-fn serial_vs_parallel<R>(n: usize, mut f: impl FnMut() -> R) -> (R, R) {
-    let _guard = THREADS.lock().unwrap_or_else(|p| p.into_inner());
+fn serial_vs_parallel<R>(_held: &Held, n: usize, mut f: impl FnMut() -> R) -> (R, R) {
     rayon::set_num_threads(1);
     let serial = f();
     rayon::set_num_threads(n);
@@ -85,9 +94,10 @@ proptest! {
         limbs in 1usize..7,
         ops in proptest::collection::vec(0u8..6, 1..12),
     ) {
+        let held = hold_threads();
         let ctx = rns_ctx(1 << n_log);
         let basis = ctx.q_basis(limbs);
-        let (serial, parallel) = serial_vs_parallel(4, || {
+        let (serial, parallel) = serial_vs_parallel(&held, 4, || {
             let mut acc = poly_from_seed(&ctx, &basis, seed);
             let other = poly_from_seed(&ctx, &basis, seed ^ 0xdead_beef);
             for &op in &ops {
@@ -102,6 +112,7 @@ proptest! {
     /// bit-for-bit at production-like shapes.
     #[test]
     fn lazy_ntt_matches_strict_large(seed in any::<u64>()) {
+        let _held = hold_threads();
         for n in [1usize << 10, 1 << 12] {
             let q = cl_math::generate_ntt_primes(n, 59, 1).expect("59-bit prime")[0];
             let table = NttTable::cached(n, q).expect("NTT-friendly prime");
@@ -149,6 +160,7 @@ proptest! {
         digits in 1usize..3,
         raw_steps in proptest::collection::vec(-8i64..9, 1..5),
     ) {
+        let held = hold_threads();
         // Map the raw draws to nonzero rotation steps (0 needs no key).
         let steps: Vec<i64> = raw_steps.iter().map(|&s| if s == 0 { 1 } else { s }).collect();
         let run = || {
@@ -174,7 +186,7 @@ proptest! {
                 .collect();
             (hoisted, naive)
         };
-        let ((h_s, n_s), (h_p, n_p)) = serial_vs_parallel(4, run);
+        let ((h_s, n_s), (h_p, n_p)) = serial_vs_parallel(&held, 4, run);
         for i in 0..steps.len() {
             prop_assert_eq!(h_s[i].c0(), n_s[i].c0(), "hoisted c0 != naive c0 at step {}", steps[i]);
             prop_assert_eq!(h_s[i].c1(), n_s[i].c1(), "hoisted c1 != naive c1 at step {}", steps[i]);
@@ -198,6 +210,7 @@ proptest! {
         seed in any::<u64>(),
         raw_idx in proptest::collection::vec(0i64..64, 1..6),
     ) {
+        let held = hold_threads();
         let mut diag_idx = raw_idx.clone();
         diag_idx.sort_unstable();
         diag_idx.dedup();
@@ -262,7 +275,7 @@ proptest! {
             let got_naive = ctx.decode_complex(&ctx.decrypt(&naive, &sk), m);
             (bsgs, got_bsgs, got_naive, expect)
         };
-        let ((ct_s, bsgs_s, naive_s, expect), (ct_p, _, _, _)) = serial_vs_parallel(4, run);
+        let ((ct_s, bsgs_s, naive_s, expect), (ct_p, _, _, _)) = serial_vs_parallel(&held, 4, run);
         assert_eq!(ct_s.c0(), ct_p.c0(), "BSGS output differs across thread counts");
         assert_eq!(ct_s.c1(), ct_p.c1(), "BSGS output differs across thread counts");
         for t in 0..expect.len() {
@@ -283,6 +296,7 @@ proptest! {
 /// byte-identical ciphertexts and identical decodes at 1 vs 4 threads.
 #[test]
 fn ckks_pipeline_thread_invariant() {
+    let held = hold_threads();
     let run = || {
         let params = CkksParams::builder()
             .ring_degree(256)
@@ -307,7 +321,7 @@ fn ckks_pipeline_thread_invariant() {
         let decoded = ctx.decode(&ctx.decrypt(&rescaled, &sk), vals.len());
         (rescaled, decoded)
     };
-    let ((ct_s, dec_s), (ct_p, dec_p)) = serial_vs_parallel(4, run);
+    let ((ct_s, dec_s), (ct_p, dec_p)) = serial_vs_parallel(&held, 4, run);
     assert_eq!(ct_s.c0(), ct_p.c0(), "c0 differs across thread counts");
     assert_eq!(ct_s.c1(), ct_p.c1(), "c1 differs across thread counts");
     assert_eq!(dec_s, dec_p, "decoded values differ across thread counts");
@@ -316,10 +330,11 @@ fn ckks_pipeline_thread_invariant() {
 /// The op-level telemetry totals are bit-identical at any thread count:
 /// every counted pass is data-independent limb work dispatched over the
 /// worker pool, so scheduling changes the interleaving but never the
-/// counts. (Relies on all counter-bumping tests in this binary doing their
-/// work under the [`THREADS`] lock, which `serial_vs_parallel` holds.)
+/// counts. (Relies on every test in this binary doing all of its work
+/// under the [`THREADS`] lock.)
 #[test]
 fn op_counters_are_thread_invariant() {
+    let held = hold_threads();
     let run = || {
         let ctx = hoist_ctx();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x7AC3);
@@ -336,7 +351,7 @@ fn op_counters_are_thread_invariant() {
         let _ = ctx.try_rotate(&rescaled, 3, &rot).expect("rotate");
         cl_trace::OpSnapshot::capture().delta_since(&before)
     };
-    let (serial, parallel) = serial_vs_parallel(4, run);
+    let (serial, parallel) = serial_vs_parallel(&held, 4, run);
     assert_eq!(
         serial, parallel,
         "op counters must not depend on the thread count"
@@ -355,10 +370,9 @@ fn op_counters_are_thread_invariant() {
 /// asserting every result is bit-identical to the reference.
 ///
 /// Backend selection is process-global like the thread count, so the whole
-/// matrix runs under the [`THREADS`] lock and restores the default backend
-/// before returning.
-fn assert_backend_invariant<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) {
-    let _guard = THREADS.lock().unwrap_or_else(|p| p.into_inner());
+/// matrix runs under the caller's [`THREADS`] hold and restores the default
+/// backend before returning.
+fn assert_backend_invariant<R: PartialEq + std::fmt::Debug>(_held: &Held, f: impl Fn() -> R) {
     let supported = supported_backends();
     set_active_backend(BackendKind::Scalar).expect("scalar is always supported");
     rayon::set_num_threads(1);
@@ -383,12 +397,13 @@ fn assert_backend_invariant<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) {
 /// 59-bit modulus (the generic vector path), across thread counts.
 #[test]
 fn ntt_roundtrip_backend_invariant() {
+    let held = hold_threads();
     for (n, bits) in [(1usize << 10, 50u32), (1 << 13, 50), (1 << 12, 59)] {
         let q = cl_math::generate_ntt_primes(n, bits, 1).expect("prime")[0];
         let table = NttTable::cached(n, q).expect("NTT-friendly prime");
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xBACC ^ n as u64);
         let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-        assert_backend_invariant(|| {
+        assert_backend_invariant(&held, || {
             let mut fwd = data.clone();
             table.forward(&mut fwd);
             let mut inv = fwd.clone();
@@ -404,6 +419,7 @@ fn ntt_roundtrip_backend_invariant() {
 /// count.
 #[test]
 fn keyswitch_backend_invariant() {
+    let held = hold_threads();
     let params = CkksParams::builder()
         .ring_degree(128)
         .levels(4)
@@ -421,7 +437,7 @@ fn keyswitch_backend_invariant() {
     let signed: Vec<i64> = (0..128).map(|i| (i % 31) - 15).collect();
     let mut msg = rns.from_signed_coeffs(&signed, &qb);
     rns.to_ntt(&mut msg);
-    assert_backend_invariant(|| ctx.try_keyswitch(&msg, &ksk).expect("keyswitch"));
+    assert_backend_invariant(&held, || ctx.try_keyswitch(&msg, &ksk).expect("keyswitch"));
 }
 
 /// One bootstrap step (EvalMod square + rescale) is bit-identical across
@@ -429,13 +445,14 @@ fn keyswitch_backend_invariant() {
 /// backend-invariant (counters are recorded above the dispatch layer).
 #[test]
 fn bootstrap_step_backend_invariant() {
+    let held = hold_threads();
     let ctx = hoist_ctx();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xB007);
     let sk = ctx.keygen(&mut rng);
     let relin = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 2 }, &mut rng);
     let pt = ctx.encode(&[0.5, -0.25, 0.125, 0.375], ctx.default_scale(), ctx.max_level());
     let ct = ctx.encrypt(&pt, &sk, &mut rng);
-    assert_backend_invariant(|| {
+    assert_backend_invariant(&held, || {
         let before = cl_trace::OpSnapshot::capture();
         let stepped = ctx
             .try_rescale(&ctx.try_mul(&ct, &ct, &relin).expect("square"))
@@ -460,6 +477,7 @@ proptest! {
         level in 2usize..5,
         digits in 1usize..4,
     ) {
+        let held = hold_threads();
         let ctx = hoist_ctx();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let sk = ctx.keygen(&mut rng);
@@ -475,7 +493,7 @@ proptest! {
         let signed: Vec<i64> = (0..128).map(|i| (i % 29) - 14).collect();
         let mut msg = ctx.rns().from_signed_coeffs(&signed, &qb);
         ctx.rns().to_ntt(&mut msg);
-        assert_backend_invariant(|| {
+        assert_backend_invariant(&held, || {
             let lazy = compact.expand(&ctx).expect("lazy hint expansion");
             assert!(lazy.verify_integrity(), "regenerated hint digest must match");
             let from_eager = ctx.try_keyswitch(&msg, &eager).expect("eager keyswitch");
@@ -495,6 +513,7 @@ proptest! {
 /// roomy-cache run bit-for-bit on every backend and thread count.
 #[test]
 fn hint_cache_thrash_backend_invariant() {
+    let held = hold_threads();
     use std::sync::Arc;
 
     use cl_ckks::HintCache;
@@ -533,7 +552,7 @@ fn hint_cache_thrash_backend_invariant() {
         let out = try_bsgs_transform(&ctx, &ct, &pre, &keys).expect("bsgs transform");
         (out, cache.stats())
     };
-    assert_backend_invariant(|| {
+    assert_backend_invariant(&held, || {
         let (roomy, roomy_stats) = run_with_capacity(usize::MAX);
         let (tight, tight_stats) = run_with_capacity(1);
         assert_eq!(roomy_stats.evictions, 0, "roomy cache must never evict");
@@ -553,6 +572,7 @@ fn hint_cache_thrash_backend_invariant() {
 /// a strict superset of the target basis.
 #[test]
 fn keyswitch_below_max_level_thread_invariant() {
+    let held = hold_threads();
     let run = || {
         let params = CkksParams::builder()
             .ring_degree(128)
@@ -573,6 +593,6 @@ fn keyswitch_below_max_level_thread_invariant() {
         rns.to_ntt(&mut msg);
         ctx.try_keyswitch(&msg, &ksk).expect("keyswitch")
     };
-    let (serial, parallel) = serial_vs_parallel(4, run);
+    let (serial, parallel) = serial_vs_parallel(&held, 4, run);
     assert_eq!(serial, parallel);
 }
