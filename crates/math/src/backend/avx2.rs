@@ -1,19 +1,37 @@
-//! AVX2 kernels: 4 residues per instruction.
+//! AVX2 instantiation of the shared kernel driver: 4 residues per
+//! instruction.
 //!
-//! AVX2 has no 64-bit unsigned compare, no 64-bit full multiply, and no
-//! 512-bit registers, so these kernels build everything from `vpmuludq`
-//! 32×32→64 partial products, sign-flipped signed compares, and 128-bit lane
-//! shuffles. They run the exact scalar algorithms lane-parallel, so even
-//! lazy intermediates match the scalar backend word-for-word.
-
-#![allow(clippy::missing_safety_doc)] // SAFETY contracts are on the `unsafe` blocks
+//! Every slice kernel, vector-wide NTT pass and stage schedule comes from
+//! [`simd_driver!`](super::driver); this file holds only what is particular
+//! to 256-bit AVX2. The ISA has no 64-bit unsigned compare, no 64-bit full
+//! multiply and no cross-lane two-source permute, so the element helpers
+//! build everything from `vpmuludq` 32×32→64 partial products and
+//! sign-flipped signed compares, and the sub-vector NTT stages (strides 2
+//! and 1) shuffle with 128-bit lane permutes. All of it runs the exact
+//! scalar algorithms lane-parallel, so even lazy intermediates match the
+//! scalar backend word-for-word.
 
 use core::arch::x86_64::*;
 
 use super::scalar;
 use crate::{Modulus, NttTable};
 
-const LANES: usize = 4;
+simd_driver! {
+    feature: "avx2",
+    vector: __m256i,
+    lanes: 4,
+    load: _mm256_loadu_si256,
+    store: _mm256_storeu_si256,
+    add: _mm256_add_epi64,
+    sub: _mm256_sub_epi64,
+    products: [{
+        feature: "avx2",
+        when: any_modulus,
+        consts: barrett,
+        mul: barrett_mul,
+        mul_acc: barrett_mul_acc,
+    }],
+}
 
 // ---------------------------------------------------------------------------
 // Element helpers.
@@ -25,14 +43,8 @@ fn splat(x: u64) -> __m256i {
     _mm256_set1_epi64x(x as i64)
 }
 
-#[inline]
-#[target_feature(enable = "avx2")]
-fn sign_bit() -> __m256i {
-    splat(1u64 << 63)
-}
-
 /// Subtracts `b` from lanes where `x >= b` (unsigned, via sign-flipped signed
-/// compare). `bs` must be `b ^ sign_bit()`.
+/// compare). `bs` must be `b ^ sign`, `sign` the broadcast top bit.
 #[inline]
 #[target_feature(enable = "avx2")]
 fn cond_sub(x: __m256i, b: __m256i, bs: __m256i, sign: __m256i) -> __m256i {
@@ -48,6 +60,8 @@ fn mulhi64(a: __m256i, b: __m256i) -> __m256i {
     let mask32 = splat(0xffff_ffff);
     let a_hi = _mm256_srli_epi64::<32>(a);
     let b_hi = _mm256_srli_epi64::<32>(b);
+    // vpmuludq reads only the low 32 bits of each lane, so `a`/`b` stand in
+    // for their own low halves.
     let ll = _mm256_mul_epu32(a, b);
     let lh = _mm256_mul_epu32(a, b_hi);
     let hl = _mm256_mul_epu32(a_hi, b);
@@ -80,36 +94,63 @@ fn mul_shoup_lazy_v(a: __m256i, w: __m256i, ws: __m256i, q: __m256i) -> __m256i 
     _mm256_sub_epi64(mullo64(a, w), mullo64(hi, q))
 }
 
-/// Broadcast constants for lane-parallel Barrett reduction (same derivation
-/// as the AVX-512 backend: quotient seed `x >> (k-1)`, `mu = floor(2^2k/q)`,
-/// remainder below `3q`).
+/// Broadcast reduction constants: `q`, `2q` and their sign-flipped copies
+/// for [`cond_sub`].
 #[derive(Clone, Copy)]
-struct Barrett {
+struct Consts {
     q: __m256i,
     q_s: __m256i,
     two_q: __m256i,
     two_q_s: __m256i,
     sign: __m256i,
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+fn consts(m: &Modulus) -> Consts {
+    let sign = splat(1u64 << 63);
+    let q = splat(m.value());
+    let two_q = splat(m.two_q());
+    Consts {
+        q,
+        q_s: _mm256_xor_si256(q, sign),
+        two_q,
+        two_q_s: _mm256_xor_si256(two_q, sign),
+        sign,
+    }
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+fn csub_q(c: Consts, x: __m256i) -> __m256i {
+    cond_sub(x, c.q, c.q_s, c.sign)
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+fn csub_2q(c: Consts, x: __m256i) -> __m256i {
+    cond_sub(x, c.two_q, c.two_q_s, c.sign)
+}
+
+/// Broadcast constants for lane-parallel Barrett reduction (see
+/// `Modulus::barrett_mu`): `qhat = ((x >> (k-1)) * mu) >> (k+1)` with
+/// `mu = floor(2^2k / q)` leaves `x - qhat*q` below `3q`.
+#[derive(Clone, Copy)]
+struct Barrett {
+    r: Consts,
     mu: __m256i,
-    sh_lo: __m256i,
-    sh_hi: __m256i,
-    sh_qlo: __m256i,
-    sh_qhi: __m256i,
+    sh_lo: __m256i,  // k - 1
+    sh_hi: __m256i,  // 65 - k
+    sh_qlo: __m256i, // k + 1
+    sh_qhi: __m256i, // 63 - k
 }
 
 #[inline]
 #[target_feature(enable = "avx2")]
 fn barrett(m: &Modulus) -> Barrett {
     let k = m.barrett_k() as u64;
-    let sign = sign_bit();
-    let q = splat(m.value());
-    let two_q = splat(m.two_q());
     Barrett {
-        q,
-        q_s: _mm256_xor_si256(q, sign),
-        two_q,
-        two_q_s: _mm256_xor_si256(two_q, sign),
-        sign,
+        r: consts(m),
         mu: splat(m.barrett_mu()),
         sh_lo: splat(k - 1),
         sh_hi: splat(65 - k),
@@ -124,665 +165,97 @@ fn barrett(m: &Modulus) -> Barrett {
 fn barrett_mul(c: Barrett, a: __m256i, b: __m256i) -> __m256i {
     let lo = mullo64(a, b);
     let hi = mulhi64(a, b);
+    // c1 = floor(x / 2^(k-1)), a (k+1)-bit quotient seed.
     let c1 = _mm256_or_si256(_mm256_sllv_epi64(hi, c.sh_hi), _mm256_srlv_epi64(lo, c.sh_lo));
     let mlo = mullo64(c1, c.mu);
     let mhi = mulhi64(c1, c.mu);
+    // qhat = floor(c1 * mu / 2^(k+1)) >= floor(x/q) - 2.
     let qhat = _mm256_or_si256(_mm256_sllv_epi64(mhi, c.sh_qhi), _mm256_srlv_epi64(mlo, c.sh_qlo));
-    let r = _mm256_sub_epi64(lo, mullo64(qhat, c.q));
-    let r = cond_sub(r, c.two_q, c.two_q_s, c.sign);
-    cond_sub(r, c.q, c.q_s, c.sign)
+    // x - qhat*q < 3q fits u64, so low-64 arithmetic is exact.
+    let r = _mm256_sub_epi64(lo, mullo64(qhat, c.r.q));
+    csub_q(c.r, csub_2q(c.r, r))
 }
 
+/// Canonical `s + a * b mod q` for canonical lanes.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn add_mod_v(c: Barrett, a: __m256i, b: __m256i) -> __m256i {
-    cond_sub(_mm256_add_epi64(a, b), c.q, c.q_s, c.sign)
+fn barrett_mul_acc(c: Barrett, s: __m256i, a: __m256i, b: __m256i) -> __m256i {
+    csub_q(c.r, _mm256_add_epi64(s, barrett_mul(c, a, b)))
 }
 
-// ---------------------------------------------------------------------------
-// Slice kernels.
-// ---------------------------------------------------------------------------
-
-#[target_feature(enable = "avx2")]
-pub(crate) fn add_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
-    let c = barrett(m);
-    let n = a.len() - a.len() % LANES;
-    let (pa, pb) = (a.as_mut_ptr(), b.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len() == b.len().
-        unsafe {
-            let x = _mm256_loadu_si256(pa.add(i).cast());
-            let y = _mm256_loadu_si256(pb.add(i).cast());
-            _mm256_storeu_si256(pa.add(i).cast(), add_mod_v(c, x, y));
-        }
-    }
-    scalar::add_mod_slice(m, &mut a[n..], &b[n..]);
-}
-
-#[target_feature(enable = "avx2")]
-pub(crate) fn sub_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
-    let c = barrett(m);
-    let n = a.len() - a.len() % LANES;
-    let (pa, pb) = (a.as_mut_ptr(), b.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len() == b.len().
-        unsafe {
-            let x = _mm256_loadu_si256(pa.add(i).cast());
-            let y = _mm256_loadu_si256(pb.add(i).cast());
-            let r = _mm256_sub_epi64(_mm256_add_epi64(x, c.q), y);
-            _mm256_storeu_si256(pa.add(i).cast(), cond_sub(r, c.q, c.q_s, c.sign));
-        }
-    }
-    scalar::sub_mod_slice(m, &mut a[n..], &b[n..]);
-}
-
-#[target_feature(enable = "avx2")]
-pub(crate) fn neg_mod_slice(m: &Modulus, a: &mut [u64]) {
-    let c = barrett(m);
-    let n = a.len() - a.len() % LANES;
-    let pa = a.as_mut_ptr();
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len().
-        unsafe {
-            let x = _mm256_loadu_si256(pa.add(i).cast());
-            let r = _mm256_sub_epi64(c.q, x);
-            _mm256_storeu_si256(pa.add(i).cast(), cond_sub(r, c.q, c.q_s, c.sign));
-        }
-    }
-    scalar::neg_mod_slice(m, &mut a[n..]);
-}
-
-#[target_feature(enable = "avx2")]
-pub(crate) fn mul_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
-    let c = barrett(m);
-    let n = a.len() - a.len() % LANES;
-    let (pa, pb) = (a.as_mut_ptr(), b.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len() == b.len().
-        unsafe {
-            let x = _mm256_loadu_si256(pa.add(i).cast());
-            let y = _mm256_loadu_si256(pb.add(i).cast());
-            _mm256_storeu_si256(pa.add(i).cast(), barrett_mul(c, x, y));
-        }
-    }
-    scalar::mul_mod_slice(m, &mut a[n..], &b[n..]);
-}
-
-#[target_feature(enable = "avx2")]
-pub(crate) fn mul_acc_mod_slice(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-    let c = barrett(m);
-    let n = acc.len() - acc.len() % LANES;
-    let (pacc, pa, pb) = (acc.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n and all three slices have equal length.
-        unsafe {
-            let s = _mm256_loadu_si256(pacc.add(i).cast());
-            let x = _mm256_loadu_si256(pa.add(i).cast());
-            let y = _mm256_loadu_si256(pb.add(i).cast());
-            let p = barrett_mul(c, x, y);
-            _mm256_storeu_si256(pacc.add(i).cast(), add_mod_v(c, s, p));
-        }
-    }
-    scalar::mul_acc_mod_slice(m, &mut acc[n..], &a[n..], &b[n..]);
-}
-
-/// Reduces arbitrary `u64` words into canonical `[0, q)`.
+/// # Safety
 ///
-/// Quotient estimate with `minv = floor(2^64 / q)`: `qhat = mulhi64(x, minv)`
-/// underestimates `floor(x/q)` by at most 1 (the discarded term
-/// `x * (2^64 mod q) / (q * 2^64)` is below 1), so `x - qhat*q < 2q` and one
-/// conditional subtract canonicalizes. The word-sized `barrett_mu` constant
-/// cannot be used here: it only bounds inputs below `2^{2k}`, which is less
-/// than `2^64` for small moduli.
+/// `i + LANES <= perm.len()` and those indices are below `src.len()`.
+#[inline]
 #[target_feature(enable = "avx2")]
-pub(crate) fn reduce_raw_slice(m: &Modulus, a: &mut [u64]) {
-    let minv = ((1u128 << 64) / m.value() as u128) as u64;
-    let sign = sign_bit();
-    let q = splat(m.value());
-    let q_s = _mm256_xor_si256(q, sign);
-    let vminv = splat(minv);
-    let n = a.len() - a.len() % LANES;
-    let pa = a.as_mut_ptr();
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len().
-        unsafe {
-            let x = _mm256_loadu_si256(pa.add(i).cast());
-            let qhat = mulhi64(x, vminv);
-            let r = _mm256_sub_epi64(x, mullo64(qhat, q));
-            _mm256_storeu_si256(pa.add(i).cast(), cond_sub(r, q, q_s, sign));
-        }
+unsafe fn gather(src: &[u64], perm: &[u32], i: usize) -> __m256i {
+    // SAFETY: the index load is in bounds and every gathered address lies
+    // inside src, both by the caller's contract.
+    unsafe {
+        let idx = _mm_loadu_si128(perm.as_ptr().add(i).cast());
+        _mm256_i32gather_epi64::<8>(src.as_ptr().cast(), idx)
     }
-    scalar::reduce_raw_slice(m, &mut a[n..]);
-}
-
-#[target_feature(enable = "avx2")]
-pub(crate) fn mul_scalar_shoup_slice(m: &Modulus, a: &mut [u64], w: u64, w_shoup: u64) {
-    let c = barrett(m);
-    let wv = splat(w);
-    let wsv = splat(w_shoup);
-    let n = a.len() - a.len() % LANES;
-    let pa = a.as_mut_ptr();
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len().
-        unsafe {
-            let x = _mm256_loadu_si256(pa.add(i).cast());
-            let v = mul_shoup_lazy_v(x, wv, wsv, c.q);
-            _mm256_storeu_si256(pa.add(i).cast(), cond_sub(v, c.q, c.q_s, c.sign));
-        }
-    }
-    scalar::mul_scalar_shoup_slice(m, &mut a[n..], w, w_shoup);
-}
-
-#[target_feature(enable = "avx2")]
-pub(crate) fn mul_shoup_lazy_acc_slice(m: &Modulus, acc: &mut [u64], x: &[u64], w: u64, w_shoup: u64) {
-    let c = barrett(m);
-    let wv = splat(w);
-    let wsv = splat(w_shoup);
-    let n = acc.len() - acc.len() % LANES;
-    let (pacc, px) = (acc.as_mut_ptr(), x.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= acc.len() == x.len().
-        unsafe {
-            let s = _mm256_loadu_si256(pacc.add(i).cast());
-            let xi = _mm256_loadu_si256(px.add(i).cast());
-            let v = mul_shoup_lazy_v(xi, wv, wsv, c.q);
-            let r = cond_sub(_mm256_add_epi64(s, v), c.two_q, c.two_q_s, c.sign);
-            _mm256_storeu_si256(pacc.add(i).cast(), r);
-        }
-    }
-    scalar::mul_shoup_lazy_acc_slice(m, &mut acc[n..], &x[n..], w, w_shoup);
-}
-
-#[target_feature(enable = "avx2")]
-pub(crate) fn mul_shoup_sub_correct_slice(m: &Modulus, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64) {
-    let c = barrett(m);
-    let wv = splat(w);
-    let wsv = splat(w_shoup);
-    let n = out.len() - out.len() % LANES;
-    let (po, pal) = (out.as_mut_ptr(), alpha.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= out.len() == alpha.len().
-        unsafe {
-            let o = _mm256_loadu_si256(po.add(i).cast());
-            let al = _mm256_loadu_si256(pal.add(i).cast());
-            let v = mul_shoup_lazy_v(al, wv, wsv, c.q);
-            let r = _mm256_sub_epi64(_mm256_add_epi64(o, c.two_q), v);
-            let r = cond_sub(r, c.two_q, c.two_q_s, c.sign);
-            _mm256_storeu_si256(po.add(i).cast(), cond_sub(r, c.q, c.q_s, c.sign));
-        }
-    }
-    scalar::mul_shoup_sub_correct_slice(m, &mut out[n..], &alpha[n..], w, w_shoup);
-}
-
-#[target_feature(enable = "avx2")]
-pub(crate) fn correct_lazy_slice(m: &Modulus, a: &mut [u64]) {
-    let c = barrett(m);
-    let n = a.len() - a.len() % LANES;
-    let pa = a.as_mut_ptr();
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len().
-        unsafe {
-            let x = _mm256_loadu_si256(pa.add(i).cast());
-            let r = cond_sub(x, c.two_q, c.two_q_s, c.sign);
-            _mm256_storeu_si256(pa.add(i).cast(), cond_sub(r, c.q, c.q_s, c.sign));
-        }
-    }
-    scalar::correct_lazy_slice(m, &mut a[n..]);
-}
-
-#[target_feature(enable = "avx2")]
-pub(crate) fn gather_slice(out: &mut [u64], src: &[u64], perm: &[u32]) {
-    let n = out.len() - out.len() % LANES;
-    let (po, pp) = (out.as_mut_ptr(), perm.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= out.len() == perm.len(); every perm value
-        // indexes src (AutomorphismTable construction invariant).
-        unsafe {
-            let idx = _mm_loadu_si128(pp.add(i).cast());
-            let v = _mm256_i32gather_epi64::<8>(src.as_ptr().cast(), idx);
-            _mm256_storeu_si256(po.add(i).cast(), v);
-        }
-    }
-    scalar::gather_slice(&mut out[n..], src, &perm[n..]);
-}
-
-#[target_feature(enable = "avx2")]
-pub(crate) fn gather_mul_acc_slice(m: &Modulus, acc: &mut [u64], src: &[u64], perm: &[u32], b: &[u64]) {
-    let c = barrett(m);
-    let n = acc.len() - acc.len() % LANES;
-    let (pacc, pp, pb) = (acc.as_mut_ptr(), perm.as_ptr(), b.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n; slice lengths asserted equal by the
-        // dispatcher; perm values index src by table construction.
-        unsafe {
-            let idx = _mm_loadu_si128(pp.add(i).cast());
-            let v = _mm256_i32gather_epi64::<8>(src.as_ptr().cast(), idx);
-            let y = _mm256_loadu_si256(pb.add(i).cast());
-            let s = _mm256_loadu_si256(pacc.add(i).cast());
-            let p = barrett_mul(c, v, y);
-            _mm256_storeu_si256(pacc.add(i).cast(), add_mod_v(c, s, p));
-        }
-    }
-    scalar::gather_mul_acc_slice(m, &mut acc[n..], src, &perm[n..], &b[n..]);
-}
-
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-pub(crate) fn gather_mul_acc_pair_slice(
-    m: &Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    src: &[u64],
-    perm: &[u32],
-    b0: &[u64],
-    b1: &[u64],
-) {
-    let c = barrett(m);
-    let n = acc0.len() - acc0.len() % LANES;
-    let (pa0, pa1, pp, pb0, pb1) = (
-        acc0.as_mut_ptr(),
-        acc1.as_mut_ptr(),
-        perm.as_ptr(),
-        b0.as_ptr(),
-        b1.as_ptr(),
-    );
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n; slice lengths asserted equal by the
-        // dispatcher; perm values index src by table construction.
-        unsafe {
-            let idx = _mm_loadu_si128(pp.add(i).cast());
-            let v = _mm256_i32gather_epi64::<8>(src.as_ptr().cast(), idx);
-            let y0 = _mm256_loadu_si256(pb0.add(i).cast());
-            let y1 = _mm256_loadu_si256(pb1.add(i).cast());
-            let s0 = _mm256_loadu_si256(pa0.add(i).cast());
-            let s1 = _mm256_loadu_si256(pa1.add(i).cast());
-            _mm256_storeu_si256(pa0.add(i).cast(), add_mod_v(c, s0, barrett_mul(c, v, y0)));
-            _mm256_storeu_si256(pa1.add(i).cast(), add_mod_v(c, s1, barrett_mul(c, v, y1)));
-        }
-    }
-    scalar::gather_mul_acc_pair_slice(m, &mut acc0[n..], &mut acc1[n..], src, &perm[n..], &b0[n..], &b1[n..]);
 }
 
 // ---------------------------------------------------------------------------
-// NTT: greedy multi-stage drivers + fused sub-vector tail/head.
+// NTT primitives: butterflies and the fused sub-vector stages.
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy)]
-struct NttConsts {
-    q: __m256i,
-    q_s: __m256i,
-    two_q: __m256i,
-    two_q_s: __m256i,
-    sign: __m256i,
+/// AVX2 has one Shoup radix: the 64-bit tables, whatever the modulus.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn ntt_consts<'a>(m: &Modulus, sh64: &'a [u64], _sh52: Option<&'a [u64]>) -> (Consts, &'a [u64]) {
+    (consts(m), sh64)
+}
+
+#[inline]
+fn shoup_const(_c: Consts, m: &Modulus, w: u64) -> u64 {
+    m.shoup_precompute(w)
 }
 
 #[inline]
 #[target_feature(enable = "avx2")]
-fn ntt_consts(m: &Modulus) -> NttConsts {
-    let sign = sign_bit();
-    let q = splat(m.value());
-    let two_q = splat(m.two_q());
-    NttConsts {
-        q,
-        q_s: _mm256_xor_si256(q, sign),
-        two_q,
-        two_q_s: _mm256_xor_si256(two_q, sign),
-        sign,
-    }
+fn shoup_mul_lazy(c: Consts, a: __m256i, t: Tw) -> __m256i {
+    mul_shoup_lazy_v(a, t.w, t.sh, c.q)
 }
 
-/// Forward butterfly: operands in `[0, 4q)`, outputs in `[0, 4q)`.
+/// Forward (CT/DIT) butterfly: operands in `[0, 4q)`, returns
+/// `(x' + v, x' + 2q - v)` with `x'` reduced to `[0, 2q)` and the twiddle
+/// product `v` in `[0, 2q)` — outputs in `[0, 4q)`.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn fwd_butterfly(c: NttConsts, x: __m256i, y: __m256i, w: __m256i, ws: __m256i) -> (__m256i, __m256i) {
-    let xr = cond_sub(x, c.two_q, c.two_q_s, c.sign);
-    let v = mul_shoup_lazy_v(y, w, ws, c.q);
+fn fwd_bf(c: Consts, x: __m256i, y: __m256i, t: Tw) -> (__m256i, __m256i) {
+    let xr = csub_2q(c, x);
+    let v = shoup_mul_lazy(c, y, t);
     (
         _mm256_add_epi64(xr, v),
         _mm256_sub_epi64(_mm256_add_epi64(xr, c.two_q), v),
     )
 }
 
-/// Inverse butterfly: operands in `[0, 2q)`, outputs in `[0, 2q)`.
+/// Inverse (GS/DIF) butterfly: operands in `[0, 2q)`, returns the reduced
+/// sum and the twiddle product of the lifted difference, both in `[0, 2q)`.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn inv_butterfly(c: NttConsts, u: __m256i, v: __m256i, w: __m256i, ws: __m256i) -> (__m256i, __m256i) {
-    let s = cond_sub(_mm256_add_epi64(u, v), c.two_q, c.two_q_s, c.sign);
+fn inv_bf(c: Consts, u: __m256i, v: __m256i, t: Tw) -> (__m256i, __m256i) {
+    let s = csub_2q(c, _mm256_add_epi64(u, v));
     let d = _mm256_sub_epi64(_mm256_add_epi64(u, c.two_q), v);
-    (s, mul_shoup_lazy_v(d, w, ws, c.q))
-}
-
-/// One stage's broadcast twiddle pair, pre-splat so the fused multi-stage
-/// passes load each table entry once per tile instead of once per vector.
-#[derive(Clone, Copy)]
-struct Tw {
-    w: __m256i,
-    ws: __m256i,
-}
-
-#[inline]
-#[target_feature(enable = "avx2")]
-fn load_tw(tw: &[u64], tws: &[u64], k: usize) -> Tw {
-    Tw {
-        w: splat(tw[k]),
-        ws: splat(tws[k]),
-    }
-}
-
-/// One butterfly group with stride `t >= LANES`: `x`/`y` point at the two
-/// disjoint `t`-element halves, single twiddle.
-///
-/// # Safety
-///
-/// `x` and `y` must each be valid for `t` reads/writes and must not overlap.
-#[target_feature(enable = "avx2")]
-unsafe fn fwd_pass_large(c: NttConsts, x: *mut u64, y: *mut u64, t: usize, wt: Tw) {
-    debug_assert!(t.is_multiple_of(LANES));
-    for j in (0..t).step_by(LANES) {
-        // SAFETY: j + LANES <= t; caller guarantees both ranges valid.
-        unsafe {
-            let xv = _mm256_loadu_si256(x.add(j).cast());
-            let yv = _mm256_loadu_si256(y.add(j).cast());
-            let (nx, ny) = fwd_butterfly(c, xv, yv, wt.w, wt.ws);
-            _mm256_storeu_si256(x.add(j).cast(), nx);
-            _mm256_storeu_si256(y.add(j).cast(), ny);
-        }
-    }
-}
-
-/// Two fused forward stages over one stage-A group of `2t` elements held in
-/// registers: stage A pairs quarters `(0,2)`/`(1,3)` at stride `t`, stage B
-/// finishes both halves at stride `t/2` — half the loads/stores of two
-/// separate passes.
-///
-/// # Safety
-///
-/// `p` must be valid for `2t` reads/writes; `t >= 2 * LANES`.
-#[target_feature(enable = "avx2")]
-unsafe fn fwd_pass_large2(c: NttConsts, p: *mut u64, t: usize, wa: Tw, wb0: Tw, wb1: Tw) {
-    let h = t / 2;
-    debug_assert!(h.is_multiple_of(LANES));
-    for j in (0..h).step_by(LANES) {
-        // SAFETY: j + t + h + LANES <= 2t; the four quarter slots are
-        // disjoint in-bounds ranges of the caller-guaranteed 2t span.
-        unsafe {
-            let mut v0 = _mm256_loadu_si256(p.add(j).cast());
-            let mut v1 = _mm256_loadu_si256(p.add(j + h).cast());
-            let mut v2 = _mm256_loadu_si256(p.add(j + t).cast());
-            let mut v3 = _mm256_loadu_si256(p.add(j + t + h).cast());
-            (v0, v2) = fwd_butterfly(c, v0, v2, wa.w, wa.ws);
-            (v1, v3) = fwd_butterfly(c, v1, v3, wa.w, wa.ws);
-            (v0, v1) = fwd_butterfly(c, v0, v1, wb0.w, wb0.ws);
-            (v2, v3) = fwd_butterfly(c, v2, v3, wb1.w, wb1.ws);
-            _mm256_storeu_si256(p.add(j).cast(), v0);
-            _mm256_storeu_si256(p.add(j + h).cast(), v1);
-            _mm256_storeu_si256(p.add(j + t).cast(), v2);
-            _mm256_storeu_si256(p.add(j + t + h).cast(), v3);
-        }
-    }
-}
-
-/// Three fused forward stages over one stage-A group of `8e` elements
-/// (`e` = the stage-C stride `lt/4`): stage A at stride `4e`, stage B at
-/// `2e`, stage C at `e`, all on eight vectors held in registers.
-///
-/// # Safety
-///
-/// `p` must be valid for `8e` reads/writes; `e >= LANES`.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-unsafe fn fwd_pass_large3(
-    c: NttConsts,
-    p: *mut u64,
-    e: usize,
-    wa: Tw,
-    wb0: Tw,
-    wb1: Tw,
-    wc0: Tw,
-    wc1: Tw,
-    wc2: Tw,
-    wc3: Tw,
-) {
-    debug_assert!(e.is_multiple_of(LANES));
-    for j in (0..e).step_by(LANES) {
-        // SAFETY: j + 7e + LANES <= 8e; eight disjoint in-bounds octants.
-        unsafe {
-            let mut v0 = _mm256_loadu_si256(p.add(j).cast());
-            let mut v1 = _mm256_loadu_si256(p.add(j + e).cast());
-            let mut v2 = _mm256_loadu_si256(p.add(j + 2 * e).cast());
-            let mut v3 = _mm256_loadu_si256(p.add(j + 3 * e).cast());
-            let mut v4 = _mm256_loadu_si256(p.add(j + 4 * e).cast());
-            let mut v5 = _mm256_loadu_si256(p.add(j + 5 * e).cast());
-            let mut v6 = _mm256_loadu_si256(p.add(j + 6 * e).cast());
-            let mut v7 = _mm256_loadu_si256(p.add(j + 7 * e).cast());
-            (v0, v4) = fwd_butterfly(c, v0, v4, wa.w, wa.ws);
-            (v1, v5) = fwd_butterfly(c, v1, v5, wa.w, wa.ws);
-            (v2, v6) = fwd_butterfly(c, v2, v6, wa.w, wa.ws);
-            (v3, v7) = fwd_butterfly(c, v3, v7, wa.w, wa.ws);
-            (v0, v2) = fwd_butterfly(c, v0, v2, wb0.w, wb0.ws);
-            (v1, v3) = fwd_butterfly(c, v1, v3, wb0.w, wb0.ws);
-            (v4, v6) = fwd_butterfly(c, v4, v6, wb1.w, wb1.ws);
-            (v5, v7) = fwd_butterfly(c, v5, v7, wb1.w, wb1.ws);
-            (v0, v1) = fwd_butterfly(c, v0, v1, wc0.w, wc0.ws);
-            (v2, v3) = fwd_butterfly(c, v2, v3, wc1.w, wc1.ws);
-            (v4, v5) = fwd_butterfly(c, v4, v5, wc2.w, wc2.ws);
-            (v6, v7) = fwd_butterfly(c, v6, v7, wc3.w, wc3.ws);
-            _mm256_storeu_si256(p.add(j).cast(), v0);
-            _mm256_storeu_si256(p.add(j + e).cast(), v1);
-            _mm256_storeu_si256(p.add(j + 2 * e).cast(), v2);
-            _mm256_storeu_si256(p.add(j + 3 * e).cast(), v3);
-            _mm256_storeu_si256(p.add(j + 4 * e).cast(), v4);
-            _mm256_storeu_si256(p.add(j + 5 * e).cast(), v5);
-            _mm256_storeu_si256(p.add(j + 6 * e).cast(), v6);
-            _mm256_storeu_si256(p.add(j + 7 * e).cast(), v7);
-        }
-    }
-}
-
-/// # Safety
-///
-/// As [`fwd_pass_large`].
-#[target_feature(enable = "avx2")]
-unsafe fn inv_pass_large(c: NttConsts, x: *mut u64, y: *mut u64, t: usize, wt: Tw) {
-    debug_assert!(t.is_multiple_of(LANES));
-    for j in (0..t).step_by(LANES) {
-        // SAFETY: j + LANES <= t; caller guarantees both ranges valid.
-        unsafe {
-            let xv = _mm256_loadu_si256(x.add(j).cast());
-            let yv = _mm256_loadu_si256(y.add(j).cast());
-            let (nx, ny) = inv_butterfly(c, xv, yv, wt.w, wt.ws);
-            _mm256_storeu_si256(x.add(j).cast(), nx);
-            _mm256_storeu_si256(y.add(j).cast(), ny);
-        }
-    }
-}
-
-/// Two fused inverse stages over one stage-B group of `4t` elements: stage A
-/// pairs quarters `(0,1)`/`(2,3)` at stride `t`, stage B pairs `(0,2)`/`(1,3)`
-/// at stride `2t`.
-///
-/// # Safety
-///
-/// `p` must be valid for `4t` reads/writes; `t >= LANES`.
-#[target_feature(enable = "avx2")]
-unsafe fn inv_pass_large2(c: NttConsts, p: *mut u64, t: usize, wa0: Tw, wa1: Tw, wb: Tw) {
-    debug_assert!(t.is_multiple_of(LANES));
-    for j in (0..t).step_by(LANES) {
-        // SAFETY: j + 3t + LANES <= 4t; four disjoint in-bounds quarters.
-        unsafe {
-            let mut v0 = _mm256_loadu_si256(p.add(j).cast());
-            let mut v1 = _mm256_loadu_si256(p.add(j + t).cast());
-            let mut v2 = _mm256_loadu_si256(p.add(j + 2 * t).cast());
-            let mut v3 = _mm256_loadu_si256(p.add(j + 3 * t).cast());
-            (v0, v1) = inv_butterfly(c, v0, v1, wa0.w, wa0.ws);
-            (v2, v3) = inv_butterfly(c, v2, v3, wa1.w, wa1.ws);
-            (v0, v2) = inv_butterfly(c, v0, v2, wb.w, wb.ws);
-            (v1, v3) = inv_butterfly(c, v1, v3, wb.w, wb.ws);
-            _mm256_storeu_si256(p.add(j).cast(), v0);
-            _mm256_storeu_si256(p.add(j + t).cast(), v1);
-            _mm256_storeu_si256(p.add(j + 2 * t).cast(), v2);
-            _mm256_storeu_si256(p.add(j + 3 * t).cast(), v3);
-        }
-    }
-}
-
-/// Three fused inverse stages over one stage-C group of `8e` elements
-/// (`e` = the stage-A stride `lt`): stage A at stride `e`, stage B at `2e`,
-/// stage C at `4e`; mirror of [`fwd_pass_large3`].
-///
-/// # Safety
-///
-/// `p` must be valid for `8e` reads/writes; `e >= LANES`.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-unsafe fn inv_pass_large3(
-    c: NttConsts,
-    p: *mut u64,
-    e: usize,
-    wa0: Tw,
-    wa1: Tw,
-    wa2: Tw,
-    wa3: Tw,
-    wb0: Tw,
-    wb1: Tw,
-    wc: Tw,
-) {
-    debug_assert!(e.is_multiple_of(LANES));
-    for j in (0..e).step_by(LANES) {
-        // SAFETY: j + 7e + LANES <= 8e; eight disjoint in-bounds octants.
-        unsafe {
-            let mut v0 = _mm256_loadu_si256(p.add(j).cast());
-            let mut v1 = _mm256_loadu_si256(p.add(j + e).cast());
-            let mut v2 = _mm256_loadu_si256(p.add(j + 2 * e).cast());
-            let mut v3 = _mm256_loadu_si256(p.add(j + 3 * e).cast());
-            let mut v4 = _mm256_loadu_si256(p.add(j + 4 * e).cast());
-            let mut v5 = _mm256_loadu_si256(p.add(j + 5 * e).cast());
-            let mut v6 = _mm256_loadu_si256(p.add(j + 6 * e).cast());
-            let mut v7 = _mm256_loadu_si256(p.add(j + 7 * e).cast());
-            (v0, v1) = inv_butterfly(c, v0, v1, wa0.w, wa0.ws);
-            (v2, v3) = inv_butterfly(c, v2, v3, wa1.w, wa1.ws);
-            (v4, v5) = inv_butterfly(c, v4, v5, wa2.w, wa2.ws);
-            (v6, v7) = inv_butterfly(c, v6, v7, wa3.w, wa3.ws);
-            (v0, v2) = inv_butterfly(c, v0, v2, wb0.w, wb0.ws);
-            (v1, v3) = inv_butterfly(c, v1, v3, wb0.w, wb0.ws);
-            (v4, v6) = inv_butterfly(c, v4, v6, wb1.w, wb1.ws);
-            (v5, v7) = inv_butterfly(c, v5, v7, wb1.w, wb1.ws);
-            (v0, v4) = inv_butterfly(c, v0, v4, wc.w, wc.ws);
-            (v1, v5) = inv_butterfly(c, v1, v5, wc.w, wc.ws);
-            (v2, v6) = inv_butterfly(c, v2, v6, wc.w, wc.ws);
-            (v3, v7) = inv_butterfly(c, v3, v7, wc.w, wc.ws);
-            _mm256_storeu_si256(p.add(j).cast(), v0);
-            _mm256_storeu_si256(p.add(j + e).cast(), v1);
-            _mm256_storeu_si256(p.add(j + 2 * e).cast(), v2);
-            _mm256_storeu_si256(p.add(j + 3 * e).cast(), v3);
-            _mm256_storeu_si256(p.add(j + 4 * e).cast(), v4);
-            _mm256_storeu_si256(p.add(j + 5 * e).cast(), v5);
-            _mm256_storeu_si256(p.add(j + 6 * e).cast(), v6);
-            _mm256_storeu_si256(p.add(j + 7 * e).cast(), v7);
-        }
-    }
-}
-
-/// The final inverse stage (stride `n/2`, single twiddle) fused with the
-/// `n^{-1}` sweep: the sum path multiplies by `n^{-1}` directly, the
-/// difference path by the precombined `w_1 * n^{-1}`, and both outputs are
-/// canonicalized in-register. Saves the whole closing `n^{-1}` pass; output
-/// is canonical, hence bit-identical to the unfused sequence.
-///
-/// # Safety
-///
-/// As [`fwd_pass_large`].
-#[target_feature(enable = "avx2")]
-unsafe fn inv_final_pass(c: NttConsts, x: *mut u64, y: *mut u64, t: usize, wd: Tw, wn: Tw) {
-    debug_assert!(t.is_multiple_of(LANES));
-    for j in (0..t).step_by(LANES) {
-        // SAFETY: j + LANES <= t; caller guarantees both ranges valid.
-        unsafe {
-            let u = _mm256_loadu_si256(x.add(j).cast());
-            let v = _mm256_loadu_si256(y.add(j).cast());
-            // Butterfly exactly as inv_butterfly, but the products fold in
-            // n^{-1}.
-            let s = cond_sub(_mm256_add_epi64(u, v), c.two_q, c.two_q_s, c.sign);
-            let d = _mm256_sub_epi64(_mm256_add_epi64(u, c.two_q), v);
-            let sx = mul_shoup_lazy_v(s, wn.w, wn.ws, c.q);
-            let dy = mul_shoup_lazy_v(d, wd.w, wd.ws, c.q);
-            _mm256_storeu_si256(x.add(j).cast(), cond_sub(sx, c.q, c.q_s, c.sign));
-            _mm256_storeu_si256(y.add(j).cast(), cond_sub(dy, c.q, c.q_s, c.sign));
-        }
-    }
-}
-
-/// One forward sub-vector stage (`t in {1, 2}`) applied to an 8-element run
-/// already held in `(v0, v1)`: shuffle the halves together via 128-bit lane
-/// permutes (AVX2 has no `permutex2var`), butterfly with per-lane twiddles,
-/// knit back. With `correct` set (the global `t = 1` final stage) outputs
-/// are reduced from `[0, 4q)` to canonical.
-///
-/// # Safety
-///
-/// `k0 + 4/t <= tw.len()` and likewise for `tws` (the stage reads one
-/// twiddle per group, `4/t` groups per run).
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-unsafe fn fwd_sub_stage(
-    c: NttConsts,
-    v0: __m256i,
-    v1: __m256i,
-    t: usize,
-    tw: &[u64],
-    tws: &[u64],
-    k0: usize,
-    correct: bool,
-) -> (__m256i, __m256i) {
-    debug_assert!(matches!(t, 1 | 2));
-    // SAFETY: caller guarantees 4/t entries from k0 are in-bounds.
-    let (x, y, wv, wsv) = unsafe { sub_split(v0, v1, t, tw, tws, k0) };
-    let (mut nx, mut ny) = fwd_butterfly(c, x, y, wv, wsv);
-    if correct {
-        nx = cond_sub(cond_sub(nx, c.two_q, c.two_q_s, c.sign), c.q, c.q_s, c.sign);
-        ny = cond_sub(cond_sub(ny, c.two_q, c.two_q_s, c.sign), c.q, c.q_s, c.sign);
-    }
-    sub_knit(nx, ny, t)
-}
-
-/// Inverse counterpart of [`fwd_sub_stage`].
-///
-/// # Safety
-///
-/// As [`fwd_sub_stage`].
-#[target_feature(enable = "avx2")]
-unsafe fn inv_sub_stage(
-    c: NttConsts,
-    v0: __m256i,
-    v1: __m256i,
-    t: usize,
-    tw: &[u64],
-    tws: &[u64],
-    k0: usize,
-) -> (__m256i, __m256i) {
-    debug_assert!(matches!(t, 1 | 2));
-    // SAFETY: caller guarantees 4/t entries from k0 are in-bounds.
-    let (u, v, wv, wsv) = unsafe { sub_split(v0, v1, t, tw, tws, k0) };
-    let (nu, nv) = inv_butterfly(c, u, v, wv, wsv);
-    sub_knit(nu, nv, t)
+    (s, shoup_mul_lazy(c, d, t))
 }
 
 /// Splits an 8-element run `(v0, v1)` into all-`x`/all-`y` vectors for
-/// sub-vector stride `t` and loads the matching per-lane twiddles.
+/// sub-vector stride `t in {1, 2}` and loads the matching per-lane twiddles
+/// (AVX2 has no `permutex2var`, hence the 128-bit lane permutes).
 ///
 /// # Safety
 ///
-/// `k0 + 4/t <= tw.len()` and likewise for `tws`.
+/// `k0 + 4/t <= w.len()` and likewise for `sh` (the stage reads one twiddle
+/// per group, `4/t` groups per run).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn sub_split(
-    v0: __m256i,
-    v1: __m256i,
-    t: usize,
-    tw: &[u64],
-    tws: &[u64],
-    k0: usize,
-) -> (__m256i, __m256i, __m256i, __m256i) {
+unsafe fn sub_split(v0: __m256i, v1: __m256i, t: usize, w: &[u64], sh: &[u64], k0: usize) -> (__m256i, __m256i, Tw) {
+    debug_assert!(matches!(t, 1 | 2));
+    debug_assert!(k0 + LANES / t <= w.len() && k0 + LANES / t <= sh.len());
     // SAFETY: caller guarantees the twiddle loads are in-bounds.
     unsafe {
         if t == 1 {
@@ -791,18 +264,22 @@ unsafe fn sub_split(
             // [0 2 1 3] permutation.
             let x = _mm256_unpacklo_epi64(v0, v1);
             let y = _mm256_unpackhi_epi64(v0, v1);
-            let wv = _mm256_permute4x64_epi64::<0xD8>(_mm256_loadu_si256(tw.as_ptr().add(k0).cast()));
-            let wsv = _mm256_permute4x64_epi64::<0xD8>(_mm256_loadu_si256(tws.as_ptr().add(k0).cast()));
-            (x, y, wv, wsv)
+            let tw = Tw {
+                w: _mm256_permute4x64_epi64::<0xD8>(ld(w, k0)),
+                sh: _mm256_permute4x64_epi64::<0xD8>(ld(sh, k0)),
+            };
+            (x, y, tw)
         } else {
             // v0 = [x0 x1 y0 y1] (one group), v1 = the next group.
             let x = _mm256_permute2x128_si256::<0x20>(v0, v1);
             let y = _mm256_permute2x128_si256::<0x31>(v0, v1);
-            let wpair = _mm256_castsi128_si256(_mm_loadu_si128(tw.as_ptr().add(k0).cast()));
-            let wspair = _mm256_castsi128_si256(_mm_loadu_si128(tws.as_ptr().add(k0).cast()));
-            let wv = _mm256_permute4x64_epi64::<0x50>(wpair);
-            let wsv = _mm256_permute4x64_epi64::<0x50>(wspair);
-            (x, y, wv, wsv)
+            let wpair = _mm256_castsi128_si256(_mm_loadu_si128(w.as_ptr().add(k0).cast()));
+            let spair = _mm256_castsi128_si256(_mm_loadu_si128(sh.as_ptr().add(k0).cast()));
+            let tw = Tw {
+                w: _mm256_permute4x64_epi64::<0x50>(wpair),
+                sh: _mm256_permute4x64_epi64::<0x50>(spair),
+            };
+            (x, y, tw)
         }
     }
 }
@@ -828,223 +305,54 @@ fn sub_knit(nx: __m256i, ny: __m256i, t: usize) -> (__m256i, __m256i) {
 /// final stage folds in the canonical correction — replacing three separate
 /// passes plus a correction sweep.
 ///
-/// `base4..base1` are the twiddle-table offsets of each stage (stage `t`
-/// uses entries `base_t + groups-before-this-run`).
+/// `llen = n / 8` is the `t = 4` stage's twiddle base; stage `t` has base
+/// `n / (2t)` and uses entries `base + groups-before-this-run`.
 #[target_feature(enable = "avx2")]
-fn fwd_tail(c: NttConsts, a: &mut [u64], tw: &[u64], tws: &[u64], base4: usize, base2: usize, base1: usize) {
-    let len = a.len();
-    debug_assert_eq!(len % (2 * LANES), 0);
-    let p = a.as_mut_ptr();
-    for r in 0..len / (2 * LANES) {
+fn fwd_tail(c: Consts, a: &mut [u64], w: &[u64], sh: &[u64], llen: usize) {
+    debug_assert!(a.len() == 2 * LANES * llen && w.len() == a.len() && sh.len() == a.len());
+    for r in 0..a.len() / (2 * LANES) {
         let j = 2 * LANES * r;
-        // SAFETY: j + 8 <= len; every twiddle load ends within the n-entry
-        // tables (the deepest stage's last 4-entry load ends exactly at
-        // entry n - 1).
+        // SAFETY: j + 8 <= a.len(); every twiddle load ends within the
+        // n-entry tables (the deepest stage's last 4-entry load ends exactly
+        // at entry n - 1).
         unsafe {
-            let mut v0 = _mm256_loadu_si256(p.add(j).cast());
-            let mut v1 = _mm256_loadu_si256(p.add(j + LANES).cast());
-            let w4 = splat(tw[base4 + r]);
-            let s4 = splat(tws[base4 + r]);
-            (v0, v1) = fwd_butterfly(c, v0, v1, w4, s4);
-            (v0, v1) = fwd_sub_stage(c, v0, v1, 2, tw, tws, base2 + 2 * r, false);
-            (v0, v1) = fwd_sub_stage(c, v0, v1, 1, tw, tws, base1 + 4 * r, true);
-            _mm256_storeu_si256(p.add(j).cast(), v0);
-            _mm256_storeu_si256(p.add(j + LANES).cast(), v1);
+            let (mut v0, mut v1) = (ld(a, j), ld(a, j + LANES));
+            (v0, v1) = fwd_bf(c, v0, v1, load_tw(w, sh, llen + r));
+            let (x, y, tw) = sub_split(v0, v1, 2, w, sh, 2 * llen + 2 * r);
+            let (nx, ny) = fwd_bf(c, x, y, tw);
+            (v0, v1) = sub_knit(nx, ny, 2);
+            let (x, y, tw) = sub_split(v0, v1, 1, w, sh, 4 * llen + 4 * r);
+            let (nx, ny) = fwd_bf(c, x, y, tw);
+            // The global last stage: reduce [0, 4q) to canonical.
+            (v0, v1) = sub_knit(csub_q(c, csub_2q(c, nx)), csub_q(c, csub_2q(c, ny)), 1);
+            st(a, j, v0);
+            st(a, j + LANES, v1);
         }
     }
 }
 
-/// All leading inverse stages (`t = 1, 2` and, unless it is the global final
-/// stage, `t = 4`) in a single round trip per 8-element run; mirror of
-/// [`fwd_tail`].
-#[allow(clippy::too_many_arguments)]
+/// All leading inverse stages (`t = 1, 2` and, with `with_top`, `t = 4`) in
+/// a single round trip per 8-element run; mirror of [`fwd_tail`].
 #[target_feature(enable = "avx2")]
-fn inv_head(
-    c: NttConsts,
-    a: &mut [u64],
-    tw: &[u64],
-    tws: &[u64],
-    base1: usize,
-    base2: usize,
-    base4: usize,
-    with_t4: bool,
-) {
-    let len = a.len();
-    debug_assert_eq!(len % (2 * LANES), 0);
-    let p = a.as_mut_ptr();
-    for r in 0..len / (2 * LANES) {
+fn inv_head(c: Consts, a: &mut [u64], w: &[u64], sh: &[u64], with_top: bool) {
+    let n = a.len();
+    debug_assert!(n.is_multiple_of(2 * LANES) && w.len() == n && sh.len() == n);
+    for r in 0..n / (2 * LANES) {
         let j = 2 * LANES * r;
         // SAFETY: as fwd_tail.
         unsafe {
-            let mut v0 = _mm256_loadu_si256(p.add(j).cast());
-            let mut v1 = _mm256_loadu_si256(p.add(j + LANES).cast());
-            (v0, v1) = inv_sub_stage(c, v0, v1, 1, tw, tws, base1 + 4 * r);
-            (v0, v1) = inv_sub_stage(c, v0, v1, 2, tw, tws, base2 + 2 * r);
-            if with_t4 {
-                let w4 = splat(tw[base4 + r]);
-                let s4 = splat(tws[base4 + r]);
-                (v0, v1) = inv_butterfly(c, v0, v1, w4, s4);
+            let (mut v0, mut v1) = (ld(a, j), ld(a, j + LANES));
+            let (x, y, tw) = sub_split(v0, v1, 1, w, sh, n / 2 + 4 * r);
+            let (nx, ny) = inv_bf(c, x, y, tw);
+            (v0, v1) = sub_knit(nx, ny, 1);
+            let (x, y, tw) = sub_split(v0, v1, 2, w, sh, n / 4 + 2 * r);
+            let (nx, ny) = inv_bf(c, x, y, tw);
+            (v0, v1) = sub_knit(nx, ny, 2);
+            if with_top {
+                (v0, v1) = inv_bf(c, v0, v1, load_tw(w, sh, n / 8 + r));
             }
-            _mm256_storeu_si256(p.add(j).cast(), v0);
-            _mm256_storeu_si256(p.add(j + LANES).cast(), v1);
+            st(a, j, v0);
+            st(a, j + LANES, v1);
         }
     }
-}
-
-/// Forward lazy NTT as a greedy multi-stage descent: each pass over the
-/// array retires up to three vector-wide stages (all tiles of one pass
-/// complete their stage group before the next pass starts), and the last
-/// three sub-vector stages plus the canonical correction run in the fused
-/// [`fwd_tail`]. Multi-stage tiles double as cache blocks, so no separate
-/// strided/blocked split is needed. Same stage schedule as the AVX-512
-/// driver at half the lane width.
-#[target_feature(enable = "avx2")]
-pub(crate) fn ntt_forward(table: &NttTable, a: &mut [u64]) {
-    let n = table.n();
-    if n < 2 * LANES {
-        return scalar::ntt_forward(table, a);
-    }
-    let m = table.modulus();
-    let tw = table.root_pows();
-    let tws = table.root_pows_shoup();
-    let c = ntt_consts(m);
-    let p = a.as_mut_ptr();
-
-    // Stage at stride lt has llen groups (tiles) of 2*lt elements; stage
-    // level llen is also its twiddle-table base. With m = log2(lt / LANES),
-    // triples run while m >= 3, a pair handles m == 2, a single m == 1, so
-    // the descent always lands on lt == LANES for the fused tail.
-    let mut lt = n >> 1;
-    let mut llen = 1usize;
-    while lt > LANES {
-        if lt >= 8 * LANES {
-            // Triple: stages at strides lt, lt/2, lt/4. Stage-B twiddles
-            // 2g, 2g+1 and stage-C twiddles 4g..4g+3 of the next levels.
-            let e = lt / 4;
-            for g in 0..llen {
-                let j0 = 2 * g * lt;
-                let wa = load_tw(tw, tws, llen + g);
-                let wb0 = load_tw(tw, tws, 2 * llen + 2 * g);
-                let wb1 = load_tw(tw, tws, 2 * llen + 2 * g + 1);
-                let wc0 = load_tw(tw, tws, 4 * llen + 4 * g);
-                let wc1 = load_tw(tw, tws, 4 * llen + 4 * g + 1);
-                let wc2 = load_tw(tw, tws, 4 * llen + 4 * g + 2);
-                let wc3 = load_tw(tw, tws, 4 * llen + 4 * g + 3);
-                // SAFETY: [j0, j0 + 2*lt) is in-bounds (j0 + 2*lt <= n).
-                unsafe { fwd_pass_large3(c, p.add(j0), e, wa, wb0, wb1, wc0, wc1, wc2, wc3) };
-            }
-            llen <<= 3;
-            lt >>= 3;
-        } else if lt >= 4 * LANES {
-            // Pair: stages at strides lt and lt/2.
-            for g in 0..llen {
-                let j0 = 2 * g * lt;
-                let wa = load_tw(tw, tws, llen + g);
-                let wb0 = load_tw(tw, tws, 2 * llen + 2 * g);
-                let wb1 = load_tw(tw, tws, 2 * llen + 2 * g + 1);
-                // SAFETY: [j0, j0 + 2*lt) is in-bounds (j0 + 2*lt <= n).
-                unsafe { fwd_pass_large2(c, p.add(j0), lt, wa, wb0, wb1) };
-            }
-            llen <<= 2;
-            lt >>= 2;
-        } else {
-            for g in 0..llen {
-                let j0 = 2 * g * lt;
-                let wt = load_tw(tw, tws, llen + g);
-                // SAFETY: disjoint in-bounds halves of one tile.
-                unsafe { fwd_pass_large(c, p.add(j0), p.add(j0 + lt), lt, wt) };
-            }
-            llen <<= 1;
-            lt >>= 1;
-        }
-    }
-    // Stages 4, 2, 1 plus the canonical correction in one pass; stage t
-    // has twiddle base llen_t = n / (2t), doubling as t halves from 4.
-    debug_assert_eq!(lt, LANES);
-    fwd_tail(c, a, tw, tws, llen, 2 * llen, 4 * llen);
-}
-
-/// Inverse lazy NTT, mirror of [`ntt_forward`]: the fused [`inv_head`]
-/// opens with the three sub-vector stages, a greedy multi-stage ascent
-/// retires up to three vector-wide stages per pass, and the final
-/// stride-`n/2` stage is fused with the `n^{-1}` sweep and
-/// canonicalization.
-#[target_feature(enable = "avx2")]
-pub(crate) fn ntt_inverse(table: &NttTable, a: &mut [u64]) {
-    let n = table.n();
-    if n < 2 * LANES {
-        return scalar::ntt_inverse(table, a);
-    }
-    let m = table.modulus();
-    let tw = table.inv_root_pows();
-    let tws = table.inv_root_pows_shoup();
-    let c = ntt_consts(m);
-
-    // Stages t = 1..4 in one opening pass; stage t has twiddle base
-    // llen_t = n / (2t). t = 4 is deferred to the fused final pass when it
-    // is the global last stage (n == 8).
-    inv_head(c, a, tw, tws, n >> 1, n >> 2, n >> 3, n > 2 * LANES);
-    // Greedy ascent to (but excluding) the final stride-n/2 stage: a triple
-    // is exact while its largest stride stays below n/2, and the remainder
-    // count (log2(n/16) stages) is finished by a pair or single.
-    let p = a.as_mut_ptr();
-    let mut lt = 2 * LANES;
-    let mut llen = n >> 4;
-    while 2 * lt < n {
-        if 8 * lt < n {
-            // Triple: stages at strides lt, 2*lt, 4*lt. Stage-A twiddles
-            // 4g..4g+3, stage-B 2g, 2g+1 of the next levels.
-            for g in 0..llen / 4 {
-                let j0 = 8 * g * lt;
-                let wa0 = load_tw(tw, tws, llen + 4 * g);
-                let wa1 = load_tw(tw, tws, llen + 4 * g + 1);
-                let wa2 = load_tw(tw, tws, llen + 4 * g + 2);
-                let wa3 = load_tw(tw, tws, llen + 4 * g + 3);
-                let wb0 = load_tw(tw, tws, llen / 2 + 2 * g);
-                let wb1 = load_tw(tw, tws, llen / 2 + 2 * g + 1);
-                let wc = load_tw(tw, tws, llen / 4 + g);
-                // SAFETY: [j0, j0 + 8*lt) is in-bounds (j0 + 8*lt <= n).
-                unsafe { inv_pass_large3(c, p.add(j0), lt, wa0, wa1, wa2, wa3, wb0, wb1, wc) };
-            }
-            lt <<= 3;
-            llen >>= 3;
-        } else if 4 * lt < n {
-            // Pair: stages at strides lt and 2*lt.
-            for g in 0..llen / 2 {
-                let j0 = 4 * g * lt;
-                let wa0 = load_tw(tw, tws, llen + 2 * g);
-                let wa1 = load_tw(tw, tws, llen + 2 * g + 1);
-                let wb = load_tw(tw, tws, llen / 2 + g);
-                // SAFETY: [j0, j0 + 4*lt) is in-bounds (j0 + 4*lt <= n).
-                unsafe { inv_pass_large2(c, p.add(j0), lt, wa0, wa1, wb) };
-            }
-            lt <<= 2;
-            llen >>= 2;
-        } else {
-            for g in 0..llen {
-                let j0 = 2 * g * lt;
-                let wt = load_tw(tw, tws, llen + g);
-                // SAFETY: disjoint in-bounds halves of one tile.
-                unsafe { inv_pass_large(c, p.add(j0), p.add(j0 + lt), lt, wt) };
-            }
-            lt <<= 1;
-            llen >>= 1;
-        }
-    }
-    // Final stage (stride n/2, single twiddle tw[1]) fused with the n^{-1}
-    // sweep: the sum path takes n^{-1}, the difference path the precombined
-    // tw[1] * n^{-1}; outputs are canonical.
-    let half = n / 2;
-    let n_inv = table.n_inv();
-    let wd_val = m.mul(tw[1], n_inv);
-    let wn = Tw {
-        w: splat(n_inv),
-        ws: splat(table.n_inv_shoup()),
-    };
-    let wd = Tw {
-        w: splat(wd_val),
-        ws: splat(m.shoup_precompute(wd_val)),
-    };
-    // SAFETY: the two halves are disjoint in-bounds ranges of length n/2.
-    unsafe { inv_final_pass(c, p, p.add(half), half, wd, wn) };
 }

@@ -1,26 +1,53 @@
-//! AVX-512 kernels: 8 residues per instruction.
+//! AVX-512 instantiation of the shared kernel driver: 8 residues per
+//! instruction.
 //!
-//! Requires `avx512f + avx512dq + avx512vl`. All multiplies use either the
-//! 4-product `vpmuludq` decomposition of a 64×64→128 product (any modulus
-//! below the `2^60` cap) or, when the CPU additionally has `avx512ifma` and
-//! the modulus fits below `2^50`, the 52-bit-radix Shoup path built on
-//! `vpmadd52{lo,hi}uq` — three multiplies per eight butterflies.
+//! Every slice kernel, vector-wide NTT pass and stage schedule comes from
+//! [`simd_driver!`](super::driver); this file holds only what is particular
+//! to 512-bit AVX-512 (`avx512f + avx512dq + avx512vl`): unsigned-min
+//! conditional subtracts, `vpmullq`, `permutex2var` shuffles for the four
+//! sub-vector NTT stages (strides 8, 4, 2, 1), and — when the CPU
+//! additionally has `avx512ifma` — two 52-bit multiply paths built on
+//! `vpmadd52{lo,hi}uq`: a Shoup product for NTT tables whose modulus is
+//! below `2^50` (three multiplies per eight butterflies) and a Barrett
+//! product for the slice kernels when `2^49 < q < 2^50`.
 //!
-//! Bit-exactness: the generic path runs the exact scalar algorithms
+//! Bit-exactness: the generic paths run the exact scalar algorithms
 //! lane-parallel, so even lazy intermediates match the scalar backend. The
-//! IFMA path uses a different Shoup radix (`2^52` instead of `2^64`), so its
-//! lazy intermediates differ, but it preserves the same `[0, 4q)` forward /
-//! `[0, 2q)` inverse drift bounds and the final correction sweeps canonical
-//! outputs — which are unique mod q — onto the same words.
-
-#![allow(clippy::missing_safety_doc)] // SAFETY contracts are on the `unsafe` blocks
+//! IFMA paths use a different radix (`2^52` instead of `2^64`), so their
+//! lazy intermediates differ, but they preserve the same `[0, 4q)` forward /
+//! `[0, 2q)` inverse drift bounds and the final corrections land canonical
+//! outputs — which are unique mod q — on the same words.
 
 use core::arch::x86_64::*;
 
 use super::scalar;
 use crate::{Modulus, NttTable};
 
-const LANES: usize = 8;
+simd_driver! {
+    feature: "avx512f,avx512dq,avx512vl",
+    vector: __m512i,
+    lanes: 8,
+    load: _mm512_loadu_si512,
+    store: _mm512_storeu_si512,
+    add: _mm512_add_epi64,
+    sub: _mm512_sub_epi64,
+    products: [
+        {
+            feature: "avx512f,avx512dq,avx512vl,avx512ifma",
+            when: barrett_ifma_ok,
+            consts: barrett_ifma,
+            mul: barrett_ifma_mul,
+            mul_acc: barrett_ifma_mul_acc,
+        },
+        {
+            feature: "avx512f,avx512dq,avx512vl",
+            when: any_modulus,
+            consts: barrett,
+            mul: barrett_mul,
+            mul_acc: barrett_mul_acc,
+        },
+    ],
+}
 
 // ---------------------------------------------------------------------------
 // Element helpers (pure register arithmetic — safe under target_feature 1.1).
@@ -61,13 +88,20 @@ fn mulhi64(a: __m512i, b: __m512i) -> __m512i {
     )
 }
 
+/// Low 64 bits of the unsigned 64×64 product (`vpmullq`).
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn mullo64(a: __m512i, b: __m512i) -> __m512i {
+    _mm512_mullo_epi64(a, b)
+}
+
 /// Shoup product without correction: `a*w - floor(a*ws / 2^64) * q`, in
 /// `[0, 2q)` for any `a` (the scalar `mul_shoup_lazy`, lane-parallel).
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
 fn mul_shoup_lazy_v(a: __m512i, w: __m512i, ws: __m512i, q: __m512i) -> __m512i {
     let hi = mulhi64(a, ws);
-    _mm512_sub_epi64(_mm512_mullo_epi64(a, w), _mm512_mullo_epi64(hi, q))
+    _mm512_sub_epi64(mullo64(a, w), mullo64(hi, q))
 }
 
 /// 52-bit-radix Shoup product: `a*w - floor(a*ws52 / 2^52) * q` in `[0, 2q)`,
@@ -82,6 +116,40 @@ fn mul_shoup52_lazy_v(a: __m512i, w: __m512i, ws52: __m512i, q: __m512i, mask52:
     // The true value fits 52 bits, so the wrapped difference masked to the
     // radix is exact.
     _mm512_and_si512(_mm512_sub_epi64(t, u), mask52)
+}
+
+/// Broadcast reduction constants, plus the Shoup radix of the transform
+/// they serve: `use_ifma` is set only by [`ntt_consts`], after runtime
+/// `avx512ifma` detection, and routes the butterflies to the 52-bit forms.
+#[derive(Clone, Copy)]
+struct Consts {
+    q: __m512i,
+    two_q: __m512i,
+    mask52: __m512i,
+    use_ifma: bool,
+}
+
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn consts(m: &Modulus) -> Consts {
+    Consts {
+        q: splat(m.value()),
+        two_q: splat(m.two_q()),
+        mask52: splat((1u64 << 52) - 1),
+        use_ifma: false,
+    }
+}
+
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn csub_q(c: Consts, x: __m512i) -> __m512i {
+    cond_sub(x, c.q)
+}
+
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn csub_2q(c: Consts, x: __m512i) -> __m512i {
+    cond_sub(x, c.two_q)
 }
 
 /// Broadcast constants for lane-parallel Barrett reduction (see
@@ -117,29 +185,29 @@ fn barrett(m: &Modulus) -> Barrett {
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
 fn barrett_mul(c: Barrett, a: __m512i, b: __m512i) -> __m512i {
-    let lo = _mm512_mullo_epi64(a, b);
+    let lo = mullo64(a, b);
     let hi = mulhi64(a, b);
     // c1 = floor(x / 2^(k-1)), a (k+1)-bit quotient seed.
     let c1 = _mm512_or_si512(_mm512_sllv_epi64(hi, c.sh_hi), _mm512_srlv_epi64(lo, c.sh_lo));
-    let mlo = _mm512_mullo_epi64(c1, c.mu);
+    let mlo = mullo64(c1, c.mu);
     let mhi = mulhi64(c1, c.mu);
     // qhat = floor(c1 * mu / 2^(k+1)) >= floor(x/q) - 2.
     let qhat = _mm512_or_si512(_mm512_sllv_epi64(mhi, c.sh_qhi), _mm512_srlv_epi64(mlo, c.sh_qlo));
     // x - qhat*q < 3q fits u64, so low-64 arithmetic is exact.
-    let r = _mm512_sub_epi64(lo, _mm512_mullo_epi64(qhat, c.q));
+    let r = _mm512_sub_epi64(lo, mullo64(qhat, c.q));
     cond_sub(cond_sub(r, c.two_q), c.q)
 }
 
-/// Canonical sum `a + b mod q` for canonical lanes.
+/// Canonical `s + a * b mod q` for canonical lanes.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn add_mod_v(a: __m512i, b: __m512i, q: __m512i) -> __m512i {
-    cond_sub(_mm512_add_epi64(a, b), q)
+fn barrett_mul_acc(c: Barrett, s: __m512i, a: __m512i, b: __m512i) -> __m512i {
+    cond_sub(_mm512_add_epi64(s, barrett_mul(c, a, b)), c.q)
 }
 
-/// Broadcast constants for the IFMA Barrett product (`barrett_ifma_mul`):
-/// the full `a*b` product is formed as two 52-bit halves with `vpmadd52`,
-/// and the quotient is estimated from `mu = floor(2^101 / q)`.
+/// Broadcast constants for the IFMA Barrett product: the full `a*b` product
+/// is formed as two 52-bit halves with `vpmadd52`, and the quotient is
+/// estimated from `mu = floor(2^101 / q)`.
 #[derive(Clone, Copy)]
 struct BarrettIfma {
     q: __m512i,
@@ -148,9 +216,8 @@ struct BarrettIfma {
     mask52: __m512i,
 }
 
-/// True when the IFMA product path applies: `2^49 < q < 2^50` (so `mu`
-/// fits the 52-bit madd operand and `3q < 2^52`) and the CPU has AVX-512
-/// IFMA.
+/// True when the IFMA product applies: `2^49 < q < 2^50` (so `mu` fits the
+/// 52-bit madd operand and `3q < 2^52`) and the CPU has AVX-512 IFMA.
 #[inline]
 fn barrett_ifma_ok(m: &Modulus) -> bool {
     let q = m.value();
@@ -191,420 +258,64 @@ fn barrett_ifma_mul_lazy(c: BarrettIfma, a: __m512i, b: __m512i) -> __m512i {
     )
 }
 
-/// Canonical IFMA Barrett product: `barrett_ifma_mul_lazy` plus the two
-/// conditional subtracts mapping `[0, 3q)` to `[0, q)`.
+/// Canonical IFMA product: the lazy product plus the two conditional
+/// subtracts mapping `[0, 3q)` to `[0, q)`.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
 fn barrett_ifma_mul(c: BarrettIfma, a: __m512i, b: __m512i) -> __m512i {
     cond_sub(cond_sub(barrett_ifma_mul_lazy(c, a, b), c.two_q), c.q)
 }
 
-// ---------------------------------------------------------------------------
-// Slice kernels. Each runs the vector body over whole 8-lane chunks and
-// defers the tail to the scalar reference (identical semantics).
-// ---------------------------------------------------------------------------
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn add_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
-    let q = splat(m.value());
-    let n = a.len() - a.len() % LANES;
-    let (pa, pb) = (a.as_mut_ptr(), b.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len() == b.len().
-        unsafe {
-            let x = _mm512_loadu_si512(pa.add(i).cast());
-            let y = _mm512_loadu_si512(pb.add(i).cast());
-            _mm512_storeu_si512(pa.add(i).cast(), add_mod_v(x, y, q));
-        }
-    }
-    scalar::add_mod_slice(m, &mut a[n..], &b[n..]);
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn sub_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
-    let q = splat(m.value());
-    let n = a.len() - a.len() % LANES;
-    let (pa, pb) = (a.as_mut_ptr(), b.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len() == b.len().
-        unsafe {
-            let x = _mm512_loadu_si512(pa.add(i).cast());
-            let y = _mm512_loadu_si512(pb.add(i).cast());
-            // x + q - y is in (0, 2q); one conditional subtract canonicalizes.
-            let r = _mm512_sub_epi64(_mm512_add_epi64(x, q), y);
-            _mm512_storeu_si512(pa.add(i).cast(), cond_sub(r, q));
-        }
-    }
-    scalar::sub_mod_slice(m, &mut a[n..], &b[n..]);
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn neg_mod_slice(m: &Modulus, a: &mut [u64]) {
-    let q = splat(m.value());
-    let n = a.len() - a.len() % LANES;
-    let pa = a.as_mut_ptr();
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len().
-        unsafe {
-            let x = _mm512_loadu_si512(pa.add(i).cast());
-            // q - x is in (0, q] — the conditional subtract maps q (x = 0) to 0.
-            let r = _mm512_sub_epi64(q, x);
-            _mm512_storeu_si512(pa.add(i).cast(), cond_sub(r, q));
-        }
-    }
-    scalar::neg_mod_slice(m, &mut a[n..]);
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn mul_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
-    if barrett_ifma_ok(m) {
-        // SAFETY: avx512ifma was just runtime-detected by barrett_ifma_ok.
-        unsafe { mul_mod_slice_ifma(m, a, b) };
-        return;
-    }
-    let c = barrett(m);
-    let n = a.len() - a.len() % LANES;
-    let (pa, pb) = (a.as_mut_ptr(), b.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len() == b.len().
-        unsafe {
-            let x = _mm512_loadu_si512(pa.add(i).cast());
-            let y = _mm512_loadu_si512(pb.add(i).cast());
-            _mm512_storeu_si512(pa.add(i).cast(), barrett_mul(c, x, y));
-        }
-    }
-    scalar::mul_mod_slice(m, &mut a[n..], &b[n..]);
-}
-
+/// Canonical IFMA `s + a * b mod q`: `s < q` plus the lazy product `< 3q`
+/// stays under `4q`, so the same two conditional subtracts canonicalize.
+#[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
-fn mul_mod_slice_ifma(m: &Modulus, a: &mut [u64], b: &[u64]) {
-    let c = barrett_ifma(m);
-    let n = a.len() - a.len() % LANES;
-    let (pa, pb) = (a.as_mut_ptr(), b.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len() == b.len().
-        unsafe {
-            let x = _mm512_loadu_si512(pa.add(i).cast());
-            let y = _mm512_loadu_si512(pb.add(i).cast());
-            _mm512_storeu_si512(pa.add(i).cast(), barrett_ifma_mul(c, x, y));
-        }
-    }
-    scalar::mul_mod_slice(m, &mut a[n..], &b[n..]);
+fn barrett_ifma_mul_acc(c: BarrettIfma, s: __m512i, a: __m512i, b: __m512i) -> __m512i {
+    let r = _mm512_add_epi64(s, barrett_ifma_mul_lazy(c, a, b));
+    cond_sub(cond_sub(r, c.two_q), c.q)
 }
 
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn mul_acc_mod_slice(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-    if barrett_ifma_ok(m) {
-        // SAFETY: avx512ifma was just runtime-detected by barrett_ifma_ok.
-        unsafe { mul_acc_mod_slice_ifma(m, acc, a, b) };
-        return;
-    }
-    let c = barrett(m);
-    let n = acc.len() - acc.len() % LANES;
-    let (pacc, pa, pb) = (acc.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n and all three slices have equal length.
-        unsafe {
-            let s = _mm512_loadu_si512(pacc.add(i).cast());
-            let x = _mm512_loadu_si512(pa.add(i).cast());
-            let y = _mm512_loadu_si512(pb.add(i).cast());
-            let p = barrett_mul(c, x, y);
-            _mm512_storeu_si512(pacc.add(i).cast(), add_mod_v(s, p, c.q));
-        }
-    }
-    scalar::mul_acc_mod_slice(m, &mut acc[n..], &a[n..], &b[n..]);
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
-fn mul_acc_mod_slice_ifma(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-    let c = barrett_ifma(m);
-    let n = acc.len() - acc.len() % LANES;
-    let (pacc, pa, pb) = (acc.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n and all three slices have equal length.
-        unsafe {
-            let s = _mm512_loadu_si512(pacc.add(i).cast());
-            let x = _mm512_loadu_si512(pa.add(i).cast());
-            let y = _mm512_loadu_si512(pb.add(i).cast());
-            // s < q plus the lazy product < 3q stays under 4q; two
-            // conditional subtracts canonicalize.
-            let r = _mm512_add_epi64(s, barrett_ifma_mul_lazy(c, x, y));
-            _mm512_storeu_si512(pacc.add(i).cast(), cond_sub(cond_sub(r, c.two_q), c.q));
-        }
-    }
-    scalar::mul_acc_mod_slice(m, &mut acc[n..], &a[n..], &b[n..]);
-}
-
-/// Reduces arbitrary `u64` words into canonical `[0, q)`.
+/// # Safety
 ///
-/// Quotient estimate with `minv = floor(2^64 / q)`: `qhat = mulhi64(x, minv)`
-/// underestimates `floor(x/q)` by at most 1 (the discarded term
-/// `x * (2^64 mod q) / (q * 2^64)` is below 1), so `x - qhat*q < 2q` and one
-/// conditional subtract canonicalizes. The word-sized `barrett_mu` constant
-/// cannot be used here: it only bounds inputs below `2^{2k}`, which is less
-/// than `2^64` for small moduli.
+/// `i + LANES <= perm.len()` and those indices are below `src.len()`.
+#[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn reduce_raw_slice(m: &Modulus, a: &mut [u64]) {
-    let minv = ((1u128 << 64) / m.value() as u128) as u64;
-    let q = splat(m.value());
-    let vminv = splat(minv);
-    let n = a.len() - a.len() % LANES;
-    let pa = a.as_mut_ptr();
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len().
-        unsafe {
-            let x = _mm512_loadu_si512(pa.add(i).cast());
-            let qhat = mulhi64(x, vminv);
-            let r = _mm512_sub_epi64(x, _mm512_mullo_epi64(qhat, q));
-            _mm512_storeu_si512(pa.add(i).cast(), cond_sub(r, q));
-        }
+unsafe fn gather(src: &[u64], perm: &[u32], i: usize) -> __m512i {
+    // SAFETY: the index load is in bounds and every gathered address lies
+    // inside src, both by the caller's contract.
+    unsafe {
+        let idx = _mm256_loadu_si256(perm.as_ptr().add(i).cast());
+        _mm512_i32gather_epi64::<8>(idx, src.as_ptr().cast())
     }
-    scalar::reduce_raw_slice(m, &mut a[n..]);
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn mul_scalar_shoup_slice(m: &Modulus, a: &mut [u64], w: u64, w_shoup: u64) {
-    let q = splat(m.value());
-    let wv = splat(w);
-    let wsv = splat(w_shoup);
-    let n = a.len() - a.len() % LANES;
-    let pa = a.as_mut_ptr();
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len().
-        unsafe {
-            let x = _mm512_loadu_si512(pa.add(i).cast());
-            let v = mul_shoup_lazy_v(x, wv, wsv, q);
-            _mm512_storeu_si512(pa.add(i).cast(), cond_sub(v, q));
-        }
-    }
-    scalar::mul_scalar_shoup_slice(m, &mut a[n..], w, w_shoup);
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn mul_shoup_lazy_acc_slice(m: &Modulus, acc: &mut [u64], x: &[u64], w: u64, w_shoup: u64) {
-    let q = splat(m.value());
-    let two_q = splat(m.two_q());
-    let wv = splat(w);
-    let wsv = splat(w_shoup);
-    let n = acc.len() - acc.len() % LANES;
-    let (pacc, px) = (acc.as_mut_ptr(), x.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= acc.len() == x.len().
-        unsafe {
-            let s = _mm512_loadu_si512(pacc.add(i).cast());
-            let xi = _mm512_loadu_si512(px.add(i).cast());
-            let v = mul_shoup_lazy_v(xi, wv, wsv, q);
-            // acc, v both < 2q: sum < 4q, one conditional subtract restores 2q.
-            let r = cond_sub(_mm512_add_epi64(s, v), two_q);
-            _mm512_storeu_si512(pacc.add(i).cast(), r);
-        }
-    }
-    scalar::mul_shoup_lazy_acc_slice(m, &mut acc[n..], &x[n..], w, w_shoup);
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn mul_shoup_sub_correct_slice(m: &Modulus, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64) {
-    let q = splat(m.value());
-    let two_q = splat(m.two_q());
-    let wv = splat(w);
-    let wsv = splat(w_shoup);
-    let n = out.len() - out.len() % LANES;
-    let (po, pal) = (out.as_mut_ptr(), alpha.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= out.len() == alpha.len().
-        unsafe {
-            let o = _mm512_loadu_si512(po.add(i).cast());
-            let al = _mm512_loadu_si512(pal.add(i).cast());
-            let v = mul_shoup_lazy_v(al, wv, wsv, q);
-            // o < 2q and v < 2q: o + 2q - v in (0, 4q); two conditional
-            // subtracts canonicalize (correct_lazy).
-            let r = _mm512_sub_epi64(_mm512_add_epi64(o, two_q), v);
-            _mm512_storeu_si512(po.add(i).cast(), cond_sub(cond_sub(r, two_q), q));
-        }
-    }
-    scalar::mul_shoup_sub_correct_slice(m, &mut out[n..], &alpha[n..], w, w_shoup);
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn correct_lazy_slice(m: &Modulus, a: &mut [u64]) {
-    let q = splat(m.value());
-    let two_q = splat(m.two_q());
-    let n = a.len() - a.len() % LANES;
-    let pa = a.as_mut_ptr();
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= a.len().
-        unsafe {
-            let x = _mm512_loadu_si512(pa.add(i).cast());
-            _mm512_storeu_si512(pa.add(i).cast(), cond_sub(cond_sub(x, two_q), q));
-        }
-    }
-    scalar::correct_lazy_slice(m, &mut a[n..]);
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn gather_slice(out: &mut [u64], src: &[u64], perm: &[u32]) {
-    let n = out.len() - out.len() % LANES;
-    let (po, pp) = (out.as_mut_ptr(), perm.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n <= out.len() == perm.len(); every perm value
-        // indexes src (AutomorphismTable construction invariant, debug-checked
-        // in the dispatcher).
-        unsafe {
-            let idx = _mm256_loadu_si256(pp.add(i).cast());
-            let v = _mm512_i32gather_epi64::<8>(idx, src.as_ptr().cast());
-            _mm512_storeu_si512(po.add(i).cast(), v);
-        }
-    }
-    scalar::gather_slice(&mut out[n..], src, &perm[n..]);
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn gather_mul_acc_slice(m: &Modulus, acc: &mut [u64], src: &[u64], perm: &[u32], b: &[u64]) {
-    if barrett_ifma_ok(m) {
-        // SAFETY: avx512ifma was just runtime-detected by barrett_ifma_ok.
-        unsafe { gather_mul_acc_slice_ifma(m, acc, src, perm, b) };
-        return;
-    }
-    let c = barrett(m);
-    let n = acc.len() - acc.len() % LANES;
-    let (pacc, pp, pb) = (acc.as_mut_ptr(), perm.as_ptr(), b.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n; slice lengths asserted equal by the
-        // dispatcher; perm values index src by table construction.
-        unsafe {
-            let idx = _mm256_loadu_si256(pp.add(i).cast());
-            let v = _mm512_i32gather_epi64::<8>(idx, src.as_ptr().cast());
-            let y = _mm512_loadu_si512(pb.add(i).cast());
-            let s = _mm512_loadu_si512(pacc.add(i).cast());
-            let p = barrett_mul(c, v, y);
-            _mm512_storeu_si512(pacc.add(i).cast(), add_mod_v(s, p, c.q));
-        }
-    }
-    scalar::gather_mul_acc_slice(m, &mut acc[n..], src, &perm[n..], &b[n..]);
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
-fn gather_mul_acc_slice_ifma(m: &Modulus, acc: &mut [u64], src: &[u64], perm: &[u32], b: &[u64]) {
-    let c = barrett_ifma(m);
-    let n = acc.len() - acc.len() % LANES;
-    let (pacc, pp, pb) = (acc.as_mut_ptr(), perm.as_ptr(), b.as_ptr());
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n; slice lengths asserted equal by the
-        // dispatcher; perm values index src by table construction.
-        unsafe {
-            let idx = _mm256_loadu_si256(pp.add(i).cast());
-            let v = _mm512_i32gather_epi64::<8>(idx, src.as_ptr().cast());
-            let y = _mm512_loadu_si512(pb.add(i).cast());
-            let s = _mm512_loadu_si512(pacc.add(i).cast());
-            let r = _mm512_add_epi64(s, barrett_ifma_mul_lazy(c, v, y));
-            _mm512_storeu_si512(pacc.add(i).cast(), cond_sub(cond_sub(r, c.two_q), c.q));
-        }
-    }
-    scalar::gather_mul_acc_slice(m, &mut acc[n..], src, &perm[n..], &b[n..]);
-}
-
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn gather_mul_acc_pair_slice(
-    m: &Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    src: &[u64],
-    perm: &[u32],
-    b0: &[u64],
-    b1: &[u64],
-) {
-    if barrett_ifma_ok(m) {
-        // SAFETY: avx512ifma was just runtime-detected by barrett_ifma_ok.
-        unsafe { gather_mul_acc_pair_slice_ifma(m, acc0, acc1, src, perm, b0, b1) };
-        return;
-    }
-    let c = barrett(m);
-    let n = acc0.len() - acc0.len() % LANES;
-    let (pa0, pa1, pp, pb0, pb1) = (
-        acc0.as_mut_ptr(),
-        acc1.as_mut_ptr(),
-        perm.as_ptr(),
-        b0.as_ptr(),
-        b1.as_ptr(),
-    );
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n; slice lengths asserted equal by the
-        // dispatcher; perm values index src by table construction.
-        unsafe {
-            let idx = _mm256_loadu_si256(pp.add(i).cast());
-            let v = _mm512_i32gather_epi64::<8>(idx, src.as_ptr().cast());
-            let y0 = _mm512_loadu_si512(pb0.add(i).cast());
-            let y1 = _mm512_loadu_si512(pb1.add(i).cast());
-            let s0 = _mm512_loadu_si512(pa0.add(i).cast());
-            let s1 = _mm512_loadu_si512(pa1.add(i).cast());
-            _mm512_storeu_si512(pa0.add(i).cast(), add_mod_v(s0, barrett_mul(c, v, y0), c.q));
-            _mm512_storeu_si512(pa1.add(i).cast(), add_mod_v(s1, barrett_mul(c, v, y1), c.q));
-        }
-    }
-    scalar::gather_mul_acc_pair_slice(m, &mut acc0[n..], &mut acc1[n..], src, &perm[n..], &b0[n..], &b1[n..]);
-}
-
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
-fn gather_mul_acc_pair_slice_ifma(
-    m: &Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    src: &[u64],
-    perm: &[u32],
-    b0: &[u64],
-    b1: &[u64],
-) {
-    let c = barrett_ifma(m);
-    let n = acc0.len() - acc0.len() % LANES;
-    let (pa0, pa1, pp, pb0, pb1) = (
-        acc0.as_mut_ptr(),
-        acc1.as_mut_ptr(),
-        perm.as_ptr(),
-        b0.as_ptr(),
-        b1.as_ptr(),
-    );
-    for i in (0..n).step_by(LANES) {
-        // SAFETY: i + LANES <= n; slice lengths asserted equal by the
-        // dispatcher; perm values index src by table construction.
-        unsafe {
-            let idx = _mm256_loadu_si256(pp.add(i).cast());
-            let v = _mm512_i32gather_epi64::<8>(idx, src.as_ptr().cast());
-            let y0 = _mm512_loadu_si512(pb0.add(i).cast());
-            let y1 = _mm512_loadu_si512(pb1.add(i).cast());
-            let s0 = _mm512_loadu_si512(pa0.add(i).cast());
-            let s1 = _mm512_loadu_si512(pa1.add(i).cast());
-            let r0 = _mm512_add_epi64(s0, barrett_ifma_mul_lazy(c, v, y0));
-            let r1 = _mm512_add_epi64(s1, barrett_ifma_mul_lazy(c, v, y1));
-            _mm512_storeu_si512(pa0.add(i).cast(), cond_sub(cond_sub(r0, c.two_q), c.q));
-            _mm512_storeu_si512(pa1.add(i).cast(), cond_sub(cond_sub(r1, c.two_q), c.q));
-        }
-    }
-    scalar::gather_mul_acc_pair_slice(m, &mut acc0[n..], &mut acc1[n..], src, &perm[n..], &b0[n..], &b1[n..]);
 }
 
 // ---------------------------------------------------------------------------
-// NTT: multi-stage drivers + butterfly stage kernels.
+// NTT primitives: butterflies and the fused sub-vector stages.
 // ---------------------------------------------------------------------------
 
-/// Per-table constants shared by every stage kernel.
-#[derive(Clone, Copy)]
-struct NttConsts {
-    q: __m512i,
-    two_q: __m512i,
-    mask52: __m512i,
-    use_ifma: bool,
+/// Picks the transform's Shoup radix: the 52-bit tables (built only for
+/// `q < 2^50`) when the CPU has `avx512ifma`, the 64-bit ones otherwise.
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn ntt_consts<'a>(m: &Modulus, sh64: &'a [u64], sh52: Option<&'a [u64]>) -> (Consts, &'a [u64]) {
+    match sh52 {
+        Some(sh52) if is_x86_feature_detected!("avx512ifma") => (
+            Consts {
+                use_ifma: true,
+                ..consts(m)
+            },
+            sh52,
+        ),
+        _ => (consts(m), sh64),
+    }
 }
 
 #[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn ntt_consts(m: &Modulus, use_ifma: bool) -> NttConsts {
-    NttConsts {
-        q: splat(m.value()),
-        two_q: splat(m.two_q()),
-        mask52: splat((1u64 << 52) - 1),
-        use_ifma,
+fn shoup_const(c: Consts, m: &Modulus, w: u64) -> u64 {
+    if c.use_ifma {
+        (((w as u128) << 52) / m.value() as u128) as u64
+    } else {
+        m.shoup_precompute(w)
     }
 }
 
@@ -613,7 +324,7 @@ fn ntt_consts(m: &Modulus, use_ifma: bool) -> NttConsts {
 /// twiddle product `v` in `[0, 2q)`.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn fwd_butterfly(c: NttConsts, x: __m512i, y: __m512i, w: __m512i, ws: __m512i) -> (__m512i, __m512i) {
+fn fwd_butterfly(c: Consts, x: __m512i, y: __m512i, w: __m512i, ws: __m512i) -> (__m512i, __m512i) {
     let xr = cond_sub(x, c.two_q);
     let v = mul_shoup_lazy_v(y, w, ws, c.q);
     (
@@ -625,7 +336,7 @@ fn fwd_butterfly(c: NttConsts, x: __m512i, y: __m512i, w: __m512i, ws: __m512i) 
 /// IFMA forward butterfly; `ws52` is the 52-bit-radix Shoup constant.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
-fn fwd_butterfly_ifma(c: NttConsts, x: __m512i, y: __m512i, w: __m512i, ws52: __m512i) -> (__m512i, __m512i) {
+fn fwd_butterfly_ifma(c: Consts, x: __m512i, y: __m512i, w: __m512i, ws52: __m512i) -> (__m512i, __m512i) {
     let xr = cond_sub(x, c.two_q);
     let v = mul_shoup52_lazy_v(y, w, ws52, c.q, c.mask52);
     (
@@ -638,7 +349,7 @@ fn fwd_butterfly_ifma(c: NttConsts, x: __m512i, y: __m512i, w: __m512i, ws52: __
 /// and the twiddle product of the lifted difference, both in `[0, 2q)`.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn inv_butterfly(c: NttConsts, u: __m512i, v: __m512i, w: __m512i, ws: __m512i) -> (__m512i, __m512i) {
+fn inv_butterfly(c: Consts, u: __m512i, v: __m512i, w: __m512i, ws: __m512i) -> (__m512i, __m512i) {
     let s = cond_sub(_mm512_add_epi64(u, v), c.two_q);
     let d = _mm512_sub_epi64(_mm512_add_epi64(u, c.two_q), v);
     (s, mul_shoup_lazy_v(d, w, ws, c.q))
@@ -646,36 +357,16 @@ fn inv_butterfly(c: NttConsts, u: __m512i, v: __m512i, w: __m512i, ws: __m512i) 
 
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
-fn inv_butterfly_ifma(c: NttConsts, u: __m512i, v: __m512i, w: __m512i, ws52: __m512i) -> (__m512i, __m512i) {
+fn inv_butterfly_ifma(c: Consts, u: __m512i, v: __m512i, w: __m512i, ws52: __m512i) -> (__m512i, __m512i) {
     let s = cond_sub(_mm512_add_epi64(u, v), c.two_q);
     let d = _mm512_sub_epi64(_mm512_add_epi64(u, c.two_q), v);
     (s, mul_shoup52_lazy_v(d, w, ws52, c.q, c.mask52))
 }
 
-/// A broadcast twiddle operand: the factor plus its Shoup companion, already
-/// chosen for the active multiply path (64-bit or 52-bit radix).
-#[derive(Clone, Copy)]
-struct Tw {
-    w: __m512i,
-    sh: __m512i,
-}
-
-/// Loads and broadcasts twiddle `k` from the tables, picking the 52-bit
-/// Shoup constant when the IFMA path is active.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn load_tw(tw: &[u64], tws: &[u64], tws52: &[u64], use_ifma: bool, k: usize) -> Tw {
-    let sh = if use_ifma { tws52[k] } else { tws[k] };
-    Tw {
-        w: splat(tw[k]),
-        sh: splat(sh),
-    }
-}
-
 /// Forward butterfly routed to the active multiply path.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn fwd_bf(c: NttConsts, x: __m512i, y: __m512i, t: Tw) -> (__m512i, __m512i) {
+fn fwd_bf(c: Consts, x: __m512i, y: __m512i, t: Tw) -> (__m512i, __m512i) {
     if c.use_ifma {
         // SAFETY: use_ifma is set only after runtime avx512ifma detection.
         unsafe { fwd_butterfly_ifma(c, x, y, t.w, t.sh) }
@@ -687,7 +378,7 @@ fn fwd_bf(c: NttConsts, x: __m512i, y: __m512i, t: Tw) -> (__m512i, __m512i) {
 /// Inverse butterfly routed to the active multiply path.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn inv_bf(c: NttConsts, u: __m512i, v: __m512i, t: Tw) -> (__m512i, __m512i) {
+fn inv_bf(c: Consts, u: __m512i, v: __m512i, t: Tw) -> (__m512i, __m512i) {
     if c.use_ifma {
         // SAFETY: use_ifma is set only after runtime avx512ifma detection.
         unsafe { inv_butterfly_ifma(c, u, v, t.w, t.sh) }
@@ -700,254 +391,12 @@ fn inv_bf(c: NttConsts, u: __m512i, v: __m512i, t: Tw) -> (__m512i, __m512i) {
 /// lazy value (below `2^52` on the IFMA path), result in `[0, 2q)`.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn shoup_mul_lazy(c: NttConsts, a: __m512i, t: Tw) -> __m512i {
+fn shoup_mul_lazy(c: Consts, a: __m512i, t: Tw) -> __m512i {
     if c.use_ifma {
         // SAFETY: use_ifma is set only after runtime avx512ifma detection.
         unsafe { mul_shoup52_lazy_v(a, t.w, t.sh, c.q, c.mask52) }
     } else {
         mul_shoup_lazy_v(a, t.w, t.sh, c.q)
-    }
-}
-
-/// One butterfly group with stride `t >= LANES`: `x`/`y` point at the two
-/// disjoint `t`-element halves, single twiddle.
-///
-/// # Safety
-///
-/// `x` and `y` must each be valid for `t` reads/writes and must not overlap.
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn fwd_pass_large(c: NttConsts, x: *mut u64, y: *mut u64, t: usize, wt: Tw) {
-    debug_assert!(t.is_multiple_of(LANES));
-    for j in (0..t).step_by(LANES) {
-        // SAFETY: j + LANES <= t; caller guarantees both ranges valid.
-        unsafe {
-            let xv = _mm512_loadu_si512(x.add(j).cast());
-            let yv = _mm512_loadu_si512(y.add(j).cast());
-            let (nx, ny) = fwd_bf(c, xv, yv, wt);
-            _mm512_storeu_si512(x.add(j).cast(), nx);
-            _mm512_storeu_si512(y.add(j).cast(), ny);
-        }
-    }
-}
-
-/// Two fused forward stages over one stage-A group of `2t` elements held in
-/// registers: stage A pairs quarters `(0,2)`/`(1,3)` at stride `t`, stage B
-/// finishes both halves at stride `t/2` — half the loads/stores of two
-/// separate passes.
-///
-/// # Safety
-///
-/// `p` must be valid for `2t` reads/writes; `t >= 2 * LANES`.
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn fwd_pass_large2(c: NttConsts, p: *mut u64, t: usize, wa: Tw, wb0: Tw, wb1: Tw) {
-    let h = t / 2;
-    debug_assert!(h.is_multiple_of(LANES));
-    for j in (0..h).step_by(LANES) {
-        // SAFETY: j + t + h + LANES <= 2t; the four quarter slots are
-        // disjoint in-bounds ranges of the caller-guaranteed 2t span.
-        unsafe {
-            let mut v0 = _mm512_loadu_si512(p.add(j).cast());
-            let mut v1 = _mm512_loadu_si512(p.add(j + h).cast());
-            let mut v2 = _mm512_loadu_si512(p.add(j + t).cast());
-            let mut v3 = _mm512_loadu_si512(p.add(j + t + h).cast());
-            (v0, v2) = fwd_bf(c, v0, v2, wa);
-            (v1, v3) = fwd_bf(c, v1, v3, wa);
-            (v0, v1) = fwd_bf(c, v0, v1, wb0);
-            (v2, v3) = fwd_bf(c, v2, v3, wb1);
-            _mm512_storeu_si512(p.add(j).cast(), v0);
-            _mm512_storeu_si512(p.add(j + h).cast(), v1);
-            _mm512_storeu_si512(p.add(j + t).cast(), v2);
-            _mm512_storeu_si512(p.add(j + t + h).cast(), v3);
-        }
-    }
-}
-
-/// Three fused forward stages over one stage-A group of `8e` elements
-/// (`e` = the stage-C stride `lt/4`): stage A at stride `4e`, stage B at
-/// `2e`, stage C at `e`, all on eight vectors held in registers.
-///
-/// # Safety
-///
-/// `p` must be valid for `8e` reads/writes; `e >= LANES`.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn fwd_pass_large3(
-    c: NttConsts,
-    p: *mut u64,
-    e: usize,
-    wa: Tw,
-    wb0: Tw,
-    wb1: Tw,
-    wc0: Tw,
-    wc1: Tw,
-    wc2: Tw,
-    wc3: Tw,
-) {
-    debug_assert!(e.is_multiple_of(LANES));
-    for j in (0..e).step_by(LANES) {
-        // SAFETY: j + 7e + LANES <= 8e; eight disjoint in-bounds octants.
-        unsafe {
-            let mut v0 = _mm512_loadu_si512(p.add(j).cast());
-            let mut v1 = _mm512_loadu_si512(p.add(j + e).cast());
-            let mut v2 = _mm512_loadu_si512(p.add(j + 2 * e).cast());
-            let mut v3 = _mm512_loadu_si512(p.add(j + 3 * e).cast());
-            let mut v4 = _mm512_loadu_si512(p.add(j + 4 * e).cast());
-            let mut v5 = _mm512_loadu_si512(p.add(j + 5 * e).cast());
-            let mut v6 = _mm512_loadu_si512(p.add(j + 6 * e).cast());
-            let mut v7 = _mm512_loadu_si512(p.add(j + 7 * e).cast());
-            (v0, v4) = fwd_bf(c, v0, v4, wa);
-            (v1, v5) = fwd_bf(c, v1, v5, wa);
-            (v2, v6) = fwd_bf(c, v2, v6, wa);
-            (v3, v7) = fwd_bf(c, v3, v7, wa);
-            (v0, v2) = fwd_bf(c, v0, v2, wb0);
-            (v1, v3) = fwd_bf(c, v1, v3, wb0);
-            (v4, v6) = fwd_bf(c, v4, v6, wb1);
-            (v5, v7) = fwd_bf(c, v5, v7, wb1);
-            (v0, v1) = fwd_bf(c, v0, v1, wc0);
-            (v2, v3) = fwd_bf(c, v2, v3, wc1);
-            (v4, v5) = fwd_bf(c, v4, v5, wc2);
-            (v6, v7) = fwd_bf(c, v6, v7, wc3);
-            _mm512_storeu_si512(p.add(j).cast(), v0);
-            _mm512_storeu_si512(p.add(j + e).cast(), v1);
-            _mm512_storeu_si512(p.add(j + 2 * e).cast(), v2);
-            _mm512_storeu_si512(p.add(j + 3 * e).cast(), v3);
-            _mm512_storeu_si512(p.add(j + 4 * e).cast(), v4);
-            _mm512_storeu_si512(p.add(j + 5 * e).cast(), v5);
-            _mm512_storeu_si512(p.add(j + 6 * e).cast(), v6);
-            _mm512_storeu_si512(p.add(j + 7 * e).cast(), v7);
-        }
-    }
-}
-
-/// # Safety
-///
-/// As [`fwd_pass_large`].
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn inv_pass_large(c: NttConsts, x: *mut u64, y: *mut u64, t: usize, wt: Tw) {
-    debug_assert!(t.is_multiple_of(LANES));
-    for j in (0..t).step_by(LANES) {
-        // SAFETY: j + LANES <= t; caller guarantees both ranges valid.
-        unsafe {
-            let xv = _mm512_loadu_si512(x.add(j).cast());
-            let yv = _mm512_loadu_si512(y.add(j).cast());
-            let (nx, ny) = inv_bf(c, xv, yv, wt);
-            _mm512_storeu_si512(x.add(j).cast(), nx);
-            _mm512_storeu_si512(y.add(j).cast(), ny);
-        }
-    }
-}
-
-/// Two fused inverse stages over one stage-B group of `4t` elements: stage A
-/// pairs quarters `(0,1)`/`(2,3)` at stride `t`, stage B pairs `(0,2)`/`(1,3)`
-/// at stride `2t`.
-///
-/// # Safety
-///
-/// `p` must be valid for `4t` reads/writes; `t >= LANES`.
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn inv_pass_large2(c: NttConsts, p: *mut u64, t: usize, wa0: Tw, wa1: Tw, wb: Tw) {
-    debug_assert!(t.is_multiple_of(LANES));
-    for j in (0..t).step_by(LANES) {
-        // SAFETY: j + 3t + LANES <= 4t; four disjoint in-bounds quarters.
-        unsafe {
-            let mut v0 = _mm512_loadu_si512(p.add(j).cast());
-            let mut v1 = _mm512_loadu_si512(p.add(j + t).cast());
-            let mut v2 = _mm512_loadu_si512(p.add(j + 2 * t).cast());
-            let mut v3 = _mm512_loadu_si512(p.add(j + 3 * t).cast());
-            (v0, v1) = inv_bf(c, v0, v1, wa0);
-            (v2, v3) = inv_bf(c, v2, v3, wa1);
-            (v0, v2) = inv_bf(c, v0, v2, wb);
-            (v1, v3) = inv_bf(c, v1, v3, wb);
-            _mm512_storeu_si512(p.add(j).cast(), v0);
-            _mm512_storeu_si512(p.add(j + t).cast(), v1);
-            _mm512_storeu_si512(p.add(j + 2 * t).cast(), v2);
-            _mm512_storeu_si512(p.add(j + 3 * t).cast(), v3);
-        }
-    }
-}
-
-/// Three fused inverse stages over one stage-C group of `8e` elements
-/// (`e` = the stage-A stride `lt`): stage A at stride `e`, stage B at `2e`,
-/// stage C at `4e`; mirror of [`fwd_pass_large3`].
-///
-/// # Safety
-///
-/// `p` must be valid for `8e` reads/writes; `e >= LANES`.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn inv_pass_large3(
-    c: NttConsts,
-    p: *mut u64,
-    e: usize,
-    wa0: Tw,
-    wa1: Tw,
-    wa2: Tw,
-    wa3: Tw,
-    wb0: Tw,
-    wb1: Tw,
-    wc: Tw,
-) {
-    debug_assert!(e.is_multiple_of(LANES));
-    for j in (0..e).step_by(LANES) {
-        // SAFETY: j + 7e + LANES <= 8e; eight disjoint in-bounds octants.
-        unsafe {
-            let mut v0 = _mm512_loadu_si512(p.add(j).cast());
-            let mut v1 = _mm512_loadu_si512(p.add(j + e).cast());
-            let mut v2 = _mm512_loadu_si512(p.add(j + 2 * e).cast());
-            let mut v3 = _mm512_loadu_si512(p.add(j + 3 * e).cast());
-            let mut v4 = _mm512_loadu_si512(p.add(j + 4 * e).cast());
-            let mut v5 = _mm512_loadu_si512(p.add(j + 5 * e).cast());
-            let mut v6 = _mm512_loadu_si512(p.add(j + 6 * e).cast());
-            let mut v7 = _mm512_loadu_si512(p.add(j + 7 * e).cast());
-            (v0, v1) = inv_bf(c, v0, v1, wa0);
-            (v2, v3) = inv_bf(c, v2, v3, wa1);
-            (v4, v5) = inv_bf(c, v4, v5, wa2);
-            (v6, v7) = inv_bf(c, v6, v7, wa3);
-            (v0, v2) = inv_bf(c, v0, v2, wb0);
-            (v1, v3) = inv_bf(c, v1, v3, wb0);
-            (v4, v6) = inv_bf(c, v4, v6, wb1);
-            (v5, v7) = inv_bf(c, v5, v7, wb1);
-            (v0, v4) = inv_bf(c, v0, v4, wc);
-            (v1, v5) = inv_bf(c, v1, v5, wc);
-            (v2, v6) = inv_bf(c, v2, v6, wc);
-            (v3, v7) = inv_bf(c, v3, v7, wc);
-            _mm512_storeu_si512(p.add(j).cast(), v0);
-            _mm512_storeu_si512(p.add(j + e).cast(), v1);
-            _mm512_storeu_si512(p.add(j + 2 * e).cast(), v2);
-            _mm512_storeu_si512(p.add(j + 3 * e).cast(), v3);
-            _mm512_storeu_si512(p.add(j + 4 * e).cast(), v4);
-            _mm512_storeu_si512(p.add(j + 5 * e).cast(), v5);
-            _mm512_storeu_si512(p.add(j + 6 * e).cast(), v6);
-            _mm512_storeu_si512(p.add(j + 7 * e).cast(), v7);
-        }
-    }
-}
-
-/// The final inverse stage (stride `n/2`, single twiddle) fused with the
-/// `n^{-1}` sweep: the sum path multiplies by `n^{-1}` directly, the
-/// difference path by the precombined `w_1 * n^{-1}`, and both outputs are
-/// canonicalized in-register. Saves the whole closing `n^{-1}` pass; output
-/// is canonical, hence bit-identical to the unfused sequence.
-///
-/// # Safety
-///
-/// As [`fwd_pass_large`].
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn inv_final_pass(c: NttConsts, x: *mut u64, y: *mut u64, t: usize, wd: Tw, wn: Tw) {
-    debug_assert!(t.is_multiple_of(LANES));
-    for j in (0..t).step_by(LANES) {
-        // SAFETY: j + LANES <= t; caller guarantees both ranges valid.
-        unsafe {
-            let u = _mm512_loadu_si512(x.add(j).cast());
-            let v = _mm512_loadu_si512(y.add(j).cast());
-            // Butterfly exactly as inv_bf, but the products fold in n^{-1}.
-            let s = cond_sub(_mm512_add_epi64(u, v), c.two_q);
-            let d = _mm512_sub_epi64(_mm512_add_epi64(u, c.two_q), v);
-            let sx = shoup_mul_lazy(c, s, wn);
-            let dy = shoup_mul_lazy(c, d, wd);
-            _mm512_storeu_si512(x.add(j).cast(), cond_sub(sx, c.q));
-            _mm512_storeu_si512(y.add(j).cast(), cond_sub(dy, c.q));
-        }
     }
 }
 
@@ -965,394 +414,132 @@ struct SmallIdx {
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
 fn small_idx(t: usize) -> SmallIdx {
-    let mut ix = [0i64; LANES];
-    let mut iy = [0i64; LANES];
-    let mut out0 = [0i64; LANES];
-    let mut out1 = [0i64; LANES];
-    let mut rep = [0i64; LANES];
+    let mut ix = [0u64; LANES];
+    let mut iy = [0u64; LANES];
+    let mut out = [0u64; 2 * LANES];
+    let mut rep = [0u64; LANES];
     for l in 0..LANES {
-        ix[l] = ((l / t) * 2 * t + l % t) as i64;
-        iy[l] = ix[l] + t as i64;
-        rep[l] = (l / t) as i64;
+        ix[l] = ((l / t) * 2 * t + l % t) as u64;
+        iy[l] = ix[l] + t as u64;
+        rep[l] = (l / t) as u64;
     }
-    for e in 0..2 * LANES {
+    for (e, lane) in out.iter_mut().enumerate() {
         let (g, r) = (e / (2 * t), e % (2 * t));
         // Element e of the run came from x-lane g*t+r (r < t) or y-lane
         // g*t+r-t; permutex2var selects the second operand via lane | 8.
-        let lane = if r < t {
-            (g * t + r) as i64
-        } else {
-            (g * t + r - t) as i64 + LANES as i64
-        };
-        if e < LANES {
-            out0[e] = lane;
-        } else {
-            out1[e - LANES] = lane;
-        }
+        let from = if r < t { g * t + r } else { g * t + r - t + LANES };
+        *lane = from as u64;
     }
-    // SAFETY: reading 64 bytes from the 8-element i64 arrays above.
+    // SAFETY: every load reads LANES words of a local array.
     unsafe {
         SmallIdx {
-            ix: _mm512_loadu_si512(ix.as_ptr().cast()),
-            iy: _mm512_loadu_si512(iy.as_ptr().cast()),
-            out0: _mm512_loadu_si512(out0.as_ptr().cast()),
-            out1: _mm512_loadu_si512(out1.as_ptr().cast()),
-            rep: _mm512_loadu_si512(rep.as_ptr().cast()),
+            ix: ld(&ix, 0),
+            iy: ld(&iy, 0),
+            out0: ld(&out, 0),
+            out1: ld(&out, LANES),
+            rep: ld(&rep, 0),
         }
     }
 }
 
-/// One forward sub-vector stage (`t in {1, 2, 4}`) applied to a 16-element
-/// run already held in `(v0, v1)`: shuffle the halves together, butterfly
-/// with per-lane twiddles, knit back. With `correct` set (the global `t = 1`
-/// final stage) outputs are reduced from `[0, 4q)` to canonical.
+/// Splits a 16-element run `(v0, v1)` into all-`x`/all-`y` vectors for one
+/// sub-vector stride and loads the matching per-lane twiddles.
 ///
 /// # Safety
 ///
-/// `k0 + 8 <= tw.len()` and `k0 + 8 <= shoup.len()` (the replication permute
-/// may skip trailing lanes of the 8-entry twiddle load, but the load itself
-/// must stay inside the tables).
-#[allow(clippy::too_many_arguments)]
+/// `k0 + 8 <= w.len()` and `k0 + 8 <= sh.len()` (the replication permute may
+/// skip trailing lanes of the 8-entry twiddle load, but the load itself must
+/// stay inside the tables).
+#[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn fwd_sub_stage(
-    c: NttConsts,
-    v0: __m512i,
-    v1: __m512i,
-    idx: &SmallIdx,
-    tw: &[u64],
-    shoup: &[u64],
-    k0: usize,
-    correct: bool,
-) -> (__m512i, __m512i) {
-    let x = _mm512_permutex2var_epi64(v0, idx.ix, v1);
-    let y = _mm512_permutex2var_epi64(v0, idx.iy, v1);
+unsafe fn sub_split(v0: __m512i, v1: __m512i, idx: &SmallIdx, w: &[u64], sh: &[u64], k0: usize) -> (__m512i, __m512i, Tw) {
     // SAFETY: caller guarantees 8 entries from k0 are in-bounds.
-    let (wv, wsv) = unsafe {
-        (
-            _mm512_permutexvar_epi64(idx.rep, _mm512_loadu_si512(tw.as_ptr().add(k0).cast())),
-            _mm512_permutexvar_epi64(idx.rep, _mm512_loadu_si512(shoup.as_ptr().add(k0).cast())),
-        )
+    let tw = unsafe {
+        Tw {
+            w: _mm512_permutexvar_epi64(idx.rep, ld(w, k0)),
+            sh: _mm512_permutexvar_epi64(idx.rep, ld(sh, k0)),
+        }
     };
-    let (mut nx, mut ny) = if c.use_ifma {
-        // SAFETY: use_ifma is set only after runtime avx512ifma detection.
-        unsafe { fwd_butterfly_ifma(c, x, y, wv, wsv) }
-    } else {
-        fwd_butterfly(c, x, y, wv, wsv)
-    };
-    if correct {
-        nx = cond_sub(cond_sub(nx, c.two_q), c.q);
-        ny = cond_sub(cond_sub(ny, c.two_q), c.q);
-    }
+    (
+        _mm512_permutex2var_epi64(v0, idx.ix, v1),
+        _mm512_permutex2var_epi64(v0, idx.iy, v1),
+        tw,
+    )
+}
+
+/// Inverse shuffle of [`sub_split`]: knits butterfly outputs back into run
+/// order.
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn sub_knit(nx: __m512i, ny: __m512i, idx: &SmallIdx) -> (__m512i, __m512i) {
     (
         _mm512_permutex2var_epi64(nx, idx.out0, ny),
         _mm512_permutex2var_epi64(nx, idx.out1, ny),
     )
 }
 
-/// Inverse counterpart of [`fwd_sub_stage`].
+/// All trailing forward stages (`t = 8, 4, 2, 1`) in a single load/store
+/// round trip per 16-element run. The `t = 8` stage is lane-aligned (whole
+/// vectors, broadcast twiddle), the sub-vector stages shuffle in-register,
+/// and the final stage folds in the canonical correction — replacing four
+/// separate passes plus a correction sweep.
 ///
-/// # Safety
-///
-/// As [`fwd_sub_stage`].
+/// `llen = n / 16` is the `t = 8` stage's twiddle base; stage `t` has base
+/// `n / (2t)` and uses entries `base + groups-before-this-run`.
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn inv_sub_stage(
-    c: NttConsts,
-    v0: __m512i,
-    v1: __m512i,
-    idx: &SmallIdx,
-    tw: &[u64],
-    shoup: &[u64],
-    k0: usize,
-) -> (__m512i, __m512i) {
-    let u = _mm512_permutex2var_epi64(v0, idx.ix, v1);
-    let v = _mm512_permutex2var_epi64(v0, idx.iy, v1);
-    // SAFETY: caller guarantees 8 entries from k0 are in-bounds.
-    let (wv, wsv) = unsafe {
-        (
-            _mm512_permutexvar_epi64(idx.rep, _mm512_loadu_si512(tw.as_ptr().add(k0).cast())),
-            _mm512_permutexvar_epi64(idx.rep, _mm512_loadu_si512(shoup.as_ptr().add(k0).cast())),
-        )
-    };
-    let (nu, nv) = if c.use_ifma {
-        // SAFETY: use_ifma is set only after runtime avx512ifma detection.
-        unsafe { inv_butterfly_ifma(c, u, v, wv, wsv) }
-    } else {
-        inv_butterfly(c, u, v, wv, wsv)
-    };
-    (
-        _mm512_permutex2var_epi64(nu, idx.out0, nv),
-        _mm512_permutex2var_epi64(nu, idx.out1, nv),
-    )
-}
-
-/// All trailing forward stages of one block (`t = 8, 4, 2, 1`) in a single
-/// load/store round trip per 16-element run. The `t = 8` stage is
-/// lane-aligned (whole vectors, broadcast twiddle), the sub-vector stages
-/// shuffle in-register, and the final stage folds in the canonical
-/// correction — replacing four separate block passes plus a correction
-/// sweep.
-///
-/// `base8..base1` are the per-block twiddle-table offsets of each stage
-/// (stage `t` uses entries `base_t + groups-before-this-run`).
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn fwd_tail(
-    c: NttConsts,
-    block: &mut [u64],
-    tw: &[u64],
-    tws: &[u64],
-    tws52: &[u64],
-    base8: usize,
-    base4: usize,
-    base2: usize,
-    base1: usize,
-) {
-    let idx4 = small_idx(4);
-    let idx2 = small_idx(2);
-    let idx1 = small_idx(1);
-    let len = block.len();
-    debug_assert_eq!(len % (2 * LANES), 0);
-    let p = block.as_mut_ptr();
-    let shoup = if c.use_ifma { tws52 } else { tws };
-    for r in 0..len / (2 * LANES) {
+fn fwd_tail(c: Consts, a: &mut [u64], w: &[u64], sh: &[u64], llen: usize) {
+    debug_assert!(a.len() == 2 * LANES * llen && w.len() == a.len() && sh.len() == a.len());
+    let (idx4, idx2, idx1) = (small_idx(4), small_idx(2), small_idx(1));
+    for r in 0..a.len() / (2 * LANES) {
         let j = 2 * LANES * r;
-        // SAFETY: j + 16 <= len; every twiddle load ends within the n-entry
-        // tables (the deepest stage's last 8-entry load ends exactly at
-        // entry n - 1).
+        // SAFETY: j + 16 <= a.len(); every twiddle load ends within the
+        // n-entry tables (the deepest stage's last 8-entry load ends exactly
+        // at entry n - 1).
         unsafe {
-            let mut v0 = _mm512_loadu_si512(p.add(j).cast());
-            let mut v1 = _mm512_loadu_si512(p.add(j + LANES).cast());
-            let w8 = splat(tw[base8 + r]);
-            let s8 = splat(shoup[base8 + r]);
-            (v0, v1) = if c.use_ifma {
-                fwd_butterfly_ifma(c, v0, v1, w8, s8)
-            } else {
-                fwd_butterfly(c, v0, v1, w8, s8)
-            };
-            (v0, v1) = fwd_sub_stage(c, v0, v1, &idx4, tw, shoup, base4 + 2 * r, false);
-            (v0, v1) = fwd_sub_stage(c, v0, v1, &idx2, tw, shoup, base2 + 4 * r, false);
-            (v0, v1) = fwd_sub_stage(c, v0, v1, &idx1, tw, shoup, base1 + 8 * r, true);
-            _mm512_storeu_si512(p.add(j).cast(), v0);
-            _mm512_storeu_si512(p.add(j + LANES).cast(), v1);
+            let (mut v0, mut v1) = (ld(a, j), ld(a, j + LANES));
+            (v0, v1) = fwd_bf(c, v0, v1, load_tw(w, sh, llen + r));
+            let (x, y, tw) = sub_split(v0, v1, &idx4, w, sh, 2 * llen + 2 * r);
+            let (nx, ny) = fwd_bf(c, x, y, tw);
+            (v0, v1) = sub_knit(nx, ny, &idx4);
+            let (x, y, tw) = sub_split(v0, v1, &idx2, w, sh, 4 * llen + 4 * r);
+            let (nx, ny) = fwd_bf(c, x, y, tw);
+            (v0, v1) = sub_knit(nx, ny, &idx2);
+            let (x, y, tw) = sub_split(v0, v1, &idx1, w, sh, 8 * llen + 8 * r);
+            let (nx, ny) = fwd_bf(c, x, y, tw);
+            // The global last stage: reduce [0, 4q) to canonical.
+            (v0, v1) = sub_knit(csub_q(c, csub_2q(c, nx)), csub_q(c, csub_2q(c, ny)), &idx1);
+            st(a, j, v0);
+            st(a, j + LANES, v1);
         }
     }
 }
 
-/// All leading inverse stages of one block (`t = 1, 2, 4` and, unless it is
-/// the global final stage, `t = 8`) in a single round trip per 16-element
-/// run; mirror of [`fwd_tail`].
-#[allow(clippy::too_many_arguments)]
+/// All leading inverse stages (`t = 1, 2, 4` and, with `with_top`, `t = 8`)
+/// in a single round trip per 16-element run; mirror of [`fwd_tail`].
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn inv_head(
-    c: NttConsts,
-    block: &mut [u64],
-    tw: &[u64],
-    tws: &[u64],
-    tws52: &[u64],
-    base1: usize,
-    base2: usize,
-    base4: usize,
-    base8: usize,
-    with_t8: bool,
-) {
-    let idx4 = small_idx(4);
-    let idx2 = small_idx(2);
-    let idx1 = small_idx(1);
-    let len = block.len();
-    debug_assert_eq!(len % (2 * LANES), 0);
-    let p = block.as_mut_ptr();
-    let shoup = if c.use_ifma { tws52 } else { tws };
-    for r in 0..len / (2 * LANES) {
+fn inv_head(c: Consts, a: &mut [u64], w: &[u64], sh: &[u64], with_top: bool) {
+    let n = a.len();
+    debug_assert!(n.is_multiple_of(2 * LANES) && w.len() == n && sh.len() == n);
+    let (idx4, idx2, idx1) = (small_idx(4), small_idx(2), small_idx(1));
+    for r in 0..n / (2 * LANES) {
         let j = 2 * LANES * r;
         // SAFETY: as fwd_tail.
         unsafe {
-            let mut v0 = _mm512_loadu_si512(p.add(j).cast());
-            let mut v1 = _mm512_loadu_si512(p.add(j + LANES).cast());
-            (v0, v1) = inv_sub_stage(c, v0, v1, &idx1, tw, shoup, base1 + 8 * r);
-            (v0, v1) = inv_sub_stage(c, v0, v1, &idx2, tw, shoup, base2 + 4 * r);
-            (v0, v1) = inv_sub_stage(c, v0, v1, &idx4, tw, shoup, base4 + 2 * r);
-            if with_t8 {
-                let w8 = splat(tw[base8 + r]);
-                let s8 = splat(shoup[base8 + r]);
-                (v0, v1) = if c.use_ifma {
-                    inv_butterfly_ifma(c, v0, v1, w8, s8)
-                } else {
-                    inv_butterfly(c, v0, v1, w8, s8)
-                };
+            let (mut v0, mut v1) = (ld(a, j), ld(a, j + LANES));
+            let (x, y, tw) = sub_split(v0, v1, &idx1, w, sh, n / 2 + 8 * r);
+            let (nx, ny) = inv_bf(c, x, y, tw);
+            (v0, v1) = sub_knit(nx, ny, &idx1);
+            let (x, y, tw) = sub_split(v0, v1, &idx2, w, sh, n / 4 + 4 * r);
+            let (nx, ny) = inv_bf(c, x, y, tw);
+            (v0, v1) = sub_knit(nx, ny, &idx2);
+            let (x, y, tw) = sub_split(v0, v1, &idx4, w, sh, n / 8 + 2 * r);
+            let (nx, ny) = inv_bf(c, x, y, tw);
+            (v0, v1) = sub_knit(nx, ny, &idx4);
+            if with_top {
+                (v0, v1) = inv_bf(c, v0, v1, load_tw(w, sh, n / 16 + r));
             }
-            _mm512_storeu_si512(p.add(j).cast(), v0);
-            _mm512_storeu_si512(p.add(j + LANES).cast(), v1);
+            st(a, j, v0);
+            st(a, j + LANES, v1);
         }
     }
-}
-
-/// Forward lazy NTT as a greedy multi-stage descent: each pass over the
-/// array retires up to three vector-wide stages (all tiles of one pass
-/// complete their stage group before the next pass starts), and the last
-/// four sub-vector stages plus the canonical correction run in the fused
-/// [`fwd_tail`]. For n = 8192 that is four memory round trips for all 13
-/// stages. Multi-stage tiles double as cache blocks, so no separate
-/// strided/blocked split is needed.
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn ntt_forward(table: &NttTable, a: &mut [u64]) {
-    let n = table.n();
-    if n < 2 * LANES {
-        return scalar::ntt_forward(table, a);
-    }
-    let m = table.modulus();
-    let tw = table.root_pows();
-    let tws = table.root_pows_shoup();
-    let tws52 = table.root_pows_shoup52().unwrap_or(&[]);
-    let use_ifma = !tws52.is_empty() && is_x86_feature_detected!("avx512ifma");
-    let c = ntt_consts(m, use_ifma);
-    let p = a.as_mut_ptr();
-
-    // Stage at stride lt has llen groups (tiles) of 2*lt elements; stage
-    // level llen is also its twiddle-table base. With m = log2(lt / LANES),
-    // triples run while m >= 3, a pair handles m == 2, a single m == 1, so
-    // the descent always lands on lt == LANES for the fused tail.
-    let mut lt = n >> 1;
-    let mut llen = 1usize;
-    while lt > LANES {
-        if lt >= 8 * LANES {
-            // Triple: stages at strides lt, lt/2, lt/4. Stage-B twiddles
-            // 2g, 2g+1 and stage-C twiddles 4g..4g+3 of the next levels.
-            let e = lt / 4;
-            for g in 0..llen {
-                let j0 = 2 * g * lt;
-                let wa = load_tw(tw, tws, tws52, use_ifma, llen + g);
-                let wb0 = load_tw(tw, tws, tws52, use_ifma, 2 * llen + 2 * g);
-                let wb1 = load_tw(tw, tws, tws52, use_ifma, 2 * llen + 2 * g + 1);
-                let wc0 = load_tw(tw, tws, tws52, use_ifma, 4 * llen + 4 * g);
-                let wc1 = load_tw(tw, tws, tws52, use_ifma, 4 * llen + 4 * g + 1);
-                let wc2 = load_tw(tw, tws, tws52, use_ifma, 4 * llen + 4 * g + 2);
-                let wc3 = load_tw(tw, tws, tws52, use_ifma, 4 * llen + 4 * g + 3);
-                // SAFETY: [j0, j0 + 2*lt) is in-bounds (j0 + 2*lt <= n).
-                unsafe { fwd_pass_large3(c, p.add(j0), e, wa, wb0, wb1, wc0, wc1, wc2, wc3) };
-            }
-            llen <<= 3;
-            lt >>= 3;
-        } else if lt >= 4 * LANES {
-            // Pair: stages at strides lt and lt/2.
-            for g in 0..llen {
-                let j0 = 2 * g * lt;
-                let wa = load_tw(tw, tws, tws52, use_ifma, llen + g);
-                let wb0 = load_tw(tw, tws, tws52, use_ifma, 2 * llen + 2 * g);
-                let wb1 = load_tw(tw, tws, tws52, use_ifma, 2 * llen + 2 * g + 1);
-                // SAFETY: [j0, j0 + 2*lt) is in-bounds (j0 + 2*lt <= n).
-                unsafe { fwd_pass_large2(c, p.add(j0), lt, wa, wb0, wb1) };
-            }
-            llen <<= 2;
-            lt >>= 2;
-        } else {
-            for g in 0..llen {
-                let j0 = 2 * g * lt;
-                let wt = load_tw(tw, tws, tws52, use_ifma, llen + g);
-                // SAFETY: disjoint in-bounds halves of one tile.
-                unsafe { fwd_pass_large(c, p.add(j0), p.add(j0 + lt), lt, wt) };
-            }
-            llen <<= 1;
-            lt >>= 1;
-        }
-    }
-    // Stages 8, 4, 2, 1 plus the canonical correction in one pass; stage t
-    // has twiddle base llen_t = n / (2t), doubling as t halves from 8.
-    debug_assert_eq!(lt, LANES);
-    fwd_tail(c, a, tw, tws, tws52, llen, 2 * llen, 4 * llen, 8 * llen);
-}
-
-/// Inverse lazy NTT, mirror of [`ntt_forward`]: the fused [`inv_head`]
-/// opens with the four sub-vector stages, a greedy multi-stage ascent
-/// retires up to three vector-wide stages per pass, and the final
-/// stride-`n/2` stage is fused with the `n^{-1}` sweep and
-/// canonicalization.
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(crate) fn ntt_inverse(table: &NttTable, a: &mut [u64]) {
-    let n = table.n();
-    if n < 2 * LANES {
-        return scalar::ntt_inverse(table, a);
-    }
-    let m = table.modulus();
-    let tw = table.inv_root_pows();
-    let tws = table.inv_root_pows_shoup();
-    let tws52 = table.inv_root_pows_shoup52().unwrap_or(&[]);
-    let use_ifma = !tws52.is_empty() && is_x86_feature_detected!("avx512ifma");
-    let c = ntt_consts(m, use_ifma);
-
-    // Stages t = 1..8 in one opening pass; stage t has twiddle base
-    // llen_t = n / (2t). t = 8 is deferred to the fused final pass when it
-    // is the global last stage (n == 16).
-    inv_head(c, a, tw, tws, tws52, n >> 1, n >> 2, n >> 3, n >> 4, n > 2 * LANES);
-    // Greedy ascent to (but excluding) the final stride-n/2 stage: a triple
-    // is exact while its largest stride stays below n/2, and the remainder
-    // count (log2(n/32) stages) is finished by a pair or single.
-    let p = a.as_mut_ptr();
-    let mut lt = 2 * LANES;
-    let mut llen = n >> 5;
-    while 2 * lt < n {
-        if 8 * lt < n {
-            // Triple: stages at strides lt, 2*lt, 4*lt. Stage-A twiddles
-            // 4g..4g+3, stage-B 2g, 2g+1 of the next levels.
-            for g in 0..llen / 4 {
-                let j0 = 8 * g * lt;
-                let wa0 = load_tw(tw, tws, tws52, use_ifma, llen + 4 * g);
-                let wa1 = load_tw(tw, tws, tws52, use_ifma, llen + 4 * g + 1);
-                let wa2 = load_tw(tw, tws, tws52, use_ifma, llen + 4 * g + 2);
-                let wa3 = load_tw(tw, tws, tws52, use_ifma, llen + 4 * g + 3);
-                let wb0 = load_tw(tw, tws, tws52, use_ifma, llen / 2 + 2 * g);
-                let wb1 = load_tw(tw, tws, tws52, use_ifma, llen / 2 + 2 * g + 1);
-                let wc = load_tw(tw, tws, tws52, use_ifma, llen / 4 + g);
-                // SAFETY: [j0, j0 + 8*lt) is in-bounds (j0 + 8*lt <= n).
-                unsafe { inv_pass_large3(c, p.add(j0), lt, wa0, wa1, wa2, wa3, wb0, wb1, wc) };
-            }
-            lt <<= 3;
-            llen >>= 3;
-        } else if 4 * lt < n {
-            // Pair: stages at strides lt and 2*lt.
-            for g in 0..llen / 2 {
-                let j0 = 4 * g * lt;
-                let wa0 = load_tw(tw, tws, tws52, use_ifma, llen + 2 * g);
-                let wa1 = load_tw(tw, tws, tws52, use_ifma, llen + 2 * g + 1);
-                let wb = load_tw(tw, tws, tws52, use_ifma, llen / 2 + g);
-                // SAFETY: [j0, j0 + 4*lt) is in-bounds (j0 + 4*lt <= n).
-                unsafe { inv_pass_large2(c, p.add(j0), lt, wa0, wa1, wb) };
-            }
-            lt <<= 2;
-            llen >>= 2;
-        } else {
-            for g in 0..llen {
-                let j0 = 2 * g * lt;
-                let wt = load_tw(tw, tws, tws52, use_ifma, llen + g);
-                // SAFETY: disjoint in-bounds halves of one tile.
-                unsafe { inv_pass_large(c, p.add(j0), p.add(j0 + lt), lt, wt) };
-            }
-            lt <<= 1;
-            llen >>= 1;
-        }
-    }
-    // Final stage (stride n/2, single twiddle tw[1]) fused with the n^{-1}
-    // sweep: the sum path takes n^{-1}, the difference path the precombined
-    // tw[1] * n^{-1}; outputs are canonical.
-    let half = n / 2;
-    let q = m.value();
-    let n_inv = table.n_inv();
-    let wd_val = m.mul(tw[1], n_inv);
-    let (wn_sh, wd_sh) = if use_ifma {
-        (
-            (((n_inv as u128) << 52) / q as u128) as u64,
-            (((wd_val as u128) << 52) / q as u128) as u64,
-        )
-    } else {
-        (table.n_inv_shoup(), m.shoup_precompute(wd_val))
-    };
-    let wn = Tw {
-        w: splat(n_inv),
-        sh: splat(wn_sh),
-    };
-    let wd = Tw {
-        w: splat(wd_val),
-        sh: splat(wd_sh),
-    };
-    // SAFETY: the two halves are disjoint in-bounds ranges of length n/2.
-    unsafe { inv_final_pass(c, p, p.add(half), half, wd, wn) };
 }

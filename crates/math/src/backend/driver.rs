@@ -1,0 +1,846 @@
+//! The one SIMD kernel source, instantiated once per vector ISA.
+//!
+//! CraterLake replicates one vector datapath across its lanes; this file is
+//! the software counterpart: every slice kernel, every vector-wide NTT pass
+//! and the greedy stage schedules of both transforms are written once, in
+//! terms of a vector type, a lane count and a short list of element
+//! primitives, and [`simd_driver!`] stamps that source into an ISA module
+//! (`avx2.rs`: 4 lanes, `avx512.rs`: 8 lanes).
+//!
+//! It is a `macro_rules!` stamp rather than a trait-generic driver because
+//! every function that touches an intrinsic must itself carry
+//! `#[target_feature]`, and that attribute is per function, not per
+//! monomorphization: a generic `fn pass<I: Isa>` has no way to be compiled
+//! once with `avx2` and once with `avx512f` enabled. The macro takes the
+//! feature string as a literal and repeats it on every function it emits.
+//!
+//! # What an ISA module supplies
+//!
+//! Macro arguments: the `target_feature` literal, the vector type, the lane
+//! count, the unaligned load/store and 64-bit add/sub intrinsics, and the
+//! list of canonical *products* (below). Items the driver calls by name,
+//! each `#[target_feature]`-gated with the module's own feature set:
+//!
+//! | item | contract |
+//! |---|---|
+//! | `splat(u64) -> V` | broadcast |
+//! | `mulhi64`, `mullo64` | halves of the unsigned 64×64 product |
+//! | `mul_shoup_lazy_v(a, w, ws, q)` | the scalar `mul_shoup_lazy`, per lane |
+//! | `Consts` (fields `q`, `two_q`), `consts(&Modulus)` | broadcast reduction constants |
+//! | `csub_q(c, x)`, `csub_2q(c, x)` | one conditional subtract of `q` / `2q` |
+//! | `ntt_consts(m, sh64, sh52) -> (Consts, sh)` | picks the transform's Shoup radix and table |
+//! | `shoup_const(c, m, w) -> u64` | Shoup companion of `w` in that radix |
+//! | `fwd_bf`, `inv_bf`, `shoup_mul_lazy` (take a [`Tw`]) | Harvey butterflies and the lazy Shoup product |
+//! | `fwd_tail(c, a, w, sh, llen)` | all stages with stride `<= LANES` + canonical correction |
+//! | `inv_head(c, a, w, sh, with_top)` | the same stages of the inverse |
+//! | `gather(src, perm, i) -> V` | `src[perm[i + l]]` per lane |
+//!
+//! A *product* is `{ feature, when, consts, mul, mul_acc }`: `mul(c, x, y)`
+//! is the canonical `x * y mod q` and `mul_acc(c, s, x, y)` the canonical
+//! `s + x * y mod q` for canonical lanes, usable for moduli where
+//! `when(&Modulus)` holds on a CPU with `feature`. The four product kernels
+//! try the list in order and the last entry must accept every modulus
+//! ([`any_modulus`]); each entry's loop is compiled with that entry's
+//! feature set, which is how the 52-bit IFMA product gets inlined into its
+//! loop without widening the feature set of the whole module.
+//!
+//! A new width (NEON, a 256-bit IFMA variant) is a new module that supplies
+//! this list and one `simd_driver!` invocation, plus its `BackendKind` arm in
+//! `mod.rs`; nothing here changes.
+//!
+//! # Bounds
+//!
+//! All vector memory traffic goes through [`ld`]/[`st`], which
+//! `debug_assert` that the `LANES` words they touch lie inside the slice
+//! they are given, and every kernel `debug_assert`s the operand-length and
+//! tile-shape preconditions its loop relies on — so the debug-profile test
+//! run checks every instantiation, including through the assert-free
+//! `forced::` test entry points. Release builds rely on the assertions in
+//! the dispatcher (`mod.rs`) and on the tile arithmetic documented at each
+//! `SAFETY` comment.
+
+macro_rules! simd_driver {
+    (
+        feature: $tf:literal,
+        vector: $V:ty,
+        lanes: $lanes:literal,
+        load: $load:path,
+        store: $store:path,
+        add: $add:path,
+        sub: $sub:path,
+        products: [$({
+            feature: $ptf:literal,
+            when: $when:path,
+            consts: $pconsts:path,
+            mul: $mul:path,
+            mul_acc: $mul_acc:path $(,)?
+        }),+ $(,)?] $(,)?
+    ) => {
+        const LANES: usize = $lanes;
+
+        /// A broadcast twiddle: the factor and its Shoup companion in the
+        /// radix `ntt_consts` chose for this transform.
+        #[derive(Clone, Copy)]
+        struct Tw {
+            w: $V,
+            sh: $V,
+        }
+
+        #[inline]
+        #[target_feature(enable = $tf)]
+        fn load_tw(w: &[u64], sh: &[u64], k: usize) -> Tw {
+            Tw {
+                w: splat(w[k]),
+                sh: splat(sh[k]),
+            }
+        }
+
+        /// The `when` of a product that applies to every modulus.
+        #[inline]
+        fn any_modulus(_m: &Modulus) -> bool {
+            true
+        }
+
+        /// Loads `s[i..i + LANES]`.
+        ///
+        /// # Safety
+        ///
+        /// `i + LANES <= s.len()`.
+        #[inline]
+        #[target_feature(enable = $tf)]
+        unsafe fn ld(s: &[u64], i: usize) -> $V {
+            debug_assert!(i + LANES <= s.len(), "vector load past the slice");
+            // SAFETY: the caller guarantees LANES words from i are in bounds.
+            unsafe { $load(s.as_ptr().add(i).cast()) }
+        }
+
+        /// Stores `v` to `s[i..i + LANES]`.
+        ///
+        /// # Safety
+        ///
+        /// `i + LANES <= s.len()`.
+        #[inline]
+        #[target_feature(enable = $tf)]
+        unsafe fn st(s: &mut [u64], i: usize, v: $V) {
+            debug_assert!(i + LANES <= s.len(), "vector store past the slice");
+            // SAFETY: the caller guarantees LANES words from i are in bounds.
+            unsafe { $store(s.as_mut_ptr().add(i).cast(), v) }
+        }
+
+        /// `src[perm[i + l]]` for each lane `l`, with the index range
+        /// checked in debug builds.
+        ///
+        /// # Safety
+        ///
+        /// `i + LANES <= perm.len()` and every one of those `LANES` indices
+        /// is below `src.len()`.
+        #[inline]
+        #[target_feature(enable = $tf)]
+        unsafe fn gather_checked(src: &[u64], perm: &[u32], i: usize) -> $V {
+            debug_assert!(
+                perm[i..i + LANES].iter().all(|&s| (s as usize) < src.len()),
+                "gather index past the source"
+            );
+            // SAFETY: forwarded from the caller.
+            unsafe { gather(src, perm, i) }
+        }
+
+        // -------------------------------------------------------------------
+        // Slice kernels: the vector body over whole-LANES chunks, the scalar
+        // reference (identical semantics) over the tail.
+        // -------------------------------------------------------------------
+
+        #[target_feature(enable = $tf)]
+        pub(crate) fn add_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
+            debug_assert_eq!(a.len(), b.len());
+            let c = consts(m);
+            let n = a.len() - a.len() % LANES;
+            for i in (0..n).step_by(LANES) {
+                // SAFETY: i + LANES <= n <= a.len() == b.len().
+                unsafe {
+                    let r = csub_q(c, $add(ld(a, i), ld(b, i)));
+                    st(a, i, r);
+                }
+            }
+            scalar::add_mod_slice(m, &mut a[n..], &b[n..]);
+        }
+
+        #[target_feature(enable = $tf)]
+        pub(crate) fn sub_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
+            debug_assert_eq!(a.len(), b.len());
+            let c = consts(m);
+            let n = a.len() - a.len() % LANES;
+            for i in (0..n).step_by(LANES) {
+                // SAFETY: i + LANES <= n <= a.len() == b.len().
+                unsafe {
+                    // x + q - y is in (0, 2q); one conditional subtract
+                    // canonicalizes.
+                    let r = $sub($add(ld(a, i), c.q), ld(b, i));
+                    st(a, i, csub_q(c, r));
+                }
+            }
+            scalar::sub_mod_slice(m, &mut a[n..], &b[n..]);
+        }
+
+        #[target_feature(enable = $tf)]
+        pub(crate) fn neg_mod_slice(m: &Modulus, a: &mut [u64]) {
+            let c = consts(m);
+            let n = a.len() - a.len() % LANES;
+            for i in (0..n).step_by(LANES) {
+                // SAFETY: i + LANES <= n <= a.len().
+                unsafe {
+                    // q - x is in (0, q]; the conditional subtract maps q
+                    // (x = 0) to 0.
+                    let r = csub_q(c, $sub(c.q, ld(a, i)));
+                    st(a, i, r);
+                }
+            }
+            scalar::neg_mod_slice(m, &mut a[n..]);
+        }
+
+        /// Reduces arbitrary `u64` words into canonical `[0, q)`.
+        ///
+        /// Quotient estimate with `minv = floor(2^64 / q)`:
+        /// `qhat = mulhi64(x, minv)` underestimates `floor(x/q)` by at most
+        /// 1 (the discarded term `x * (2^64 mod q) / (q * 2^64)` is below
+        /// 1), so `x - qhat*q < 2q` and one conditional subtract
+        /// canonicalizes. The word-sized `barrett_mu` constant cannot be
+        /// used here: it only bounds inputs below `2^{2k}`, which is less
+        /// than `2^64` for small moduli.
+        #[target_feature(enable = $tf)]
+        pub(crate) fn reduce_raw_slice(m: &Modulus, a: &mut [u64]) {
+            let c = consts(m);
+            let minv = splat(((1u128 << 64) / m.value() as u128) as u64);
+            let n = a.len() - a.len() % LANES;
+            for i in (0..n).step_by(LANES) {
+                // SAFETY: i + LANES <= n <= a.len().
+                unsafe {
+                    let x = ld(a, i);
+                    let r = $sub(x, mullo64(mulhi64(x, minv), c.q));
+                    st(a, i, csub_q(c, r));
+                }
+            }
+            scalar::reduce_raw_slice(m, &mut a[n..]);
+        }
+
+        #[target_feature(enable = $tf)]
+        pub(crate) fn mul_scalar_shoup_slice(m: &Modulus, a: &mut [u64], w: u64, w_shoup: u64) {
+            let c = consts(m);
+            let (wv, wsv) = (splat(w), splat(w_shoup));
+            let n = a.len() - a.len() % LANES;
+            for i in (0..n).step_by(LANES) {
+                // SAFETY: i + LANES <= n <= a.len().
+                unsafe {
+                    let r = csub_q(c, mul_shoup_lazy_v(ld(a, i), wv, wsv, c.q));
+                    st(a, i, r);
+                }
+            }
+            scalar::mul_scalar_shoup_slice(m, &mut a[n..], w, w_shoup);
+        }
+
+        #[target_feature(enable = $tf)]
+        pub(crate) fn mul_shoup_lazy_acc_slice(m: &Modulus, acc: &mut [u64], x: &[u64], w: u64, w_shoup: u64) {
+            debug_assert_eq!(acc.len(), x.len());
+            let c = consts(m);
+            let (wv, wsv) = (splat(w), splat(w_shoup));
+            let n = acc.len() - acc.len() % LANES;
+            for i in (0..n).step_by(LANES) {
+                // SAFETY: i + LANES <= n <= acc.len() == x.len().
+                unsafe {
+                    let v = mul_shoup_lazy_v(ld(x, i), wv, wsv, c.q);
+                    // acc, v both < 2q: sum < 4q, one conditional subtract
+                    // restores [0, 2q).
+                    let r = csub_2q(c, $add(ld(acc, i), v));
+                    st(acc, i, r);
+                }
+            }
+            scalar::mul_shoup_lazy_acc_slice(m, &mut acc[n..], &x[n..], w, w_shoup);
+        }
+
+        #[target_feature(enable = $tf)]
+        pub(crate) fn mul_shoup_sub_correct_slice(m: &Modulus, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64) {
+            debug_assert_eq!(out.len(), alpha.len());
+            let c = consts(m);
+            let (wv, wsv) = (splat(w), splat(w_shoup));
+            let n = out.len() - out.len() % LANES;
+            for i in (0..n).step_by(LANES) {
+                // SAFETY: i + LANES <= n <= out.len() == alpha.len().
+                unsafe {
+                    let v = mul_shoup_lazy_v(ld(alpha, i), wv, wsv, c.q);
+                    // o < 2q and v < 2q: o + 2q - v in (0, 4q); two
+                    // conditional subtracts canonicalize (correct_lazy).
+                    let r = $sub($add(ld(out, i), c.two_q), v);
+                    st(out, i, csub_q(c, csub_2q(c, r)));
+                }
+            }
+            scalar::mul_shoup_sub_correct_slice(m, &mut out[n..], &alpha[n..], w, w_shoup);
+        }
+
+        #[target_feature(enable = $tf)]
+        pub(crate) fn correct_lazy_slice(m: &Modulus, a: &mut [u64]) {
+            let c = consts(m);
+            let n = a.len() - a.len() % LANES;
+            for i in (0..n).step_by(LANES) {
+                // SAFETY: i + LANES <= n <= a.len().
+                unsafe {
+                    let r = csub_q(c, csub_2q(c, ld(a, i)));
+                    st(a, i, r);
+                }
+            }
+            scalar::correct_lazy_slice(m, &mut a[n..]);
+        }
+
+        #[target_feature(enable = $tf)]
+        pub(crate) fn gather_slice(out: &mut [u64], src: &[u64], perm: &[u32]) {
+            debug_assert_eq!(out.len(), perm.len());
+            let n = out.len() - out.len() % LANES;
+            for i in (0..n).step_by(LANES) {
+                // SAFETY: i + LANES <= n <= out.len() == perm.len(); perm is
+                // an AutomorphismTable permutation of 0..perm.len() and the
+                // dispatcher asserted src.len() == perm.len().
+                unsafe { st(out, i, gather_checked(src, perm, i)) };
+            }
+            scalar::gather_slice(&mut out[n..], src, &perm[n..]);
+        }
+
+        // The four product kernels. Each tries the ISA's products in order
+        // and runs its one loop compiled with the chosen product's feature
+        // set. `body` is an `unsafe fn` whose one requirement is that the
+        // CPU has that feature set: `when` detects whatever it adds to the
+        // module's own.
+
+        #[target_feature(enable = $tf)]
+        pub(crate) fn mul_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
+            debug_assert_eq!(a.len(), b.len());
+            $(if $when(m) {
+                #[target_feature(enable = $ptf)]
+                unsafe fn body(m: &Modulus, a: &mut [u64], b: &[u64]) {
+                    let c = $pconsts(m);
+                    let n = a.len() - a.len() % LANES;
+                    for i in (0..n).step_by(LANES) {
+                        // SAFETY: i + LANES <= n <= a.len() == b.len().
+                        unsafe {
+                            let r = $mul(c, ld(a, i), ld(b, i));
+                            st(a, i, r);
+                        }
+                    }
+                    scalar::mul_mod_slice(m, &mut a[n..], &b[n..]);
+                }
+                // SAFETY: `when` runtime-detected what this product's
+                // feature set adds to the module's.
+                return unsafe { body(m, a, b) };
+            })+
+            unreachable!("the last product accepts every modulus");
+        }
+
+        #[target_feature(enable = $tf)]
+        pub(crate) fn mul_acc_mod_slice(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
+            debug_assert!(acc.len() == a.len() && acc.len() == b.len());
+            $(if $when(m) {
+                #[target_feature(enable = $ptf)]
+                unsafe fn body(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
+                    let c = $pconsts(m);
+                    let n = acc.len() - acc.len() % LANES;
+                    for i in (0..n).step_by(LANES) {
+                        // SAFETY: i + LANES <= n and all three slices have
+                        // equal length.
+                        unsafe {
+                            let r = $mul_acc(c, ld(acc, i), ld(a, i), ld(b, i));
+                            st(acc, i, r);
+                        }
+                    }
+                    scalar::mul_acc_mod_slice(m, &mut acc[n..], &a[n..], &b[n..]);
+                }
+                // SAFETY: as mul_mod_slice.
+                return unsafe { body(m, acc, a, b) };
+            })+
+            unreachable!("the last product accepts every modulus");
+        }
+
+        #[target_feature(enable = $tf)]
+        pub(crate) fn gather_mul_acc_slice(m: &Modulus, acc: &mut [u64], src: &[u64], perm: &[u32], b: &[u64]) {
+            debug_assert!(acc.len() == perm.len() && acc.len() == b.len());
+            $(if $when(m) {
+                #[target_feature(enable = $ptf)]
+                unsafe fn body(m: &Modulus, acc: &mut [u64], src: &[u64], perm: &[u32], b: &[u64]) {
+                    let c = $pconsts(m);
+                    let n = acc.len() - acc.len() % LANES;
+                    for i in (0..n).step_by(LANES) {
+                        // SAFETY: i + LANES <= n and acc, perm, b have equal
+                        // length; perm indexes src as in gather_slice.
+                        unsafe {
+                            let v = gather_checked(src, perm, i);
+                            let r = $mul_acc(c, ld(acc, i), v, ld(b, i));
+                            st(acc, i, r);
+                        }
+                    }
+                    scalar::gather_mul_acc_slice(m, &mut acc[n..], src, &perm[n..], &b[n..]);
+                }
+                // SAFETY: as mul_mod_slice.
+                return unsafe { body(m, acc, src, perm, b) };
+            })+
+            unreachable!("the last product accepts every modulus");
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        #[target_feature(enable = $tf)]
+        pub(crate) fn gather_mul_acc_pair_slice(
+            m: &Modulus,
+            acc0: &mut [u64],
+            acc1: &mut [u64],
+            src: &[u64],
+            perm: &[u32],
+            b0: &[u64],
+            b1: &[u64],
+        ) {
+            debug_assert!(acc0.len() == perm.len() && acc1.len() == perm.len());
+            debug_assert!(b0.len() == perm.len() && b1.len() == perm.len());
+            $(if $when(m) {
+                #[allow(clippy::too_many_arguments)]
+                #[target_feature(enable = $ptf)]
+                unsafe fn body(
+                    m: &Modulus,
+                    acc0: &mut [u64],
+                    acc1: &mut [u64],
+                    src: &[u64],
+                    perm: &[u32],
+                    b0: &[u64],
+                    b1: &[u64],
+                ) {
+                    let c = $pconsts(m);
+                    let n = acc0.len() - acc0.len() % LANES;
+                    for i in (0..n).step_by(LANES) {
+                        // SAFETY: i + LANES <= n and all five slices have
+                        // equal length; perm indexes src as in gather_slice.
+                        unsafe {
+                            let v = gather_checked(src, perm, i);
+                            let r0 = $mul_acc(c, ld(acc0, i), v, ld(b0, i));
+                            let r1 = $mul_acc(c, ld(acc1, i), v, ld(b1, i));
+                            st(acc0, i, r0);
+                            st(acc1, i, r1);
+                        }
+                    }
+                    scalar::gather_mul_acc_pair_slice(
+                        m,
+                        &mut acc0[n..],
+                        &mut acc1[n..],
+                        src,
+                        &perm[n..],
+                        &b0[n..],
+                        &b1[n..],
+                    );
+                }
+                // SAFETY: as mul_mod_slice.
+                return unsafe { body(m, acc0, acc1, src, perm, b0, b1) };
+            })+
+            unreachable!("the last product accepts every modulus");
+        }
+
+        // -------------------------------------------------------------------
+        // NTT: vector-wide multi-stage passes and the greedy stage schedule.
+        // -------------------------------------------------------------------
+
+        /// One butterfly group with stride `x.len() >= LANES`: `x`/`y` are
+        /// the group's two halves, single twiddle.
+        ///
+        /// # Safety
+        ///
+        /// `x.len() == y.len()`, a multiple of `LANES`.
+        #[target_feature(enable = $tf)]
+        unsafe fn fwd_pass_large(c: Consts, x: &mut [u64], y: &mut [u64], wt: Tw) {
+            debug_assert!(x.len() == y.len() && x.len().is_multiple_of(LANES));
+            for j in (0..x.len()).step_by(LANES) {
+                // SAFETY: j + LANES <= x.len() == y.len().
+                unsafe {
+                    let (nx, ny) = fwd_bf(c, ld(x, j), ld(y, j), wt);
+                    st(x, j, nx);
+                    st(y, j, ny);
+                }
+            }
+        }
+
+        /// Two fused forward stages over one stage-A group (`tile`, four
+        /// quarters of `e` elements held in registers): stage A pairs
+        /// quarters `(0,2)`/`(1,3)` at stride `2e`, stage B finishes both
+        /// halves at stride `e` — half the loads/stores of two separate
+        /// passes.
+        ///
+        /// # Safety
+        ///
+        /// `tile.len()` is a multiple of `4 * LANES`.
+        #[target_feature(enable = $tf)]
+        unsafe fn fwd_pass_large2(c: Consts, tile: &mut [u64], wa: Tw, wb0: Tw, wb1: Tw) {
+            let e = tile.len() / 4;
+            debug_assert!(tile.len() == 4 * e && e.is_multiple_of(LANES));
+            for j in (0..e).step_by(LANES) {
+                // SAFETY: j + 3e + LANES <= 4e; four disjoint in-bounds
+                // quarters.
+                unsafe {
+                    let mut v0 = ld(tile, j);
+                    let mut v1 = ld(tile, j + e);
+                    let mut v2 = ld(tile, j + 2 * e);
+                    let mut v3 = ld(tile, j + 3 * e);
+                    (v0, v2) = fwd_bf(c, v0, v2, wa);
+                    (v1, v3) = fwd_bf(c, v1, v3, wa);
+                    (v0, v1) = fwd_bf(c, v0, v1, wb0);
+                    (v2, v3) = fwd_bf(c, v2, v3, wb1);
+                    st(tile, j, v0);
+                    st(tile, j + e, v1);
+                    st(tile, j + 2 * e, v2);
+                    st(tile, j + 3 * e, v3);
+                }
+            }
+        }
+
+        /// Three fused forward stages over one stage-A group (`tile`, eight
+        /// octants of `e` elements): stage A at stride `4e`, stage B at
+        /// `2e`, stage C at `e`, all on eight vectors held in registers.
+        ///
+        /// # Safety
+        ///
+        /// `tile.len()` is a multiple of `8 * LANES`.
+        #[allow(clippy::too_many_arguments)]
+        #[target_feature(enable = $tf)]
+        unsafe fn fwd_pass_large3(
+            c: Consts,
+            tile: &mut [u64],
+            wa: Tw,
+            wb0: Tw,
+            wb1: Tw,
+            wc0: Tw,
+            wc1: Tw,
+            wc2: Tw,
+            wc3: Tw,
+        ) {
+            let e = tile.len() / 8;
+            debug_assert!(tile.len() == 8 * e && e.is_multiple_of(LANES));
+            for j in (0..e).step_by(LANES) {
+                // SAFETY: j + 7e + LANES <= 8e; eight disjoint in-bounds
+                // octants.
+                unsafe {
+                    let mut v0 = ld(tile, j);
+                    let mut v1 = ld(tile, j + e);
+                    let mut v2 = ld(tile, j + 2 * e);
+                    let mut v3 = ld(tile, j + 3 * e);
+                    let mut v4 = ld(tile, j + 4 * e);
+                    let mut v5 = ld(tile, j + 5 * e);
+                    let mut v6 = ld(tile, j + 6 * e);
+                    let mut v7 = ld(tile, j + 7 * e);
+                    (v0, v4) = fwd_bf(c, v0, v4, wa);
+                    (v1, v5) = fwd_bf(c, v1, v5, wa);
+                    (v2, v6) = fwd_bf(c, v2, v6, wa);
+                    (v3, v7) = fwd_bf(c, v3, v7, wa);
+                    (v0, v2) = fwd_bf(c, v0, v2, wb0);
+                    (v1, v3) = fwd_bf(c, v1, v3, wb0);
+                    (v4, v6) = fwd_bf(c, v4, v6, wb1);
+                    (v5, v7) = fwd_bf(c, v5, v7, wb1);
+                    (v0, v1) = fwd_bf(c, v0, v1, wc0);
+                    (v2, v3) = fwd_bf(c, v2, v3, wc1);
+                    (v4, v5) = fwd_bf(c, v4, v5, wc2);
+                    (v6, v7) = fwd_bf(c, v6, v7, wc3);
+                    st(tile, j, v0);
+                    st(tile, j + e, v1);
+                    st(tile, j + 2 * e, v2);
+                    st(tile, j + 3 * e, v3);
+                    st(tile, j + 4 * e, v4);
+                    st(tile, j + 5 * e, v5);
+                    st(tile, j + 6 * e, v6);
+                    st(tile, j + 7 * e, v7);
+                }
+            }
+        }
+
+        /// # Safety
+        ///
+        /// As [`fwd_pass_large`].
+        #[target_feature(enable = $tf)]
+        unsafe fn inv_pass_large(c: Consts, x: &mut [u64], y: &mut [u64], wt: Tw) {
+            debug_assert!(x.len() == y.len() && x.len().is_multiple_of(LANES));
+            for j in (0..x.len()).step_by(LANES) {
+                // SAFETY: j + LANES <= x.len() == y.len().
+                unsafe {
+                    let (nx, ny) = inv_bf(c, ld(x, j), ld(y, j), wt);
+                    st(x, j, nx);
+                    st(y, j, ny);
+                }
+            }
+        }
+
+        /// Two fused inverse stages over one stage-B group (`tile`, four
+        /// quarters of `e` elements): stage A pairs quarters `(0,1)`/`(2,3)`
+        /// at stride `e`, stage B pairs `(0,2)`/`(1,3)` at stride `2e`.
+        ///
+        /// # Safety
+        ///
+        /// As [`fwd_pass_large2`].
+        #[target_feature(enable = $tf)]
+        unsafe fn inv_pass_large2(c: Consts, tile: &mut [u64], wa0: Tw, wa1: Tw, wb: Tw) {
+            let e = tile.len() / 4;
+            debug_assert!(tile.len() == 4 * e && e.is_multiple_of(LANES));
+            for j in (0..e).step_by(LANES) {
+                // SAFETY: j + 3e + LANES <= 4e; four disjoint in-bounds
+                // quarters.
+                unsafe {
+                    let mut v0 = ld(tile, j);
+                    let mut v1 = ld(tile, j + e);
+                    let mut v2 = ld(tile, j + 2 * e);
+                    let mut v3 = ld(tile, j + 3 * e);
+                    (v0, v1) = inv_bf(c, v0, v1, wa0);
+                    (v2, v3) = inv_bf(c, v2, v3, wa1);
+                    (v0, v2) = inv_bf(c, v0, v2, wb);
+                    (v1, v3) = inv_bf(c, v1, v3, wb);
+                    st(tile, j, v0);
+                    st(tile, j + e, v1);
+                    st(tile, j + 2 * e, v2);
+                    st(tile, j + 3 * e, v3);
+                }
+            }
+        }
+
+        /// Three fused inverse stages over one stage-C group (`tile`, eight
+        /// octants of `e` elements): stage A at stride `e`, stage B at
+        /// `2e`, stage C at `4e`; mirror of [`fwd_pass_large3`].
+        ///
+        /// # Safety
+        ///
+        /// As [`fwd_pass_large3`].
+        #[allow(clippy::too_many_arguments)]
+        #[target_feature(enable = $tf)]
+        unsafe fn inv_pass_large3(
+            c: Consts,
+            tile: &mut [u64],
+            wa0: Tw,
+            wa1: Tw,
+            wa2: Tw,
+            wa3: Tw,
+            wb0: Tw,
+            wb1: Tw,
+            wc: Tw,
+        ) {
+            let e = tile.len() / 8;
+            debug_assert!(tile.len() == 8 * e && e.is_multiple_of(LANES));
+            for j in (0..e).step_by(LANES) {
+                // SAFETY: j + 7e + LANES <= 8e; eight disjoint in-bounds
+                // octants.
+                unsafe {
+                    let mut v0 = ld(tile, j);
+                    let mut v1 = ld(tile, j + e);
+                    let mut v2 = ld(tile, j + 2 * e);
+                    let mut v3 = ld(tile, j + 3 * e);
+                    let mut v4 = ld(tile, j + 4 * e);
+                    let mut v5 = ld(tile, j + 5 * e);
+                    let mut v6 = ld(tile, j + 6 * e);
+                    let mut v7 = ld(tile, j + 7 * e);
+                    (v0, v1) = inv_bf(c, v0, v1, wa0);
+                    (v2, v3) = inv_bf(c, v2, v3, wa1);
+                    (v4, v5) = inv_bf(c, v4, v5, wa2);
+                    (v6, v7) = inv_bf(c, v6, v7, wa3);
+                    (v0, v2) = inv_bf(c, v0, v2, wb0);
+                    (v1, v3) = inv_bf(c, v1, v3, wb0);
+                    (v4, v6) = inv_bf(c, v4, v6, wb1);
+                    (v5, v7) = inv_bf(c, v5, v7, wb1);
+                    (v0, v4) = inv_bf(c, v0, v4, wc);
+                    (v1, v5) = inv_bf(c, v1, v5, wc);
+                    (v2, v6) = inv_bf(c, v2, v6, wc);
+                    (v3, v7) = inv_bf(c, v3, v7, wc);
+                    st(tile, j, v0);
+                    st(tile, j + e, v1);
+                    st(tile, j + 2 * e, v2);
+                    st(tile, j + 3 * e, v3);
+                    st(tile, j + 4 * e, v4);
+                    st(tile, j + 5 * e, v5);
+                    st(tile, j + 6 * e, v6);
+                    st(tile, j + 7 * e, v7);
+                }
+            }
+        }
+
+        /// The final inverse stage (stride `n/2`, single twiddle) fused with
+        /// the `n^{-1}` sweep: the sum path multiplies by `n^{-1}` directly
+        /// (`wn`), the difference path by the precombined `w_1 * n^{-1}`
+        /// (`wd`), and both outputs are canonicalized in-register. Saves the
+        /// whole closing `n^{-1}` pass; output is canonical, hence
+        /// bit-identical to the unfused sequence.
+        ///
+        /// # Safety
+        ///
+        /// As [`fwd_pass_large`].
+        #[target_feature(enable = $tf)]
+        unsafe fn inv_final_pass(c: Consts, x: &mut [u64], y: &mut [u64], wd: Tw, wn: Tw) {
+            debug_assert!(x.len() == y.len() && x.len().is_multiple_of(LANES));
+            for j in (0..x.len()).step_by(LANES) {
+                // SAFETY: j + LANES <= x.len() == y.len().
+                unsafe {
+                    let (u, v) = (ld(x, j), ld(y, j));
+                    // Butterfly exactly as inv_bf, but the products fold in
+                    // n^{-1}.
+                    let s = csub_2q(c, $add(u, v));
+                    let d = $sub($add(u, c.two_q), v);
+                    st(x, j, csub_q(c, shoup_mul_lazy(c, s, wn)));
+                    st(y, j, csub_q(c, shoup_mul_lazy(c, d, wd)));
+                }
+            }
+        }
+
+        /// Forward lazy NTT as a greedy multi-stage descent: each pass over
+        /// the array retires up to three vector-wide stages (all tiles of
+        /// one pass complete their stage group before the next pass
+        /// starts), and the stages with stride `<= LANES` plus the canonical
+        /// correction run in the ISA's fused `fwd_tail`. At 8 lanes and
+        /// n = 8192 that is four memory round trips for all 13 stages.
+        /// Multi-stage tiles double as cache blocks, so no separate
+        /// strided/blocked split is needed.
+        #[target_feature(enable = $tf)]
+        pub(crate) fn ntt_forward(table: &NttTable, a: &mut [u64]) {
+            let n = table.n();
+            if n < 2 * LANES {
+                return scalar::ntt_forward(table, a);
+            }
+            debug_assert!(n.is_power_of_two() && a.len() == n);
+            let w = table.root_pows();
+            let (c, sh) = ntt_consts(table.modulus(), table.root_pows_shoup(), table.root_pows_shoup52());
+            debug_assert!(w.len() == n && sh.len() == n);
+
+            // Stage at stride lt has llen groups (tiles) of 2*lt elements;
+            // stage level llen is also its twiddle-table base. With
+            // m = log2(lt / LANES), triples run while m >= 3, a pair handles
+            // m == 2, a single m == 1, so the descent always lands on
+            // lt == LANES for the fused tail.
+            let mut lt = n >> 1;
+            let mut llen = 1usize;
+            while lt > LANES {
+                debug_assert_eq!(2 * lt * llen, n);
+                let tiles = a.chunks_exact_mut(2 * lt).enumerate();
+                if lt >= 8 * LANES {
+                    // Triple: stages at strides lt, lt/2, lt/4. Stage-B
+                    // twiddles 2g, 2g+1 and stage-C twiddles 4g..4g+3 of
+                    // the next levels.
+                    for (g, tile) in tiles {
+                        let wa = load_tw(w, sh, llen + g);
+                        let wb0 = load_tw(w, sh, 2 * llen + 2 * g);
+                        let wb1 = load_tw(w, sh, 2 * llen + 2 * g + 1);
+                        let wc0 = load_tw(w, sh, 4 * llen + 4 * g);
+                        let wc1 = load_tw(w, sh, 4 * llen + 4 * g + 1);
+                        let wc2 = load_tw(w, sh, 4 * llen + 4 * g + 2);
+                        let wc3 = load_tw(w, sh, 4 * llen + 4 * g + 3);
+                        // SAFETY: tile.len() == 2*lt, a multiple of 16*LANES.
+                        unsafe { fwd_pass_large3(c, tile, wa, wb0, wb1, wc0, wc1, wc2, wc3) };
+                    }
+                    llen <<= 3;
+                    lt >>= 3;
+                } else if lt >= 4 * LANES {
+                    // Pair: stages at strides lt and lt/2.
+                    for (g, tile) in tiles {
+                        let wa = load_tw(w, sh, llen + g);
+                        let wb0 = load_tw(w, sh, 2 * llen + 2 * g);
+                        let wb1 = load_tw(w, sh, 2 * llen + 2 * g + 1);
+                        // SAFETY: tile.len() == 2*lt == 8*LANES.
+                        unsafe { fwd_pass_large2(c, tile, wa, wb0, wb1) };
+                    }
+                    llen <<= 2;
+                    lt >>= 2;
+                } else {
+                    for (g, tile) in tiles {
+                        let (x, y) = tile.split_at_mut(lt);
+                        // SAFETY: both halves have lt == 2*LANES elements.
+                        unsafe { fwd_pass_large(c, x, y, load_tw(w, sh, llen + g)) };
+                    }
+                    llen <<= 1;
+                    lt >>= 1;
+                }
+            }
+            // The stride-LANES stage (twiddle base llen = n / (2*LANES)) and
+            // every sub-vector stage below it, plus the canonical
+            // correction, in one pass.
+            debug_assert_eq!(lt, LANES);
+            fwd_tail(c, a, w, sh, llen);
+        }
+
+        /// Inverse lazy NTT, mirror of [`ntt_forward`]: the ISA's fused
+        /// `inv_head` opens with the stages of stride `<= LANES`, a greedy
+        /// multi-stage ascent retires up to three vector-wide stages per
+        /// pass, and the final stride-`n/2` stage is fused with the `n^{-1}`
+        /// sweep and canonicalization.
+        #[target_feature(enable = $tf)]
+        pub(crate) fn ntt_inverse(table: &NttTable, a: &mut [u64]) {
+            let n = table.n();
+            if n < 2 * LANES {
+                return scalar::ntt_inverse(table, a);
+            }
+            debug_assert!(n.is_power_of_two() && a.len() == n);
+            let m = table.modulus();
+            let w = table.inv_root_pows();
+            let (c, sh) = ntt_consts(m, table.inv_root_pows_shoup(), table.inv_root_pows_shoup52());
+            debug_assert!(w.len() == n && sh.len() == n);
+
+            // Stages of stride 1..=LANES in one opening pass. The
+            // stride-LANES stage is deferred to the fused final pass when it
+            // is the global last stage (n == 2*LANES).
+            inv_head(c, a, w, sh, n > 2 * LANES);
+            // Greedy ascent to (but excluding) the final stride-n/2 stage: a
+            // triple is exact while its largest stride stays below n/2, and
+            // the remainder (log2(n / (4*LANES)) stages) is finished by a
+            // pair or single.
+            let mut lt = 2 * LANES;
+            let mut llen = n / (4 * LANES);
+            while 2 * lt < n {
+                debug_assert_eq!(2 * lt * llen, n);
+                if 8 * lt < n {
+                    // Triple: stages at strides lt, 2*lt, 4*lt. Stage-A
+                    // twiddles 4g..4g+3, stage-B 2g, 2g+1 of the next
+                    // levels.
+                    for (g, tile) in a.chunks_exact_mut(8 * lt).enumerate() {
+                        let wa0 = load_tw(w, sh, llen + 4 * g);
+                        let wa1 = load_tw(w, sh, llen + 4 * g + 1);
+                        let wa2 = load_tw(w, sh, llen + 4 * g + 2);
+                        let wa3 = load_tw(w, sh, llen + 4 * g + 3);
+                        let wb0 = load_tw(w, sh, llen / 2 + 2 * g);
+                        let wb1 = load_tw(w, sh, llen / 2 + 2 * g + 1);
+                        let wc = load_tw(w, sh, llen / 4 + g);
+                        // SAFETY: tile.len() == 8*lt, lt a multiple of LANES.
+                        unsafe { inv_pass_large3(c, tile, wa0, wa1, wa2, wa3, wb0, wb1, wc) };
+                    }
+                    lt <<= 3;
+                    llen >>= 3;
+                } else if 4 * lt < n {
+                    // Pair: stages at strides lt and 2*lt.
+                    for (g, tile) in a.chunks_exact_mut(4 * lt).enumerate() {
+                        let wa0 = load_tw(w, sh, llen + 2 * g);
+                        let wa1 = load_tw(w, sh, llen + 2 * g + 1);
+                        let wb = load_tw(w, sh, llen / 2 + g);
+                        // SAFETY: tile.len() == 4*lt, lt a multiple of LANES.
+                        unsafe { inv_pass_large2(c, tile, wa0, wa1, wb) };
+                    }
+                    lt <<= 2;
+                    llen >>= 2;
+                } else {
+                    for (g, tile) in a.chunks_exact_mut(2 * lt).enumerate() {
+                        let (x, y) = tile.split_at_mut(lt);
+                        // SAFETY: both halves have lt elements, a multiple
+                        // of LANES.
+                        unsafe { inv_pass_large(c, x, y, load_tw(w, sh, llen + g)) };
+                    }
+                    lt <<= 1;
+                    llen >>= 1;
+                }
+            }
+            // Final stage (stride n/2, single twiddle w[1]) fused with the
+            // n^{-1} sweep: the sum path takes n^{-1}, the difference path
+            // the precombined w[1] * n^{-1}; outputs are canonical.
+            let n_inv = table.n_inv();
+            let wd_val = m.mul(w[1], n_inv);
+            let wn = Tw {
+                w: splat(n_inv),
+                sh: splat(shoup_const(c, m, n_inv)),
+            };
+            let wd = Tw {
+                w: splat(wd_val),
+                sh: splat(shoup_const(c, m, wd_val)),
+            };
+            let (x, y) = a.split_at_mut(n / 2);
+            // SAFETY: both halves have n/2 >= LANES elements, a multiple of
+            // LANES.
+            unsafe { inv_final_pass(c, x, y, wd, wn) };
+        }
+    };
+}

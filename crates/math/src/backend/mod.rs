@@ -15,8 +15,18 @@
 //! too. Op-level telemetry (`cl-trace`) is recorded at the public entry
 //! points, above the dispatch, so counts are backend-invariant by
 //! construction.
+//!
+//! Layout: `scalar.rs` is the portable reference every backend must match;
+//! `driver.rs` holds the one vector kernel source (slice kernels, NTT
+//! passes, stage schedules), which `avx2.rs` and `avx512.rs` instantiate at
+//! 4 and 8 lanes by supplying their element primitives; this file selects
+//! the backend and declares each dispatched kernel once (`kernels!`).
 
 pub(crate) mod scalar;
+
+#[cfg(target_arch = "x86_64")]
+#[macro_use]
+mod driver;
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
@@ -191,12 +201,16 @@ pub fn set_active_backend(kind: BackendKind) -> Result<(), Vec<BackendKind>> {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatched slice kernels.
+// Dispatched kernels.
 //
-// Each wrapper asserts slice-length agreement once, then routes to the
-// active backend. The scalar implementations in `scalar.rs` are the
-// semantic reference; the SAFETY obligation discharged at every `unsafe`
-// call below is "the required target features were runtime-detected",
+// `kernels!` is the one place a kernel's signature and length preconditions
+// are written. From each declaration it generates the dispatched wrapper —
+// preconditions asserted once, then a route to the active backend — and,
+// for tests, a `forced::` twin that takes the backend explicitly and skips
+// the preconditions (the vector kernels `debug_assert` them again, see
+// `driver.rs`). The scalar implementations in `scalar.rs` are the semantic
+// reference; the SAFETY obligation discharged at every `unsafe` call in
+// `dispatch!` is "the required target features were runtime-detected",
 // which `active_backend()` guarantees: Avx2/Avx512 are only ever stored
 // after `supported_backends()` confirmed the features.
 // ---------------------------------------------------------------------------
@@ -219,210 +233,130 @@ macro_rules! dispatch {
     };
 }
 
-/// `a[i] = (a[i] + b[i]) mod q`, canonical operands and output.
-#[inline]
-pub(crate) fn add_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
-    assert_eq!(a.len(), b.len(), "slice length mismatch");
-    dispatch!(add_mod_slice(m, a, b); active_backend())
+macro_rules! kernels {
+    ($(
+        $(#[$attr:meta])*
+        fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $pre:block
+    )*) => {
+        $(
+            $(#[$attr])*
+            #[inline]
+            pub(crate) fn $name($($arg: $ty),*) {
+                $pre
+                dispatch!($name($($arg),*); active_backend())
+            }
+        )*
+
+        /// Test-only dispatch with an explicit backend, so differential
+        /// tests can exercise every compiled backend without touching the
+        /// process-wide choice. Callers must only pass kinds from
+        /// [`supported_backends`] and arguments that meet the dispatched
+        /// wrapper's preconditions.
+        #[cfg(test)]
+        pub(crate) mod forced {
+            use super::*;
+
+            $(
+                $(#[$attr])*
+                pub(crate) fn $name(kind: BackendKind, $($arg: $ty),*) {
+                    dispatch!($name($($arg),*); kind)
+                }
+            )*
+        }
+    };
 }
 
-/// `a[i] = (a[i] - b[i]) mod q`, canonical operands and output.
-#[inline]
-pub(crate) fn sub_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
-    assert_eq!(a.len(), b.len(), "slice length mismatch");
-    dispatch!(sub_mod_slice(m, a, b); active_backend())
+/// All operand slices of a kernel must agree in length.
+macro_rules! same_len {
+    ($a:expr, $($b:expr),+) => {
+        $(assert_eq!($a.len(), $b.len(), "slice length mismatch");)+
+    };
 }
 
-/// `a[i] = -a[i] mod q`, canonical operand and output.
-#[inline]
-pub(crate) fn neg_mod_slice(m: &Modulus, a: &mut [u64]) {
-    dispatch!(neg_mod_slice(m, a); active_backend())
+/// The gather kernels read `src[perm[i]]` unchecked on the vector backends.
+/// Every permutation that reaches them belongs to an `AutomorphismTable`
+/// (its values are a permutation of `0..perm.len()` by construction), so
+/// `src` covering the table is exactly what keeps each index in range.
+macro_rules! gather_in_range {
+    ($src:expr, $perm:expr) => {
+        assert_eq!($src.len(), $perm.len(), "gather source length mismatch");
+    };
 }
 
-/// `a[i] = a[i] * b[i] mod q` (variable × variable Barrett), canonical.
-#[inline]
-pub(crate) fn mul_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
-    assert_eq!(a.len(), b.len(), "slice length mismatch");
-    dispatch!(mul_mod_slice(m, a, b); active_backend())
-}
-
-/// `acc[i] = (acc[i] + a[i] * b[i]) mod q`, canonical.
-#[inline]
-pub(crate) fn mul_acc_mod_slice(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-    assert_eq!(acc.len(), a.len(), "slice length mismatch");
-    assert_eq!(acc.len(), b.len(), "slice length mismatch");
-    dispatch!(mul_acc_mod_slice(m, acc, a, b); active_backend())
-}
-
-/// `a[i] = a[i] * w mod q` for a fixed `w` with precomputed Shoup constant,
-/// canonical output. Accepts lazy inputs below `2^63` (the Shoup product
-/// itself tolerates any `u64`; the closing correction handles `[0, 2q)`).
-#[inline]
-pub(crate) fn mul_scalar_shoup_slice(m: &Modulus, a: &mut [u64], w: u64, w_shoup: u64) {
-    dispatch!(mul_scalar_shoup_slice(m, a, w, w_shoup); active_backend())
-}
-
-/// `acc[i] = reduce_lazy(acc[i] + mul_shoup_lazy(x[i], w, w_shoup))`.
-///
-/// The base-conversion inner loop: `acc` stays in `[0, 2q)` across repeated
-/// calls, `x` may be any `u64` (residues of a foreign modulus).
-#[inline]
-pub(crate) fn mul_shoup_lazy_acc_slice(m: &Modulus, acc: &mut [u64], x: &[u64], w: u64, w_shoup: u64) {
-    assert_eq!(acc.len(), x.len(), "slice length mismatch");
-    dispatch!(mul_shoup_lazy_acc_slice(m, acc, x, w, w_shoup); active_backend())
-}
-
-/// `out[i] = correct_lazy(out[i] + 2q - mul_shoup_lazy(alpha[i], w, w_shoup))`.
-///
-/// The exact base-conversion correction: subtracts `alpha[i] * w` from a lazy
-/// accumulator in `[0, 2q)` and canonicalizes in the same pass.
-#[inline]
-pub(crate) fn mul_shoup_sub_correct_slice(m: &Modulus, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64) {
-    assert_eq!(out.len(), alpha.len(), "slice length mismatch");
-    dispatch!(mul_shoup_sub_correct_slice(m, out, alpha, w, w_shoup); active_backend())
-}
-
-/// `a[i] = correct_lazy(a[i])`: maps lazy `[0, 4q)` words to canonical.
-#[inline]
-pub(crate) fn correct_lazy_slice(m: &Modulus, a: &mut [u64]) {
-    dispatch!(correct_lazy_slice(m, a); active_backend())
-}
-
-/// `a[i] = a[i] mod q` for arbitrary `u64` words — the seeded hint-expansion
-/// kernel (reduce a raw PRG word stream into residues).
-#[inline]
-pub(crate) fn reduce_raw_slice(m: &Modulus, a: &mut [u64]) {
-    dispatch!(reduce_raw_slice(m, a); active_backend())
-}
-
-/// `out[i] = src[perm[i]]` — the NTT-domain automorphism gather.
-#[inline]
-pub(crate) fn gather_slice(out: &mut [u64], src: &[u64], perm: &[u32]) {
-    assert_eq!(out.len(), perm.len(), "slice length mismatch");
-    dispatch!(gather_slice(out, src, perm); active_backend())
-}
-
-/// Fused automorphism + multiply-accumulate:
-/// `acc[i] = (acc[i] + src[perm[i]] * b[i]) mod q`, canonical.
-#[inline]
-pub(crate) fn gather_mul_acc_slice(m: &Modulus, acc: &mut [u64], src: &[u64], perm: &[u32], b: &[u64]) {
-    assert_eq!(acc.len(), perm.len(), "slice length mismatch");
-    assert_eq!(acc.len(), b.len(), "slice length mismatch");
-    dispatch!(gather_mul_acc_slice(m, acc, src, perm, b); active_backend())
-}
-
-/// Paired fused automorphism + multiply-accumulate, sharing one gather:
-/// `acc0[i] += src[perm[i]] * b0[i]`, `acc1[i] += src[perm[i]] * b1[i]`,
-/// both mod q, canonical.
-#[inline]
-pub(crate) fn gather_mul_acc_pair_slice(
-    m: &Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    src: &[u64],
-    perm: &[u32],
-    b0: &[u64],
-    b1: &[u64],
-) {
-    assert_eq!(acc0.len(), perm.len(), "slice length mismatch");
-    assert_eq!(acc1.len(), perm.len(), "slice length mismatch");
-    assert_eq!(acc0.len(), b0.len(), "slice length mismatch");
-    assert_eq!(acc1.len(), b1.len(), "slice length mismatch");
-    dispatch!(gather_mul_acc_pair_slice(m, acc0, acc1, src, perm, b0, b1); active_backend())
-}
-
-/// Forward lazy NTT pass over `a` using `table`, excluding telemetry (the
-/// caller records it). Output canonical, bit-identical across backends.
-#[inline]
-pub(crate) fn ntt_forward(table: &crate::NttTable, a: &mut [u64]) {
-    dispatch!(ntt_forward(table, a); active_backend())
-}
-
-/// Inverse lazy NTT pass (including the `n^{-1}` sweep), telemetry excluded.
-#[inline]
-pub(crate) fn ntt_inverse(table: &crate::NttTable, a: &mut [u64]) {
-    dispatch!(ntt_inverse(table, a); active_backend())
-}
-
-/// Test-only dispatch with an explicit backend, so differential tests can
-/// exercise every compiled backend without touching the process-wide choice.
-/// Callers must only pass kinds from [`supported_backends`].
-#[cfg(test)]
-pub(crate) mod forced {
-    use super::*;
-
-    pub(crate) fn add_mod_slice(kind: BackendKind, m: &Modulus, a: &mut [u64], b: &[u64]) {
-        dispatch!(add_mod_slice(m, a, b); kind)
+kernels! {
+    /// `a[i] = (a[i] + b[i]) mod q`, canonical operands and output.
+    fn add_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
+        same_len!(a, b);
     }
 
-    pub(crate) fn sub_mod_slice(kind: BackendKind, m: &Modulus, a: &mut [u64], b: &[u64]) {
-        dispatch!(sub_mod_slice(m, a, b); kind)
+    /// `a[i] = (a[i] - b[i]) mod q`, canonical operands and output.
+    fn sub_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
+        same_len!(a, b);
     }
 
-    pub(crate) fn neg_mod_slice(kind: BackendKind, m: &Modulus, a: &mut [u64]) {
-        dispatch!(neg_mod_slice(m, a); kind)
+    /// `a[i] = -a[i] mod q`, canonical operand and output.
+    fn neg_mod_slice(m: &Modulus, a: &mut [u64]) {}
+
+    /// `a[i] = a[i] * b[i] mod q` (variable × variable Barrett), canonical.
+    fn mul_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
+        same_len!(a, b);
     }
 
-    pub(crate) fn mul_mod_slice(kind: BackendKind, m: &Modulus, a: &mut [u64], b: &[u64]) {
-        dispatch!(mul_mod_slice(m, a, b); kind)
+    /// `acc[i] = (acc[i] + a[i] * b[i]) mod q`, canonical.
+    fn mul_acc_mod_slice(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
+        same_len!(acc, a, b);
     }
 
-    pub(crate) fn mul_acc_mod_slice(kind: BackendKind, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-        dispatch!(mul_acc_mod_slice(m, acc, a, b); kind)
+    /// `a[i] = a[i] * w mod q` for a fixed `w` with precomputed Shoup
+    /// constant, canonical output. Accepts lazy inputs below `2^63` (the
+    /// Shoup product itself tolerates any `u64`; the closing correction
+    /// handles `[0, 2q)`).
+    fn mul_scalar_shoup_slice(m: &Modulus, a: &mut [u64], w: u64, w_shoup: u64) {}
+
+    /// `acc[i] = reduce_lazy(acc[i] + mul_shoup_lazy(x[i], w, w_shoup))`.
+    ///
+    /// The base-conversion inner loop: `acc` stays in `[0, 2q)` across
+    /// repeated calls, `x` may be any `u64` (residues of a foreign modulus).
+    fn mul_shoup_lazy_acc_slice(m: &Modulus, acc: &mut [u64], x: &[u64], w: u64, w_shoup: u64) {
+        same_len!(acc, x);
     }
 
-    pub(crate) fn mul_scalar_shoup_slice(kind: BackendKind, m: &Modulus, a: &mut [u64], w: u64, ws: u64) {
-        dispatch!(mul_scalar_shoup_slice(m, a, w, ws); kind)
+    /// `out[i] = correct_lazy(out[i] + 2q - mul_shoup_lazy(alpha[i], w, w_shoup))`.
+    ///
+    /// The exact base-conversion correction: subtracts `alpha[i] * w` from a
+    /// lazy accumulator in `[0, 2q)` and canonicalizes in the same pass.
+    fn mul_shoup_sub_correct_slice(m: &Modulus, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64) {
+        same_len!(out, alpha);
     }
 
-    pub(crate) fn mul_shoup_lazy_acc_slice(
-        kind: BackendKind,
-        m: &Modulus,
-        acc: &mut [u64],
-        x: &[u64],
-        w: u64,
-        ws: u64,
-    ) {
-        dispatch!(mul_shoup_lazy_acc_slice(m, acc, x, w, ws); kind)
+    /// `a[i] = correct_lazy(a[i])`: maps lazy `[0, 4q)` words to canonical.
+    fn correct_lazy_slice(m: &Modulus, a: &mut [u64]) {}
+
+    /// `a[i] = a[i] mod q` for arbitrary `u64` words — the seeded
+    /// hint-expansion kernel (reduce a raw PRG word stream into residues).
+    fn reduce_raw_slice(m: &Modulus, a: &mut [u64]) {}
+
+    /// `out[i] = src[perm[i]]` — the NTT-domain automorphism gather. `perm`
+    /// must be an `AutomorphismTable` permutation.
+    fn gather_slice(out: &mut [u64], src: &[u64], perm: &[u32]) {
+        same_len!(out, perm);
+        gather_in_range!(src, perm);
     }
 
-    pub(crate) fn mul_shoup_sub_correct_slice(
-        kind: BackendKind,
-        m: &Modulus,
-        out: &mut [u64],
-        alpha: &[u64],
-        w: u64,
-        ws: u64,
-    ) {
-        dispatch!(mul_shoup_sub_correct_slice(m, out, alpha, w, ws); kind)
+    /// Fused automorphism + multiply-accumulate:
+    /// `acc[i] = (acc[i] + src[perm[i]] * b[i]) mod q`, canonical. `perm`
+    /// must be an `AutomorphismTable` permutation.
+    fn gather_mul_acc_slice(m: &Modulus, acc: &mut [u64], src: &[u64], perm: &[u32], b: &[u64]) {
+        same_len!(acc, perm, b);
+        gather_in_range!(src, perm);
     }
 
-    pub(crate) fn correct_lazy_slice(kind: BackendKind, m: &Modulus, a: &mut [u64]) {
-        dispatch!(correct_lazy_slice(m, a); kind)
-    }
-
-    pub(crate) fn reduce_raw_slice(kind: BackendKind, m: &Modulus, a: &mut [u64]) {
-        dispatch!(reduce_raw_slice(m, a); kind)
-    }
-
-    pub(crate) fn gather_slice(kind: BackendKind, out: &mut [u64], src: &[u64], perm: &[u32]) {
-        dispatch!(gather_slice(out, src, perm); kind)
-    }
-
-    pub(crate) fn gather_mul_acc_slice(
-        kind: BackendKind,
-        m: &Modulus,
-        acc: &mut [u64],
-        src: &[u64],
-        perm: &[u32],
-        b: &[u64],
-    ) {
-        dispatch!(gather_mul_acc_slice(m, acc, src, perm, b); kind)
-    }
-
+    /// Paired fused automorphism + multiply-accumulate, sharing one gather:
+    /// `acc0[i] += src[perm[i]] * b0[i]`, `acc1[i] += src[perm[i]] * b1[i]`,
+    /// both mod q, canonical. `perm` must be an `AutomorphismTable`
+    /// permutation.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn gather_mul_acc_pair_slice(
-        kind: BackendKind,
+    fn gather_mul_acc_pair_slice(
         m: &Modulus,
         acc0: &mut [u64],
         acc1: &mut [u64],
@@ -431,16 +365,18 @@ pub(crate) mod forced {
         b0: &[u64],
         b1: &[u64],
     ) {
-        dispatch!(gather_mul_acc_pair_slice(m, acc0, acc1, src, perm, b0, b1); kind)
+        same_len!(perm, acc0, acc1, b0, b1);
+        gather_in_range!(src, perm);
     }
 
-    pub(crate) fn ntt_forward(kind: BackendKind, table: &crate::NttTable, a: &mut [u64]) {
-        dispatch!(ntt_forward(table, a); kind)
-    }
+    /// Forward lazy NTT pass over `a` using `table`, excluding telemetry
+    /// (the caller records it and asserts `a.len() == table.n()`). Output
+    /// canonical, bit-identical across backends.
+    fn ntt_forward(table: &crate::NttTable, a: &mut [u64]) {}
 
-    pub(crate) fn ntt_inverse(kind: BackendKind, table: &crate::NttTable, a: &mut [u64]) {
-        dispatch!(ntt_inverse(table, a); kind)
-    }
+    /// Inverse lazy NTT pass (including the `n^{-1}` sweep), telemetry and
+    /// length assertion likewise with the caller.
+    fn ntt_inverse(table: &crate::NttTable, a: &mut [u64]) {}
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Prime-field arithmetic over a word-sized modulus.
 
+use crate::AutomorphismTable;
+
 /// A prime modulus `q < 2^60` with precomputed constants for fast reduction.
 ///
 /// The strict arithmetic methods expect operands already reduced to `[0, q)`
@@ -361,27 +363,35 @@ impl Modulus {
         crate::backend::reduce_raw_slice(self, a);
     }
 
-    /// `acc[i] = (acc[i] + src[perm[i]] * b[i]) mod q` — fused gather +
-    /// multiply-accumulate, the automorphism hot path. All values canonical;
-    /// every `perm[i]` must index `src`.
+    /// `acc[i] = (acc[i] + src[perm[i]] * b[i]) mod q` for `perm` the
+    /// permutation of `table` — fused gather + multiply-accumulate, the
+    /// automorphism hot path. All values canonical.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `acc`, `src` and `b` all have the table's ring degree.
     #[inline]
-    pub fn gather_mul_acc_slice(&self, acc: &mut [u64], src: &[u64], perm: &[u32], b: &[u64]) {
-        crate::backend::gather_mul_acc_slice(self, acc, src, perm, b);
+    pub fn gather_mul_acc_slice(&self, acc: &mut [u64], src: &[u64], table: &AutomorphismTable, b: &[u64]) {
+        crate::backend::gather_mul_acc_slice(self, acc, src, table.permutation(), b);
     }
 
     /// Like [`Modulus::gather_mul_acc_slice`] but feeds one gather into two
     /// accumulators (the two halves of a key-switch key).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every slice has the table's ring degree.
     #[inline]
     pub fn gather_mul_acc_pair_slice(
         &self,
         acc0: &mut [u64],
         acc1: &mut [u64],
         src: &[u64],
-        perm: &[u32],
+        table: &AutomorphismTable,
         b0: &[u64],
         b1: &[u64],
     ) {
-        crate::backend::gather_mul_acc_pair_slice(self, acc0, acc1, src, perm, b0, b1);
+        crate::backend::gather_mul_acc_pair_slice(self, acc0, acc1, src, table.permutation(), b0, b1);
     }
 }
 
@@ -481,62 +491,118 @@ mod tests {
     // ([0, 2q) after reduce_lazy, [0, q) after correction).
     // -----------------------------------------------------------------------
 
-    use crate::backend::{forced, supported_backends};
+    use crate::backend::{active_backend, forced, set_active_backend, supported_backends};
+    use crate::AlignedVec;
+    use std::ops::{Deref, DerefMut};
+
+    // NTT-friendly (q ≡ 1 mod 2^17) primes bracketing the AVX-512 IFMA
+    // Barrett window 2^49 < q < 2^50: its two ends, and the first prime past
+    // it, which must fall back to the 64-bit product.
+    const Q50_LOW: u64 = 562_949_955_125_249; // smallest above 2^49
+    const Q50_TOP: u64 = 1_125_899_903_827_969; // largest below 2^50
+    const Q51_LOW: u64 = 1_125_899_908_022_273; // smallest above 2^50
+    const QS: [u64; 6] = [Q28, Q59, (1u64 << 60) - 93, Q50_LOW, Q50_TOP, Q51_LOW];
+
+    /// A kernel operand living `off` words into a 64-byte-aligned buffer:
+    /// `off = 0` is cache-line aligned, `off = 1, 3` start the vector loops
+    /// on addresses no vector width divides.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Operand {
+        buf: AlignedVec<u64>,
+        off: usize,
+    }
+
+    impl Operand {
+        fn new(off: usize, words: impl IntoIterator<Item = u64>) -> Self {
+            let buf = std::iter::repeat_n(0, off).chain(words).collect();
+            Operand { buf, off }
+        }
+    }
+
+    impl Deref for Operand {
+        type Target = [u64];
+        fn deref(&self) -> &[u64] {
+            &self.buf[self.off..]
+        }
+    }
+
+    impl DerefMut for Operand {
+        fn deref_mut(&mut self) -> &mut [u64] {
+            &mut self.buf[self.off..]
+        }
+    }
+
+    /// The operand shapes every slice-kernel test runs: the drawn length at
+    /// natural alignment, then every length up to three whole vectors of the
+    /// widest backend plus a one-word tail, one and three words off it.
+    fn shapes(len: usize) -> impl Iterator<Item = (usize, usize)> {
+        let sweep = [1, 3].into_iter().flat_map(|off| (0..=3 * 8 + 1).map(move |l| (l, off)));
+        std::iter::once((len, 0)).chain(sweep)
+    }
+
+    /// A drawn vector cycled to `len` words (each lap rotated, so laps
+    /// differ); at `len == drawn.len()` it is the draw itself.
+    fn stretched(drawn: &[u64], len: usize) -> impl Iterator<Item = u64> + '_ {
+        let lap = drawn.len().max(1);
+        (0..len).map(move |i| drawn.get(i % lap).map_or(i as u64, |&x| x.rotate_left((i / lap) as u32)))
+    }
 
     proptest! {
         #[test]
         fn backends_match_scalar_canonical_kernels(
-            q_idx in 0usize..3,
+            q_idx in 0usize..QS.len(),
             seed in any::<u64>(),
             // Lengths off the lane multiple force the vector kernels through
             // their scalar tails.
             len in 0usize..67,
         ) {
-            let q = [Q28, Q59, (1u64 << 60) - 93][q_idx];
+            let q = QS[q_idx];
             let m = Modulus::new(q).unwrap();
-            let gen = |salt: u64| -> Vec<u64> {
-                (0..len as u64)
-                    .map(|i| (seed ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i.wrapping_mul(0x2545_f491_4f6c_dd1d)) % q)
-                    .collect()
-            };
-            let a0 = gen(1);
-            let b = gen(2);
-            let acc0 = gen(3);
-            for kind in supported_backends() {
-                // add
-                let mut a = a0.clone();
-                let mut r = a0.clone();
-                forced::add_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &b);
-                forced::add_mod_slice(kind, &m, &mut a, &b);
-                prop_assert_eq!(&a, &r, "add_mod_slice diverged on {}", kind);
-                // sub
-                let mut a = a0.clone();
-                let mut r = a0.clone();
-                forced::sub_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &b);
-                forced::sub_mod_slice(kind, &m, &mut a, &b);
-                prop_assert_eq!(&a, &r, "sub_mod_slice diverged on {}", kind);
-                // neg
-                let mut a = a0.clone();
-                let mut r = a0.clone();
-                forced::neg_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r);
-                forced::neg_mod_slice(kind, &m, &mut a);
-                prop_assert_eq!(&a, &r, "neg_mod_slice diverged on {}", kind);
-                // mul
-                let mut a = a0.clone();
-                let mut r = a0.clone();
-                forced::mul_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &b);
-                forced::mul_mod_slice(kind, &m, &mut a, &b);
-                prop_assert_eq!(&a, &r, "mul_mod_slice diverged on {}", kind);
-                for (x, (&ai, &bi)) in a.iter().zip(a0.iter().zip(&b)) {
-                    prop_assert_eq!(*x as u128, (ai as u128 * bi as u128) % q as u128);
+            for (len, off) in shapes(len) {
+                let gen = |salt: u64| {
+                    Operand::new(off, (0..len as u64).map(|i| {
+                        (seed ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i.wrapping_mul(0x2545_f491_4f6c_dd1d)) % q
+                    }))
+                };
+                let a0 = gen(1);
+                let b = gen(2);
+                let acc0 = gen(3);
+                for kind in supported_backends() {
+                    // add
+                    let mut a = a0.clone();
+                    let mut r = a0.clone();
+                    forced::add_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &b);
+                    forced::add_mod_slice(kind, &m, &mut a, &b);
+                    prop_assert_eq!(&a, &r, "add_mod_slice diverged on {}", kind);
+                    // sub
+                    let mut a = a0.clone();
+                    let mut r = a0.clone();
+                    forced::sub_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &b);
+                    forced::sub_mod_slice(kind, &m, &mut a, &b);
+                    prop_assert_eq!(&a, &r, "sub_mod_slice diverged on {}", kind);
+                    // neg
+                    let mut a = a0.clone();
+                    let mut r = a0.clone();
+                    forced::neg_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r);
+                    forced::neg_mod_slice(kind, &m, &mut a);
+                    prop_assert_eq!(&a, &r, "neg_mod_slice diverged on {}", kind);
+                    // mul
+                    let mut a = a0.clone();
+                    let mut r = a0.clone();
+                    forced::mul_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &b);
+                    forced::mul_mod_slice(kind, &m, &mut a, &b);
+                    prop_assert_eq!(&a, &r, "mul_mod_slice diverged on {}", kind);
+                    for (x, (&ai, &bi)) in a.iter().zip(a0.iter().zip(b.iter())) {
+                        prop_assert_eq!(*x as u128, (ai as u128 * bi as u128) % q as u128);
+                    }
+                    // mul_acc
+                    let mut acc = acc0.clone();
+                    let mut r = acc0.clone();
+                    forced::mul_acc_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &a0, &b);
+                    forced::mul_acc_mod_slice(kind, &m, &mut acc, &a0, &b);
+                    prop_assert_eq!(&acc, &r, "mul_acc_mod_slice diverged on {}", kind);
+                    prop_assert!(acc.iter().all(|&x| x < q));
                 }
-                // mul_acc
-                let mut acc = acc0.clone();
-                let mut r = acc0.clone();
-                forced::mul_acc_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &a0, &b);
-                forced::mul_acc_mod_slice(kind, &m, &mut acc, &a0, &b);
-                prop_assert_eq!(&acc, &r, "mul_acc_mod_slice diverged on {}", kind);
-                prop_assert!(acc.iter().all(|&x| x < q));
             }
         }
 
@@ -548,113 +614,160 @@ mod tests {
             let m = Modulus::new(Q59).unwrap();
             let ws = m.shoup_precompute(w);
             let two_q = m.two_q();
-            // Lazy accumulator input in [0, 2q); x input arbitrary lazy [0, 4q).
-            let acc0: Vec<u64> = a0.iter().map(|&x| x.wrapping_mul(3) % two_q).collect();
-            let x0: Vec<u64> = a0.iter().map(|&x| x.wrapping_mul(7) % (4 * Q59)).collect();
-            for kind in supported_backends() {
-                // mul_scalar_shoup: canonical output, bit-equal to scalar.
-                let mut a = a0.clone();
-                let mut r = a0.clone();
-                forced::mul_scalar_shoup_slice(crate::backend::BackendKind::Scalar, &m, &mut r, w, ws);
-                forced::mul_scalar_shoup_slice(kind, &m, &mut a, w, ws);
-                prop_assert_eq!(&a, &r, "mul_scalar_shoup_slice diverged on {}", kind);
-                prop_assert!(a.iter().all(|&x| x < Q59), "canonical bound violated on {}", kind);
+            for (len, off) in shapes(a0.len()) {
+                // The drawn vector at natural alignment; the misaligned sweep
+                // stretches or trims it to each length.
+                let a0 = Operand::new(off, stretched(&a0, len).map(|x| x % Q59));
+                // Lazy accumulator input in [0, 2q); x input arbitrary lazy [0, 4q).
+                let acc0 = Operand::new(off, a0.iter().map(|&x| x.wrapping_mul(3) % two_q));
+                let x0 = Operand::new(off, a0.iter().map(|&x| x.wrapping_mul(7) % (4 * Q59)));
+                for kind in supported_backends() {
+                    // mul_scalar_shoup: canonical output, bit-equal to scalar.
+                    let mut a = a0.clone();
+                    let mut r = a0.clone();
+                    forced::mul_scalar_shoup_slice(crate::backend::BackendKind::Scalar, &m, &mut r, w, ws);
+                    forced::mul_scalar_shoup_slice(kind, &m, &mut a, w, ws);
+                    prop_assert_eq!(&a, &r, "mul_scalar_shoup_slice diverged on {}", kind);
+                    prop_assert!(a.iter().all(|&x| x < Q59), "canonical bound violated on {}", kind);
 
-                // mul_shoup_lazy_acc: [0, 2q) bound + congruence + bit-equality.
-                let mut acc = acc0.clone();
-                let mut r = acc0.clone();
-                forced::mul_shoup_lazy_acc_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &x0, w, ws);
-                forced::mul_shoup_lazy_acc_slice(kind, &m, &mut acc, &x0, w, ws);
-                prop_assert_eq!(&acc, &r, "mul_shoup_lazy_acc_slice diverged on {}", kind);
-                for (i, &v) in acc.iter().enumerate() {
-                    prop_assert!(v < two_q, "lazy bound violated on {}", kind);
-                    let expect = (acc0[i] as u128 + x0[i] as u128 * w as u128) % Q59 as u128;
-                    prop_assert_eq!(v as u128 % Q59 as u128, expect);
+                    // mul_shoup_lazy_acc: [0, 2q) bound + congruence + bit-equality.
+                    let mut acc = acc0.clone();
+                    let mut r = acc0.clone();
+                    forced::mul_shoup_lazy_acc_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &x0, w, ws);
+                    forced::mul_shoup_lazy_acc_slice(kind, &m, &mut acc, &x0, w, ws);
+                    prop_assert_eq!(&acc, &r, "mul_shoup_lazy_acc_slice diverged on {}", kind);
+                    for (i, &v) in acc.iter().enumerate() {
+                        prop_assert!(v < two_q, "lazy bound violated on {}", kind);
+                        let expect = (acc0[i] as u128 + x0[i] as u128 * w as u128) % Q59 as u128;
+                        prop_assert_eq!(v as u128 % Q59 as u128, expect);
+                    }
+
+                    // mul_shoup_sub_correct: canonical output + congruence.
+                    let mut out = acc0.clone();
+                    let mut r = acc0.clone();
+                    forced::mul_shoup_sub_correct_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &a0, w, ws);
+                    forced::mul_shoup_sub_correct_slice(kind, &m, &mut out, &a0, w, ws);
+                    prop_assert_eq!(&out, &r, "mul_shoup_sub_correct_slice diverged on {}", kind);
+                    for (i, &v) in out.iter().enumerate() {
+                        prop_assert!(v < Q59, "canonical bound violated on {}", kind);
+                        let prod = (a0[i] as u128 * w as u128) % Q59 as u128;
+                        let expect = (acc0[i] as u128 + 2 * Q59 as u128 - prod % Q59 as u128) % Q59 as u128;
+                        prop_assert_eq!(v as u128 % Q59 as u128, expect % Q59 as u128);
+                    }
+
+                    // correct_lazy over the full [0, 4q) range.
+                    let mut lazy = x0.clone();
+                    let mut r = x0.clone();
+                    forced::correct_lazy_slice(crate::backend::BackendKind::Scalar, &m, &mut r);
+                    forced::correct_lazy_slice(kind, &m, &mut lazy);
+                    prop_assert_eq!(&lazy, &r, "correct_lazy_slice diverged on {}", kind);
+                    prop_assert!(lazy.iter().all(|&x| x < Q59));
                 }
-
-                // mul_shoup_sub_correct: canonical output + congruence.
-                let mut out = acc0.clone();
-                let mut r = acc0.clone();
-                forced::mul_shoup_sub_correct_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &a0, w, ws);
-                forced::mul_shoup_sub_correct_slice(kind, &m, &mut out, &a0, w, ws);
-                prop_assert_eq!(&out, &r, "mul_shoup_sub_correct_slice diverged on {}", kind);
-                for (i, &v) in out.iter().enumerate() {
-                    prop_assert!(v < Q59, "canonical bound violated on {}", kind);
-                    let prod = (a0[i] as u128 * w as u128) % Q59 as u128;
-                    let expect = (acc0[i] as u128 + 2 * Q59 as u128 - prod % Q59 as u128) % Q59 as u128;
-                    prop_assert_eq!(v as u128 % Q59 as u128, expect % Q59 as u128);
-                }
-
-                // correct_lazy over the full [0, 4q) range.
-                let mut lazy = x0.clone();
-                let mut r = x0.clone();
-                forced::correct_lazy_slice(crate::backend::BackendKind::Scalar, &m, &mut r);
-                forced::correct_lazy_slice(kind, &m, &mut lazy);
-                prop_assert_eq!(&lazy, &r, "correct_lazy_slice diverged on {}", kind);
-                prop_assert!(lazy.iter().all(|&x| x < Q59));
             }
         }
 
         #[test]
         fn backends_match_scalar_reduce_raw(
-            q_idx in 0usize..4,
+            q_idx in 0usize..QS.len() + 1,
             raw in collection::vec(any::<u64>(), 0..67),
         ) {
             // Full-range u64 inputs, including moduli whose word-sized
             // Barrett constant could not cover 2^64 (k < 32).
-            let q = [Q28, Q59, (1u64 << 60) - 93, 0x3fff_c001][q_idx];
+            let q = if q_idx < QS.len() { QS[q_idx] } else { 0x3fff_c001 };
             let m = Modulus::new(q).unwrap();
-            for kind in supported_backends() {
-                let mut a = raw.clone();
-                let mut r = raw.clone();
-                forced::reduce_raw_slice(crate::backend::BackendKind::Scalar, &m, &mut r);
-                forced::reduce_raw_slice(kind, &m, &mut a);
-                prop_assert_eq!(&a, &r, "reduce_raw_slice diverged on {}", kind);
-                for (&out, &x) in a.iter().zip(&raw) {
-                    prop_assert_eq!(out, x % q);
+            for (len, off) in shapes(raw.len()) {
+                let raw = Operand::new(off, stretched(&raw, len));
+                for kind in supported_backends() {
+                    let mut a = raw.clone();
+                    let mut r = raw.clone();
+                    forced::reduce_raw_slice(crate::backend::BackendKind::Scalar, &m, &mut r);
+                    forced::reduce_raw_slice(kind, &m, &mut a);
+                    prop_assert_eq!(&a, &r, "reduce_raw_slice diverged on {}", kind);
+                    for (&out, &x) in a.iter().zip(raw.iter()) {
+                        prop_assert_eq!(out, x % q);
+                    }
                 }
             }
         }
 
         #[test]
         fn backends_match_scalar_gather_kernels(
+            q_idx in 0usize..QS.len(),
             seed in any::<u64>(),
             len in 0usize..67,
         ) {
-            let m = Modulus::new(Q28).unwrap();
-            let src: Vec<u64> = (0..len.max(1) as u64)
-                .map(|i| seed.wrapping_mul(0x9e37).wrapping_add(i * 0x85eb) % Q28)
-                .collect();
-            let perm: Vec<u32> = (0..len as u64)
-                .map(|i| ((seed.wrapping_add(i * 31)) % src.len() as u64) as u32)
-                .collect();
-            let b: Vec<u64> = (0..len as u64).map(|i| (seed ^ i).wrapping_mul(11) % Q28).collect();
-            let b1: Vec<u64> = (0..len as u64).map(|i| (seed ^ i).wrapping_mul(13) % Q28).collect();
-            let acc_init: Vec<u64> = (0..len as u64).map(|i| (seed ^ i).wrapping_mul(17) % Q28).collect();
-            for kind in supported_backends() {
-                let mut out = vec![0u64; len];
-                let mut r = vec![0u64; len];
-                forced::gather_slice(crate::backend::BackendKind::Scalar, &mut r, &src, &perm);
-                forced::gather_slice(kind, &mut out, &src, &perm);
-                prop_assert_eq!(&out, &r, "gather_slice diverged on {}", kind);
+            let q = QS[q_idx];
+            let m = Modulus::new(q).unwrap();
+            for (len, off) in shapes(len) {
+                let src = Operand::new(off, (0..len.max(1) as u64).map(|i| seed.wrapping_mul(0x9e37).wrapping_add(i * 0x85eb) % q));
+                let perm: Vec<u32> = (0..len as u64)
+                    .map(|i| ((seed.wrapping_add(i * 31)) % src.len() as u64) as u32)
+                    .collect();
+                let b = Operand::new(off, (0..len as u64).map(|i| (seed ^ i).wrapping_mul(11) % q));
+                let b1 = Operand::new(off, (0..len as u64).map(|i| (seed ^ i).wrapping_mul(13) % q));
+                let acc_init = Operand::new(off, (0..len as u64).map(|i| (seed ^ i).wrapping_mul(17) % q));
+                for kind in supported_backends() {
+                    let mut out = Operand::new(off, vec![0u64; len]);
+                    let mut r = out.clone();
+                    forced::gather_slice(crate::backend::BackendKind::Scalar, &mut r, &src, &perm);
+                    forced::gather_slice(kind, &mut out, &src, &perm);
+                    prop_assert_eq!(&out, &r, "gather_slice diverged on {}", kind);
 
-                let mut acc = acc_init.clone();
-                let mut racc = acc_init.clone();
-                forced::gather_mul_acc_slice(crate::backend::BackendKind::Scalar, &m, &mut racc, &src, &perm, &b);
-                forced::gather_mul_acc_slice(kind, &m, &mut acc, &src, &perm, &b);
-                prop_assert_eq!(&acc, &racc, "gather_mul_acc_slice diverged on {}", kind);
+                    let mut acc = acc_init.clone();
+                    let mut racc = acc_init.clone();
+                    forced::gather_mul_acc_slice(crate::backend::BackendKind::Scalar, &m, &mut racc, &src, &perm, &b);
+                    forced::gather_mul_acc_slice(kind, &m, &mut acc, &src, &perm, &b);
+                    prop_assert_eq!(&acc, &racc, "gather_mul_acc_slice diverged on {}", kind);
 
-                let mut p0 = acc_init.clone();
-                let mut p1 = b1.clone();
-                let mut r0 = acc_init.clone();
-                let mut r1 = b1.clone();
-                forced::gather_mul_acc_pair_slice(
-                    crate::backend::BackendKind::Scalar, &m, &mut r0, &mut r1, &src, &perm, &b, &b1,
-                );
-                forced::gather_mul_acc_pair_slice(kind, &m, &mut p0, &mut p1, &src, &perm, &b, &b1);
-                prop_assert_eq!(&p0, &r0, "gather_mul_acc_pair_slice acc0 diverged on {}", kind);
-                prop_assert_eq!(&p1, &r1, "gather_mul_acc_pair_slice acc1 diverged on {}", kind);
+                    let mut p0 = acc_init.clone();
+                    let mut p1 = b1.clone();
+                    let mut r0 = acc_init.clone();
+                    let mut r1 = b1.clone();
+                    forced::gather_mul_acc_pair_slice(
+                        crate::backend::BackendKind::Scalar, &m, &mut r0, &mut r1, &src, &perm, &b, &b1,
+                    );
+                    forced::gather_mul_acc_pair_slice(kind, &m, &mut p0, &mut p1, &src, &perm, &b, &b1);
+                    prop_assert_eq!(&p0, &r0, "gather_mul_acc_pair_slice acc0 diverged on {}", kind);
+                    prop_assert_eq!(&p1, &r1, "gather_mul_acc_pair_slice acc1 diverged on {}", kind);
+                }
             }
         }
+    }
+
+    /// Runs `call` with a source one word shorter than the automorphism
+    /// table under every supported backend and reports the panic message of
+    /// the last refusal; a backend that accepts the short source (at the
+    /// parent commit: an out-of-bounds vector gather) fails here instead.
+    fn short_src_refusal(call: fn(&Modulus, &mut [u64], &[u64], &AutomorphismTable, &[u64])) -> String {
+        let n = 64;
+        let m = Modulus::new(Q28).unwrap();
+        let table = AutomorphismTable::new(n, 5);
+        let (src, b) = (vec![1u64; n - 1], vec![1u64; n]);
+        let prev = active_backend();
+        let mut message = String::new();
+        for kind in supported_backends() {
+            set_active_backend(kind).expect("supported backend");
+            let refusal = std::panic::catch_unwind(|| call(&m, &mut vec![0u64; n], &src, &table, &b));
+            set_active_backend(prev).expect("restoring the previous backend");
+            let payload = refusal.expect_err(&format!("{kind} accepted a source shorter than the table"));
+            message = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+        }
+        message
+    }
+
+    #[test]
+    #[should_panic(expected = "gather source length mismatch")]
+    fn gather_mul_acc_rejects_short_src_on_every_backend() {
+        let message = short_src_refusal(|m, acc, src, table, b| m.gather_mul_acc_slice(acc, src, table, b));
+        panic!("{message}");
+    }
+
+    #[test]
+    #[should_panic(expected = "gather source length mismatch")]
+    fn gather_mul_acc_pair_rejects_short_src_on_every_backend() {
+        let message = short_src_refusal(|m, acc, src, table, b| {
+            m.gather_mul_acc_pair_slice(acc, &mut vec![0u64; b.len()], src, table, b, b)
+        });
+        panic!("{message}");
     }
 }

@@ -467,27 +467,18 @@ mod tests {
     }
 
     /// Every compiled backend must produce words identical to the strict
-    /// reference kernels, across the driver's structural regimes: pure
-    /// scalar fallback (small n), fused-tail-only transforms (n at the
-    /// vector width), and every multi-stage descent shape (the greedy
-    /// triple/pair/single schedules land differently as log2(n) varies
-    /// from 5 to 14). 50-bit and 28-bit moduli exercise the IFMA path
-    /// where available; 59-bit forces the generic 64-bit path.
+    /// reference kernels at every log2(n) from 3 to 15, so each width's
+    /// instantiation of the shared driver sees all of its structural
+    /// regimes: pure scalar fallback (n below two vectors: 8 at 4 lanes, 8
+    /// and 16 at 8 lanes), fused-tail-only transforms (n exactly two
+    /// vectors), and every triple/pair/single landing of the greedy
+    /// schedule. 28-bit and 50-bit moduli exercise the IFMA path where
+    /// available; 59-bit forces the generic 64-bit path.
     #[test]
     fn backends_match_strict() {
         use crate::backend::{forced, supported_backends};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE);
-        for (n, bits) in [
-            (8usize, 28u32),
-            (32, 50),
-            (64, 28),
-            (256, 59),
-            (1024, 50),
-            (4096, 50),
-            (8192, 50),
-            (8192, 59),
-            (16384, 50),
-        ] {
+        for (n, bits) in (3..=15).flat_map(|log_n| [28u32, 50, 59].map(|bits| (1usize << log_n, bits))) {
             let t = table(n, bits);
             let q = t.modulus().value();
             let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();

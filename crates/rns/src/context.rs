@@ -521,7 +521,6 @@ impl RnsContext {
         cl_trace::record_add(acc.basis().len() as u64, self.n);
         cl_trace::record_automorph(acc.basis().len() as u64, self.n);
         let table = cl_math::AutomorphismTable::cached(self.n, galois);
-        let perm = table.permutation();
         let b_basis = &b.basis().0;
         self.par_limbs(acc, |k, limb, data| {
             let m = self.modulus_structs[limb as usize];
@@ -529,7 +528,7 @@ impl RnsContext {
                 .iter()
                 .position(|&l| l == limb)
                 .expect("b's basis must contain every limb of acc");
-            m.gather_mul_acc_slice(data, a.limb(k), perm, b.limb(bk));
+            m.gather_mul_acc_slice(data, a.limb(k), &table, b.limb(bk));
         });
     }
 
@@ -599,7 +598,7 @@ impl RnsContext {
             let d1 = unsafe { std::slice::from_raw_parts_mut(ptr1.get().add(k * n), n) };
             match &table {
                 Some(t) => {
-                    m.gather_mul_acc_pair_slice(d0, d1, a_limb, t.permutation(), b0_limb, b1_limb);
+                    m.gather_mul_acc_pair_slice(d0, d1, a_limb, t, b0_limb, b1_limb);
                 }
                 None => {
                     m.mul_acc_mod_slice(d0, a_limb, b0_limb);

@@ -2,7 +2,8 @@
 # Tier-1 verification gate.
 #
 #  1. Release build of the whole workspace.
-#  2. Full test suite.
+#  2. Full test suite, again under the forced scalar backend, and the
+#     kernel crates under forced AVX2.
 #  3. Fault-recovery smoke: a bootstrapped pipeline under a fixed-seed
 #     fault plan must converge, with >= 1 recorded recovery, to the clean
 #     run's bit-identical output (examples/fault_recovery_smoke.rs).
@@ -27,6 +28,13 @@ echo "== tier-1: tests (forced scalar backend) =="
 # reference kernels, so a backend-specific miscompare fails one of the two
 # passes instead of hiding behind whichever backend the host auto-selects.
 CL_BACKEND=scalar cargo test -q
+
+echo "== tier-1: kernel tests (forced avx2 backend) =="
+# The AVX2 and AVX-512 backends are two instantiations of one driver source
+# (crates/math/src/backend/driver.rs). On an AVX-512 host the passes above
+# dispatch to the 8-lane one only, so the kernel crates run once more pinned
+# to the 4-lane one (a host without AVX2 falls back with a warning).
+CL_BACKEND=avx2 cargo test -q -p cl-math -p cl-rns
 
 echo "== tier-1: trace-disabled tests =="
 # The workspace test run lights the `trace` feature through the root
