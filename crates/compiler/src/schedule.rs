@@ -1,11 +1,12 @@
 //! Scheduling: drives the machine through a graph in order, with next-use
 //! chains for Belady residency and per-level keyswitch-variant selection.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::mem::{discriminant, Discriminant};
 
 use cl_ckks::security::{min_digits_for_level, SecurityLevel};
 use cl_core::{ArchConfig, Machine, Stats, ValueClass};
-use cl_isa::{HeGraph, HeOp, KsAlgorithm, NodeId, OpLabel, Phase, TrafficClass, ValueId};
+use cl_isa::{HeGraph, HeOp, KsAlgorithm, MacroOp, NodeId, OpLabel, Phase, TrafficClass, ValueId};
 
 use crate::lower::{lower_node, LoweredOp};
 
@@ -147,6 +148,63 @@ enum KshKey {
     Conjugation,
 }
 
+/// What lowering an op depends on besides its level: the `HeOp` variant
+/// and, for a `ModRaise`, the level it raises to (0 otherwise).
+type OpKind = (Discriminant<HeOp>, usize);
+
+/// Memo of what the scheduler derives from `(op kind, level)` alone: the
+/// keyswitch algorithm the policy picks at a level and the macro-op a node
+/// lowers to. A benchmark graph has tens of thousands of nodes but only a
+/// few hundred distinct `(kind, level)` pairs.
+struct LevelMemo<'a> {
+    arch: &'a ArchConfig,
+    opts: &'a CompileOptions,
+    /// Indexed by level.
+    alg: Vec<Option<KsAlgorithm>>,
+    /// Indexed by level: the ops lowered there so far.
+    lowered: Vec<Vec<(OpKind, LoweredOp)>>,
+}
+
+impl<'a> LevelMemo<'a> {
+    fn new(arch: &'a ArchConfig, opts: &'a CompileOptions, max_level: usize) -> Self {
+        Self {
+            arch,
+            opts,
+            alg: vec![None; max_level + 1],
+            lowered: vec![Vec::new(); max_level + 1],
+        }
+    }
+
+    fn algorithm(&mut self, level: usize) -> Result<KsAlgorithm, CompileError> {
+        if let Some(alg) = self.alg[level] {
+            return Ok(alg);
+        }
+        let alg = self
+            .opts
+            .ks_policy
+            .try_algorithm(self.opts.n, level, self.arch.word_bits)?;
+        self.alg[level] = Some(alg);
+        Ok(alg)
+    }
+
+    fn lowered(&mut self, op: &HeOp, level: usize) -> Result<&LoweredOp, CompileError> {
+        let alg = self.algorithm(level)?;
+        let kind: OpKind = match *op {
+            HeOp::ModRaise(_, to) => (discriminant(op), to),
+            _ => (discriminant(op), 0),
+        };
+        let at_level = &mut self.lowered[level];
+        let i = match at_level.iter().position(|(k, _)| *k == kind) {
+            Some(i) => i,
+            None => {
+                at_level.push((kind, lower_node(self.arch, self.opts.n, op, level, alg)));
+                at_level.len() - 1
+            }
+        };
+        Ok(&at_level[i].1)
+    }
+}
+
 /// Compiles `graph` for `arch` and executes it on the machine model,
 /// returning the run's statistics.
 ///
@@ -182,162 +240,154 @@ pub fn try_compile_and_run(
 ) -> Result<Stats, CompileError> {
     graph.validate();
     let n = opts.n;
-    let word_bits = arch.word_bits;
+    let mut memo = LevelMemo::new(arch, opts, graph.max_level());
     // Execution order: program order, or the reuse-grouping order.
     let order: Vec<NodeId> = if opts.reorder {
         crate::reuse_order(graph)
     } else {
         graph.iter().map(|(id, _)| id).collect()
     };
-    let mut position = vec![0u32; graph.num_nodes()];
-    for (pos, id) in order.iter().enumerate() {
-        position[id.0 as usize] = pos as u32;
-    }
-    // ---- Pass 1: uses of each value (node outputs and hints), in
-    // execution order (positions feed Belady's next-use distances).
-    let mut value_uses: HashMap<ValueId, Vec<u32>> = HashMap::new();
-    let mut ksh_ids: HashMap<KshKey, ValueId> = HashMap::new();
-    let mut next_value_id = graph.num_nodes() as u64;
+    // Value ids are dense, so every per-value table below is a vector: node
+    // `i` produces value `i`, and hints follow in order of first use.
+    let num_nodes = graph.num_nodes();
     let node_value = |id: NodeId| ValueId(id.0 as u64);
-    let mut ksh_of_node: HashMap<u32, ValueId> = HashMap::new();
-    let mut ksh_max_level: HashMap<ValueId, usize> = HashMap::new();
+    let hint_value = |hint: usize| ValueId((num_nodes + hint) as u64);
+    // ---- Pass 1: the hint each keyswitch reads, and the highest level it
+    // is read at.
+    let mut hint_of_key: HashMap<KshKey, usize> = HashMap::new();
+    let mut hint_of_node: Vec<Option<ValueId>> = vec![None; num_nodes];
+    let mut hint_max_level: Vec<usize> = Vec::new();
     for &id in &order {
         let node = graph.node(id);
-        let pos = position[id.0 as usize];
-        for opnd in node.op.operands() {
-            // ModDrop aliases its operand; uses of the alias count as uses
-            // of the underlying value only if the drop were free. We treat
-            // drops as distinct zero-cost values instead (see lowering).
-            value_uses.entry(node_value(opnd)).or_default().push(pos);
-        }
-        if node.op.needs_keyswitch() {
-            let key = match node.op {
-                HeOp::MulCt(..) => KshKey::Relin,
-                HeOp::Rotate(_, s) => KshKey::Rotation(s),
-                HeOp::Conjugate(_) => KshKey::Conjugation,
-                _ => unreachable!(),
-            };
-            let vid = *ksh_ids.entry(key).or_insert_with(|| {
-                let v = ValueId(next_value_id);
-                next_value_id += 1;
-                v
-            });
-            ksh_of_node.insert(id.0, vid);
-            let e = ksh_max_level.entry(vid).or_insert(0);
-            *e = (*e).max(node.level);
-            value_uses.entry(vid).or_default().push(pos);
+        let key = match node.op {
+            HeOp::MulCt(..) => KshKey::Relin,
+            HeOp::Rotate(_, s) => KshKey::Rotation(s),
+            HeOp::Conjugate(_) => KshKey::Conjugation,
+            _ => continue,
+        };
+        let hint = *hint_of_key.entry(key).or_insert_with(|| {
+            hint_max_level.push(0);
+            hint_max_level.len() - 1
+        });
+        hint_of_node[id.0 as usize] = Some(hint_value(hint));
+        hint_max_level[hint] = hint_max_level[hint].max(node.level);
+    }
+    // ---- Pass 2: what each op reads, and the position of the next read of
+    // the same value (next uses feed Belady's eviction scores). Walking the
+    // schedule backwards, `upcoming[v]` is the position of the nearest read
+    // of value `v` after the point reached so far.
+    //
+    // ModDrop aliases its operand; uses of the alias count as uses of the
+    // underlying value only if the drop were free. We treat drops as
+    // distinct zero-cost values instead (see lowering).
+    let mut reads: Vec<Reads> = order
+        .iter()
+        .map(|&id| reads_of(&graph.node(id).op, hint_of_node[id.0 as usize]))
+        .collect();
+    let mut upcoming = vec![u32::MAX; num_nodes + hint_max_level.len()];
+    for (pos, (list, count)) in reads.iter_mut().enumerate().rev() {
+        for (value, next_use) in list[..*count].iter_mut().rev() {
+            *next_use = std::mem::replace(&mut upcoming[value.0 as usize], pos as u32);
         }
     }
-    // ---- Pass 2: declare values and execute in order.
+    let first_use = upcoming;
+    // ---- Pass 3: declare values.
     let mut machine = Machine::new(arch.clone());
-    // Hint sizes: seeded (KSHGen) hints store only half.
-    let mut declared_ksh: HashSet<ValueId> = HashSet::new();
-    let ct_words = |level: usize| 2 * level as u64 * n as u64;
     for &id in &order {
         let node = graph.node(id);
-        let class = match node.op {
-            HeOp::Input => ValueClass::Backed(TrafficClass::Input),
-            HeOp::PlainInput => ValueClass::Backed(TrafficClass::Input),
-            _ => ValueClass::Intermediate,
-        };
-        let words = match node.op {
-            HeOp::PlainInput => node.level as u64 * n as u64,
-            _ => ct_words(node.level),
+        let (words, class) = match node.op {
+            HeOp::Input => (
+                2 * node.level as u64 * n as u64,
+                ValueClass::Backed(TrafficClass::Input),
+            ),
+            HeOp::PlainInput => (
+                node.level as u64 * n as u64,
+                ValueClass::Backed(TrafficClass::Input),
+            ),
+            _ => (2 * node.level as u64 * n as u64, ValueClass::Intermediate),
         };
         machine.declare(node_value(id), words, class);
-        if let Some(&ksh) = ksh_of_node.get(&id.0) {
-            if declared_ksh.insert(ksh) {
-                // Size the hint for the highest level it serves; uses at
-                // lower levels read a subset of the same object.
-                let lmax = ksh_max_level[&ksh] as u64;
-                let alg = opts
-                    .ks_policy
-                    .try_algorithm(n, ksh_max_level[&ksh], word_bits)?;
-                let ksh_words = match alg {
-                    KsAlgorithm::Boosted(t) => {
-                        let alpha = lmax.div_ceil(t as u64);
-                        let polys = if arch.has_kshgen { 1 } else { 2 };
-                        t as u64 * polys * (lmax + alpha) * n as u64
-                    }
-                    KsAlgorithm::Standard => {
-                        let polys = if arch.has_kshgen { 1 } else { 2 };
-                        lmax * polys * (lmax + 1) * n as u64
-                    }
-                };
-                machine.declare(ksh, ksh_words, ValueClass::Backed(TrafficClass::Ksh));
-            }
-        }
     }
-    // Track, per value, a cursor into its use list.
-    let mut use_cursor: HashMap<ValueId, usize> = HashMap::new();
-    let next_use_after = |value_uses: &HashMap<ValueId, Vec<u32>>,
-                          cursor: &mut HashMap<ValueId, usize>,
-                          v: ValueId|
-     -> u32 {
-        let uses = value_uses.get(&v).map(|u| u.as_slice()).unwrap_or(&[]);
-        let c = cursor.entry(v).or_insert(0);
-        *c += 1;
-        uses.get(*c).copied().unwrap_or(u32::MAX)
-    };
-    let first_use = |value_uses: &HashMap<ValueId, Vec<u32>>, v: ValueId| -> u32 {
-        value_uses
-            .get(&v)
-            .and_then(|u| u.first().copied())
-            .unwrap_or(u32::MAX)
-    };
-    for &id in &order {
+    for (hint, &level) in hint_max_level.iter().enumerate() {
+        // Size the hint for the highest level it serves; uses at lower
+        // levels read a subset of the same object. Seeded (KSHGen) hints
+        // store only half.
+        let lmax = level as u64;
+        let polys = if arch.has_kshgen { 1 } else { 2 };
+        let words = match memo.algorithm(level)? {
+            KsAlgorithm::Boosted(t) => {
+                let alpha = lmax.div_ceil(t as u64);
+                t as u64 * polys * (lmax + alpha) * n as u64
+            }
+            KsAlgorithm::Standard => lmax * polys * (lmax + 1) * n as u64,
+        };
+        machine.declare(
+            hint_value(hint),
+            words,
+            ValueClass::Backed(TrafficClass::Ksh),
+        );
+    }
+    // ---- Execute in order.
+    let no_work = MacroOp::new();
+    for (&id, (list, count)) in order.iter().zip(&reads) {
         let node = graph.node(id);
         let label = match node.phase {
             Phase::App => OpLabel::App,
             Phase::Bootstrap => OpLabel::Bootstrap,
         };
-        let alg = opts.ks_policy.try_algorithm(n, node.level, word_bits)?;
-        match lower_node(arch, n, &node.op, node.level, alg) {
+        let reads = &list[..*count];
+        let out = [(node_value(id), first_use[id.0 as usize])];
+        match memo.lowered(&node.op, node.level)? {
             LoweredOp::None => {
-                // Inputs/outputs/drops: still maintain use bookkeeping so
-                // operand lifetimes stay correct. A ModDrop re-materializes
-                // as a (free) new value: execute a zero-work op.
-                let mut reads = Vec::new();
-                for opnd in node.op.operands() {
-                    let v = node_value(opnd);
-                    reads.push((v, next_use_after(&value_uses, &mut use_cursor, v)));
-                }
-                let writes = match node.op {
-                    HeOp::ModDrop(..) => vec![(node_value(id), first_use(&value_uses, node_value(id)))],
-                    HeOp::Input | HeOp::PlainInput => vec![],
-                    _ => vec![],
+                // Inputs produce nothing to execute. Outputs and drops
+                // still read their operand, so operand lifetimes stay
+                // correct, and a ModDrop re-materializes as a (free) new
+                // value: a zero-work op.
+                let writes: &[(ValueId, u32)] = match node.op {
+                    HeOp::ModDrop(..) => &out,
+                    _ => &[],
                 };
                 if !reads.is_empty() || !writes.is_empty() {
-                    machine.exec(&cl_isa::MacroOp::new(), n, &reads, &writes, label);
+                    machine.exec(&no_work, n, reads, writes, label);
                 }
             }
             LoweredOp::One(op) => {
-                let mut reads = Vec::new();
-                for opnd in node.op.operands() {
-                    let v = node_value(opnd);
-                    reads.push((v, next_use_after(&value_uses, &mut use_cursor, v)));
-                }
-                if let Some(&ksh) = ksh_of_node.get(&id.0) {
-                    reads.push((ksh, next_use_after(&value_uses, &mut use_cursor, ksh)));
-                }
-                let out = node_value(id);
-                let writes = vec![(out, first_use(&value_uses, out))];
-                machine.exec(&op, n, &reads, &writes, label);
+                machine.exec(op, n, reads, &out, label);
             }
         }
     }
-    // Self-check: every recorded use must have been consumed exactly once
-    // (a mismatch desynchronizes next-use chains and corrupts residency).
-    for (v, uses) in &value_uses {
-        let consumed = use_cursor.get(v).copied().unwrap_or(0);
-        debug_assert_eq!(
-            consumed,
-            uses.len(),
-            "value {v:?}: {consumed} reads executed vs {} recorded",
-            uses.len()
-        );
-    }
     Ok(machine.finish())
+}
+
+/// The reads of one op in the form [`Machine::exec`] takes them — each
+/// value with the position of its next read — held inline: at most two
+/// operands and a keyswitch hint, and how many of the three are in use.
+type Reads = ([(ValueId, u32); 3], usize);
+
+/// The values an op reads, in read order (operands, then the keyswitch
+/// hint), with next uses still to be filled in.
+fn reads_of(op: &HeOp, hint: Option<ValueId>) -> Reads {
+    let read = |id: NodeId| (ValueId(id.0 as u64), u32::MAX);
+    let unused = (ValueId(0), u32::MAX);
+    let (mut list, mut count) = match *op {
+        HeOp::Input | HeOp::PlainInput => ([unused; 3], 0),
+        HeOp::Add(a, b)
+        | HeOp::Sub(a, b)
+        | HeOp::AddPlain(a, b)
+        | HeOp::MulPlain(a, b)
+        | HeOp::MulCt(a, b) => ([read(a), read(b), unused], 2),
+        HeOp::Rotate(a, _)
+        | HeOp::Conjugate(a)
+        | HeOp::Rescale(a)
+        | HeOp::ModDrop(a, _)
+        | HeOp::ModRaise(a, _)
+        | HeOp::Output(a) => ([read(a), unused, unused], 1),
+    };
+    if let Some(hint) = hint {
+        list[count] = (hint, u32::MAX);
+        count += 1;
+    }
+    (list, count)
 }
 
 #[cfg(test)]

@@ -11,8 +11,14 @@
 //! orchestration"): the HBM timeline advances independently, so loads only
 //! delay an operation when bandwidth (not latency) is the constraint —
 //! exactly the behaviour of ahead-of-use staging.
+//!
+//! Host cost is per op, not per op × values: values live in a table indexed
+//! by [`ValueId`], per-kind accumulators are arrays, and the eviction victim
+//! is the greatest element of an ordered index over the *resident* values
+//! (see [`Machine::make_room`]), so an op costs `O(log R)` for `R` resident
+//! values however many were ever declared.
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
 use cl_isa::{FuKind, MacroOp, OpLabel, TrafficClass, ValueId};
 
@@ -44,6 +50,28 @@ struct ValueState {
     materialized: bool,
 }
 
+/// Eviction rank of a resident value: `(score, words, id)`, greatest evicted
+/// first (see [`Machine::make_room`]).
+type Rank = (u64, u64, u64);
+
+impl ValueState {
+    fn rank(&self, id: ValueId) -> Rank {
+        // Twice the score `make_room` documents, so that halving an
+        // intermediate's position stays in integers.
+        let score = match (self.next_use, self.class) {
+            (u32::MAX, _) => u64::MAX,
+            (next_use, ValueClass::Backed(_)) => 2 * u64::from(next_use),
+            (next_use, ValueClass::Intermediate) => u64::from(next_use),
+        };
+        (score, self.words, id.0)
+    }
+}
+
+/// Position of a value in the machine's table.
+fn slot(id: ValueId) -> usize {
+    usize::try_from(id.0).expect("value ids index a table in memory")
+}
+
 /// The machine: executes macro-ops in schedule order.
 ///
 /// The compiler drives it through three calls:
@@ -51,36 +79,51 @@ struct ValueState {
 /// 2. [`Machine::exec`] each macro-op with its reads/writes and next-use
 ///    information (for Belady),
 /// 3. [`Machine::finish`] to close the schedule and read [`Stats`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Machine {
     cfg: ArchConfig,
-    /// Next-free cycle per FU kind.
-    fu_free: HashMap<FuKind, f64>,
+    /// Per FU kind (indexed `kind as usize`): instances, next-free cycle,
+    /// instance-busy cycles so far.
+    fu_count: [f64; FuKind::ALL.len()],
+    fu_free: [f64; FuKind::ALL.len()],
+    fu_busy: [f64; FuKind::ALL.len()],
     rf_free: f64,
     net_free: f64,
     hbm_free: f64,
     /// Completion time of the latest op (running makespan).
     makespan: f64,
-    values: HashMap<ValueId, ValueState>,
+    /// Indexed by [`slot`]; `None` where no value was declared.
+    values: Vec<Option<ValueState>>,
     resident_words: u64,
+    /// The rank of every resident value, and of nothing else.
+    residency: BTreeSet<Rank>,
+    /// Off-chip bytes so far per traffic class (indexed `class as usize`).
+    traffic_bytes: [f64; TrafficClass::ALL.len()],
+    /// Cycles so far per label (indexed `label as usize`).
+    phase_cycles: [f64; 2],
+    /// The scalar statistics accumulate in place; the three per-kind maps
+    /// are filled from the arrays above by [`Machine::finish`].
     stats: Stats,
-    op_index: u32,
 }
 
 impl Machine {
     /// Creates a machine for the given architecture.
     pub fn new(cfg: ArchConfig) -> Self {
         Self {
-            cfg,
-            fu_free: HashMap::new(),
+            fu_count: FuKind::ALL.map(|kind| cfg.fu_count(kind)),
+            fu_free: [0.0; FuKind::ALL.len()],
+            fu_busy: [0.0; FuKind::ALL.len()],
             rf_free: 0.0,
             net_free: 0.0,
             hbm_free: 0.0,
             makespan: 0.0,
-            values: HashMap::new(),
+            values: Vec::new(),
             resident_words: 0,
+            residency: BTreeSet::new(),
+            traffic_bytes: [0.0; TrafficClass::ALL.len()],
+            phase_cycles: [0.0; 2],
             stats: Stats::default(),
-            op_index: 0,
+            cfg,
         }
     }
 
@@ -90,37 +133,77 @@ impl Machine {
     }
 
     /// Declares a value (its size in words and residency class). Must
-    /// precede any use.
+    /// precede any use. Values are kept in a table indexed by id, so ids
+    /// should be dense: the table is as long as the largest id declared.
     ///
     /// # Panics
     ///
     /// Panics if the value was already declared.
     pub fn declare(&mut self, id: ValueId, words: u64, class: ValueClass) {
-        let prev = self.values.insert(
-            id,
-            ValueState {
-                words,
-                class,
-                resident: false,
-                ready: 0.0,
-                next_use: u32::MAX,
-                materialized: false,
-            },
-        );
+        let slot = slot(id);
+        if slot >= self.values.len() {
+            self.values.resize_with(slot + 1, || None);
+        }
+        let prev = self.values[slot].replace(ValueState {
+            words,
+            class,
+            resident: false,
+            ready: 0.0,
+            next_use: u32::MAX,
+            materialized: false,
+        });
         assert!(prev.is_none(), "value {id:?} declared twice");
+    }
+
+    fn value(&self, id: ValueId) -> Option<&ValueState> {
+        self.values.get(slot(id))?.as_ref()
     }
 
     /// True if the value is currently resident on chip.
     pub fn is_resident(&self, id: ValueId) -> bool {
-        self.values.get(&id).map(|v| v.resident).unwrap_or(false)
+        self.value(id).is_some_and(|v| v.resident)
     }
 
     fn word_bytes(&self) -> f64 {
         self.cfg.word_bytes()
     }
 
-    /// Evicts values (Belady: farthest next use first) until `needed` words
-    /// fit. Dirty intermediates are written back.
+    /// Sets a declared value's residency and next use. Nothing else writes
+    /// `resident` or `next_use` once [`Machine::declare`] has initialized
+    /// them, so `residency` and `resident_words` cannot fall out of step
+    /// with them.
+    fn set_residency(&mut self, id: ValueId, resident: bool, next_use: u32) {
+        let v = self.values[slot(id)]
+            .as_mut()
+            .expect("residency is set on declared values only");
+        if v.resident {
+            self.residency.remove(&v.rank(id));
+            self.resident_words -= v.words;
+        }
+        v.resident = resident;
+        v.next_use = next_use;
+        if resident {
+            self.residency.insert(v.rank(id));
+            self.resident_words += v.words;
+        }
+    }
+
+    /// Evicts values until `needed` words fit. Dirty intermediates are
+    /// written back.
+    ///
+    /// Victim selection is Belady's MIN adapted to variable-size,
+    /// variable-cost values: the resident value with the greatest
+    /// `(score, words, id)` goes first.
+    ///
+    /// - `score` is `+inf` for a value with no future use (dead, or dying
+    ///   within the current op: free to drop), the position of its next use
+    ///   for a memory-backed value, and *half* that position for an
+    ///   intermediate — displacing a dirty intermediate costs a writeback
+    ///   and a reload, matching the paper's compiler preference for evicting
+    ///   clean operands like hints and weights. Positions are absolute op
+    ///   indices, not distances from the current op.
+    /// - Equal scores evict the larger value, and equal sizes the larger
+    ///   [`ValueId`], so the choice never depends on iteration order.
     fn make_room(&mut self, needed: u64) {
         let capacity_words = (self.cfg.rf_bytes as f64 / self.word_bytes()) as u64;
         assert!(
@@ -128,55 +211,21 @@ impl Machine {
             "operand set ({needed} words) exceeds register file ({capacity_words} words)"
         );
         while self.resident_words + needed > capacity_words {
-            // Victim selection: Belady's MIN adapted to variable-size,
-            // variable-cost values — rank by next-use distance, but weight
-            // dirty intermediates as costlier to displace (eviction writes
-            // them back AND reloading costs a second transfer), matching
-            // the paper's compiler preference for evicting clean,
-            // memory-backed operands like hints and weights.
-            let victim = self
-                .values
-                .iter()
-                .filter(|(_, v)| v.resident)
-                .max_by(|(_, a), (_, b)| {
-                    let score = |v: &ValueState| {
-                        if v.next_use == u32::MAX {
-                            // Dead (or dying within the current op): free
-                            // to drop, best possible victim.
-                            return f64::INFINITY;
-                        }
-                        let dist = v.next_use as f64;
-                        match v.class {
-                            ValueClass::Backed(_) => dist,
-                            ValueClass::Intermediate => dist * 0.5,
-                        }
-                    };
-                    score(a)
-                        .partial_cmp(&score(b))
-                        .expect("eviction scores are distances or +inf, never NaN")
-                        .then(a.words.cmp(&b.words))
-                })
-                .map(|(id, _)| *id)
+            let &(_, words, victim) = self
+                .residency
+                .last()
                 .expect("capacity exceeded but nothing resident");
-            let (words, class) = {
-                let v = self
-                    .values
-                    .get_mut(&victim)
-                    .expect("eviction victim was selected from the value table");
-                v.resident = false;
-                (v.words, v.class)
-            };
-            self.resident_words -= words;
+            let victim = ValueId(victim);
+            let v = self.value(victim).expect("resident values are declared");
+            let (class, next_use) = (v.class, v.next_use);
+            self.set_residency(victim, false, next_use);
             self.stats.evictions += 1;
             // A dead value (no future use) is discarded for free; a live
             // dirty intermediate must be written back before reuse.
-            let nu = self.values[&victim].next_use;
-            if class == ValueClass::Intermediate && nu != u32::MAX {
+            if class == ValueClass::Intermediate && next_use != u32::MAX {
                 self.stats.evictions_dirty += 1;
-                let dist = nu.saturating_sub(self.op_index);
-                self.stats.dirty_evict_log.push((words, dist, victim.0));
                 let bytes = words as f64 * self.word_bytes();
-                self.stats.add_traffic(TrafficClass::IntermStore, bytes);
+                self.traffic_bytes[TrafficClass::IntermStore as usize] += bytes;
                 self.hbm_free += words as f64 / self.cfg.hbm_words_per_cycle();
                 self.stats.hbm_busy += words as f64 / self.cfg.hbm_words_per_cycle();
             }
@@ -186,18 +235,13 @@ impl Machine {
     /// Ensures a value is resident, DMA-loading it if needed. Returns the
     /// cycle at which it is available.
     fn touch(&mut self, id: ValueId, next_use: u32) -> f64 {
-        let (resident, words, class, ready, materialized) = {
-            let v = self.values.get(&id).unwrap_or_else(|| {
-                panic!("use of undeclared value {id:?}")
-            });
-            (v.resident, v.words, v.class, v.ready, v.materialized)
-        };
+        let v = self
+            .value(id)
+            .unwrap_or_else(|| panic!("use of undeclared value {id:?}"));
+        let (resident, words, class, ready, materialized) =
+            (v.resident, v.words, v.class, v.ready, v.materialized);
         if resident {
-            let v = self
-                .values
-                .get_mut(&id)
-                .expect("value was just read from the table");
-            v.next_use = next_use;
+            self.set_residency(id, true, next_use);
             return ready;
         }
         // Load it: make room, then stream from HBM.
@@ -213,31 +257,30 @@ impl Machine {
             }
         };
         let bytes = words as f64 * self.word_bytes();
-        self.stats.add_traffic(load_class, bytes);
+        self.traffic_bytes[load_class as usize] += bytes;
         let dma_cycles = words as f64 / self.cfg.hbm_words_per_cycle();
         let done = self.hbm_free + dma_cycles;
         self.hbm_free = done;
         self.stats.hbm_busy += dma_cycles;
-        let v = self
-            .values
-            .get_mut(&id)
-            .expect("value was just read from the table");
-        v.resident = true;
-        v.ready = done;
-        v.next_use = next_use;
-        v.materialized = true;
-        self.resident_words += words;
+        self.arrive(id, done, next_use);
         done
+    }
+
+    /// Records that a value is on chip from cycle `ready` on (loaded or
+    /// produced).
+    fn arrive(&mut self, id: ValueId, ready: f64, next_use: u32) {
+        let v = self.values[slot(id)]
+            .as_mut()
+            .expect("arriving values are declared");
+        v.ready = ready;
+        v.materialized = true;
+        self.set_residency(id, true, next_use);
     }
 
     /// Frees a value that will never be used again (no writeback).
     pub fn release(&mut self, id: ValueId) {
-        if let Some(v) = self.values.get_mut(&id) {
-            if v.resident {
-                v.resident = false;
-                self.resident_words -= v.words;
-            }
-            v.next_use = u32::MAX;
+        if self.value(id).is_some() {
+            self.set_residency(id, false, u32::MAX);
         }
     }
 
@@ -262,8 +305,6 @@ impl Machine {
         writes: &[(ValueId, u32)],
         label: OpLabel,
     ) -> f64 {
-        let this_op = self.op_index;
-        self.op_index += 1;
         // 1. Bring operands on chip.
         let mut ready = 0.0f64;
         for &(id, next_use) in reads {
@@ -273,7 +314,7 @@ impl Machine {
         // 2. Room for outputs.
         let out_words: u64 = writes
             .iter()
-            .map(|(id, _)| self.values.get(id).expect("undeclared output").words)
+            .map(|&(id, _)| self.value(id).expect("undeclared output").words)
             .sum();
         self.make_room(out_words);
         // 3. Resource occupancy.
@@ -284,10 +325,12 @@ impl Machine {
             if passes == 0 {
                 continue;
             }
-            let count = self.cfg.fu_count(fu);
-            assert!(count > 0.0, "op uses absent FU {fu:?} on {}", self.cfg.name);
-            let free = self.fu_free.get(&fu).copied().unwrap_or(0.0);
-            start = start.max(free);
+            assert!(
+                self.fu_count[fu as usize] > 0.0,
+                "op uses absent FU {fu:?} on {}",
+                self.cfg.name
+            );
+            start = start.max(self.fu_free[fu as usize]);
         }
         if op.rf_words > 0 {
             start = start.max(self.rf_free);
@@ -300,11 +343,9 @@ impl Machine {
             if passes == 0 {
                 continue;
             }
-            let count = self.cfg.fu_count(fu);
-            let busy = passes as f64 * pass / count;
-            let free = self.fu_free.entry(fu).or_insert(0.0);
-            *free = start + busy;
-            *self.stats.fu_busy.entry(fu).or_insert(0.0) += passes as f64 * pass;
+            let busy = passes as f64 * pass / self.fu_count[fu as usize];
+            self.fu_free[fu as usize] = start + busy;
+            self.fu_busy[fu as usize] += passes as f64 * pass;
             dur = dur.max(busy);
         }
         if op.rf_words > 0 {
@@ -325,31 +366,20 @@ impl Machine {
         self.makespan = self.makespan.max(done);
         self.stats.scalar_ops += op.scalar_muls as f64;
         self.stats.macro_ops += 1;
-        *self.stats.phase_cycles.entry(label).or_insert(0.0) += dur;
+        self.phase_cycles[label as usize] += dur;
         // 4. Record outputs.
         for &(id, first_use) in writes {
-            let v = self
-                .values
-                .get_mut(&id)
-                .expect("write target must be declared before execution");
-            if !v.resident {
-                v.resident = true;
-                self.resident_words += v.words;
-            }
-            v.ready = done;
-            v.next_use = first_use;
-            v.materialized = true;
+            self.arrive(id, done, first_use);
         }
         // 5. Release dead reads.
         for &(id, next_use) in reads {
             if next_use == u32::MAX {
                 // Backed values stay cached until evicted; intermediates die.
-                if self.values.get(&id).map(|v| v.class) == Some(ValueClass::Intermediate) {
+                if self.value(id).map(|v| v.class) == Some(ValueClass::Intermediate) {
                     self.release(id);
                 }
             }
         }
-        let _ = this_op;
         done
     }
 
@@ -357,6 +387,25 @@ impl Machine {
     /// outstanding DMA.
     pub fn finish(mut self) -> Stats {
         self.stats.cycles = self.makespan.max(self.hbm_free);
+        // A kind, class or label nothing was charged to stays absent.
+        for (kind, busy) in FuKind::ALL.into_iter().zip(self.fu_busy) {
+            if busy > 0.0 {
+                self.stats.fu_busy.insert(kind, busy);
+            }
+        }
+        for (class, bytes) in TrafficClass::ALL.into_iter().zip(self.traffic_bytes) {
+            if bytes > 0.0 {
+                self.stats.add_traffic(class, bytes);
+            }
+        }
+        for (label, cycles) in [OpLabel::App, OpLabel::Bootstrap]
+            .into_iter()
+            .zip(self.phase_cycles)
+        {
+            if cycles > 0.0 {
+                self.stats.phase_cycles.insert(label, cycles);
+            }
+        }
         self.stats
     }
 
@@ -369,6 +418,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn machine() -> Machine {
         Machine::new(ArchConfig::craterlake())
@@ -529,5 +579,101 @@ mod tests {
         let op = MacroOp::new().with_fu(FuKind::Mul, 1).with_rf_words(2_457_600);
         let done = m.exec(&op, N, &[], &[(ValueId(1), u32::MAX)], OpLabel::App);
         assert!((done - 100.0).abs() < 1e-6, "got {done}");
+    }
+
+    /// The victim the linear scan that `residency` replaced would pick: the
+    /// greatest `(score, words, id)` over every resident value, with the
+    /// score in floats, as [`Machine::make_room`] documents it.
+    fn scan_victim(m: &Machine) -> Option<ValueId> {
+        let score = |v: &ValueState| match (v.next_use, v.class) {
+            (u32::MAX, _) => f64::INFINITY,
+            (next_use, ValueClass::Backed(_)) => next_use as f64,
+            (next_use, ValueClass::Intermediate) => next_use as f64 * 0.5,
+        };
+        let resident = m.values.iter().enumerate().filter_map(|(i, v)| {
+            let v = v.as_ref().filter(|v| v.resident)?;
+            Some((score(v), v.words, ValueId(i as u64)))
+        });
+        resident
+            .max_by(|a, b| a.partial_cmp(b).expect("scores are never NaN"))
+            .map(|(_, _, id)| id)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn residency_index_tracks_the_resident_set_and_picks_the_scan_victim(
+            sizes in proptest::collection::vec(1u64..16, 4..14),
+            ops in proptest::collection::vec(any::<u64>(), 1..60),
+        ) {
+            // A register file a few values wide: 40 words of 3.5 bytes.
+            const CAPACITY: u64 = 40;
+            let mut cfg = ArchConfig::craterlake();
+            cfg.rf_bytes = 140;
+            let mut m = Machine::new(cfg);
+            // Even ids are memory-backed, odd ones are produced on chip.
+            let is_backed = |id: u64| id.is_multiple_of(2);
+            for (id, &words) in sizes.iter().enumerate() {
+                let id = id as u64;
+                let class = if is_backed(id) {
+                    ValueClass::Backed(TrafficClass::Input)
+                } else {
+                    ValueClass::Intermediate
+                };
+                m.declare(ValueId(id), words, class);
+            }
+            let mut produced = vec![false; sizes.len()];
+            let op = MacroOp::new().with_fu(FuKind::Add, 1);
+            for (pos, bytes) in ops.iter().map(|op| op.to_le_bytes()).enumerate() {
+                // Next uses need not be truthful for residency to stay
+                // consistent: some future position, or never.
+                let next_use = |b: u8| match b % 4 {
+                    0 => u32::MAX,
+                    _ => pos as u32 + 1 + u32::from(b / 4 % 8),
+                };
+                let pick = |b: u8| u64::from(b) % sizes.len() as u64;
+                // Up to two reads of values that exist off or on chip, and
+                // up to one write of an intermediate.
+                let reads: Vec<(ValueId, u32)> = [(bytes[0], bytes[1]), (bytes[2], bytes[3])]
+                    .iter()
+                    .map(|&(which, nu)| (pick(which), next_use(nu)))
+                    .filter(|&(id, _)| is_backed(id) || produced[id as usize])
+                    .map(|(id, nu)| (ValueId(id), nu))
+                    .collect();
+                let writes: Vec<(ValueId, u32)> = Some(pick(bytes[4]))
+                    .filter(|&id| !is_backed(id))
+                    .map(|id| (ValueId(id), next_use(bytes[5])))
+                    .into_iter()
+                    .collect();
+                m.exec(&op, N, &reads, &writes, OpLabel::App);
+                for &(id, _) in &writes {
+                    produced[id.0 as usize] = true;
+                }
+
+                let resident = || {
+                    m.values
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, v)| Some((ValueId(i as u64), v.as_ref()?)))
+                        .filter(|(_, v)| v.resident)
+                };
+                prop_assert_eq!(m.resident_words, resident().map(|(_, v)| v.words).sum::<u64>());
+                prop_assert!(m.resident_words <= CAPACITY);
+                let ranks: BTreeSet<Rank> = resident().map(|(id, v)| v.rank(id)).collect();
+                prop_assert_eq!(&m.residency, &ranks);
+
+                // Drain a copy one eviction at a time: every victim is the
+                // one the scan picks.
+                let mut drained = m.clone();
+                while let Some(victim) = scan_victim(&drained) {
+                    let evictions = drained.stats.evictions;
+                    drained.make_room(CAPACITY - drained.resident_words + 1);
+                    prop_assert_eq!(drained.stats.evictions, evictions + 1);
+                    prop_assert!(!drained.is_resident(victim), "op {pos}: {victim:?} stayed");
+                }
+                prop_assert!(drained.residency.is_empty());
+            }
+        }
     }
 }

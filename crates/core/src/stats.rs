@@ -35,8 +35,6 @@ pub struct Stats {
     pub evictions: u64,
     /// Evictions of dirty intermediates (each costs a writeback).
     pub evictions_dirty: u64,
-    /// Forensics: (words, next_use distance in ops) of dirty evictions.
-    pub dirty_evict_log: Vec<(u64, u32, u64)>,
 }
 
 impl Stats {
@@ -46,8 +44,17 @@ impl Stats {
         if self.cycles == 0.0 {
             return 0.0;
         }
-        let busy: f64 = self.fu_busy.values().sum();
-        busy / (cfg.total_fus() * self.cycles)
+        self.total_fu_busy() / (cfg.total_fus() * self.cycles)
+    }
+
+    /// Instance-busy cycles over all FU kinds. Summed in [`FuKind::ALL`]
+    /// order: a map iterates in a different order every run, which would
+    /// move the sum's last bit.
+    pub fn total_fu_busy(&self) -> f64 {
+        FuKind::ALL
+            .iter()
+            .map(|kind| self.fu_busy.get(kind).copied().unwrap_or(0.0))
+            .sum()
     }
 
     /// Utilization of a single FU kind.
@@ -69,9 +76,13 @@ impl Stats {
         }
     }
 
-    /// Total off-chip traffic in bytes.
+    /// Total off-chip traffic in bytes, summed in [`TrafficClass::ALL`]
+    /// order (see [`Stats::total_fu_busy`]).
     pub fn total_traffic_bytes(&self) -> f64 {
-        self.traffic_bytes.values().sum()
+        TrafficClass::ALL
+            .iter()
+            .map(|&class| self.traffic_of(class))
+            .sum()
     }
 
     /// Traffic of one class in bytes.
@@ -119,6 +130,47 @@ mod tests {
         assert_eq!(s.traffic_of(TrafficClass::Ksh), 150.0);
         assert_eq!(s.total_traffic_bytes(), 175.0);
         assert_eq!(s.traffic_of(TrafficClass::IntermLoad), 0.0);
+    }
+
+    #[test]
+    fn totals_do_not_depend_on_insertion_order() {
+        // Addends whose sum depends on the order they are added in.
+        let busy = [0.1, 0.2, 0.3, 1e15, 1e-3, 7.7];
+        let bytes = [0.1, 0.2, 0.3, 1e16];
+        let mut forward = Stats {
+            cycles: 1000.0,
+            ..Default::default()
+        };
+        let mut backward = forward.clone();
+        for (&kind, &b) in FuKind::ALL.iter().zip(&busy) {
+            forward.fu_busy.insert(kind, b);
+        }
+        for (&kind, &b) in FuKind::ALL.iter().zip(&busy).rev() {
+            backward.fu_busy.insert(kind, b);
+        }
+        for (&class, &b) in TrafficClass::ALL.iter().zip(&bytes) {
+            forward.add_traffic(class, b);
+        }
+        for (&class, &b) in TrafficClass::ALL.iter().zip(&bytes).rev() {
+            backward.add_traffic(class, b);
+        }
+        let cfg = ArchConfig::craterlake();
+        assert_eq!(
+            forward.fu_utilization(&cfg).to_bits(),
+            backward.fu_utilization(&cfg).to_bits()
+        );
+        assert_eq!(
+            forward.total_fu_busy().to_bits(),
+            busy.iter().sum::<f64>().to_bits()
+        );
+        assert_eq!(
+            forward.total_traffic_bytes().to_bits(),
+            backward.total_traffic_bytes().to_bits()
+        );
+        assert_eq!(
+            forward.total_traffic_bytes().to_bits(),
+            bytes.iter().sum::<f64>().to_bits()
+        );
     }
 
     #[test]

@@ -65,6 +65,16 @@ pub enum TrafficClass {
     IntermStore,
 }
 
+impl TrafficClass {
+    /// All traffic classes, in Fig. 10a's order.
+    pub const ALL: [TrafficClass; 4] = [
+        TrafficClass::Ksh,
+        TrafficClass::Input,
+        TrafficClass::IntermLoad,
+        TrafficClass::IntermStore,
+    ];
+}
+
 /// Identifier of a value (ciphertext polynomial pair, plaintext, or hint)
 /// tracked by the machine's register-file residency model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

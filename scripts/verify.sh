@@ -9,7 +9,9 @@
 #     run's bit-identical output (examples/fault_recovery_smoke.rs).
 #  4. The end-to-end benchmark's smoke suite (compiles the detached
 #     benchmarks/e2e package against the workspace and runs it).
-#  5. Lint gate on every library target: warnings are errors and bare
+#  5. The simulator-backed tables and figures of the evaluation
+#     regenerate byte-identically to their recorded stdout.
+#  6. Lint gate on every library target: warnings are errors and bare
 #     `unwrap()` is banned (tests and binaries are exempt — library code
 #     must name the violated invariant via `expect` or propagate with
 #     `?`/`FheResult`).
@@ -85,6 +87,19 @@ echo "== tier-1: end-to-end benchmark smoke =="
 # every metric BENCHMARK.json names; it writes only git-ignored files
 # (.bench_build/, benchmarks/e2e/results/smoke.json).
 bash benchmarks/e2e/run.sh --smoke
+
+echo "== tier-1: evaluation regenerates =="
+# Table 3-5 and Fig. 9-11 are the machine model run over the full
+# benchmarks (a few seconds in all). Their stdout is recorded under
+# crates/bench/golden/: any difference is model drift, which is never a
+# side effect — a PR that means it re-records the file and says so.
+for name in table3 table4 table5 fig9 fig10 fig11; do
+    if ! cargo run --release -q -p cl-bench --bin "$name" |
+        diff "crates/bench/golden/$name.txt" -; then
+        echo "verify: $name differs from crates/bench/golden/$name.txt (< recorded, > now)" >&2
+        exit 1
+    fi
+done
 
 echo "== tier-1: lint gate (library targets) =="
 cargo clippy -p cl-math -p cl-rns -p cl-ckks -p cl-boot -p cl-runtime \
