@@ -6,29 +6,43 @@
 //! 1. **ModRaise** — lift the exhausted level-1 ciphertext to the full
 //!    modulus chain. Decryption then yields `m + q0·I(X)` for an integer
 //!    polynomial `I` bounded by the secret key's Hamming weight.
-//! 2. **CoeffToSlot** — a homomorphic linear transform with the inverse
-//!    special-FFT matrix, moving polynomial coefficients into slots (the
-//!    encoder's coefficient layout makes this transform C-linear, so a
-//!    single dense transform suffices at test scale).
+//! 2. **CoeffToSlot** — the inverse special FFT as a homomorphic linear
+//!    transform, moving polynomial coefficients into slots (the encoder's
+//!    coefficient layout makes it C-linear). The FFT's `log2(slots)`
+//!    butterfly levels are split into two radix stages — the coarse half,
+//!    then the fine half (the `⌊log2(slots)/2⌋` levels with the smallest
+//!    butterfly distance) — each a sparse BSGS transform of at most
+//!    `2^{s+1} − 1` diagonals for `s` levels. The FFT's bit reversal is
+//!    dropped, so the slots come out in bit-reversed order; the real /
+//!    imaginary split then multiplies by `i` exactly, through the monomial
+//!    `X^{N/2}` ([`CkksContext::try_mul_by_i`]), at no level.
 //! 3. **EvalMod** — remove the `q0·I` term by evaluating
-//!    `(q0/2π)·sin(2πx/q0)` on each slot: a low-degree Taylor expansion of
+//!    `(q0/2π)·sin(2πx/q0)` on each slot: a degree-7 Taylor expansion of
 //!    `exp(2πi·x/(q0·2^r))` followed by `r` repeated squarings (the
 //!    double-angle iteration of the state-of-the-art algorithm \[11\]),
-//!    applied separately to the real and imaginary slot components.
-//! 4. **SlotToCoeff** — the forward special-FFT transform back to
-//!    coefficients.
+//!    applied separately to the real and imaginary slot components. It
+//!    works slot by slot, so the bit-reversed order does not matter.
+//! 4. **SlotToCoeff** — recombine `m_re + i·m_im` (again the exact
+//!    monomial), then the forward special FFT back to coefficients: fine
+//!    stage, then coarse stage, on bit-reversed input, so the two
+//!    permutations cancel.
 //!
-//! The result is a ciphertext of the *same message* at a much higher level
-//! — a refreshed multiplicative budget (Fig. 2).
+//! A second radix stage per transform costs a level; the exact
+//! multiplications by `i` cost none, where plaintext `±i` multiplications
+//! would cost one each, so [`Bootstrapper::depth`] is that of one stage
+//! per transform with plaintext `±i`. The result is a ciphertext of the
+//! *same message* at a much higher level — a refreshed multiplicative
+//! budget (Fig. 2).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use cl_ckks::{
     Ciphertext, CkksContext, CompactKeySwitchKey, FheError, FheResult, GuardrailPolicy,
     HintCache, HintId, KeySwitchKey, Plaintext, SecretKey,
 };
-use cl_math::Complex;
+use cl_math::{Complex, SpecialFft};
 use rand::Rng;
 
 /// Key material for one bootstrapping configuration: rotation keys for the
@@ -520,20 +534,24 @@ impl BootState {
     }
 }
 
-/// A functional bootstrapper: precomputed transform matrices plus the
-/// EvalMod configuration.
+/// A linear map on the slot vector in generalized-diagonal form:
+/// `(d, diag)` pairs with `out[j] = Σ_d diag[j] · v[(j + d) mod slots]`.
+type Diagonals = Vec<(i64, Vec<Complex>)>;
+
+/// A functional bootstrapper: the radix stages of the two transforms plus
+/// the EvalMod configuration.
 pub struct Bootstrapper {
-    /// Diagonals of the CoeffToSlot (inverse special FFT) matrix.
-    cts_diags: Vec<(i64, Vec<Complex>)>,
-    /// Diagonals of the SlotToCoeff (forward special FFT) matrix.
-    sts_diags: Vec<(i64, Vec<Complex>)>,
+    /// CoeffToSlot's radix stages in application order (coarse, fine).
+    cts: [Diagonals; 2],
+    /// SlotToCoeff's radix stages in application order (fine, coarse).
+    sts: [Diagonals; 2],
     /// Double-angle iterations.
     r: u32,
     /// Taylor degree for `exp(2πi·y/2^r)`.
     taylor_degree: usize,
     /// Input range bound `|y| <= k` for EvalMod.
     k_bound: f64,
-    /// Encoded transform plaintexts, cached per `(stage, level)`.
+    /// Encoded transform plaintexts, cached per `(stage, part, level)`.
     precompute: BootstrapPrecompute,
 }
 
@@ -560,20 +578,20 @@ pub enum TransformStage {
 /// A linear transform arranged for baby-step/giant-step evaluation, with
 /// every diagonal plaintext already encoded at a fixed level.
 ///
-/// Writing each diagonal index `d = j·b + i` with `b =
-/// ceil(sqrt(#diagonals))`, the dense sum `Σ_d diag_d ⊙ rot_d(v)`
-/// regroups as
-/// `Σ_j rot_{j·b}( Σ_i pt_{j,i} ⊙ rot_i(v) )` where
-/// `pt_{j,i}[s] = diag_{j·b+i}[(s − j·b) mod m]` — only `b` baby
-/// rotations of the input plus one giant rotation per group, instead of
-/// one rotation per diagonal. The plaintexts are encoded once at
-/// construction (scale = the modulus the closing rescale drops), so
-/// applying the transform does no encoding at all.
+/// [`bsgs_split`] writes each diagonal offset as `d ≡ G + B (mod m)` with a
+/// baby offset `B` and a giant step `G`, so the sum
+/// `Σ_d diag_d ⊙ rot_d(v)` regroups as
+/// `Σ_G rot_G( Σ_B pt_{G,B} ⊙ rot_B(v) )` where
+/// `pt_{G,B}[s] = diag_{G+B}[(s − G) mod m]` — one rotation per distinct
+/// baby offset plus one per giant group, instead of one per diagonal. The
+/// plaintexts are encoded once at construction (scale = the modulus the
+/// closing rescale drops), so applying the transform does no encoding at
+/// all.
 pub struct PrecomputedTransform {
     level: usize,
-    /// Distinct baby offsets `i` (may include 0 = the input itself).
+    /// Distinct baby offsets (may include 0 = the input itself).
     baby_steps: Vec<i64>,
-    /// Giant groups: `(giant rotation j·b, [(baby offset i, plaintext)])`.
+    /// Giant groups: `(giant step, [(baby offset, plaintext)])`.
     giants: Vec<(i64, Vec<(i64, Plaintext)>)>,
 }
 
@@ -595,9 +613,43 @@ fn bsgs_baby(n_diags: usize) -> i64 {
     ((n_diags as f64).sqrt().ceil() as i64).max(1)
 }
 
+/// The baby-step/giant-step split of a transform's diagonal offsets over
+/// `m` slots: one `(baby, giant)` pair per offset, with
+/// `baby + giant ≡ d (mod m)`. [`PrecomputedTransform::new`] and
+/// [`Bootstrapper::keygen`] both use this one rule, so the key set is the
+/// union of the precomputes' [`PrecomputedTransform::required_steps`].
+///
+/// The offsets' common stride `g = gcd(m, d, …)` is factored out and each
+/// offset is centred into `(−m/2, m/2]`, so `k = d/g` is a small signed
+/// index; with `b = ⌈√#offsets⌉` the baby offset is `(k mod b)·g` and the
+/// giant step `(k − k mod b)·g`. A radix stage whose offsets are multiples
+/// of 16, or straddle zero, then needs about `2√#offsets` rotations instead
+/// of one per diagonal.
+fn bsgs_split(offsets: &[i64], m: usize) -> Vec<(i64, i64)> {
+    fn gcd(a: i64, b: i64) -> i64 {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+    let m = m as i64;
+    let canon: Vec<i64> = offsets.iter().map(|d| d.rem_euclid(m)).collect();
+    let g = canon.iter().fold(m, |g, &d| gcd(g, d));
+    let b = bsgs_baby(canon.iter().collect::<BTreeSet<_>>().len());
+    canon
+        .iter()
+        .map(|&d| {
+            let k = (if d > m / 2 { d - m } else { d }) / g;
+            let i = k.rem_euclid(b);
+            (i * g, (k - i) * g)
+        })
+        .collect()
+}
+
 impl PrecomputedTransform {
-    /// Encodes `diags` (generalized diagonals, indices in `[0, m)`) for
-    /// BSGS evaluation on level-`level` ciphertexts.
+    /// Encodes `diags` (generalized diagonals; any offset, taken mod the
+    /// slot count) for BSGS evaluation on level-`level` ciphertexts.
     ///
     /// # Panics
     ///
@@ -606,7 +658,7 @@ impl PrecomputedTransform {
     pub fn new(ctx: &CkksContext, diags: &[(i64, Vec<Complex>)], level: usize) -> Self {
         assert!(level >= 2, "BSGS transform needs a level to rescale into");
         let m = ctx.params().slots();
-        let baby = bsgs_baby(diags.len());
+        let offsets: Vec<i64> = diags.iter().map(|(d, _)| *d).collect();
         // Encoded at exactly the scale of the modulus the closing rescale
         // drops: the transform then preserves the ciphertext scale exactly
         // (any deviation would be amplified exponentially by EvalMod's
@@ -614,19 +666,17 @@ impl PrecomputedTransform {
         let scale = ctx.rns().modulus_value((level - 1) as u32) as f64;
         let mut baby_set = BTreeSet::new();
         let mut groups: BTreeMap<i64, Vec<(i64, Plaintext)>> = BTreeMap::new();
-        for (d, diag) in diags {
+        for ((_, diag), (baby, giant)) in diags.iter().zip(bsgs_split(&offsets, m)) {
             assert_eq!(diag.len(), m, "diagonal length must equal the slot count");
-            let i = d % baby;
-            let jb = d - i;
-            baby_set.insert(i);
-            // pt[s] = diag[(s − j·b) mod m]: the giant rotation moves the
+            baby_set.insert(baby);
+            // pt[s] = diag[(s − giant) mod m]: the giant rotation moves the
             // plaintext weights back over the right slots.
-            let shift = (jb as usize) % m;
+            let shift = giant.rem_euclid(m as i64) as usize;
             let rot: Vec<Complex> = (0..m).map(|s| diag[(s + m - shift) % m]).collect();
             groups
-                .entry(jb)
+                .entry(giant)
                 .or_default()
-                .push((i, ctx.encode_complex(&rot, scale, level)));
+                .push((baby, ctx.encode_complex(&rot, scale, level)));
         }
         Self {
             level,
@@ -650,13 +700,18 @@ impl PrecomputedTransform {
     }
 }
 
-/// Cache of [`PrecomputedTransform`]s keyed by `(stage, level)`. Filled
-/// eagerly at [`Bootstrapper::keygen`] for the two levels
-/// [`Bootstrapper::try_bootstrap`] visits; misses (e.g. a transform applied
-/// at a non-standard level) build and cache lazily.
+/// The precompute cache's key: transform, radix stage within it (0 = the
+/// first applied), and ciphertext level.
+type PrecomputeKey = (TransformStage, usize, usize);
+
+/// Cache of [`PrecomputedTransform`]s keyed by `(stage, part, level)`:
+/// which transform, which of its two radix stages, and the level it runs
+/// at. Filled eagerly at [`Bootstrapper::keygen`] for the four stage
+/// levels [`Bootstrapper::try_bootstrap`] visits; misses (e.g. a transform
+/// applied at a non-standard level) build and cache lazily.
 #[derive(Default)]
 pub struct BootstrapPrecompute {
-    cache: Mutex<HashMap<(TransformStage, usize), Arc<PrecomputedTransform>>>,
+    cache: Mutex<HashMap<PrecomputeKey, Arc<PrecomputedTransform>>>,
 }
 
 impl std::fmt::Debug for BootstrapPrecompute {
@@ -667,16 +722,17 @@ impl std::fmt::Debug for BootstrapPrecompute {
 }
 
 impl BootstrapPrecompute {
-    /// Returns the cached precompute for `(stage, level)`, building and
-    /// inserting it from `diags` on a miss.
+    /// Returns the cached precompute for radix stage `part` of `stage` at
+    /// `level`, building and inserting it from `diags` on a miss.
     pub fn get_or_build(
         &self,
         ctx: &CkksContext,
         stage: TransformStage,
+        part: usize,
         level: usize,
         diags: &[(i64, Vec<Complex>)],
     ) -> Arc<PrecomputedTransform> {
-        let key = (stage, level);
+        let key = (stage, part, level);
         if let Some(hit) = self.lock().get(&key) {
             return hit.clone();
         }
@@ -685,7 +741,7 @@ impl BootstrapPrecompute {
         self.lock().entry(key).or_insert(built).clone()
     }
 
-    /// Number of cached `(stage, level)` entries.
+    /// Number of cached `(stage, part, level)` entries.
     pub fn len(&self) -> usize {
         self.lock().len()
     }
@@ -695,7 +751,7 @@ impl BootstrapPrecompute {
         self.len() == 0
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<(TransformStage, usize), Arc<PrecomputedTransform>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<PrecomputeKey, Arc<PrecomputedTransform>>> {
         self.cache
             .lock()
             .expect("precompute cache poisoned: a panic while encoding plaintexts")
@@ -816,56 +872,115 @@ pub fn try_bsgs_transform(
     ctx.try_rescale(&summed)
 }
 
-/// Extracts the generalized diagonals of an `m x m` complex matrix given as
-/// a linear map (closure on basis vectors). Diagonal `d` holds
-/// `M[j][(j+d) mod m]`.
-fn matrix_diagonals<F>(m: usize, apply: F) -> Vec<(i64, Vec<Complex>)>
-where
-    F: Fn(&[Complex]) -> Vec<Complex>,
-{
-    // Columns of the matrix: apply to unit vectors.
-    let mut cols = Vec::with_capacity(m);
-    for k in 0..m {
-        let mut e = vec![Complex::default(); m];
-        e[k] = Complex::new(1.0, 0.0);
-        cols.push(apply(&e));
+/// One radix stage of a bootstrap transform in generalized-diagonal form:
+/// the special-FFT butterfly levels `levels`, in the order given, times
+/// `scale`. `butterfly` is a stage-range form of [`SpecialFft`]
+/// ([`SpecialFft::forward_levels`] / [`SpecialFft::inverse_levels`]): each
+/// level is read off the FFT's own loop and the levels are multiplied
+/// diagonal by diagonal, so `s` levels give at most `2^{s+1} − 1`
+/// diagonals (fewer once the offsets wrap modulo the slot count).
+fn radix_stage(
+    m: usize,
+    levels: impl Iterator<Item = u32>,
+    butterfly: &dyn Fn(&mut [Complex], Range<u32>),
+    scale: f64,
+) -> Diagonals {
+    let mut stage = BTreeMap::from([(0, vec![Complex::new(scale, 0.0); m])]);
+    for k in levels {
+        stage = compose(&butterfly_level(m, k, butterfly), &stage, m);
     }
-    let mut diags = Vec::new();
-    for d in 0..m {
-        let mut diag = vec![Complex::default(); m];
-        let mut nonzero = false;
-        for j in 0..m {
-            let v = cols[(j + d) % m][j];
-            if v.abs() > 1e-12 {
-                nonzero = true;
-            }
-            diag[j] = v;
-        }
-        if nonzero {
-            diags.push((d as i64, diag));
+    stage.into_iter().map(|(d, diag)| (d as i64, diag)).collect()
+}
+
+/// Butterfly level `k` as diagonals over `m` slots. The level pairs entry
+/// `j` with its partner `h = 2^k` away (above `j` when bit `k` of `j` is
+/// 0, below it otherwise), so two probes determine it: probe `b` is 1 on
+/// the entries whose bit `k` is `b`, and its image at `j` is the weight of
+/// `j`'s own input (`b` = bit `k` of `j`) or of its partner's.
+fn butterfly_level(
+    m: usize,
+    k: u32,
+    butterfly: &dyn Fn(&mut [Complex], Range<u32>),
+) -> BTreeMap<usize, Vec<Complex>> {
+    let h = 1usize << k;
+    let side = |j: usize| (j >> k) & 1;
+    let images = [0, 1].map(|b| {
+        let mut v: Vec<Complex> = (0..m)
+            .map(|j| Complex::new(if side(j) == b { 1.0 } else { 0.0 }, 0.0))
+            .collect();
+        butterfly(&mut v, k..k + 1);
+        v
+    });
+    let [lower, upper] = &images;
+    let mut diags: BTreeMap<usize, Vec<Complex>> = BTreeMap::new();
+    for (j, (&w0, &w1)) in lower.iter().zip(upper).enumerate() {
+        // At h = m/2 both partner offsets are m/2: one diagonal, each row
+        // written once.
+        let (own, partner, offset) = if side(j) == 0 {
+            (w0, w1, h)
+        } else {
+            (w1, w0, m - h)
+        };
+        for (d, weight) in [(0, own), (offset, partner)] {
+            diags.entry(d).or_insert_with(|| vec![Complex::default(); m])[j] = weight;
         }
     }
     diags
+}
+
+/// The product `a·b` (apply `b`, then `a`) of two maps in diagonal form:
+/// `(a·b)_{x+y}[j] += a_x[j] · b_y[j + x]`, offsets mod `m`.
+fn compose(
+    a: &BTreeMap<usize, Vec<Complex>>,
+    b: &BTreeMap<usize, Vec<Complex>>,
+    m: usize,
+) -> BTreeMap<usize, Vec<Complex>> {
+    let mut out: BTreeMap<usize, Vec<Complex>> = BTreeMap::new();
+    for (&x, ax) in a {
+        for (&y, by) in b {
+            let acc = out
+                .entry((x + y) % m)
+                .or_insert_with(|| vec![Complex::default(); m]);
+            for (j, v) in acc.iter_mut().enumerate() {
+                *v += ax[j] * by[(j + x) % m];
+            }
+        }
+    }
+    out
+}
+
+/// CoeffToSlot's and SlotToCoeff's radix stages over `slots` slots, each
+/// pair in application order. The fine half is the `⌊log2(slots)/2⌋`
+/// butterfly levels with the smallest distance, the coarse half the rest.
+fn transform_stages(slots: usize) -> ([Diagonals; 2], [Diagonals; 2]) {
+    let fft = SpecialFft::new(slots);
+    let inverse = |v: &mut [Complex], r: Range<u32>| fft.inverse_levels(v, r);
+    let forward = |v: &mut [Complex], r: Range<u32>| fft.forward_levels(v, r);
+    let levels = slots.trailing_zeros();
+    let fine = levels / 2;
+    // CoeffToSlot: the inverse FFT's butterflies (coarse, then fine)
+    // without its closing bit reversal, the `1/n` folded into the fine
+    // stage (either stage would do: the refresh's precision is set by
+    // EvalMod).
+    let cts = [
+        radix_stage(slots, (fine..levels).rev(), &inverse, 1.0),
+        radix_stage(slots, (0..fine).rev(), &inverse, 1.0 / slots as f64),
+    ];
+    // SlotToCoeff: the forward FFT's butterflies (fine, then coarse)
+    // without its leading bit reversal — the input is in the bit-reversed
+    // order CoeffToSlot left it in.
+    let sts = [
+        radix_stage(slots, 0..fine, &forward, 1.0),
+        radix_stage(slots, fine..levels, &forward, 1.0),
+    ];
+    (cts, sts)
 }
 
 impl Bootstrapper {
     /// Builds a bootstrapper for the given context. `h` is the secret key's
     /// Hamming weight (bounds the EvalMod range).
     pub fn new(ctx: &CkksContext, h: usize) -> Self {
-        let slots = ctx.params().slots();
-        let fft = cl_math::SpecialFft::new(slots);
-        // CoeffToSlot: slots(u) = iFFT(z) — C-linear in z.
-        let cts_diags = matrix_diagonals(slots, |z| {
-            let mut v = z.to_vec();
-            fft.inverse(&mut v);
-            v
-        });
-        // SlotToCoeff: z = FFT(u).
-        let sts_diags = matrix_diagonals(slots, |u| {
-            let mut v = u.to_vec();
-            fft.forward(&mut v);
-            v
-        });
+        let (cts, sts) = transform_stages(ctx.params().slots());
         // |I| <= (h+1)/2 plus the message's q0 fraction.
         let k_bound = (h as f64 + 1.0) / 2.0 + 1.0;
         // Choose r so the Taylor argument 2π·k/2^r stays below ~0.8.
@@ -874,8 +989,8 @@ impl Bootstrapper {
             r += 1;
         }
         Self {
-            cts_diags,
-            sts_diags,
+            cts,
+            sts,
             r,
             taylor_degree: 7,
             k_bound,
@@ -883,18 +998,28 @@ impl Bootstrapper {
         }
     }
 
-    /// Multiplicative depth the pipeline consumes: CoeffToSlot (1) +
-    /// real/imaginary split (1) + Taylor powers (3) + `r` squarings +
-    /// final constant (1) + SlotToCoeff (1).
+    /// Levels the pipeline consumes before SlotToCoeff: CoeffToSlot's two
+    /// radix stages (2) + EvalMod's Taylor powers (3), Taylor sum (1), `r`
+    /// squarings and final constant (1). SlotToCoeff's two stages follow,
+    /// so a bootstrap from `l_max` exits at level `l_max − depth() − 2`.
     pub fn depth(&self) -> usize {
         7 + self.r as usize
     }
 
+    /// The two radix stages of `stage`, in application order.
+    fn radix_stages(&self, stage: TransformStage) -> &[Diagonals; 2] {
+        match stage {
+            TransformStage::CoeffToSlot => &self.cts,
+            TransformStage::SlotToCoeff => &self.sts,
+        }
+    }
+
     /// Generates the keyswitch keys bootstrapping needs — only the BSGS
-    /// baby/giant steps of the two transforms, not one key per diagonal —
-    /// and eagerly fills the [`BootstrapPrecompute`] cache for the two
-    /// levels [`Bootstrapper::try_bootstrap`] visits, so no transform
-    /// plaintext is encoded on the bootstrap hot path.
+    /// baby/giant steps of the four radix stages ([`bsgs_split`]), not one
+    /// key per diagonal — and eagerly fills the [`BootstrapPrecompute`]
+    /// cache for the four stage levels [`Bootstrapper::try_bootstrap`]
+    /// visits, so no transform plaintext is encoded on the bootstrap hot
+    /// path.
     pub fn keygen<R: Rng + ?Sized>(
         &self,
         ctx: &CkksContext,
@@ -902,48 +1027,42 @@ impl Bootstrapper {
         kind: cl_ckks::KeySwitchKind,
         rng: &mut R,
     ) -> BootstrapKeys {
+        let slots = ctx.params().slots();
         let mut steps = BTreeSet::new();
-        for diags in [&self.cts_diags, &self.sts_diags] {
-            let baby = bsgs_baby(diags.len());
-            for (d, _) in diags {
-                let i = d % baby;
-                steps.insert(i);
-                steps.insert(d - i);
+        for diags in self.cts.iter().chain(&self.sts) {
+            let offsets: Vec<i64> = diags.iter().map(|(d, _)| *d).collect();
+            for (baby, giant) in bsgs_split(&offsets, slots) {
+                steps.insert(baby);
+                steps.insert(giant);
             }
         }
         steps.remove(&0);
         let l_max = ctx.max_level();
-        if l_max > self.depth() + 1 {
-            // CoeffToSlot runs on the raised ciphertext at `l_max`;
-            // SlotToCoeff after the full EvalMod depth.
-            self.precomputed(ctx, TransformStage::CoeffToSlot, l_max);
-            self.precomputed(ctx, TransformStage::SlotToCoeff, l_max - self.depth() - 1);
+        if l_max > self.depth() + 2 {
+            // CoeffToSlot runs on the raised ciphertext at `l_max`,
+            // SlotToCoeff after `depth()` levels; each radix stage one
+            // level below the one before it.
+            for (stage, top) in [
+                (TransformStage::CoeffToSlot, l_max),
+                (TransformStage::SlotToCoeff, l_max - self.depth()),
+            ] {
+                for (part, diags) in self.radix_stages(stage).iter().enumerate() {
+                    self.precompute.get_or_build(ctx, stage, part, top - part, diags);
+                }
+            }
         }
         let steps: Vec<i64> = steps.into_iter().collect();
         BootstrapKeys::generate(ctx, sk, kind, &steps, rng)
     }
 
-    /// Read access to the `(stage, level)` plaintext cache.
+    /// Read access to the `(stage, part, level)` plaintext cache.
     pub fn precompute(&self) -> &BootstrapPrecompute {
         &self.precompute
     }
 
-    fn precomputed(
-        &self,
-        ctx: &CkksContext,
-        stage: TransformStage,
-        level: usize,
-    ) -> Arc<PrecomputedTransform> {
-        let diags = match stage {
-            TransformStage::CoeffToSlot => &self.cts_diags,
-            TransformStage::SlotToCoeff => &self.sts_diags,
-        };
-        self.precompute.get_or_build(ctx, stage, level, diags)
-    }
-
-    /// Homomorphic dense linear transform: `Σ_d diag_d ⊙ rot_d(ct)`,
-    /// evaluated in BSGS form over cached precomputed plaintexts.
-    /// Consumes one level.
+    /// The special-FFT transform `stage` as its two radix stages in turn,
+    /// each a BSGS transform over cached precomputed plaintexts. Consumes
+    /// two levels.
     fn try_linear_transform(
         &self,
         ctx: &CkksContext,
@@ -951,8 +1070,11 @@ impl Bootstrapper {
         stage: TransformStage,
         keys: &BootstrapKeys,
     ) -> FheResult<Ciphertext> {
-        let pre = self.precomputed(ctx, stage, ct.level());
-        try_bsgs_transform(ctx, ct, &pre, keys)
+        let [first, second] = self.radix_stages(stage);
+        let pre = self.precompute.get_or_build(ctx, stage, 0, ct.level(), first);
+        let mid = try_bsgs_transform(ctx, ct, &pre, keys)?;
+        let pre = self.precompute.get_or_build(ctx, stage, 1, mid.level(), second);
+        try_bsgs_transform(ctx, &mid, &pre, keys)
     }
 
     /// EvalMod on the *real part* interpretation: input `ct` decodes to
@@ -1089,11 +1211,9 @@ impl Bootstrapper {
                 y_im,
                 orig_scale,
             } => {
-                // ---- EvalMod on the imaginary component, aligned below
-                // the real one so the recombine's mod-drops are forward.
-                let y_im_aligned =
-                    ctx.try_mod_drop(&y_im, m_re.level() + self.r as usize + 4)?;
-                let m_im = self.try_eval_sin(ctx, &y_im_aligned, keys)?;
+                // ---- EvalMod on the imaginary component, at the level
+                // the real one started from.
+                let m_im = self.try_eval_sin(ctx, &y_im, keys)?;
                 Ok(BootState::EvalBoth {
                     m_re,
                     m_im,
@@ -1122,11 +1242,12 @@ impl Bootstrapper {
             });
         }
         let l_max = ctx.max_level();
-        if l_max <= self.depth() + 1 {
+        if l_max <= self.depth() + 2 {
             return Err(FheError::InvalidParams {
                 op: "bootstrap",
                 reason: format!(
-                    "budget {l_max} cannot cover bootstrap depth {}",
+                    "budget {l_max} cannot cover bootstrap depth {} plus the \
+                     two SlotToCoeff stages and an output level",
                     self.depth()
                 ),
             });
@@ -1169,28 +1290,24 @@ impl Bootstrapper {
     ) -> FheResult<BootState> {
         let _span = cl_trace::span("coeff_to_slot");
         let q0 = ctx.rns().modulus_value(0) as f64;
-        // ---- CoeffToSlot: slots become u_j = c_j + i·c_{j+slots}, where c
-        // are the raised polynomial's coefficients (value m·Δ + q0·I).
-        // The factor n/2 from the unnormalized embedding is absorbed by
-        // the transform matrix itself (it is exactly the encoder's iFFT).
+        // ---- CoeffToSlot: slot bitrev(j) becomes u_j = c_j + i·c_{j+slots},
+        // where c are the raised polynomial's coefficients (value
+        // m·Δ + q0·I). The factor n/2 from the unnormalized embedding is
+        // absorbed by the transform itself (it is the encoder's iFFT).
         let u = self.try_linear_transform(ctx, &raised, TransformStage::CoeffToSlot, keys)?;
         // Reinterpret: the true slot values are (m·Δ + q0·I) and EvalMod
         // wants y = true/q0, so record the scale as u.scale·q0/Δ_in.
-        let y_full = u.clone().with_scale(u.scale() * q0 / orig_scale);
-        // ---- Split real/imaginary parts.
+        let scale = u.scale() * q0 / orig_scale;
+        let y_full = u.with_scale(scale);
+        // ---- Split real/imaginary parts; both halves keep u's level.
         let conj = ctx.try_conjugate(&y_full, keys.try_conj(ctx)?.as_ref())?;
         // y_re = (u + conj)/2: the division by 2 is a free scale bump.
-        let sum = ctx.try_add(&y_full, &conj)?;
-        let y_re = sum.clone().with_scale(sum.scale() * 2.0);
-        // y_im = (u - conj)/(2i): plaintext multiply by -i/2.
-        let diff = ctx.try_sub(&y_full, &conj)?;
-        let slots = ctx.params().slots();
-        let half_i = ctx.encode_complex(
-            &vec![Complex::new(0.0, -0.5); slots],
-            ctx.rns().modulus_value((diff.level() - 1) as u32) as f64,
-            diff.level(),
-        );
-        let y_im = ctx.try_rescale(&ctx.try_mul_plain(&diff, &half_i)?)?;
+        let y_re = ctx.try_add(&y_full, &conj)?.with_scale(scale * 2.0);
+        // y_im = (u − conj)/(2i) = i·(conj − u)/2: the exact monomial i,
+        // and the same free scale bump.
+        let y_im = ctx
+            .try_mul_by_i(&ctx.try_sub(&conj, &y_full)?)?
+            .with_scale(scale * 2.0);
         Ok(BootState::Split {
             y_re,
             y_im,
@@ -1209,28 +1326,18 @@ impl Bootstrapper {
     ) -> FheResult<BootState> {
         let _span = cl_trace::span("slot_to_coeff");
         let q0 = ctx.rns().modulus_value(0) as f64;
-        let slots = ctx.params().slots();
-        // Recombine: m = m_re + i·m_im.
+        // Recombine: m = m_re + i·m_im, with the exact monomial i.
         let lvl = m_re.level().min(m_im.level());
         let m_re = ctx.try_mod_drop(&m_re, lvl)?;
-        let m_im = ctx.try_mod_drop(&m_im, lvl)?;
-        let q_drop = ctx.rns().modulus_value((lvl - 1) as u32) as f64;
-        let i_pt = ctx.encode_complex(
-            &vec![Complex::new(0.0, 1.0); slots],
-            m_re.scale() * q_drop / m_im.scale(),
-            lvl,
-        );
-        let m_im_i = ctx.try_rescale(&ctx.try_mul_plain(&m_im, &i_pt)?)?;
-        let m_re = ctx.try_mod_drop(&m_re, m_im_i.level())?;
+        let m_im_i = ctx.try_mul_by_i(&ctx.try_mod_drop(&m_im, lvl)?)?;
         // Align scales exactly before adding.
-        let combined = ctx.try_add(&m_re.clone().with_scale(m_im_i.scale()), &m_im_i)?;
+        let combined = ctx.try_add(&m_re.with_scale(m_im_i.scale()), &m_im_i)?;
         // Undo the /q0 normalization: the slots now hold (m·Δ)/q0 at the
         // recorded scale; restore by dividing the recorded scale by q0 and
         // multiplying by the input scale.
-        let restored = combined
-            .clone()
-            .with_scale(combined.scale() * orig_scale / q0);
-        // ---- SlotToCoeff.
+        let scale = combined.scale() * orig_scale / q0;
+        let restored = combined.with_scale(scale);
+        // ---- SlotToCoeff (bit-reversed slots in, coefficients out).
         let out = self.try_linear_transform(ctx, &restored, TransformStage::SlotToCoeff, keys)?;
         // EvalMod removed the `q0·I` term the analytic estimate has been
         // carrying since ModRaise; the refreshed ciphertext's error is
@@ -1311,20 +1418,90 @@ mod tests {
         CkksContext::new(params).unwrap()
     }
 
+    /// `Σ_d diag_d ⊙ rot_d(v)` in plain arithmetic, no encryption.
+    fn apply_diagonals(diags: &[(i64, Vec<Complex>)], v: &[Complex]) -> Vec<Complex> {
+        let m = v.len() as i64;
+        (0..v.len())
+            .map(|j| {
+                diags.iter().fold(Complex::default(), |acc, (d, diag)| {
+                    acc + diag[j] * v[(j as i64 + d).rem_euclid(m) as usize]
+                })
+            })
+            .collect()
+    }
+
     #[test]
-    fn matrix_diagonals_of_identity() {
-        let d = matrix_diagonals(4, |v| v.to_vec());
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].0, 0);
-        for v in &d[0].1 {
-            assert!((v.re - 1.0).abs() < 1e-12 && v.im.abs() < 1e-12);
+    fn empty_radix_stage_is_the_scaled_identity() {
+        let fft = SpecialFft::new(4);
+        let stage = radix_stage(4, 0..0, &|v, r| fft.forward_levels(v, r), 0.5);
+        assert_eq!(stage.len(), 1);
+        assert_eq!(stage[0].0, 0);
+        for v in &stage[0].1 {
+            assert_eq!(*v, Complex::new(0.5, 0.0));
+        }
+    }
+
+    #[test]
+    fn radix_stages_factor_the_special_fft() {
+        // The plain-arithmetic oracle: the stages applied in sequence are
+        // the special FFT with its bit reversal moved to the slot order,
+        // at every power-of-two slot count up to 4096 (1 and 2 slots have
+        // an identity stage).
+        for levels in 0..=12u32 {
+            let slots = 1usize << levels;
+            let fine = levels / 2;
+            let (cts, sts) = transform_stages(slots);
+            // A stage of `s` butterfly levels has at most 2^{s+1} − 1
+            // diagonals.
+            let bound = |s: u32| (1usize << (s + 1)) - 1;
+            for (stage, s) in [
+                (&cts[0], levels - fine),
+                (&cts[1], fine),
+                (&sts[0], fine),
+                (&sts[1], levels - fine),
+            ] {
+                assert!(
+                    stage.len() <= bound(s),
+                    "slots {slots}: {} diagonals for {s} levels",
+                    stage.len()
+                );
+            }
+            if slots == 512 {
+                let counts = [&cts[0], &cts[1], &sts[0], &sts[1]].map(Vec::len);
+                assert_eq!(counts, [32, 31, 31, 32], "coarse stages wrap mod 512");
+            }
+            let fft = SpecialFft::new(slots);
+            let v: Vec<Complex> = (0..slots)
+                .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
+                .collect();
+            let close = |got: &[Complex], want: &[Complex], what: &str| {
+                for (j, (g, w)) in got.iter().zip(want).enumerate() {
+                    assert!(
+                        (*g - *w).abs() <= 1e-9 * (1.0 + w.abs()),
+                        "{what}, slots {slots}, slot {j}: {g:?} vs {w:?}"
+                    );
+                }
+            };
+            // CoeffToSlot = inverse, then bit reversal.
+            let mut want = v.clone();
+            fft.inverse(&mut want);
+            cl_math::bit_reverse_permute(&mut want);
+            let got = apply_diagonals(&cts[1], &apply_diagonals(&cts[0], &v));
+            close(&got, &want, "CoeffToSlot");
+            // SlotToCoeff = bit reversal, then forward.
+            let mut want = v.clone();
+            cl_math::bit_reverse_permute(&mut want);
+            fft.forward(&mut want);
+            let got = apply_diagonals(&sts[1], &apply_diagonals(&sts[0], &v));
+            close(&got, &want, "SlotToCoeff");
         }
     }
 
     #[test]
     fn linear_transform_applies_fft_matrix() {
-        // Applying CoeffToSlot to an encryption of z yields iFFT(z) in the
-        // slots — checked against the plain FFT.
+        // Applying CoeffToSlot to an encryption of z yields iFFT(z) in
+        // bit-reversed slot order — checked against the plain FFT — and
+        // costs one level per radix stage.
         let ctx = boot_ctx();
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let sk = ctx.keygen_sparse(8, &mut rng);
@@ -1339,12 +1516,93 @@ mod tests {
         let out = booter
             .try_linear_transform(&ctx, &ct, TransformStage::CoeffToSlot, &keys)
             .expect("transform on well-formed inputs");
+        assert_eq!(out.level(), 3);
         let got = ctx.decode_complex(&ctx.decrypt(&out, &sk), slots);
         let fft = cl_math::SpecialFft::new(slots);
         let mut expect = vals.clone();
         fft.inverse(&mut expect);
+        cl_math::bit_reverse_permute(&mut expect);
         for (g, e) in got.iter().zip(&expect) {
             assert!((*g - *e).abs() < 1e-2, "{g:?} vs {e:?}");
+        }
+    }
+
+    #[test]
+    fn bsgs_split_handles_strided_and_negative_offsets() {
+        // The coarse stage at N = 1024: 32 diagonals at stride 16 over 512
+        // slots. Splitting raw indices as `d % b` (b = 6) gave 31 rotation
+        // steps — a baby set of {0} and one giant per diagonal; factoring
+        // the stride out needs at most 2⌈√32⌉.
+        let params = CkksParams::builder()
+            .ring_degree(1024)
+            .levels(2)
+            .special_limbs(1)
+            .limb_bits(40)
+            .scale_bits(30)
+            .build()
+            .unwrap();
+        let ctx = CkksContext::new(params).unwrap();
+        let m = ctx.params().slots() as i64;
+        let ones = vec![Complex::new(1.0, 0.0); m as usize];
+        let strided: Vec<(i64, Vec<Complex>)> = (0..32).map(|k| (16 * k, ones.clone())).collect();
+        let steps = PrecomputedTransform::new(&ctx, &strided, 2).required_steps();
+        assert!(steps.len() <= 2 * 6, "stride-16 stage needs {} steps", steps.len());
+        // The fine stage spelled with negative offsets −15..=15 (and once
+        // more as their canonical residues): same bound.
+        for spelling in [0, m] {
+            let fine: Vec<(i64, Vec<Complex>)> =
+                (-15..=15).map(|d| (d + spelling, ones.clone())).collect();
+            let steps = PrecomputedTransform::new(&ctx, &fine, 2).required_steps();
+            assert!(steps.len() <= 2 * 6, "fine stage needs {} steps", steps.len());
+        }
+        // Every split recombines to its offset.
+        let offsets: Vec<i64> = (-40..40).map(|k| 16 * k + 3).collect();
+        for (d, (baby, giant)) in offsets.iter().zip(bsgs_split(&offsets, 512)) {
+            assert_eq!((baby + giant).rem_euclid(512), d.rem_euclid(512));
+        }
+    }
+
+    #[test]
+    fn radix_stages_keep_the_level_budget() {
+        // Two stages per transform cost two extra levels; the exact
+        // monomial i gives them back: depth 7 + r, exit level
+        // l_max − depth − 2, and the refreshed value within 0.05.
+        for n in [64usize, 256] {
+            let params = CkksParams::builder()
+                .ring_degree(n)
+                .levels(20)
+                .special_limbs(20)
+                .limb_bits(45)
+                .scale_bits(45)
+                .build()
+                .unwrap();
+            let ctx = CkksContext::new(params).unwrap();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+            let sk = ctx.keygen_sparse(8, &mut rng);
+            let booter = Bootstrapper::new(&ctx, 8);
+            assert_eq!(booter.depth(), 7 + booter.r as usize);
+            assert_eq!(booter.depth(), 13, "h = 8 takes r = 6");
+            let keys = booter.keygen(&ctx, &sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
+            let slots = ctx.params().slots();
+            let vals: Vec<f64> = (0..slots).map(|i| ((i * 7 % 13) as f64 / 13.0) - 0.5).collect();
+            let ct = ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), 1), &sk, &mut rng);
+            let mut state = BootState::Start { ct };
+            while !state.is_done() {
+                state = booter.try_step(&ctx, state, &keys).unwrap();
+                if let BootState::Split { y_re, y_im, .. } = &state {
+                    assert_eq!(y_re.level(), ctx.max_level() - 2, "N = {n}");
+                    assert_eq!(y_im.level(), y_re.level(), "N = {n}: EvalIm at EvalRe's level");
+                }
+            }
+            let BootState::Done { ct: out } = state else {
+                unreachable!("loop runs to Done")
+            };
+            assert_eq!(out.level(), ctx.max_level() - booter.depth() - 2, "N = {n}");
+            assert_eq!(out.level(), 5, "N = {n}");
+            let got = ctx.decode(&ctx.decrypt(&out, &sk), slots);
+            for (g, e) in got.iter().zip(&vals) {
+                assert!((g - e).abs() < 0.05, "N = {n}: {g} vs {e}");
+            }
         }
     }
 
@@ -1398,23 +1656,29 @@ mod tests {
         let booter = Bootstrapper::new(&ctx, 8);
         assert!(booter.precompute().is_empty());
         let keys = booter.keygen(&ctx, &sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
-        // Both transform levels are encoded eagerly at keygen.
-        assert_eq!(booter.precompute().len(), 2);
-        // BSGS needs ~2·sqrt(m) rotation keys; the dense special-FFT
-        // matrices have m nonzero diagonals each, so the per-diagonal
-        // scheme would need m-1.
+        // All four radix-stage levels are encoded eagerly at keygen.
+        assert_eq!(booter.precompute().len(), 4);
+        // The key set is the union of the four precomputes' BSGS steps:
+        // nothing missing, nothing extra.
         let m = ctx.params().slots();
+        let mut want = BTreeSet::new();
+        for pre in booter.precompute.lock().values() {
+            let diags: usize = pre.giants.iter().map(|(_, terms)| terms.len()).sum();
+            let steps = pre.required_steps();
+            assert!(steps.len() <= 2 * bsgs_baby(diags) as usize);
+            want.extend(steps.iter().map(|&s| cl_math::canonical_rotation_step(s, m)));
+        }
+        assert_eq!(keys.rotation_steps(), want.into_iter().collect::<Vec<_>>());
+        // CoeffToSlot's and SlotToCoeff's stages share offset sets, so the
+        // whole bundle needs at most 2⌈√d⌉ keys per stage shape — against
+        // m − 1 for one key per diagonal of a dense special-FFT matrix.
+        let bound: usize = booter.cts.iter().map(|d| 2 * bsgs_baby(d.len()) as usize).sum();
         assert!(
-            keys.rotations.len() < m - 1,
-            "BSGS key set must be smaller than per-diagonal: {} vs {}",
+            keys.rotations.len() <= bound && bound < m - 1,
+            "{} keys, bound {bound}, per-diagonal {}",
             keys.rotations.len(),
             m - 1
         );
-        for (_, pre) in booter.precompute.lock().iter() {
-            for step in pre.required_steps() {
-                assert!(keys.rotations.contains_key(&step), "missing key for step {step}");
-            }
-        }
     }
 
     #[test]
@@ -1452,7 +1716,7 @@ mod tests {
         let booter = Bootstrapper::new(&ctx, 8);
         let mut keys = booter.keygen(&ctx, &sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
         // Drop one rotation key the CoeffToSlot transform needs (the
-        // smallest step is a baby step the dense transform always uses).
+        // smallest step is a baby step of its fine radix stage).
         let dropped = *keys.rotations.keys().min().expect("bootstrap needs rotation keys");
         keys.rotations.remove(&dropped);
         let slots = ctx.params().slots();

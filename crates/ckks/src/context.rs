@@ -2,10 +2,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use cl_math::{BigUint, Complex, SpecialFft};
-use cl_rns::{BaseConverter, Basis, RnsContext, RnsError};
+use cl_rns::{BaseConverter, Basis, RnsContext, RnsError, RnsPoly};
 use rand::Rng;
 
 use crate::error::{FheError, FheResult};
@@ -86,6 +86,9 @@ pub struct CkksContext {
     fft: SpecialFft,
     converters: ConverterCache,
     policy: GuardrailPolicy,
+    /// NTT image of the monomial `X^{N/2}` over the full ciphertext chain,
+    /// built on first use (see [`CkksContext::try_mul_by_i`]).
+    i_monomial: OnceLock<RnsPoly>,
 }
 
 impl fmt::Debug for CkksContext {
@@ -118,6 +121,7 @@ impl CkksContext {
             fft,
             converters: Mutex::new(HashMap::new()),
             policy: GuardrailPolicy::default(),
+            i_monomial: OnceLock::new(),
         })
     }
 
@@ -196,6 +200,22 @@ impl CkksContext {
             .entry(key)
             .or_insert_with(|| Arc::new(BaseConverter::new(&self.rns, src.clone(), dst.clone())))
             .clone()
+    }
+
+    /// The NTT image of `X^{N/2}` over the full ciphertext chain, built
+    /// once from the exact integer monomial (never through the
+    /// floating-point encoder).
+    pub(crate) fn i_monomial(&self) -> &RnsPoly {
+        self.i_monomial.get_or_init(|| {
+            let n = self.params.n;
+            let mut coeffs = vec![0i64; n];
+            coeffs[n / 2] = 1;
+            let mut poly = self
+                .rns
+                .from_signed_coeffs(&coeffs, &self.rns.q_basis(self.params.levels));
+            self.rns.to_ntt(&mut poly);
+            poly
+        })
     }
 
     // ------------------------------------------------------------------

@@ -144,6 +144,33 @@ impl CkksContext {
         self.try_neg_ct(a).unwrap_or_else(|e| panic!("neg: {e}"))
     }
 
+    /// Fallible exact multiplication of every slot by the imaginary unit.
+    ///
+    /// "`i` in every slot" is the monomial `X^{N/2}`: slot `j` evaluates
+    /// the plaintext at `ζ^{5^j}` (`ζ` a primitive `2N`-th root of unity)
+    /// and `5^j ≡ 1 (mod 4)`, so `X^{N/2}` evaluates to `ζ^{N/2} = i` at
+    /// every slot. Each limb is multiplied by the monomial's NTT image; in
+    /// the coefficient domain that is a negacyclic shift, so the result
+    /// carries the input's noise magnitude exactly. No level is consumed,
+    /// the scale and the noise estimate are unchanged, and applying it
+    /// twice is [`CkksContext::try_neg_ct`] bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Only guardrail failures.
+    pub fn try_mul_by_i(&self, a: &Ciphertext) -> FheResult<Ciphertext> {
+        self.guard_operands("mul_by_i", &[a])?;
+        let rns = self.rns();
+        let i = rns.restrict(self.i_monomial(), a.c0.basis());
+        Ok(Ciphertext {
+            c0: rns.mul(&a.c0, &i),
+            c1: rns.mul(&a.c1, &i),
+            level: a.level,
+            scale: a.scale,
+            noise_bits_est: a.noise_bits_est,
+        })
+    }
+
     /// Fallible plaintext addition.
     ///
     /// # Errors
@@ -862,6 +889,78 @@ mod tests {
         let got = ctx.decode(&ctx.decrypt(&tripled, &sk), 2);
         assert!((got[0] + 4.5).abs() < 1e-3);
         assert!((got[1] - 6.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn mul_by_i_is_the_exact_monomial() {
+        use cl_math::Complex;
+        let (ctx, sk, mut rng) = setup(3);
+        let vals = vec![
+            Complex::new(1.0, 2.0),
+            Complex::new(-3.0, 0.5),
+            Complex::new(0.25, -1.0),
+        ];
+        let ct = ctx.encrypt(&ctx.encode_complex(&vals, ctx.default_scale(), 3), &sk, &mut rng);
+        let out = ctx.try_mul_by_i(&ct).unwrap();
+        assert_eq!(out.level(), ct.level());
+        assert_eq!(out.scale(), ct.scale());
+        assert_eq!(
+            out.noise_estimate_bits().to_bits(),
+            ct.noise_estimate_bits().to_bits()
+        );
+        // decrypt(out) = X^{N/2}·decrypt(in), coefficient for coefficient:
+        // coefficient j moves to j + N/2, negated where it wraps.
+        let rns = ctx.rns();
+        let mut before = ctx.decrypt(&ct, &sk).poly().clone();
+        let mut after = ctx.decrypt(&out, &sk).poly().clone();
+        rns.from_ntt(&mut before);
+        rns.from_ntt(&mut after);
+        let n = ctx.params().ring_degree();
+        for (k, &limb) in before.basis().0.iter().enumerate() {
+            let q = rns.modulus_value(limb);
+            for j in 0..n {
+                let want = if j >= n / 2 {
+                    before.limb(k)[j - n / 2]
+                } else {
+                    (q - before.limb(k)[j + n / 2]) % q
+                };
+                assert_eq!(after.limb(k)[j], want, "limb {k}, coefficient {j}");
+            }
+        }
+        let got = ctx.decode_complex(&ctx.decrypt(&out, &sk), vals.len());
+        for (g, v) in got.iter().zip(&vals) {
+            assert!((*g - *v * Complex::new(0.0, 1.0)).abs() < 1e-3, "{g:?} vs i·{v:?}");
+        }
+        // Twice is negation, bit for bit.
+        assert_eq!(
+            ctx.try_mul_by_i(&out).unwrap(),
+            ctx.try_neg_ct(&ct).unwrap()
+        );
+    }
+
+    #[test]
+    fn mul_by_i_passes_strict_where_a_plaintext_i_does_not() {
+        use crate::GuardrailPolicy;
+        use cl_math::Complex;
+        let (mut ctx, sk, mut rng) = setup(3);
+        let ct = ctx.encrypt(&ctx.encode(&[0.5, -0.25], ctx.default_scale(), 3), &sk, &mut rng);
+        // The same monomial through the encoder at scale 1: an identical
+        // payload, but `mul_plain` charges the plaintext's Δ/2 rounding.
+        let i_pt = ctx.encode_complex(&vec![Complex::new(0.0, 1.0); ctx.params().slots()], 1.0, 3);
+        let via_plain = ctx.try_mul_plain(&ct, &i_pt).unwrap();
+        assert_eq!(via_plain, ctx.try_mul_by_i(&ct).unwrap());
+        let budget = ctx.budget_bits(&ct);
+        assert!(ctx.budget_bits(&via_plain) < budget - 1.0);
+        // A real threshold: one bit under the fresh budget.
+        ctx.set_policy(GuardrailPolicy::Strict {
+            min_budget_bits: budget - 1.0,
+        });
+        let out = ctx.try_mul_by_i(&ct).expect("the exact monomial costs no budget");
+        assert_eq!(ctx.budget_bits(&out), budget);
+        assert!(matches!(
+            ctx.try_mul_plain(&ct, &i_pt),
+            Err(crate::FheError::BudgetExhausted { op: "mul_plain", .. })
+        ));
     }
 
     #[test]

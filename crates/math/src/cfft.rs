@@ -6,7 +6,7 @@
 //! unity. The transform between slots and coefficients is an FFT over the
 //! orbit of 5 — the `SpecialFft` of the HEAAN/Lattigo implementations.
 
-use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
+use std::ops::{Add, AddAssign, Div, Mul, Neg, Range, Sub};
 
 /// A complex number with `f64` components.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -162,8 +162,14 @@ impl SpecialFft {
         self.slots
     }
 
+    /// Number of butterfly levels, `log2(slots)`.
+    fn levels(&self) -> u32 {
+        self.slots.trailing_zeros()
+    }
+
     /// Forward special FFT (decode direction: coefficients → slots),
-    /// in place.
+    /// in place: the bit reversal, then every butterfly level of
+    /// [`SpecialFft::forward_levels`].
     ///
     /// # Panics
     ///
@@ -171,11 +177,26 @@ impl SpecialFft {
     pub fn forward(&self, vals: &mut [Complex]) {
         assert_eq!(vals.len(), self.slots);
         crate::bit_reverse_permute(vals);
+        self.forward_levels(vals, 0..self.levels());
+    }
+
+    /// The forward butterfly levels in `levels`, ascending, in place and
+    /// without the bit reversal [`SpecialFft::forward`] starts with. Level
+    /// `k` combines entries `2^k` apart, so a sub-range of levels is one
+    /// radix stage of the transform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vals.len() != self.slots()` or `levels` reaches past
+    /// `log2(slots)`.
+    pub fn forward_levels(&self, vals: &mut [Complex], levels: Range<u32>) {
+        assert_eq!(vals.len(), self.slots);
+        assert!(levels.end <= self.levels(), "butterfly level out of range");
         let n = self.slots;
         let m = 4 * n;
-        let mut len = 2usize;
-        while len <= n {
-            let lenh = len >> 1;
+        for k in levels {
+            let lenh = 1usize << k;
+            let len = lenh << 1;
             let lenq = len << 2;
             for i in (0..n).step_by(len) {
                 for j in 0..lenh {
@@ -186,23 +207,42 @@ impl SpecialFft {
                     vals[i + j + lenh] = u - v;
                 }
             }
-            len <<= 1;
         }
     }
 
     /// Inverse special FFT (encode direction: slots → coefficients),
-    /// in place, including the `1/n` scaling.
+    /// in place: every butterfly level of [`SpecialFft::inverse_levels`],
+    /// then the bit reversal and the `1/n` scaling.
     ///
     /// # Panics
     ///
     /// Panics if `vals.len() != self.slots()`.
     pub fn inverse(&self, vals: &mut [Complex]) {
         assert_eq!(vals.len(), self.slots);
+        self.inverse_levels(vals, 0..self.levels());
+        crate::bit_reverse_permute(vals);
+        let n = self.slots as f64;
+        for v in vals.iter_mut() {
+            *v = *v / n;
+        }
+    }
+
+    /// The inverse butterfly levels in `levels`, descending (the order
+    /// [`SpecialFft::inverse`] applies them), in place and without its bit
+    /// reversal or `1/n` scaling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vals.len() != self.slots()` or `levels` reaches past
+    /// `log2(slots)`.
+    pub fn inverse_levels(&self, vals: &mut [Complex], levels: Range<u32>) {
+        assert_eq!(vals.len(), self.slots);
+        assert!(levels.end <= self.levels(), "butterfly level out of range");
         let n = self.slots;
         let m = 4 * n;
-        let mut len = n;
-        while len >= 2 {
-            let lenh = len >> 1;
+        for k in levels.rev() {
+            let lenh = 1usize << k;
+            let len = lenh << 1;
             let lenq = len << 2;
             for i in (0..n).step_by(len) {
                 for j in 0..lenh {
@@ -213,11 +253,6 @@ impl SpecialFft {
                     vals[i + j + lenh] = v;
                 }
             }
-            len >>= 1;
-        }
-        crate::bit_reverse_permute(vals);
-        for v in vals.iter_mut() {
-            *v = *v / n as f64;
         }
     }
 
@@ -270,6 +305,37 @@ mod tests {
             fft.forward(&mut v);
             for (a, b) in v.iter().zip(&orig) {
                 assert!((*a - *b).abs() < 1e-9, "slots={slots}");
+            }
+        }
+    }
+
+    #[test]
+    fn level_ranges_compose_to_the_full_transform() {
+        // Any split point: the two sub-ranges in turn are the butterfly
+        // network of forward / inverse, bit-exactly.
+        for slots in [1usize, 2, 8, 64] {
+            let fft = SpecialFft::new(slots);
+            let log = slots.trailing_zeros();
+            let orig = rand_slots(slots, 11);
+            for split in 0..=log {
+                let mut whole = orig.clone();
+                fft.forward(&mut whole);
+                let mut staged = orig.clone();
+                crate::bit_reverse_permute(&mut staged);
+                fft.forward_levels(&mut staged, 0..split);
+                fft.forward_levels(&mut staged, split..log);
+                assert_eq!(staged, whole, "forward, slots={slots} split={split}");
+
+                let mut whole = orig.clone();
+                fft.inverse(&mut whole);
+                let mut staged = orig.clone();
+                fft.inverse_levels(&mut staged, split..log);
+                fft.inverse_levels(&mut staged, 0..split);
+                crate::bit_reverse_permute(&mut staged);
+                for v in staged.iter_mut() {
+                    *v = *v / slots as f64;
+                }
+                assert_eq!(staged, whole, "inverse, slots={slots} split={split}");
             }
         }
     }

@@ -204,14 +204,16 @@ proptest! {
 
     /// The double-hoisted BSGS linear transform computes the same map as
     /// the naive per-diagonal rotate-multiply-accumulate, on random sparse
-    /// matrices, and is thread-invariant.
+    /// matrices — strided, negative and wrapping offsets included, the
+    /// shapes of the bootstrap's radix stages — and is thread-invariant.
     #[test]
     fn bsgs_transform_matches_naive_diagonal_sum(
         seed in any::<u64>(),
-        raw_idx in proptest::collection::vec(0i64..64, 1..6),
+        stride_log in 0u32..5,
+        raw_idx in proptest::collection::vec(-16i64..16, 1..6),
     ) {
         let held = hold_threads();
-        let mut diag_idx = raw_idx.clone();
+        let mut diag_idx: Vec<i64> = raw_idx.iter().map(|&k| k << stride_log).collect();
         diag_idx.sort_unstable();
         diag_idx.dedup();
         let level = 3usize;
@@ -248,7 +250,7 @@ proptest! {
             let pt_scale = ctx.rns().modulus_value((level - 1) as u32) as f64;
             let mut acc: Option<Ciphertext> = None;
             for (d, diag) in &diags {
-                let rotated = if *d == 0 {
+                let rotated = if d.rem_euclid(m as i64) == 0 {
                     ct.clone()
                 } else {
                     ctx.try_rotate(&ct, *d, keys.try_rot_key(&ctx, *d).expect("diag key").as_ref())
@@ -267,7 +269,7 @@ proptest! {
             let expect: Vec<Complex> = (0..m)
                 .map(|t| {
                     diags.iter().fold(Complex::default(), |s, (d, diag)| {
-                        s + diag[t] * vals[(t + *d as usize) % m]
+                        s + diag[t] * vals[(t as i64 + d).rem_euclid(m as i64) as usize]
                     })
                 })
                 .collect();
@@ -505,6 +507,27 @@ proptest! {
             from_eager
         });
     }
+}
+
+/// The exact multiply-by-i (a multiply by the NTT image of `X^{N/2}`) lands
+/// on identical polynomials on every backend and thread count, and twice
+/// is negation.
+#[test]
+fn mul_by_i_backend_invariant() {
+    let held = hold_threads();
+    let ctx = hoist_ctx();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xA1);
+    let sk = ctx.keygen(&mut rng);
+    let vals: Vec<Complex> = (0..64)
+        .map(|i| Complex::new((i as f64 * 0.3).sin(), (i as f64 * 0.7).cos()))
+        .collect();
+    let ct = ctx.encrypt(&ctx.encode_complex(&vals, ctx.default_scale(), 3), &sk, &mut rng);
+    assert_backend_invariant(&held, || {
+        let once = ctx.try_mul_by_i(&ct).expect("mul_by_i");
+        let twice = ctx.try_mul_by_i(&once).expect("mul_by_i");
+        assert_eq!(twice, ctx.try_neg_ct(&ct).expect("neg"), "i·i must be −1");
+        once
+    });
 }
 
 /// Mid-pipeline hint-cache eviction and re-expansion is invisible to the

@@ -8,8 +8,8 @@
 //! on). Where the formulas are exact, the measured counts must match them
 //! **exactly** up to a stated linear slack term — derived below per
 //! algorithm, not a tolerance — and a full functional bootstrap's
-//! high-level op totals must land within 10% of the analytic
-//! [`BootstrapPlan`]'s counts.
+//! high-level op totals must equal, exactly, the counts its radix-stage
+//! diagonals and its EvalMod imply.
 //!
 //! Accounting convention: the formulas fold `changeRNSBase` multiply-
 //! accumulates into their `mult` column (Table 1 calls them out via the
@@ -24,11 +24,12 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use craterlake::boot::{BootstrapPlan, Bootstrapper};
+use craterlake::boot::{Bootstrapper, PrecomputedTransform};
 use craterlake::ckks::{CkksContext, CkksParams, GuardrailPolicy, KeySwitchKind};
 use craterlake::isa::cost::{
     boosted_keyswitch_crb_mult, boosted_keyswitch_ops, mul_aux_ops, standard_keyswitch_ops,
 };
+use craterlake::math::{Complex, SpecialFft};
 use cl_trace::OpSnapshot;
 use rand::SeedableRng;
 
@@ -214,8 +215,30 @@ fn mul_decomposes_into_tensor_plus_keyswitch_and_matches_formulas() {
     assert_eq!(d.rotations, 0);
 }
 
+/// The generalized diagonals of `apply` over `m` slots, read column by
+/// column from unit vectors (`diag_d[j] = M[j][(j + d) mod m]`), keeping
+/// the nonzero ones.
+fn dense_diagonals(m: usize, apply: impl Fn(&mut [Complex])) -> Vec<(i64, Vec<Complex>)> {
+    let cols: Vec<Vec<Complex>> = (0..m)
+        .map(|c| {
+            let mut e = vec![Complex::default(); m];
+            e[c] = Complex::new(1.0, 0.0);
+            apply(&mut e);
+            e
+        })
+        .collect();
+    (0..m)
+        .filter_map(|d| {
+            let diag: Vec<Complex> = (0..m).map(|j| cols[(j + d) % m][j]).collect();
+            diag.iter()
+                .any(|v| v.abs() > 1e-12)
+                .then_some((d as i64, diag))
+        })
+        .collect()
+}
+
 #[test]
-fn bootstrap_counts_within_ten_percent_of_analytic_plan() {
+fn bootstrap_counts_match_stage_diagonals_exactly() {
     let _g = counter_lock();
     let params = CkksParams::builder()
         .ring_degree(64)
@@ -240,40 +263,44 @@ fn bootstrap_counts_within_ten_percent_of_analytic_plan() {
     let (res, d) = measure(|| booter.try_bootstrap(&ctx, &ct, &keys));
     res.expect("bootstrap");
 
-    // An analytic plan shaped like the functional pipeline: one dense
-    // CoeffToSlot stage and one dense SlotToCoeff stage (the special-FFT
-    // matrices have every generalized diagonal nonzero, so diags = slots),
-    // and an EvalMod that runs twice (real and imaginary halves), each
-    // costing 6 ct-muls for the degree-7 Taylor power basis plus `r`
-    // double-angle squarings, 7 Taylor-coefficient plaintext muls and one
-    // closing 1/(2pi) mul. The split and recombine contribute one +/-i/2
-    // plaintext mul each.
+    // Each transform is two radix stages of the special FFT — the coarse
+    // and the fine half of its butterfly levels — and a BSGS stage costs
+    // one plaintext multiply per diagonal and one rotation per nonzero
+    // baby offset and giant step. The diagonals are read here densely off
+    // the FFT's own stage-range butterflies, independently of how the
+    // library composes them.
     let slots = ctx.params().slots();
-    let r = booter.depth() - 7;
-    let plan = BootstrapPlan {
-        n: ctx.params().ring_degree(),
-        slots,
-        l_max: ctx.max_level(),
-        cts_stages: 1,
-        sts_stages: 1,
-        cts_level_cost: 1,
-        diags_per_stage: slots,
-        evalmod_ct_muls: 2 * (6 + r),
-        evalmod_pt_muls: 2 * 8 + 2,
-        evalmod_levels: booter.depth() - 2,
-    };
-    let (rot, ct_muls, pt_muls) = plan.op_counts();
-    let within_10pct = |measured: u64, analytic: usize, what: &str| {
-        let a = analytic as f64;
-        let m = measured as f64;
-        assert!(
-            (m - a).abs() <= 0.1 * a,
-            "{what}: measured {m} vs analytic {a} (> 10% apart)"
-        );
-    };
-    within_10pct(d.rotations, rot, "rotations");
-    within_10pct(d.ct_mults, ct_muls, "ct muls");
-    within_10pct(d.pt_mults, pt_muls, "pt muls");
+    let fft = SpecialFft::new(slots);
+    let levels = slots.trailing_zeros();
+    let fine = levels / 2;
+    let (mut stage_rotations, mut stage_pt_muls) = (0u64, 0u64);
+    for (range, forward) in [
+        (fine..levels, false),
+        (0..fine, false),
+        (0..fine, true),
+        (fine..levels, true),
+    ] {
+        let diags = dense_diagonals(slots, |v| {
+            if forward {
+                fft.forward_levels(v, range.clone());
+            } else {
+                fft.inverse_levels(v, range.clone());
+            }
+        });
+        stage_pt_muls += diags.len() as u64;
+        stage_rotations += PrecomputedTransform::new(&ctx, &diags, 2).required_steps().len() as u64;
+    }
+    // EvalMod runs twice (real and imaginary halves), each with 6 ct-muls
+    // for the degree-7 Taylor power basis plus `r` double-angle squarings,
+    // 7 Taylor-coefficient plaintext muls and one closing 1/(2π) mul, and
+    // one conjugation. The split adds one more conjugation; it and the
+    // recombine multiply by i exactly, with no plaintext.
+    let r = (booter.depth() - 7) as u64;
+    assert_eq!(d.rotations, stage_rotations + 3, "rotations");
+    assert_eq!(d.pt_mults, stage_pt_muls + 2 * 8, "pt muls");
+    assert_eq!(d.ct_mults, 2 * (6 + r), "ct muls");
+    // At 32 slots: stages of 8, 7, 7 and 8 diagonals, four rotations each.
+    assert_eq!((stage_pt_muls, stage_rotations), (30, 16));
     // The low-level counters must have moved too — a bootstrap is mostly
     // keyswitch traffic.
     assert!(d.ntt_total() > 0 && d.base_conv > 0 && d.automorph > 0);
