@@ -30,6 +30,8 @@ simd_driver! {
         consts: barrett,
         mul: barrett_mul,
         mul_acc: barrett_mul_acc,
+        shoup_bits: 64,
+        shoup_lazy: barrett_shoup_lazy,
     }],
 }
 
@@ -181,6 +183,13 @@ fn barrett_mul(c: Barrett, a: __m256i, b: __m256i) -> __m256i {
 #[target_feature(enable = "avx2")]
 fn barrett_mul_acc(c: Barrett, s: __m256i, a: __m256i, b: __m256i) -> __m256i {
     csub_q(c.r, _mm256_add_epi64(s, barrett_mul(c, a, b)))
+}
+
+/// The lazy Shoup product, for the Shoup slice kernels.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn barrett_shoup_lazy(c: Barrett, a: __m256i, w: __m256i, ws: __m256i) -> __m256i {
+    mul_shoup_lazy_v(a, w, ws, c.r.q)
 }
 
 /// # Safety

@@ -5,18 +5,26 @@
 //! [`simd_driver!`](super::driver); this file holds only what is particular
 //! to 512-bit AVX-512 (`avx512f + avx512dq + avx512vl`): unsigned-min
 //! conditional subtracts, `vpmullq`, `permutex2var` shuffles for the four
-//! sub-vector NTT stages (strides 8, 4, 2, 1), and — when the CPU
-//! additionally has `avx512ifma` — two 52-bit multiply paths built on
-//! `vpmadd52{lo,hi}uq`: a Shoup product for NTT tables whose modulus is
-//! below `2^50` (three multiplies per eight butterflies) and a Barrett
-//! product for the slice kernels when `2^49 < q < 2^50`.
+//! sub-vector NTT stages (strides 8, 4, 2, 1), and two products.
 //!
-//! Bit-exactness: the generic paths run the exact scalar algorithms
+//! Which product runs is decided per call from the modulus and the CPU:
+//!
+//! - `q < 2^50` on a CPU with `avx512ifma`: every multiply — the NTT
+//!   butterflies, the Barrett slice products and the Shoup slice products —
+//!   runs on the 52-bit `vpmadd52{lo,hi}uq` multipliers (the Shoup slice
+//!   products only when the kernel's operand bound is below `2^52`, which
+//!   the callers state).
+//! - `q >= 2^50`, or no `avx512ifma`: the 64-bit products, each high word
+//!   built from four `vpmuludq` partials.
+//!
+//! Bit-exactness: the 64-bit products run the exact scalar algorithms
 //! lane-parallel, so even lazy intermediates match the scalar backend. The
-//! IFMA paths use a different radix (`2^52` instead of `2^64`), so their
-//! lazy intermediates differ, but they preserve the same `[0, 4q)` forward /
-//! `[0, 2q)` inverse drift bounds and the final corrections land canonical
-//! outputs — which are unique mod q — on the same words.
+//! 52-bit products use a different radix (`2^52` instead of `2^64`), so a
+//! lazy result — an NTT intermediate, or the `[0, 2q)` accumulator of
+//! `mul_shoup_lazy_acc_slice` — may be a different representative, but it
+//! keeps the same `[0, 4q)` / `[0, 2q)` bound and congruence, and the final
+//! corrections land canonical outputs — which are unique mod q — on the
+//! same words.
 
 use core::arch::x86_64::*;
 
@@ -34,10 +42,12 @@ simd_driver! {
     products: [
         {
             feature: "avx512f,avx512dq,avx512vl,avx512ifma",
-            when: barrett_ifma_ok,
+            when: ifma_ok,
             consts: barrett_ifma,
             mul: barrett_ifma_mul,
             mul_acc: barrett_ifma_mul_acc,
+            shoup_bits: 52,
+            shoup_lazy: ifma_shoup_lazy,
         },
         {
             feature: "avx512f,avx512dq,avx512vl",
@@ -45,6 +55,8 @@ simd_driver! {
             consts: barrett,
             mul: barrett_mul,
             mul_acc: barrett_mul_acc,
+            shoup_bits: 64,
+            shoup_lazy: barrett_shoup_lazy,
         },
     ],
 }
@@ -205,52 +217,69 @@ fn barrett_mul_acc(c: Barrett, s: __m512i, a: __m512i, b: __m512i) -> __m512i {
     cond_sub(_mm512_add_epi64(s, barrett_mul(c, a, b)), c.q)
 }
 
-/// Broadcast constants for the IFMA Barrett product: the full `a*b` product
-/// is formed as two 52-bit halves with `vpmadd52`, and the quotient is
-/// estimated from `mu = floor(2^101 / q)`.
+/// The 64-bit lazy Shoup product, for the Shoup slice kernels.
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn barrett_shoup_lazy(c: Barrett, a: __m512i, w: __m512i, ws: __m512i) -> __m512i {
+    mul_shoup_lazy_v(a, w, ws, c.q)
+}
+
+/// Broadcast constants for the IFMA products: the full `a*b` product is
+/// formed as two 52-bit halves with `vpmadd52`, and the Barrett quotient is
+/// estimated from `mu = floor((2^(k+51) - 1) / q)`, `k` the bit width of `q`.
 #[derive(Clone, Copy)]
 struct BarrettIfma {
     q: __m512i,
     two_q: __m512i,
     mu: __m512i,
     mask52: __m512i,
+    sh_hi: __m512i, // 53 - k
+    sh_lo: __m512i, // k - 1
 }
 
-/// True when the IFMA product applies: `2^49 < q < 2^50` (so `mu` fits the
-/// 52-bit madd operand and `3q < 2^52`) and the CPU has AVX-512 IFMA.
+/// True when the IFMA products apply: `q < 2^50` (so `3q`, the lazy Barrett
+/// bound, and `4q`, the Shoup kernels' operand bound, fit 52 bits) and the
+/// CPU has AVX-512 IFMA.
 #[inline]
-fn barrett_ifma_ok(m: &Modulus) -> bool {
-    let q = m.value();
-    (1u64 << 49) < q && q < (1u64 << 50) && is_x86_feature_detected!("avx512ifma")
+fn ifma_ok(m: &Modulus) -> bool {
+    m.value() < (1u64 << 50) && is_x86_feature_detected!("avx512ifma")
 }
 
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
 fn barrett_ifma(m: &Modulus) -> BarrettIfma {
     let q = m.value();
+    let k = m.barrett_k() as u64;
     BarrettIfma {
         q: splat(q),
         two_q: splat(m.two_q()),
-        mu: splat(((1u128 << 101) / q as u128) as u64),
+        // floor(2^(k+51) / q) for every q that is not a power of two; the
+        // -1 keeps a power of two (where the quotient is exactly 2^52) in
+        // 52 bits without weakening the error bound below.
+        mu: splat((((1u128 << (k + 51)) - 1) / q as u128) as u64),
         mask52: splat((1u64 << 52) - 1),
+        sh_hi: splat(53 - k),
+        sh_lo: splat(k - 1),
     }
 }
 
 /// Lazy IFMA Barrett product `a * b - qhat * q` in `[0, 3q)` for canonical
-/// lanes, `2^49 < q < 2^50`.
+/// lanes, `q < 2^50` of bit width `k`.
 ///
-/// With `p = a*b < 2^100` split into 52-bit halves, `d = floor(p / 2^49)`
-/// fits 51 bits and `qhat = floor(d * mu / 2^52)` with
-/// `mu = floor(2^101 / q) < 2^52` satisfies `floor(p/q) - 2 <= qhat <=
-/// floor(p/q)`, so the remainder is below `3q < 2^52` and the masked low
-/// 52-bit difference is exact.
+/// With `p = a*b < 2^(2k)` split into 52-bit halves, `d = floor(p /
+/// 2^(k-1))` fits `k + 1 <= 51` bits and `mu >= 2^(k+51)/q - 1` fits 52, so
+/// `d * mu / 2^52 >= p/q - p/2^(k+51) - 2^(k-1)/q > p/q - 3/2` (the two
+/// error terms are below 1/2 and at most 1). Hence `floor(p/q) - 2 <= qhat
+/// = floor(d * mu / 2^52) <= floor(p/q)`, the remainder is below
+/// `3q < 2^52` and the masked low 52-bit difference is exact. At `k = 50`
+/// the shifts are 3 and 49 and `mu = floor(2^101 / q)`.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
 fn barrett_ifma_mul_lazy(c: BarrettIfma, a: __m512i, b: __m512i) -> __m512i {
     let z = _mm512_setzero_si512();
     let lo = _mm512_madd52lo_epu64(z, a, b);
     let hi = _mm512_madd52hi_epu64(z, a, b);
-    let d = _mm512_or_si512(_mm512_slli_epi64::<3>(hi), _mm512_srli_epi64::<49>(lo));
+    let d = _mm512_or_si512(_mm512_sllv_epi64(hi, c.sh_hi), _mm512_srlv_epi64(lo, c.sh_lo));
     let qhat = _mm512_madd52hi_epu64(z, d, c.mu);
     _mm512_and_si512(
         _mm512_sub_epi64(lo, _mm512_madd52lo_epu64(z, qhat, c.q)),
@@ -273,6 +302,14 @@ fn barrett_ifma_mul(c: BarrettIfma, a: __m512i, b: __m512i) -> __m512i {
 fn barrett_ifma_mul_acc(c: BarrettIfma, s: __m512i, a: __m512i, b: __m512i) -> __m512i {
     let r = _mm512_add_epi64(s, barrett_ifma_mul_lazy(c, a, b));
     cond_sub(cond_sub(r, c.two_q), c.q)
+}
+
+/// The 52-bit lazy Shoup product (the NTT's), for the Shoup slice kernels:
+/// operands below `2^52`, `ws52 = floor(w * 2^52 / q)`.
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
+fn ifma_shoup_lazy(c: BarrettIfma, a: __m512i, w: __m512i, ws52: __m512i) -> __m512i {
+    mul_shoup52_lazy_v(a, w, ws52, c.q, c.mask52)
 }
 
 /// # Safety

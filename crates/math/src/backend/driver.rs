@@ -25,7 +25,6 @@
 //! |---|---|
 //! | `splat(u64) -> V` | broadcast |
 //! | `mulhi64`, `mullo64` | halves of the unsigned 64×64 product |
-//! | `mul_shoup_lazy_v(a, w, ws, q)` | the scalar `mul_shoup_lazy`, per lane |
 //! | `Consts` (fields `q`, `two_q`), `consts(&Modulus)` | broadcast reduction constants |
 //! | `csub_q(c, x)`, `csub_2q(c, x)` | one conditional subtract of `q` / `2q` |
 //! | `ntt_consts(m, sh64, sh52) -> (Consts, sh)` | picks the transform's Shoup radix and table |
@@ -35,14 +34,22 @@
 //! | `inv_head(c, a, w, sh, with_top)` | the same stages of the inverse |
 //! | `gather(src, perm, i) -> V` | `src[perm[i + l]]` per lane |
 //!
-//! A *product* is `{ feature, when, consts, mul, mul_acc }`: `mul(c, x, y)`
-//! is the canonical `x * y mod q` and `mul_acc(c, s, x, y)` the canonical
-//! `s + x * y mod q` for canonical lanes, usable for moduli where
-//! `when(&Modulus)` holds on a CPU with `feature`. The four product kernels
-//! try the list in order and the last entry must accept every modulus
-//! ([`any_modulus`]); each entry's loop is compiled with that entry's
-//! feature set, which is how the 52-bit IFMA product gets inlined into its
-//! loop without widening the feature set of the whole module.
+//! A *product* is `{ feature, when, consts, mul, mul_acc, shoup_bits,
+//! shoup_lazy }`, usable for moduli where `when(&Modulus)` holds on a CPU
+//! with `feature`: `mul(c, x, y)` is the canonical `x * y mod q` and
+//! `mul_acc(c, s, x, y)` the canonical `s + x * y mod q` for canonical
+//! lanes; `shoup_lazy(c, x, w, ws)` is a lazy Shoup product in `[0, 2q)` in
+//! radix `2^shoup_bits` — `ws` is the scalar companion
+//! ([`Modulus::shoup_precompute`]) shifted right by `64 - shoup_bits` —
+//! for operands `x` below `2^shoup_bits`. The seven product kernels try the
+//! list in order, taking the first whose `when` holds and, for the three
+//! Shoup kernels, whose radix covers the kernel's operand bound; the last
+//! entry must accept every modulus ([`any_modulus`]) and every operand
+//! (`shoup_bits: 64`). Each entry's loop is compiled with that entry's
+//! feature set, which is how the 52-bit IFMA products get inlined into
+//! their loops without widening the feature set of the whole module. The
+//! test-only `forced::` twins can pin every call to the last entry, so the
+//! portable products stay under test on CPUs where a faster one applies.
 //!
 //! A new width (NEON, a 256-bit IFMA variant) is a new module that supplies
 //! this list and one `simd_driver!` invocation, plus its `BackendKind` arm in
@@ -52,8 +59,10 @@
 //!
 //! All vector memory traffic goes through [`ld`]/[`st`], which
 //! `debug_assert` that the `LANES` words they touch lie inside the slice
-//! they are given, and every kernel `debug_assert`s the operand-length and
-//! tile-shape preconditions its loop relies on — so the debug-profile test
+//! they are given; operands whose kernel contract bounds their values load
+//! through [`ld_below`], which also checks each word against that bound;
+//! and every kernel `debug_assert`s the operand-length and tile-shape
+//! preconditions its loop relies on — so the debug-profile test
 //! run checks every instantiation, including through the assert-free
 //! `forced::` test entry points. Release builds rely on the assertions in
 //! the dispatcher (`mod.rs`) and on the tile arithmetic documented at each
@@ -73,10 +82,15 @@ macro_rules! simd_driver {
             when: $when:path,
             consts: $pconsts:path,
             mul: $mul:path,
-            mul_acc: $mul_acc:path $(,)?
+            mul_acc: $mul_acc:path,
+            shoup_bits: $sbits:literal,
+            shoup_lazy: $shoup:path $(,)?
         }),+ $(,)?] $(,)?
     ) => {
         const LANES: usize = $lanes;
+
+        /// How many products the ISA lists.
+        pub(crate) const PRODUCTS: usize = [$($sbits),+].len();
 
         /// A broadcast twiddle: the factor and its Shoup companion in the
         /// radix `ntt_consts` chose for this transform.
@@ -99,6 +113,29 @@ macro_rules! simd_driver {
         #[inline]
         fn any_modulus(_m: &Modulus) -> bool {
             true
+        }
+
+        /// Whether a product kernel takes the product `rank` entries before
+        /// the end of the list (0: the last): it must `apply`, and only the
+        /// last may serve a call the `forced::` twins pinned to it.
+        #[inline]
+        fn chosen(rank: usize, applies: bool) -> bool {
+            applies && (rank == 0 || !super::portable_products_only())
+        }
+
+        /// Whether a Shoup product in radix `2^bits` accepts every operand
+        /// below `bound`.
+        #[inline]
+        fn shoup_covers(bits: u32, bound: u64) -> bool {
+            u128::from(bound) <= 1u128 << bits
+        }
+
+        /// The Shoup companion `floor(w * 2^bits / q)` of a radix-`2^bits`
+        /// product, from the 64-bit one: dropping the low `64 - bits` bits of
+        /// `floor(w * 2^64 / q)` is exact.
+        #[inline]
+        fn shoup_in_radix(bits: u32, w_shoup: u64) -> u64 {
+            w_shoup >> (64 - bits)
         }
 
         /// Loads `s[i..i + LANES]`.
@@ -125,6 +162,21 @@ macro_rules! simd_driver {
             debug_assert!(i + LANES <= s.len(), "vector store past the slice");
             // SAFETY: the caller guarantees LANES words from i are in bounds.
             unsafe { $store(s.as_mut_ptr().add(i).cast(), v) }
+        }
+
+        /// [`ld`] of an operand its kernel's contract bounds: debug builds
+        /// also check every loaded word is below `bound`.
+        ///
+        /// # Safety
+        ///
+        /// As [`ld`].
+        #[inline]
+        #[target_feature(enable = $tf)]
+        unsafe fn ld_below(s: &[u64], i: usize, bound: u64) -> $V {
+            // SAFETY: forwarded from the caller.
+            let v = unsafe { ld(s, i) };
+            debug_assert!(s[i..i + LANES].iter().all(|&x| x < bound), "operand past the kernel's bound");
+            v
         }
 
         /// `src[perm[i + l]]` for each lane `l`, with the index range
@@ -224,59 +276,6 @@ macro_rules! simd_driver {
         }
 
         #[target_feature(enable = $tf)]
-        pub(crate) fn mul_scalar_shoup_slice(m: &Modulus, a: &mut [u64], w: u64, w_shoup: u64) {
-            let c = consts(m);
-            let (wv, wsv) = (splat(w), splat(w_shoup));
-            let n = a.len() - a.len() % LANES;
-            for i in (0..n).step_by(LANES) {
-                // SAFETY: i + LANES <= n <= a.len().
-                unsafe {
-                    let r = csub_q(c, mul_shoup_lazy_v(ld(a, i), wv, wsv, c.q));
-                    st(a, i, r);
-                }
-            }
-            scalar::mul_scalar_shoup_slice(m, &mut a[n..], w, w_shoup);
-        }
-
-        #[target_feature(enable = $tf)]
-        pub(crate) fn mul_shoup_lazy_acc_slice(m: &Modulus, acc: &mut [u64], x: &[u64], w: u64, w_shoup: u64) {
-            debug_assert_eq!(acc.len(), x.len());
-            let c = consts(m);
-            let (wv, wsv) = (splat(w), splat(w_shoup));
-            let n = acc.len() - acc.len() % LANES;
-            for i in (0..n).step_by(LANES) {
-                // SAFETY: i + LANES <= n <= acc.len() == x.len().
-                unsafe {
-                    let v = mul_shoup_lazy_v(ld(x, i), wv, wsv, c.q);
-                    // acc, v both < 2q: sum < 4q, one conditional subtract
-                    // restores [0, 2q).
-                    let r = csub_2q(c, $add(ld(acc, i), v));
-                    st(acc, i, r);
-                }
-            }
-            scalar::mul_shoup_lazy_acc_slice(m, &mut acc[n..], &x[n..], w, w_shoup);
-        }
-
-        #[target_feature(enable = $tf)]
-        pub(crate) fn mul_shoup_sub_correct_slice(m: &Modulus, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64) {
-            debug_assert_eq!(out.len(), alpha.len());
-            let c = consts(m);
-            let (wv, wsv) = (splat(w), splat(w_shoup));
-            let n = out.len() - out.len() % LANES;
-            for i in (0..n).step_by(LANES) {
-                // SAFETY: i + LANES <= n <= out.len() == alpha.len().
-                unsafe {
-                    let v = mul_shoup_lazy_v(ld(alpha, i), wv, wsv, c.q);
-                    // o < 2q and v < 2q: o + 2q - v in (0, 4q); two
-                    // conditional subtracts canonicalize (correct_lazy).
-                    let r = $sub($add(ld(out, i), c.two_q), v);
-                    st(out, i, csub_q(c, csub_2q(c, r)));
-                }
-            }
-            scalar::mul_shoup_sub_correct_slice(m, &mut out[n..], &alpha[n..], w, w_shoup);
-        }
-
-        #[target_feature(enable = $tf)]
         pub(crate) fn correct_lazy_slice(m: &Modulus, a: &mut [u64]) {
             let c = consts(m);
             let n = a.len() - a.len() % LANES;
@@ -303,16 +302,17 @@ macro_rules! simd_driver {
             scalar::gather_slice(&mut out[n..], src, &perm[n..]);
         }
 
-        // The four product kernels. Each tries the ISA's products in order
-        // and runs its one loop compiled with the chosen product's feature
-        // set. `body` is an `unsafe fn` whose one requirement is that the
-        // CPU has that feature set: `when` detects whatever it adds to the
-        // module's own.
+        // The seven product kernels. Each tries the ISA's products in order
+        // (`chosen`, counting `rank` down to the last entry) and runs its one
+        // loop compiled with the chosen product's feature set. `body` is an
+        // `unsafe fn` whose one requirement is that the CPU has that feature
+        // set: `when` detects whatever it adds to the module's own.
 
         #[target_feature(enable = $tf)]
         pub(crate) fn mul_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
             debug_assert_eq!(a.len(), b.len());
-            $(if $when(m) {
+            let mut rank = PRODUCTS;
+            $(rank -= 1; if chosen(rank, $when(m)) {
                 #[target_feature(enable = $ptf)]
                 unsafe fn body(m: &Modulus, a: &mut [u64], b: &[u64]) {
                     let c = $pconsts(m);
@@ -336,7 +336,8 @@ macro_rules! simd_driver {
         #[target_feature(enable = $tf)]
         pub(crate) fn mul_acc_mod_slice(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
             debug_assert!(acc.len() == a.len() && acc.len() == b.len());
-            $(if $when(m) {
+            let mut rank = PRODUCTS;
+            $(rank -= 1; if chosen(rank, $when(m)) {
                 #[target_feature(enable = $ptf)]
                 unsafe fn body(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
                     let c = $pconsts(m);
@@ -360,7 +361,8 @@ macro_rules! simd_driver {
         #[target_feature(enable = $tf)]
         pub(crate) fn gather_mul_acc_slice(m: &Modulus, acc: &mut [u64], src: &[u64], perm: &[u32], b: &[u64]) {
             debug_assert!(acc.len() == perm.len() && acc.len() == b.len());
-            $(if $when(m) {
+            let mut rank = PRODUCTS;
+            $(rank -= 1; if chosen(rank, $when(m)) {
                 #[target_feature(enable = $ptf)]
                 unsafe fn body(m: &Modulus, acc: &mut [u64], src: &[u64], perm: &[u32], b: &[u64]) {
                     let c = $pconsts(m);
@@ -395,7 +397,8 @@ macro_rules! simd_driver {
         ) {
             debug_assert!(acc0.len() == perm.len() && acc1.len() == perm.len());
             debug_assert!(b0.len() == perm.len() && b1.len() == perm.len());
-            $(if $when(m) {
+            let mut rank = PRODUCTS;
+            $(rank -= 1; if chosen(rank, $when(m)) {
                 #[allow(clippy::too_many_arguments)]
                 #[target_feature(enable = $ptf)]
                 unsafe fn body(
@@ -432,6 +435,99 @@ macro_rules! simd_driver {
                 }
                 // SAFETY: as mul_mod_slice.
                 return unsafe { body(m, acc0, acc1, src, perm, b0, b1) };
+            })+
+            unreachable!("the last product accepts every modulus");
+        }
+
+        /// Operands below `4q`; canonical output.
+        #[target_feature(enable = $tf)]
+        pub(crate) fn mul_scalar_shoup_slice(m: &Modulus, a: &mut [u64], w: u64, w_shoup: u64) {
+            let bound = 4 * m.value();
+            let mut rank = PRODUCTS;
+            $(rank -= 1; if chosen(rank, $when(m) && shoup_covers($sbits, bound)) {
+                #[target_feature(enable = $ptf)]
+                unsafe fn body(m: &Modulus, a: &mut [u64], w: u64, w_shoup: u64, bound: u64) {
+                    let (c, pc) = (consts(m), $pconsts(m));
+                    let (wv, wsv) = (splat(w), splat(shoup_in_radix($sbits, w_shoup)));
+                    let n = a.len() - a.len() % LANES;
+                    for i in (0..n).step_by(LANES) {
+                        // SAFETY: i + LANES <= n <= a.len().
+                        unsafe {
+                            let r = csub_q(c, $shoup(pc, ld_below(a, i, bound), wv, wsv));
+                            st(a, i, r);
+                        }
+                    }
+                    scalar::mul_scalar_shoup_slice(m, &mut a[n..], w, w_shoup);
+                }
+                // SAFETY: as mul_mod_slice.
+                return unsafe { body(m, a, w, w_shoup, bound) };
+            })+
+            unreachable!("the last product accepts every modulus");
+        }
+
+        /// `acc` in `[0, 2q)`, every `x` below `x_bound`; `acc` stays in
+        /// `[0, 2q)`.
+        #[target_feature(enable = $tf)]
+        pub(crate) fn mul_shoup_lazy_acc_slice(
+            m: &Modulus,
+            acc: &mut [u64],
+            x: &[u64],
+            x_bound: u64,
+            w: u64,
+            w_shoup: u64,
+        ) {
+            debug_assert_eq!(acc.len(), x.len());
+            let mut rank = PRODUCTS;
+            $(rank -= 1; if chosen(rank, $when(m) && shoup_covers($sbits, x_bound)) {
+                #[target_feature(enable = $ptf)]
+                unsafe fn body(m: &Modulus, acc: &mut [u64], x: &[u64], x_bound: u64, w: u64, w_shoup: u64) {
+                    let (c, pc) = (consts(m), $pconsts(m));
+                    let (wv, wsv) = (splat(w), splat(shoup_in_radix($sbits, w_shoup)));
+                    let n = acc.len() - acc.len() % LANES;
+                    for i in (0..n).step_by(LANES) {
+                        // SAFETY: i + LANES <= n <= acc.len() == x.len().
+                        unsafe {
+                            let v = $shoup(pc, ld_below(x, i, x_bound), wv, wsv);
+                            // acc, v both < 2q: sum < 4q, one conditional
+                            // subtract restores [0, 2q).
+                            let r = csub_2q(c, $add(ld_below(acc, i, m.two_q()), v));
+                            st(acc, i, r);
+                        }
+                    }
+                    scalar::mul_shoup_lazy_acc_slice(m, &mut acc[n..], &x[n..], x_bound, w, w_shoup);
+                }
+                // SAFETY: as mul_mod_slice.
+                return unsafe { body(m, acc, x, x_bound, w, w_shoup) };
+            })+
+            unreachable!("the last product accepts every modulus");
+        }
+
+        /// `out` in `[0, 2q)`, `alpha` below `4q`; canonical output.
+        #[target_feature(enable = $tf)]
+        pub(crate) fn mul_shoup_sub_correct_slice(m: &Modulus, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64) {
+            debug_assert_eq!(out.len(), alpha.len());
+            let bound = 4 * m.value();
+            let mut rank = PRODUCTS;
+            $(rank -= 1; if chosen(rank, $when(m) && shoup_covers($sbits, bound)) {
+                #[target_feature(enable = $ptf)]
+                unsafe fn body(m: &Modulus, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64, bound: u64) {
+                    let (c, pc) = (consts(m), $pconsts(m));
+                    let (wv, wsv) = (splat(w), splat(shoup_in_radix($sbits, w_shoup)));
+                    let n = out.len() - out.len() % LANES;
+                    for i in (0..n).step_by(LANES) {
+                        // SAFETY: i + LANES <= n <= out.len() == alpha.len().
+                        unsafe {
+                            let v = $shoup(pc, ld_below(alpha, i, bound), wv, wsv);
+                            // o < 2q and v < 2q: o + 2q - v in (0, 4q); two
+                            // conditional subtracts canonicalize (correct_lazy).
+                            let r = $sub($add(ld_below(out, i, m.two_q()), c.two_q), v);
+                            st(out, i, csub_q(c, csub_2q(c, r)));
+                        }
+                    }
+                    scalar::mul_shoup_sub_correct_slice(m, &mut out[n..], &alpha[n..], w, w_shoup);
+                }
+                // SAFETY: as mul_mod_slice.
+                return unsafe { body(m, out, alpha, w, w_shoup, bound) };
             })+
             unreachable!("the last product accepts every modulus");
         }

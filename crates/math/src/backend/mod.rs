@@ -45,9 +45,12 @@ pub enum BackendKind {
     Scalar,
     /// 256-bit AVX2 kernels, 4 residues per instruction.
     Avx2,
-    /// 512-bit AVX-512 (F+DQ+VL) kernels, 8 residues per instruction, with a
-    /// 52-bit IFMA fast path for moduli below `2^50` when the CPU has
-    /// `avx512ifma`.
+    /// 512-bit AVX-512 (F+DQ+VL) kernels, 8 residues per instruction. For
+    /// moduli below `2^50` on a CPU with `avx512ifma`, every multiply (NTT
+    /// butterflies, Barrett and Shoup slice products) runs on the 52-bit
+    /// IFMA multipliers; otherwise on emulated 64-bit products. Lazy
+    /// results of the 52-bit products may be different representatives
+    /// (same bound, same residue); canonical outputs are identical.
     Avx512,
 }
 
@@ -206,11 +209,12 @@ pub fn set_active_backend(kind: BackendKind) -> Result<(), Vec<BackendKind>> {
 // `kernels!` is the one place a kernel's signature and length preconditions
 // are written. From each declaration it generates the dispatched wrapper —
 // preconditions asserted once, then a route to the active backend — and,
-// for tests, a `forced::` twin that takes the backend explicitly and skips
-// the preconditions (the vector kernels `debug_assert` them again, see
-// `driver.rs`). The scalar implementations in `scalar.rs` are the semantic
-// reference; the SAFETY obligation discharged at every `unsafe` call in
-// `dispatch!` is "the required target features were runtime-detected",
+// for tests, a `forced::` twin that takes the backend (and optionally the
+// portable products, see `Route`) explicitly and skips the preconditions
+// (the vector kernels `debug_assert` them again, see `driver.rs`). The
+// scalar implementations in `scalar.rs` are the semantic reference; the
+// SAFETY obligation discharged at every `unsafe` call in `dispatch!` is
+// "the required target features were runtime-detected",
 // which `active_backend()` guarantees: Avx2/Avx512 are only ever stored
 // after `supported_backends()` confirmed the features.
 // ---------------------------------------------------------------------------
@@ -233,6 +237,76 @@ macro_rules! dispatch {
     };
 }
 
+/// A test route through the dispatcher: a backend and, for vector backends
+/// that list several products, whether every product kernel is pinned to
+/// the last (portable) one — on an IFMA host the only way the 64-bit
+/// AVX-512 products run for `q < 2^50`, as they always do on CPUs without
+/// IFMA.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Route {
+    pub(crate) kind: BackendKind,
+    pub(crate) portable: bool,
+}
+
+#[cfg(test)]
+impl From<BackendKind> for Route {
+    fn from(kind: BackendKind) -> Self {
+        Route { kind, portable: false }
+    }
+}
+
+#[cfg(test)]
+impl std::fmt::Display for Route {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.kind.name())?;
+        if self.portable {
+            f.write_str(" (portable products)")?;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    static PORTABLE_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Holds `PORTABLE_ONLY` at one route's value for one `forced::` call and
+/// restores the previous value on drop — also when the kernel panics, since
+/// proptest catches the panic and keeps shrinking on the same thread.
+#[cfg(test)]
+struct PortableOnly(bool);
+
+#[cfg(test)]
+impl PortableOnly {
+    fn set(portable: bool) -> Self {
+        PortableOnly(PORTABLE_ONLY.replace(portable))
+    }
+}
+
+#[cfg(test)]
+impl Drop for PortableOnly {
+    fn drop(&mut self) {
+        PORTABLE_ONLY.set(self.0);
+    }
+}
+
+/// Whether the vector product kernels must take their ISA's last (portable)
+/// product even where an earlier one applies. Only a `forced::` twin sets
+/// it, so outside tests this is the constant `false`.
+#[inline(always)]
+pub(crate) fn portable_products_only() -> bool {
+    #[cfg(test)]
+    {
+        PORTABLE_ONLY.get()
+    }
+    #[cfg(not(test))]
+    {
+        false
+    }
+}
+
 macro_rules! kernels {
     ($(
         $(#[$attr:meta])*
@@ -247,21 +321,44 @@ macro_rules! kernels {
             }
         )*
 
-        /// Test-only dispatch with an explicit backend, so differential
-        /// tests can exercise every compiled backend without touching the
-        /// process-wide choice. Callers must only pass kinds from
-        /// [`supported_backends`] and arguments that meet the dispatched
-        /// wrapper's preconditions.
+        /// Test-only dispatch with an explicit [`Route`], so differential
+        /// tests can exercise every compiled backend and product without
+        /// touching the process-wide choice. Callers must only pass routes
+        /// from [`routes`] (or a bare kind from [`supported_backends`]) and
+        /// arguments that meet the dispatched wrapper's preconditions.
         #[cfg(test)]
         pub(crate) mod forced {
             use super::*;
 
             $(
                 $(#[$attr])*
-                pub(crate) fn $name(kind: BackendKind, $($arg: $ty),*) {
-                    dispatch!($name($($arg),*); kind)
+                pub(crate) fn $name(route: impl Into<Route>, $($arg: $ty),*) {
+                    let route = route.into();
+                    let _portable = PortableOnly::set(route.portable);
+                    dispatch!($name($($arg),*); route.kind)
                 }
             )*
+
+            /// Every route a differential test should cover: each supported
+            /// backend, and each one that lists more than one product once
+            /// more pinned to its last (portable) product.
+            pub(crate) fn routes() -> Vec<Route> {
+                let mut v = Vec::new();
+                for kind in supported_backends() {
+                    v.push(Route::from(kind));
+                    let products = match kind {
+                        #[cfg(target_arch = "x86_64")]
+                        BackendKind::Avx2 => avx2::PRODUCTS,
+                        #[cfg(target_arch = "x86_64")]
+                        BackendKind::Avx512 => avx512::PRODUCTS,
+                        _ => 1,
+                    };
+                    if products > 1 {
+                        v.push(Route { kind, portable: true });
+                    }
+                }
+                v
+            }
         }
     };
 }
@@ -308,16 +405,19 @@ kernels! {
     }
 
     /// `a[i] = a[i] * w mod q` for a fixed `w` with precomputed Shoup
-    /// constant, canonical output. Accepts lazy inputs below `2^63` (the
-    /// Shoup product itself tolerates any `u64`; the closing correction
-    /// handles `[0, 2q)`).
+    /// constant, canonical output. Every `a[i]` must be below `4q`
+    /// (canonical or NTT-lazy): for `q < 2^50` that keeps it below the
+    /// `2^52` the IFMA Shoup product accepts.
     fn mul_scalar_shoup_slice(m: &Modulus, a: &mut [u64], w: u64, w_shoup: u64) {}
 
     /// `acc[i] = reduce_lazy(acc[i] + mul_shoup_lazy(x[i], w, w_shoup))`.
     ///
     /// The base-conversion inner loop: `acc` stays in `[0, 2q)` across
-    /// repeated calls, `x` may be any `u64` (residues of a foreign modulus).
-    fn mul_shoup_lazy_acc_slice(m: &Modulus, acc: &mut [u64], x: &[u64], w: u64, w_shoup: u64) {
+    /// repeated calls; `x` holds residues of a foreign modulus, every one
+    /// below `x_bound`, which picks the product (the IFMA Shoup product
+    /// only for `x_bound <= 2^52`). The lazy result is congruent and below
+    /// `2q` on every backend but may be a different representative.
+    fn mul_shoup_lazy_acc_slice(m: &Modulus, acc: &mut [u64], x: &[u64], x_bound: u64, w: u64, w_shoup: u64) {
         same_len!(acc, x);
     }
 
@@ -325,6 +425,7 @@ kernels! {
     ///
     /// The exact base-conversion correction: subtracts `alpha[i] * w` from a
     /// lazy accumulator in `[0, 2q)` and canonicalizes in the same pass.
+    /// Every `alpha[i]` must be below `4q`, as for `mul_scalar_shoup_slice`.
     fn mul_shoup_sub_correct_slice(m: &Modulus, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64) {
         same_len!(out, alpha);
     }

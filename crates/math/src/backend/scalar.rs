@@ -47,7 +47,9 @@ pub(crate) fn mul_scalar_shoup_slice(m: &Modulus, a: &mut [u64], w: u64, w_shoup
     }
 }
 
-pub(crate) fn mul_shoup_lazy_acc_slice(m: &Modulus, acc: &mut [u64], x: &[u64], w: u64, w_shoup: u64) {
+/// `x_bound` picks a vector product; the 64-bit scalar product accepts any
+/// `x`.
+pub(crate) fn mul_shoup_lazy_acc_slice(m: &Modulus, acc: &mut [u64], x: &[u64], _x_bound: u64, w: u64, w_shoup: u64) {
     for (acc, &xi) in acc.iter_mut().zip(x) {
         *acc = m.reduce_lazy(m.add_lazy(*acc, m.mul_shoup_lazy(xi, w, w_shoup)));
     }

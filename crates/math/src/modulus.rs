@@ -323,26 +323,31 @@ impl Modulus {
 
     /// Element-wise `a[i] = a[i] * w mod q` by Shoup multiplication with the
     /// fixed operand `w` and its precomputed constant
-    /// ([`Modulus::shoup_precompute`]). Accepts canonical `a`, produces
-    /// canonical output.
+    /// ([`Modulus::shoup_precompute`]). Every `a[i]` must be below `4q`
+    /// (canonical, or lazy from an NTT); the output is canonical.
     #[inline]
     pub fn mul_scalar_shoup_slice(&self, a: &mut [u64], w: u64, w_shoup: u64) {
         crate::backend::mul_scalar_shoup_slice(self, a, w, w_shoup);
     }
 
     /// Element-wise lazy multiply-accumulate with a fixed Shoup operand:
-    /// `acc[i] = reduce_lazy(acc[i] + mul_shoup_lazy(x[i], w, w_shoup))`.
+    /// `acc[i] = reduce_lazy(acc[i] + mul_shoup_lazy(x[i], w, w_shoup))`,
+    /// up to the representative: `acc` must be in `[0, 2q)` and stays in
+    /// `[0, 2q)` and congruent, but a 52-bit vector product may land on the
+    /// other representative than the scalar one.
     ///
-    /// `acc` must be in `[0, 2q)` and stays in `[0, 2q)`; `x` may be any
-    /// `u64` (Shoup-lazy accepts unreduced operands).
+    /// `x` need not be reduced mod `q` (it is typically a residue of another
+    /// modulus), but every `x[i]` must be below `x_bound`: the caller states
+    /// the bound it knows (a base converter, the source limb's modulus) and
+    /// the backend picks a product that accepts it.
     #[inline]
-    pub fn mul_shoup_lazy_acc_slice(&self, acc: &mut [u64], x: &[u64], w: u64, w_shoup: u64) {
-        crate::backend::mul_shoup_lazy_acc_slice(self, acc, x, w, w_shoup);
+    pub fn mul_shoup_lazy_acc_slice(&self, acc: &mut [u64], x: &[u64], x_bound: u64, w: u64, w_shoup: u64) {
+        crate::backend::mul_shoup_lazy_acc_slice(self, acc, x, x_bound, w, w_shoup);
     }
 
     /// Element-wise `out[i] = correct_lazy(out[i] + 2q - mul_shoup_lazy(alpha[i], w, w_shoup))`:
     /// subtract a Shoup product and canonicalize in one pass. `out` must be
-    /// in `[0, 2q)`; output is canonical.
+    /// in `[0, 2q)` and every `alpha[i]` below `4q`; output is canonical.
     #[inline]
     pub fn mul_shoup_sub_correct_slice(&self, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64) {
         crate::backend::mul_shoup_sub_correct_slice(self, out, alpha, w, w_shoup);
@@ -488,20 +493,45 @@ mod tests {
     //
     // Canonical kernels must match the scalar reference word-for-word;
     // lazy kernels must additionally respect the documented drift bounds
-    // ([0, 2q) after reduce_lazy, [0, q) after correction).
+    // ([0, 2q) after reduce_lazy, [0, q) after correction). Every kernel
+    // runs on every route of `forced::routes()`, so on an IFMA host both
+    // AVX-512 products are checked for every modulus below 2^50.
     // -----------------------------------------------------------------------
 
-    use crate::backend::{active_backend, forced, set_active_backend, supported_backends};
+    use crate::backend::{active_backend, forced, set_active_backend, supported_backends, BackendKind};
     use crate::AlignedVec;
     use std::ops::{Deref, DerefMut};
+    use std::sync::OnceLock;
 
-    // NTT-friendly (q ≡ 1 mod 2^17) primes bracketing the AVX-512 IFMA
-    // Barrett window 2^49 < q < 2^50: its two ends, and the first prime past
-    // it, which must fall back to the 64-bit product.
+    // NTT-friendly (q ≡ 1 mod 2^17) primes at the AVX-512 IFMA edge
+    // q < 2^50: the two ends of the 50-bit width, and the first prime past
+    // it, which must fall back to the 64-bit products.
     const Q50_LOW: u64 = 562_949_955_125_249; // smallest above 2^49
     const Q50_TOP: u64 = 1_125_899_903_827_969; // largest below 2^50
     const Q51_LOW: u64 = 1_125_899_908_022_273; // smallest above 2^50
-    const QS: [u64; 6] = [Q28, Q59, (1u64 << 60) - 93, Q50_LOW, Q50_TOP, Q51_LOW];
+
+    /// Every modulus the slice-kernel tests run: the edge primes above, a
+    /// 28-, a 59- and a 60-bit one, and the smallest and largest
+    /// NTT-friendly (q ≡ 1 mod 2^13) prime of each width from 20 to 50 bits
+    /// that the workloads or the IFMA products single out — every IFMA
+    /// shift pair is a different code path in effect.
+    fn kernel_moduli() -> &'static [u64] {
+        static QS: OnceLock<Vec<u64>> = OnceLock::new();
+        QS.get_or_init(|| {
+            let n = 1usize << 12;
+            let mut qs = vec![Q28, Q59, (1u64 << 60) - 93, Q50_LOW, Q50_TOP, Q51_LOW];
+            for bits in [20, 28, 36, 45, 49, 50] {
+                let top = crate::generate_ntt_primes(n, bits, 1).expect("a prime of every width")[0];
+                let low = (0u64..)
+                    .map(|k| (1u64 << (bits - 1)) + 1 + k * 2 * n as u64)
+                    .find(|&c| crate::is_prime(c))
+                    .expect("a prime of every width");
+                assert!(low < top && top < 1u64 << bits);
+                qs.extend([low, top]);
+            }
+            qs
+        })
+    }
 
     /// A kernel operand living `off` words into a 64-byte-aligned buffer:
     /// `off = 0` is cache-line aligned, `off = 1, 3` start the vector loops
@@ -550,137 +580,163 @@ mod tests {
     proptest! {
         #[test]
         fn backends_match_scalar_canonical_kernels(
-            q_idx in 0usize..QS.len(),
             seed in any::<u64>(),
             // Lengths off the lane multiple force the vector kernels through
             // their scalar tails.
             len in 0usize..67,
         ) {
-            let q = QS[q_idx];
-            let m = Modulus::new(q).unwrap();
-            for (len, off) in shapes(len) {
-                let gen = |salt: u64| {
-                    Operand::new(off, (0..len as u64).map(|i| {
-                        (seed ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i.wrapping_mul(0x2545_f491_4f6c_dd1d)) % q
-                    }))
-                };
-                let a0 = gen(1);
-                let b = gen(2);
-                let acc0 = gen(3);
-                for kind in supported_backends() {
-                    // add
-                    let mut a = a0.clone();
-                    let mut r = a0.clone();
-                    forced::add_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &b);
-                    forced::add_mod_slice(kind, &m, &mut a, &b);
-                    prop_assert_eq!(&a, &r, "add_mod_slice diverged on {}", kind);
-                    // sub
-                    let mut a = a0.clone();
-                    let mut r = a0.clone();
-                    forced::sub_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &b);
-                    forced::sub_mod_slice(kind, &m, &mut a, &b);
-                    prop_assert_eq!(&a, &r, "sub_mod_slice diverged on {}", kind);
-                    // neg
-                    let mut a = a0.clone();
-                    let mut r = a0.clone();
-                    forced::neg_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r);
-                    forced::neg_mod_slice(kind, &m, &mut a);
-                    prop_assert_eq!(&a, &r, "neg_mod_slice diverged on {}", kind);
-                    // mul
-                    let mut a = a0.clone();
-                    let mut r = a0.clone();
-                    forced::mul_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &b);
-                    forced::mul_mod_slice(kind, &m, &mut a, &b);
-                    prop_assert_eq!(&a, &r, "mul_mod_slice diverged on {}", kind);
-                    for (x, (&ai, &bi)) in a.iter().zip(a0.iter().zip(b.iter())) {
-                        prop_assert_eq!(*x as u128, (ai as u128 * bi as u128) % q as u128);
+            for &q in kernel_moduli() {
+                let m = Modulus::new(q).unwrap();
+                for (len, off) in shapes(len) {
+                    let gen = |salt: u64| {
+                        Operand::new(off, (0..len as u64).map(|i| {
+                            (seed ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i.wrapping_mul(0x2545_f491_4f6c_dd1d)) % q
+                        }))
+                    };
+                    let a0 = gen(1);
+                    let b = gen(2);
+                    let acc0 = gen(3);
+                    for route in forced::routes() {
+                        // add
+                        let mut a = a0.clone();
+                        let mut r = a0.clone();
+                        forced::add_mod_slice(BackendKind::Scalar, &m, &mut r, &b);
+                        forced::add_mod_slice(route, &m, &mut a, &b);
+                        prop_assert_eq!(&a, &r, "add_mod_slice diverged on {} at q = {}", route, q);
+                        // sub
+                        let mut a = a0.clone();
+                        let mut r = a0.clone();
+                        forced::sub_mod_slice(BackendKind::Scalar, &m, &mut r, &b);
+                        forced::sub_mod_slice(route, &m, &mut a, &b);
+                        prop_assert_eq!(&a, &r, "sub_mod_slice diverged on {} at q = {}", route, q);
+                        // neg
+                        let mut a = a0.clone();
+                        let mut r = a0.clone();
+                        forced::neg_mod_slice(BackendKind::Scalar, &m, &mut r);
+                        forced::neg_mod_slice(route, &m, &mut a);
+                        prop_assert_eq!(&a, &r, "neg_mod_slice diverged on {} at q = {}", route, q);
+                        // mul
+                        let mut a = a0.clone();
+                        let mut r = a0.clone();
+                        forced::mul_mod_slice(BackendKind::Scalar, &m, &mut r, &b);
+                        forced::mul_mod_slice(route, &m, &mut a, &b);
+                        prop_assert_eq!(&a, &r, "mul_mod_slice diverged on {} at q = {}", route, q);
+                        for (x, (&ai, &bi)) in a.iter().zip(a0.iter().zip(b.iter())) {
+                            prop_assert_eq!(*x as u128, (ai as u128 * bi as u128) % q as u128);
+                        }
+                        // mul_acc
+                        let mut acc = acc0.clone();
+                        let mut r = acc0.clone();
+                        forced::mul_acc_mod_slice(BackendKind::Scalar, &m, &mut r, &a0, &b);
+                        forced::mul_acc_mod_slice(route, &m, &mut acc, &a0, &b);
+                        prop_assert_eq!(&acc, &r, "mul_acc_mod_slice diverged on {} at q = {}", route, q);
+                        prop_assert!(acc.iter().all(|&x| x < q));
                     }
-                    // mul_acc
-                    let mut acc = acc0.clone();
-                    let mut r = acc0.clone();
-                    forced::mul_acc_mod_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &a0, &b);
-                    forced::mul_acc_mod_slice(kind, &m, &mut acc, &a0, &b);
-                    prop_assert_eq!(&acc, &r, "mul_acc_mod_slice diverged on {}", kind);
-                    prop_assert!(acc.iter().all(|&x| x < q));
                 }
             }
         }
 
         #[test]
         fn backends_match_scalar_shoup_kernels(
-            a0 in collection::vec(0u64..Q59, 0..67),
-            w in 0u64..Q59,
+            drawn in collection::vec(any::<u64>(), 0..67),
+            w_raw in any::<u64>(),
         ) {
-            let m = Modulus::new(Q59).unwrap();
-            let ws = m.shoup_precompute(w);
-            let two_q = m.two_q();
-            for (len, off) in shapes(a0.len()) {
-                // The drawn vector at natural alignment; the misaligned sweep
-                // stretches or trims it to each length.
-                let a0 = Operand::new(off, stretched(&a0, len).map(|x| x % Q59));
-                // Lazy accumulator input in [0, 2q); x input arbitrary lazy [0, 4q).
-                let acc0 = Operand::new(off, a0.iter().map(|&x| x.wrapping_mul(3) % two_q));
-                let x0 = Operand::new(off, a0.iter().map(|&x| x.wrapping_mul(7) % (4 * Q59)));
-                for kind in supported_backends() {
-                    // mul_scalar_shoup: canonical output, bit-equal to scalar.
-                    let mut a = a0.clone();
-                    let mut r = a0.clone();
-                    forced::mul_scalar_shoup_slice(crate::backend::BackendKind::Scalar, &m, &mut r, w, ws);
-                    forced::mul_scalar_shoup_slice(kind, &m, &mut a, w, ws);
-                    prop_assert_eq!(&a, &r, "mul_scalar_shoup_slice diverged on {}", kind);
-                    prop_assert!(a.iter().all(|&x| x < Q59), "canonical bound violated on {}", kind);
+            for &q in kernel_moduli() {
+                let m = Modulus::new(q).unwrap();
+                let w = w_raw % q;
+                let ws = m.shoup_precompute(w);
+                let two_q = m.two_q();
+                for (len, off) in shapes(drawn.len()) {
+                    // The drawn vector at natural alignment; the misaligned
+                    // sweep stretches or trims it to each length.
+                    let raw = Operand::new(off, stretched(&drawn, len));
+                    // Lazy accumulator input in [0, 2q); operands over the
+                    // whole [0, 4q) the scalar-multiply and correction
+                    // contracts allow.
+                    let acc0 = Operand::new(off, raw.iter().map(|&x| x.wrapping_mul(3) % two_q));
+                    let x0 = Operand::new(off, raw.iter().map(|&x| x.wrapping_mul(7) % (4 * q)));
+                    // Base-conversion sources: residues of this modulus's
+                    // own width and of a 59-bit one, which no 52-bit
+                    // product may take.
+                    let sources = [(4 * q, &x0), (Q59, &Operand::new(off, raw.iter().map(|&x| x % Q59)))];
+                    for route in forced::routes() {
+                        // mul_scalar_shoup: canonical output, bit-equal to scalar.
+                        let mut a = x0.clone();
+                        let mut r = x0.clone();
+                        forced::mul_scalar_shoup_slice(BackendKind::Scalar, &m, &mut r, w, ws);
+                        forced::mul_scalar_shoup_slice(route, &m, &mut a, w, ws);
+                        prop_assert_eq!(&a, &r, "mul_scalar_shoup_slice diverged on {} at q = {}", route, q);
+                        prop_assert!(a.iter().all(|&x| x < q), "canonical bound violated on {}", route);
 
-                    // mul_shoup_lazy_acc: [0, 2q) bound + congruence + bit-equality.
-                    let mut acc = acc0.clone();
-                    let mut r = acc0.clone();
-                    forced::mul_shoup_lazy_acc_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &x0, w, ws);
-                    forced::mul_shoup_lazy_acc_slice(kind, &m, &mut acc, &x0, w, ws);
-                    prop_assert_eq!(&acc, &r, "mul_shoup_lazy_acc_slice diverged on {}", kind);
-                    for (i, &v) in acc.iter().enumerate() {
-                        prop_assert!(v < two_q, "lazy bound violated on {}", kind);
-                        let expect = (acc0[i] as u128 + x0[i] as u128 * w as u128) % Q59 as u128;
-                        prop_assert_eq!(v as u128 % Q59 as u128, expect);
+                        // mul_shoup_lazy_acc: [0, 2q) bound + congruence on
+                        // every route, and bit-equality with scalar wherever
+                        // the route cannot take the 52-bit IFMA Shoup product
+                        // (the 64-bit products run the scalar algorithm lane
+                        // by lane). The 52-bit product's quotient estimate
+                        // floor(x * ws52 / 2^52) can exceed the 64-bit one by
+                        // one, so its lazy sum may be the other
+                        // representative in [0, 2q); its consumers
+                        // canonicalize, which the correction kernel below
+                        // checks bit for bit.
+                        for (x_bound, x) in sources {
+                            let mut acc = acc0.clone();
+                            let mut r = acc0.clone();
+                            forced::mul_shoup_lazy_acc_slice(BackendKind::Scalar, &m, &mut r, x, x_bound, w, ws);
+                            forced::mul_shoup_lazy_acc_slice(route, &m, &mut acc, x, x_bound, w, ws);
+                            let may_take_ifma = route.kind == BackendKind::Avx512
+                                && !route.portable
+                                && q < 1 << 50
+                                && x_bound <= 1 << 52;
+                            if !may_take_ifma {
+                                prop_assert_eq!(&acc, &r, "mul_shoup_lazy_acc_slice diverged on {} at q = {}", route, q);
+                            }
+                            for (i, &v) in acc.iter().enumerate() {
+                                prop_assert!(v < two_q, "lazy bound violated on {} at q = {}", route, q);
+                                let expect = (acc0[i] as u128 + x[i] as u128 * w as u128) % q as u128;
+                                prop_assert_eq!(v as u128 % q as u128, expect, "on {} at q = {}", route, q);
+                            }
+                        }
+
+                        // mul_shoup_sub_correct: canonical output + congruence.
+                        let mut out = acc0.clone();
+                        let mut r = acc0.clone();
+                        forced::mul_shoup_sub_correct_slice(BackendKind::Scalar, &m, &mut r, &x0, w, ws);
+                        forced::mul_shoup_sub_correct_slice(route, &m, &mut out, &x0, w, ws);
+                        prop_assert_eq!(&out, &r, "mul_shoup_sub_correct_slice diverged on {} at q = {}", route, q);
+                        for (i, &v) in out.iter().enumerate() {
+                            prop_assert!(v < q, "canonical bound violated on {}", route);
+                            let prod = (x0[i] as u128 * w as u128) % q as u128;
+                            let expect = (acc0[i] as u128 + 2 * q as u128 - prod) % q as u128;
+                            prop_assert_eq!(v as u128, expect);
+                        }
+
+                        // correct_lazy over the full [0, 4q) range.
+                        let mut lazy = x0.clone();
+                        let mut r = x0.clone();
+                        forced::correct_lazy_slice(BackendKind::Scalar, &m, &mut r);
+                        forced::correct_lazy_slice(route, &m, &mut lazy);
+                        prop_assert_eq!(&lazy, &r, "correct_lazy_slice diverged on {}", route);
+                        prop_assert!(lazy.iter().all(|&x| x < q));
                     }
-
-                    // mul_shoup_sub_correct: canonical output + congruence.
-                    let mut out = acc0.clone();
-                    let mut r = acc0.clone();
-                    forced::mul_shoup_sub_correct_slice(crate::backend::BackendKind::Scalar, &m, &mut r, &a0, w, ws);
-                    forced::mul_shoup_sub_correct_slice(kind, &m, &mut out, &a0, w, ws);
-                    prop_assert_eq!(&out, &r, "mul_shoup_sub_correct_slice diverged on {}", kind);
-                    for (i, &v) in out.iter().enumerate() {
-                        prop_assert!(v < Q59, "canonical bound violated on {}", kind);
-                        let prod = (a0[i] as u128 * w as u128) % Q59 as u128;
-                        let expect = (acc0[i] as u128 + 2 * Q59 as u128 - prod % Q59 as u128) % Q59 as u128;
-                        prop_assert_eq!(v as u128 % Q59 as u128, expect % Q59 as u128);
-                    }
-
-                    // correct_lazy over the full [0, 4q) range.
-                    let mut lazy = x0.clone();
-                    let mut r = x0.clone();
-                    forced::correct_lazy_slice(crate::backend::BackendKind::Scalar, &m, &mut r);
-                    forced::correct_lazy_slice(kind, &m, &mut lazy);
-                    prop_assert_eq!(&lazy, &r, "correct_lazy_slice diverged on {}", kind);
-                    prop_assert!(lazy.iter().all(|&x| x < Q59));
                 }
             }
         }
 
         #[test]
         fn backends_match_scalar_reduce_raw(
-            q_idx in 0usize..QS.len() + 1,
+            q_idx in 0usize..kernel_moduli().len() + 1,
             raw in collection::vec(any::<u64>(), 0..67),
         ) {
             // Full-range u64 inputs, including moduli whose word-sized
             // Barrett constant could not cover 2^64 (k < 32).
-            let q = if q_idx < QS.len() { QS[q_idx] } else { 0x3fff_c001 };
+            let q = kernel_moduli().get(q_idx).copied().unwrap_or(0x3fff_c001);
             let m = Modulus::new(q).unwrap();
             for (len, off) in shapes(raw.len()) {
                 let raw = Operand::new(off, stretched(&raw, len));
                 for kind in supported_backends() {
                     let mut a = raw.clone();
                     let mut r = raw.clone();
-                    forced::reduce_raw_slice(crate::backend::BackendKind::Scalar, &m, &mut r);
+                    forced::reduce_raw_slice(BackendKind::Scalar, &m, &mut r);
                     forced::reduce_raw_slice(kind, &m, &mut a);
                     prop_assert_eq!(&a, &r, "reduce_raw_slice diverged on {}", kind);
                     for (&out, &x) in a.iter().zip(raw.iter()) {
@@ -692,43 +748,41 @@ mod tests {
 
         #[test]
         fn backends_match_scalar_gather_kernels(
-            q_idx in 0usize..QS.len(),
             seed in any::<u64>(),
             len in 0usize..67,
         ) {
-            let q = QS[q_idx];
-            let m = Modulus::new(q).unwrap();
-            for (len, off) in shapes(len) {
-                let src = Operand::new(off, (0..len.max(1) as u64).map(|i| seed.wrapping_mul(0x9e37).wrapping_add(i * 0x85eb) % q));
-                let perm: Vec<u32> = (0..len as u64)
-                    .map(|i| ((seed.wrapping_add(i * 31)) % src.len() as u64) as u32)
-                    .collect();
-                let b = Operand::new(off, (0..len as u64).map(|i| (seed ^ i).wrapping_mul(11) % q));
-                let b1 = Operand::new(off, (0..len as u64).map(|i| (seed ^ i).wrapping_mul(13) % q));
-                let acc_init = Operand::new(off, (0..len as u64).map(|i| (seed ^ i).wrapping_mul(17) % q));
-                for kind in supported_backends() {
-                    let mut out = Operand::new(off, vec![0u64; len]);
-                    let mut r = out.clone();
-                    forced::gather_slice(crate::backend::BackendKind::Scalar, &mut r, &src, &perm);
-                    forced::gather_slice(kind, &mut out, &src, &perm);
-                    prop_assert_eq!(&out, &r, "gather_slice diverged on {}", kind);
+            for &q in kernel_moduli() {
+                let m = Modulus::new(q).unwrap();
+                for (len, off) in shapes(len) {
+                    let src = Operand::new(off, (0..len.max(1) as u64).map(|i| seed.wrapping_mul(0x9e37).wrapping_add(i * 0x85eb) % q));
+                    let perm: Vec<u32> = (0..len as u64)
+                        .map(|i| ((seed.wrapping_add(i * 31)) % src.len() as u64) as u32)
+                        .collect();
+                    let b = Operand::new(off, (0..len as u64).map(|i| (seed ^ i).wrapping_mul(11) % q));
+                    let b1 = Operand::new(off, (0..len as u64).map(|i| (seed ^ i).wrapping_mul(13) % q));
+                    let acc_init = Operand::new(off, (0..len as u64).map(|i| (seed ^ i).wrapping_mul(17) % q));
+                    for route in forced::routes() {
+                        let mut out = Operand::new(off, vec![0u64; len]);
+                        let mut r = out.clone();
+                        forced::gather_slice(BackendKind::Scalar, &mut r, &src, &perm);
+                        forced::gather_slice(route, &mut out, &src, &perm);
+                        prop_assert_eq!(&out, &r, "gather_slice diverged on {}", route);
 
-                    let mut acc = acc_init.clone();
-                    let mut racc = acc_init.clone();
-                    forced::gather_mul_acc_slice(crate::backend::BackendKind::Scalar, &m, &mut racc, &src, &perm, &b);
-                    forced::gather_mul_acc_slice(kind, &m, &mut acc, &src, &perm, &b);
-                    prop_assert_eq!(&acc, &racc, "gather_mul_acc_slice diverged on {}", kind);
+                        let mut acc = acc_init.clone();
+                        let mut racc = acc_init.clone();
+                        forced::gather_mul_acc_slice(BackendKind::Scalar, &m, &mut racc, &src, &perm, &b);
+                        forced::gather_mul_acc_slice(route, &m, &mut acc, &src, &perm, &b);
+                        prop_assert_eq!(&acc, &racc, "gather_mul_acc_slice diverged on {} at q = {}", route, q);
 
-                    let mut p0 = acc_init.clone();
-                    let mut p1 = b1.clone();
-                    let mut r0 = acc_init.clone();
-                    let mut r1 = b1.clone();
-                    forced::gather_mul_acc_pair_slice(
-                        crate::backend::BackendKind::Scalar, &m, &mut r0, &mut r1, &src, &perm, &b, &b1,
-                    );
-                    forced::gather_mul_acc_pair_slice(kind, &m, &mut p0, &mut p1, &src, &perm, &b, &b1);
-                    prop_assert_eq!(&p0, &r0, "gather_mul_acc_pair_slice acc0 diverged on {}", kind);
-                    prop_assert_eq!(&p1, &r1, "gather_mul_acc_pair_slice acc1 diverged on {}", kind);
+                        let mut p0 = acc_init.clone();
+                        let mut p1 = b1.clone();
+                        let mut r0 = acc_init.clone();
+                        let mut r1 = b1.clone();
+                        forced::gather_mul_acc_pair_slice(BackendKind::Scalar, &m, &mut r0, &mut r1, &src, &perm, &b, &b1);
+                        forced::gather_mul_acc_pair_slice(route, &m, &mut p0, &mut p1, &src, &perm, &b, &b1);
+                        prop_assert_eq!(&p0, &r0, "gather_mul_acc_pair_slice acc0 diverged on {} at q = {}", route, q);
+                        prop_assert_eq!(&p1, &r1, "gather_mul_acc_pair_slice acc1 diverged on {} at q = {}", route, q);
+                    }
                 }
             }
         }

@@ -165,7 +165,10 @@ impl BaseConverter {
         }
         // Both temporaries come from the thread-local scratch pool: the
         // punctured-product matrix `y` and the alpha row are the allocation
-        // hot spots of every keyswitch and rescale.
+        // hot spots of every keyswitch and rescale. Operand bounds of the
+        // Shoup kernels: `poly`'s limbs are canonical (below 4q_i), each
+        // `y_i` is canonical mod q_i (the bound passed below), and alpha is at
+        // most l_src (below 4b_j for any destination modulus b_j >= 17).
         with_scratch(l_src * n, |y| {
             // y_i = [x_i * (Q/q_i)^{-1}]_{q_i}, one task per source limb.
             y.par_chunks_mut(n).enumerate().for_each(|(i, yi)| {
@@ -205,6 +208,7 @@ impl BaseConverter {
                             m.mul_shoup_lazy_acc_slice(
                                 out_limb,
                                 &y[i * n..(i + 1) * n],
+                                ctx.modulus_value(self.src.0[i]),
                                 self.punctured_mod_dst[i][j],
                                 self.punctured_shoup_dst[i][j],
                             );

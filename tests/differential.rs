@@ -135,16 +135,27 @@ proptest! {
 
 /// A small CKKS context for the hoisting/BSGS differential tests.
 fn hoist_ctx() -> CkksContext {
+    ctx_with_limb_bits(36)
+}
+
+/// [`hoist_ctx`] at another limb width.
+fn ctx_with_limb_bits(bits: u32) -> CkksContext {
     let params = CkksParams::builder()
         .ring_degree(128)
         .levels(4)
         .special_limbs(4)
-        .limb_bits(36)
+        .limb_bits(bits)
         .scale_bits(30)
         .build()
         .expect("valid params");
     CkksContext::new(params).expect("context")
 }
+
+/// The limb widths of the backend × thread matrix's keyswitch and
+/// bootstrap-step cases: the suite's usual 36 bits, and the 45 bits every
+/// end-to-end workload runs (on an AVX-512 IFMA host, the width where
+/// every slice product takes the 52-bit multipliers).
+const MATRIX_LIMB_BITS: [u32; 2] = [36, 45];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -418,50 +429,55 @@ fn ntt_roundtrip_backend_invariant() {
 
 /// A keyswitch (ModUp, digit inner product over the gather/mul-acc kernels,
 /// ModDown) lands on identical polynomials on every backend and thread
-/// count.
+/// count, at each of [`MATRIX_LIMB_BITS`].
 #[test]
 fn keyswitch_backend_invariant() {
     let held = hold_threads();
-    let params = CkksParams::builder()
-        .ring_degree(128)
-        .levels(4)
-        .special_limbs(2)
-        .limb_bits(36)
-        .scale_bits(30)
-        .build()
-        .expect("valid params");
-    let ctx = CkksContext::new(params).expect("context");
-    let rns = ctx.rns();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(43);
-    let sk = ctx.keygen(&mut rng);
-    let ksk = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 2 }, &mut rng);
-    let qb = rns.q_basis(3);
-    let signed: Vec<i64> = (0..128).map(|i| (i % 31) - 15).collect();
-    let mut msg = rns.from_signed_coeffs(&signed, &qb);
-    rns.to_ntt(&mut msg);
-    assert_backend_invariant(&held, || ctx.try_keyswitch(&msg, &ksk).expect("keyswitch"));
+    for bits in MATRIX_LIMB_BITS {
+        let params = CkksParams::builder()
+            .ring_degree(128)
+            .levels(4)
+            .special_limbs(2)
+            .limb_bits(bits)
+            .scale_bits(30)
+            .build()
+            .expect("valid params");
+        let ctx = CkksContext::new(params).expect("context");
+        let rns = ctx.rns();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+        let sk = ctx.keygen(&mut rng);
+        let ksk = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 2 }, &mut rng);
+        let qb = rns.q_basis(3);
+        let signed: Vec<i64> = (0..128).map(|i| (i % 31) - 15).collect();
+        let mut msg = rns.from_signed_coeffs(&signed, &qb);
+        rns.to_ntt(&mut msg);
+        assert_backend_invariant(&held, || ctx.try_keyswitch(&msg, &ksk).expect("keyswitch"));
+    }
 }
 
 /// One bootstrap step (EvalMod square + rescale) is bit-identical across
-/// backends and thread counts, and its op-level telemetry counts are
-/// backend-invariant (counters are recorded above the dispatch layer).
+/// backends and thread counts, at each of [`MATRIX_LIMB_BITS`], and its
+/// op-level telemetry counts are backend-invariant (counters are recorded
+/// above the dispatch layer).
 #[test]
 fn bootstrap_step_backend_invariant() {
     let held = hold_threads();
-    let ctx = hoist_ctx();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB007);
-    let sk = ctx.keygen(&mut rng);
-    let relin = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 2 }, &mut rng);
-    let pt = ctx.encode(&[0.5, -0.25, 0.125, 0.375], ctx.default_scale(), ctx.max_level());
-    let ct = ctx.encrypt(&pt, &sk, &mut rng);
-    assert_backend_invariant(&held, || {
-        let before = cl_trace::OpSnapshot::capture();
-        let stepped = ctx
-            .try_rescale(&ctx.try_mul(&ct, &ct, &relin).expect("square"))
-            .expect("rescale");
-        let ops = cl_trace::OpSnapshot::capture().delta_since(&before);
-        (stepped.c0().clone(), stepped.c1().clone(), ops)
-    });
+    for bits in MATRIX_LIMB_BITS {
+        let ctx = ctx_with_limb_bits(bits);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB007);
+        let sk = ctx.keygen(&mut rng);
+        let relin = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 2 }, &mut rng);
+        let pt = ctx.encode(&[0.5, -0.25, 0.125, 0.375], ctx.default_scale(), ctx.max_level());
+        let ct = ctx.encrypt(&pt, &sk, &mut rng);
+        assert_backend_invariant(&held, || {
+            let before = cl_trace::OpSnapshot::capture();
+            let stepped = ctx
+                .try_rescale(&ctx.try_mul(&ct, &ct, &relin).expect("square"))
+                .expect("rescale");
+            let ops = cl_trace::OpSnapshot::capture().delta_since(&before);
+            (stepped.c0().clone(), stepped.c1().clone(), ops)
+        });
+    }
 }
 
 proptest! {
