@@ -1,10 +1,10 @@
 //! Kernel-level wall-clock benchmark emitting `BENCH_kernels.json`.
 //!
 //! Times the functional hot paths the parallel execution engine targets —
-//! NTT, RNS element-wise ops, base conversion, keyswitch, rescale, and one
-//! bootstrap step (an EvalMod square+rescale) — and writes ns/op as JSON so
-//! `scripts/bench.sh` can track the serial-vs-parallel trajectory across
-//! commits.
+//! NTT, RNS element-wise ops, base conversion, keyswitch, the hint integrity
+//! digest, rescale, and one bootstrap step (an EvalMod square+rescale) —
+//! and writes ns/op as JSON so `scripts/bench.sh` can track the
+//! serial-vs-parallel trajectory across commits.
 //!
 //! Usage:
 //!   bench_kernels [--smoke] [--ops] [--label NAME] [--out PATH]
@@ -487,6 +487,14 @@ fn main() {
             "keyswitch",
             time_ns(cfg.smoke, || {
                 std::hint::black_box(ctx.keyswitch(&msg, &relin));
+            }),
+        ));
+        // The check the Strict policy runs once per hint application: the
+        // integrity digest over the whole relinearization hint.
+        results.push((
+            "key_verify",
+            time_ns(cfg.smoke, || {
+                std::hint::black_box(relin.verify_integrity());
             }),
         ));
         results.push((

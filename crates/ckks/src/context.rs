@@ -169,8 +169,9 @@ impl CkksContext {
     ///
     /// Serialized blobs record this fingerprint; load paths reject blobs
     /// whose fingerprint differs from the loading context's
-    /// ([`FheError::ParamsMismatch`]). FNV-1a over the parameter words, same
-    /// construction as the keyswitch-hint integrity digest.
+    /// ([`FheError::ParamsMismatch`]). FNV-1a over the 32-bit halves of the
+    /// parameter words, one chain (a few dozen words, so the serial chain
+    /// costs nothing here).
     pub fn params_fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x100_0000_01b3;
@@ -573,7 +574,10 @@ impl CkksContext {
     }
 
     /// Strict-policy key validation: verifies the hint's integrity digest.
-    /// No-op under other policies.
+    /// Called once per hint application, where the hint is consumed
+    /// (`HoistedDecomposition::apply_ext`, which every CKKS keyswitch
+    /// passes through, and BGV `try_mul`), never by the operations above
+    /// it. No-op under other policies.
     pub(crate) fn guard_key(&self, op: &'static str, ksk: &KeySwitchKey) -> FheResult<()> {
         if let GuardrailPolicy::Strict { .. } = self.policy {
             if !ksk.verify_integrity() {

@@ -306,7 +306,6 @@ impl CkksContext {
     ) -> FheResult<Ciphertext> {
         cl_trace::record_ct_mult();
         self.guard_operands("mul", &[a, b])?;
-        self.guard_key("mul", relin_key)?;
         let (a, b) = self.align_levels(a, b);
         if a.level != b.level {
             return Err(FheError::LevelMismatch {
@@ -322,7 +321,7 @@ impl CkksContext {
         rns.mul_acc(&mut d1, &a.c1, &b.c0);
         let d2 = rns.mul(&a.c1, &b.c1);
         // Relinearize d2 (implicitly multiplied by s^2).
-        let (ks0, ks1) = self.try_keyswitch(&d2, relin_key)?;
+        let (ks0, ks1) = self.keyswitch_impl("mul", &d2, relin_key)?;
         let out = Ciphertext {
             c0: rns.add(&d0, &ks0),
             c1: rns.add(&d1, &ks1),
@@ -355,13 +354,12 @@ impl CkksContext {
     pub fn try_square(&self, a: &Ciphertext, relin_key: &KeySwitchKey) -> FheResult<Ciphertext> {
         cl_trace::record_ct_mult();
         self.guard_operands("square", &[a])?;
-        self.guard_key("square", relin_key)?;
         let rns = self.rns();
         let d0 = rns.mul(&a.c0, &a.c0);
         let cross = rns.mul(&a.c0, &a.c1);
         let d1 = rns.add(&cross, &cross);
         let d2 = rns.mul(&a.c1, &a.c1);
-        let (ks0, ks1) = self.try_keyswitch(&d2, relin_key)?;
+        let (ks0, ks1) = self.keyswitch_impl("square", &d2, relin_key)?;
         let out = Ciphertext {
             c0: rns.add(&d0, &ks0),
             c1: rns.add(&d1, &ks1),
@@ -530,7 +528,6 @@ impl CkksContext {
         let _span = cl_trace::span("rotate");
         cl_trace::record_rotation();
         self.guard_operands(op, &[a])?;
-        self.guard_key(op, key)?;
         let rns = self.rns();
         // Hoisted order: decompose `c1` first, then apply the automorphism
         // to the already-decomposed digits. A single rotation costs the
@@ -540,7 +537,7 @@ impl CkksContext {
         // conversion does not commute bit-exactly with the automorphism,
         // so the two orders differ in the low noise bits).
         let dec = self.hoist_impl(op, &a.c1, key.kind())?;
-        let (ks0, ks1) = dec.apply_galois(self, g, key)?;
+        let (ks0, ks1) = dec.apply_impl(self, op, Some(g), key)?;
         let out = Ciphertext {
             c0: rns.add(&rns.apply_automorphism(&a.c0, g), &ks0),
             c1: ks1,
@@ -597,7 +594,7 @@ impl CkksContext {
             .map(|(&k, key)| {
                 cl_trace::record_rotation();
                 let g = cl_math::galois_element_for_rotation(k, n);
-                let (ks0, ks1) = dec.apply_galois(self, g, key)?;
+                let (ks0, ks1) = dec.apply_impl(self, OP, Some(g), key)?;
                 let out = Ciphertext {
                     c0: rns.add(&rns.apply_automorphism(&a.c0, g), &ks0),
                     c1: ks1,
@@ -670,7 +667,7 @@ impl CkksContext {
             cl_trace::record_rotation();
             let g = cl_math::galois_element_for_rotation(k, n);
             let dec = self.hoist_impl(OP, &ct.c1, key.kind())?;
-            let (e0, e1) = dec.apply_galois_ext(self, g, key)?;
+            let (e0, e1) = dec.apply_ext(self, OP, Some(g), key)?;
             match &mut acc {
                 None => acc = Some((dec, e0, e1)),
                 Some((head_dec, a0, a1)) => {

@@ -9,7 +9,10 @@
 //! |---|---|---|
 //! | flipped limb word ([`flip_ciphertext_word`]) | residue-range scan in `validate_ciphertext` | [`FheError::CorruptCiphertext`](crate::FheError) |
 //! | dropped rescale / tampered scale ([`corrupt_scale`]) | signed noise-budget threshold | [`FheError::BudgetExhausted`](crate::FheError) |
-//! | corrupted hint ([`corrupt_hint_word`]) | keygen-time integrity digest | [`FheError::CorruptKey`](crate::FheError) |
+//! | corrupted hint ([`corrupt_hint_word`]) | keygen-time integrity digest, re-checked once per hint application | [`FheError::CorruptKey`](crate::FheError) |
+//!
+//! [`digests_computed`] counts hint digests per thread, so tests can pin
+//! that each hint application checks its hint exactly once.
 //!
 //! On top of the deterministic primitives, [`FaultPlan`] is a seeded
 //! probabilistic injector for soak-style testing: intermittent bit flips at
@@ -20,9 +23,26 @@
 //! The module is compiled only for tests and under the `faults` cargo
 //! feature; production builds carry none of this code.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::{Ciphertext, KeySwitchKey};
+
+thread_local! {
+    static DIGESTS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one hint digest on the calling thread.
+pub(crate) fn count_digest() {
+    DIGESTS.with(|c| c.set(c.get() + 1));
+}
+
+/// Keyswitch-hint integrity digests computed on the calling thread so far
+/// (keygen, expansion, loading and every Strict hint check). Per thread, so
+/// concurrently running tests do not see each other's digests.
+pub fn digests_computed() -> u64 {
+    DIGESTS.with(Cell::get)
+}
 
 /// Bit flipped into a 64-bit residue word. Bit 62 is above every modulus
 /// this crate accepts (limb widths are < 62 bits), so the flipped residue

@@ -5,6 +5,7 @@ use cl_rns::RnsPoly;
 
 use crate::error::{FheError, FheResult};
 use crate::keyswitch::KeySwitchKind;
+use crate::serialize::{FNV_OFFSET, FNV_PRIME};
 use crate::CkksContext;
 
 /// A secret key: a ternary polynomial over the full modulus chain
@@ -51,10 +52,46 @@ pub struct KeySwitchKey {
     /// error scaling, e.g. BGV's plaintext modulus `t`) — consumed by the
     /// analytic noise model.
     pub(crate) error_bits: f64,
-    /// Integrity digest over the hint payload, computed at keygen; the
-    /// strict guardrail policy re-verifies it before every keyswitch so a
-    /// corrupted hint is caught instead of silently destroying the result.
+    /// Integrity digest over the hint payload and every metadata field
+    /// above, computed at keygen; the strict guardrail policy re-verifies
+    /// it once per hint application, where the keyswitch consumes the
+    /// hint, so a corrupted hint is caught instead of silently destroying
+    /// the result.
     pub(crate) digest: u64,
+}
+
+/// Independent digest chains per residue limb.
+const DIGEST_LANES: usize = 8;
+
+/// One digest step: FNV-1a's xor-multiply on a whole word, then a
+/// down-shift so every input bit reaches the low state bits (without it two
+/// flips of the same high bit cancel). The xor, the odd multiply and the
+/// xorshift are each a bijection of the state, so for a fixed state every
+/// word leads to a different next state, and for a fixed word every state
+/// does.
+#[inline(always)]
+fn absorb(h: u64, w: u64) -> u64 {
+    let x = (h ^ w).wrapping_mul(FNV_PRIME);
+    x ^ (x >> 32)
+}
+
+/// Digest of one residue limb: word `i` feeds chain `i % DIGEST_LANES`, and
+/// the chains are folded in order with the same step. The chains do not
+/// wait on one another, so their multiplies overlap and the digest runs at
+/// about a word per cycle instead of one multiply latency per word. Plain
+/// scalar code: the value is the same on every backend.
+fn limb_digest(words: &[u64]) -> u64 {
+    let mut lanes = [FNV_OFFSET; DIGEST_LANES];
+    let (rows, tail) = words.as_chunks::<DIGEST_LANES>();
+    for row in rows {
+        for (h, &w) in lanes.iter_mut().zip(row) {
+            *h = absorb(*h, w);
+        }
+    }
+    for (h, &w) in lanes.iter_mut().zip(tail) {
+        *h = absorb(*h, w);
+    }
+    lanes.iter().fold(FNV_OFFSET, |h, &lane| absorb(h, lane))
 }
 
 impl KeySwitchKey {
@@ -129,32 +166,28 @@ impl KeySwitchKey {
         }
     }
 
-    /// FNV-1a over every word of the hint payload plus the structural
-    /// metadata (kind, digit partition, seed).
+    /// The metadata (seed, kind, error model, digit partition) chained
+    /// step by step, then one [`limb_digest`] per residue limb of the
+    /// payload, in digit, half and limb order. Every step is a bijection,
+    /// so a change to any single word or field always changes the digest.
     pub(crate) fn compute_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |word: u64| {
-            for shift in [0u32, 32] {
-                h ^= (word >> shift) & 0xffff_ffff;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
+        #[cfg(any(test, feature = "faults"))]
+        crate::faults::count_digest();
+        let kind = match self.kind {
+            KeySwitchKind::Standard => 0,
+            KeySwitchKind::Boosted { digits } => 1 + digits as u64,
         };
-        mix(self.seed);
-        match self.kind {
-            KeySwitchKind::Standard => mix(0),
-            KeySwitchKind::Boosted { digits } => mix(1 + digits as u64),
-        }
+        let mut h = [self.seed, kind, self.error_bits.to_bits()]
+            .into_iter()
+            .fold(FNV_OFFSET, absorb);
         for limbs in &self.digit_limbs {
-            for &l in limbs {
-                mix(l as u64);
-            }
+            h = absorb(h, limbs.len() as u64);
+            h = limbs.iter().fold(h, |h, &l| absorb(h, l as u64));
         }
         for (k0, k1) in &self.elems {
             for poly in [k0, k1] {
                 for k in 0..poly.num_limbs() {
-                    for &w in poly.limb(k) {
-                        mix(w);
-                    }
+                    h = absorb(h, limb_digest(poly.limb(k)));
                 }
             }
         }
@@ -259,5 +292,120 @@ impl CompactKeySwitchKey {
             });
         }
         Ok(key)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faults::{corrupt_hint_word, FLIP_MASK};
+    use crate::CkksParams;
+    use rand::SeedableRng;
+
+    /// Two levels and two special limbs admit boosted d = 1, boosted d = 2
+    /// and Standard keys; 128 coefficients put 16 words in every lane.
+    fn ctx() -> CkksContext {
+        let params = CkksParams::builder()
+            .ring_degree(128)
+            .levels(2)
+            .special_limbs(2)
+            .limb_bits(40)
+            .scale_bits(32)
+            .build()
+            .unwrap();
+        CkksContext::new(params).unwrap()
+    }
+
+    fn relin_key(c: &CkksContext, kind: KeySwitchKind) -> KeySwitchKey {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(25);
+        let sk = c.keygen(&mut rng);
+        c.relin_keygen(&sk, kind, &mut rng)
+    }
+
+    const KINDS: [KeySwitchKind; 3] = [
+        KeySwitchKind::Boosted { digits: 1 },
+        KeySwitchKind::Boosted { digits: 2 },
+        KeySwitchKind::Standard,
+    ];
+
+    #[test]
+    fn every_single_word_flip_is_detected() {
+        let c = ctx();
+        for kind in KINDS {
+            let mut k = relin_key(&c, kind);
+            let limbs = k.elems[0].0.num_limbs();
+            let n = k.elems[0].0.n();
+            for digit in 0..k.num_digits() {
+                for half in 0..2 {
+                    for limb in 0..limbs {
+                        for coeff in 0..n {
+                            corrupt_hint_word(&mut k, digit, half, limb, coeff);
+                            assert!(
+                                !k.verify_integrity(),
+                                "{kind:?}: flip at digit {digit} half {half} limb {limb} \
+                                 coeff {coeff} undetected"
+                            );
+                            corrupt_hint_word(&mut k, digit, half, limb, coeff);
+                        }
+                    }
+                }
+            }
+            assert!(k.verify_integrity(), "{kind:?}: flips must be undone");
+        }
+    }
+
+    #[test]
+    fn same_lane_pairs_of_high_bit_flips_do_not_cancel() {
+        // Without the down-shift two flips of bit 63 in one chain always
+        // cancel (the multiply only carries upward), and bit-62 pairs
+        // cancel whenever the carries line up.
+        let c = ctx();
+        let mut k = relin_key(&c, KeySwitchKind::Boosted { digits: 1 });
+        let n = k.elems[0].0.n();
+        for mask in [FLIP_MASK, 1 << 63] {
+            for lane in 0..DIGEST_LANES {
+                let words: Vec<usize> = (lane..n).step_by(DIGEST_LANES).collect();
+                for (x, &i) in words.iter().enumerate() {
+                    for &j in &words[x + 1..] {
+                        let flip = |k: &mut KeySwitchKey| {
+                            let limb = k.elems[0].0.limb_mut(0);
+                            limb[i] ^= mask;
+                            limb[j] ^= mask;
+                        };
+                        flip(&mut k);
+                        assert!(
+                            !k.verify_integrity(),
+                            "flips of {mask:#x} at words {i} and {j} cancel"
+                        );
+                        flip(&mut k);
+                    }
+                }
+            }
+        }
+        assert!(k.verify_integrity());
+    }
+
+    #[test]
+    fn every_metadata_field_is_covered() {
+        let c = ctx();
+        let k = relin_key(&c, KeySwitchKind::Boosted { digits: 2 });
+        let mut tampered: Vec<KeySwitchKey> = vec![k.clone(); 4];
+        tampered[0].seed ^= 1;
+        tampered[1].error_bits += 1.0;
+        tampered[2].kind = KeySwitchKind::Boosted { digits: 3 };
+        tampered[3].digit_limbs.swap(0, 1);
+        for (i, t) in tampered.iter().enumerate() {
+            assert!(!t.verify_integrity(), "metadata change {i} undetected");
+        }
+    }
+
+    #[test]
+    fn digest_of_a_fixed_seed_key_is_pinned() {
+        // The digest travels in every key blob. Changing its construction
+        // must come with a `serialize::FORMAT_VERSION` bump and a new
+        // value here.
+        let c = ctx();
+        let k = relin_key(&c, KeySwitchKind::Boosted { digits: 2 });
+        assert_eq!(k.integrity_digest(), 0x3941_62a9_9df0_3243);
     }
 }

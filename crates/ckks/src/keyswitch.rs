@@ -196,11 +196,21 @@ impl CkksContext {
         c: &RnsPoly,
         ksk: &KeySwitchKey,
     ) -> FheResult<(RnsPoly, RnsPoly)> {
+        self.keyswitch_impl("keyswitch", c, ksk)
+    }
+
+    /// [`CkksContext::try_keyswitch`] with the caller's operation name on
+    /// error reports, so a hint that fails its check under `try_mul` is
+    /// reported as `mul`.
+    pub(crate) fn keyswitch_impl(
+        &self,
+        op: &'static str,
+        c: &RnsPoly,
+        ksk: &KeySwitchKey,
+    ) -> FheResult<(RnsPoly, RnsPoly)> {
         let _span = cl_trace::span("keyswitch");
-        self.guard_key("keyswitch", ksk)?;
-        let dec = self.hoist_impl("keyswitch", c, ksk.kind)?;
-        let (acc0, acc1) = dec.inner_product(self, None, ksk);
-        Ok(dec.mod_down_pair(self, acc0, acc1))
+        self.hoist_impl(op, c, ksk.kind)?
+            .apply_impl(self, op, None, ksk)
     }
 
     /// Phase one of keyswitching, split out so it can be *hoisted*: digit
@@ -540,16 +550,15 @@ impl HoistedDecomposition {
         self.apply_impl(ctx, "keyswitch_hoisted", Some(galois), ksk)
     }
 
-    fn apply_impl(
+    /// Phase two with the caller's operation name on error reports.
+    pub(crate) fn apply_impl(
         &self,
         ctx: &CkksContext,
         op: &'static str,
         galois: Option<u64>,
         ksk: &KeySwitchKey,
     ) -> FheResult<(RnsPoly, RnsPoly)> {
-        ctx.guard_key(op, ksk)?;
-        self.check_key(op, ksk)?;
-        let (acc0, acc1) = self.inner_product(ctx, galois, ksk);
+        let (acc0, acc1) = self.apply_ext(ctx, op, galois, ksk)?;
         Ok(self.mod_down_pair(ctx, acc0, acc1))
     }
 
@@ -558,15 +567,19 @@ impl HoistedDecomposition {
     /// `P`. Double hoisting sums many of these (ModDown is linear up to the
     /// ±1 conversion rounding, which the noise model's rounding floor
     /// already covers) and pays one ModDown for the whole sum.
-    pub(crate) fn apply_galois_ext(
+    ///
+    /// Every CKKS hint application passes through here, so this is where
+    /// the Strict policy checks the hint — once per application.
+    pub(crate) fn apply_ext(
         &self,
         ctx: &CkksContext,
-        galois: u64,
+        op: &'static str,
+        galois: Option<u64>,
         ksk: &KeySwitchKey,
     ) -> FheResult<(RnsPoly, RnsPoly)> {
-        ctx.guard_key("rotate_sum", ksk)?;
-        self.check_key("rotate_sum", ksk)?;
-        Ok(self.inner_product(ctx, Some(galois), ksk))
+        ctx.guard_key(op, ksk)?;
+        self.check_key(op, ksk)?;
+        Ok(self.inner_product(ctx, galois, ksk))
     }
 }
 

@@ -44,7 +44,12 @@ pub const MAGIC: [u8; 4] = *b"CLFH";
 /// the word-wise variant ([`fnv1a_words_chain`]) — 8 bytes per step
 /// instead of 1, which takes the checksum off the checkpoint hot path
 /// while still rejecting any single-byte corruption.
-pub const FORMAT_VERSION: u16 = 2;
+///
+/// v3: the keyswitch-hint integrity digest carried in key blobs switched
+/// from serial FNV-1a over 32-bit halves to eight interleaved whole-word
+/// chains per limb with a down-shift, and now covers `error_bits` — so a v2
+/// key blob is refused by version instead of failing its digest.
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Discriminates what a blob contains, so a ciphertext cannot be loaded as
 /// a key (or vice versa) even when the sizes happen to line up.
@@ -83,11 +88,13 @@ impl ObjectTag {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
+/// FNV-1a's 64-bit offset basis and prime, shared with the keyswitch-hint
+/// digest.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// FNV-1a over a byte slice — the integrity checksum used throughout the
-/// wire format (same construction as the keyswitch-hint digest).
+/// wire format.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_chain(FNV_OFFSET, bytes)
 }
@@ -872,6 +879,31 @@ mod tests {
             for (a, b) in ksk.elems.iter().zip(back.elems.iter()) {
                 assert_eq!(a.0, b.0);
                 assert_eq!(a.1, b.1);
+            }
+        }
+    }
+
+    #[test]
+    fn v2_keyswitch_blob_is_refused_by_version_not_by_digest() {
+        let c = ctx();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        let sk = c.keygen(&mut rng);
+        let ksk = c.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 2 }, &mut rng);
+        let mut blob = c.serialize_keyswitch_key(&ksk);
+        blob[4..6].copy_from_slice(&2u16.to_le_bytes());
+        for err in [
+            c.try_deserialize_keyswitch_key(&blob)
+                .expect_err("v2 full load"),
+            c.try_deserialize_compact_keyswitch_key(&blob)
+                .expect_err("v2 compact load"),
+            peek_header("peek", &blob).expect_err("v2 peek"),
+        ] {
+            match err {
+                FheError::Serialization { reason, .. } => assert!(
+                    reason.contains("unsupported format version 2"),
+                    "wrong reason: {reason}"
+                ),
+                other => panic!("expected a version Serialization error, got {other:?}"),
             }
         }
     }

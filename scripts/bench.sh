@@ -2,8 +2,9 @@
 # Kernel benchmark driver.
 #
 # Runs the bench_kernels binary (NTT, RNS mul, base conversion, keyswitch,
-# rotate, hoisted rotation, rescale, BSGS linear transform, one bootstrap
-# step, key-residency tiers eager/compact/hot with warm hint-cache variants)
+# hint integrity digest, rotate, hoisted rotation, rescale, BSGS linear
+# transform, one bootstrap step, key-residency tiers eager/compact/hot with
+# warm hint-cache variants)
 # at CL_THREADS=1 and CL_THREADS=4 and merges both runs with the
 # checked-in seed baseline (benchmarks/BENCH_kernels_seed.json) into
 # benchmarks/BENCH_kernels.json, including per-kernel speedup ratios vs the

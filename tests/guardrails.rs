@@ -3,8 +3,10 @@
 //! exercised through the public `cl-ckks` surface (with the `faults`
 //! feature) exactly as an external consumer would.
 
+use cl_ckks::bgv::BgvContext;
 use cl_ckks::{
-    faults, CkksContext, CkksParams, FheError, GuardrailPolicy, KeySwitchKind, SecretKey,
+    faults, CkksContext, CkksParams, FheError, FheResult, GuardrailPolicy, KeySwitchKey,
+    KeySwitchKind, SecretKey,
 };
 use rand::SeedableRng;
 
@@ -65,6 +67,92 @@ fn strict_policy_catches_every_fault_class_through_the_public_api() {
         .expect("clean square passes strict guardrails");
     let down = ctx.try_rescale(&sq).expect("rescale passes");
     assert!(ctx.budget_bits(&down) >= 0.0);
+}
+
+#[test]
+fn strict_checks_each_hint_application_once_at_every_entry_point() {
+    let (mut ctx, sk, mut rng) = setup();
+    let kind = KeySwitchKind::Boosted { digits: 2 };
+    let relin = ctx.relin_keygen(&sk, kind, &mut rng);
+    let rot = ctx.rotation_keygen(&sk, 1, kind, &mut rng);
+    let conj = ctx.conjugation_keygen(&sk, kind, &mut rng);
+    let t = 65537;
+    let bgv_relin = BgvContext::new(&ctx, t).relin_keygen(&sk, kind, &mut rng);
+    let bgv_ct = BgvContext::new(&ctx, t).encrypt(&[3, 4], 3, &sk, &mut rng);
+    let pt = ctx.encode(&[0.5, -0.25], ctx.default_scale(), 3);
+    let ct = ctx.encrypt(&pt, &sk, &mut rng);
+    ctx.set_policy(GuardrailPolicy::Strict {
+        min_budget_bits: 0.0,
+    });
+    let bgv = BgvContext::new(&ctx, t);
+    let n = ctx.params().ring_degree();
+    let g = cl_math::galois_element_for_rotation(1, n);
+    let dec = ctx.try_hoist(ct.c1(), kind).expect("hoist");
+
+    // Calls one entry point with `k` in place of its key.
+    let apply = |entry: &str, k: &KeySwitchKey| -> FheResult<()> {
+        match entry {
+            "try_keyswitch" => ctx.try_keyswitch(ct.c1(), k).map(drop),
+            "apply" => dec.apply(&ctx, k).map(drop),
+            "apply_galois" => dec.apply_galois(&ctx, g, k).map(drop),
+            "try_mul" => ctx.try_mul(&ct, &ct, k).map(drop),
+            "try_square" => ctx.try_square(&ct, k).map(drop),
+            "try_rotate" => ctx.try_rotate(&ct, 1, k).map(drop),
+            "try_conjugate" => ctx.try_conjugate(&ct, k).map(drop),
+            "try_rotate_hoisted_many" => {
+                ctx.try_rotate_hoisted_many(&ct, &[1, 1], &[k, k]).map(drop)
+            }
+            "try_rotate_sum" => ctx
+                .try_rotate_sum(&[(&ct, 1, Some(k)), (&ct, 1, Some(k))])
+                .map(drop),
+            "bgv try_mul" => bgv.try_mul(&bgv_ct, &bgv_ct, k).map(drop),
+            other => unreachable!("no entry point {other}"),
+        }
+    };
+    // (entry point, op name its errors carry, hint applications per call,
+    // clean hint)
+    let entry_points: [(&str, &str, u64, &KeySwitchKey); 10] = [
+        ("try_keyswitch", "keyswitch", 1, &relin),
+        ("apply", "keyswitch_hoisted", 1, &relin),
+        ("apply_galois", "keyswitch_hoisted", 1, &rot),
+        ("try_mul", "mul", 1, &relin),
+        ("try_square", "square", 1, &relin),
+        ("try_rotate", "rotate", 1, &rot),
+        ("try_conjugate", "conjugate", 1, &conj),
+        ("try_rotate_hoisted_many", "rotate_hoisted", 2, &rot),
+        ("try_rotate_sum", "rotate_sum", 2, &rot),
+        ("bgv try_mul", "bgv_mul", 1, &bgv_relin),
+    ];
+    for (entry, op, applications, key) in entry_points {
+        // Exactly one digest per hint application: the operation and the
+        // keyswitch under it must not both check the hint.
+        let before = faults::digests_computed();
+        apply(entry, key).unwrap_or_else(|e| panic!("{entry}: clean hint rejected: {e}"));
+        assert_eq!(
+            faults::digests_computed() - before,
+            applications,
+            "{entry}: digests per call"
+        );
+        let limbs = key.num_words_seeded() / (key.num_digits() * n);
+        for digit in 0..key.num_digits() {
+            for half in 0..2 {
+                for (limb, coeff) in [(0, 0), (limbs / 2, n / 2), (limbs - 1, n - 1)] {
+                    let mut bad = key.clone();
+                    faults::corrupt_hint_word(&mut bad, digit, half, limb, coeff);
+                    match apply(entry, &bad) {
+                        Err(FheError::CorruptKey { op: got, .. }) => assert_eq!(
+                            got, op,
+                            "{entry}: digit {digit} half {half} limb {limb} coeff {coeff}"
+                        ),
+                        other => panic!(
+                            "{entry}: flip at digit {digit} half {half} limb {limb} coeff \
+                             {coeff} gave {other:?}, expected CorruptKey"
+                        ),
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
