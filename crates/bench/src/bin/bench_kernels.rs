@@ -7,18 +7,10 @@
 //! serial-vs-parallel trajectory across commits.
 //!
 //! Usage:
-//!   bench_kernels [--smoke] [--ops] [--label NAME] [--out PATH]
+//!   bench_kernels [--smoke] [--label NAME] [--out PATH]
 //!
 //! `--smoke` runs tiny shapes with one timed iteration each — just enough
 //! for `scripts/verify.sh` to prove the harness still builds and runs.
-//!
-//! `--ops` switches from wall-clock timing to deterministic op counting:
-//! each kernel runs exactly once with the `cl-trace` counters captured
-//! around it, and the JSON reports the measured residue-polynomial pass
-//! counts next to the `cl_isa::cost` closed forms where an exact identity
-//! exists (keyswitch variants and rescale). Requires a build with the
-//! `trace` feature — `scripts/bench.sh` builds that into a separate target
-//! directory so the timing binary stays counter-free.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -31,7 +23,6 @@ use rand::SeedableRng;
 
 struct Config {
     smoke: bool,
-    ops: bool,
     label: String,
     out: Option<String>,
 }
@@ -39,7 +30,6 @@ struct Config {
 fn parse_args() -> Config {
     let mut cfg = Config {
         smoke: false,
-        ops: false,
         label: "current".to_string(),
         out: None,
     };
@@ -47,7 +37,6 @@ fn parse_args() -> Config {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => cfg.smoke = true,
-            "--ops" => cfg.ops = true,
             "--label" => cfg.label = args.next().expect("--label needs a value"),
             "--out" => cfg.out = Some(args.next().expect("--out needs a value")),
             other => panic!("unknown argument: {other}"),
@@ -89,298 +78,12 @@ fn time_ns(smoke: bool, mut f: impl FnMut()) -> f64 {
     best_ns as f64
 }
 
-/// The formula-expected pass counts for one kernel, in the measured
-/// counters' split (CRB matrix MACs under `base_conv`, everything else
-/// under `mult`/`add`). `None` for kernels with no exact closed form.
-type Expected = Option<Vec<(&'static str, u64)>>;
-
-/// Expected counts for one standard keyswitch at full level `l`: Table 1's
-/// quadratic core plus the functional path's linear fringe (input INTTs,
-/// special-limb handling, closing ModDown). The identities are asserted
-/// exactly by `tests/trace_validation.rs`; this emits the same numbers so
-/// `scripts/bench.sh --check` can re-gate them on every bench run.
-fn expected_standard_keyswitch(l: usize) -> Expected {
-    let f = cl_isa::cost::standard_keyswitch_ops(l);
-    let l = l as u64;
-    Some(vec![
-        ("ntt_total", f.ntt + 3 * l + 2),
-        ("mult", f.mult + 7 * l + 2),
-        ("add", f.add + 6 * l),
-        ("base_conv", l * l + 2 * l),
-    ])
-}
-
-/// Expected counts for one boosted keyswitch with `digits` digits at full
-/// level `l` (`digits` must divide `l` for the closed form to be exact).
-fn expected_boosted_keyswitch(l: usize, digits: usize) -> Expected {
-    let f = cl_isa::cost::boosted_keyswitch_ops(l, digits);
-    let crb = cl_isa::cost::boosted_keyswitch_crb_mult(l, digits);
-    let alpha = (l / digits) as u64;
-    let l = l as u64;
-    Some(vec![
-        ("ntt_total", f.ntt),
-        ("mult", (f.mult - crb) + 5 * l + 2 * alpha),
-        ("add", (f.add - crb) + 4 * l + 2 * alpha),
-        ("base_conv", crb),
-    ])
-}
-
-/// Expected counts for one rescale at level `l`: exactly the NTT column of
-/// `mul_aux_ops` plus the linear mult/add/CRB work of the single-limb
-/// ModDown.
-fn expected_rescale(l: usize) -> Expected {
-    let aux = cl_isa::cost::mul_aux_ops(l);
-    let l = l as u64;
-    Some(vec![
-        ("ntt_total", aux.ntt),
-        ("mult", 4 * l - 2),
-        ("add", 4 * l - 4),
-        ("base_conv", 2 * (l - 1)),
-    ])
-}
-
-/// `--ops` mode: run each kernel once, deterministically, with the trace
-/// counters captured around it, and emit measured (and, where exact,
-/// formula-expected) counts as JSON.
-fn run_op_counts(cfg: &Config, n: usize, limbs: usize, bits: u32) {
-    if !cl_trace::enabled() {
-        eprintln!(
-            "bench_kernels --ops: built without the `trace` feature; \
-             rebuild with `--features trace` (scripts/bench.sh does this)"
-        );
-        std::process::exit(1);
-    }
-    let measure = |f: &mut dyn FnMut()| -> cl_trace::OpSnapshot {
-        let before = cl_trace::OpSnapshot::capture();
-        f();
-        cl_trace::OpSnapshot::capture().delta_since(&before)
-    };
-    let mut kernels: Vec<(&'static str, cl_trace::OpSnapshot, Expected)> = Vec::new();
-
-    let params = CkksParams::builder()
-        .ring_degree(n)
-        .levels(limbs)
-        .special_limbs(limbs)
-        .limb_bits(bits)
-        .scale_bits(bits - 4)
-        .build()
-        .expect("params");
-    let ctx = CkksContext::new(params).expect("ckks context");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let sk = ctx.keygen(&mut rng);
-    let vals: Vec<f64> = (0..16).map(|i| 0.01 * i as f64).collect();
-    let pt = ctx.encode(&vals, ctx.default_scale(), limbs);
-    let ct = ctx.encrypt(&pt, &sk, &mut rng);
-    let qb = ctx.rns().q_basis(limbs);
-    let signed: Vec<i64> = (0..n).map(|i| ((i as i64 * 37 + 11) % 1000) - 500).collect();
-    let mut msg = ctx.rns().from_signed_coeffs(&signed, &qb);
-    ctx.rns().to_ntt(&mut msg);
-
-    // Keyswitch variants. The boosted closed forms are exact only when the
-    // digit count divides the budget, so pick variants accordingly.
-    let std_key = ctx.relin_keygen(&sk, KeySwitchKind::Standard, &mut rng);
-    kernels.push((
-        "keyswitch_standard",
-        measure(&mut || {
-            std::hint::black_box(ctx.keyswitch(&msg, &std_key));
-        }),
-        expected_standard_keyswitch(limbs),
-    ));
-    let digit_variants: &[usize] = if limbs % 4 == 0 { &[1, 4] } else { &[1, limbs] };
-    for &digits in digit_variants {
-        let key = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits }, &mut rng);
-        let name: &'static str = match digits {
-            1 => "keyswitch_boosted_d1",
-            4 => "keyswitch_boosted_d4",
-            _ => "keyswitch_boosted_dmax",
-        };
-        kernels.push((
-            name,
-            measure(&mut || {
-                std::hint::black_box(ctx.keyswitch(&msg, &key));
-            }),
-            expected_boosted_keyswitch(limbs, digits),
-        ));
-    }
-    kernels.push((
-        "rescale",
-        measure(&mut || {
-            std::hint::black_box(ctx.rescale(&ct));
-        }),
-        expected_rescale(limbs),
-    ));
-    // Measured-only kernels: no exact closed form (rotations add the
-    // automorphism gathers; mul adds the tensor on top of its keyswitch),
-    // but the counts are still deterministic and recorded for trending.
-    let relin = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
-    let rot = ctx.rotation_keygen(&sk, 1, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
-    kernels.push((
-        "rotate",
-        measure(&mut || {
-            std::hint::black_box(ctx.rotate(&ct, 1, &rot));
-        }),
-        None,
-    ));
-    kernels.push((
-        "mul_relin",
-        measure(&mut || {
-            std::hint::black_box(ctx.mul(&ct, &ct, &relin));
-        }),
-        None,
-    ));
-    kernels.push((
-        "bootstrap_step",
-        measure(&mut || {
-            std::hint::black_box(ctx.rescale(&ctx.square(&ct, &relin)));
-        }),
-        None,
-    ));
-
-    // Compiler-driven execution: a BSGS LoLa layer graph lowered to a
-    // pipeline Program and executed warm through the executor.
-    // `cl_compiler::predict_program`'s closed form is the *expected* side,
-    // gated exactly by `scripts/bench.sh --check` like the keyswitch and
-    // rescale identities above — the compiled-execution cost model is
-    // re-proven at this run's shape on every bench run.
-    {
-        use cl_runtime::{ExecutorConfig, PipelineExecutor, RunOutcome};
-
-        let sctx = CkksContext::new(
-            CkksParams::builder()
-                .ring_degree(n)
-                .levels(limbs)
-                .special_limbs(limbs)
-                .limb_bits(bits)
-                .scale_bits(bits - 4)
-                .build()
-                .expect("params"),
-        )
-        .expect("ckks context")
-        .with_policy(cl_ckks::GuardrailPolicy::Strict {
-            min_budget_bits: -200.0,
-        });
-        let slots = sctx.params().slots();
-        let w = cl_apps::lola_layer_runnable(slots, limbs, 8, 1, false);
-        let lowered = cl_compiler::lower_to_program(
-            &w.graph,
-            &cl_compiler::LowerOptions {
-                slots,
-                plain: w.plain.clone(),
-                reorder: true,
-                auto_bootstrap: None,
-                max_live_cts: None,
-            },
-        )
-        .expect("layer lowers");
-        let ksk = sctx.keygen(&mut rng);
-        let keys = cl_boot::BootstrapKeys::generate(
-            &sctx,
-            &ksk,
-            KeySwitchKind::Standard,
-            &lowered.rotation_steps,
-            &mut rng,
-        );
-        let img: Vec<f64> = (0..slots).map(|i| (i % 7) as f64 * 0.1 - 0.3).collect();
-        let cx = sctx.encrypt(&sctx.encode(&img, sctx.default_scale(), limbs), &ksk, &mut rng);
-        let run_compiled = || {
-            let mut exec = PipelineExecutor::new(
-                &sctx,
-                &keys,
-                ExecutorConfig {
-                    checkpoint_every: 0,
-                    max_retries: 0,
-                    checkpoint_dir: None,
-                },
-            )
-            .expect("executor");
-            match exec
-                .run_graph(std::slice::from_ref(&cx), &lowered.program)
-                .expect("compiled run")
-            {
-                RunOutcome::Completed(out) => out,
-                RunOutcome::Crashed => unreachable!("no fault plan"),
-            }
-        };
-        run_compiled(); // warm: materialize every seeded hint first
-        let p = cl_compiler::predict_program(
-            limbs,
-            KeySwitchKind::Standard,
-            &[limbs],
-            &lowered.program,
-        )
-        .expect("program predicts");
-        kernels.push((
-            "compiled_lola_layer",
-            measure(&mut || {
-                std::hint::black_box(run_compiled());
-            }),
-            Some(vec![
-                ("ntt_total", p.ntt + p.intt),
-                ("mult", p.mult),
-                ("add", p.add),
-                ("base_conv", p.base_conv),
-            ]),
-        ));
-    }
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"label\": \"{}\",", cfg.label);
-    let _ = writeln!(json, "  \"enabled\": true,");
-    let _ = writeln!(json, "  \"n\": {n},");
-    let _ = writeln!(json, "  \"limbs\": {limbs},");
-    let _ = writeln!(json, "  \"limb_bits\": {bits},");
-    let _ = writeln!(json, "  \"backend\": \"{}\",", cl_math::active_backend());
-    let _ = writeln!(json, "  \"smoke\": {},", cfg.smoke);
-    let _ = writeln!(json, "  \"kernels\": {{");
-    for (i, (name, measured, expected)) in kernels.iter().enumerate() {
-        let comma = if i + 1 == kernels.len() { "" } else { "," };
-        let _ = writeln!(json, "    \"{name}\": {{");
-        let _ = write!(json, "      \"measured\": {}", measured.to_json());
-        if let Some(exp) = expected {
-            let _ = writeln!(json, ",");
-            let fields: Vec<String> =
-                exp.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
-            let _ = writeln!(json, "      \"expected\": {{{}}}", fields.join(", "));
-        } else {
-            let _ = writeln!(json);
-        }
-        let _ = writeln!(json, "    }}{comma}");
-    }
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
-
-    for (name, measured, _) in &kernels {
-        println!(
-            "{name:>24}: ntt={:<5} mult={:<6} add={:<6} base_conv={:<6} (passes)",
-            measured.ntt_total(),
-            measured.mult,
-            measured.add,
-            measured.base_conv
-        );
-    }
-    if let Some(path) = &cfg.out {
-        std::fs::write(path, &json).expect("write JSON output");
-        eprintln!("bench_kernels: wrote {path}");
-    } else {
-        println!("{json}");
-    }
-}
-
 fn main() {
     let cfg = parse_args();
     // Acceptance shapes: N >= 2^13, >= 8 limbs, at the 45-bit limb width
     // every end-to-end workload runs, so the kernels timed here take the
     // products those workloads take. Smoke: tiny.
     let (n, limbs, bits) = if cfg.smoke { (256, 3, 30) } else { (1 << 13, 8, 45) };
-    if cfg.ops {
-        eprintln!(
-            "bench_kernels: op-count mode, label={} n={n} limbs={limbs} bits={bits} smoke={}",
-            cfg.label, cfg.smoke
-        );
-        run_op_counts(&cfg, n, limbs, bits);
-        return;
-    }
     let threads = std::env::var("CL_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -486,7 +189,7 @@ fn main() {
         results.push((
             "keyswitch",
             time_ns(cfg.smoke, || {
-                std::hint::black_box(ctx.keyswitch(&msg, &relin));
+                std::hint::black_box(ctx.try_keyswitch(&msg, &relin).expect("keyswitch"));
             }),
         ));
         // The check the Strict policy runs once per hint application: the
@@ -500,13 +203,13 @@ fn main() {
         results.push((
             "rotate",
             time_ns(cfg.smoke, || {
-                std::hint::black_box(ctx.rotate(&ct, 1, &rot));
+                std::hint::black_box(ctx.try_rotate(&ct, 1, &rot).expect("rotate"));
             }),
         ));
         results.push((
             "rescale",
             time_ns(cfg.smoke, || {
-                std::hint::black_box(ctx.rescale(&ct));
+                std::hint::black_box(ctx.try_rescale(&ct).expect("rescale"));
             }),
         ));
         // Hoisted vs naive batch rotation: the same 8 rotations of one
@@ -526,7 +229,7 @@ fn main() {
                 "rotate_naive_x8",
                 time_ns(cfg.smoke, || {
                     for (&s, k) in steps.iter().zip(&keys) {
-                        std::hint::black_box(ctx.rotate(&ct, s, k));
+                        std::hint::black_box(ctx.try_rotate(&ct, s, k).expect("rotate"));
                     }
                 }),
             ));
@@ -635,7 +338,8 @@ fn main() {
         results.push((
             "bootstrap_step",
             time_ns(cfg.smoke, || {
-                std::hint::black_box(ctx.rescale(&ctx.square(&ct, &relin)));
+                let sq = ctx.try_square(&ct, &relin).expect("square");
+                std::hint::black_box(ctx.try_rescale(&sq).expect("rescale"));
             }),
         ));
         // The same step with the relin hint fetched warm from a `HintCache`
@@ -649,7 +353,8 @@ fn main() {
                 "bootstrap_step_cached",
                 time_ns(cfg.smoke, || {
                     let r = cache.get_or_expand(&ctx, &relin_compact).expect("warm relin hint");
-                    std::hint::black_box(ctx.rescale(&ctx.square(&ct, r.as_ref())));
+                    let sq = ctx.try_square(&ct, r.as_ref()).expect("square");
+                    std::hint::black_box(ctx.try_rescale(&sq).expect("rescale"));
                 }),
             ));
         }
@@ -781,9 +486,7 @@ fn main() {
         // --- Compiler-driven execution ------------------------------------
         // A BSGS LoLa layer graph lowered to a pipeline Program
         // (`compile_lola_layer` is the graph->Program compile itself) and
-        // executed warm through the executor (`compiled_layer_run`). The
-        // `--ops` mode runs the same compiled program with its op counts
-        // gated exactly against `cl_compiler::predict_program`.
+        // executed warm through the executor (`compiled_layer_run`).
         {
             let slots = ctx.params().slots();
             let w = cl_apps::lola_layer_runnable(slots, limbs, 8, 1, false);

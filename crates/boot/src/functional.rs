@@ -1382,22 +1382,6 @@ impl Bootstrapper {
             }),
         }
     }
-
-    /// Panicking convenience wrapper around [`Bootstrapper::try_bootstrap`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any condition `try_bootstrap` reports as an error.
-    #[must_use]
-    pub fn bootstrap(
-        &self,
-        ctx: &CkksContext,
-        ct: &Ciphertext,
-        keys: &BootstrapKeys,
-    ) -> Ciphertext {
-        self.try_bootstrap(ctx, ct, keys)
-            .unwrap_or_else(|e| panic!("bootstrap: {e}"))
-    }
 }
 
 #[cfg(test)]
@@ -1915,7 +1899,7 @@ mod tests {
         let pt = ctx.encode(&vals, ctx.default_scale(), 1);
         let ct = ctx.encrypt(&pt, &sk, &mut rng);
         assert_eq!(ct.level(), 1);
-        let refreshed = booter.bootstrap(&ctx, &ct, &keys);
+        let refreshed = booter.try_bootstrap(&ctx, &ct, &keys).unwrap();
         assert!(
             refreshed.level() > ct.level() + 2,
             "bootstrap must refresh the budget: got level {}",

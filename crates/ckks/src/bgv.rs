@@ -33,14 +33,14 @@ pub struct BgvContext<'a> {
 }
 
 impl<'a> BgvContext<'a> {
-    /// Fallible constructor: a BGV view with plaintext modulus `t`.
+    /// Creates a BGV view with plaintext modulus `t`.
     ///
     /// # Errors
     ///
     /// [`FheError::InvalidParams`] if `t` is not an NTT-friendly prime for
     /// the ring degree (required for slot packing) or collides with a
     /// ciphertext modulus.
-    pub fn try_new(inner: &'a CkksContext, t: u64) -> FheResult<Self> {
+    pub fn new(inner: &'a CkksContext, t: u64) -> FheResult<Self> {
         let n = inner.params().ring_degree();
         let pt_ntt = NttTable::new(n, t).ok_or_else(|| FheError::InvalidParams {
             op: "bgv_new",
@@ -55,15 +55,6 @@ impl<'a> BgvContext<'a> {
             }
         }
         Ok(Self { inner, t, pt_ntt })
-    }
-
-    /// Creates a BGV view with plaintext modulus `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the conditions [`BgvContext::try_new`] reports as errors.
-    pub fn new(inner: &'a CkksContext, t: u64) -> Self {
-        Self::try_new(inner, t).unwrap_or_else(|e| panic!("BgvContext::new: {e}"))
     }
 
     /// The plaintext modulus.
@@ -191,16 +182,6 @@ impl<'a> BgvContext<'a> {
         self.inner.try_add(a, b)
     }
 
-    /// Homomorphic addition (exact over `Z_t`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if levels differ.
-    #[must_use]
-    pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_add(a, b).unwrap_or_else(|e| panic!("bgv add: {e}"))
-    }
-
     /// Fallible homomorphic multiplication with relinearization (exact
     /// over `Z_t`).
     ///
@@ -252,17 +233,6 @@ impl<'a> BgvContext<'a> {
             .with_noise_bits(est);
         self.inner.guard_budget("bgv_mul", &out)?;
         Ok(out)
-    }
-
-    /// Homomorphic multiplication with relinearization (exact over `Z_t`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if levels differ.
-    #[must_use]
-    pub fn mul(&self, a: &Ciphertext, b: &Ciphertext, relin: &KeySwitchKey) -> Ciphertext {
-        self.try_mul(a, b, relin)
-            .unwrap_or_else(|e| panic!("bgv mul: {e}"))
     }
 
     /// Boosted keyswitching with an exact, `t`-corrected ModDown: the
@@ -513,17 +483,6 @@ impl<'a> BgvContext<'a> {
         Ok(out)
     }
 
-    /// BGV modulus switching (panicking twin of
-    /// [`BgvContext::try_mod_switch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics at level 1.
-    #[must_use]
-    pub fn mod_switch(&self, ct: &Ciphertext) -> Ciphertext {
-        self.try_mod_switch(ct)
-            .unwrap_or_else(|e| panic!("bgv mod_switch: {e}"))
-    }
 }
 
 #[cfg(test)]
@@ -552,7 +511,7 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let (ctx, sk, mut rng) = setup(2);
-        let bgv = BgvContext::new(&ctx, T);
+        let bgv = BgvContext::new(&ctx, T).unwrap();
         let vals: Vec<u64> = (0..128).map(|i| (i * i + 7) % T).collect();
         let ct = bgv.encrypt(&vals, 2, &sk, &mut rng);
         assert_eq!(bgv.decrypt(&ct, &sk), vals);
@@ -561,12 +520,12 @@ mod tests {
     #[test]
     fn addition_is_exact_mod_t() {
         let (ctx, sk, mut rng) = setup(2);
-        let bgv = BgvContext::new(&ctx, T);
+        let bgv = BgvContext::new(&ctx, T).unwrap();
         let a: Vec<u64> = (0..64).map(|i| (i * 31) % T).collect();
         let b: Vec<u64> = (0..64).map(|i| (T - 1 - i as u64) % T).collect();
         let ca = bgv.encrypt(&a, 2, &sk, &mut rng);
         let cb = bgv.encrypt(&b, 2, &sk, &mut rng);
-        let sum = bgv.decrypt(&bgv.add(&ca, &cb), &sk);
+        let sum = bgv.decrypt(&bgv.try_add(&ca, &cb).unwrap(), &sk);
         for i in 0..64 {
             assert_eq!(sum[i], (a[i] + b[i]) % T);
         }
@@ -575,13 +534,13 @@ mod tests {
     #[test]
     fn multiplication_is_exact_mod_t() {
         let (ctx, sk, mut rng) = setup(3);
-        let bgv = BgvContext::new(&ctx, T);
+        let bgv = BgvContext::new(&ctx, T).unwrap();
         let relin = bgv.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
         let a: Vec<u64> = (0..32).map(|i| 3 + i as u64 * 1009).collect();
         let b: Vec<u64> = (0..32).map(|i| 5 + i as u64 * 2003).collect();
         let ca = bgv.encrypt(&a, 3, &sk, &mut rng);
         let cb = bgv.encrypt(&b, 3, &sk, &mut rng);
-        let prod = bgv.decrypt(&bgv.mul(&ca, &cb, &relin), &sk);
+        let prod = bgv.decrypt(&bgv.try_mul(&ca, &cb, &relin).unwrap(), &sk);
         for i in 0..32 {
             assert_eq!(prod[i], a[i] * b[i] % T, "slot {i}");
         }
@@ -590,13 +549,13 @@ mod tests {
     #[test]
     fn mod_switch_preserves_plaintext() {
         let (ctx, sk, mut rng) = setup(3);
-        let bgv = BgvContext::new(&ctx, T);
+        let bgv = BgvContext::new(&ctx, T).unwrap();
         let vals: Vec<u64> = (0..128).map(|i| (i * 12345) % T).collect();
         let ct = bgv.encrypt(&vals, 3, &sk, &mut rng);
-        let switched = bgv.mod_switch(&ct);
+        let switched = bgv.try_mod_switch(&ct).unwrap();
         assert_eq!(switched.level(), 2);
         assert_eq!(bgv.decrypt(&switched, &sk), vals);
-        let twice = bgv.mod_switch(&switched);
+        let twice = bgv.try_mod_switch(&switched).unwrap();
         assert_eq!(twice.level(), 1);
         assert_eq!(bgv.decrypt(&twice, &sk), vals);
     }
@@ -606,13 +565,15 @@ mod tests {
         // Depth-3 chain: x^(2^3) over Z_t, switching after each product to
         // control noise — BGV's analogue of CKKS's Fig. 2 budget story.
         let (ctx, sk, mut rng) = setup(5);
-        let bgv = BgvContext::new(&ctx, T);
+        let bgv = BgvContext::new(&ctx, T).unwrap();
         let relin = bgv.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
         let x: Vec<u64> = (0..16).map(|i| 2 + i as u64).collect();
         let mut ct = bgv.encrypt(&x, 5, &sk, &mut rng);
         let mut expect = x.clone();
         for _ in 0..3 {
-            ct = bgv.mod_switch(&bgv.mul(&ct, &ct, &relin));
+            ct = bgv
+                .try_mod_switch(&bgv.try_mul(&ct, &ct, &relin).unwrap())
+                .unwrap();
             for v in expect.iter_mut() {
                 *v = *v * *v % T;
             }
@@ -623,20 +584,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "NTT-friendly")]
-    fn rejects_bad_plaintext_modulus() {
-        let (ctx, _, _) = setup(2);
-        let _ = BgvContext::new(&ctx, 65539); // prime but 65539-1 not divisible by 256
-    }
-
-    #[test]
     fn fallible_api_reports_structured_errors() {
         let (ctx, sk, mut rng) = setup(3);
-        assert!(matches!(
-            BgvContext::try_new(&ctx, 65539),
-            Err(crate::FheError::InvalidParams { op: "bgv_new", .. })
-        ));
-        let bgv = BgvContext::try_new(&ctx, T).unwrap();
+        // 65539 is prime, but 65539 - 1 is not divisible by 2N = 256.
+        match BgvContext::new(&ctx, 65539) {
+            Err(crate::FheError::InvalidParams {
+                op: "bgv_new",
+                reason,
+            }) => {
+                assert!(reason.contains("NTT-friendly"), "reason: {reason}");
+            }
+            other => panic!("expected InvalidParams, got {other:?}"),
+        }
+        let bgv = BgvContext::new(&ctx, T).unwrap();
         let relin = bgv.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
         let a = bgv.encrypt(&[1, 2], 3, &sk, &mut rng);
         let b = bgv.encrypt(&[3, 4], 2, &sk, &mut rng);
@@ -660,15 +620,15 @@ mod tests {
         // The t-scaled noise must be reflected in the estimate so the
         // budget accounting (and the strict guardrails) see it.
         let (ctx, sk, mut rng) = setup(3);
-        let bgv = BgvContext::new(&ctx, T);
+        let bgv = BgvContext::new(&ctx, T).unwrap();
         let relin = bgv.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
         let ct = bgv.encrypt(&[5, 6], 3, &sk, &mut rng);
         assert!(ct.noise_estimate_bits() > (T as f64).log2());
-        let prod = bgv.mul(&ct, &ct, &relin);
+        let prod = bgv.try_mul(&ct, &ct, &relin).unwrap();
         assert!(prod.noise_estimate_bits() > ct.noise_estimate_bits() + 10.0);
         // mod_switch divides the noise back down (to the t-correction
         // floor, ~log2(t/2·sqrt n)).
-        let switched = bgv.mod_switch(&prod);
+        let switched = bgv.try_mod_switch(&prod).unwrap();
         assert!(switched.noise_estimate_bits() < prod.noise_estimate_bits() - 10.0);
     }
 
@@ -676,18 +636,20 @@ mod tests {
     fn bgv_and_ckks_share_keyswitching_machinery() {
         // The same relinearization key object serves both schemes.
         let (ctx, sk, mut rng) = setup(3);
-        let bgv = BgvContext::new(&ctx, T);
+        let bgv = BgvContext::new(&ctx, T).unwrap();
         // A t-scaled-noise key works for BOTH schemes.
         let relin = bgv.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 2 }, &mut rng);
         // CKKS use.
         let pt = ctx.encode(&[1.5, -2.0], ctx.default_scale(), 3);
         let ckks_ct = ctx.encrypt(&pt, &sk, &mut rng);
-        let ckks_prod = ctx.rescale(&ctx.mul(&ckks_ct, &ckks_ct, &relin));
+        let ckks_prod = ctx
+            .try_rescale(&ctx.try_mul(&ckks_ct, &ckks_ct, &relin).unwrap())
+            .unwrap();
         let ckks_out = ctx.decode(&ctx.decrypt(&ckks_prod, &sk), 2);
         assert!((ckks_out[0] - 2.25).abs() < 1e-2);
         // BGV use of the very same key.
         let ct = bgv.encrypt(&[9, 11], 3, &sk, &mut rng);
-        let got = bgv.decrypt(&bgv.mul(&ct, &ct, &relin), &sk);
+        let got = bgv.decrypt(&bgv.try_mul(&ct, &ct, &relin).unwrap(), &sk);
         assert_eq!(&got[..2], &[81, 121]);
     }
 }

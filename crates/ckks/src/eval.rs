@@ -1,14 +1,11 @@
 //! Homomorphic operations on ciphertexts.
 //!
-//! Every operation comes in two flavours:
-//!
-//! - `try_*`: returns [`FheResult`], never panics on operand mismatch, and
-//!   runs the context's [`GuardrailPolicy`] checks (conformance
-//!   validation, hint integrity, budget thresholds under
-//!   [`GuardrailPolicy::Strict`]; level alignment and automatic rescaling
-//!   under [`GuardrailPolicy::AutoRescale`]).
-//! - the legacy panicking name, kept as a thin wrapper that unwraps the
-//!   `try_*` twin.
+//! Every operation has one entry point, named `try_*`: it returns
+//! [`FheResult`], never panics on operand mismatch, and runs the context's
+//! [`GuardrailPolicy`] checks (conformance validation, hint integrity,
+//! budget thresholds under [`GuardrailPolicy::Strict`]; level alignment and
+//! automatic rescaling under [`GuardrailPolicy::AutoRescale`]). A caller
+//! that treats a failure as a bug says why with `.expect(..)`.
 //!
 //! All operations update the ciphertext's analytic noise estimate (see
 //! [`crate::Ciphertext::noise_estimate_bits`] and the model documented in
@@ -25,21 +22,26 @@ use crate::{Ciphertext, CkksContext, HoistedDecomposition, KeySwitchKey, Plainte
 
 impl CkksContext {
     /// Under [`GuardrailPolicy::AutoRescale`], aligns two operands to a
-    /// common (minimum) level with `mod_drop`; otherwise returns them
+    /// common (minimum) level with `try_mod_drop`; otherwise returns them
     /// unchanged.
+    ///
+    /// # Errors
+    ///
+    /// [`FheError::InvalidParams`] from `try_mod_drop` when the common
+    /// level is 0 (an operand with no limbs left).
     fn align_levels<'c>(
         &self,
         a: &'c Ciphertext,
         b: &'c Ciphertext,
-    ) -> (Cow<'c, Ciphertext>, Cow<'c, Ciphertext>) {
+    ) -> FheResult<(Cow<'c, Ciphertext>, Cow<'c, Ciphertext>)> {
         if self.policy() == GuardrailPolicy::AutoRescale && a.level != b.level {
             let target = a.level.min(b.level);
-            (
-                Cow::Owned(self.mod_drop(a, target)),
-                Cow::Owned(self.mod_drop(b, target)),
-            )
+            Ok((
+                Cow::Owned(self.try_mod_drop(a, target)?),
+                Cow::Owned(self.try_mod_drop(b, target)?),
+            ))
         } else {
-            (Cow::Borrowed(a), Cow::Borrowed(b))
+            Ok((Cow::Borrowed(a), Cow::Borrowed(b)))
         }
     }
 
@@ -69,7 +71,7 @@ impl CkksContext {
     /// [`GuardrailPolicy::AutoRescale`]), plus any guardrail failure.
     pub fn try_add(&self, a: &Ciphertext, b: &Ciphertext) -> FheResult<Ciphertext> {
         self.guard_operands("add", &[a, b])?;
-        let (a, b) = self.align_levels(a, b);
+        let (a, b) = self.align_levels(a, b)?;
         self.try_check_same_shape("add", &a, &b)?;
         let out = Ciphertext {
             c0: self.rns().add(&a.c0, &b.c0),
@@ -82,16 +84,6 @@ impl CkksContext {
         Ok(out)
     }
 
-    /// Homomorphic addition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if levels or scales differ (see [`CkksContext::try_add`]).
-    #[must_use]
-    pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_add(a, b).unwrap_or_else(|e| panic!("add: {e}"))
-    }
-
     /// Fallible homomorphic subtraction.
     ///
     /// # Errors
@@ -99,7 +91,7 @@ impl CkksContext {
     /// Same contract as [`CkksContext::try_add`].
     pub fn try_sub(&self, a: &Ciphertext, b: &Ciphertext) -> FheResult<Ciphertext> {
         self.guard_operands("sub", &[a, b])?;
-        let (a, b) = self.align_levels(a, b);
+        let (a, b) = self.align_levels(a, b)?;
         self.try_check_same_shape("sub", &a, &b)?;
         let out = Ciphertext {
             c0: self.rns().sub(&a.c0, &b.c0),
@@ -110,16 +102,6 @@ impl CkksContext {
         };
         self.guard_budget("sub", &out)?;
         Ok(out)
-    }
-
-    /// Homomorphic subtraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if levels or scales differ (see [`CkksContext::try_sub`]).
-    #[must_use]
-    pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_sub(a, b).unwrap_or_else(|e| panic!("sub: {e}"))
     }
 
     /// Fallible homomorphic negation.
@@ -136,12 +118,6 @@ impl CkksContext {
             scale: a.scale,
             noise_bits_est: a.noise_bits_est,
         })
-    }
-
-    /// Homomorphic negation.
-    #[must_use]
-    pub fn neg_ct(&self, a: &Ciphertext) -> Ciphertext {
-        self.try_neg_ct(a).unwrap_or_else(|e| panic!("neg: {e}"))
     }
 
     /// Fallible exact multiplication of every slot by the imaginary unit.
@@ -199,18 +175,6 @@ impl CkksContext {
         Ok(out)
     }
 
-    /// Adds a plaintext to a ciphertext.
-    ///
-    /// # Panics
-    ///
-    /// Panics if levels or scales differ (see
-    /// [`CkksContext::try_add_plain`]).
-    #[must_use]
-    pub fn add_plain(&self, a: &Ciphertext, p: &Plaintext) -> Ciphertext {
-        self.try_add_plain(a, p)
-            .unwrap_or_else(|e| panic!("add_plain: {e}"))
-    }
-
     /// Fallible plaintext multiplication. The scales multiply; a rescale
     /// typically follows (inserted automatically under
     /// [`GuardrailPolicy::AutoRescale`]).
@@ -241,18 +205,6 @@ impl CkksContext {
         Ok(out)
     }
 
-    /// Multiplies a ciphertext by a plaintext. The scales multiply; a
-    /// [`CkksContext::rescale`] typically follows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if levels differ (see [`CkksContext::try_mul_plain`]).
-    #[must_use]
-    pub fn mul_plain(&self, a: &Ciphertext, p: &Plaintext) -> Ciphertext {
-        self.try_mul_plain(a, p)
-            .unwrap_or_else(|e| panic!("mul_plain: {e}"))
-    }
-
     /// Fallible scalar multiplication by an integer (no level consumed,
     /// scale unchanged).
     ///
@@ -274,14 +226,6 @@ impl CkksContext {
         };
         self.guard_budget("mul_integer", &out)?;
         Ok(out)
-    }
-
-    /// Multiplies a ciphertext by an unencoded scalar without consuming a
-    /// level.
-    #[must_use]
-    pub fn mul_integer(&self, a: &Ciphertext, k: i64) -> Ciphertext {
-        self.try_mul_integer(a, k)
-            .unwrap_or_else(|e| panic!("mul_integer: {e}"))
     }
 
     /// Fallible homomorphic multiplication with relinearization (Sec.
@@ -306,7 +250,7 @@ impl CkksContext {
     ) -> FheResult<Ciphertext> {
         cl_trace::record_ct_mult();
         self.guard_operands("mul", &[a, b])?;
-        let (a, b) = self.align_levels(a, b);
+        let (a, b) = self.align_levels(a, b)?;
         if a.level != b.level {
             return Err(FheError::LevelMismatch {
                 op: "mul",
@@ -334,17 +278,6 @@ impl CkksContext {
         Ok(out)
     }
 
-    /// Homomorphic multiplication with relinearization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if levels differ (see [`CkksContext::try_mul`]).
-    #[must_use]
-    pub fn mul(&self, a: &Ciphertext, b: &Ciphertext, relin_key: &KeySwitchKey) -> Ciphertext {
-        self.try_mul(a, b, relin_key)
-            .unwrap_or_else(|e| panic!("mul: {e}"))
-    }
-
     /// Fallible squaring (saves one polynomial product over
     /// [`CkksContext::try_mul`]).
     ///
@@ -370,13 +303,6 @@ impl CkksContext {
         let out = self.auto_rescale(out, a.scale)?;
         self.guard_budget("square", &out)?;
         Ok(out)
-    }
-
-    /// Squares a ciphertext.
-    #[must_use]
-    pub fn square(&self, a: &Ciphertext, relin_key: &KeySwitchKey) -> Ciphertext {
-        self.try_square(a, relin_key)
-            .unwrap_or_else(|e| panic!("square: {e}"))
     }
 
     /// Fallible rescale: divides by the last modulus in the chain and
@@ -418,17 +344,6 @@ impl CkksContext {
         Ok(out)
     }
 
-    /// Rescales: divides by the last modulus and drops a level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext is at level 1 (see
-    /// [`CkksContext::try_rescale`]).
-    #[must_use]
-    pub fn rescale(&self, a: &Ciphertext) -> Ciphertext {
-        self.try_rescale(a).unwrap_or_else(|e| panic!("rescale: {e}"))
-    }
-
     /// Fallible modulus drop to a lower level without dividing (used to
     /// align operand levels). The scale is unchanged.
     ///
@@ -458,18 +373,6 @@ impl CkksContext {
         })
     }
 
-    /// Drops to a lower level without dividing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is zero or above the current level (see
-    /// [`CkksContext::try_mod_drop`]).
-    #[must_use]
-    pub fn mod_drop(&self, a: &Ciphertext, level: usize) -> Ciphertext {
-        self.try_mod_drop(a, level)
-            .unwrap_or_else(|e| panic!("mod_drop: {e}"))
-    }
-
     /// Fallible homomorphic slot rotation by `steps` (Sec. 2.2):
     /// automorphism on both polynomials, then a keyswitch of `c1` with the
     /// matching rotation key.
@@ -490,17 +393,6 @@ impl CkksContext {
         self.try_apply_galois("rotate", a, g, rot_key)
     }
 
-    /// Homomorphic slot rotation by `steps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on basis mismatches (see [`CkksContext::try_rotate`]).
-    #[must_use]
-    pub fn rotate(&self, a: &Ciphertext, steps: i64, rot_key: &KeySwitchKey) -> Ciphertext {
-        self.try_rotate(a, steps, rot_key)
-            .unwrap_or_else(|e| panic!("rotate: {e}"))
-    }
-
     /// Fallible homomorphic complex conjugation of all slots.
     ///
     /// # Errors
@@ -509,13 +401,6 @@ impl CkksContext {
     pub fn try_conjugate(&self, a: &Ciphertext, conj_key: &KeySwitchKey) -> FheResult<Ciphertext> {
         let g = cl_math::galois_element_conjugate(self.params().ring_degree());
         self.try_apply_galois("conjugate", a, g, conj_key)
-    }
-
-    /// Homomorphic complex conjugation of all slots.
-    #[must_use]
-    pub fn conjugate(&self, a: &Ciphertext, conj_key: &KeySwitchKey) -> Ciphertext {
-        self.try_conjugate(a, conj_key)
-            .unwrap_or_else(|e| panic!("conjugate: {e}"))
     }
 
     fn try_apply_galois(
@@ -738,8 +623,8 @@ mod tests {
         let b = vec![0.5, -2.0, 10.0];
         let cta = ctx.encrypt(&ctx.encode(&a, ctx.default_scale(), 2), &sk, &mut rng);
         let ctb = ctx.encrypt(&ctx.encode(&b, ctx.default_scale(), 2), &sk, &mut rng);
-        let sum = ctx.decode(&ctx.decrypt(&ctx.add(&cta, &ctb), &sk), 3);
-        let diff = ctx.decode(&ctx.decrypt(&ctx.sub(&cta, &ctb), &sk), 3);
+        let sum = ctx.decode(&ctx.decrypt(&ctx.try_add(&cta, &ctb).unwrap(), &sk), 3);
+        let diff = ctx.decode(&ctx.decrypt(&ctx.try_sub(&cta, &ctb).unwrap(), &sk), 3);
         for i in 0..3 {
             assert!((sum[i] - (a[i] + b[i])).abs() < 1e-3);
             assert!((diff[i] - (a[i] - b[i])).abs() < 1e-3);
@@ -754,7 +639,9 @@ mod tests {
         let b = vec![4.0, 3.0, -8.0];
         let cta = ctx.encrypt(&ctx.encode(&a, ctx.default_scale(), 3), &sk, &mut rng);
         let ctb = ctx.encrypt(&ctx.encode(&b, ctx.default_scale(), 3), &sk, &mut rng);
-        let prod = ctx.rescale(&ctx.mul(&cta, &ctb, &rlk));
+        let prod = ctx
+            .try_rescale(&ctx.try_mul(&cta, &ctb, &rlk).unwrap())
+            .unwrap();
         assert_eq!(prod.level(), 2);
         let got = ctx.decode(&ctx.decrypt(&prod, &sk), 3);
         for i in 0..3 {
@@ -768,7 +655,9 @@ mod tests {
         let rlk = ctx.relin_keygen(&sk, KIND, &mut rng);
         let a = vec![1.5, -2.0, 0.25, 7.0];
         let ct = ctx.encrypt(&ctx.encode(&a, ctx.default_scale(), 3), &sk, &mut rng);
-        let sq = ctx.rescale(&ctx.square(&ct, &rlk));
+        let sq = ctx
+            .try_rescale(&ctx.try_square(&ct, &rlk).unwrap())
+            .unwrap();
         let got = ctx.decode(&ctx.decrypt(&sq, &sk), 4);
         for i in 0..4 {
             assert!((got[i] - a[i] * a[i]).abs() < 1e-2);
@@ -795,7 +684,9 @@ mod tests {
         let mut ct = ctx.encrypt(&ctx.encode(&x, ctx.default_scale(), 4), &sk, &mut rng);
         let mut expect: Vec<f64> = x.clone();
         for _ in 0..3 {
-            ct = ctx.rescale(&ctx.square(&ct, &rlk));
+            ct = ctx
+                .try_rescale(&ctx.try_square(&ct, &rlk).unwrap())
+                .unwrap();
             for v in expect.iter_mut() {
                 *v = *v * *v;
             }
@@ -820,9 +711,11 @@ mod tests {
         let c = vec![10.0, 20.0, 30.0];
         let ct = ctx.encrypt(&ctx.encode(&a, ctx.default_scale(), 3), &sk, &mut rng);
         let wp = ctx.encode(&w, ctx.default_scale(), 3);
-        let prod = ctx.rescale(&ctx.mul_plain(&ct, &wp));
+        let prod = ctx
+            .try_rescale(&ctx.try_mul_plain(&ct, &wp).unwrap())
+            .unwrap();
         let cp = ctx.encode(&c, prod.scale(), prod.level());
-        let res = ctx.add_plain(&prod, &cp);
+        let res = ctx.try_add_plain(&prod, &cp).unwrap();
         let got = ctx.decode(&ctx.decrypt(&res, &sk), 3);
         for i in 0..3 {
             assert!((got[i] - (a[i] * w[i] + c[i])).abs() < 1e-2);
@@ -836,7 +729,7 @@ mod tests {
         let vals: Vec<f64> = (0..slots).map(|i| i as f64).collect();
         let rk = ctx.rotation_keygen(&sk, 1, KIND, &mut rng);
         let ct = ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), 2), &sk, &mut rng);
-        let rot = ctx.rotate(&ct, 1, &rk);
+        let rot = ctx.try_rotate(&ct, 1, &rk).unwrap();
         let got = ctx.decode(&ctx.decrypt(&rot, &sk), slots);
         // Rotation by 1: slot i takes the value of slot i+1 (cyclically).
         for i in 0..slots {
@@ -858,7 +751,7 @@ mod tests {
         ];
         let ck = ctx.conjugation_keygen(&sk, KIND, &mut rng);
         let ct = ctx.encrypt(&ctx.encode_complex(&vals, ctx.default_scale(), 2), &sk, &mut rng);
-        let conj = ctx.conjugate(&ct, &ck);
+        let conj = ctx.try_conjugate(&ct, &ck).unwrap();
         let got = ctx.decode_complex(&ctx.decrypt(&conj, &sk), 2);
         for (g, v) in got.iter().zip(&vals) {
             assert!((*g - v.conj()).abs() < 1e-2);
@@ -870,7 +763,7 @@ mod tests {
         let (ctx, sk, mut rng) = setup(3);
         let vals = vec![5.0, -6.0];
         let ct = ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), 3), &sk, &mut rng);
-        let dropped = ctx.mod_drop(&ct, 1);
+        let dropped = ctx.try_mod_drop(&ct, 1).unwrap();
         assert_eq!(dropped.level(), 1);
         let got = ctx.decode(&ctx.decrypt(&dropped, &sk), 2);
         assert!((got[0] - 5.0).abs() < 1e-3);
@@ -882,7 +775,7 @@ mod tests {
         let (ctx, sk, mut rng) = setup(2);
         let vals = vec![1.5, -2.0];
         let ct = ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), 2), &sk, &mut rng);
-        let tripled = ctx.mul_integer(&ct, -3);
+        let tripled = ctx.try_mul_integer(&ct, -3).unwrap();
         let got = ctx.decode(&ctx.decrypt(&tripled, &sk), 2);
         assert!((got[0] + 4.5).abs() < 1e-3);
         assert!((got[1] - 6.0).abs() < 1e-3);
@@ -967,7 +860,7 @@ mod tests {
         let vals: Vec<f64> = (0..slots).map(|i| (i % 5) as f64).collect();
         let rk = ctx.rotation_keygen(&sk, 2, KeySwitchKind::Standard, &mut rng);
         let ct = ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), 3), &sk, &mut rng);
-        let rot = ctx.rotate(&ct, 2, &rk);
+        let rot = ctx.try_rotate(&ct, 2, &rk).unwrap();
         let got = ctx.decode(&ctx.decrypt(&rot, &sk), slots);
         for i in 0..slots {
             let expect = vals[(i + 2) % slots];

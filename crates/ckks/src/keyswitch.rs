@@ -217,7 +217,7 @@ impl CkksContext {
     /// decomposition plus ModUp base extension of `c` (NTT form, level-`L`
     /// prefix basis). The result depends only on the polynomial and the
     /// keyswitch kind — not on which key is applied — so one decomposition
-    /// can feed many [`HoistedDecomposition::apply_rotation`] calls.
+    /// can feed many [`HoistedDecomposition::apply`] calls.
     ///
     /// This is Listing 1, lines 1-3, amortized the way CraterLake amortizes
     /// boosted keyswitching across the BSGS rotations of its bootstrapping
@@ -345,19 +345,6 @@ impl CkksContext {
         })
     }
 
-    /// Applies a keyswitch to a single polynomial (panicking twin of
-    /// [`CkksContext::try_keyswitch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is not in NTT form or not over a prefix of the
-    /// ciphertext-modulus chain.
-    #[must_use]
-    pub fn keyswitch(&self, c: &RnsPoly, ksk: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
-        self.try_keyswitch(c, ksk)
-            .unwrap_or_else(|e| panic!("keyswitch: {e}"))
-    }
-
     /// Generates a relinearization key (keyswitch key for `s^2 → s`).
     pub fn relin_keygen<R: Rng + ?Sized>(
         &self,
@@ -413,9 +400,9 @@ impl CkksContext {
 /// ([`cl_rns::RnsContext::mul_acc_superset_automorph`]).
 ///
 /// Obtain one via [`CkksContext::try_hoist`]; apply it with
-/// [`HoistedDecomposition::apply`] (plain keyswitch) or
-/// [`HoistedDecomposition::apply_rotation`] (rotation keyswitch with the
-/// automorphism applied per-limb to the already-decomposed digits).
+/// [`HoistedDecomposition::apply`], once per key (a plain keyswitch, or a
+/// Galois keyswitch with the automorphism applied per limb to the
+/// already-decomposed digits).
 #[derive(Debug, Clone)]
 pub struct HoistedDecomposition {
     kind: KeySwitchKind,
@@ -500,9 +487,14 @@ impl HoistedDecomposition {
         (ks0, ks1)
     }
 
-    /// Phase two, no automorphism: hint inner product plus the single
-    /// closing ModDown. Bit-identical to [`CkksContext::try_keyswitch`] on
-    /// the same polynomial.
+    /// Phase two: hint inner product plus the single closing ModDown.
+    ///
+    /// With `galois: None` this is a plain keyswitch, bit-identical to
+    /// [`CkksContext::try_keyswitch`] on the same polynomial. With
+    /// `Some(g)` the automorphism `σ_g` (a rotation or conjugation) is
+    /// applied per limb to the already-decomposed digits, as a gather fused
+    /// into the inner product; the result is the keyswitched pair for
+    /// `σ_g(c)`, and the caller adds `σ_g(c0)` separately.
     ///
     /// # Errors
     ///
@@ -512,42 +504,10 @@ impl HoistedDecomposition {
     pub fn apply(
         &self,
         ctx: &CkksContext,
+        galois: Option<u64>,
         ksk: &KeySwitchKey,
     ) -> FheResult<(RnsPoly, RnsPoly)> {
-        self.apply_impl(ctx, "keyswitch_hoisted", None, ksk)
-    }
-
-    /// Phase two for a rotation by `k` slots: per-limb automorphism on the
-    /// already-decomposed digits (a gather fused into the inner product),
-    /// then the single closing ModDown. Returns the keyswitched pair for
-    /// `σ(c)`; the caller adds `σ(c0)` separately.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HoistedDecomposition::apply`].
-    pub fn apply_rotation(
-        &self,
-        ctx: &CkksContext,
-        k: i64,
-        rot_key: &KeySwitchKey,
-    ) -> FheResult<(RnsPoly, RnsPoly)> {
-        let g = cl_math::galois_element_for_rotation(k, ctx.params().ring_degree());
-        self.apply_galois(ctx, g, rot_key)
-    }
-
-    /// Phase two for an arbitrary Galois element (rotations and
-    /// conjugation).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HoistedDecomposition::apply`].
-    pub fn apply_galois(
-        &self,
-        ctx: &CkksContext,
-        galois: u64,
-        ksk: &KeySwitchKey,
-    ) -> FheResult<(RnsPoly, RnsPoly)> {
-        self.apply_impl(ctx, "keyswitch_hoisted", Some(galois), ksk)
+        self.apply_impl(ctx, "keyswitch_hoisted", galois, ksk)
     }
 
     /// Phase two with the caller's operation name on error reports.
@@ -642,7 +602,7 @@ mod tests {
             .collect();
         let mut msg = rns.from_signed_coeffs(&signed, &qb);
         rns.to_ntt(&mut msg);
-        let (ks0, ks1) = c.keyswitch(&msg, &ksk);
+        let (ks0, ks1) = c.try_keyswitch(&msg, &ksk).unwrap();
         // Decrypt: ks0 + ks1*s should equal msg*s' up to small noise.
         let s = rns.restrict(&sk.s, &qb);
         let sp = rns.restrict(&s_prime, &qb);
@@ -707,7 +667,7 @@ mod tests {
             let signed: Vec<i64> = (0..128).map(|i| (i % 17) - 8).collect();
             let mut msg = rns.from_signed_coeffs(&signed, &qb);
             rns.to_ntt(&mut msg);
-            let (ks0, ks1) = c.keyswitch(&msg, &ksk);
+            let (ks0, ks1) = c.try_keyswitch(&msg, &ksk).unwrap();
             let s = rns.restrict(&sk.s, &qb);
             let sp = rns.restrict(&s_prime, &qb);
             let mut got = rns.mul(&ks1, &s);

@@ -270,7 +270,7 @@ mod tests {
         let pt = ctx.encode(&vals, ctx.default_scale(), 4);
         let ct = ctx.encrypt(&pt, &sk, &mut rng);
         let fresh_noise = ctx.noise_bits(&ct, &pt, &sk);
-        let sq = ctx.square(&ct, &relin);
+        let sq = ctx.try_square(&ct, &relin).unwrap();
         let sq_vals: Vec<f64> = vals.iter().map(|v| v * v).collect();
         let expected_sq = ctx.encode(&sq_vals, sq.scale(), sq.level());
         let sq_noise = ctx.noise_bits(&sq, &expected_sq, &sk);
@@ -297,7 +297,9 @@ mod tests {
         let mut ct = ctx.encrypt(&pt, &sk, &mut rng);
         let mut budgets = vec![ctx.remaining_depth(&ct)];
         for _ in 0..3 {
-            ct = ctx.rescale(&ctx.square(&ct, &relin));
+            ct = ctx
+                .try_rescale(&ctx.try_square(&ct, &relin).unwrap())
+                .unwrap();
             budgets.push(ctx.remaining_depth(&ct));
         }
         // Strictly decreasing until exhausted, then pinned at 0.
@@ -388,17 +390,17 @@ mod tests {
         check("fresh", &ct, &expect, &sk);
         for depth in 0..3 {
             // Multiply (square), then rotate, then rescale — one level.
-            ct = ctx.square(&ct, &relin);
+            ct = ctx.try_square(&ct, &relin).unwrap();
             for v in expect.iter_mut() {
                 *v = *v * *v;
             }
             check(&format!("square@{depth}"), &ct, &expect, &sk);
-            ct = ctx.rotate(&ct, 1, &rot);
+            ct = ctx.try_rotate(&ct, 1, &rot).unwrap();
             let mut rotated: Vec<f64> = expect[1..].to_vec();
             rotated.push(expect[0]);
             expect = rotated;
             check(&format!("rotate@{depth}"), &ct, &expect, &sk);
-            ct = ctx.rescale(&ct);
+            ct = ctx.try_rescale(&ct).unwrap();
             check(&format!("rescale@{depth}"), &ct, &expect, &sk);
         }
         assert_eq!(ct.level(), 1);

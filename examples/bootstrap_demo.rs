@@ -42,17 +42,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for step in 0..iterations {
         if ct.level() < 2 {
             print!("  [budget exhausted at level {} -> bootstrapping...", ct.level());
-            // The fallible form reports MissingKey / InvalidParams /
-            // budget failures as a structured error instead of panicking.
+            // MissingKey / InvalidParams / budget failures come back as a
+            // structured error.
             ct = booter.try_bootstrap(&ctx, &ct, &keys)?;
             bootstraps += 1;
             println!(" refreshed to level {}]", ct.level());
         }
         // two_minus_x = 2 - x, computed as plaintext constant minus ct.
         let two = ctx.encode(&vec![2.0; slots], ct.scale(), ct.level());
-        let neg = ctx.neg_ct(&ct);
-        let two_minus = ctx.add_plain(&neg, &two);
-        ct = ctx.rescale(&ctx.mul(&ct, &two_minus, &relin));
+        let neg = ctx.try_neg_ct(&ct)?;
+        let two_minus = ctx.try_add_plain(&neg, &two)?;
+        ct = ctx.try_rescale(&ctx.try_mul(&ct, &two_minus, &relin)?)?;
         for t in truth.iter_mut() {
             *t = *t * (2.0 - *t);
         }

@@ -5,22 +5,16 @@
 # hint integrity digest, rotate, hoisted rotation, rescale, BSGS linear
 # transform, one bootstrap step, key-residency tiers eager/compact/hot with
 # warm hint-cache variants)
-# at CL_THREADS=1 and CL_THREADS=4 and merges both runs with the
-# checked-in seed baseline (benchmarks/BENCH_kernels_seed.json) into
-# benchmarks/BENCH_kernels.json, including per-kernel speedup ratios vs the
-# seed.
+# at CL_THREADS=1 and CL_THREADS=4 and merges both runs into
+# benchmarks/BENCH_kernels.json.
 #
-# Also runs the deterministic op-count mode (`bench_kernels --ops`) from a
-# separate trace-feature build (target/trace/, so the timing binary stays
-# counter-free) and merges the measured residue-polynomial pass counts into
-# the same JSON under "op_counts".
+# The op-count identities (keyswitch and rescale pass counts vs the cl-isa
+# cost formulas) are asserted exactly by tests/trace_validation.rs, not here.
 #
 # Usage: scripts/bench.sh [--smoke] [--check]
 #   --smoke  tiny shapes, one iteration per kernel (harness health check);
 #            results go to target/bench_smoke/, never benchmarks/
 #   --check  compare against the recorded baseline benchmarks/BENCH_kernels.json:
-#            - both modes: measured keyswitch/rescale op counts must match
-#              the cl-isa cost formulas EXACTLY (they are deterministic)
 #            - full mode: fail if any kernel is >25% slower than recorded
 #            - smoke mode: only verify every recorded kernel is present and
 #              timed (single-iteration smoke timings are too noisy to gate on)
@@ -56,13 +50,6 @@ CL_THREADS=1 "$BIN" $SMOKE --label "serial-$label" --out "$OUT_DIR/BENCH_kernels
 echo "== bench: parallel (CL_THREADS=4) =="
 CL_THREADS=4 "$BIN" $SMOKE --label "parallel-$label" --out "$OUT_DIR/BENCH_kernels_t4.json"
 
-echo "== bench: op counts (trace build) =="
-# A separate target dir keeps the trace-feature build from invalidating the
-# counter-free release cache the timing numbers come from.
-cargo build --release -p cl-bench --features trace --target-dir target/trace
-CL_THREADS=4 target/trace/release/bench_kernels $SMOKE --ops \
-    --label "ops-$label" --out "$OUT_DIR/BENCH_kernels_ops.json"
-
 echo "== bench: merge =="
 python3 - "$OUT_DIR" <<'EOF'
 import json, os, sys
@@ -75,9 +62,6 @@ def load(path):
 
 t1 = load(os.path.join(out_dir, "BENCH_kernels_t1.json"))
 t4 = load(os.path.join(out_dir, "BENCH_kernels_t4.json"))
-ops = load(os.path.join(out_dir, "BENCH_kernels_ops.json"))
-seed_path = os.path.join("benchmarks", "BENCH_kernels_seed.json")
-seed = load(seed_path) if os.path.exists(seed_path) else None
 
 merged = {
     "shape": {k: t1[k] for k in ("n", "limbs", "limb_bits", "smoke")},
@@ -85,25 +69,15 @@ merged = {
         "backend": t1.get("backend"),
         "cpu_features": t1.get("cpu_features"),
     },
-    "seed": seed,
     "serial": t1,
     "parallel": t4,
-    "op_counts": ops,
-    "speedup_vs_seed": {},
 }
-if seed and seed.get("smoke") == t1.get("smoke"):
-    for k, ns in seed["kernels_ns"].items():
-        cur = t4["kernels_ns"].get(k)
-        if cur:
-            merged["speedup_vs_seed"][k] = round(ns / cur, 2)
 
 path = os.path.join(out_dir, "BENCH_kernels.json")
 with open(path, "w") as f:
     json.dump(merged, f, indent=2)
     f.write("\n")
 print(f"wrote {path}")
-for k, s in sorted(merged["speedup_vs_seed"].items()):
-    print(f"  {k:>16}: {s:6.2f}x vs seed")
 EOF
 
 if [[ "$CHECK" == 1 ]]; then
@@ -127,35 +101,6 @@ if missing:
     sys.exit(f"bench check: kernels missing from current run: {missing}")
 if bogus:
     sys.exit(f"bench check: non-positive timings: {bogus}")
-
-# Op-count gate (both modes — the counts are deterministic): the measured
-# keyswitch/rescale residue-polynomial pass counts must match the cl-isa
-# cost formulas exactly. Cross-validates the telemetry against Table 1 on
-# every bench run, at whatever shape this run used.
-with open(os.path.join(out_dir, "BENCH_kernels_ops.json")) as f:
-    ops = json.load(f)
-if not ops.get("enabled"):
-    sys.exit("bench check: op-count run was built without the trace feature")
-bad, gated = [], 0
-for k, rec in sorted(ops["kernels"].items()):
-    exp = rec.get("expected")
-    if not exp:
-        continue
-    gated += 1
-    m = rec["measured"]
-    measured = {
-        "ntt_total": m["ntt"] + m["intt"],
-        "mult": m["mult"],
-        "add": m["add"],
-        "base_conv": m["base_conv"],
-    }
-    for field, want in exp.items():
-        if measured[field] != want:
-            bad.append(f"{k}.{field}: measured {measured[field]} != formula {want}")
-if bad:
-    sys.exit("bench check: measured op counts diverge from the cost formulas:\n  "
-             + "\n  ".join(bad))
-print(f"bench check: {gated} kernels' op counts match the cl-isa cost formulas exactly: OK")
 
 if smoke:
     # Single-iteration smoke timings are too noisy to compare; presence

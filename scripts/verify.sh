@@ -14,7 +14,8 @@
 #  6. Lint gate on every library target: warnings are errors and bare
 #     `unwrap()` is banned (tests and binaries are exempt — library code
 #     must name the violated invariant via `expect` or propagate with
-#     `?`/`FheResult`).
+#     `?`/`FheResult`). `panic!` is banned in the cl-ckks and cl-boot
+#     libraries, where every operation has one fallible entry point.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -106,5 +107,7 @@ cargo clippy -p cl-math -p cl-rns -p cl-ckks -p cl-boot -p cl-runtime \
     -p cl-apps -p cl-baselines -p cl-compiler -p cl-core -p cl-isa \
     -p cl-trace -p cl-server --lib --no-deps -- \
     -D warnings -D clippy::unwrap_used
+# No panicking twin of a `try_*` operation: callers propagate or `expect`.
+cargo clippy -p cl-ckks -p cl-boot --lib --no-deps -- -D clippy::panic
 
 echo "tier-1 verify: OK"

@@ -328,9 +328,9 @@ fn ckks_pipeline_thread_invariant() {
         let vals: Vec<f64> = (0..8).map(|i| (i as f64) * 0.25 - 1.0).collect();
         let pt = ctx.encode(&vals, ctx.default_scale(), ctx.max_level());
         let ct = ctx.encrypt(&pt, &sk, &mut rng);
-        let prod = ctx.mul(&ct, &ct, &relin);
-        let rotated = ctx.rotate(&prod, 1, &rot);
-        let rescaled = ctx.rescale(&rotated);
+        let prod = ctx.try_mul(&ct, &ct, &relin).unwrap();
+        let rotated = ctx.try_rotate(&prod, 1, &rot).unwrap();
+        let rescaled = ctx.try_rescale(&rotated).unwrap();
         let decoded = ctx.decode(&ctx.decrypt(&rescaled, &sk), vals.len());
         (rescaled, decoded)
     };

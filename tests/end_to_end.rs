@@ -203,9 +203,11 @@ fn homomorphic_pipeline_matches_plaintext_reference() {
     let pt = ctx.encode(&xs, ctx.default_scale(), ctx.max_level());
     let ct = ctx.encrypt(&pt, &sk, &mut rng);
     // y = x^2 - x  homomorphically.
-    let sq = ctx.rescale(&ctx.square(&ct, &relin));
-    let x_d = ctx.mod_drop(&ct, sq.level());
-    let y = ctx.sub(&sq, &x_d.with_scale(sq.scale()));
+    let sq = ctx
+        .try_rescale(&ctx.try_square(&ct, &relin).unwrap())
+        .unwrap();
+    let x_d = ctx.try_mod_drop(&ct, sq.level()).unwrap();
+    let y = ctx.try_sub(&sq, &x_d.with_scale(sq.scale())).unwrap();
     let got = ctx.decode(&ctx.decrypt(&y, &sk), 8);
     for (g, &x) in got.iter().zip(&xs) {
         assert!((g - (x * x - x)).abs() < 1e-4, "{g} vs {}", x * x - x);

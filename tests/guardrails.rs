@@ -77,14 +77,18 @@ fn strict_checks_each_hint_application_once_at_every_entry_point() {
     let rot = ctx.rotation_keygen(&sk, 1, kind, &mut rng);
     let conj = ctx.conjugation_keygen(&sk, kind, &mut rng);
     let t = 65537;
-    let bgv_relin = BgvContext::new(&ctx, t).relin_keygen(&sk, kind, &mut rng);
-    let bgv_ct = BgvContext::new(&ctx, t).encrypt(&[3, 4], 3, &sk, &mut rng);
+    let bgv_relin = BgvContext::new(&ctx, t)
+        .expect("65537 is an NTT-friendly plaintext prime")
+        .relin_keygen(&sk, kind, &mut rng);
+    let bgv_ct = BgvContext::new(&ctx, t)
+        .expect("65537 is an NTT-friendly plaintext prime")
+        .encrypt(&[3, 4], 3, &sk, &mut rng);
     let pt = ctx.encode(&[0.5, -0.25], ctx.default_scale(), 3);
     let ct = ctx.encrypt(&pt, &sk, &mut rng);
     ctx.set_policy(GuardrailPolicy::Strict {
         min_budget_bits: 0.0,
     });
-    let bgv = BgvContext::new(&ctx, t);
+    let bgv = BgvContext::new(&ctx, t).expect("65537 is an NTT-friendly plaintext prime");
     let n = ctx.params().ring_degree();
     let g = cl_math::galois_element_for_rotation(1, n);
     let dec = ctx.try_hoist(ct.c1(), kind).expect("hoist");
@@ -93,8 +97,8 @@ fn strict_checks_each_hint_application_once_at_every_entry_point() {
     let apply = |entry: &str, k: &KeySwitchKey| -> FheResult<()> {
         match entry {
             "try_keyswitch" => ctx.try_keyswitch(ct.c1(), k).map(drop),
-            "apply" => dec.apply(&ctx, k).map(drop),
-            "apply_galois" => dec.apply_galois(&ctx, g, k).map(drop),
+            "apply(None)" => dec.apply(&ctx, None, k).map(drop),
+            "apply(Some(g))" => dec.apply(&ctx, Some(g), k).map(drop),
             "try_mul" => ctx.try_mul(&ct, &ct, k).map(drop),
             "try_square" => ctx.try_square(&ct, k).map(drop),
             "try_rotate" => ctx.try_rotate(&ct, 1, k).map(drop),
@@ -113,8 +117,8 @@ fn strict_checks_each_hint_application_once_at_every_entry_point() {
     // clean hint)
     let entry_points: [(&str, &str, u64, &KeySwitchKey); 10] = [
         ("try_keyswitch", "keyswitch", 1, &relin),
-        ("apply", "keyswitch_hoisted", 1, &relin),
-        ("apply_galois", "keyswitch_hoisted", 1, &rot),
+        ("apply(None)", "keyswitch_hoisted", 1, &relin),
+        ("apply(Some(g))", "keyswitch_hoisted", 1, &rot),
         ("try_mul", "mul", 1, &relin),
         ("try_square", "square", 1, &relin),
         ("try_rotate", "rotate", 1, &rot),
@@ -173,7 +177,7 @@ fn auto_rescale_policy_manages_levels_for_the_caller() {
 
 #[test]
 fn fallible_api_reports_structured_errors_across_the_workspace() {
-    let (ctx, sk, mut rng) = setup();
+    let (mut ctx, sk, mut rng) = setup();
     let a = ctx.encrypt(&ctx.encode(&[1.0], ctx.default_scale(), 3), &sk, &mut rng);
     let b = ctx.encrypt(&ctx.encode(&[1.0], ctx.default_scale(), 2), &sk, &mut rng);
     match ctx.try_add(&a, &b) {
@@ -189,4 +193,24 @@ fn fallible_api_reports_structured_errors_across_the_workspace() {
         ctx.try_rescale(&low),
         Err(FheError::InvalidParams { op: "rescale", .. })
     ));
+
+    // AutoRescale aligns mismatched operands with a modulus drop; a
+    // level-0 operand (no limbs left) must surface that drop's error, not
+    // unwind out of the `try_*` call.
+    ctx.set_policy(GuardrailPolicy::AutoRescale);
+    let relin = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
+    let mut empty = ctx.rns().zero(&ctx.rns().q_basis(0));
+    empty.set_ntt_form(true);
+    let zero = ctx.ciphertext_from_parts(empty.clone(), empty, 0, ctx.default_scale());
+    let results = [
+        ("try_add", ctx.try_add(&a, &zero)),
+        ("try_sub", ctx.try_sub(&a, &zero)),
+        ("try_mul", ctx.try_mul(&a, &zero, &relin)),
+    ];
+    for (entry, result) in results {
+        assert!(
+            matches!(result, Err(FheError::InvalidParams { op: "mod_drop", .. })),
+            "{entry} on a level-0 operand gave {result:?}"
+        );
+    }
 }

@@ -273,7 +273,7 @@ proptest! {
             .build()
             .unwrap();
         let ctx = CkksContext::new(params).unwrap();
-        let bgv = BgvContext::new(&ctx, 65537);
+        let bgv = BgvContext::new(&ctx, 65537).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let sk = ctx.keygen(&mut rng);
         let vals: Vec<u64> = (0..128)

@@ -55,9 +55,9 @@ fn measure<R>(f: impl FnOnce() -> R) -> (R, OpSnapshot) {
     (out, OpSnapshot::capture().delta_since(&before))
 }
 
-/// Multiplicative budget the keyswitch fixtures run at. Chosen so both
-/// digit counts divide it exactly (`alpha = L/t` with no ceiling slack),
-/// which is where the Table 1 formulas are exact.
+/// Multiplicative budget the keyswitch fixtures run at. Chosen so every
+/// digit count tested divides it exactly (`alpha = L/t` with no ceiling
+/// slack), which is where the Table 1 formulas are exact.
 const L: usize = 8;
 
 /// A context whose full budget is [`L`] so a full-level polynomial
@@ -107,14 +107,15 @@ fn standard_keyswitch_counts_cross_validate() {
 }
 
 #[test]
-fn boosted_keyswitch_counts_cross_validate_digits_1_and_4() {
+fn boosted_keyswitch_counts_cross_validate_digits_1_4_and_max() {
     let _g = counter_lock();
     let ctx = ks_ctx();
     let mut rng = rand::rngs::StdRng::seed_from_u64(12);
     let sk = ctx.keygen(&mut rng);
     let c = ctx.rns().sample_uniform(&ctx.rns().q_basis(L), &mut rng);
 
-    for digits in [1usize, 4] {
+    // `L` digits is the one-limb-per-digit extreme (`alpha = 1`).
+    for digits in [1usize, 4, L] {
         let ksk = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits }, &mut rng);
         let (res, d) = measure(|| ctx.try_keyswitch(&c, &ksk));
         res.expect("boosted keyswitch");
