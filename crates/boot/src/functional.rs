@@ -1086,7 +1086,6 @@ impl Bootstrapper {
         ct: &Ciphertext,
         keys: &BootstrapKeys,
     ) -> FheResult<Ciphertext> {
-        let _span = cl_trace::span("eval_mod");
         // One cache fetch serves the whole squaring chain.
         let relin = keys.try_relin(ctx)?;
         let relin = relin.as_ref();
@@ -1231,7 +1230,6 @@ impl Bootstrapper {
 
     /// Stage 1 — ModRaise: lift residues mod q0 to the full chain.
     fn step_mod_raise(&self, ctx: &CkksContext, ct: Ciphertext) -> FheResult<BootState> {
-        let _span = cl_trace::span("mod_raise");
         if matches!(ctx.policy(), GuardrailPolicy::AutoRescale) {
             return Err(FheError::InvalidParams {
                 op: "bootstrap",
@@ -1288,7 +1286,6 @@ impl Bootstrapper {
         orig_scale: f64,
         keys: &BootstrapKeys,
     ) -> FheResult<BootState> {
-        let _span = cl_trace::span("coeff_to_slot");
         let q0 = ctx.rns().modulus_value(0) as f64;
         // ---- CoeffToSlot: slot bitrev(j) becomes u_j = c_j + i·c_{j+slots},
         // where c are the raised polynomial's coefficients (value
@@ -1324,7 +1321,6 @@ impl Bootstrapper {
         orig_scale: f64,
         keys: &BootstrapKeys,
     ) -> FheResult<BootState> {
-        let _span = cl_trace::span("slot_to_coeff");
         let q0 = ctx.rns().modulus_value(0) as f64;
         // Recombine: m = m_re + i·m_im, with the exact monomial i.
         let lvl = m_re.level().min(m_im.level());
@@ -1365,7 +1361,6 @@ impl Bootstrapper {
         ct: &Ciphertext,
         keys: &BootstrapKeys,
     ) -> FheResult<Ciphertext> {
-        let _span = cl_trace::span("bootstrap");
         let mut state = BootState::Start { ct: ct.clone() };
         for _ in 0..BootState::NUM_STAGES {
             state = self.try_step(ctx, state, keys)?;

@@ -186,9 +186,9 @@ impl<'a> BgvContext<'a> {
     /// over `Z_t`).
     ///
     /// The digit decomposition, hint products and accumulation are the
-    /// same operations CKKS keyswitching uses (the hardware-sharing claim
-    /// of Sec. 2); only the closing ModDown differs — BGV divides by `P`
-    /// with a `t`-congruent correction so the injected rounding stays
+    /// CKKS keyswitch's own (the hardware-sharing claim of Sec. 2); only
+    /// the closing ModDown differs — BGV divides by `P` with a
+    /// `t`-congruent correction so the injected rounding stays
     /// `≡ 0 (mod t)`.
     ///
     /// # Errors
@@ -203,7 +203,6 @@ impl<'a> BgvContext<'a> {
         relin: &KeySwitchKey,
     ) -> FheResult<Ciphertext> {
         self.inner.guard_operands("bgv_mul", &[a, b])?;
-        self.inner.guard_key("bgv_mul", relin)?;
         if a.level() != b.level() {
             return Err(FheError::LevelMismatch {
                 op: "bgv_mul",
@@ -216,7 +215,14 @@ impl<'a> BgvContext<'a> {
         let mut d1 = rns.mul(a.c0(), b.c1());
         rns.mul_acc(&mut d1, a.c1(), b.c0());
         let d2 = rns.mul(a.c1(), b.c1());
-        let (ks0, ks1) = self.keyswitch_exact(&d2, relin);
+        // ModUp and the hint inner product (which checks the hint once)
+        // are the CKKS path's; the division by P is BGV's own.
+        let (acc0, acc1) = self
+            .inner
+            .hoist_impl("bgv_mul", &d2, relin.kind())?
+            .apply_ext(self.inner, "bgv_mul", None, relin)?;
+        let special = self.inner.special_for(relin.kind());
+        let (ks0, ks1) = self.mod_down_exact(acc0, acc1, a.level(), special);
         let c0 = rns.add(&d0, &ks0);
         let c1 = rns.add(&d1, &ks1);
         // Coarse BGV noise model: the noise product t·e_a·t·e_b dominated
@@ -235,65 +241,23 @@ impl<'a> BgvContext<'a> {
         Ok(out)
     }
 
-    /// Boosted keyswitching with an exact, `t`-corrected ModDown: the
-    /// up-conversion and hint products reuse the CKKS path; the division by
-    /// `P` is done per coefficient over the integers (CRT), with the
-    /// dropped part corrected to be `≡ 0 (mod t)` as in BGV modulus
-    /// switching. Suitable for test-scale rings.
-    fn keyswitch_exact(
+    /// The exact, `t`-corrected ModDown of both keyswitch accumulators
+    /// (NTT form over `Q·P`: `level` limbs of `Q`, then `special` limbs of
+    /// `P`). The division by `P` is done per coefficient over the integers
+    /// (CRT), with the dropped part corrected to be `≡ 0 (mod t)` as in
+    /// BGV modulus switching. Suitable for test-scale rings.
+    fn mod_down_exact(
         &self,
-        c: &RnsPoly,
-        ksk: &KeySwitchKey,
+        mut acc0: RnsPoly,
+        mut acc1: RnsPoly,
+        level: usize,
+        special: usize,
     ) -> (RnsPoly, RnsPoly) {
         use cl_math::BigUint;
-        let inner = self.inner;
-        let rns = inner.rns();
-        let level = c.num_limbs();
+        let rns = self.inner.rns();
         let qb = rns.q_basis(level);
-        let special = inner.special_for(ksk.kind());
-        assert!(special > 0, "BGV keyswitching requires special moduli");
         let pb = rns.p_basis(special);
-        let target = qb.union(&pb);
-        // Accumulate digit x hint products over Q·P (identical to CKKS).
-        let mut c_coeff = c.clone();
-        rns.from_ntt(&mut c_coeff);
-        let mut acc0 = rns.zero(&target);
-        acc0.set_ntt_form(true);
-        let mut acc1 = acc0.clone();
-        for (d, limbs) in ksk.digit_limbs.iter().enumerate() {
-            let present: Vec<u32> =
-                limbs.iter().copied().filter(|&l| (l as usize) < level).collect();
-            if present.is_empty() {
-                continue;
-            }
-            let digit_basis = cl_rns::Basis(present.clone());
-            let ext_basis = cl_rns::Basis(
-                target.0.iter().copied().filter(|l| !present.contains(l)).collect(),
-            );
-            let c_d = rns.restrict(&c_coeff, &digit_basis);
-            let mut c_full = rns.zero(&target);
-            let conv = inner.converter(&digit_basis, &ext_basis);
-            let c_ext = conv.convert(rns, &c_d);
-            for (pos, &limb) in target.0.iter().enumerate() {
-                let src = if let Some(k) = digit_basis.0.iter().position(|&l| l == limb) {
-                    c_d.limb(k)
-                } else {
-                    let k = ext_basis
-                        .0
-                        .iter()
-                        .position(|&l| l == limb)
-                        .expect("target basis is the disjoint union of digit and extension bases");
-                    c_ext.limb(k)
-                };
-                c_full.limb_mut(pos).copy_from_slice(src);
-            }
-            rns.to_ntt(&mut c_full);
-            let k0 = rns.restrict(&ksk.elems[d].0, &target);
-            let k1 = rns.restrict(&ksk.elems[d].1, &target);
-            rns.mul_acc(&mut acc0, &c_full, &k0);
-            rns.mul_acc(&mut acc1, &c_full, &k1);
-        }
-        // Exact t-corrected ModDown per coefficient.
+        let target = acc0.basis().clone();
         let tm = cl_math::Modulus::new(self.t).expect("t in range");
         let all_moduli: Vec<u64> = target.0.iter().map(|&l| rns.modulus_value(l)).collect();
         let p_moduli: Vec<u64> = pb.0.iter().map(|&l| rns.modulus_value(l)).collect();
@@ -301,7 +265,7 @@ impl<'a> BgvContext<'a> {
         let p_big = BigUint::product(&p_moduli);
         let p_mod_t = p_big.rem_u64(self.t);
         let p_inv_t = tm.inv(tm.reduce(p_mod_t));
-        let n = c.n();
+        let n = acc0.n();
         let divide = |poly: &mut RnsPoly| -> RnsPoly {
             rns.from_ntt(poly);
             let mut out = rns.zero(&qb);
@@ -533,16 +497,24 @@ mod tests {
 
     #[test]
     fn multiplication_is_exact_mod_t() {
-        let (ctx, sk, mut rng) = setup(3);
-        let bgv = BgvContext::new(&ctx, T).unwrap();
-        let relin = bgv.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
-        let a: Vec<u64> = (0..32).map(|i| 3 + i as u64 * 1009).collect();
-        let b: Vec<u64> = (0..32).map(|i| 5 + i as u64 * 2003).collect();
-        let ca = bgv.encrypt(&a, 3, &sk, &mut rng);
-        let cb = bgv.encrypt(&b, 3, &sk, &mut rng);
-        let prod = bgv.decrypt(&bgv.try_mul(&ca, &cb, &relin).unwrap(), &sk);
-        for i in 0..32 {
-            assert_eq!(prod[i], a[i] * b[i] % T, "slot {i}");
+        // Every keyswitch kind: one special limb, one digit, and one digit
+        // per limb at 3 levels.
+        for kind in [
+            KeySwitchKind::Standard,
+            KeySwitchKind::Boosted { digits: 1 },
+            KeySwitchKind::Boosted { digits: 3 },
+        ] {
+            let (ctx, sk, mut rng) = setup(3);
+            let bgv = BgvContext::new(&ctx, T).unwrap();
+            let relin = bgv.relin_keygen(&sk, kind, &mut rng);
+            let a: Vec<u64> = (0..32).map(|i| 3 + i as u64 * 1009).collect();
+            let b: Vec<u64> = (0..32).map(|i| 5 + i as u64 * 2003).collect();
+            let ca = bgv.encrypt(&a, 3, &sk, &mut rng);
+            let cb = bgv.encrypt(&b, 3, &sk, &mut rng);
+            let prod = bgv.decrypt(&bgv.try_mul(&ca, &cb, &relin).unwrap(), &sk);
+            for i in 0..32 {
+                assert_eq!(prod[i], a[i] * b[i] % T, "{kind:?}, slot {i}");
+            }
         }
     }
 

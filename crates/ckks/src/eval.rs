@@ -314,7 +314,6 @@ impl CkksContext {
     /// [`FheError::InvalidParams`] at level 1 (no modulus left to drop),
     /// plus any guardrail failure.
     pub fn try_rescale(&self, a: &Ciphertext) -> FheResult<Ciphertext> {
-        let _span = cl_trace::span("rescale");
         self.guard_operands("rescale", &[a])?;
         if a.level < 2 {
             return Err(FheError::InvalidParams {
@@ -410,7 +409,6 @@ impl CkksContext {
         g: u64,
         key: &KeySwitchKey,
     ) -> FheResult<Ciphertext> {
-        let _span = cl_trace::span("rotate");
         cl_trace::record_rotation();
         self.guard_operands(op, &[a])?;
         let rns = self.rns();

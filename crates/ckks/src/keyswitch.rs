@@ -208,7 +208,6 @@ impl CkksContext {
         c: &RnsPoly,
         ksk: &KeySwitchKey,
     ) -> FheResult<(RnsPoly, RnsPoly)> {
-        let _span = cl_trace::span("keyswitch");
         self.hoist_impl(op, c, ksk.kind)?
             .apply_impl(self, op, None, ksk)
     }

@@ -46,20 +46,19 @@ pub fn keyswitch_macro_ops(arch: &ArchConfig, n: usize, l: usize, alg: KsAlgorit
     let mut op = MacroOp::new();
     match alg {
         KsAlgorithm::Boosted(t) => {
-            let lu = l as u64;
-            let tu = t as u64;
-            let alpha = lu.div_ceil(tu);
             let counts = cost::boosted_keyswitch_ops(l, t);
+            let crb_mult = cost::boosted_keyswitch_crb_mult(l, t);
             // NTT passes (Listing 1 lines 2, 4, 7, 9), two unit passes each.
             op = op.with_fu(FuKind::Ntt, NTT_PASS_FACTOR * counts.ntt);
-            // Hint products and ModDown additions.
-            let hint_mults = 2 * tu * (lu + alpha);
-            let other_adds = 2 * (tu - 1) * (lu + alpha) + 2 * lu;
+            // Work outside changeRNSBase: the hint products (two output
+            // polynomials x t digits x (L + alpha) limbs), the accumulation
+            // and the ModDown additions.
+            let hint_mults = counts.mult - crb_mult;
+            let other_adds = counts.add - crb_mult;
             op = op.with_fu(FuKind::Mul, hint_mults);
             op = op.with_fu(FuKind::Add, other_adds);
             // changeRNSBase work.
-            let crb_streams = (tu + 2) * lu; // ModUp t*L + ModDown 2*L streams
-            let crb_mult = cost::boosted_keyswitch_crb_mult(l, t);
+            let crb_streams = (t as u64 + 2) * l as u64; // ModUp t*L + ModDown 2*L streams
             if arch.has_crb {
                 op = op.with_fu(FuKind::Crb, crb_streams);
             } else {
@@ -67,14 +66,16 @@ pub fn keyswitch_macro_ops(arch: &ArchConfig, n: usize, l: usize, alg: KsAlgorit
                 op = op.with_fu(FuKind::Mul, crb_mult);
                 op = op.with_fu(FuKind::Add, crb_mult);
             }
-            // KSHGen regenerates the pseudo-random hint half on the fly.
+            // KSHGen regenerates the pseudo-random hint half on the fly:
+            // one limb per hint product pair.
+            let kshgen_limbs = hint_mults / 2;
             if arch.has_kshgen {
-                op = op.with_fu(FuKind::KshGen, tu * (lu + alpha));
+                op = op.with_fu(FuKind::KshGen, kshgen_limbs);
             }
             // Register-file traffic: all non-CRB passes move 3N words each
             // (divided by the chaining factor); without a CRB the MAC
             // passes hit the register file too.
-            let mut rf_passes = counts.ntt + hint_mults + other_adds + tu * (lu + alpha);
+            let mut rf_passes = counts.ntt + hint_mults + other_adds + kshgen_limbs;
             if !arch.has_crb {
                 rf_passes += 2 * crb_mult;
             } else {
@@ -126,21 +127,21 @@ pub fn pointwise_op(_arch: &ArchConfig, n: usize, fu: FuKind, passes: u64) -> Ma
 /// Lowers a rescale at level `l` (both ciphertext polynomials): INTT of the
 /// dropped limb, base-convert it, subtract and scale, NTT back.
 pub fn rescale_op(arch: &ArchConfig, n: usize, l: usize) -> MacroOp {
-    let lu = l as u64;
-    let ntt_passes = NTT_PASS_FACTOR * 2 * lu; // 2 INTT of dropped limb + 2(L-1) NTT back
+    let counts = cost::rescale_ops(l);
+    let ntt_passes = NTT_PASS_FACTOR * counts.ntt;
     let mut op = MacroOp::new().with_fu(FuKind::Ntt, ntt_passes);
-    let conv_streams = 2 * (lu - 1);
+    let conv_streams = 2 * (l as u64 - 1);
     if arch.has_crb {
         op = op.with_fu(FuKind::Crb, conv_streams);
     } else {
         op = op.with_fu(FuKind::Mul, conv_streams);
         op = op.with_fu(FuKind::Add, conv_streams);
     }
-    op = op.with_fu(FuKind::Mul, 2 * (lu - 1)); // q^{-1} scaling
-    op = op.with_fu(FuKind::Add, 2 * (lu - 1)); // subtraction
-    let rf_passes = ntt_passes + 4 * (lu - 1) + conv_streams;
+    op = op.with_fu(FuKind::Mul, counts.mult); // q^{-1} scaling
+    op = op.with_fu(FuKind::Add, counts.add); // subtraction
+    let rf_passes = ntt_passes + counts.mult + counts.add + conv_streams;
     op.with_rf_words(rf_words_for_passes(n, rf_passes, arch.chaining))
-        .with_scalar_muls((2 * (lu - 1) + conv_streams) * n as u64)
+        .with_scalar_muls((counts.mult + conv_streams) * n as u64)
 }
 
 /// Lowers a ModRaise to level `l` (base extension of both polynomials of a
@@ -188,11 +189,12 @@ pub fn lower_node(
         HeOp::MulCt(..) => {
             let mut op = keyswitch_macro_ops(arch, n, l, alg);
             // Tensor products and final additions.
+            let t = cost::tensor_ops(l);
             let tensor = MacroOp::new()
-                .with_fu(FuKind::Mul, 4 * lu)
-                .with_fu(FuKind::Add, 3 * lu)
-                .with_rf_words(rf_words_for_passes(n, 7 * lu, arch.chaining))
-                .with_scalar_muls(4 * lu * n as u64);
+                .with_fu(FuKind::Mul, t.mult)
+                .with_fu(FuKind::Add, t.add)
+                .with_rf_words(rf_words_for_passes(n, t.mult + t.add, arch.chaining))
+                .with_scalar_muls(t.mult * n as u64);
             op.merge(&tensor);
             op = op.with_net_words(network_words(arch, n, l, false));
             LoweredOp::One(op)

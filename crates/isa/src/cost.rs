@@ -142,25 +142,51 @@ pub fn boosted_crossover_level(n: usize) -> usize {
         .unwrap_or(128)
 }
 
-/// Residue-polynomial passes of auxiliary (non-keyswitch) work in one
-/// homomorphic multiplication at budget `l`: the tensor products and the
-/// rescale.
+/// Residue-polynomial passes of the tensor product of two ciphertexts at
+/// budget `l`: 4 limb-wise products (d0, two cross terms, d2) plus the
+/// additions that fold the cross terms and the keyswitched `d2` back in.
+pub fn tensor_ops(l: usize) -> OpCounts {
+    let l = l as u64;
+    OpCounts {
+        mult: 4 * l,
+        add: 3 * l,
+        ntt: 0,
+    }
+}
+
+/// Residue-polynomial passes of one rescale from budget `l` (both
+/// ciphertext polynomials), outside its base conversion: the subtraction
+/// of the converted dropped limb and the multiply by `q^{-1}` on each of
+/// the `l - 1` kept limbs, plus 2 INTT of the dropped limb and 2(L-1)
+/// NTT-equivalents bringing the correction back.
 ///
 /// # Panics
 ///
-/// Panics when `l = 0`: a multiplication needs at least one limb, and the
-/// rescale term `2(l-1)` would otherwise underflow.
-pub fn mul_aux_ops(l: usize) -> OpCounts {
+/// Panics when `l = 0`: a rescale needs at least one limb, and the term
+/// `2(l-1)` would otherwise underflow.
+pub fn rescale_ops(l: usize) -> OpCounts {
     assert!(l >= 1, "multiplicative budget must be >= 1, got 0");
     let l = l as u64;
     OpCounts {
-        // Tensor: 4 limb-wise products (d0, two cross terms, d2) plus the
-        // final additions; rescale multiplies by q^{-1} per limb.
-        mult: 4 * l + 2 * (l - 1),
-        add: 3 * l + 2 * (l - 1),
-        // Rescale needs the dropped limb in coefficient form and the
-        // correction NTT'd back: 2 INTT + 2(L-1) NTT-equivalents.
+        mult: 2 * (l - 1),
+        add: 2 * (l - 1),
         ntt: 2 + 2 * (l - 1),
+    }
+}
+
+/// Residue-polynomial passes of auxiliary (non-keyswitch) work in one
+/// homomorphic multiplication at budget `l`: [`tensor_ops`] plus
+/// [`rescale_ops`].
+///
+/// # Panics
+///
+/// Panics when `l = 0` (see [`rescale_ops`]).
+pub fn mul_aux_ops(l: usize) -> OpCounts {
+    let (t, r) = (tensor_ops(l), rescale_ops(l));
+    OpCounts {
+        mult: t.mult + r.mult,
+        add: t.add + r.add,
+        ntt: t.ntt + r.ntt,
     }
 }
 

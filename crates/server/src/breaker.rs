@@ -212,7 +212,6 @@ impl CircuitBreaker {
             trips,
         };
         self.total_trips += 1;
-        cl_trace::record_breaker_trip();
     }
 }
 

@@ -210,7 +210,6 @@ impl Journal {
                 (gen, path)
             }
         };
-        cl_trace::record_journal_replay(replay.records_replayed, replay.records_skipped);
         let file = OpenOptions::new()
             .append(true)
             .open(&path)
@@ -410,7 +409,6 @@ impl Journal {
 
     fn append_record(&mut self, body: &[u8]) -> FheResult<()> {
         write_frame(&mut self.file, body).map_err(|e| io_err("journal_append", &e.to_string()))?;
-        cl_trace::record_journal_append((FRAME_BYTES + body.len()) as u64);
         match self.fsync {
             FsyncPolicy::Always => self.sync()?,
             FsyncPolicy::Batch(n) => {

@@ -324,7 +324,7 @@ impl TenantState {
     }
 
     /// Breaker gate at admission: `Err(retry_after_ms)` quarantines the
-    /// submission. Rejections are counted here (tenant + global trace).
+    /// submission. Rejections are counted here.
     pub(crate) fn breaker_admit(&self) -> Result<(), u64> {
         let verdict = self
             .breaker
@@ -333,7 +333,6 @@ impl TenantState {
             .admit();
         if verdict.is_err() {
             self.breaker_rejections.fetch_add(1, Ordering::Relaxed);
-            cl_trace::record_breaker_rejection();
         }
         verdict
     }
@@ -349,7 +348,6 @@ impl TenantState {
     /// Counts one watchdog stall verdict against this tenant.
     pub(crate) fn record_stall(&self) {
         self.watchdog_stalls.fetch_add(1, Ordering::Relaxed);
-        cl_trace::record_watchdog_stall();
     }
 
     /// Tries to consume one retry unit; `false` when the budget is spent.
@@ -418,8 +416,8 @@ impl TenantState {
 }
 
 /// Per-tenant accounting: job counts, retry spend, recovery counters,
-/// and (with the `trace` feature) homomorphic-op deltas attributed to
-/// this tenant's jobs.
+/// and (with `cl-trace`'s `trace` feature) homomorphic-op deltas
+/// attributed to this tenant's jobs.
 #[derive(Debug, Clone)]
 pub struct TenantReport {
     /// Tenant identifier.
@@ -437,7 +435,7 @@ pub struct TenantReport {
     /// Executor recovery counters summed over every attempt.
     pub recovery: RecoveryTelemetry,
     /// Homomorphic-op counters attributed to this tenant (zeros unless
-    /// built with `--features trace`).
+    /// built with `cl-trace/trace`).
     pub ops: OpSnapshot,
     /// Key-cache behaviour.
     pub key_cache: KeyCacheStats,

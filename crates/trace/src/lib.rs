@@ -1,50 +1,50 @@
-//! Op-level telemetry for the CraterLake reproduction.
+//! Op-level counters for the CraterLake reproduction.
 //!
 //! The paper's entire evaluation rests on *operation accounting*: Table 1's
 //! keyswitch formulas and the cycle-level machine model assume the workload
 //! performs exactly the operation counts the closed forms predict. This
-//! crate is the measurement side of that story — a lightweight, thread-aware
-//! subsystem that counts primitive operations at residue-polynomial
-//! granularity as the functional substrate (`cl-math`/`cl-rns`/`cl-ckks`/
-//! `cl-boot`) executes:
+//! crate is the measurement side of that story: eleven counters of
+//! primitive operations at residue-polynomial granularity, bumped as the
+//! functional substrate (`cl-math`/`cl-rns`/`cl-ckks`/`cl-runtime`)
+//! executes and read back as an [`OpSnapshot`]:
 //!
-//! - **Counters** ([`OpSnapshot`]): forward NTT passes, inverse NTT passes,
-//!   element-wise multiplication passes, addition/subtraction passes,
-//!   base-conversion limb conversions (the CRB unit's workload),
-//!   automorphism applications, bytes of polynomial data touched, and
-//!   high-level homomorphic ops (rotations, ciphertext and plaintext
-//!   multiplications). One "pass" is one sweep over one `N`-coefficient
-//!   residue polynomial — the same unit `cl_isa::cost` counts in.
-//! - **Spans** ([`span`]): named scopes (`keyswitch`, `rescale`, `rotate`,
-//!   the bootstrap stages) that record wall time and the counter deltas
-//!   accumulated while they were open.
-//! - **Export** ([`profile_json`]): the counters and span registry as a
-//!   JSON document, wired into `scripts/bench.sh` and
-//!   `cl-runtime`'s `RecoveryTelemetry`.
+//! - forward NTT passes, inverse NTT passes, element-wise multiplication
+//!   passes, addition/subtraction passes, base-conversion limb conversions
+//!   (the CRB unit's workload), automorphism applications and bytes of
+//!   polynomial data touched. One "pass" is one sweep over one
+//!   `N`-coefficient residue polynomial, the unit `cl_isa::cost` counts in;
+//! - whole homomorphic operations: rotations, ciphertext and plaintext
+//!   multiplications;
+//! - seeded keyswitch-hint regeneration passes.
 //!
-//! # Feature gating
+//! Scoped counts are two captures and a [`OpSnapshot::delta_since`].
+//! `tests/trace_validation.rs` checks them against the Table 1 formulas,
+//! `tests/compiled_programs.rs` against `cl_compiler::predict_program`, and
+//! the end-to-end benchmark's traced run reports them per job.
 //!
-//! Everything compiles to nothing unless the `trace` feature is enabled:
-//! the recording functions are empty `#[inline(always)]` bodies, the span
-//! guard is a zero-sized type, and [`OpSnapshot::capture`] returns zeros.
-//! Instrumentation call sites therefore stay in the hot paths permanently
-//! at zero cost (verified by the `bench.sh --check` regression gate).
+//! # The `trace` feature
+//!
+//! This crate's `trace` feature is the one switch. Without it every
+//! `record_*` function is an empty `#[inline(always)]` body and
+//! [`OpSnapshot::capture`] returns zeros, so the call sites stay in the hot
+//! paths at no cost.
 //!
 //! # Thread-awareness and determinism
 //!
 //! Counters are process-global relaxed atomics. Every counted pass is
 //! data-independent work dispatched over the `cl-rns` limb engine, so the
-//! *totals* are bit-identical at any `CL_THREADS` setting — only the
+//! *totals* are bit-identical at any `CL_THREADS` setting: only the
 //! interleaving differs, which relaxed addition is insensitive to. This is
-//! tested in `tests/differential.rs`. Span *deltas* attribute those global
-//! totals to the span that was open; they are exact when homomorphic ops
-//! are not issued concurrently from multiple threads (the repo's execution
-//! model: one op at a time, limb-parallel inside).
+//! tested in `tests/differential.rs`. A delta attributes the global totals
+//! to a scope; it is exact when no other homomorphic work runs
+//! concurrently (one op at a time, limb-parallel inside).
 
 #![warn(missing_docs)]
 // Library code must propagate failures or `expect` with the violated
 // invariant; tests are exempt. Enforced by scripts/verify.sh.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Accumulated operation counts, captured with [`OpSnapshot::capture`].
 ///
@@ -162,7 +162,19 @@ impl OpSnapshot {
     /// Captures the current global counter values (all zero with `trace`
     /// disabled).
     pub fn capture() -> OpSnapshot {
-        imp::capture()
+        OpSnapshot {
+            ntt: load(&NTT),
+            intt: load(&INTT),
+            mult: load(&MULT),
+            add: load(&ADD),
+            base_conv: load(&BASE_CONV),
+            automorph: load(&AUTOMORPH),
+            bytes: load(&BYTES),
+            rotations: load(&ROTATIONS),
+            ct_mults: load(&CT_MULTS),
+            pt_mults: load(&PT_MULTS),
+            hint_regen: load(&HINT_REGEN),
+        }
     }
 }
 
@@ -171,229 +183,96 @@ pub const fn enabled() -> bool {
     cfg!(feature = "trace")
 }
 
-/// Accumulated serving-layer durability counters, captured with
-/// [`ServingSnapshot::capture`]. These count orchestration events (journal
-/// records, watchdog verdicts, breaker transitions), not compute passes —
-/// they live apart from [`OpSnapshot`] so the exact op-count
-/// cross-validation gates in `bench.sh --check` are untouched by how much
-/// journaling a run happened to do.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServingSnapshot {
-    /// Write-ahead journal records appended.
-    pub journal_appends: u64,
-    /// Bytes of journal records appended (framing included).
-    pub journal_bytes: u64,
-    /// Journal records accepted during replay.
-    pub journal_replayed: u64,
-    /// Corrupt/torn journal bytes or records skipped during replay.
-    pub journal_skipped: u64,
-    /// Runs the watchdog marked stalled (each counted once).
-    pub watchdog_stalls: u64,
-    /// Tenant circuit breakers tripped open.
-    pub breaker_trips: u64,
-    /// Submissions rejected at admission by an open breaker.
-    pub breaker_rejections: u64,
-}
+// The counters, one per `OpSnapshot` field. Untraced builds never touch
+// them: every access below sits behind `enabled()`, a compile-time constant.
+static NTT: AtomicU64 = AtomicU64::new(0);
+static INTT: AtomicU64 = AtomicU64::new(0);
+static MULT: AtomicU64 = AtomicU64::new(0);
+static ADD: AtomicU64 = AtomicU64::new(0);
+static BASE_CONV: AtomicU64 = AtomicU64::new(0);
+static AUTOMORPH: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+static ROTATIONS: AtomicU64 = AtomicU64::new(0);
+static CT_MULTS: AtomicU64 = AtomicU64::new(0);
+static PT_MULTS: AtomicU64 = AtomicU64::new(0);
+static HINT_REGEN: AtomicU64 = AtomicU64::new(0);
 
-impl ServingSnapshot {
-    /// Field-wise difference `self - earlier` (saturating).
-    #[must_use]
-    pub fn delta_since(&self, earlier: &ServingSnapshot) -> ServingSnapshot {
-        ServingSnapshot {
-            journal_appends: self.journal_appends.saturating_sub(earlier.journal_appends),
-            journal_bytes: self.journal_bytes.saturating_sub(earlier.journal_bytes),
-            journal_replayed: self.journal_replayed.saturating_sub(earlier.journal_replayed),
-            journal_skipped: self.journal_skipped.saturating_sub(earlier.journal_skipped),
-            watchdog_stalls: self.watchdog_stalls.saturating_sub(earlier.watchdog_stalls),
-            breaker_trips: self.breaker_trips.saturating_sub(earlier.breaker_trips),
-            breaker_rejections: self
-                .breaker_rejections
-                .saturating_sub(earlier.breaker_rejections),
-        }
-    }
-
-    /// True when every counter is zero (always the case with `trace` off).
-    pub fn is_zero(&self) -> bool {
-        *self == ServingSnapshot::default()
-    }
-
-    /// The snapshot as a JSON object string (stable key order).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"journal_appends\": {}, \"journal_bytes\": {}, \
-             \"journal_replayed\": {}, \"journal_skipped\": {}, \
-             \"watchdog_stalls\": {}, \"breaker_trips\": {}, \
-             \"breaker_rejections\": {}}}",
-            self.journal_appends,
-            self.journal_bytes,
-            self.journal_replayed,
-            self.journal_skipped,
-            self.watchdog_stalls,
-            self.breaker_trips,
-            self.breaker_rejections
-        )
-    }
-
-    /// Captures the current global serving counters (all zero with `trace`
-    /// disabled).
-    pub fn capture() -> ServingSnapshot {
-        imp::capture_serving()
-    }
-}
-
-/// Records one write-ahead journal append of `bytes` bytes.
 #[inline(always)]
-pub fn record_journal_append(bytes: u64) {
-    imp::record_journal_append(bytes);
+fn count(counter: &AtomicU64, k: u64) {
+    if enabled() {
+        counter.fetch_add(k, Ordering::Relaxed);
+    }
 }
 
-/// Records journal replay results: `accepted` records replayed and
-/// `skipped` corrupt/torn records (or resync gaps) rejected.
+/// Counts `passes` compute passes over `n`-coefficient polynomials, and
+/// their bytes.
 #[inline(always)]
-pub fn record_journal_replay(accepted: u64, skipped: u64) {
-    imp::record_journal_replay(accepted, skipped);
+fn count_passes(counter: &AtomicU64, passes: u64, n: usize) {
+    count(counter, passes);
+    count(&BYTES, passes * 8 * n as u64);
 }
 
-/// Records one watchdog stall verdict.
-#[inline(always)]
-pub fn record_watchdog_stall() {
-    imp::record_watchdog_stall();
-}
-
-/// Records one tenant circuit breaker tripping open.
-#[inline(always)]
-pub fn record_breaker_trip() {
-    imp::record_breaker_trip();
-}
-
-/// Records one submission rejected at admission by an open breaker.
-#[inline(always)]
-pub fn record_breaker_rejection() {
-    imp::record_breaker_rejection();
-}
-
-/// Thread-safe accumulation of [`OpSnapshot`] deltas into named buckets.
-///
-/// The global counters attribute work to the *process*; a serving layer
-/// needs to attribute it to a *tenant* (or job class, or worker). A ledger
-/// is the bridge: capture a snapshot around a unit of work, then
-/// [`SnapshotLedger::add`] the delta under the owner's label. Buckets are
-/// created on first use and only ever grow, so totals are monotone and safe
-/// to read concurrently with writers.
-///
-/// With the `trace` feature disabled every delta is zero, so the ledger
-/// stays structurally valid (labels appear, counts are zero) at no cost.
-#[derive(Debug, Default)]
-pub struct SnapshotLedger {
-    buckets: std::sync::Mutex<std::collections::BTreeMap<String, OpSnapshot>>,
-}
-
-impl SnapshotLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, std::collections::BTreeMap<String, OpSnapshot>> {
-        self.buckets
-            .lock()
-            .expect("ledger poisoned: a holder panicked mid-update")
-    }
-
-    /// Accumulates `delta` into the bucket named `label` (created on first
-    /// use).
-    pub fn add(&self, label: &str, delta: &OpSnapshot) {
-        let mut buckets = self.lock();
-        match buckets.get_mut(label) {
-            Some(acc) => *acc = acc.plus(delta),
-            None => {
-                buckets.insert(label.to_string(), *delta);
-            }
-        }
-    }
-
-    /// The accumulated snapshot for `label` (zeros for an unknown label).
-    pub fn get(&self, label: &str) -> OpSnapshot {
-        self.lock().get(label).copied().unwrap_or_default()
-    }
-
-    /// All labels with a bucket, in sorted order.
-    pub fn labels(&self) -> Vec<String> {
-        self.lock().keys().cloned().collect()
-    }
-
-    /// Field-wise sum across every bucket.
-    pub fn total(&self) -> OpSnapshot {
-        self.lock()
-            .values()
-            .fold(OpSnapshot::default(), |acc, s| acc.plus(s))
-    }
-
-    /// The ledger as a JSON object string: `{label: snapshot, ...}` in
-    /// sorted label order.
-    pub fn to_json(&self) -> String {
-        let buckets = self.lock();
-        let entries: Vec<String> = buckets
-            .iter()
-            .map(|(label, snap)| format!("\"{}\": {}", label.replace('"', "'"), snap.to_json()))
-            .collect();
-        format!("{{{}}}", entries.join(", "))
+fn load(counter: &AtomicU64) -> u64 {
+    if enabled() {
+        counter.load(Ordering::Relaxed)
+    } else {
+        0
     }
 }
 
 /// Records `passes` forward-NTT passes over `n`-coefficient polynomials.
 #[inline(always)]
 pub fn record_ntt(passes: u64, n: usize) {
-    imp::record_ntt(passes, n);
+    count_passes(&NTT, passes, n);
 }
 
 /// Records `passes` inverse-NTT passes over `n`-coefficient polynomials.
 #[inline(always)]
 pub fn record_intt(passes: u64, n: usize) {
-    imp::record_intt(passes, n);
+    count_passes(&INTT, passes, n);
 }
 
 /// Records `passes` element-wise multiplication passes.
 #[inline(always)]
 pub fn record_mult(passes: u64, n: usize) {
-    imp::record_mult(passes, n);
+    count_passes(&MULT, passes, n);
 }
 
 /// Records `passes` element-wise addition/subtraction passes.
 #[inline(always)]
 pub fn record_add(passes: u64, n: usize) {
-    imp::record_add(passes, n);
+    count_passes(&ADD, passes, n);
 }
 
 /// Records `passes` base-conversion limb conversions (source limb →
 /// destination limb multiply-accumulate passes).
 #[inline(always)]
 pub fn record_base_conv(passes: u64, n: usize) {
-    imp::record_base_conv(passes, n);
+    count_passes(&BASE_CONV, passes, n);
 }
 
 /// Records `passes` automorphism applications.
 #[inline(always)]
 pub fn record_automorph(passes: u64, n: usize) {
-    imp::record_automorph(passes, n);
+    count_passes(&AUTOMORPH, passes, n);
 }
 
 /// Records one homomorphic rotation or conjugation.
 #[inline(always)]
 pub fn record_rotation() {
-    imp::record_rotation();
+    count(&ROTATIONS, 1);
 }
 
 /// Records one homomorphic ciphertext-ciphertext multiplication.
 #[inline(always)]
 pub fn record_ct_mult() {
-    imp::record_ct_mult();
+    count(&CT_MULTS, 1);
 }
 
 /// Records one homomorphic plaintext multiplication.
 #[inline(always)]
 pub fn record_pt_mult() {
-    imp::record_pt_mult();
+    count(&PT_MULTS, 1);
 }
 
 /// Records `passes` seeded hint-regeneration passes (one per residue
@@ -401,547 +280,51 @@ pub fn record_pt_mult() {
 /// to `bytes`: regen is accounted as key-management work, not compute.
 #[inline(always)]
 pub fn record_hint_regen(passes: u64) {
-    imp::record_hint_regen(passes);
-}
-
-/// Opens a named span: wall time and counter deltas accumulate into the
-/// span registry until the returned guard drops. With `trace` disabled the
-/// guard is a zero-sized no-op.
-///
-/// Spans with the same name aggregate (invocation count, total ns, summed
-/// op deltas). Nested spans each see the full counter deltas of their
-/// scope, so an outer `bootstrap` span includes the work of inner
-/// `keyswitch` spans.
-#[must_use = "the span records on drop; binding it to `_` ends it immediately"]
-#[inline(always)]
-pub fn span(name: &'static str) -> SpanGuard {
-    imp::span(name)
-}
-
-/// Resets all global counters and clears the span registry. Intended for
-/// test and benchmark harnesses that measure deltas from a clean slate.
-pub fn reset() {
-    imp::reset();
-}
-
-/// Aggregated statistics for one span name.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanStats {
-    /// Number of completed invocations.
-    pub count: u64,
-    /// Total wall time across invocations, in nanoseconds.
-    pub total_ns: u64,
-    /// Summed counter deltas across invocations.
-    pub ops: OpSnapshot,
-}
-
-/// The current span registry as `(name, stats)` pairs, sorted by name.
-pub fn span_stats() -> Vec<(&'static str, SpanStats)> {
-    imp::span_stats()
-}
-
-/// The full profile — global counters plus the span registry — as a JSON
-/// document:
-///
-/// ```json
-/// {
-///   "enabled": true,
-///   "totals": {"ntt": 0, "intt": 0, ...},
-///   "serving": {"journal_appends": 0, ...},
-///   "spans": {"keyswitch": {"count": 1, "total_ns": 12345, "ops": {...}}}
-/// }
-/// ```
-pub fn profile_json() -> String {
-    let totals = OpSnapshot::capture();
-    let mut out = String::with_capacity(256);
-    out.push_str("{\n  \"enabled\": ");
-    out.push_str(if enabled() { "true" } else { "false" });
-    out.push_str(",\n  \"totals\": ");
-    out.push_str(&totals.to_json());
-    out.push_str(",\n  \"serving\": ");
-    out.push_str(&ServingSnapshot::capture().to_json());
-    out.push_str(",\n  \"spans\": {");
-    let spans = span_stats();
-    for (i, (name, s)) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    \"{name}\": {{\"count\": {}, \"total_ns\": {}, \"ops\": {}}}",
-            s.count,
-            s.total_ns,
-            s.ops.to_json()
-        ));
-    }
-    if !spans.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("}\n}");
-    out
-}
-
-pub use imp::SpanGuard;
-
-#[cfg(feature = "trace")]
-mod imp {
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock};
-    use std::time::Instant;
-
-    use crate::{OpSnapshot, SpanStats};
-
-    static NTT: AtomicU64 = AtomicU64::new(0);
-    static INTT: AtomicU64 = AtomicU64::new(0);
-    static MULT: AtomicU64 = AtomicU64::new(0);
-    static ADD: AtomicU64 = AtomicU64::new(0);
-    static BASE_CONV: AtomicU64 = AtomicU64::new(0);
-    static AUTOMORPH: AtomicU64 = AtomicU64::new(0);
-    static BYTES: AtomicU64 = AtomicU64::new(0);
-    static ROTATIONS: AtomicU64 = AtomicU64::new(0);
-    static CT_MULTS: AtomicU64 = AtomicU64::new(0);
-    static PT_MULTS: AtomicU64 = AtomicU64::new(0);
-    static HINT_REGEN: AtomicU64 = AtomicU64::new(0);
-
-    // Serving-layer durability counters (journal/watchdog/breaker) — kept
-    // apart from the compute counters above so op-count gates stay exact.
-    static JOURNAL_APPENDS: AtomicU64 = AtomicU64::new(0);
-    static JOURNAL_BYTES: AtomicU64 = AtomicU64::new(0);
-    static JOURNAL_REPLAYED: AtomicU64 = AtomicU64::new(0);
-    static JOURNAL_SKIPPED: AtomicU64 = AtomicU64::new(0);
-    static WATCHDOG_STALLS: AtomicU64 = AtomicU64::new(0);
-    static BREAKER_TRIPS: AtomicU64 = AtomicU64::new(0);
-    static BREAKER_REJECTIONS: AtomicU64 = AtomicU64::new(0);
-
-    type Registry = Mutex<BTreeMap<&'static str, SpanStats>>;
-
-    fn registry() -> &'static Registry {
-        static REGISTRY: OnceLock<Registry> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
-    }
-
-    #[inline(always)]
-    fn bump(counter: &AtomicU64, passes: u64, n: usize) {
-        counter.fetch_add(passes, Ordering::Relaxed);
-        BYTES.fetch_add(passes * 8 * n as u64, Ordering::Relaxed);
-    }
-
-    #[inline(always)]
-    pub fn record_ntt(passes: u64, n: usize) {
-        bump(&NTT, passes, n);
-    }
-
-    #[inline(always)]
-    pub fn record_intt(passes: u64, n: usize) {
-        bump(&INTT, passes, n);
-    }
-
-    #[inline(always)]
-    pub fn record_mult(passes: u64, n: usize) {
-        bump(&MULT, passes, n);
-    }
-
-    #[inline(always)]
-    pub fn record_add(passes: u64, n: usize) {
-        bump(&ADD, passes, n);
-    }
-
-    #[inline(always)]
-    pub fn record_base_conv(passes: u64, n: usize) {
-        bump(&BASE_CONV, passes, n);
-    }
-
-    #[inline(always)]
-    pub fn record_automorph(passes: u64, n: usize) {
-        bump(&AUTOMORPH, passes, n);
-    }
-
-    #[inline(always)]
-    pub fn record_rotation() {
-        ROTATIONS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline(always)]
-    pub fn record_ct_mult() {
-        CT_MULTS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline(always)]
-    pub fn record_pt_mult() {
-        PT_MULTS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline(always)]
-    pub fn record_hint_regen(passes: u64) {
-        // No BYTES contribution: regen is key-management work, and the
-        // compute byte counter feeds exact cross-validation gates.
-        HINT_REGEN.fetch_add(passes, Ordering::Relaxed);
-    }
-
-    #[inline(always)]
-    pub fn record_journal_append(bytes: u64) {
-        JOURNAL_APPENDS.fetch_add(1, Ordering::Relaxed);
-        JOURNAL_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    #[inline(always)]
-    pub fn record_journal_replay(accepted: u64, skipped: u64) {
-        JOURNAL_REPLAYED.fetch_add(accepted, Ordering::Relaxed);
-        JOURNAL_SKIPPED.fetch_add(skipped, Ordering::Relaxed);
-    }
-
-    #[inline(always)]
-    pub fn record_watchdog_stall() {
-        WATCHDOG_STALLS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline(always)]
-    pub fn record_breaker_trip() {
-        BREAKER_TRIPS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline(always)]
-    pub fn record_breaker_rejection() {
-        BREAKER_REJECTIONS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn capture_serving() -> crate::ServingSnapshot {
-        crate::ServingSnapshot {
-            journal_appends: JOURNAL_APPENDS.load(Ordering::Relaxed),
-            journal_bytes: JOURNAL_BYTES.load(Ordering::Relaxed),
-            journal_replayed: JOURNAL_REPLAYED.load(Ordering::Relaxed),
-            journal_skipped: JOURNAL_SKIPPED.load(Ordering::Relaxed),
-            watchdog_stalls: WATCHDOG_STALLS.load(Ordering::Relaxed),
-            breaker_trips: BREAKER_TRIPS.load(Ordering::Relaxed),
-            breaker_rejections: BREAKER_REJECTIONS.load(Ordering::Relaxed),
-        }
-    }
-
-    pub fn capture() -> OpSnapshot {
-        OpSnapshot {
-            ntt: NTT.load(Ordering::Relaxed),
-            intt: INTT.load(Ordering::Relaxed),
-            mult: MULT.load(Ordering::Relaxed),
-            add: ADD.load(Ordering::Relaxed),
-            base_conv: BASE_CONV.load(Ordering::Relaxed),
-            automorph: AUTOMORPH.load(Ordering::Relaxed),
-            bytes: BYTES.load(Ordering::Relaxed),
-            rotations: ROTATIONS.load(Ordering::Relaxed),
-            ct_mults: CT_MULTS.load(Ordering::Relaxed),
-            pt_mults: PT_MULTS.load(Ordering::Relaxed),
-            hint_regen: HINT_REGEN.load(Ordering::Relaxed),
-        }
-    }
-
-    pub fn reset() {
-        for c in [
-            &NTT, &INTT, &MULT, &ADD, &BASE_CONV, &AUTOMORPH, &BYTES, &ROTATIONS, &CT_MULTS,
-            &PT_MULTS, &HINT_REGEN, &JOURNAL_APPENDS, &JOURNAL_BYTES, &JOURNAL_REPLAYED,
-            &JOURNAL_SKIPPED, &WATCHDOG_STALLS, &BREAKER_TRIPS, &BREAKER_REJECTIONS,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-        registry()
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clear();
-    }
-
-    pub fn span_stats() -> Vec<(&'static str, SpanStats)> {
-        registry()
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
-    }
-
-    /// Live span: records elapsed wall time and counter deltas into the
-    /// registry when dropped.
-    pub struct SpanGuard {
-        name: &'static str,
-        start: Instant,
-        at_open: OpSnapshot,
-    }
-
-    pub fn span(name: &'static str) -> SpanGuard {
-        SpanGuard {
-            name,
-            start: Instant::now(),
-            at_open: capture(),
-        }
-    }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            let elapsed = self.start.elapsed().as_nanos() as u64;
-            let delta = capture().delta_since(&self.at_open);
-            let mut reg = registry()
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            let s = reg.entry(self.name).or_default();
-            s.count += 1;
-            s.total_ns += elapsed;
-            s.ops = s.ops.plus(&delta);
-        }
-    }
-}
-
-#[cfg(not(feature = "trace"))]
-mod imp {
-    use crate::{OpSnapshot, SpanStats};
-
-    #[inline(always)]
-    pub fn record_ntt(_passes: u64, _n: usize) {}
-    #[inline(always)]
-    pub fn record_intt(_passes: u64, _n: usize) {}
-    #[inline(always)]
-    pub fn record_mult(_passes: u64, _n: usize) {}
-    #[inline(always)]
-    pub fn record_add(_passes: u64, _n: usize) {}
-    #[inline(always)]
-    pub fn record_base_conv(_passes: u64, _n: usize) {}
-    #[inline(always)]
-    pub fn record_automorph(_passes: u64, _n: usize) {}
-    #[inline(always)]
-    pub fn record_rotation() {}
-    #[inline(always)]
-    pub fn record_ct_mult() {}
-    #[inline(always)]
-    pub fn record_pt_mult() {}
-    #[inline(always)]
-    pub fn record_hint_regen(_passes: u64) {}
-    #[inline(always)]
-    pub fn record_journal_append(_bytes: u64) {}
-    #[inline(always)]
-    pub fn record_journal_replay(_accepted: u64, _skipped: u64) {}
-    #[inline(always)]
-    pub fn record_watchdog_stall() {}
-    #[inline(always)]
-    pub fn record_breaker_trip() {}
-    #[inline(always)]
-    pub fn record_breaker_rejection() {}
-
-    #[inline(always)]
-    pub fn capture() -> OpSnapshot {
-        OpSnapshot::default()
-    }
-
-    #[inline(always)]
-    pub fn capture_serving() -> crate::ServingSnapshot {
-        crate::ServingSnapshot::default()
-    }
-
-    #[inline(always)]
-    pub fn reset() {}
-
-    #[inline(always)]
-    pub fn span_stats() -> Vec<(&'static str, SpanStats)> {
-        Vec::new()
-    }
-
-    /// Disabled span: a zero-sized type whose construction and drop compile
-    /// to nothing.
-    pub struct SpanGuard;
-
-    #[inline(always)]
-    pub fn span(_name: &'static str) -> SpanGuard {
-        SpanGuard
-    }
+    count(&HINT_REGEN, passes);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The enabled- and disabled-path tests are mutually exclusive on the
-    // `trace` feature; `scripts/verify.sh` runs this crate's tests both
-    // ways (`cargo test -p cl-trace` and the workspace test run, which
-    // enables `trace` through the root crate's dev-dependencies).
+    // Exactly one of these runs per build: `cargo test -p cl-trace` checks
+    // the disabled path, `--features trace` the enabled one.
 
     #[test]
-    fn ledger_accumulates_per_label() {
-        let ledger = SnapshotLedger::new();
-        let a = OpSnapshot {
-            ntt: 3,
-            mult: 2,
-            ..OpSnapshot::default()
-        };
-        let b = OpSnapshot {
-            ntt: 1,
-            add: 5,
-            ..OpSnapshot::default()
-        };
-        ledger.add("tenant-a", &a);
-        ledger.add("tenant-a", &b);
-        ledger.add("tenant-b", &b);
-        assert_eq!(ledger.get("tenant-a").ntt, 4);
-        assert_eq!(ledger.get("tenant-a").mult, 2);
-        assert_eq!(ledger.get("tenant-a").add, 5);
-        assert_eq!(ledger.get("tenant-b").ntt, 1);
-        assert!(ledger.get("tenant-c").is_zero());
-        assert_eq!(ledger.labels(), vec!["tenant-a", "tenant-b"]);
-        assert_eq!(ledger.total().ntt, 5);
-        let json = ledger.to_json();
-        assert!(json.contains("\"tenant-a\""), "{json}");
-        assert!(json.contains("\"tenant-b\""), "{json}");
-    }
-
-    #[test]
-    fn ledger_is_shareable_across_threads() {
-        let ledger = std::sync::Arc::new(SnapshotLedger::new());
-        let one = OpSnapshot {
-            mult: 1,
-            ..OpSnapshot::default()
-        };
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let l = ledger.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        l.add(if i % 2 == 0 { "even" } else { "odd" }, &one);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("ledger writer panicked");
-        }
-        assert_eq!(ledger.get("even").mult, 200);
-        assert_eq!(ledger.get("odd").mult, 200);
-        assert_eq!(ledger.total().mult, 400);
-    }
-
     #[cfg(not(feature = "trace"))]
-    mod disabled {
-        use super::super::*;
-
-        #[test]
-        fn recording_is_a_no_op() {
-            record_ntt(10, 64);
-            record_mult(10, 64);
-            record_rotation();
-            assert!(OpSnapshot::capture().is_zero());
-            assert!(!enabled());
-        }
-
-        #[test]
-        fn span_guard_is_zero_sized_and_records_nothing() {
-            assert_eq!(std::mem::size_of::<SpanGuard>(), 0);
-            {
-                let _g = span("keyswitch");
-                record_add(5, 32);
-            }
-            assert!(span_stats().is_empty());
-        }
-
-        #[test]
-        fn profile_json_reports_disabled() {
-            let json = profile_json();
-            assert!(json.contains("\"enabled\": false"), "{json}");
-        }
-
-        #[test]
-        fn serving_counters_are_no_ops() {
-            record_journal_append(128);
-            record_journal_replay(3, 1);
-            record_watchdog_stall();
-            record_breaker_trip();
-            record_breaker_rejection();
-            assert!(ServingSnapshot::capture().is_zero());
-        }
+    fn recording_is_a_no_op() {
+        record_ntt(10, 64);
+        record_mult(10, 64);
+        record_rotation();
+        record_hint_regen(3);
+        assert!(OpSnapshot::capture().is_zero());
+        assert!(!enabled());
     }
 
+    #[test]
     #[cfg(feature = "trace")]
-    mod enabled {
-        use super::super::*;
-        use std::sync::Mutex;
-
-        // Counter tests share the process-global counters; serialize them.
-        static LOCK: Mutex<()> = Mutex::new(());
-
-        fn locked() -> std::sync::MutexGuard<'static, ()> {
-            LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-        }
-
-        #[test]
-        fn counters_accumulate_and_delta() {
-            let _l = locked();
-            let before = OpSnapshot::capture();
-            record_ntt(3, 16);
-            record_intt(1, 16);
-            record_mult(5, 16);
-            record_add(2, 16);
-            record_base_conv(7, 16);
-            record_automorph(4, 16);
-            record_rotation();
-            record_ct_mult();
-            record_pt_mult();
-            record_hint_regen(6);
-            let d = OpSnapshot::capture().delta_since(&before);
-            assert_eq!(
-                (d.ntt, d.intt, d.mult, d.add, d.base_conv, d.automorph),
-                (3, 1, 5, 2, 7, 4)
-            );
-            assert_eq!((d.rotations, d.ct_mults, d.pt_mults), (1, 1, 1));
-            assert_eq!(d.hint_regen, 6);
-            // Regen passes must not leak into the compute byte counter.
-            assert_eq!(d.bytes, (3 + 1 + 5 + 2 + 7 + 4) * 8 * 16);
-            assert_eq!(d.ntt_total(), 4);
-            assert!(enabled());
-        }
-
-        #[test]
-        fn spans_aggregate_counts_time_and_ops() {
-            let _l = locked();
-            for _ in 0..2 {
-                let _g = span("test_span_agg");
-                record_mult(3, 8);
-            }
-            let stats = span_stats();
-            let (_, s) = stats
-                .iter()
-                .find(|(n, _)| *n == "test_span_agg")
-                .expect("span recorded");
-            assert_eq!(s.count, 2);
-            assert_eq!(s.ops.mult, 6);
-        }
-
-        #[test]
-        fn profile_json_contains_totals_and_spans() {
-            let _l = locked();
-            {
-                let _g = span("test_span_json");
-                record_ntt(1, 8);
-            }
-            let json = profile_json();
-            assert!(json.contains("\"enabled\": true"), "{json}");
-            assert!(json.contains("\"test_span_json\""), "{json}");
-            assert!(json.contains("\"totals\""), "{json}");
-            assert!(json.contains("\"serving\""), "{json}");
-        }
-
-        #[test]
-        fn serving_counters_accumulate_without_touching_op_counts() {
-            let _l = locked();
-            let ops_before = OpSnapshot::capture();
-            let before = ServingSnapshot::capture();
-            record_journal_append(100);
-            record_journal_append(28);
-            record_journal_replay(5, 2);
-            record_watchdog_stall();
-            record_breaker_trip();
-            record_breaker_rejection();
-            record_breaker_rejection();
-            let d = ServingSnapshot::capture().delta_since(&before);
-            assert_eq!(d.journal_appends, 2);
-            assert_eq!(d.journal_bytes, 128);
-            assert_eq!((d.journal_replayed, d.journal_skipped), (5, 2));
-            assert_eq!(d.watchdog_stalls, 1);
-            assert_eq!((d.breaker_trips, d.breaker_rejections), (1, 2));
-            // Orchestration events must never leak into the compute
-            // counters the op-count gates cross-validate.
-            assert!(OpSnapshot::capture().delta_since(&ops_before).is_zero());
-        }
+    fn counters_accumulate_and_delta() {
+        let before = OpSnapshot::capture();
+        record_ntt(3, 16);
+        record_intt(1, 16);
+        record_mult(5, 16);
+        record_add(2, 16);
+        record_base_conv(7, 16);
+        record_automorph(4, 16);
+        record_rotation();
+        record_ct_mult();
+        record_pt_mult();
+        record_hint_regen(6);
+        let d = OpSnapshot::capture().delta_since(&before);
+        assert_eq!(
+            (d.ntt, d.intt, d.mult, d.add, d.base_conv, d.automorph),
+            (3, 1, 5, 2, 7, 4)
+        );
+        assert_eq!((d.rotations, d.ct_mults, d.pt_mults), (1, 1, 1));
+        assert_eq!(d.hint_regen, 6);
+        // Regen passes must not leak into the compute byte counter.
+        assert_eq!(d.bytes, (3 + 1 + 5 + 2 + 7 + 4) * 8 * 16);
+        assert_eq!(d.ntt_total(), 4);
+        assert!(enabled());
     }
 }

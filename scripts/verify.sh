@@ -11,11 +11,12 @@
 #     benchmarks/e2e package against the workspace and runs it).
 #  5. The simulator-backed tables and figures of the evaluation
 #     regenerate byte-identically to their recorded stdout.
-#  6. Lint gate on every library target: warnings are errors and bare
-#     `unwrap()` is banned (tests and binaries are exempt — library code
-#     must name the violated invariant via `expect` or propagate with
-#     `?`/`FheResult`). `panic!` is banned in the cl-ckks and cl-boot
-#     libraries, where every operation has one fallible entry point.
+#  6. Lint gate on every library target, and on cl-trace with its
+#     counters on: warnings are errors and bare `unwrap()` is banned
+#     (tests and binaries are exempt — library code must name the
+#     violated invariant via `expect` or propagate with `?`/`FheResult`).
+#     `panic!` is banned in the cl-ckks and cl-boot libraries, where
+#     every operation has one fallible entry point.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,9 +41,9 @@ echo "== tier-1: kernel tests (forced avx2 backend) =="
 CL_BACKEND=avx2 cargo test -q -p cl-math -p cl-rns
 
 echo "== tier-1: trace-disabled tests =="
-# The workspace test run lights the `trace` feature through the root
+# The root test run lights cl-trace's `trace` feature through the root
 # dev-dependency; this standalone run exercises the no-op counter path
-# (zero-size span guards, all-zero snapshots).
+# (recorders that count nothing, all-zero snapshots).
 cargo test -q -p cl-trace
 
 echo "== tier-1: bench harness smoke =="
@@ -106,6 +107,10 @@ echo "== tier-1: lint gate (library targets) =="
 cargo clippy -p cl-math -p cl-rns -p cl-ckks -p cl-boot -p cl-runtime \
     -p cl-apps -p cl-baselines -p cl-compiler -p cl-core -p cl-isa \
     -p cl-trace -p cl-server --lib --no-deps -- \
+    -D warnings -D clippy::unwrap_used
+# The gate above builds cl-trace without `trace`; lint the counting build
+# too.
+cargo clippy -p cl-trace --lib --no-deps --features trace -- \
     -D warnings -D clippy::unwrap_used
 # No panicking twin of a `try_*` operation: callers propagate or `expect`.
 cargo clippy -p cl-ckks -p cl-boot --lib --no-deps -- -D clippy::panic
