@@ -39,8 +39,8 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use cl_ckks::{
-    Ciphertext, CkksContext, CompactKeySwitchKey, FheError, FheResult, GuardrailPolicy,
-    HintCache, HintId, KeySwitchKey, Plaintext, SecretKey,
+    Ciphertext, CkksContext, CompactKeySwitchKey, FheError, FheResult, HintCache, HintId,
+    KeySwitchKey, Plaintext, SecretKey,
 };
 use cl_math::{Complex, SpecialFft};
 use rand::Rng;
@@ -1173,10 +1173,7 @@ impl Bootstrapper {
     /// # Errors
     ///
     /// - [`FheError::InvalidParams`] if the context's budget cannot cover
-    ///   the pipeline's depth (see [`Bootstrapper::depth`]), or if the
-    ///   context runs the `AutoRescale` guardrail policy (the pipeline
-    ///   manages scales explicitly; an auto-inserted rescale would corrupt
-    ///   the EvalMod squaring chain).
+    ///   the pipeline's depth (see [`Bootstrapper::depth`]).
     /// - [`FheError::MissingKey`] if a rotation key for a transform
     ///   diagonal is absent from `keys`.
     /// - Any error the underlying homomorphic ops report under the
@@ -1230,15 +1227,6 @@ impl Bootstrapper {
 
     /// Stage 1 — ModRaise: lift residues mod q0 to the full chain.
     fn step_mod_raise(&self, ctx: &CkksContext, ct: Ciphertext) -> FheResult<BootState> {
-        if matches!(ctx.policy(), GuardrailPolicy::AutoRescale) {
-            return Err(FheError::InvalidParams {
-                op: "bootstrap",
-                reason: "bootstrap manages rescaling explicitly; the AutoRescale \
-                         policy would insert extra rescales and corrupt the scale \
-                         bookkeeping"
-                    .into(),
-            });
-        }
         let l_max = ctx.max_level();
         if l_max <= self.depth() + 2 {
             return Err(FheError::InvalidParams {
@@ -1716,7 +1704,7 @@ mod tests {
     }
 
     #[test]
-    fn try_bootstrap_rejects_bad_policy_and_shallow_budget() {
+    fn try_bootstrap_rejects_shallow_budget() {
         // A chain too short for the pipeline's depth.
         let params = CkksParams::builder()
             .ring_degree(64)
@@ -1726,7 +1714,7 @@ mod tests {
             .scale_bits(45)
             .build()
             .unwrap();
-        let mut ctx = CkksContext::new(params).unwrap();
+        let ctx = CkksContext::new(params).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(33);
         let sk = ctx.keygen_sparse(8, &mut rng);
         let booter = Bootstrapper::new(&ctx, 8);
@@ -1734,19 +1722,6 @@ mod tests {
         let slots = ctx.params().slots();
         let pt = ctx.encode(&vec![0.25; slots], ctx.default_scale(), 1);
         let ct = ctx.encrypt(&pt, &sk, &mut rng);
-
-        // AutoRescale is rejected up front: the pipeline's explicit
-        // rescales would be doubled up by the policy.
-        ctx.set_policy(cl_ckks::GuardrailPolicy::AutoRescale);
-        match booter.try_bootstrap(&ctx, &ct, &keys) {
-            Err(FheError::InvalidParams { op: "bootstrap", reason }) => {
-                assert!(reason.contains("AutoRescale"), "{reason}");
-            }
-            other => panic!("expected InvalidParams for AutoRescale, got {other:?}"),
-        }
-
-        // Under the default policy the depth check fires.
-        ctx.set_policy(cl_ckks::GuardrailPolicy::Permissive);
         match booter.try_bootstrap(&ctx, &ct, &keys) {
             Err(FheError::InvalidParams { op: "bootstrap", reason }) => {
                 assert!(reason.contains("cannot cover"), "{reason}");

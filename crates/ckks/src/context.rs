@@ -10,6 +10,7 @@ use rand::Rng;
 
 use crate::error::{FheError, FheResult};
 use crate::params::ParamsError;
+use crate::serialize::{FNV_OFFSET, FNV_PRIME};
 use crate::{Ciphertext, CkksParams, KeySwitchKey, Plaintext, PublicKey, SecretKey};
 
 /// Errors produced by CKKS operations.
@@ -47,8 +48,14 @@ impl From<ParamsError> for CkksError {
     }
 }
 
-/// Runtime guardrail policy: what a context checks (and repairs) on every
-/// fallible (`try_*`) homomorphic operation.
+/// Maximum relative deviation two scales may have and still be treated as
+/// equal by addition-family operations; beyond it they fail with
+/// [`FheError::ScaleMismatch`].
+pub(crate) const SCALE_REL_TOLERANCE: f64 = 1e-6;
+
+/// Runtime guardrail policy: what a context checks on every fallible
+/// (`try_*`) homomorphic operation. Levels and rescales are the caller's
+/// (or the compiler's) to manage under either policy.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum GuardrailPolicy {
     /// Legacy behaviour: no runtime checks beyond the basic shape
@@ -64,12 +71,6 @@ pub enum GuardrailPolicy {
         /// Minimum acceptable signed budget (bits) after each operation.
         min_budget_bits: f64,
     },
-    /// Recover scale drift automatically: multiplication-family results
-    /// whose scale has grown to the square of the default scale are
-    /// rescaled before being returned, and addition-family operands at
-    /// different levels are aligned with a `mod_drop`. No integrity
-    /// checks.
-    AutoRescale,
 }
 
 /// Cache of base converters keyed by `(source, destination)` limb bases.
@@ -173,13 +174,11 @@ impl CkksContext {
     /// parameter words, one chain (a few dozen words, so the serial chain
     /// costs nothing here).
     pub fn params_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h = OFFSET;
+        let mut h = FNV_OFFSET;
         let mut mix = |word: u64| {
             for half in [word as u32 as u64, word >> 32] {
                 h ^= half;
-                h = h.wrapping_mul(PRIME);
+                h = h.wrapping_mul(FNV_PRIME);
             }
         };
         mix(self.params.n as u64);
@@ -492,8 +491,8 @@ impl CkksContext {
     // Guardrails
     // ------------------------------------------------------------------
 
-    /// Checks that two ciphertexts agree in level and (within the
-    /// configured relative tolerance) in scale.
+    /// Checks that two ciphertexts agree in level and (within
+    /// [`SCALE_REL_TOLERANCE`]) in scale.
     pub(crate) fn try_check_same_shape(
         &self,
         op: &'static str,
@@ -510,13 +509,12 @@ impl CkksContext {
         self.try_check_scale(op, b.scale, a.scale)
     }
 
-    /// Checks that `got` is within the configured relative tolerance of
-    /// `want`.
+    /// Checks that `got` is within [`SCALE_REL_TOLERANCE`] of `want`.
     pub(crate) fn try_check_scale(&self, op: &'static str, got: f64, want: f64) -> FheResult<()> {
         let rel = (got - want).abs() / got.max(want);
         // A NaN scale makes `rel` NaN; treat any non-finite comparison as
         // a mismatch so corrupted bookkeeping cannot pass the guard.
-        if rel < self.params.scale_rel_tolerance && rel.is_finite() {
+        if rel < SCALE_REL_TOLERANCE && rel.is_finite() {
             Ok(())
         } else {
             Err(FheError::ScaleMismatch { op, got, want, rel })

@@ -40,8 +40,7 @@ pub enum FheError {
         /// The level required.
         want: usize,
     },
-    /// Operand scales differ by more than the configured relative
-    /// tolerance ([`crate::CkksParams::scale_rel_tolerance`]).
+    /// Operand scales differ by a relative `1e-6` or more.
     ScaleMismatch {
         /// The operation that detected the mismatch.
         op: &'static str,

@@ -2,83 +2,39 @@
 //!
 //! Every operation has one entry point, named `try_*`: it returns
 //! [`FheResult`], never panics on operand mismatch, and runs the context's
-//! [`GuardrailPolicy`] checks (conformance validation, hint integrity,
-//! budget thresholds under [`GuardrailPolicy::Strict`]; level alignment and
-//! automatic rescaling under [`GuardrailPolicy::AutoRescale`]). A caller
-//! that treats a failure as a bug says why with `.expect(..)`.
+//! [`GuardrailPolicy`](crate::GuardrailPolicy) checks (conformance
+//! validation, hint integrity and budget thresholds under
+//! [`GuardrailPolicy::Strict`](crate::GuardrailPolicy::Strict)). Levels and
+//! rescales are explicit: operands at different levels are rejected, never
+//! aligned, and no operation rescales on its own. A caller that treats a
+//! failure as a bug says why with `.expect(..)`.
 //!
 //! All operations update the ciphertext's analytic noise estimate (see
 //! [`crate::Ciphertext::noise_estimate_bits`] and the model documented in
 //! `noise.rs`).
 
-use std::borrow::Cow;
-
 use cl_rns::{mod_down_ntt, Basis, RnsPoly};
 
-use crate::context::GuardrailPolicy;
 use crate::error::{FheError, FheResult};
 use crate::noise::log2_add;
 use crate::{Ciphertext, CkksContext, HoistedDecomposition, KeySwitchKey, Plaintext};
 
 impl CkksContext {
-    /// Under [`GuardrailPolicy::AutoRescale`], aligns two operands to a
-    /// common (minimum) level with `try_mod_drop`; otherwise returns them
-    /// unchanged.
-    ///
-    /// # Errors
-    ///
-    /// [`FheError::InvalidParams`] from `try_mod_drop` when the common
-    /// level is 0 (an operand with no limbs left).
-    fn align_levels<'c>(
-        &self,
-        a: &'c Ciphertext,
-        b: &'c Ciphertext,
-    ) -> FheResult<(Cow<'c, Ciphertext>, Cow<'c, Ciphertext>)> {
-        if self.policy() == GuardrailPolicy::AutoRescale && a.level != b.level {
-            let target = a.level.min(b.level);
-            Ok((
-                Cow::Owned(self.try_mod_drop(a, target)?),
-                Cow::Owned(self.try_mod_drop(b, target)?),
-            ))
-        } else {
-            Ok((Cow::Borrowed(a), Cow::Borrowed(b)))
-        }
-    }
-
-    /// Under [`GuardrailPolicy::AutoRescale`], rescales a
-    /// multiplication-family result whose scale just grew by `factor` (the
-    /// other operand's scale). A growth of at least `sqrt(Δ)` marks a real
-    /// multiplicative step awaiting its rescale; small factors (e.g. a
-    /// scale-1 integer mask via `mul_plain`) are left alone. Other policies
-    /// return the result unchanged.
-    fn auto_rescale(&self, ct: Ciphertext, factor: f64) -> FheResult<Ciphertext> {
-        if self.policy() == GuardrailPolicy::AutoRescale
-            && ct.level >= 2
-            && factor * factor >= self.default_scale()
-        {
-            self.try_rescale(&ct)
-        } else {
-            Ok(ct)
-        }
-    }
-
     /// Fallible homomorphic addition.
     ///
     /// # Errors
     ///
     /// [`FheError::LevelMismatch`] / [`FheError::ScaleMismatch`] when the
-    /// operand shapes differ (levels are auto-aligned under
-    /// [`GuardrailPolicy::AutoRescale`]), plus any guardrail failure.
+    /// operand shapes differ, plus any guardrail failure.
     pub fn try_add(&self, a: &Ciphertext, b: &Ciphertext) -> FheResult<Ciphertext> {
         self.guard_operands("add", &[a, b])?;
-        let (a, b) = self.align_levels(a, b)?;
-        self.try_check_same_shape("add", &a, &b)?;
+        self.try_check_same_shape("add", a, b)?;
         let out = Ciphertext {
             c0: self.rns().add(&a.c0, &b.c0),
             c1: self.rns().add(&a.c1, &b.c1),
             level: a.level,
             scale: a.scale,
-            noise_bits_est: Self::est_add(&a, &b),
+            noise_bits_est: Self::est_add(a, b),
         };
         self.guard_budget("add", &out)?;
         Ok(out)
@@ -91,14 +47,13 @@ impl CkksContext {
     /// Same contract as [`CkksContext::try_add`].
     pub fn try_sub(&self, a: &Ciphertext, b: &Ciphertext) -> FheResult<Ciphertext> {
         self.guard_operands("sub", &[a, b])?;
-        let (a, b) = self.align_levels(a, b)?;
-        self.try_check_same_shape("sub", &a, &b)?;
+        self.try_check_same_shape("sub", a, b)?;
         let out = Ciphertext {
             c0: self.rns().sub(&a.c0, &b.c0),
             c1: self.rns().sub(&a.c1, &b.c1),
             level: a.level,
             scale: a.scale,
-            noise_bits_est: Self::est_add(&a, &b),
+            noise_bits_est: Self::est_add(a, b),
         };
         self.guard_budget("sub", &out)?;
         Ok(out)
@@ -152,8 +107,8 @@ impl CkksContext {
     /// # Errors
     ///
     /// [`FheError::LevelMismatch`] when the plaintext's level differs;
-    /// [`FheError::ScaleMismatch`] when the scales deviate by more than
-    /// [`crate::CkksParams::scale_rel_tolerance`].
+    /// [`FheError::ScaleMismatch`] when the scales deviate by a relative
+    /// `1e-6` or more.
     pub fn try_add_plain(&self, a: &Ciphertext, p: &Plaintext) -> FheResult<Ciphertext> {
         self.guard_operands("add_plain", &[a])?;
         if a.level != p.level {
@@ -176,8 +131,7 @@ impl CkksContext {
     }
 
     /// Fallible plaintext multiplication. The scales multiply; a rescale
-    /// typically follows (inserted automatically under
-    /// [`GuardrailPolicy::AutoRescale`]).
+    /// typically follows.
     ///
     /// # Errors
     ///
@@ -200,7 +154,6 @@ impl CkksContext {
             scale: a.scale * p.scale,
             noise_bits_est: self.est_mul_plain(a, p.scale),
         };
-        let out = self.auto_rescale(out, p.scale)?;
         self.guard_budget("mul_plain", &out)?;
         Ok(out)
     }
@@ -233,15 +186,14 @@ impl CkksContext {
     /// component back to a 2-polynomial ciphertext.
     ///
     /// The output scale is the product of the input scales; a rescale
-    /// typically follows (inserted automatically under
-    /// [`GuardrailPolicy::AutoRescale`], which also aligns mismatched
-    /// operand levels).
+    /// typically follows.
     ///
     /// # Errors
     ///
     /// [`FheError::LevelMismatch`] when levels differ, plus any guardrail
     /// failure (including [`FheError::CorruptKey`] for a tampered
-    /// relinearization key under [`GuardrailPolicy::Strict`]).
+    /// relinearization key under
+    /// [`GuardrailPolicy::Strict`](crate::GuardrailPolicy::Strict)).
     pub fn try_mul(
         &self,
         a: &Ciphertext,
@@ -250,7 +202,6 @@ impl CkksContext {
     ) -> FheResult<Ciphertext> {
         cl_trace::record_ct_mult();
         self.guard_operands("mul", &[a, b])?;
-        let (a, b) = self.align_levels(a, b)?;
         if a.level != b.level {
             return Err(FheError::LevelMismatch {
                 op: "mul",
@@ -271,9 +222,8 @@ impl CkksContext {
             c1: rns.add(&d1, &ks1),
             level: a.level,
             scale: a.scale * b.scale,
-            noise_bits_est: self.est_mul(&a, &b, relin_key),
+            noise_bits_est: self.est_mul(a, b, relin_key),
         };
-        let out = self.auto_rescale(out, b.scale)?;
         self.guard_budget("mul", &out)?;
         Ok(out)
     }
@@ -300,7 +250,6 @@ impl CkksContext {
             scale: a.scale * a.scale,
             noise_bits_est: self.est_mul(a, a, relin_key),
         };
-        let out = self.auto_rescale(out, a.scale)?;
         self.guard_budget("square", &out)?;
         Ok(out)
     }
@@ -379,7 +328,8 @@ impl CkksContext {
     /// # Errors
     ///
     /// Guardrail failures (including [`FheError::CorruptKey`] for a
-    /// tampered rotation key under [`GuardrailPolicy::Strict`]). A key
+    /// tampered rotation key under
+    /// [`GuardrailPolicy::Strict`](crate::GuardrailPolicy::Strict)). A key
     /// generated for a different rotation amount is not detectable here —
     /// the result simply decrypts wrong.
     pub fn try_rotate(
@@ -409,9 +359,7 @@ impl CkksContext {
         g: u64,
         key: &KeySwitchKey,
     ) -> FheResult<Ciphertext> {
-        cl_trace::record_rotation();
         self.guard_operands(op, &[a])?;
-        let rns = self.rns();
         // Hoisted order: decompose `c1` first, then apply the automorphism
         // to the already-decomposed digits. A single rotation costs the
         // same either way, but routing everything through one path keeps
@@ -420,16 +368,29 @@ impl CkksContext {
         // conversion does not commute bit-exactly with the automorphism,
         // so the two orders differ in the low noise bits).
         let dec = self.hoist_impl(op, &a.c1, key.kind())?;
+        self.galois_from_decomposition(op, a, &dec, g, key)
+    }
+
+    /// The one epilogue of every rotation and conjugation: keyswitches the
+    /// hoisted decomposition `dec` of `a.c1` under `σ_g`, and returns
+    /// `(σ_g(a.c0) + ks0, ks1)` with the keyswitch noise added to `a`'s.
+    fn galois_from_decomposition(
+        &self,
+        op: &'static str,
+        a: &Ciphertext,
+        dec: &HoistedDecomposition,
+        g: u64,
+        key: &KeySwitchKey,
+    ) -> FheResult<Ciphertext> {
+        cl_trace::record_rotation();
+        let rns = self.rns();
         let (ks0, ks1) = dec.apply_impl(self, op, Some(g), key)?;
         let out = Ciphertext {
             c0: rns.add(&rns.apply_automorphism(&a.c0, g), &ks0),
             c1: ks1,
             level: a.level,
             scale: a.scale,
-            noise_bits_est: log2_add(
-                a.noise_bits_est,
-                self.est_keyswitch_bits(a.level, key),
-            ),
+            noise_bits_est: log2_add(a.noise_bits_est, self.est_keyswitch_bits(a.level, key)),
         };
         self.guard_budget(op, &out)?;
         Ok(out)
@@ -468,28 +429,14 @@ impl CkksContext {
         let Some(first) = keys.first() else {
             return Ok(Vec::new());
         };
-        let rns = self.rns();
         let n = self.params().ring_degree();
         let dec = self.hoist_impl(OP, &a.c1, first.kind())?;
         steps
             .iter()
             .zip(keys)
             .map(|(&k, key)| {
-                cl_trace::record_rotation();
                 let g = cl_math::galois_element_for_rotation(k, n);
-                let (ks0, ks1) = dec.apply_impl(self, OP, Some(g), key)?;
-                let out = Ciphertext {
-                    c0: rns.add(&rns.apply_automorphism(&a.c0, g), &ks0),
-                    c1: ks1,
-                    level: a.level,
-                    scale: a.scale,
-                    noise_bits_est: log2_add(
-                        a.noise_bits_est,
-                        self.est_keyswitch_bits(a.level, key),
-                    ),
-                };
-                self.guard_budget(OP, &out)?;
-                Ok(out)
+                self.galois_from_decomposition(OP, a, &dec, g, key)
             })
             .collect()
     }
@@ -872,23 +819,25 @@ mod tests {
         let slots = ctx.params().slots();
         let vals: Vec<f64> = (0..slots).map(|i| (i as f64) * 0.5 - 3.0).collect();
         let steps = [1i64, -2, 5, 0];
-        let keys: Vec<_> = steps
-            .iter()
-            .map(|&s| ctx.rotation_keygen(&sk, s, KIND, &mut rng))
-            .collect();
-        let key_refs: Vec<&crate::KeySwitchKey> = keys.iter().collect();
         let ct = ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), 3), &sk, &mut rng);
-        let batch = ctx.try_rotate_hoisted_many(&ct, &steps, &key_refs).unwrap();
-        assert_eq!(batch.len(), steps.len());
-        for ((&s, key), hoisted) in steps.iter().zip(&keys).zip(&batch) {
-            let naive = ctx.try_rotate(&ct, s, key).unwrap();
-            assert_eq!(hoisted.c0(), naive.c0(), "step {s}: c0 differs");
-            assert_eq!(hoisted.c1(), naive.c1(), "step {s}: c1 differs");
-            assert_eq!(
-                hoisted.noise_estimate_bits(),
-                naive.noise_estimate_bits(),
-                "step {s}: noise estimate differs"
-            );
+        for kind in [KeySwitchKind::Standard, KIND] {
+            let keys: Vec<_> = steps
+                .iter()
+                .map(|&s| ctx.rotation_keygen(&sk, s, kind, &mut rng))
+                .collect();
+            let key_refs: Vec<&crate::KeySwitchKey> = keys.iter().collect();
+            let batch = ctx.try_rotate_hoisted_many(&ct, &steps, &key_refs).unwrap();
+            assert_eq!(batch.len(), steps.len());
+            for ((&s, key), hoisted) in steps.iter().zip(&keys).zip(&batch) {
+                let naive = ctx.try_rotate(&ct, s, key).unwrap();
+                assert_eq!(hoisted.c0(), naive.c0(), "{kind:?} step {s}: c0 differs");
+                assert_eq!(hoisted.c1(), naive.c1(), "{kind:?} step {s}: c1 differs");
+                assert_eq!(
+                    hoisted.noise_estimate_bits(),
+                    naive.noise_estimate_bits(),
+                    "{kind:?} step {s}: noise estimate differs"
+                );
+            }
         }
     }
 
@@ -969,39 +918,22 @@ mod tests {
     }
 
     #[test]
-    fn try_add_plain_respects_configured_tolerance() {
-        // A 1e-4 relative deviation fails at the default 1e-6 tolerance
-        // but passes once the parameter set allows it.
-        let build = |tol: Option<f64>| {
-            let mut b = CkksParams::builder()
-                .ring_degree(128)
-                .levels(2)
-                .special_limbs(2)
-                .limb_bits(40)
-                .scale_bits(32);
-            if let Some(t) = tol {
-                b = b.scale_rel_tolerance(t);
-            }
-            CkksContext::new(b.build().unwrap()).unwrap()
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let strict_tol = build(None);
-        let sk = strict_tol.keygen(&mut rng);
-        let scale = strict_tol.default_scale();
-        let ct = strict_tol.encrypt(&strict_tol.encode(&[1.0], scale, 2), &sk, &mut rng);
-        let p = strict_tol.encode(&[1.0], scale * (1.0 + 1e-4), 2);
-        match strict_tol.try_add_plain(&ct, &p) {
+    fn try_add_plain_reports_scale_drift_beyond_tolerance() {
+        // A 1e-4 relative deviation fails the 1e-6 tolerance; a 1e-8 one
+        // passes.
+        let (ctx, sk, mut rng) = setup(2);
+        let scale = ctx.default_scale();
+        let ct = ctx.encrypt(&ctx.encode(&[1.0], scale, 2), &sk, &mut rng);
+        let p = ctx.encode(&[1.0], scale * (1.0 + 1e-4), 2);
+        match ctx.try_add_plain(&ct, &p) {
             Err(crate::FheError::ScaleMismatch { got, want, rel, .. }) => {
                 assert!((got / want - 1.0).abs() < 1e-3);
                 assert!(rel > 5e-5 && rel < 2e-4, "rel {rel}");
             }
             other => panic!("expected ScaleMismatch, got {other:?}"),
         }
-        let loose_tol = build(Some(1e-3));
-        let sk2 = loose_tol.keygen(&mut rng);
-        let ct2 = loose_tol.encrypt(&loose_tol.encode(&[1.0], scale, 2), &sk2, &mut rng);
-        let p2 = loose_tol.encode(&[1.0], scale * (1.0 + 1e-4), 2);
-        assert!(loose_tol.try_add_plain(&ct2, &p2).is_ok());
+        let close = ctx.encode(&[1.0], scale * (1.0 + 1e-8), 2);
+        assert!(ctx.try_add_plain(&ct, &close).is_ok());
     }
 
     #[test]
@@ -1032,41 +964,6 @@ mod tests {
             ctx.try_mod_drop(&ct, 2),
             Err(crate::FheError::InvalidParams { op: "mod_drop", .. })
         ));
-    }
-
-    #[test]
-    fn auto_rescale_policy_inserts_rescales_and_aligns_levels() {
-        use crate::GuardrailPolicy;
-        // scale == limb width, so each auto-inserted rescale brings the
-        // scale back to the default instead of letting it drift.
-        let params = CkksParams::builder()
-            .ring_degree(128)
-            .levels(4)
-            .special_limbs(4)
-            .limb_bits(40)
-            .scale_bits(40)
-            .build()
-            .unwrap();
-        let mut ctx = CkksContext::new(params).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(123);
-        let sk = ctx.keygen(&mut rng);
-        ctx.set_policy(GuardrailPolicy::AutoRescale);
-        let rlk = ctx.relin_keygen(&sk, KIND, &mut rng);
-        let a = vec![1.5, -0.5];
-        let b = vec![2.0, 3.0];
-        let cta = ctx.encrypt(&ctx.encode(&a, ctx.default_scale(), 4), &sk, &mut rng);
-        let ctb = ctx.encrypt(&ctx.encode(&b, ctx.default_scale(), 4), &sk, &mut rng);
-        // No manual rescales anywhere: the policy inserts them.
-        let prod = ctx.try_mul(&cta, &ctb, &rlk).unwrap();
-        assert_eq!(prod.level(), 3, "mul result must arrive rescaled");
-        // Operand levels differ (prod is deeper than cta): auto-aligned.
-        let prod2 = ctx.try_mul(&prod, &cta, &rlk).unwrap();
-        assert_eq!(prod2.level(), 2);
-        let got = ctx.decode(&ctx.decrypt(&prod2, &sk), 2);
-        for i in 0..2 {
-            let expect = a[i] * b[i] * a[i];
-            assert!((got[i] - expect).abs() < 1e-2, "{} vs {expect}", got[i]);
-        }
     }
 
     #[test]

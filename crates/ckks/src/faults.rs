@@ -236,19 +236,9 @@ impl FaultPlan {
         self.kills
     }
 
-    /// Kill points that have not fired yet.
-    pub fn pending_kills(&self) -> usize {
-        self.kill_points.len()
-    }
-
     /// Number of stall points fired so far.
     pub fn stalls(&self) -> u64 {
         self.stalls
-    }
-
-    /// Stall points that have not fired yet.
-    pub fn pending_stalls(&self) -> usize {
-        self.stall_points.len()
     }
 }
 
@@ -377,37 +367,6 @@ mod tests {
             ctx.try_neg_ct(&bad).and_then(|ct| ctx.guard_budget("audit", &ct)),
             Err(FheError::BudgetExhausted { .. })
         ));
-    }
-
-    #[test]
-    fn auto_rescale_policy_repairs_the_dropped_rescale_fault() {
-        // scale == limb width so the auto-inserted rescales return the
-        // scale to the default each time.
-        let params = CkksParams::builder()
-            .ring_degree(128)
-            .levels(3)
-            .special_limbs(3)
-            .limb_bits(40)
-            .scale_bits(40)
-            .build()
-            .unwrap();
-        let mut ctx = CkksContext::new(params).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4242);
-        let sk = ctx.keygen(&mut rng);
-        ctx.set_policy(GuardrailPolicy::AutoRescale);
-        let rlk = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
-        let vals = [0.5, 0.25];
-        let ct = ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), 3), &sk, &mut rng);
-        // Same faulty circuit as above (no explicit rescales anywhere):
-        // AutoRescale inserts them, so the chain survives and decrypts.
-        let a = ctx.try_square(&ct, &rlk).unwrap();
-        let b = ctx.try_square(&a, &rlk).unwrap();
-        assert_eq!(b.level(), 1);
-        let got = ctx.decode(&ctx.decrypt(&b, &sk), 2);
-        for (g, v) in got.iter().zip(&vals) {
-            let expect = v.powi(4);
-            assert!((g - expect).abs() < 0.05, "{g} vs {expect}");
-        }
     }
 
     #[test]

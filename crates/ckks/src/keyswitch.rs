@@ -116,12 +116,9 @@ impl CkksContext {
         let rns = self.rns();
         let digit_limbs = self.digit_partition(kind);
         let special = self.special_for(kind);
-        let key_basis = if special == 0 {
-            rns.q_basis(self.params().levels())
-        } else {
-            rns.q_basis(self.params().levels())
-                .union(&rns.p_basis(special))
-        };
+        let key_basis = rns
+            .q_basis(self.params().levels())
+            .union(&rns.p_basis(special));
         let s = rns.restrict(&sk.s, &key_basis);
         let s_p = rns.restrict(s_prime, &key_basis);
         let seed: u64 = rng.gen();
@@ -267,11 +264,7 @@ impl CkksContext {
         }
         let digit_limbs = self.digit_partition(kind);
         let special = self.special_for(kind);
-        let target = if special == 0 {
-            qb.clone()
-        } else {
-            qb.union(&rns.p_basis(special))
-        };
+        let target = qb.union(&rns.p_basis(special));
         let mut c_coeff = c.clone();
         rns.from_ntt(&mut c_coeff);
         // ModUp each digit in parallel: every digit's restrict + base
@@ -297,39 +290,30 @@ impl CkksContext {
                 );
                 let c_d = rns.restrict(&c_coeff, &digit_basis);
                 // ModUp: fast base conversion to the rest of the target basis
-                // (this is the changeRNSBase of Listing 1, line 3). Only the
-                // converted extension limbs need a forward NTT: the digit's
-                // own limbs are copied from the original NTT-form input —
-                // the INTT→NTT roundtrip is exact, so this is bit-identical
-                // and brings the ModUp NTT count down to the paper's t·L.
+                // (this is the changeRNSBase of Listing 1, line 3). The
+                // extension is never empty: the target holds at least one
+                // special limb, which no digit contains. Only the converted
+                // extension limbs need a forward NTT: the digit's own limbs
+                // are copied from the original NTT-form input — the INTT→NTT
+                // roundtrip is exact, so this is bit-identical and brings
+                // the ModUp NTT count down to the paper's t·L.
                 let mut c_full = rns.zero(&target);
-                if !ext_basis.is_empty() {
-                    let conv = self.converter(&digit_basis, &ext_basis);
-                    let mut c_ext = conv.convert(rns, &c_d);
-                    rns.to_ntt(&mut c_ext);
-                    for (pos, &limb) in target.0.iter().enumerate() {
-                        let src = if digit_basis.0.contains(&limb) {
-                            let k = qb.0.iter().position(|&l| l == limb).expect(
-                                "every digit limb lies in the level-L prefix basis",
-                            );
-                            c.limb(k)
-                        } else {
-                            let k = ext_basis.0.iter().position(|&l| l == limb).expect(
-                                "target basis is the disjoint union of digit and extension bases",
-                            );
-                            c_ext.limb(k)
-                        };
-                        c_full.limb_mut(pos).copy_from_slice(src);
-                    }
-                } else {
-                    for (pos, &limb) in target.0.iter().enumerate() {
-                        let k = qb
-                            .0
-                            .iter()
-                            .position(|&l| l == limb)
-                            .expect("with no extension basis the digit basis covers the target");
-                        c_full.limb_mut(pos).copy_from_slice(c.limb(k));
-                    }
+                let conv = self.converter(&digit_basis, &ext_basis);
+                let mut c_ext = conv.convert(rns, &c_d);
+                rns.to_ntt(&mut c_ext);
+                for (pos, &limb) in target.0.iter().enumerate() {
+                    let src = if digit_basis.0.contains(&limb) {
+                        let k = qb.0.iter().position(|&l| l == limb).expect(
+                            "every digit limb lies in the level-L prefix basis",
+                        );
+                        c.limb(k)
+                    } else {
+                        let k = ext_basis.0.iter().position(|&l| l == limb).expect(
+                            "target basis is the disjoint union of digit and extension bases",
+                        );
+                        c_ext.limb(k)
+                    };
+                    c_full.limb_mut(pos).copy_from_slice(src);
                 }
                 c_full.set_ntt_form(true);
                 Some(c_full)
@@ -474,9 +458,6 @@ impl HoistedDecomposition {
         acc0: RnsPoly,
         acc1: RnsPoly,
     ) -> (RnsPoly, RnsPoly) {
-        if self.special == 0 {
-            return (acc0, acc1);
-        }
         let rns = ctx.rns();
         let qb = rns.q_basis(self.level);
         let pb = rns.p_basis(self.special);

@@ -15,7 +15,6 @@ pub struct CkksParams {
     pub(crate) special_limbs: usize,
     pub(crate) limb_bits: u32,
     pub(crate) scale_bits: u32,
-    pub(crate) scale_rel_tolerance: f64,
 }
 
 impl CkksParams {
@@ -54,14 +53,6 @@ impl CkksParams {
         2f64.powi(self.scale_bits as i32)
     }
 
-    /// Maximum relative deviation two scales may have and still be treated
-    /// as equal by addition-family operations (default `1e-6`). Operations
-    /// exceeding it fail with
-    /// [`FheError::ScaleMismatch`](crate::FheError::ScaleMismatch).
-    pub fn scale_rel_tolerance(&self) -> f64 {
-        self.scale_rel_tolerance
-    }
-
     /// Total `log2(QP)` in bits (levels + special limbs), the quantity the
     /// security model constrains.
     pub fn log_qp(&self) -> u32 {
@@ -83,7 +74,6 @@ pub struct CkksParamsBuilder {
     special_limbs: Option<usize>,
     limb_bits: Option<u32>,
     scale_bits: Option<u32>,
-    scale_rel_tolerance: Option<f64>,
 }
 
 /// Error from parameter validation.
@@ -129,13 +119,6 @@ impl CkksParamsBuilder {
         self
     }
 
-    /// Sets the relative tolerance under which two scales are treated as
-    /// equal (default `1e-6`; must be in `(0, 1)`).
-    pub fn scale_rel_tolerance(mut self, tol: f64) -> Self {
-        self.scale_rel_tolerance = Some(tol);
-        self
-    }
-
     /// Validates and builds the parameter set.
     ///
     /// # Errors
@@ -165,19 +148,12 @@ impl CkksParamsBuilder {
                 "scale_bits must be below twice the limb width".into(),
             ));
         }
-        let scale_rel_tolerance = self.scale_rel_tolerance.unwrap_or(1e-6);
-        if !(scale_rel_tolerance > 0.0 && scale_rel_tolerance < 1.0) {
-            return Err(ParamsError(format!(
-                "scale_rel_tolerance must be in (0, 1), got {scale_rel_tolerance}"
-            )));
-        }
         Ok(CkksParams {
             n,
             levels,
             special_limbs,
             limb_bits,
             scale_bits,
-            scale_rel_tolerance,
         })
     }
 }
@@ -197,29 +173,6 @@ mod tests {
         assert_eq!(p.limb_bits(), 28);
         assert_eq!(p.slots(), 32);
         assert_eq!(p.log_qp(), 8 * 28);
-        assert_eq!(p.scale_rel_tolerance(), 1e-6);
-    }
-
-    #[test]
-    fn scale_tolerance_is_configurable_and_validated() {
-        let p = CkksParams::builder()
-            .ring_degree(64)
-            .levels(2)
-            .scale_rel_tolerance(1e-3)
-            .build()
-            .unwrap();
-        assert_eq!(p.scale_rel_tolerance(), 1e-3);
-        for bad in [0.0, -1e-6, 1.0, f64::NAN] {
-            assert!(
-                CkksParams::builder()
-                    .ring_degree(64)
-                    .levels(2)
-                    .scale_rel_tolerance(bad)
-                    .build()
-                    .is_err(),
-                "tolerance {bad} must be rejected"
-            );
-        }
     }
 
     #[test]

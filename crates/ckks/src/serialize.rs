@@ -89,7 +89,7 @@ impl ObjectTag {
 }
 
 /// FNV-1a's 64-bit offset basis and prime, shared with the keyswitch-hint
-/// digest.
+/// digest and the params fingerprint.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub(crate) const FNV_PRIME: u64 = 0x100_0000_01b3;
 

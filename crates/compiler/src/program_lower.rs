@@ -23,9 +23,8 @@
 //!    [`LoweredProgram::predicted_peak_live`] and can be bounded with
 //!    [`LowerOptions::max_live_cts`].
 //! 4. **Auto-bootstrap** (opt-in): for linear slot-free programs, a tracked
-//!    noise estimate — the planner-grade sibling of the runtime's
-//!    `AutoRescale` guardrail — inserts [`PipelineOp::Bootstrap`] before a
-//!    multiply whose rescale would land below the configured budget.
+//!    noise estimate inserts [`PipelineOp::Bootstrap`] before a multiply
+//!    whose rescale would land below the configured budget.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -118,9 +117,9 @@ impl std::fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
-/// Planner-grade noise model driving automatic bootstrap insertion — the
-/// static sibling of the runtime's `AutoRescale` guardrail. Levels and
-/// noise-bit estimates are tracked through the lowered chain; a bootstrap
+/// Planner-grade noise model driving automatic bootstrap insertion: like
+/// every rescale and level drop, bootstraps are fixed at compile time, never
+/// by the runtime. Levels and noise-bit estimates are tracked through the lowered chain; a bootstrap
 /// is inserted before any multiply whose rescale would leave less than
 /// `min_budget_bits` of headroom (or would drop below level 2, where no
 /// rescaling modulus remains).

@@ -343,25 +343,6 @@ pub fn rescale(ctx: &RnsContext, poly: &RnsPoly) -> RnsPoly {
     mod_down(ctx, poly, &keep, &drop, &conv)
 }
 
-/// [`rescale`] with a caller-supplied converter, so hot paths can reuse a
-/// cached `BaseConverter` instead of rebuilding one (big-integer products
-/// and modular inversions) on every rescale.
-///
-/// # Panics
-///
-/// Panics if the polynomial has fewer than 2 limbs, is in NTT form, or if
-/// `conv` does not convert from the polynomial's last limb to its remaining
-/// limbs.
-pub fn rescale_with(ctx: &RnsContext, poly: &RnsPoly, conv: &BaseConverter) -> RnsPoly {
-    assert!(poly.num_limbs() >= 2, "cannot rescale a 1-limb polynomial");
-    let basis = poly.basis();
-    let keep = Basis(basis.0[..basis.len() - 1].to_vec());
-    let drop = Basis(vec![basis.0[basis.len() - 1]]);
-    assert_eq!(conv.src_basis(), &drop, "converter source must be the dropped limb");
-    assert_eq!(conv.dst_basis(), &keep, "converter destination must be the kept limbs");
-    mod_down(ctx, poly, &keep, &drop, conv)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

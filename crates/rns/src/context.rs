@@ -190,12 +190,6 @@ impl RnsContext {
         &self.tables[limb as usize]
     }
 
-    /// The shared (process-cached) NTT table for a global limb index.
-    #[inline]
-    pub fn ntt_table_arc(&self, limb: u32) -> Arc<NttTable> {
-        Arc::clone(&self.tables[limb as usize])
-    }
-
     /// The basis `q_1..q_level` (the first `level` ciphertext moduli).
     ///
     /// # Panics

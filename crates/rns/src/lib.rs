@@ -33,7 +33,7 @@ mod context;
 mod poly;
 mod scratch;
 
-pub use baseconv::{mod_down, mod_down_ntt, rescale, rescale_with, BaseConverter};
+pub use baseconv::{mod_down, mod_down_ntt, rescale, BaseConverter};
 pub use context::{Basis, RnsContext, RnsError};
 pub use poly::RnsPoly;
 pub use scratch::with_scratch;

@@ -31,7 +31,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use cl_ckks::serialize::{
-    fnv1a_fast, peek_header, put_u16, put_u32, put_u64, put_u8, write_header, ObjectTag,
+    fnv1a_fast, peek_header, put_u16, put_u32, put_u64, put_u8, write_header, ObjectTag, Reader,
 };
 use cl_ckks::{FheError, FheResult};
 
@@ -70,23 +70,6 @@ pub enum FsyncPolicy {
     /// Never `fsync` explicitly; durability is whatever the OS page cache
     /// provides. For benchmarks and tests.
     Never,
-}
-
-impl FsyncPolicy {
-    /// Reads the policy from `CL_JOURNAL_FSYNC` (`always`, `never`, or a
-    /// batch size), defaulting to `Batch(32)`.
-    pub fn from_env() -> Self {
-        match std::env::var("CL_JOURNAL_FSYNC") {
-            Ok(v) if v.eq_ignore_ascii_case("always") => FsyncPolicy::Always,
-            Ok(v) if v.eq_ignore_ascii_case("never") => FsyncPolicy::Never,
-            Ok(v) => v
-                .parse::<u32>()
-                .ok()
-                .filter(|&n| n > 0)
-                .map_or(FsyncPolicy::Batch(32), FsyncPolicy::Batch),
-            Err(_) => FsyncPolicy::Batch(32),
-        }
-    }
 }
 
 /// Record kinds (the first byte of every record body after the sequence
@@ -675,7 +658,7 @@ fn replay_bytes(bytes: &[u8], replay: &mut JournalReplay) {
             pos = resync(bytes, pos + 1, replay);
             continue;
         }
-        if apply_record(body, body_start as u64, replay, &mut jobs) {
+        if apply_record(body, body_start as u64, replay, &mut jobs).is_some() {
             replay.records_replayed += 1;
         } else {
             replay.records_skipped += 1;
@@ -706,31 +689,26 @@ fn resync(bytes: &[u8], from: usize, replay: &mut JournalReplay) -> usize {
 /// order-insensitively: `Dispatched`/`Completed` may land before their
 /// `Admitted` (appends from concurrent workers are not globally ordered).
 /// `body_at` is the body's position in the file (blob payloads are indexed).
-/// Returns `false` when the body is structurally malformed despite a
-/// clean checksum (only reachable via a hostile writer).
+/// Returns `None` when the body is structurally malformed despite a clean
+/// checksum (only reachable via a hostile writer): a short read skips the
+/// record, it is never an error to surface.
 fn apply_record(
     body: &[u8],
     body_at: u64,
     replay: &mut JournalReplay,
     jobs: &mut HashMap<u64, usize>,
-) -> bool {
-    let mut c = Cursor { buf: body, pos: 0 };
-    let Some(_seq) = c.u64() else { return false };
-    let Some(kind) = c.u8() else { return false };
-    match kind {
+) -> Option<()> {
+    let mut r = Reader::new("journal_replay", body);
+    let _seq = r.u64().ok()?;
+    match r.u8().ok()? {
         KIND_ADMITTED => {
-            let (Some(id), Some(deadline), Some(pd), Some(ind), Some(kd), Some(tlen)) = (
-                c.u64(),
-                c.u64(),
-                c.u64(),
-                c.u64(),
-                c.u64(),
-                c.u16(),
-            ) else {
-                return false;
-            };
-            let Some(tenant) = c.take(tlen as usize) else { return false };
-            let Ok(tenant) = std::str::from_utf8(tenant) else { return false };
+            let id = r.u64().ok()?;
+            let deadline = r.u64().ok()?;
+            let pd = r.u64().ok()?;
+            let ind = r.u64().ok()?;
+            let kd = r.u64().ok()?;
+            let tlen = r.u16().ok()?;
+            let tenant = std::str::from_utf8(r.take(tlen as usize).ok()?).ok()?;
             let job = entry(replay, jobs, id);
             job.tenant = tenant.to_string();
             job.deadline_ms = (deadline != u64::MAX).then_some(deadline);
@@ -738,51 +716,49 @@ fn apply_record(
             job.input_digest = ind;
             job.key_digest = kd;
             job.admitted = true;
-            true
         }
         KIND_DISPATCHED => {
-            let Some(id) = c.u64() else { return false };
+            let id = r.u64().ok()?;
             entry(replay, jobs, id).dispatched = true;
-            true
         }
         KIND_COMPLETED => {
-            let (Some(id), Some(len)) = (c.u64(), c.u32()) else { return false };
-            let Some(output) = c.take(len as usize) else { return false };
+            let id = r.u64().ok()?;
+            let len = r.u32().ok()?;
+            let output = r.take(len as usize).ok()?;
             entry(replay, jobs, id).outcome = Some(ReplayedOutcome {
                 code: 0,
                 detail: String::new(),
                 output: Some(output.to_vec()),
             });
-            true
         }
         KIND_FAILED => {
-            let (Some(id), Some(code), Some(dlen)) = (c.u64(), c.u16(), c.u16()) else {
-                return false;
-            };
-            let Some(detail) = c.take(dlen as usize) else { return false };
+            let id = r.u64().ok()?;
+            let code = r.u16().ok()?;
+            let dlen = r.u16().ok()?;
+            let detail = r.take(dlen as usize).ok()?;
             entry(replay, jobs, id).outcome = Some(ReplayedOutcome {
                 code,
                 detail: String::from_utf8_lossy(detail).into_owned(),
                 output: None,
             });
-            true
         }
         KIND_BLOB => {
-            let (Some(digest), Some(len)) = (c.u64(), c.u32()) else { return false };
-            let Some(blob) = c.take(len as usize) else { return false };
+            let digest = r.u64().ok()?;
+            let len = r.u32().ok()?;
+            let blob = r.take(len as usize).ok()?;
             // A flipped blob *payload* byte still checksums clean at the
             // record layer only if the flip predates the append; verify
             // the content digest so a blob can never lie about itself.
             if fnv1a_fast(blob) != digest {
-                return false;
+                return None;
             }
             replay.blobs.insert(digest, blob.to_vec());
             let at = body_at + BLOB_PREFIX_BYTES as u64;
             replay.blob_spans.insert(digest, BlobSpan { at, len });
-            true
         }
-        _ => false,
+        _ => return None,
     }
+    Some(())
 }
 
 fn entry<'a>(
@@ -805,45 +781,6 @@ fn entry<'a>(
         replay.jobs.len() - 1
     });
     &mut replay.jobs[idx]
-}
-
-/// Minimal tolerant little-endian cursor for replaying record bodies
-/// (unlike [`cl_ckks::serialize::Reader`], a short read here is a skipped
-/// record, not an error to surface).
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, len: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(len)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(out)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| {
-            u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1121,12 +1058,5 @@ mod tests {
         let (_, replay) = Journal::open(&dir, FsyncPolicy::Never, 0).expect("reopen");
         assert_eq!(&replay.blobs[&lost], damaged);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fsync_policy_parses_from_env_shapes() {
-        // Not exercising the env var itself (process-global); just the
-        // parse behaviour via explicit construction.
-        assert_eq!(FsyncPolicy::Batch(32), FsyncPolicy::from_env());
     }
 }

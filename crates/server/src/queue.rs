@@ -161,16 +161,6 @@ impl<T> AdmissionQueue<T> {
             .map(|(t, _)| t.clone())
             .or_else(|| self.first_nonempty_from_start())
     }
-
-    /// Drains every queued job in fair order (used at shutdown to give
-    /// still-queued jobs a structured `Cancelled` outcome).
-    pub fn drain_fair(&mut self) -> Vec<(String, T)> {
-        let mut out = Vec::with_capacity(self.len);
-        while let Some(item) = self.pop_fair() {
-            out.push(item);
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -88,8 +88,7 @@ pub struct ServerConfig {
     /// tenant budget.
     pub max_job_retries: u32,
     /// Byte budget for each tenant's compact key-bundle cache
-    /// (LRU-evicted beyond this). Defaults to `CL_KEYCACHE_BYTES` when
-    /// set, else 32 MiB.
+    /// (LRU-evicted beyond this). Defaults to 32 MiB.
     pub key_cache_bytes: usize,
     /// Deadline applied when a [`JobSpec`] does not set one. `None`
     /// means no deadline.
@@ -101,9 +100,8 @@ pub struct ServerConfig {
     /// `checkpoint_root/journal`). Disabling it trades crash recovery
     /// for zero journaling overhead (benchmark baselines do this).
     pub journal: bool,
-    /// When journal appends reach stable storage. Defaults to
-    /// `CL_JOURNAL_FSYNC` (`always`, `never`, or a batch size), else
-    /// batches of 32.
+    /// When journal appends reach stable storage. Defaults to batches of
+    /// 32.
     pub journal_fsync: FsyncPolicy,
     /// Completed/failed journal entries tolerated before compaction
     /// rewrites live records into a fresh generation file. `0` disables
@@ -111,14 +109,14 @@ pub struct ServerConfig {
     pub journal_compact_threshold: u64,
     /// Heartbeat staleness past which the watchdog declares a running job
     /// stalled and aborts it for re-dispatch. `Duration::ZERO` disables
-    /// the watchdog. Defaults to `CL_STALL_BUDGET_MS`, else 30 s. Must
+    /// the watchdog. Defaults to 30 s. Must
     /// exceed the longest single micro-op: the watchdog is cooperative
     /// (heartbeats tick at micro-op boundaries), so a genuinely hung
     /// op is detected but only aborted at the next boundary it reaches.
     pub stall_budget: Duration,
     /// Consecutive breaker-class failures (integrity failures, retry
     /// exhaustion, panics) that trip a tenant's circuit breaker. `0`
-    /// disables the breaker. Defaults to `CL_BREAKER_THRESHOLD`, else 0.
+    /// disables the breaker (the default).
     pub breaker_threshold: u32,
     /// Base quarantine after a breaker trip; doubles per consecutive
     /// trip (capped at 64×).
@@ -136,25 +134,14 @@ impl Default for ServerConfig {
             executor_retries: 8,
             tenant_retry_budget: 16,
             max_job_retries: 3,
-            key_cache_bytes: std::env::var("CL_KEYCACHE_BYTES")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(32 << 20),
+            key_cache_bytes: 32 << 20,
             default_deadline: None,
             backoff_base_ms: 1,
             journal: true,
-            journal_fsync: FsyncPolicy::from_env(),
+            journal_fsync: FsyncPolicy::Batch(32),
             journal_compact_threshold: 256,
-            stall_budget: Duration::from_millis(
-                std::env::var("CL_STALL_BUDGET_MS")
-                    .ok()
-                    .and_then(|v| v.trim().parse::<u64>().ok())
-                    .unwrap_or(30_000),
-            ),
-            breaker_threshold: std::env::var("CL_BREAKER_THRESHOLD")
-                .ok()
-                .and_then(|v| v.trim().parse::<u32>().ok())
-                .unwrap_or(0),
+            stall_budget: Duration::from_secs(30),
+            breaker_threshold: 0,
             breaker_backoff_ms: 100,
         }
     }

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate.
 #
+#  0. Library code reads exactly three environment variables; every
+#     other setting is a typed field with one setter.
 #  1. Release build of the whole workspace.
 #  2. Full test suite, again under the forced scalar backend, and the
 #     kernel crates under forced AVX2.
@@ -19,6 +21,26 @@
 #     every operation has one fallible entry point.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== tier-1: library environment reads =="
+# CL_THREADS sizes the limb pool, CL_BACKEND pins the kernel backend and
+# CL_HINT_CACHE_BYTES sizes the process-wide hint cache: process-wide
+# deployment settings no struct owns. Anything else configurable is a
+# field (ServerConfig, CkksParams, GuardrailPolicy), and an environment
+# read beside it would be a hidden second setter. The kernel bench binary
+# (crates/bench) is exempt. A read whose variable is not a literal on the
+# same line fails the gate too.
+env_reads=$(grep -rE 'env::var(_os)?\(' crates vendor --include='*.rs' |
+    grep -v '^crates/bench/' |
+    sed -E 's/^([^:]+):.*env::var(_os)?\("?([A-Za-z0-9_]*).*/\1 \3/' | LC_ALL=C sort -u)
+want_reads='crates/ckks/src/hint_cache.rs CL_HINT_CACHE_BYTES
+crates/math/src/backend/mod.rs CL_BACKEND
+vendor/rayon/src/lib.rs CL_THREADS'
+if [ "$env_reads" != "$want_reads" ]; then
+    echo "verify: library environment reads differ from the allowed three:" >&2
+    diff <(echo "$want_reads") <(echo "$env_reads") >&2 || true
+    exit 1
+fi
 
 echo "== tier-1: release build =="
 cargo build --release

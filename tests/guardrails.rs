@@ -160,24 +160,8 @@ fn strict_checks_each_hint_application_once_at_every_entry_point() {
 }
 
 #[test]
-fn auto_rescale_policy_manages_levels_for_the_caller() {
-    let (mut ctx, sk, mut rng) = setup();
-    let relin = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
-    ctx.set_policy(GuardrailPolicy::AutoRescale);
-    let pt = ctx.encode(&[0.5, 0.25], ctx.default_scale(), 3);
-    let ct = ctx.encrypt(&pt, &sk, &mut rng);
-    // Two chained squares with no manual rescale: the policy inserts them.
-    let a = ctx
-        .try_square(&ct, &relin)
-        .expect("auto-rescaled square succeeds");
-    assert_eq!(a.level(), 2, "policy must have consumed a level");
-    let got = ctx.decode(&ctx.decrypt(&a, &sk), 2);
-    assert!((got[0] - 0.25).abs() < 1e-2, "got {}", got[0]);
-}
-
-#[test]
 fn fallible_api_reports_structured_errors_across_the_workspace() {
-    let (mut ctx, sk, mut rng) = setup();
+    let (ctx, sk, mut rng) = setup();
     let a = ctx.encrypt(&ctx.encode(&[1.0], ctx.default_scale(), 3), &sk, &mut rng);
     let b = ctx.encrypt(&ctx.encode(&[1.0], ctx.default_scale(), 2), &sk, &mut rng);
     match ctx.try_add(&a, &b) {
@@ -194,23 +178,21 @@ fn fallible_api_reports_structured_errors_across_the_workspace() {
         Err(FheError::InvalidParams { op: "rescale", .. })
     ));
 
-    // AutoRescale aligns mismatched operands with a modulus drop; a
-    // level-0 operand (no limbs left) must surface that drop's error, not
-    // unwind out of the `try_*` call.
-    ctx.set_policy(GuardrailPolicy::AutoRescale);
+    // A level-0 operand (no limbs left) is a level mismatch like any
+    // other: a structured error, not an unwind out of the `try_*` call.
     let relin = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
     let mut empty = ctx.rns().zero(&ctx.rns().q_basis(0));
     empty.set_ntt_form(true);
     let zero = ctx.ciphertext_from_parts(empty.clone(), empty, 0, ctx.default_scale());
     let results = [
-        ("try_add", ctx.try_add(&a, &zero)),
-        ("try_sub", ctx.try_sub(&a, &zero)),
-        ("try_mul", ctx.try_mul(&a, &zero, &relin)),
+        ("add", ctx.try_add(&a, &zero)),
+        ("sub", ctx.try_sub(&a, &zero)),
+        ("mul", ctx.try_mul(&a, &zero, &relin)),
     ];
-    for (entry, result) in results {
+    for (op, result) in results {
         assert!(
-            matches!(result, Err(FheError::InvalidParams { op: "mod_drop", .. })),
-            "{entry} on a level-0 operand gave {result:?}"
+            matches!(result, Err(FheError::LevelMismatch { op: seen, got: 0, want: 3 }) if seen == op),
+            "try_{op} on a level-0 operand gave {result:?}"
         );
     }
 }
