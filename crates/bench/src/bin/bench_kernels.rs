@@ -4,7 +4,9 @@
 //! NTT, RNS element-wise ops, base conversion, keyswitch, the hint integrity
 //! digest, rescale, and one bootstrap step (an EvalMod square+rescale) —
 //! and writes ns/op as JSON so `scripts/bench.sh` can track the
-//! serial-vs-parallel trajectory across commits.
+//! serial-vs-parallel trajectory across commits. Both transforms are also
+//! reported as a roofline rate: radix-2 butterflies per ns,
+//! `(n/2) * log2(n) * limbs` over the timed call.
 //!
 //! Usage:
 //!   bench_kernels [--smoke] [--label NAME] [--out PATH]
@@ -666,6 +668,13 @@ fn main() {
         }
     }
 
+    let butterflies = (n / 2 * n.trailing_zeros() as usize * limbs) as f64;
+    let rates: Vec<(&str, f64)> = ["ntt_forward", "ntt_inverse"]
+        .into_iter()
+        .filter_map(|k| results.iter().find(|(name, _)| *name == k))
+        .map(|&(name, ns)| (name, butterflies / ns))
+        .collect();
+
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"label\": \"{}\",", cfg.label);
@@ -685,7 +694,9 @@ fn main() {
         let comma = if i + 1 == results.len() { "" } else { "," };
         let _ = writeln!(json, "    \"{name}\": {ns:.0}{comma}");
     }
-    let _ = writeln!(json, "  }}");
+    let _ = writeln!(json, "  }},");
+    let rates_json: Vec<String> = rates.iter().map(|(name, r)| format!("\"{name}\": {r:.4}")).collect();
+    let _ = writeln!(json, "  \"butterflies_per_ns\": {{{}}}", rates_json.join(", "));
     let _ = writeln!(json, "}}");
 
     for (name, ns) in &results {
@@ -694,6 +705,9 @@ fn main() {
         } else {
             println!("{name:>16}: {:>12.1} us/op", ns / 1000.0);
         }
+    }
+    for (name, r) in &rates {
+        println!("{name:>16}: {r:>12.3} butterflies/ns");
     }
     if let Some(path) = &cfg.out {
         std::fs::write(path, &json).expect("write JSON output");

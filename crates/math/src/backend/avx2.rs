@@ -1,13 +1,13 @@
 //! AVX2 instantiation of the shared kernel driver: 4 residues per
 //! instruction.
 //!
-//! Every slice kernel, vector-wide NTT pass and stage schedule comes from
-//! [`simd_driver!`](super::driver); this file holds only what is particular
-//! to 256-bit AVX2. The ISA has no 64-bit unsigned compare, no 64-bit full
-//! multiply and no cross-lane two-source permute, so the element helpers
-//! build everything from `vpmuludq` 32×32→64 partial products and
-//! sign-flipped signed compares, and the sub-vector NTT stages (strides 2
-//! and 1) shuffle with 128-bit lane permutes. All of it runs the exact
+//! Every slice kernel, NTT butterfly, vector-wide NTT pass and stage
+//! schedule comes from [`simd_driver!`](super::driver); this file holds only
+//! what is particular to 256-bit AVX2. The ISA has no 64-bit unsigned
+//! compare, no 64-bit full multiply and no cross-lane two-source permute,
+//! so the element helpers build everything from `vpmuludq` 32×32→64
+//! partial products and sign-flipped signed compares, and the sub-vector
+//! NTT stages (strides 2 and 1) shuffle with 128-bit lane permutes. All of it runs the exact
 //! scalar algorithms lane-parallel, so even lazy intermediates match the
 //! scalar backend word-for-word.
 
@@ -85,15 +85,6 @@ fn mullo64(a: __m256i, b: __m256i) -> __m256i {
     let ll = _mm256_mul_epu32(a, b);
     let mid = _mm256_add_epi64(_mm256_mul_epu32(a, b_hi), _mm256_mul_epu32(a_hi, b));
     _mm256_add_epi64(ll, _mm256_slli_epi64::<32>(mid))
-}
-
-/// Shoup product without correction: `a*w - floor(a*ws / 2^64) * q` in
-/// `[0, 2q)` for any `a` — the scalar `mul_shoup_lazy`, lane-parallel.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn mul_shoup_lazy_v(a: __m256i, w: __m256i, ws: __m256i, q: __m256i) -> __m256i {
-    let hi = mulhi64(a, ws);
-    _mm256_sub_epi64(mullo64(a, w), mullo64(hi, q))
 }
 
 /// Broadcast reduction constants: `q`, `2q` and their sign-flipped copies
@@ -185,11 +176,12 @@ fn barrett_mul_acc(c: Barrett, s: __m256i, a: __m256i, b: __m256i) -> __m256i {
     csub_q(c.r, _mm256_add_epi64(s, barrett_mul(c, a, b)))
 }
 
-/// The lazy Shoup product, for the Shoup slice kernels.
+/// Shoup product without correction: `a*w - floor(a*ws / 2^64) * q` in
+/// `[0, 2q)` for any `a` — the scalar `mul_shoup_lazy`, lane-parallel.
 #[inline]
 #[target_feature(enable = "avx2")]
 fn barrett_shoup_lazy(c: Barrett, a: __m256i, w: __m256i, ws: __m256i) -> __m256i {
-    mul_shoup_lazy_v(a, w, ws, c.r.q)
+    _mm256_sub_epi64(mullo64(a, w), mullo64(mulhi64(a, ws), c.r.q))
 }
 
 /// # Safety
@@ -207,54 +199,22 @@ unsafe fn gather(src: &[u64], perm: &[u32], i: usize) -> __m256i {
 }
 
 // ---------------------------------------------------------------------------
-// NTT primitives: butterflies and the fused sub-vector stages.
+// NTT lane shuffles for the sub-vector stages.
 // ---------------------------------------------------------------------------
 
-/// AVX2 has one Shoup radix: the 64-bit tables, whatever the modulus.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn ntt_consts<'a>(m: &Modulus, sh64: &'a [u64], _sh52: Option<&'a [u64]>) -> (Consts, &'a [u64]) {
-    (consts(m), sh64)
-}
+/// The AVX2 shuffles need no precomputed index vectors: the sub-vector
+/// stride `t` alone picks them.
+type SmallIdx = usize;
 
 #[inline]
-fn shoup_const(_c: Consts, m: &Modulus, w: u64) -> u64 {
-    m.shoup_precompute(w)
-}
-
-#[inline]
-#[target_feature(enable = "avx2")]
-fn shoup_mul_lazy(c: Consts, a: __m256i, t: Tw) -> __m256i {
-    mul_shoup_lazy_v(a, t.w, t.sh, c.q)
-}
-
-/// Forward (CT/DIT) butterfly: operands in `[0, 4q)`, returns
-/// `(x' + v, x' + 2q - v)` with `x'` reduced to `[0, 2q)` and the twiddle
-/// product `v` in `[0, 2q)` — outputs in `[0, 4q)`.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn fwd_bf(c: Consts, x: __m256i, y: __m256i, t: Tw) -> (__m256i, __m256i) {
-    let xr = csub_2q(c, x);
-    let v = shoup_mul_lazy(c, y, t);
-    (
-        _mm256_add_epi64(xr, v),
-        _mm256_sub_epi64(_mm256_add_epi64(xr, c.two_q), v),
-    )
-}
-
-/// Inverse (GS/DIF) butterfly: operands in `[0, 2q)`, returns the reduced
-/// sum and the twiddle product of the lifted difference, both in `[0, 2q)`.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn inv_bf(c: Consts, u: __m256i, v: __m256i, t: Tw) -> (__m256i, __m256i) {
-    let s = csub_2q(c, _mm256_add_epi64(u, v));
-    let d = _mm256_sub_epi64(_mm256_add_epi64(u, c.two_q), v);
-    (s, shoup_mul_lazy(c, d, t))
+fn small_idx(t: usize) -> SmallIdx {
+    t
 }
 
 /// Splits an 8-element run `(v0, v1)` into all-`x`/all-`y` vectors for
-/// sub-vector stride `t in {1, 2}` and loads the matching per-lane twiddles
-/// (AVX2 has no `permutex2var`, hence the 128-bit lane permutes).
+/// sub-vector stride `t in {1, 2}` and loads the matching per-lane
+/// twiddles (AVX2 has no `permutex2var`, hence the 128-bit lane permutes).
+/// Its products are all 64-bit, so the companions stay in radix `2^64`.
 ///
 /// # Safety
 ///
@@ -262,9 +222,18 @@ fn inv_bf(c: Consts, u: __m256i, v: __m256i, t: Tw) -> (__m256i, __m256i) {
 /// per group, `4/t` groups per run).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn sub_split(v0: __m256i, v1: __m256i, t: usize, w: &[u64], sh: &[u64], k0: usize) -> (__m256i, __m256i, Tw) {
+unsafe fn sub_split(
+    v0: __m256i,
+    v1: __m256i,
+    &t: &SmallIdx,
+    w: &[u64],
+    sh: &[u64],
+    bits: u32,
+    k0: usize,
+) -> (__m256i, __m256i, Tw) {
     debug_assert!(matches!(t, 1 | 2));
     debug_assert!(k0 + LANES / t <= w.len() && k0 + LANES / t <= sh.len());
+    debug_assert_eq!(bits, 64, "AVX2 lists only 64-bit products");
     // SAFETY: caller guarantees the twiddle loads are in-bounds.
     unsafe {
         if t == 1 {
@@ -297,7 +266,7 @@ unsafe fn sub_split(v0: __m256i, v1: __m256i, t: usize, w: &[u64], sh: &[u64], k
 /// order.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn sub_knit(nx: __m256i, ny: __m256i, t: usize) -> (__m256i, __m256i) {
+fn sub_knit(nx: __m256i, ny: __m256i, &t: &SmallIdx) -> (__m256i, __m256i) {
     if t == 1 {
         (_mm256_unpacklo_epi64(nx, ny), _mm256_unpackhi_epi64(nx, ny))
     } else {
@@ -305,63 +274,5 @@ fn sub_knit(nx: __m256i, ny: __m256i, t: usize) -> (__m256i, __m256i) {
             _mm256_permute2x128_si256::<0x20>(nx, ny),
             _mm256_permute2x128_si256::<0x31>(nx, ny),
         )
-    }
-}
-
-/// All trailing forward stages (`t = 4, 2, 1`) in a single load/store round
-/// trip per 8-element run. The `t = 4` stage is lane-aligned (whole vectors,
-/// broadcast twiddle), the sub-vector stages shuffle in-register, and the
-/// final stage folds in the canonical correction — replacing three separate
-/// passes plus a correction sweep.
-///
-/// `llen = n / 8` is the `t = 4` stage's twiddle base; stage `t` has base
-/// `n / (2t)` and uses entries `base + groups-before-this-run`.
-#[target_feature(enable = "avx2")]
-fn fwd_tail(c: Consts, a: &mut [u64], w: &[u64], sh: &[u64], llen: usize) {
-    debug_assert!(a.len() == 2 * LANES * llen && w.len() == a.len() && sh.len() == a.len());
-    for r in 0..a.len() / (2 * LANES) {
-        let j = 2 * LANES * r;
-        // SAFETY: j + 8 <= a.len(); every twiddle load ends within the
-        // n-entry tables (the deepest stage's last 4-entry load ends exactly
-        // at entry n - 1).
-        unsafe {
-            let (mut v0, mut v1) = (ld(a, j), ld(a, j + LANES));
-            (v0, v1) = fwd_bf(c, v0, v1, load_tw(w, sh, llen + r));
-            let (x, y, tw) = sub_split(v0, v1, 2, w, sh, 2 * llen + 2 * r);
-            let (nx, ny) = fwd_bf(c, x, y, tw);
-            (v0, v1) = sub_knit(nx, ny, 2);
-            let (x, y, tw) = sub_split(v0, v1, 1, w, sh, 4 * llen + 4 * r);
-            let (nx, ny) = fwd_bf(c, x, y, tw);
-            // The global last stage: reduce [0, 4q) to canonical.
-            (v0, v1) = sub_knit(csub_q(c, csub_2q(c, nx)), csub_q(c, csub_2q(c, ny)), 1);
-            st(a, j, v0);
-            st(a, j + LANES, v1);
-        }
-    }
-}
-
-/// All leading inverse stages (`t = 1, 2` and, with `with_top`, `t = 4`) in
-/// a single round trip per 8-element run; mirror of [`fwd_tail`].
-#[target_feature(enable = "avx2")]
-fn inv_head(c: Consts, a: &mut [u64], w: &[u64], sh: &[u64], with_top: bool) {
-    let n = a.len();
-    debug_assert!(n.is_multiple_of(2 * LANES) && w.len() == n && sh.len() == n);
-    for r in 0..n / (2 * LANES) {
-        let j = 2 * LANES * r;
-        // SAFETY: as fwd_tail.
-        unsafe {
-            let (mut v0, mut v1) = (ld(a, j), ld(a, j + LANES));
-            let (x, y, tw) = sub_split(v0, v1, 1, w, sh, n / 2 + 4 * r);
-            let (nx, ny) = inv_bf(c, x, y, tw);
-            (v0, v1) = sub_knit(nx, ny, 1);
-            let (x, y, tw) = sub_split(v0, v1, 2, w, sh, n / 4 + 2 * r);
-            let (nx, ny) = inv_bf(c, x, y, tw);
-            (v0, v1) = sub_knit(nx, ny, 2);
-            if with_top {
-                (v0, v1) = inv_bf(c, v0, v1, load_tw(w, sh, n / 8 + r));
-            }
-            st(a, j, v0);
-            st(a, j + LANES, v1);
-        }
     }
 }

@@ -1,11 +1,11 @@
 //! AVX-512 instantiation of the shared kernel driver: 8 residues per
 //! instruction.
 //!
-//! Every slice kernel, vector-wide NTT pass and stage schedule comes from
-//! [`simd_driver!`](super::driver); this file holds only what is particular
-//! to 512-bit AVX-512 (`avx512f + avx512dq + avx512vl`): unsigned-min
-//! conditional subtracts, `vpmullq`, `permutex2var` shuffles for the four
-//! sub-vector NTT stages (strides 8, 4, 2, 1), and two products.
+//! Every slice kernel, NTT butterfly, vector-wide NTT pass and stage
+//! schedule comes from [`simd_driver!`](super::driver); this file holds only
+//! what is particular to 512-bit AVX-512 (`avx512f + avx512dq + avx512vl`):
+//! unsigned-min conditional subtracts, `vpmullq`, the `permutex2var` lane
+//! shuffles of the three sub-vector NTT strides (4, 2, 1), and two products.
 //!
 //! Which product runs is decided per call from the modulus and the CPU:
 //!
@@ -13,9 +13,14 @@
 //!   butterflies, the Barrett slice products and the Shoup slice products —
 //!   runs on the 52-bit `vpmadd52{lo,hi}uq` multipliers (the Shoup slice
 //!   products only when the kernel's operand bound is below `2^52`, which
-//!   the callers state).
+//!   the callers state; the butterflies' bound is `4q`).
 //! - `q >= 2^50`, or no `avx512ifma`: the 64-bit products, each high word
 //!   built from four `vpmuludq` partials.
+//!
+//! The kernel runs one body compiled with the chosen product's features
+//! (the IFMA body adds `avx512ifma`), so the product — and, in a transform,
+//! every butterfly — is inlined rather than called; the helpers below need
+//! only the module's features and inline into either body.
 //!
 //! Bit-exactness: the 64-bit products run the exact scalar algorithms
 //! lane-parallel, so even lazy intermediates match the scalar backend. The
@@ -107,38 +112,11 @@ fn mullo64(a: __m512i, b: __m512i) -> __m512i {
     _mm512_mullo_epi64(a, b)
 }
 
-/// Shoup product without correction: `a*w - floor(a*ws / 2^64) * q`, in
-/// `[0, 2q)` for any `a` (the scalar `mul_shoup_lazy`, lane-parallel).
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn mul_shoup_lazy_v(a: __m512i, w: __m512i, ws: __m512i, q: __m512i) -> __m512i {
-    let hi = mulhi64(a, ws);
-    _mm512_sub_epi64(mullo64(a, w), mullo64(hi, q))
-}
-
-/// 52-bit-radix Shoup product: `a*w - floor(a*ws52 / 2^52) * q` in `[0, 2q)`,
-/// valid when `a < 2^52` and `2q <= 2^52` (i.e. `q < 2^50` with lazy drift).
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
-fn mul_shoup52_lazy_v(a: __m512i, w: __m512i, ws52: __m512i, q: __m512i, mask52: __m512i) -> __m512i {
-    let z = _mm512_setzero_si512();
-    let hi = _mm512_madd52hi_epu64(z, a, ws52);
-    let t = _mm512_madd52lo_epu64(z, a, w);
-    let u = _mm512_madd52lo_epu64(z, hi, q);
-    // The true value fits 52 bits, so the wrapped difference masked to the
-    // radix is exact.
-    _mm512_and_si512(_mm512_sub_epi64(t, u), mask52)
-}
-
-/// Broadcast reduction constants, plus the Shoup radix of the transform
-/// they serve: `use_ifma` is set only by [`ntt_consts`], after runtime
-/// `avx512ifma` detection, and routes the butterflies to the 52-bit forms.
+/// Broadcast reduction constants.
 #[derive(Clone, Copy)]
 struct Consts {
     q: __m512i,
     two_q: __m512i,
-    mask52: __m512i,
-    use_ifma: bool,
 }
 
 #[inline]
@@ -147,8 +125,6 @@ fn consts(m: &Modulus) -> Consts {
     Consts {
         q: splat(m.value()),
         two_q: splat(m.two_q()),
-        mask52: splat((1u64 << 52) - 1),
-        use_ifma: false,
     }
 }
 
@@ -217,11 +193,12 @@ fn barrett_mul_acc(c: Barrett, s: __m512i, a: __m512i, b: __m512i) -> __m512i {
     cond_sub(_mm512_add_epi64(s, barrett_mul(c, a, b)), c.q)
 }
 
-/// The 64-bit lazy Shoup product, for the Shoup slice kernels.
+/// Shoup product without correction: `a*w - floor(a*ws / 2^64) * q`, in
+/// `[0, 2q)` for any `a` (the scalar `mul_shoup_lazy`, lane-parallel).
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
 fn barrett_shoup_lazy(c: Barrett, a: __m512i, w: __m512i, ws: __m512i) -> __m512i {
-    mul_shoup_lazy_v(a, w, ws, c.q)
+    _mm512_sub_epi64(mullo64(a, w), mullo64(mulhi64(a, ws), c.q))
 }
 
 /// Broadcast constants for the IFMA products: the full `a*b` product is
@@ -304,12 +281,18 @@ fn barrett_ifma_mul_acc(c: BarrettIfma, s: __m512i, a: __m512i, b: __m512i) -> _
     cond_sub(cond_sub(r, c.two_q), c.q)
 }
 
-/// The 52-bit lazy Shoup product (the NTT's), for the Shoup slice kernels:
-/// operands below `2^52`, `ws52 = floor(w * 2^52 / q)`.
+/// 52-bit-radix Shoup product: `a*w - floor(a*ws52 / 2^52) * q` in `[0, 2q)`,
+/// `ws52 = floor(w * 2^52 / q)`, valid when `a < 2^52` and `2q <= 2^52`.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
 fn ifma_shoup_lazy(c: BarrettIfma, a: __m512i, w: __m512i, ws52: __m512i) -> __m512i {
-    mul_shoup52_lazy_v(a, w, ws52, c.q, c.mask52)
+    let z = _mm512_setzero_si512();
+    let hi = _mm512_madd52hi_epu64(z, a, ws52);
+    let t = _mm512_madd52lo_epu64(z, a, w);
+    let u = _mm512_madd52lo_epu64(z, hi, c.q);
+    // The true value fits 52 bits, so the wrapped difference masked to the
+    // radix is exact.
+    _mm512_and_si512(_mm512_sub_epi64(t, u), c.mask52)
 }
 
 /// # Safety
@@ -327,119 +310,13 @@ unsafe fn gather(src: &[u64], perm: &[u32], i: usize) -> __m512i {
 }
 
 // ---------------------------------------------------------------------------
-// NTT primitives: butterflies and the fused sub-vector stages.
+// NTT lane shuffles for the sub-vector stages.
 // ---------------------------------------------------------------------------
-
-/// Picks the transform's Shoup radix: the 52-bit tables (built only for
-/// `q < 2^50`) when the CPU has `avx512ifma`, the 64-bit ones otherwise.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn ntt_consts<'a>(m: &Modulus, sh64: &'a [u64], sh52: Option<&'a [u64]>) -> (Consts, &'a [u64]) {
-    match sh52 {
-        Some(sh52) if is_x86_feature_detected!("avx512ifma") => (
-            Consts {
-                use_ifma: true,
-                ..consts(m)
-            },
-            sh52,
-        ),
-        _ => (consts(m), sh64),
-    }
-}
-
-#[inline]
-fn shoup_const(c: Consts, m: &Modulus, w: u64) -> u64 {
-    if c.use_ifma {
-        (((w as u128) << 52) / m.value() as u128) as u64
-    } else {
-        m.shoup_precompute(w)
-    }
-}
-
-/// Forward (CT/DIT) butterfly on vectors: `x` in `[0, 4q)`, `y` in `[0, 4q)`,
-/// returns `(x' + v, x' + 2q - v)` with `x'` reduced to `[0, 2q)` and the
-/// twiddle product `v` in `[0, 2q)`.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn fwd_butterfly(c: Consts, x: __m512i, y: __m512i, w: __m512i, ws: __m512i) -> (__m512i, __m512i) {
-    let xr = cond_sub(x, c.two_q);
-    let v = mul_shoup_lazy_v(y, w, ws, c.q);
-    (
-        _mm512_add_epi64(xr, v),
-        _mm512_sub_epi64(_mm512_add_epi64(xr, c.two_q), v),
-    )
-}
-
-/// IFMA forward butterfly; `ws52` is the 52-bit-radix Shoup constant.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
-fn fwd_butterfly_ifma(c: Consts, x: __m512i, y: __m512i, w: __m512i, ws52: __m512i) -> (__m512i, __m512i) {
-    let xr = cond_sub(x, c.two_q);
-    let v = mul_shoup52_lazy_v(y, w, ws52, c.q, c.mask52);
-    (
-        _mm512_add_epi64(xr, v),
-        _mm512_sub_epi64(_mm512_add_epi64(xr, c.two_q), v),
-    )
-}
-
-/// Inverse (GS/DIF) butterfly: operands in `[0, 2q)`, returns the reduced sum
-/// and the twiddle product of the lifted difference, both in `[0, 2q)`.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn inv_butterfly(c: Consts, u: __m512i, v: __m512i, w: __m512i, ws: __m512i) -> (__m512i, __m512i) {
-    let s = cond_sub(_mm512_add_epi64(u, v), c.two_q);
-    let d = _mm512_sub_epi64(_mm512_add_epi64(u, c.two_q), v);
-    (s, mul_shoup_lazy_v(d, w, ws, c.q))
-}
-
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
-fn inv_butterfly_ifma(c: Consts, u: __m512i, v: __m512i, w: __m512i, ws52: __m512i) -> (__m512i, __m512i) {
-    let s = cond_sub(_mm512_add_epi64(u, v), c.two_q);
-    let d = _mm512_sub_epi64(_mm512_add_epi64(u, c.two_q), v);
-    (s, mul_shoup52_lazy_v(d, w, ws52, c.q, c.mask52))
-}
-
-/// Forward butterfly routed to the active multiply path.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn fwd_bf(c: Consts, x: __m512i, y: __m512i, t: Tw) -> (__m512i, __m512i) {
-    if c.use_ifma {
-        // SAFETY: use_ifma is set only after runtime avx512ifma detection.
-        unsafe { fwd_butterfly_ifma(c, x, y, t.w, t.sh) }
-    } else {
-        fwd_butterfly(c, x, y, t.w, t.sh)
-    }
-}
-
-/// Inverse butterfly routed to the active multiply path.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn inv_bf(c: Consts, u: __m512i, v: __m512i, t: Tw) -> (__m512i, __m512i) {
-    if c.use_ifma {
-        // SAFETY: use_ifma is set only after runtime avx512ifma detection.
-        unsafe { inv_butterfly_ifma(c, u, v, t.w, t.sh) }
-    } else {
-        inv_butterfly(c, u, v, t.w, t.sh)
-    }
-}
-
-/// Lazy Shoup product routed to the active multiply path; operand may be any
-/// lazy value (below `2^52` on the IFMA path), result in `[0, 2q)`.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn shoup_mul_lazy(c: Consts, a: __m512i, t: Tw) -> __m512i {
-    if c.use_ifma {
-        // SAFETY: use_ifma is set only after runtime avx512ifma detection.
-        unsafe { mul_shoup52_lazy_v(a, t.w, t.sh, c.q, c.mask52) }
-    } else {
-        mul_shoup_lazy_v(a, t.w, t.sh, c.q)
-    }
-}
 
 /// Lane shuffles for sub-vector strides `t in {1, 2, 4}`: a 16-element run
 /// holds `8/t` whole butterfly groups; `permutex2var` splits it into an
 /// all-`x` and an all-`y` vector and knits the results back.
+#[derive(Clone, Copy)]
 struct SmallIdx {
     ix: __m512i,   // x-half lanes from (v0, v1)
     iy: __m512i,   // y-half lanes from (v0, v1)
@@ -480,7 +357,8 @@ fn small_idx(t: usize) -> SmallIdx {
 }
 
 /// Splits a 16-element run `(v0, v1)` into all-`x`/all-`y` vectors for one
-/// sub-vector stride and loads the matching per-lane twiddles.
+/// sub-vector stride and loads the matching per-lane twiddles, their
+/// companions taken into radix `2^bits`.
 ///
 /// # Safety
 ///
@@ -489,12 +367,21 @@ fn small_idx(t: usize) -> SmallIdx {
 /// stay inside the tables).
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn sub_split(v0: __m512i, v1: __m512i, idx: &SmallIdx, w: &[u64], sh: &[u64], k0: usize) -> (__m512i, __m512i, Tw) {
+unsafe fn sub_split(
+    v0: __m512i,
+    v1: __m512i,
+    idx: &SmallIdx,
+    w: &[u64],
+    sh: &[u64],
+    bits: u32,
+    k0: usize,
+) -> (__m512i, __m512i, Tw) {
+    let radix = _mm_cvtsi64_si128(i64::from(64 - bits));
     // SAFETY: caller guarantees 8 entries from k0 are in-bounds.
     let tw = unsafe {
         Tw {
             w: _mm512_permutexvar_epi64(idx.rep, ld(w, k0)),
-            sh: _mm512_permutexvar_epi64(idx.rep, ld(sh, k0)),
+            sh: _mm512_permutexvar_epi64(idx.rep, _mm512_srl_epi64(ld(sh, k0), radix)),
         }
     };
     (
@@ -513,70 +400,4 @@ fn sub_knit(nx: __m512i, ny: __m512i, idx: &SmallIdx) -> (__m512i, __m512i) {
         _mm512_permutex2var_epi64(nx, idx.out0, ny),
         _mm512_permutex2var_epi64(nx, idx.out1, ny),
     )
-}
-
-/// All trailing forward stages (`t = 8, 4, 2, 1`) in a single load/store
-/// round trip per 16-element run. The `t = 8` stage is lane-aligned (whole
-/// vectors, broadcast twiddle), the sub-vector stages shuffle in-register,
-/// and the final stage folds in the canonical correction — replacing four
-/// separate passes plus a correction sweep.
-///
-/// `llen = n / 16` is the `t = 8` stage's twiddle base; stage `t` has base
-/// `n / (2t)` and uses entries `base + groups-before-this-run`.
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn fwd_tail(c: Consts, a: &mut [u64], w: &[u64], sh: &[u64], llen: usize) {
-    debug_assert!(a.len() == 2 * LANES * llen && w.len() == a.len() && sh.len() == a.len());
-    let (idx4, idx2, idx1) = (small_idx(4), small_idx(2), small_idx(1));
-    for r in 0..a.len() / (2 * LANES) {
-        let j = 2 * LANES * r;
-        // SAFETY: j + 16 <= a.len(); every twiddle load ends within the
-        // n-entry tables (the deepest stage's last 8-entry load ends exactly
-        // at entry n - 1).
-        unsafe {
-            let (mut v0, mut v1) = (ld(a, j), ld(a, j + LANES));
-            (v0, v1) = fwd_bf(c, v0, v1, load_tw(w, sh, llen + r));
-            let (x, y, tw) = sub_split(v0, v1, &idx4, w, sh, 2 * llen + 2 * r);
-            let (nx, ny) = fwd_bf(c, x, y, tw);
-            (v0, v1) = sub_knit(nx, ny, &idx4);
-            let (x, y, tw) = sub_split(v0, v1, &idx2, w, sh, 4 * llen + 4 * r);
-            let (nx, ny) = fwd_bf(c, x, y, tw);
-            (v0, v1) = sub_knit(nx, ny, &idx2);
-            let (x, y, tw) = sub_split(v0, v1, &idx1, w, sh, 8 * llen + 8 * r);
-            let (nx, ny) = fwd_bf(c, x, y, tw);
-            // The global last stage: reduce [0, 4q) to canonical.
-            (v0, v1) = sub_knit(csub_q(c, csub_2q(c, nx)), csub_q(c, csub_2q(c, ny)), &idx1);
-            st(a, j, v0);
-            st(a, j + LANES, v1);
-        }
-    }
-}
-
-/// All leading inverse stages (`t = 1, 2, 4` and, with `with_top`, `t = 8`)
-/// in a single round trip per 16-element run; mirror of [`fwd_tail`].
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn inv_head(c: Consts, a: &mut [u64], w: &[u64], sh: &[u64], with_top: bool) {
-    let n = a.len();
-    debug_assert!(n.is_multiple_of(2 * LANES) && w.len() == n && sh.len() == n);
-    let (idx4, idx2, idx1) = (small_idx(4), small_idx(2), small_idx(1));
-    for r in 0..n / (2 * LANES) {
-        let j = 2 * LANES * r;
-        // SAFETY: as fwd_tail.
-        unsafe {
-            let (mut v0, mut v1) = (ld(a, j), ld(a, j + LANES));
-            let (x, y, tw) = sub_split(v0, v1, &idx1, w, sh, n / 2 + 8 * r);
-            let (nx, ny) = inv_bf(c, x, y, tw);
-            (v0, v1) = sub_knit(nx, ny, &idx1);
-            let (x, y, tw) = sub_split(v0, v1, &idx2, w, sh, n / 4 + 4 * r);
-            let (nx, ny) = inv_bf(c, x, y, tw);
-            (v0, v1) = sub_knit(nx, ny, &idx2);
-            let (x, y, tw) = sub_split(v0, v1, &idx4, w, sh, n / 8 + 2 * r);
-            let (nx, ny) = inv_bf(c, x, y, tw);
-            (v0, v1) = sub_knit(nx, ny, &idx4);
-            if with_top {
-                (v0, v1) = inv_bf(c, v0, v1, load_tw(w, sh, n / 16 + r));
-            }
-            st(a, j, v0);
-            st(a, j + LANES, v1);
-        }
-    }
 }

@@ -27,12 +27,10 @@
 //! | `mulhi64`, `mullo64` | halves of the unsigned 64×64 product |
 //! | `Consts` (fields `q`, `two_q`), `consts(&Modulus)` | broadcast reduction constants |
 //! | `csub_q(c, x)`, `csub_2q(c, x)` | one conditional subtract of `q` / `2q` |
-//! | `ntt_consts(m, sh64, sh52) -> (Consts, sh)` | picks the transform's Shoup radix and table |
-//! | `shoup_const(c, m, w) -> u64` | Shoup companion of `w` in that radix |
-//! | `fwd_bf`, `inv_bf`, `shoup_mul_lazy` (take a [`Tw`]) | Harvey butterflies and the lazy Shoup product |
-//! | `fwd_tail(c, a, w, sh, llen)` | all stages with stride `<= LANES` + canonical correction |
-//! | `inv_head(c, a, w, sh, with_top)` | the same stages of the inverse |
 //! | `gather(src, perm, i) -> V` | `src[perm[i + l]]` per lane |
+//! | `SmallIdx` (`Copy`), `small_idx(t)` | the lane shuffles of sub-vector NTT stride `t < LANES` |
+//! | `sub_split(v0, v1, idx, w, sh, bits, k0)` | a `2 * LANES` run as its all-`x` and all-`y` vectors, plus their [`Tw`] twiddles from entry `k0`, companions in radix `2^bits` |
+//! | `sub_knit(x, y, idx)` | the inverse shuffle of `sub_split` |
 //!
 //! A *product* is `{ feature, when, consts, mul, mul_acc, shoup_bits,
 //! shoup_lazy }`, usable for moduli where `when(&Modulus)` holds on a CPU
@@ -41,15 +39,20 @@
 //! lanes; `shoup_lazy(c, x, w, ws)` is a lazy Shoup product in `[0, 2q)` in
 //! radix `2^shoup_bits` — `ws` is the scalar companion
 //! ([`Modulus::shoup_precompute`]) shifted right by `64 - shoup_bits` —
-//! for operands `x` below `2^shoup_bits`. The seven product kernels try the
-//! list in order, taking the first whose `when` holds and, for the three
-//! Shoup kernels, whose radix covers the kernel's operand bound; the last
-//! entry must accept every modulus ([`any_modulus`]) and every operand
-//! (`shoup_bits: 64`). Each entry's loop is compiled with that entry's
-//! feature set, which is how the 52-bit IFMA products get inlined into
-//! their loops without widening the feature set of the whole module. The
-//! test-only `forced::` twins can pin every call to the last entry, so the
-//! portable products stay under test on CPUs where a faster one applies.
+//! for operands `x` below `2^shoup_bits`. The nine product kernels — seven
+//! slice kernels and the two transforms — try the list in order, taking the
+//! first whose `when` holds and, for the three Shoup slice kernels and the
+//! transforms (whose butterfly operands stay below `4q`), whose radix
+//! covers the kernel's operand bound; the last entry must accept every
+//! modulus ([`any_modulus`]) and every operand (`shoup_bits: 64`). Each
+//! entry's loop is compiled with that entry's feature set — for a
+//! transform, its whole `body`: the Harvey butterflies, every pass that
+//! calls them and the fused sub-vector stages — which is how the 52-bit
+//! IFMA products get inlined into their loops without widening the feature
+//! set of the whole module. The ISA's helpers inline into any of these
+//! bodies, whose feature sets contain the module's. The test-only
+//! `forced::` twins can pin every call to the last entry, so the portable
+//! products stay under test on CPUs where a faster one applies.
 //!
 //! A new width (NEON, a 256-bit IFMA variant) is a new module that supplies
 //! this list and one `simd_driver!` invocation, plus its `BackendKind` arm in
@@ -92,20 +95,21 @@ macro_rules! simd_driver {
         /// How many products the ISA lists.
         pub(crate) const PRODUCTS: usize = [$($sbits),+].len();
 
-        /// A broadcast twiddle: the factor and its Shoup companion in the
-        /// radix `ntt_consts` chose for this transform.
+        /// An NTT twiddle per lane: the factor and its Shoup companion in
+        /// the radix of the transform's product.
         #[derive(Clone, Copy)]
         struct Tw {
             w: $V,
             sh: $V,
         }
 
+        /// Twiddle `k` broadcast, its companion taken into radix `2^bits`.
         #[inline]
         #[target_feature(enable = $tf)]
-        fn load_tw(w: &[u64], sh: &[u64], k: usize) -> Tw {
+        fn load_tw(w: &[u64], sh: &[u64], bits: u32, k: usize) -> Tw {
             Tw {
                 w: splat(w[k]),
-                sh: splat(sh[k]),
+                sh: splat(shoup_in_radix(bits, sh[k])),
             }
         }
 
@@ -302,9 +306,10 @@ macro_rules! simd_driver {
             scalar::gather_slice(&mut out[n..], src, &perm[n..]);
         }
 
-        // The seven product kernels. Each tries the ISA's products in order
-        // (`chosen`, counting `rank` down to the last entry) and runs its one
-        // loop compiled with the chosen product's feature set. `body` is an
+        // The seven product slice kernels (the transforms below are the
+        // other two). Each tries the ISA's products in order (`chosen`,
+        // counting `rank` down to the last entry) and runs its one loop
+        // compiled with the chosen product's feature set. `body` is an
         // `unsafe fn` whose one requirement is that the CPU has that feature
         // set: `when` detects whatever it adds to the module's own.
 
@@ -533,259 +538,38 @@ macro_rules! simd_driver {
         }
 
         // -------------------------------------------------------------------
-        // NTT: vector-wide multi-stage passes and the greedy stage schedule.
+        // NTT: the eighth and ninth product kernels. Each transform picks
+        // its product like the Shoup slice kernels (butterfly operands stay
+        // below 4q) and runs one `body` compiled with that product's feature
+        // set. The Harvey butterflies are closures over the product's
+        // `$shoup`, and every pass that calls them is stamped inside the
+        // body, so no butterfly is an out-of-line call.
         // -------------------------------------------------------------------
 
-        /// One butterfly group with stride `x.len() >= LANES`: `x`/`y` are
-        /// the group's two halves, single twiddle.
-        ///
-        /// # Safety
-        ///
-        /// `x.len() == y.len()`, a multiple of `LANES`.
-        #[target_feature(enable = $tf)]
-        unsafe fn fwd_pass_large(c: Consts, x: &mut [u64], y: &mut [u64], wt: Tw) {
-            debug_assert!(x.len() == y.len() && x.len().is_multiple_of(LANES));
-            for j in (0..x.len()).step_by(LANES) {
-                // SAFETY: j + LANES <= x.len() == y.len().
-                unsafe {
-                    let (nx, ny) = fwd_bf(c, ld(x, j), ld(y, j), wt);
-                    st(x, j, nx);
-                    st(y, j, ny);
-                }
-            }
-        }
+        /// How many stages have a stride below `LANES`: the ones the ISA's
+        /// `sub_split` / `sub_knit` shuffle in-register.
+        const SUB_STAGES: usize = LANES.trailing_zeros() as usize;
 
-        /// Two fused forward stages over one stage-A group (`tile`, four
-        /// quarters of `e` elements held in registers): stage A pairs
-        /// quarters `(0,2)`/`(1,3)` at stride `2e`, stage B finishes both
-        /// halves at stride `e` — half the loads/stores of two separate
-        /// passes.
-        ///
-        /// # Safety
-        ///
-        /// `tile.len()` is a multiple of `4 * LANES`.
+        /// The shuffles of the sub-vector strides `LANES/2, ..., 2, 1`, in
+        /// that order.
+        #[inline]
         #[target_feature(enable = $tf)]
-        unsafe fn fwd_pass_large2(c: Consts, tile: &mut [u64], wa: Tw, wb0: Tw, wb1: Tw) {
-            let e = tile.len() / 4;
-            debug_assert!(tile.len() == 4 * e && e.is_multiple_of(LANES));
-            for j in (0..e).step_by(LANES) {
-                // SAFETY: j + 3e + LANES <= 4e; four disjoint in-bounds
-                // quarters.
-                unsafe {
-                    let mut v0 = ld(tile, j);
-                    let mut v1 = ld(tile, j + e);
-                    let mut v2 = ld(tile, j + 2 * e);
-                    let mut v3 = ld(tile, j + 3 * e);
-                    (v0, v2) = fwd_bf(c, v0, v2, wa);
-                    (v1, v3) = fwd_bf(c, v1, v3, wa);
-                    (v0, v1) = fwd_bf(c, v0, v1, wb0);
-                    (v2, v3) = fwd_bf(c, v2, v3, wb1);
-                    st(tile, j, v0);
-                    st(tile, j + e, v1);
-                    st(tile, j + 2 * e, v2);
-                    st(tile, j + 3 * e, v3);
-                }
+        fn sub_stages() -> [SmallIdx; SUB_STAGES] {
+            let mut idx = [small_idx(1); SUB_STAGES];
+            for (s, i) in idx.iter_mut().enumerate() {
+                *i = small_idx(LANES >> (s + 1));
             }
-        }
-
-        /// Three fused forward stages over one stage-A group (`tile`, eight
-        /// octants of `e` elements): stage A at stride `4e`, stage B at
-        /// `2e`, stage C at `e`, all on eight vectors held in registers.
-        ///
-        /// # Safety
-        ///
-        /// `tile.len()` is a multiple of `8 * LANES`.
-        #[allow(clippy::too_many_arguments)]
-        #[target_feature(enable = $tf)]
-        unsafe fn fwd_pass_large3(
-            c: Consts,
-            tile: &mut [u64],
-            wa: Tw,
-            wb0: Tw,
-            wb1: Tw,
-            wc0: Tw,
-            wc1: Tw,
-            wc2: Tw,
-            wc3: Tw,
-        ) {
-            let e = tile.len() / 8;
-            debug_assert!(tile.len() == 8 * e && e.is_multiple_of(LANES));
-            for j in (0..e).step_by(LANES) {
-                // SAFETY: j + 7e + LANES <= 8e; eight disjoint in-bounds
-                // octants.
-                unsafe {
-                    let mut v0 = ld(tile, j);
-                    let mut v1 = ld(tile, j + e);
-                    let mut v2 = ld(tile, j + 2 * e);
-                    let mut v3 = ld(tile, j + 3 * e);
-                    let mut v4 = ld(tile, j + 4 * e);
-                    let mut v5 = ld(tile, j + 5 * e);
-                    let mut v6 = ld(tile, j + 6 * e);
-                    let mut v7 = ld(tile, j + 7 * e);
-                    (v0, v4) = fwd_bf(c, v0, v4, wa);
-                    (v1, v5) = fwd_bf(c, v1, v5, wa);
-                    (v2, v6) = fwd_bf(c, v2, v6, wa);
-                    (v3, v7) = fwd_bf(c, v3, v7, wa);
-                    (v0, v2) = fwd_bf(c, v0, v2, wb0);
-                    (v1, v3) = fwd_bf(c, v1, v3, wb0);
-                    (v4, v6) = fwd_bf(c, v4, v6, wb1);
-                    (v5, v7) = fwd_bf(c, v5, v7, wb1);
-                    (v0, v1) = fwd_bf(c, v0, v1, wc0);
-                    (v2, v3) = fwd_bf(c, v2, v3, wc1);
-                    (v4, v5) = fwd_bf(c, v4, v5, wc2);
-                    (v6, v7) = fwd_bf(c, v6, v7, wc3);
-                    st(tile, j, v0);
-                    st(tile, j + e, v1);
-                    st(tile, j + 2 * e, v2);
-                    st(tile, j + 3 * e, v3);
-                    st(tile, j + 4 * e, v4);
-                    st(tile, j + 5 * e, v5);
-                    st(tile, j + 6 * e, v6);
-                    st(tile, j + 7 * e, v7);
-                }
-            }
-        }
-
-        /// # Safety
-        ///
-        /// As [`fwd_pass_large`].
-        #[target_feature(enable = $tf)]
-        unsafe fn inv_pass_large(c: Consts, x: &mut [u64], y: &mut [u64], wt: Tw) {
-            debug_assert!(x.len() == y.len() && x.len().is_multiple_of(LANES));
-            for j in (0..x.len()).step_by(LANES) {
-                // SAFETY: j + LANES <= x.len() == y.len().
-                unsafe {
-                    let (nx, ny) = inv_bf(c, ld(x, j), ld(y, j), wt);
-                    st(x, j, nx);
-                    st(y, j, ny);
-                }
-            }
-        }
-
-        /// Two fused inverse stages over one stage-B group (`tile`, four
-        /// quarters of `e` elements): stage A pairs quarters `(0,1)`/`(2,3)`
-        /// at stride `e`, stage B pairs `(0,2)`/`(1,3)` at stride `2e`.
-        ///
-        /// # Safety
-        ///
-        /// As [`fwd_pass_large2`].
-        #[target_feature(enable = $tf)]
-        unsafe fn inv_pass_large2(c: Consts, tile: &mut [u64], wa0: Tw, wa1: Tw, wb: Tw) {
-            let e = tile.len() / 4;
-            debug_assert!(tile.len() == 4 * e && e.is_multiple_of(LANES));
-            for j in (0..e).step_by(LANES) {
-                // SAFETY: j + 3e + LANES <= 4e; four disjoint in-bounds
-                // quarters.
-                unsafe {
-                    let mut v0 = ld(tile, j);
-                    let mut v1 = ld(tile, j + e);
-                    let mut v2 = ld(tile, j + 2 * e);
-                    let mut v3 = ld(tile, j + 3 * e);
-                    (v0, v1) = inv_bf(c, v0, v1, wa0);
-                    (v2, v3) = inv_bf(c, v2, v3, wa1);
-                    (v0, v2) = inv_bf(c, v0, v2, wb);
-                    (v1, v3) = inv_bf(c, v1, v3, wb);
-                    st(tile, j, v0);
-                    st(tile, j + e, v1);
-                    st(tile, j + 2 * e, v2);
-                    st(tile, j + 3 * e, v3);
-                }
-            }
-        }
-
-        /// Three fused inverse stages over one stage-C group (`tile`, eight
-        /// octants of `e` elements): stage A at stride `e`, stage B at
-        /// `2e`, stage C at `4e`; mirror of [`fwd_pass_large3`].
-        ///
-        /// # Safety
-        ///
-        /// As [`fwd_pass_large3`].
-        #[allow(clippy::too_many_arguments)]
-        #[target_feature(enable = $tf)]
-        unsafe fn inv_pass_large3(
-            c: Consts,
-            tile: &mut [u64],
-            wa0: Tw,
-            wa1: Tw,
-            wa2: Tw,
-            wa3: Tw,
-            wb0: Tw,
-            wb1: Tw,
-            wc: Tw,
-        ) {
-            let e = tile.len() / 8;
-            debug_assert!(tile.len() == 8 * e && e.is_multiple_of(LANES));
-            for j in (0..e).step_by(LANES) {
-                // SAFETY: j + 7e + LANES <= 8e; eight disjoint in-bounds
-                // octants.
-                unsafe {
-                    let mut v0 = ld(tile, j);
-                    let mut v1 = ld(tile, j + e);
-                    let mut v2 = ld(tile, j + 2 * e);
-                    let mut v3 = ld(tile, j + 3 * e);
-                    let mut v4 = ld(tile, j + 4 * e);
-                    let mut v5 = ld(tile, j + 5 * e);
-                    let mut v6 = ld(tile, j + 6 * e);
-                    let mut v7 = ld(tile, j + 7 * e);
-                    (v0, v1) = inv_bf(c, v0, v1, wa0);
-                    (v2, v3) = inv_bf(c, v2, v3, wa1);
-                    (v4, v5) = inv_bf(c, v4, v5, wa2);
-                    (v6, v7) = inv_bf(c, v6, v7, wa3);
-                    (v0, v2) = inv_bf(c, v0, v2, wb0);
-                    (v1, v3) = inv_bf(c, v1, v3, wb0);
-                    (v4, v6) = inv_bf(c, v4, v6, wb1);
-                    (v5, v7) = inv_bf(c, v5, v7, wb1);
-                    (v0, v4) = inv_bf(c, v0, v4, wc);
-                    (v1, v5) = inv_bf(c, v1, v5, wc);
-                    (v2, v6) = inv_bf(c, v2, v6, wc);
-                    (v3, v7) = inv_bf(c, v3, v7, wc);
-                    st(tile, j, v0);
-                    st(tile, j + e, v1);
-                    st(tile, j + 2 * e, v2);
-                    st(tile, j + 3 * e, v3);
-                    st(tile, j + 4 * e, v4);
-                    st(tile, j + 5 * e, v5);
-                    st(tile, j + 6 * e, v6);
-                    st(tile, j + 7 * e, v7);
-                }
-            }
-        }
-
-        /// The final inverse stage (stride `n/2`, single twiddle) fused with
-        /// the `n^{-1}` sweep: the sum path multiplies by `n^{-1}` directly
-        /// (`wn`), the difference path by the precombined `w_1 * n^{-1}`
-        /// (`wd`), and both outputs are canonicalized in-register. Saves the
-        /// whole closing `n^{-1}` pass; output is canonical, hence
-        /// bit-identical to the unfused sequence.
-        ///
-        /// # Safety
-        ///
-        /// As [`fwd_pass_large`].
-        #[target_feature(enable = $tf)]
-        unsafe fn inv_final_pass(c: Consts, x: &mut [u64], y: &mut [u64], wd: Tw, wn: Tw) {
-            debug_assert!(x.len() == y.len() && x.len().is_multiple_of(LANES));
-            for j in (0..x.len()).step_by(LANES) {
-                // SAFETY: j + LANES <= x.len() == y.len().
-                unsafe {
-                    let (u, v) = (ld(x, j), ld(y, j));
-                    // Butterfly exactly as inv_bf, but the products fold in
-                    // n^{-1}.
-                    let s = csub_2q(c, $add(u, v));
-                    let d = $sub($add(u, c.two_q), v);
-                    st(x, j, csub_q(c, shoup_mul_lazy(c, s, wn)));
-                    st(y, j, csub_q(c, shoup_mul_lazy(c, d, wd)));
-                }
-            }
+            idx
         }
 
         /// Forward lazy NTT as a greedy multi-stage descent: each pass over
         /// the array retires up to three vector-wide stages (all tiles of
         /// one pass complete their stage group before the next pass
         /// starts), and the stages with stride `<= LANES` plus the canonical
-        /// correction run in the ISA's fused `fwd_tail`. At 8 lanes and
-        /// n = 8192 that is four memory round trips for all 13 stages.
-        /// Multi-stage tiles double as cache blocks, so no separate
-        /// strided/blocked split is needed.
+        /// correction run in the fused `fwd_tail`. At 8 lanes and n = 8192
+        /// that is four memory round trips for all 13 stages. Multi-stage
+        /// tiles double as cache blocks, so no separate strided/blocked
+        /// split is needed.
         #[target_feature(enable = $tf)]
         pub(crate) fn ntt_forward(table: &NttTable, a: &mut [u64]) {
             let n = table.n();
@@ -793,70 +577,245 @@ macro_rules! simd_driver {
                 return scalar::ntt_forward(table, a);
             }
             debug_assert!(n.is_power_of_two() && a.len() == n);
-            let w = table.root_pows();
-            let (c, sh) = ntt_consts(table.modulus(), table.root_pows_shoup(), table.root_pows_shoup52());
-            debug_assert!(w.len() == n && sh.len() == n);
+            let m = table.modulus();
+            let mut rank = PRODUCTS;
+            $(rank -= 1; if chosen(rank, $when(m) && shoup_covers($sbits, 4 * m.value())) {
+                #[target_feature(enable = $ptf)]
+                unsafe fn body(table: &NttTable, a: &mut [u64]) {
+                    let (n, m) = (table.n(), table.modulus());
+                    let (c, pc) = (consts(m), $pconsts(m));
+                    let (w, sh) = (table.root_pows(), table.root_pows_shoup());
+                    debug_assert!(w.len() == n && sh.len() == n);
+                    let tw = |k: usize| load_tw(w, sh, $sbits, k);
+                    // Harvey (CT/DIT) butterfly: x, y in [0, 4q); x reduced
+                    // to [0, 2q) plus or minus the twiddle product v in
+                    // [0, 2q), so both outputs stay below 4q.
+                    let bf = move |x: $V, y: $V, t: Tw| {
+                        let xr = csub_2q(c, x);
+                        let v = $shoup(pc, y, t.w, t.sh);
+                        ($add(xr, v), $sub($add(xr, c.two_q), v))
+                    };
 
-            // Stage at stride lt has llen groups (tiles) of 2*lt elements;
-            // stage level llen is also its twiddle-table base. With
-            // m = log2(lt / LANES), triples run while m >= 3, a pair handles
-            // m == 2, a single m == 1, so the descent always lands on
-            // lt == LANES for the fused tail.
-            let mut lt = n >> 1;
-            let mut llen = 1usize;
-            while lt > LANES {
-                debug_assert_eq!(2 * lt * llen, n);
-                let tiles = a.chunks_exact_mut(2 * lt).enumerate();
-                if lt >= 8 * LANES {
-                    // Triple: stages at strides lt, lt/2, lt/4. Stage-B
-                    // twiddles 2g, 2g+1 and stage-C twiddles 4g..4g+3 of
-                    // the next levels.
-                    for (g, tile) in tiles {
-                        let wa = load_tw(w, sh, llen + g);
-                        let wb0 = load_tw(w, sh, 2 * llen + 2 * g);
-                        let wb1 = load_tw(w, sh, 2 * llen + 2 * g + 1);
-                        let wc0 = load_tw(w, sh, 4 * llen + 4 * g);
-                        let wc1 = load_tw(w, sh, 4 * llen + 4 * g + 1);
-                        let wc2 = load_tw(w, sh, 4 * llen + 4 * g + 2);
-                        let wc3 = load_tw(w, sh, 4 * llen + 4 * g + 3);
-                        // SAFETY: tile.len() == 2*lt, a multiple of 16*LANES.
-                        unsafe { fwd_pass_large3(c, tile, wa, wb0, wb1, wc0, wc1, wc2, wc3) };
+                    /// One butterfly group with stride `x.len() >= LANES`:
+                    /// `x`/`y` are the group's two halves, single twiddle.
+                    ///
+                    /// # Safety
+                    ///
+                    /// `x.len() == y.len()`, a multiple of `LANES`.
+                    #[target_feature(enable = $ptf)]
+                    unsafe fn fwd_pass_large(bf: impl Fn($V, $V, Tw) -> ($V, $V), x: &mut [u64], y: &mut [u64], wt: Tw) {
+                        debug_assert!(x.len() == y.len() && x.len().is_multiple_of(LANES));
+                        for j in (0..x.len()).step_by(LANES) {
+                            // SAFETY: j + LANES <= x.len() == y.len().
+                            unsafe {
+                                let (nx, ny) = bf(ld(x, j), ld(y, j), wt);
+                                st(x, j, nx);
+                                st(y, j, ny);
+                            }
+                        }
                     }
-                    llen <<= 3;
-                    lt >>= 3;
-                } else if lt >= 4 * LANES {
-                    // Pair: stages at strides lt and lt/2.
-                    for (g, tile) in tiles {
-                        let wa = load_tw(w, sh, llen + g);
-                        let wb0 = load_tw(w, sh, 2 * llen + 2 * g);
-                        let wb1 = load_tw(w, sh, 2 * llen + 2 * g + 1);
-                        // SAFETY: tile.len() == 2*lt == 8*LANES.
-                        unsafe { fwd_pass_large2(c, tile, wa, wb0, wb1) };
+
+                    /// Two fused stages over one stage-A group (`tile`, four
+                    /// quarters of `e` elements held in registers): stage A
+                    /// pairs quarters `(0,2)`/`(1,3)` at stride `2e`, stage B
+                    /// finishes both halves at stride `e` — half the
+                    /// loads/stores of two separate passes.
+                    ///
+                    /// # Safety
+                    ///
+                    /// `tile.len()` is a multiple of `4 * LANES`.
+                    #[target_feature(enable = $ptf)]
+                    unsafe fn fwd_pass_large2(bf: impl Fn($V, $V, Tw) -> ($V, $V), tile: &mut [u64], wa: Tw, wb0: Tw, wb1: Tw) {
+                        let e = tile.len() / 4;
+                        debug_assert!(tile.len() == 4 * e && e.is_multiple_of(LANES));
+                        for j in (0..e).step_by(LANES) {
+                            // SAFETY: j + 3e + LANES <= 4e; four disjoint
+                            // in-bounds quarters.
+                            unsafe {
+                                let mut v0 = ld(tile, j);
+                                let mut v1 = ld(tile, j + e);
+                                let mut v2 = ld(tile, j + 2 * e);
+                                let mut v3 = ld(tile, j + 3 * e);
+                                (v0, v2) = bf(v0, v2, wa);
+                                (v1, v3) = bf(v1, v3, wa);
+                                (v0, v1) = bf(v0, v1, wb0);
+                                (v2, v3) = bf(v2, v3, wb1);
+                                st(tile, j, v0);
+                                st(tile, j + e, v1);
+                                st(tile, j + 2 * e, v2);
+                                st(tile, j + 3 * e, v3);
+                            }
+                        }
                     }
-                    llen <<= 2;
-                    lt >>= 2;
-                } else {
-                    for (g, tile) in tiles {
-                        let (x, y) = tile.split_at_mut(lt);
-                        // SAFETY: both halves have lt == 2*LANES elements.
-                        unsafe { fwd_pass_large(c, x, y, load_tw(w, sh, llen + g)) };
+
+                    /// Three fused stages over one stage-A group (`tile`,
+                    /// eight octants of `e` elements): stage A at stride
+                    /// `4e`, stage B at `2e`, stage C at `e`, all on eight
+                    /// vectors held in registers.
+                    ///
+                    /// # Safety
+                    ///
+                    /// `tile.len()` is a multiple of `8 * LANES`.
+                    #[allow(clippy::too_many_arguments)]
+                    #[target_feature(enable = $ptf)]
+                    unsafe fn fwd_pass_large3(
+                        bf: impl Fn($V, $V, Tw) -> ($V, $V),
+                        tile: &mut [u64],
+                        wa: Tw,
+                        wb0: Tw,
+                        wb1: Tw,
+                        wc0: Tw,
+                        wc1: Tw,
+                        wc2: Tw,
+                        wc3: Tw,
+                    ) {
+                        let e = tile.len() / 8;
+                        debug_assert!(tile.len() == 8 * e && e.is_multiple_of(LANES));
+                        for j in (0..e).step_by(LANES) {
+                            // SAFETY: j + 7e + LANES <= 8e; eight disjoint
+                            // in-bounds octants.
+                            unsafe {
+                                let mut v0 = ld(tile, j);
+                                let mut v1 = ld(tile, j + e);
+                                let mut v2 = ld(tile, j + 2 * e);
+                                let mut v3 = ld(tile, j + 3 * e);
+                                let mut v4 = ld(tile, j + 4 * e);
+                                let mut v5 = ld(tile, j + 5 * e);
+                                let mut v6 = ld(tile, j + 6 * e);
+                                let mut v7 = ld(tile, j + 7 * e);
+                                (v0, v4) = bf(v0, v4, wa);
+                                (v1, v5) = bf(v1, v5, wa);
+                                (v2, v6) = bf(v2, v6, wa);
+                                (v3, v7) = bf(v3, v7, wa);
+                                (v0, v2) = bf(v0, v2, wb0);
+                                (v1, v3) = bf(v1, v3, wb0);
+                                (v4, v6) = bf(v4, v6, wb1);
+                                (v5, v7) = bf(v5, v7, wb1);
+                                (v0, v1) = bf(v0, v1, wc0);
+                                (v2, v3) = bf(v2, v3, wc1);
+                                (v4, v5) = bf(v4, v5, wc2);
+                                (v6, v7) = bf(v6, v7, wc3);
+                                st(tile, j, v0);
+                                st(tile, j + e, v1);
+                                st(tile, j + 2 * e, v2);
+                                st(tile, j + 3 * e, v3);
+                                st(tile, j + 4 * e, v4);
+                                st(tile, j + 5 * e, v5);
+                                st(tile, j + 6 * e, v6);
+                                st(tile, j + 7 * e, v7);
+                            }
+                        }
                     }
-                    llen <<= 1;
-                    lt >>= 1;
+
+                    /// Every stage with stride `<= LANES` plus the canonical
+                    /// correction, in one load/store round trip per
+                    /// `2 * LANES`-element run: the stride-`LANES` stage on
+                    /// whole vectors with a broadcast twiddle, then each
+                    /// sub-vector stride `t` shuffled in-register. Stride `t`
+                    /// has twiddle base `n / (2t)` and `LANES / t` groups per
+                    /// run; `llen = n / (2 * LANES)`.
+                    #[target_feature(enable = $ptf)]
+                    fn fwd_tail(bf: impl Fn($V, $V, Tw) -> ($V, $V), c: Consts, a: &mut [u64], w: &[u64], sh: &[u64], llen: usize) {
+                        debug_assert!(a.len() == 2 * LANES * llen && w.len() == a.len() && sh.len() == a.len());
+                        let idx = sub_stages();
+                        for r in 0..llen {
+                            let j = 2 * LANES * r;
+                            // SAFETY: j + 2*LANES <= a.len(); every twiddle
+                            // load ends within the n-entry tables (the
+                            // deepest stage's last load ends exactly at
+                            // entry n - 1).
+                            unsafe {
+                                let (mut v0, mut v1) = (ld(a, j), ld(a, j + LANES));
+                                (v0, v1) = bf(v0, v1, load_tw(w, sh, $sbits, llen + r));
+                                for (s, ix) in idx.iter().enumerate() {
+                                    let groups = 2 << s;
+                                    let (x, y, t) = sub_split(v0, v1, ix, w, sh, $sbits, groups * (llen + r));
+                                    let (mut nx, mut ny) = bf(x, y, t);
+                                    if s + 1 == SUB_STAGES {
+                                        // The global last stage: reduce
+                                        // [0, 4q) to canonical.
+                                        (nx, ny) = (csub_q(c, csub_2q(c, nx)), csub_q(c, csub_2q(c, ny)));
+                                    }
+                                    (v0, v1) = sub_knit(nx, ny, ix);
+                                }
+                                st(a, j, v0);
+                                st(a, j + LANES, v1);
+                            }
+                        }
+                    }
+
+                    // Stage at stride lt has llen groups (tiles) of 2*lt
+                    // elements; stage level llen is also its twiddle-table
+                    // base. With m = log2(lt / LANES), triples run while
+                    // m >= 3, a pair handles m == 2, a single m == 1, so the
+                    // descent always lands on lt == LANES for the fused
+                    // tail.
+                    let mut lt = n >> 1;
+                    let mut llen = 1usize;
+                    while lt > LANES {
+                        debug_assert_eq!(2 * lt * llen, n);
+                        let tiles = a.chunks_exact_mut(2 * lt).enumerate();
+                        if lt >= 8 * LANES {
+                            // Triple: stages at strides lt, lt/2, lt/4.
+                            // Stage-B twiddles 2g, 2g+1 and stage-C
+                            // twiddles 4g..4g+3 of the next levels.
+                            for (g, tile) in tiles {
+                                let (wb, wc) = (2 * llen + 2 * g, 4 * llen + 4 * g);
+                                // SAFETY: tile.len() == 2*lt, a multiple of
+                                // 16*LANES.
+                                unsafe {
+                                    fwd_pass_large3(
+                                        bf,
+                                        tile,
+                                        tw(llen + g),
+                                        tw(wb),
+                                        tw(wb + 1),
+                                        tw(wc),
+                                        tw(wc + 1),
+                                        tw(wc + 2),
+                                        tw(wc + 3),
+                                    )
+                                };
+                            }
+                            llen <<= 3;
+                            lt >>= 3;
+                        } else if lt >= 4 * LANES {
+                            // Pair: stages at strides lt and lt/2.
+                            for (g, tile) in tiles {
+                                let wb = 2 * llen + 2 * g;
+                                // SAFETY: tile.len() == 2*lt == 8*LANES.
+                                unsafe { fwd_pass_large2(bf, tile, tw(llen + g), tw(wb), tw(wb + 1)) };
+                            }
+                            llen <<= 2;
+                            lt >>= 2;
+                        } else {
+                            for (g, tile) in tiles {
+                                let (x, y) = tile.split_at_mut(lt);
+                                // SAFETY: both halves have lt == 2*LANES
+                                // elements.
+                                unsafe { fwd_pass_large(bf, x, y, tw(llen + g)) };
+                            }
+                            llen <<= 1;
+                            lt >>= 1;
+                        }
+                    }
+                    // The stride-LANES stage (twiddle base
+                    // llen = n / (2*LANES)) and every sub-vector stage below
+                    // it, plus the canonical correction, in one pass.
+                    debug_assert_eq!(lt, LANES);
+                    fwd_tail(bf, c, a, w, sh, llen);
                 }
-            }
-            // The stride-LANES stage (twiddle base llen = n / (2*LANES)) and
-            // every sub-vector stage below it, plus the canonical
-            // correction, in one pass.
-            debug_assert_eq!(lt, LANES);
-            fwd_tail(c, a, w, sh, llen);
+                // SAFETY: as mul_mod_slice.
+                return unsafe { body(table, a) };
+            })+
+            unreachable!("the last product accepts every modulus");
         }
 
-        /// Inverse lazy NTT, mirror of [`ntt_forward`]: the ISA's fused
-        /// `inv_head` opens with the stages of stride `<= LANES`, a greedy
-        /// multi-stage ascent retires up to three vector-wide stages per
-        /// pass, and the final stride-`n/2` stage is fused with the `n^{-1}`
-        /// sweep and canonicalization.
+        /// Inverse lazy NTT, mirror of [`ntt_forward`]: the fused `inv_head`
+        /// opens with the stages of stride `<= LANES`, a greedy multi-stage
+        /// ascent retires up to three vector-wide stages per pass, and the
+        /// final stride-`n/2` stage is fused with the `n^{-1}` sweep and
+        /// canonicalization.
         #[target_feature(enable = $tf)]
         pub(crate) fn ntt_inverse(table: &NttTable, a: &mut [u64]) {
             let n = table.n();
@@ -865,78 +824,276 @@ macro_rules! simd_driver {
             }
             debug_assert!(n.is_power_of_two() && a.len() == n);
             let m = table.modulus();
-            let w = table.inv_root_pows();
-            let (c, sh) = ntt_consts(m, table.inv_root_pows_shoup(), table.inv_root_pows_shoup52());
-            debug_assert!(w.len() == n && sh.len() == n);
+            let mut rank = PRODUCTS;
+            $(rank -= 1; if chosen(rank, $when(m) && shoup_covers($sbits, 4 * m.value())) {
+                #[target_feature(enable = $ptf)]
+                unsafe fn body(table: &NttTable, a: &mut [u64]) {
+                    let (n, m) = (table.n(), table.modulus());
+                    let (c, pc) = (consts(m), $pconsts(m));
+                    let (w, sh) = (table.inv_root_pows(), table.inv_root_pows_shoup());
+                    debug_assert!(w.len() == n && sh.len() == n);
+                    let tw = |k: usize| load_tw(w, sh, $sbits, k);
+                    // Harvey (GS/DIF) butterfly: u, v in [0, 2q); returns
+                    // the reduced sum and the twiddle product of the lifted
+                    // difference u + 2q - v < 4q, both in [0, 2q).
+                    let bf = move |u: $V, v: $V, t: Tw| {
+                        let s = csub_2q(c, $add(u, v));
+                        let d = $sub($add(u, c.two_q), v);
+                        (s, $shoup(pc, d, t.w, t.sh))
+                    };
 
-            // Stages of stride 1..=LANES in one opening pass. The
-            // stride-LANES stage is deferred to the fused final pass when it
-            // is the global last stage (n == 2*LANES).
-            inv_head(c, a, w, sh, n > 2 * LANES);
-            // Greedy ascent to (but excluding) the final stride-n/2 stage: a
-            // triple is exact while its largest stride stays below n/2, and
-            // the remainder (log2(n / (4*LANES)) stages) is finished by a
-            // pair or single.
-            let mut lt = 2 * LANES;
-            let mut llen = n / (4 * LANES);
-            while 2 * lt < n {
-                debug_assert_eq!(2 * lt * llen, n);
-                if 8 * lt < n {
-                    // Triple: stages at strides lt, 2*lt, 4*lt. Stage-A
-                    // twiddles 4g..4g+3, stage-B 2g, 2g+1 of the next
-                    // levels.
-                    for (g, tile) in a.chunks_exact_mut(8 * lt).enumerate() {
-                        let wa0 = load_tw(w, sh, llen + 4 * g);
-                        let wa1 = load_tw(w, sh, llen + 4 * g + 1);
-                        let wa2 = load_tw(w, sh, llen + 4 * g + 2);
-                        let wa3 = load_tw(w, sh, llen + 4 * g + 3);
-                        let wb0 = load_tw(w, sh, llen / 2 + 2 * g);
-                        let wb1 = load_tw(w, sh, llen / 2 + 2 * g + 1);
-                        let wc = load_tw(w, sh, llen / 4 + g);
-                        // SAFETY: tile.len() == 8*lt, lt a multiple of LANES.
-                        unsafe { inv_pass_large3(c, tile, wa0, wa1, wa2, wa3, wb0, wb1, wc) };
+                    /// # Safety
+                    ///
+                    /// As `fwd_pass_large`.
+                    #[target_feature(enable = $ptf)]
+                    unsafe fn inv_pass_large(bf: impl Fn($V, $V, Tw) -> ($V, $V), x: &mut [u64], y: &mut [u64], wt: Tw) {
+                        debug_assert!(x.len() == y.len() && x.len().is_multiple_of(LANES));
+                        for j in (0..x.len()).step_by(LANES) {
+                            // SAFETY: j + LANES <= x.len() == y.len().
+                            unsafe {
+                                let (nx, ny) = bf(ld(x, j), ld(y, j), wt);
+                                st(x, j, nx);
+                                st(y, j, ny);
+                            }
+                        }
                     }
-                    lt <<= 3;
-                    llen >>= 3;
-                } else if 4 * lt < n {
-                    // Pair: stages at strides lt and 2*lt.
-                    for (g, tile) in a.chunks_exact_mut(4 * lt).enumerate() {
-                        let wa0 = load_tw(w, sh, llen + 2 * g);
-                        let wa1 = load_tw(w, sh, llen + 2 * g + 1);
-                        let wb = load_tw(w, sh, llen / 2 + g);
-                        // SAFETY: tile.len() == 4*lt, lt a multiple of LANES.
-                        unsafe { inv_pass_large2(c, tile, wa0, wa1, wb) };
+
+                    /// Two fused stages over one stage-B group (`tile`, four
+                    /// quarters of `e` elements): stage A pairs quarters
+                    /// `(0,1)`/`(2,3)` at stride `e`, stage B pairs
+                    /// `(0,2)`/`(1,3)` at stride `2e`.
+                    ///
+                    /// # Safety
+                    ///
+                    /// As `fwd_pass_large2`.
+                    #[target_feature(enable = $ptf)]
+                    unsafe fn inv_pass_large2(bf: impl Fn($V, $V, Tw) -> ($V, $V), tile: &mut [u64], wa0: Tw, wa1: Tw, wb: Tw) {
+                        let e = tile.len() / 4;
+                        debug_assert!(tile.len() == 4 * e && e.is_multiple_of(LANES));
+                        for j in (0..e).step_by(LANES) {
+                            // SAFETY: j + 3e + LANES <= 4e; four disjoint
+                            // in-bounds quarters.
+                            unsafe {
+                                let mut v0 = ld(tile, j);
+                                let mut v1 = ld(tile, j + e);
+                                let mut v2 = ld(tile, j + 2 * e);
+                                let mut v3 = ld(tile, j + 3 * e);
+                                (v0, v1) = bf(v0, v1, wa0);
+                                (v2, v3) = bf(v2, v3, wa1);
+                                (v0, v2) = bf(v0, v2, wb);
+                                (v1, v3) = bf(v1, v3, wb);
+                                st(tile, j, v0);
+                                st(tile, j + e, v1);
+                                st(tile, j + 2 * e, v2);
+                                st(tile, j + 3 * e, v3);
+                            }
+                        }
                     }
-                    lt <<= 2;
-                    llen >>= 2;
-                } else {
-                    for (g, tile) in a.chunks_exact_mut(2 * lt).enumerate() {
-                        let (x, y) = tile.split_at_mut(lt);
-                        // SAFETY: both halves have lt elements, a multiple
-                        // of LANES.
-                        unsafe { inv_pass_large(c, x, y, load_tw(w, sh, llen + g)) };
+
+                    /// Three fused stages over one stage-C group (`tile`,
+                    /// eight octants of `e` elements): stage A at stride `e`,
+                    /// stage B at `2e`, stage C at `4e`; mirror of
+                    /// `fwd_pass_large3`.
+                    ///
+                    /// # Safety
+                    ///
+                    /// As `fwd_pass_large3`.
+                    #[allow(clippy::too_many_arguments)]
+                    #[target_feature(enable = $ptf)]
+                    unsafe fn inv_pass_large3(
+                        bf: impl Fn($V, $V, Tw) -> ($V, $V),
+                        tile: &mut [u64],
+                        wa0: Tw,
+                        wa1: Tw,
+                        wa2: Tw,
+                        wa3: Tw,
+                        wb0: Tw,
+                        wb1: Tw,
+                        wc: Tw,
+                    ) {
+                        let e = tile.len() / 8;
+                        debug_assert!(tile.len() == 8 * e && e.is_multiple_of(LANES));
+                        for j in (0..e).step_by(LANES) {
+                            // SAFETY: j + 7e + LANES <= 8e; eight disjoint
+                            // in-bounds octants.
+                            unsafe {
+                                let mut v0 = ld(tile, j);
+                                let mut v1 = ld(tile, j + e);
+                                let mut v2 = ld(tile, j + 2 * e);
+                                let mut v3 = ld(tile, j + 3 * e);
+                                let mut v4 = ld(tile, j + 4 * e);
+                                let mut v5 = ld(tile, j + 5 * e);
+                                let mut v6 = ld(tile, j + 6 * e);
+                                let mut v7 = ld(tile, j + 7 * e);
+                                (v0, v1) = bf(v0, v1, wa0);
+                                (v2, v3) = bf(v2, v3, wa1);
+                                (v4, v5) = bf(v4, v5, wa2);
+                                (v6, v7) = bf(v6, v7, wa3);
+                                (v0, v2) = bf(v0, v2, wb0);
+                                (v1, v3) = bf(v1, v3, wb0);
+                                (v4, v6) = bf(v4, v6, wb1);
+                                (v5, v7) = bf(v5, v7, wb1);
+                                (v0, v4) = bf(v0, v4, wc);
+                                (v1, v5) = bf(v1, v5, wc);
+                                (v2, v6) = bf(v2, v6, wc);
+                                (v3, v7) = bf(v3, v7, wc);
+                                st(tile, j, v0);
+                                st(tile, j + e, v1);
+                                st(tile, j + 2 * e, v2);
+                                st(tile, j + 3 * e, v3);
+                                st(tile, j + 4 * e, v4);
+                                st(tile, j + 5 * e, v5);
+                                st(tile, j + 6 * e, v6);
+                                st(tile, j + 7 * e, v7);
+                            }
+                        }
                     }
-                    lt <<= 1;
-                    llen >>= 1;
+
+                    /// The stages of stride `1, 2, ..., LANES/2` and, with
+                    /// `with_top`, `LANES`, in one round trip per
+                    /// `2 * LANES`-element run; mirror of `fwd_tail`.
+                    #[target_feature(enable = $ptf)]
+                    fn inv_head(bf: impl Fn($V, $V, Tw) -> ($V, $V), a: &mut [u64], w: &[u64], sh: &[u64], with_top: bool) {
+                        let n = a.len();
+                        debug_assert!(n.is_multiple_of(2 * LANES) && w.len() == n && sh.len() == n);
+                        let idx = sub_stages();
+                        let top = n / (2 * LANES);
+                        for r in 0..top {
+                            let j = 2 * LANES * r;
+                            // SAFETY: as fwd_tail.
+                            unsafe {
+                                let (mut v0, mut v1) = (ld(a, j), ld(a, j + LANES));
+                                for (s, ix) in idx.iter().enumerate().rev() {
+                                    let groups = 2 << s;
+                                    let (x, y, t) = sub_split(v0, v1, ix, w, sh, $sbits, groups * (top + r));
+                                    let (nx, ny) = bf(x, y, t);
+                                    (v0, v1) = sub_knit(nx, ny, ix);
+                                }
+                                if with_top {
+                                    (v0, v1) = bf(v0, v1, load_tw(w, sh, $sbits, top + r));
+                                }
+                                st(a, j, v0);
+                                st(a, j + LANES, v1);
+                            }
+                        }
+                    }
+
+                    /// The final stage (stride `n/2`, single twiddle) fused
+                    /// with the `n^{-1}` sweep: the sum path multiplies by
+                    /// `n^{-1}` directly (`wn`), the difference path by the
+                    /// precombined `w_1 * n^{-1}` (`wd`), and both outputs
+                    /// are canonicalized in-register. Saves the whole
+                    /// closing `n^{-1}` pass; output is canonical, hence
+                    /// bit-identical to the unfused sequence.
+                    ///
+                    /// # Safety
+                    ///
+                    /// As `fwd_pass_large`.
+                    #[target_feature(enable = $ptf)]
+                    unsafe fn inv_final_pass(
+                        mul: impl Fn($V, Tw) -> $V,
+                        c: Consts,
+                        x: &mut [u64],
+                        y: &mut [u64],
+                        wd: Tw,
+                        wn: Tw,
+                    ) {
+                        debug_assert!(x.len() == y.len() && x.len().is_multiple_of(LANES));
+                        for j in (0..x.len()).step_by(LANES) {
+                            // SAFETY: j + LANES <= x.len() == y.len().
+                            unsafe {
+                                let (u, v) = (ld(x, j), ld(y, j));
+                                // The butterfly, but the products fold in
+                                // n^{-1}.
+                                let s = csub_2q(c, $add(u, v));
+                                let d = $sub($add(u, c.two_q), v);
+                                st(x, j, csub_q(c, mul(s, wn)));
+                                st(y, j, csub_q(c, mul(d, wd)));
+                            }
+                        }
+                    }
+
+                    // Stages of stride 1..=LANES in one opening pass. The
+                    // stride-LANES stage is deferred to the fused final pass
+                    // when it is the global last stage (n == 2*LANES).
+                    inv_head(bf, a, w, sh, n > 2 * LANES);
+                    // Greedy ascent to (but excluding) the final stride-n/2
+                    // stage: a triple is exact while its largest stride
+                    // stays below n/2, and the remainder
+                    // (log2(n / (4*LANES)) stages) is finished by a pair or
+                    // single.
+                    let mut lt = 2 * LANES;
+                    let mut llen = n / (4 * LANES);
+                    while 2 * lt < n {
+                        debug_assert_eq!(2 * lt * llen, n);
+                        if 8 * lt < n {
+                            // Triple: stages at strides lt, 2*lt, 4*lt.
+                            // Stage-A twiddles 4g..4g+3, stage-B 2g, 2g+1
+                            // of the next levels.
+                            for (g, tile) in a.chunks_exact_mut(8 * lt).enumerate() {
+                                let (wa, wb) = (llen + 4 * g, llen / 2 + 2 * g);
+                                // SAFETY: tile.len() == 8*lt, lt a multiple
+                                // of LANES.
+                                unsafe {
+                                    inv_pass_large3(
+                                        bf,
+                                        tile,
+                                        tw(wa),
+                                        tw(wa + 1),
+                                        tw(wa + 2),
+                                        tw(wa + 3),
+                                        tw(wb),
+                                        tw(wb + 1),
+                                        tw(llen / 4 + g),
+                                    )
+                                };
+                            }
+                            lt <<= 3;
+                            llen >>= 3;
+                        } else if 4 * lt < n {
+                            // Pair: stages at strides lt and 2*lt.
+                            for (g, tile) in a.chunks_exact_mut(4 * lt).enumerate() {
+                                let wa = llen + 2 * g;
+                                // SAFETY: tile.len() == 4*lt, lt a multiple
+                                // of LANES.
+                                unsafe { inv_pass_large2(bf, tile, tw(wa), tw(wa + 1), tw(llen / 2 + g)) };
+                            }
+                            lt <<= 2;
+                            llen >>= 2;
+                        } else {
+                            for (g, tile) in a.chunks_exact_mut(2 * lt).enumerate() {
+                                let (x, y) = tile.split_at_mut(lt);
+                                // SAFETY: both halves have lt elements, a
+                                // multiple of LANES.
+                                unsafe { inv_pass_large(bf, x, y, tw(llen + g)) };
+                            }
+                            lt <<= 1;
+                            llen >>= 1;
+                        }
+                    }
+                    // Final stage (stride n/2, single twiddle w[1]) fused
+                    // with the n^{-1} sweep: the sum path takes n^{-1}, the
+                    // difference path the precombined w[1] * n^{-1}; outputs
+                    // are canonical.
+                    let n_inv = table.n_inv();
+                    let wd_val = m.mul(w[1], n_inv);
+                    let wn = Tw {
+                        w: splat(n_inv),
+                        sh: splat(shoup_in_radix($sbits, table.n_inv_shoup())),
+                    };
+                    let wd = Tw {
+                        w: splat(wd_val),
+                        sh: splat(shoup_in_radix($sbits, m.shoup_precompute(wd_val))),
+                    };
+                    let (x, y) = a.split_at_mut(n / 2);
+                    // SAFETY: both halves have n/2 >= LANES elements, a
+                    // multiple of LANES.
+                    unsafe { inv_final_pass(move |x, t: Tw| $shoup(pc, x, t.w, t.sh), c, x, y, wd, wn) };
                 }
-            }
-            // Final stage (stride n/2, single twiddle w[1]) fused with the
-            // n^{-1} sweep: the sum path takes n^{-1}, the difference path
-            // the precombined w[1] * n^{-1}; outputs are canonical.
-            let n_inv = table.n_inv();
-            let wd_val = m.mul(w[1], n_inv);
-            let wn = Tw {
-                w: splat(n_inv),
-                sh: splat(shoup_const(c, m, n_inv)),
-            };
-            let wd = Tw {
-                w: splat(wd_val),
-                sh: splat(shoup_const(c, m, wd_val)),
-            };
-            let (x, y) = a.split_at_mut(n / 2);
-            // SAFETY: both halves have n/2 >= LANES elements, a multiple of
-            // LANES.
-            unsafe { inv_final_pass(c, x, y, wd, wn) };
+                // SAFETY: as mul_mod_slice.
+                return unsafe { body(table, a) };
+            })+
+            unreachable!("the last product accepts every modulus");
         }
     };
 }

@@ -48,10 +48,6 @@ pub struct NttTable {
     /// psi^{-br(i)} in bit-reversed order.
     inv_root_pows: AlignedVec<u64>,
     inv_root_pows_shoup: AlignedVec<u64>,
-    /// `floor(w * 2^52 / q)` Shoup constants for the AVX-512 IFMA path,
-    /// built only when `q < 2^50` (so `4q` fits the 52-bit product radix).
-    root_pows_shoup52: Option<AlignedVec<u64>>,
-    inv_root_pows_shoup52: Option<AlignedVec<u64>>,
     /// n^{-1} mod q and its Shoup constant.
     n_inv: u64,
     n_inv_shoup: u64,
@@ -96,18 +92,6 @@ impl NttTable {
             .iter()
             .map(|&w| modulus.shoup_precompute(w))
             .collect();
-        // 52-bit Shoup constants for the IFMA multiply path: only valid when
-        // 4q fits in 52 bits, i.e. q < 2^50. Built whenever eligible (the
-        // backend additionally checks for avx512ifma at dispatch time).
-        let shoup52 = |w: u64| (((w as u128) << 52) / q as u128) as u64;
-        let (root_pows_shoup52, inv_root_pows_shoup52) = if q < (1u64 << 50) {
-            (
-                Some(root_pows.iter().map(|&w| shoup52(w)).collect()),
-                Some(inv_root_pows.iter().map(|&w| shoup52(w)).collect()),
-            )
-        } else {
-            (None, None)
-        };
         let n_inv = modulus.inv(n as u64 % q);
         let n_inv_shoup = modulus.shoup_precompute(n_inv);
         Some(Self {
@@ -117,8 +101,6 @@ impl NttTable {
             root_pows_shoup,
             inv_root_pows: AlignedVec::from(inv_root_pows),
             inv_root_pows_shoup,
-            root_pows_shoup52,
-            inv_root_pows_shoup52,
             n_inv,
             n_inv_shoup,
         })
@@ -190,19 +172,6 @@ impl NttTable {
     #[inline]
     pub(crate) fn inv_root_pows_shoup(&self) -> &[u64] {
         &self.inv_root_pows_shoup
-    }
-
-    /// 52-bit Shoup constants for the forward twiddles (IFMA path), present
-    /// only when `q < 2^50`.
-    #[inline]
-    pub(crate) fn root_pows_shoup52(&self) -> Option<&[u64]> {
-        self.root_pows_shoup52.as_deref()
-    }
-
-    /// 52-bit Shoup constants for the inverse twiddles (IFMA path).
-    #[inline]
-    pub(crate) fn inv_root_pows_shoup52(&self) -> Option<&[u64]> {
-        self.inv_root_pows_shoup52.as_deref()
     }
 
     #[inline]
@@ -466,19 +435,20 @@ mod tests {
         assert_eq!(x, y);
     }
 
-    /// Every compiled backend must produce words identical to the strict
+    /// Every compiled route must produce words identical to the strict
     /// reference kernels at every log2(n) from 3 to 15, so each width's
     /// instantiation of the shared driver sees all of its structural
     /// regimes: pure scalar fallback (n below two vectors: 8 at 4 lanes, 8
     /// and 16 at 8 lanes), fused-tail-only transforms (n exactly two
     /// vectors), and every triple/pair/single landing of the greedy
-    /// schedule. 28-bit and 50-bit moduli exercise the IFMA path where
-    /// available; 59-bit forces the generic 64-bit path.
+    /// schedule. 28-, 45- (every workload's width) and 50-bit moduli take
+    /// the IFMA product where available, and the 64-bit one on the portable
+    /// route; 59-bit takes the 64-bit product everywhere.
     #[test]
     fn backends_match_strict() {
-        use crate::backend::{forced, supported_backends};
+        use crate::backend::forced;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE);
-        for (n, bits) in (3..=15).flat_map(|log_n| [28u32, 50, 59].map(|bits| (1usize << log_n, bits))) {
+        for (n, bits) in (3..=15).flat_map(|log_n| [28u32, 45, 50, 59].map(|bits| (1usize << log_n, bits))) {
             let t = table(n, bits);
             let q = t.modulus().value();
             let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
@@ -487,12 +457,12 @@ mod tests {
             let mut strict_i = strict_f.clone();
             t.inverse_strict(&mut strict_i);
             assert_eq!(strict_i, a);
-            for kind in supported_backends() {
+            for route in forced::routes() {
                 let mut x = a.clone();
-                forced::ntt_forward(kind, &t, &mut x);
-                assert_eq!(x, strict_f, "forward diverged on {kind} at n={n}/{bits}b");
-                forced::ntt_inverse(kind, &t, &mut x);
-                assert_eq!(x, a, "roundtrip diverged on {kind} at n={n}/{bits}b");
+                forced::ntt_forward(route, &t, &mut x);
+                assert_eq!(x, strict_f, "forward diverged on {route} at n={n}/{bits}b");
+                forced::ntt_inverse(route, &t, &mut x);
+                assert_eq!(x, a, "roundtrip diverged on {route} at n={n}/{bits}b");
             }
         }
     }

@@ -5,7 +5,9 @@
 #     other setting is a typed field with one setter.
 #  1. Release build of the whole workspace.
 #  2. Full test suite, again under the forced scalar backend, and the
-#     kernel crates under forced AVX2.
+#     kernel crates under forced AVX2. The release kernel bench binary
+#     is then disassembled: no AVX-512 helper may stay an out-of-line
+#     call from the kernel that uses it.
 #  3. Fault-recovery smoke: a bootstrapped pipeline under a fixed-seed
 #     fault plan must converge, with >= 1 recorded recovery, to the clean
 #     run's bit-identical output (examples/fault_recovery_smoke.rs).
@@ -73,6 +75,25 @@ echo "== tier-1: bench harness smoke =="
 # regressions are only enforced by a full `scripts/bench.sh --check` run;
 # single-iteration smoke timings are too noisy to gate on).
 scripts/bench.sh --smoke --check
+
+echo "== tier-1: AVX-512 helpers inline into their kernels =="
+# A `#[target_feature]` helper only inlines into a caller compiled with
+# every feature it has; otherwise each use is a call with its vector
+# operands passed through memory. So in the release kernel binary no
+# cl_math::backend::avx512 function may call another one, except a
+# product kernel calling the `body` it compiled for the chosen product.
+command -v objdump >/dev/null || { echo "verify: objdump not found" >&2; exit 1; }
+out_of_line=$(objdump -d -C target/release/bench_kernels | awk '
+    /^[0-9a-f]+ <.*>:$/ { fn = $0; sub(/^[0-9a-f]+ </, "", fn); sub(/>:$/, "", fn); next }
+    /\tcall / && index(fn, "cl_math::backend::avx512::") == 1 && match($0, /<[^>]*>$/) {
+        callee = substr($0, RSTART + 1, RLENGTH - 2); sub(/\+0x[0-9a-f]+$/, "", callee)
+        if (index(callee, "cl_math::backend::avx512::") == 1 && callee !~ /::body$/) print fn " -> " callee
+    }' | sort | uniq -c)
+if [ -n "$out_of_line" ]; then
+    echo "verify: out-of-line calls between AVX-512 kernel functions:" >&2
+    echo "$out_of_line" >&2
+    exit 1
+fi
 
 echo "== tier-1: fault-recovery smoke =="
 cargo run --release --example fault_recovery_smoke
