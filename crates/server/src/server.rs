@@ -457,9 +457,12 @@ impl JobServer {
                 resume_first: job.dispatched,
             };
             // Capacity bounds do not apply: these jobs were already
-            // admitted (and acknowledged) in their first life.
-            lock_queue(shared).force_push(&tenant.id, queued);
+            // admitted (and acknowledged) in their first life. Counted
+            // under the queue lock, as in `submit`.
+            let mut queue = lock_queue(shared);
+            queue.force_push(&tenant.id, queued);
             shared.pending.fetch_add(1, Ordering::AcqRel);
+            drop(queue);
             resumed += 1;
             report.jobs_resumed += 1;
         }
@@ -652,8 +655,10 @@ impl JobServer {
                 }
                 return Err(err);
             }
+            // Counted before the queue lock is released: a worker can pop
+            // the job only after that, so its decrement never runs first.
+            shared.pending.fetch_add(1, Ordering::AcqRel);
         }
-        shared.pending.fetch_add(1, Ordering::AcqRel);
         shared.work_cv.notify_one();
         Ok(JobHandle { id, control })
     }
@@ -720,9 +725,7 @@ impl JobServer {
     /// submission order.
     pub fn shutdown(mut self) -> Vec<JobOutcome> {
         self.wait_idle();
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.work_cv.notify_all();
-        self.shared.supervisor_cv.notify_all();
+        stop_threads(&self.shared, false);
         for handle in self.workers.drain(..) {
             // A worker that panicked outside the catch_unwind guard has
             // already lost its jobs; joining the poisoned handle must not
@@ -758,16 +761,13 @@ impl JobServer {
     /// crash would not wait even for that). Follow with
     /// [`JobServer::recover`] on the same checkpoint root.
     pub fn kill(mut self) {
-        self.shared.crashed.store(true, Ordering::Release);
-        self.shared.shutdown.store(true, Ordering::Release);
+        stop_threads(&self.shared, true);
         {
             let running = lock_running(&self.shared);
             for entry in running.values() {
                 entry.control.cancel();
             }
         }
-        self.shared.work_cv.notify_all();
-        self.shared.supervisor_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -777,6 +777,27 @@ impl JobServer {
         // The journal file is left exactly as-is: an unsynced tail may be
         // torn, which is the condition recover() is built to absorb.
     }
+}
+
+/// Raises the stop flags (`crashed` too for a simulated crash) and wakes
+/// the parked workers and supervisor. Each waiter checks the flags under
+/// its mutex before it parks, so they are raised and signalled under that
+/// mutex: a thread between its check and its wait cannot miss the wakeup
+/// and park forever.
+fn stop_threads(shared: &Shared, crashed: bool) {
+    {
+        let _queue = lock_queue(shared);
+        if crashed {
+            shared.crashed.store(true, Ordering::Release);
+        }
+        shared.shutdown.store(true, Ordering::Release);
+        shared.work_cv.notify_all();
+    }
+    let _parked = shared
+        .supervisor_lock
+        .lock()
+        .expect("supervisor lock poisoned: a holder panicked mid-wait");
+    shared.supervisor_cv.notify_all();
 }
 
 /// Publishes an outcome reconstructed at recovery (journal-replayed
@@ -1236,6 +1257,41 @@ mod tests {
             ctx,
             program,
         }
+    }
+
+    /// Right after `start` every worker checks the stop flags and parks,
+    /// so stopping a fresh server races each of them into its first wait.
+    /// A stop signalled between a worker's check and its wait must still
+    /// wake it, or `shutdown` / `kill` joins it forever; the time limit
+    /// turns that hang into a failure.
+    #[test]
+    fn stopping_a_fresh_server_never_strands_a_worker() {
+        // Enough rounds to hit the window most runs when it is open.
+        const STOP_ROUNDS: usize = 4_000;
+        let root = tmp_root("stop");
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let dir = root.clone();
+        std::thread::spawn(move || {
+            for i in 0..STOP_ROUNDS {
+                let server = JobServer::start(ServerConfig {
+                    workers: 4,
+                    checkpoint_root: dir.clone(),
+                    ..ServerConfig::default()
+                })
+                .unwrap();
+                if i % 2 == 0 {
+                    assert!(server.shutdown().is_empty());
+                } else {
+                    server.kill();
+                }
+            }
+            done_tx.send(()).unwrap();
+        });
+        assert!(
+            done.recv_timeout(Duration::from_secs(120)).is_ok(),
+            "stopping a fresh server hung (or failed) within {STOP_ROUNDS} rounds"
+        );
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
