@@ -2,11 +2,12 @@
 //!
 //! Times the functional hot paths the parallel execution engine targets —
 //! NTT, RNS element-wise ops, base conversion, keyswitch, the hint integrity
-//! digest, rescale, and one bootstrap step (an EvalMod square+rescale) —
-//! and writes ns/op as JSON so `scripts/bench.sh` can track the
-//! serial-vs-parallel trajectory across commits. Both transforms are also
+//! digest, the ciphertext residue scan, rescale, and one bootstrap step (an
+//! EvalMod square+rescale) — and writes ns/op as JSON so `scripts/bench.sh`
+//! can track the serial-vs-parallel trajectory across commits. Both transforms are also
 //! reported as a roofline rate: radix-2 butterflies per ns,
-//! `(n/2) * log2(n) * limbs` over the timed call.
+//! `(n/2) * log2(n) * limbs` over the timed call, and the Strict residue
+//! scan (`ct_validate`) as GB/s over the ciphertext it reads.
 //!
 //! Usage:
 //!   bench_kernels [--smoke] [--label NAME] [--out PATH]
@@ -200,6 +201,14 @@ fn main() {
             "key_verify",
             time_ns(cfg.smoke, || {
                 std::hint::black_box(relin.verify_integrity());
+            }),
+        ));
+        // The check the Strict policy runs on every operand and every
+        // result: the residue-range scan over one level-L ciphertext.
+        results.push((
+            "ct_validate",
+            time_ns(cfg.smoke, || {
+                std::hint::black_box(ctx.validate_ciphertext("bench", &ct)).expect("clean ciphertext");
             }),
         ));
         results.push((
@@ -674,6 +683,14 @@ fn main() {
         .filter_map(|k| results.iter().find(|(name, _)| *name == k))
         .map(|&(name, ns)| (name, butterflies / ns))
         .collect();
+    // The scan reads both polynomials of the ciphertext once: bytes per ns
+    // is GB/s.
+    let ct_bytes = (2 * limbs * n * std::mem::size_of::<u64>()) as f64;
+    let scans: Vec<(&str, f64)> = results
+        .iter()
+        .filter(|(name, _)| *name == "ct_validate")
+        .map(|&(name, ns)| (name, ct_bytes / ns))
+        .collect();
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -696,7 +713,9 @@ fn main() {
     }
     let _ = writeln!(json, "  }},");
     let rates_json: Vec<String> = rates.iter().map(|(name, r)| format!("\"{name}\": {r:.4}")).collect();
-    let _ = writeln!(json, "  \"butterflies_per_ns\": {{{}}}", rates_json.join(", "));
+    let _ = writeln!(json, "  \"butterflies_per_ns\": {{{}}},", rates_json.join(", "));
+    let scans_json: Vec<String> = scans.iter().map(|(name, r)| format!("\"{name}\": {r:.3}")).collect();
+    let _ = writeln!(json, "  \"gb_per_s\": {{{}}}", scans_json.join(", "));
     let _ = writeln!(json, "}}");
 
     for (name, ns) in &results {
@@ -708,6 +727,9 @@ fn main() {
     }
     for (name, r) in &rates {
         println!("{name:>16}: {r:>12.3} butterflies/ns");
+    }
+    for (name, r) in &scans {
+        println!("{name:>16}: {r:>12.3} GB/s");
     }
     if let Some(path) = &cfg.out {
         std::fs::write(path, &json).expect("write JSON output");

@@ -135,8 +135,6 @@ impl<'a> BgvContext<'a> {
         rns.from_ntt(&mut phase);
         // Centered lift of each coefficient, then reduce mod t.
         let n = self.inner.params().ring_degree();
-        let moduli: Vec<u64> = basis.0.iter().map(|&l| rns.modulus_value(l)).collect();
-        let q_big = cl_math::BigUint::product(&moduli);
         let mut signed = vec![0i64; n];
         if phase.num_limbs() == 1 {
             let m0 = rns.modulus(basis.0[0]);
@@ -144,13 +142,14 @@ impl<'a> BgvContext<'a> {
                 *s = m0.lift_centered(phase.limb(0)[i]);
             }
         } else {
+            let moduli: Vec<u64> = basis.0.iter().map(|&l| rns.modulus_value(l)).collect();
+            let crt = cl_math::CrtBasis::new(&moduli);
             let mut residues = vec![0u64; phase.num_limbs()];
             for (i, out) in signed.iter_mut().enumerate() {
                 for (k, r) in residues.iter_mut().enumerate() {
                     *r = phase.limb(k)[i];
                 }
-                let big = cl_math::BigUint::crt_combine(&residues, &moduli);
-                let (neg, mag) = big.centered(&q_big);
+                let (neg, mag) = crt.combine(&residues).centered(crt.product());
                 let r = mag.rem_u64(self.t) as i64;
                 *out = if neg { -r } else { r };
             }
@@ -253,7 +252,7 @@ impl<'a> BgvContext<'a> {
         level: usize,
         special: usize,
     ) -> (RnsPoly, RnsPoly) {
-        use cl_math::BigUint;
+        use cl_math::{BigUint, CrtBasis};
         let rns = self.inner.rns();
         let qb = rns.q_basis(level);
         let pb = rns.p_basis(special);
@@ -261,7 +260,7 @@ impl<'a> BgvContext<'a> {
         let tm = cl_math::Modulus::new(self.t).expect("t in range");
         let all_moduli: Vec<u64> = target.0.iter().map(|&l| rns.modulus_value(l)).collect();
         let p_moduli: Vec<u64> = pb.0.iter().map(|&l| rns.modulus_value(l)).collect();
-        let qp_big = BigUint::product(&all_moduli);
+        let crt = CrtBasis::new(&all_moduli);
         let p_big = BigUint::product(&p_moduli);
         let p_mod_t = p_big.rem_u64(self.t);
         let p_inv_t = tm.inv(tm.reduce(p_mod_t));
@@ -274,8 +273,7 @@ impl<'a> BgvContext<'a> {
                 for (k, r) in residues.iter_mut().enumerate() {
                     *r = poly.limb(k)[i];
                 }
-                let big = BigUint::crt_combine(&residues, &all_moduli);
-                let (neg, mag) = big.centered(&qp_big);
+                let (neg, mag) = crt.combine(&residues).centered(crt.product());
                 // delta = v mod P, centered; then corrected to be ≡ 0 mod t.
                 let v_mod_p_raw = {
                     let r = mag.rem_big(&p_big);

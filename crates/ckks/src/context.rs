@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use cl_math::{BigUint, Complex, SpecialFft};
+use cl_math::{Complex, CrtBasis, SpecialFft};
 use cl_rns::{BaseConverter, Basis, RnsContext, RnsError, RnsPoly};
 use rand::Rng;
 
@@ -268,13 +268,6 @@ impl CkksContext {
         assert!(count <= slots);
         let mut poly = pt.poly.clone();
         self.rns.from_ntt(&mut poly);
-        let moduli: Vec<u64> = poly
-            .basis()
-            .0
-            .iter()
-            .map(|&l| self.rns.modulus_value(l))
-            .collect();
-        let q_big = BigUint::product(&moduli);
         let n = self.params.n;
         let mut signed = vec![0f64; n];
         let num_limbs = poly.num_limbs();
@@ -285,13 +278,14 @@ impl CkksContext {
                 *s = m.lift_centered(poly.limb(0)[i]) as f64;
             }
         } else {
+            let moduli: Vec<u64> = poly.basis().0.iter().map(|&l| self.rns.modulus_value(l)).collect();
+            let crt = CrtBasis::new(&moduli);
             let mut residues = vec![0u64; num_limbs];
             for (i, s) in signed.iter_mut().enumerate() {
                 for (k, r) in residues.iter_mut().enumerate() {
                     *r = poly.limb(k)[i];
                 }
-                let big = BigUint::crt_combine(&residues, &moduli);
-                let (neg, mag) = big.centered(&q_big);
+                let (neg, mag) = crt.combine(&residues).centered(crt.product());
                 *s = if neg { -mag.to_f64() } else { mag.to_f64() };
             }
         }
@@ -525,12 +519,16 @@ impl CkksContext {
     /// NTT form, scale sanity, and — the expensive part — every residue
     /// below its modulus. A random bit flip in a limb word is
     /// overwhelmingly likely to push the residue out of range, so this
-    /// scan is the strict policy's detector for payload corruption.
+    /// scan is the strict policy's detector for payload corruption. Each
+    /// limb is scanned by [`cl_math::Modulus::first_unreduced`], one
+    /// lane-parallel pass on the active SIMD backend.
     ///
     /// # Errors
     ///
     /// Returns [`FheError::CorruptCiphertext`] describing the first
-    /// violation found.
+    /// violation found: `c0` before `c1`, limbs in basis order, and within
+    /// a limb the lowest coefficient index, with its value and modulus —
+    /// the same report on every backend.
     pub fn validate_ciphertext(&self, op: &'static str, ct: &Ciphertext) -> FheResult<()> {
         let corrupt = |reason: String| FheError::CorruptCiphertext { op, reason };
         if !(1..=self.params.levels).contains(&ct.level) {
@@ -548,11 +546,12 @@ impl CkksContext {
                 return Err(corrupt(format!("{name} is not in NTT form")));
             }
             for (k, &limb) in expected.0.iter().enumerate() {
-                let q = self.rns.modulus_value(limb);
-                if let Some(i) = poly.limb(k).iter().position(|&w| w >= q) {
+                let m = self.rns.modulus(limb);
+                if let Some(i) = m.first_unreduced(poly.limb(k)) {
                     return Err(corrupt(format!(
-                        "{name} limb {k} coefficient {i} = {} exceeds modulus {q}",
-                        poly.limb(k)[i]
+                        "{name} limb {k} coefficient {i} = {} exceeds modulus {}",
+                        poly.limb(k)[i],
+                        m.value()
                     )));
                 }
             }
@@ -671,6 +670,31 @@ mod tests {
         let back = c.decode(&c.decrypt(&ct, &sk), 3);
         for (a, b) in back.iter().zip(&vals) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
+        }
+    }
+
+    /// One word at the modulus itself — the smallest out-of-range residue —
+    /// in the last coefficient of `c1`'s last limb: every backend's scan
+    /// reports the same op, limb, coefficient and value.
+    #[test]
+    fn validate_reports_the_same_violation_on_every_backend() {
+        let c = ctx();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let sk = c.keygen(&mut rng);
+        let mut ct = c.encrypt(&c.encode(&[1.0, -2.0], c.default_scale(), 3), &sk, &mut rng);
+        let (last, n) = (ct.c1.num_limbs() - 1, c.params().ring_degree());
+        let q = c.rns().modulus_value(c.rns().q_basis(3).0[last]);
+        ct.c1.limb_mut(last)[n - 1] = q;
+        let want = format!("c1 limb {last} coefficient {} = {q} exceeds modulus {q}", n - 1);
+        let prev = cl_math::active_backend();
+        for kind in cl_math::supported_backends() {
+            cl_math::set_active_backend(kind).expect("supported backend");
+            let got = c.validate_ciphertext("audit", &ct);
+            cl_math::set_active_backend(prev).expect("restoring the previous backend");
+            match got {
+                Err(FheError::CorruptCiphertext { op: "audit", reason }) => assert_eq!(reason, want, "on {kind}"),
+                other => panic!("expected CorruptCiphertext on {kind}, got {other:?}"),
+            }
         }
     }
 

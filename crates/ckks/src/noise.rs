@@ -48,7 +48,7 @@
 //! ⊕ log2(n)/2`: the hint-error product divided by the special modulus,
 //! floored by the same rounding floor as rescale (the ModDown division).
 
-use cl_math::BigUint;
+use cl_math::CrtBasis;
 
 use crate::{Ciphertext, CkksContext, KeySwitchKey, Plaintext, SecretKey};
 
@@ -77,15 +77,14 @@ impl CkksContext {
         let mut diff = rns.sub(&phase, expected.poly());
         rns.from_ntt(&mut diff);
         let moduli: Vec<u64> = basis.0.iter().map(|&l| rns.modulus_value(l)).collect();
-        let q_big = BigUint::product(&moduli);
+        let crt = CrtBasis::new(&moduli);
         let mut max_noise = 0f64;
         let mut residues = vec![0u64; diff.num_limbs()];
         for i in 0..self.params().ring_degree() {
             for (k, r) in residues.iter_mut().enumerate() {
                 *r = diff.limb(k)[i];
             }
-            let big = BigUint::crt_combine(&residues, &moduli);
-            let (_, mag) = big.centered(&q_big);
+            let (_, mag) = crt.combine(&residues).centered(crt.product());
             max_noise = max_noise.max(mag.to_f64());
         }
         max_noise.max(1.0).log2()

@@ -55,6 +55,16 @@ fn cond_sub(x: __m256i, b: __m256i, bs: __m256i, sign: __m256i) -> __m256i {
     _mm256_sub_epi64(x, _mm256_andnot_si256(lt, b))
 }
 
+/// Lane bitmask of `v >= bound` (unsigned): flipping both sign bits turns
+/// the signed `bound > v` into the unsigned one, whose complement it is.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn ge_mask(v: __m256i, bound: __m256i) -> u32 {
+    let sign = splat(1u64 << 63);
+    let lt = _mm256_cmpgt_epi64(_mm256_xor_si256(bound, sign), _mm256_xor_si256(v, sign));
+    !(_mm256_movemask_pd(_mm256_castsi256_pd(lt)) as u32) & 0xf
+}
+
 /// High 64 bits of the unsigned 64×64 product via four 32×32 partials.
 #[inline]
 #[target_feature(enable = "avx2")]

@@ -84,6 +84,13 @@ fn cond_sub(x: __m512i, b: __m512i) -> __m512i {
     _mm512_min_epu64(x, _mm512_sub_epi64(x, b))
 }
 
+/// Lane bitmask of `v >= bound` (unsigned).
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn ge_mask(v: __m512i, bound: __m512i) -> u32 {
+    u32::from(_mm512_cmpge_epu64_mask(v, bound))
+}
+
 /// High 64 bits of the unsigned 64×64 product, via four 32×32 partials.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]

@@ -1,11 +1,14 @@
 //! The one SIMD kernel source, instantiated once per vector ISA.
 //!
 //! CraterLake replicates one vector datapath across its lanes; this file is
-//! the software counterpart: every slice kernel, every vector-wide NTT pass
-//! and the greedy stage schedules of both transforms are written once, in
-//! terms of a vector type, a lane count and a short list of element
-//! primitives, and [`simd_driver!`] stamps that source into an ISA module
-//! (`avx2.rs`: 4 lanes, `avx512.rs`: 8 lanes).
+//! the software counterpart: every slice kernel, the residue-range scan,
+//! every vector-wide NTT pass and the greedy stage schedules of both
+//! transforms are written once, in terms of a vector type, a lane count and
+//! a short list of element primitives, and [`simd_driver!`] stamps that
+//! source into an ISA module (`avx2.rs`: 4 lanes, `avx512.rs`: 8 lanes).
+//! That is sixteen kernels: seven that multiply nothing (add, sub, neg,
+//! raw and lazy reduction, the gather and the scan), compiled with the
+//! module's own feature set, and the nine product kernels below.
 //!
 //! It is a `macro_rules!` stamp rather than a trait-generic driver because
 //! every function that touches an intrinsic must itself carry
@@ -27,6 +30,7 @@
 //! | `mulhi64`, `mullo64` | halves of the unsigned 64×64 product |
 //! | `Consts` (fields `q`, `two_q`), `consts(&Modulus)` | broadcast reduction constants |
 //! | `csub_q(c, x)`, `csub_2q(c, x)` | one conditional subtract of `q` / `2q` |
+//! | `ge_mask(v, bound) -> u32` | bit `l` set iff lane `l` of `v` is `>=` lane `l` of `bound` (unsigned) |
 //! | `gather(src, perm, i) -> V` | `src[perm[i + l]]` per lane |
 //! | `SmallIdx` (`Copy`), `small_idx(t)` | the lane shuffles of sub-vector NTT stride `t < LANES` |
 //! | `sub_split(v0, v1, idx, w, sh, bits, k0)` | a `2 * LANES` run as its all-`x` and all-`y` vectors, plus their [`Tw`] twiddles from entry `k0`, companions in radix `2^bits` |
@@ -304,6 +308,31 @@ macro_rules! simd_driver {
                 unsafe { st(out, i, gather_checked(src, perm, i)) };
             }
             scalar::gather_slice(&mut out[n..], src, &perm[n..]);
+        }
+
+        /// The index of the first word of `x` at or above `bound`: the
+        /// residue-range scan. Blocks of four vectors are compared whole
+        /// and their lane masks ORed, so a block in range costs four
+        /// compares and one test; only the failing block runs the
+        /// trailing-zero count that places the word.
+        #[target_feature(enable = $tf)]
+        pub(crate) fn first_at_or_above(x: &[u64], bound: u64) -> Option<usize> {
+            const BLOCK: usize = 4 * LANES;
+            let b = splat(bound);
+            let n = x.len() - x.len() % BLOCK;
+            for i in (0..n).step_by(BLOCK) {
+                // SAFETY: i + 4*LANES <= n <= x.len().
+                let mask = unsafe {
+                    ge_mask(ld(x, i), b)
+                        | ge_mask(ld(x, i + LANES), b) << LANES
+                        | ge_mask(ld(x, i + 2 * LANES), b) << (2 * LANES)
+                        | ge_mask(ld(x, i + 3 * LANES), b) << (3 * LANES)
+                };
+                if mask != 0 {
+                    return Some(i + mask.trailing_zeros() as usize);
+                }
+            }
+            scalar::first_at_or_above(&x[n..], bound).map(|j| n + j)
         }
 
         // The seven product slice kernels (the transforms below are the

@@ -3,8 +3,9 @@
 //! This is the software analogue of CraterLake's vector-lane datapath: the
 //! limb pool (`CL_THREADS`) parallelizes *across* residue polynomials, and
 //! the backend selected here parallelizes *within* one — Harvey butterflies,
-//! Shoup multiplies, Barrett products, and automorphism gathers all process
-//! 4 (AVX2) or 8 (AVX-512) residues per instruction.
+//! Shoup multiplies, Barrett products, automorphism gathers and the
+//! residue-range scan all process 4 (AVX2) or 8 (AVX-512) residues per
+//! instruction.
 //!
 //! A backend is chosen once per process from `is_x86_feature_detected!`,
 //! overridable with `CL_BACKEND=scalar|avx2|avx512` (tests can also switch
@@ -17,10 +18,11 @@
 //! construction.
 //!
 //! Layout: `scalar.rs` is the portable reference every backend must match;
-//! `driver.rs` holds the one vector kernel source (slice kernels, NTT
-//! passes, stage schedules), which `avx2.rs` and `avx512.rs` instantiate at
-//! 4 and 8 lanes by supplying their element primitives; this file selects
-//! the backend and declares each dispatched kernel once (`kernels!`).
+//! `driver.rs` holds the one vector kernel source (slice kernels, the
+//! residue-range scan, NTT passes, stage schedules), which `avx2.rs` and
+//! `avx512.rs` instantiate at 4 and 8 lanes by supplying their element
+//! primitives; this file selects the backend and declares each dispatched
+//! kernel once (`kernels!`).
 
 pub(crate) mod scalar;
 
@@ -206,12 +208,13 @@ pub fn set_active_backend(kind: BackendKind) -> Result<(), Vec<BackendKind>> {
 // ---------------------------------------------------------------------------
 // Dispatched kernels.
 //
-// `kernels!` is the one place a kernel's signature and length preconditions
-// are written. From each declaration it generates the dispatched wrapper —
-// preconditions asserted once, then a route to the active backend — and,
-// for tests, a `forced::` twin that takes the backend (and optionally the
-// portable products, see `Route`) explicitly and skips the preconditions
-// (the vector kernels `debug_assert` them again, see `driver.rs`). The
+// `kernels!` is the one place a kernel's signature (return type included)
+// and length preconditions are written. From each declaration it generates
+// the dispatched wrapper — preconditions asserted once, then a route to the
+// active backend, whose result it returns — and, for tests, a `forced::`
+// twin that takes the backend (and optionally the portable products, see
+// `Route`) explicitly and skips the preconditions (the vector kernels
+// `debug_assert` them again, see `driver.rs`). The
 // scalar implementations in `scalar.rs` are the semantic reference; the
 // SAFETY obligation discharged at every `unsafe` call in `dispatch!` is
 // "the required target features were runtime-detected",
@@ -310,12 +313,12 @@ pub(crate) fn portable_products_only() -> bool {
 macro_rules! kernels {
     ($(
         $(#[$attr:meta])*
-        fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $pre:block
+        fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $pre:block
     )*) => {
         $(
             $(#[$attr])*
             #[inline]
-            pub(crate) fn $name($($arg: $ty),*) {
+            pub(crate) fn $name($($arg: $ty),*) $(-> $ret)? {
                 $pre
                 dispatch!($name($($arg),*); active_backend())
             }
@@ -332,7 +335,7 @@ macro_rules! kernels {
 
             $(
                 $(#[$attr])*
-                pub(crate) fn $name(route: impl Into<Route>, $($arg: $ty),*) {
+                pub(crate) fn $name(route: impl Into<Route>, $($arg: $ty),*) $(-> $ret)? {
                     let route = route.into();
                     let _portable = PortableOnly::set(route.portable);
                     dispatch!($name($($arg),*); route.kind)
@@ -470,6 +473,10 @@ kernels! {
         gather_in_range!(src, perm);
     }
 
+    /// The index of the first word of `x` at or above `bound`, if any — the
+    /// residue-range scan (`bound = q`: the first non-canonical residue).
+    fn first_at_or_above(x: &[u64], bound: u64) -> Option<usize> {}
+
     /// Forward lazy NTT pass over `a` using `table`, excluding telemetry
     /// (the caller records it and asserts `a.len() == table.n()`). Output
     /// canonical, bit-identical across backends.
@@ -498,6 +505,64 @@ mod tests {
         assert_eq!(s.last(), Some(&BackendKind::Scalar));
         // Best-first ordering: the active default is the head.
         assert!(!s.is_empty());
+    }
+
+    /// The residue-range scan on every route against a plain `position`:
+    /// every length through four vectors of the widest backend plus a
+    /// three-word tail, and two ring degrees; one violation planted at
+    /// every position, then two at once (the first must win); words at and
+    /// around the bound and at the top of the word range; bounds at both
+    /// ends of the range and on both sides of the sign bit, where AVX2's
+    /// signed compare needs its bias.
+    #[test]
+    fn first_at_or_above_matches_position_on_every_route() {
+        const WIDEST: usize = 8;
+        // 35_184_371_613_697: the largest 45-bit prime q = 1 (mod 2^14),
+        // the limb width every workload runs.
+        let bounds = [0, 1, 35_184_371_613_697, 1 << 63, (1 << 63) + 1, u64::MAX];
+        let planted = |bound: u64| [bound.wrapping_sub(1), bound, bound.wrapping_add(1), 1 << 63, u64::MAX];
+        let pairs = bounds.len() * planted(0).len();
+        let lengths = (0..=4 * WIDEST + 3).chain([1024, 8192]);
+        let routes = forced::routes();
+        let check = |x: &[u64], bound: u64| {
+            let want = x.iter().position(|&w| w >= bound);
+            for &route in &routes {
+                let got = forced::first_at_or_above(route, x, bound);
+                assert_eq!(got, want, "{route}, len {}, bound {bound:#x}", x.len());
+            }
+        };
+        for len in lengths {
+            // Short runs try every (bound, planted word) pair at every
+            // position; the ring degrees cycle through the pairs, so each
+            // position still sees one.
+            let short = len <= 4 * WIDEST + 3;
+            for (b, &bound) in bounds.iter().enumerate() {
+                // Background words below the bound, its largest one among
+                // them (none exist for bound 0, which every word meets).
+                let below = |i: usize| match bound {
+                    0 => 0,
+                    _ if i.is_multiple_of(3) => bound - 1,
+                    _ => (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) % bound,
+                };
+                let clean: Vec<u64> = (0..len).map(below).collect();
+                check(&clean, bound);
+                for (k, &word) in planted(bound).iter().enumerate() {
+                    for p in 0..len {
+                        if !short && (p + b * planted(0).len() + k) % pairs != 0 {
+                            continue;
+                        }
+                        let mut x = clean.clone();
+                        x[p] = word;
+                        check(&x, bound);
+                        let second = p + 1 + (len - p) / 2;
+                        if second < len {
+                            x[second] = bound;
+                            check(&x, bound);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -219,26 +219,15 @@ impl BigUint {
     }
 
     /// Reconstructs the unique `x in [0, prod(moduli))` with
-    /// `x ≡ residues[i] (mod moduli[i])` via the CRT.
+    /// `x ≡ residues[i] (mod moduli[i])` via the CRT. For more than one
+    /// value over the same moduli, build their [`CrtBasis`] once.
     ///
     /// # Panics
     ///
     /// Panics if lengths differ or the moduli are not pairwise coprime
     /// primes (the inverse computation would fail).
     pub fn crt_combine(residues: &[u64], moduli: &[u64]) -> BigUint {
-        assert_eq!(residues.len(), moduli.len());
-        let q = BigUint::product(moduli);
-        let mut acc = BigUint::zero();
-        for (&r, &qi) in residues.iter().zip(moduli) {
-            let (qi_hat, rem) = q.div_rem_u64(qi); // Q / qi
-            debug_assert_eq!(rem, 0);
-            let m = crate::Modulus::new(qi).expect("modulus in range");
-            let qi_hat_mod = qi_hat.rem_u64(qi);
-            let inv = m.inv(qi_hat_mod);
-            let coeff = m.mul(r % qi, inv);
-            acc.add_assign(&qi_hat.mul_u64(coeff));
-        }
-        acc.rem_big(&q)
+        CrtBasis::new(moduli).combine(residues)
     }
 
     /// Interprets `self` (a residue mod `q`) as a centered value and returns
@@ -253,6 +242,70 @@ impl BigUint {
         } else {
             (false, self.clone())
         }
+    }
+}
+
+/// The CRT constants of one basis of word-sized primes `q_i`: their product
+/// `Q`, and per prime `Q / q_i` and `(Q / q_i)^{-1} mod q_i`. They depend
+/// only on the basis, so a decoder builds them once and
+/// [`combine`](CrtBasis::combine) does only the per-value work.
+///
+/// # Example
+///
+/// ```
+/// use cl_math::{BigUint, CrtBasis};
+/// let basis = CrtBasis::new(&[268369921, 268361729]);
+/// let x = basis.combine(&[123, 456]);
+/// assert_eq!(x, BigUint::crt_combine(&[123, 456], &[268369921, 268361729]));
+/// assert!(x < *basis.product());
+/// ```
+#[derive(Debug, Clone)]
+pub struct CrtBasis {
+    q: BigUint,
+    /// Per prime: its `Modulus`, `Q / q_i` and `(Q / q_i)^{-1} mod q_i`.
+    terms: Vec<(crate::Modulus, BigUint, u64)>,
+}
+
+impl CrtBasis {
+    /// Precomputes the constants of `moduli`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the moduli are pairwise coprime primes in
+    /// [`Modulus`](crate::Modulus)'s range (the inverses would not exist).
+    pub fn new(moduli: &[u64]) -> Self {
+        let q = BigUint::product(moduli);
+        let terms = moduli
+            .iter()
+            .map(|&qi| {
+                let (qi_hat, rem) = q.div_rem_u64(qi); // Q / qi
+                debug_assert_eq!(rem, 0);
+                let m = crate::Modulus::new(qi).expect("modulus in range");
+                let inv = m.inv(qi_hat.rem_u64(qi));
+                (m, qi_hat, inv)
+            })
+            .collect();
+        CrtBasis { q, terms }
+    }
+
+    /// The product `Q` of the basis.
+    pub fn product(&self) -> &BigUint {
+        &self.q
+    }
+
+    /// The unique `x in [0, Q)` with `x ≡ residues[i] (mod q_i)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one residue per prime.
+    pub fn combine(&self, residues: &[u64]) -> BigUint {
+        assert_eq!(residues.len(), self.terms.len());
+        let mut acc = BigUint::zero();
+        for (&r, (m, qi_hat, inv)) in residues.iter().zip(&self.terms) {
+            let coeff = m.mul(r % m.value(), *inv);
+            acc.add_assign(&qi_hat.mul_u64(coeff));
+        }
+        acc.rem_big(&self.q)
     }
 }
 
@@ -344,6 +397,38 @@ mod tests {
             let (q, r) = a.div_rem_u64(m);
             prop_assert_eq!(r, 0);
             prop_assert_eq!(q, BigUint::from_u64(v));
+        }
+
+        /// `CrtBasis::combine` against Garner's incremental CRT, written
+        /// independently below: over 2–8 distinct primes of one width in
+        /// 28–59 bits, the unique `x < Q` with every residue.
+        #[test]
+        fn crt_basis_matches_garner(
+            bits in 28u32..60,
+            count in 2usize..9,
+            seed in any::<u64>(),
+        ) {
+            let moduli = crate::generate_ntt_primes(16, bits, count).expect("enough primes of each width");
+            let residues: Vec<u64> = moduli
+                .iter()
+                .enumerate()
+                .map(|(i, &q)| seed.rotate_left(7 * i as u32).wrapping_mul(0x9e37_79b9_7f4a_7c15) % q)
+                .collect();
+            // Garner: x stays the CRT lift over the primes so far, and each
+            // step adds the multiple t * M of their product M that also
+            // fixes the next residue.
+            let mut x = BigUint::zero();
+            let mut m_big = BigUint::from_u64(1);
+            for (&r, &q) in residues.iter().zip(&moduli) {
+                let m = crate::Modulus::new(q).expect("prime in range");
+                let t = m.mul(m.sub(r, x.rem_u64(q)), m.inv(m_big.rem_u64(q)));
+                x.add_assign(&m_big.mul_u64(t));
+                m_big = m_big.mul_u64(q);
+            }
+            let basis = CrtBasis::new(&moduli);
+            prop_assert_eq!(basis.product(), &m_big);
+            prop_assert_eq!(basis.combine(&residues), x.clone());
+            prop_assert_eq!(BigUint::crt_combine(&residues, &moduli), x);
         }
 
         #[test]

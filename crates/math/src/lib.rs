@@ -48,7 +48,7 @@ pub use automorphism::{
     AutomorphismTable,
 };
 pub use backend::{active_backend, cpu_features, set_active_backend, supported_backends, BackendKind};
-pub use bigint::BigUint;
+pub use bigint::{BigUint, CrtBasis};
 pub use cfft::{Complex, SpecialFft};
 pub use modulus::Modulus;
 pub use ntt::NttTable;

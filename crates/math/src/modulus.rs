@@ -368,6 +368,14 @@ impl Modulus {
         crate::backend::reduce_raw_slice(self, a);
     }
 
+    /// The index of the first word of `x` that is not a canonical residue
+    /// (`x[i] >= q`), or `None` if every word is below `q` — the residue
+    /// range check, one lane-parallel pass over `x`.
+    #[inline]
+    pub fn first_unreduced(&self, x: &[u64]) -> Option<usize> {
+        crate::backend::first_at_or_above(x, self.q)
+    }
+
     /// `acc[i] = (acc[i] + src[perm[i]] * b[i]) mod q` for `perm` the
     /// permutation of `table` — fused gather + multiply-accumulate, the
     /// automorphism hot path. All values canonical.

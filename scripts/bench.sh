@@ -2,9 +2,9 @@
 # Kernel benchmark driver.
 #
 # Runs the bench_kernels binary (NTT, RNS mul, base conversion, keyswitch,
-# hint integrity digest, rotate, hoisted rotation, rescale, BSGS linear
-# transform, one bootstrap step, key-residency tiers eager/compact/hot with
-# warm hint-cache variants)
+# hint integrity digest, ciphertext residue scan, rotate, hoisted rotation,
+# rescale, BSGS linear transform, one bootstrap step, key-residency tiers
+# eager/compact/hot with warm hint-cache variants)
 # at CL_THREADS=1 and CL_THREADS=4 and merges both runs into
 # benchmarks/BENCH_kernels.json.
 #
