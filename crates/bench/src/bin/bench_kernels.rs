@@ -6,8 +6,10 @@
 //! EvalMod square+rescale) — and writes ns/op as JSON so `scripts/bench.sh`
 //! can track the serial-vs-parallel trajectory across commits. Both transforms are also
 //! reported as a roofline rate: radix-2 butterflies per ns,
-//! `(n/2) * log2(n) * limbs` over the timed call, and the Strict residue
-//! scan (`ct_validate`) as GB/s over the ciphertext it reads.
+//! `(n/2) * log2(n) * limbs` over the timed call, the Strict residue
+//! scan (`ct_validate`) as GB/s over the ciphertext it reads, and base
+//! conversion at the N = 1K shapes as eight-word multiply-accumulate
+//! vectors per ns.
 //!
 //! Usage:
 //!   bench_kernels [--smoke] [--label NAME] [--out PATH]
@@ -21,7 +23,7 @@ use std::time::Instant;
 use cl_boot::{try_bsgs_transform, BootstrapKeys, PrecomputedTransform};
 use cl_ckks::{Ciphertext, CkksContext, CkksParams, HintCache, KeySwitchKey, KeySwitchKind};
 use cl_math::Complex;
-use cl_rns::{BaseConverter, RnsContext};
+use cl_rns::{BaseConverter, Basis, RnsContext};
 use rand::SeedableRng;
 
 struct Config {
@@ -101,6 +103,7 @@ fn main() {
     );
 
     let mut results: Vec<(&'static str, f64)> = Vec::new();
+    let mut crb_rates: Vec<(&'static str, f64)> = Vec::new();
 
     // --- RNS-level kernels -------------------------------------------------
     {
@@ -164,6 +167,42 @@ fn main() {
                 std::hint::black_box(conv.convert(&ctx, &coeff));
             }),
         ));
+        results.push((
+            "base_conv_exact",
+            time_ns(cfg.smoke, || {
+                std::hint::black_box(conv.convert_exact(&ctx, &coeff));
+            }),
+        ));
+    }
+
+    // --- Base conversion at the boot_chain_1k shapes -----------------------
+    // N = 1K with 20 limbs each way (ModUp / ModDown of a bootstrap), and
+    // one limb to 20 (a rescale's conversion; a Standard-keyswitch ModUp
+    // digit when approximate). Smoke: tiny.
+    {
+        let (n1, l1) = if cfg.smoke { (256, 3) } else { (1 << 10, 20) };
+        let ctx = RnsContext::generate(n1, l1, l1, bits).expect("rns context");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+        let shapes = [
+            ("base_conv_1k_l_to_l", "base_conv_exact_1k_l_to_l", ctx.q_basis(l1), ctx.p_basis(l1)),
+            ("base_conv_1k_1_to_l", "base_conv_exact_1k_1_to_l", Basis(vec![ctx.p_basis(1).0[0]]), ctx.q_basis(l1)),
+        ];
+        for (approx_name, exact_name, src, dst) in shapes {
+            let conv = BaseConverter::new(&ctx, src.clone(), dst.clone());
+            let mut x = ctx.sample_uniform(&src, &mut rng);
+            x.set_ntt_form(false);
+            for (name, exact) in [(approx_name, false), (exact_name, true)] {
+                let ns = time_ns(cfg.smoke, || {
+                    std::hint::black_box(if exact { conv.convert_exact(&ctx, &x) } else { conv.convert(&ctx, &x) });
+                });
+                results.push((name, ns));
+                // Eight-word vectors of multiply-accumulates, one per
+                // (source limb, destination limb) pair and the exact path's
+                // alpha term per destination limb.
+                let macs = ((src.len() + usize::from(exact)) * dst.len() * n1) as f64 / 8.0;
+                crb_rates.push((name, macs / ns));
+            }
+        }
     }
 
     // --- CKKS-level kernels ------------------------------------------------
@@ -715,7 +754,9 @@ fn main() {
     let rates_json: Vec<String> = rates.iter().map(|(name, r)| format!("\"{name}\": {r:.4}")).collect();
     let _ = writeln!(json, "  \"butterflies_per_ns\": {{{}}},", rates_json.join(", "));
     let scans_json: Vec<String> = scans.iter().map(|(name, r)| format!("\"{name}\": {r:.3}")).collect();
-    let _ = writeln!(json, "  \"gb_per_s\": {{{}}}", scans_json.join(", "));
+    let _ = writeln!(json, "  \"gb_per_s\": {{{}}},", scans_json.join(", "));
+    let crb_json: Vec<String> = crb_rates.iter().map(|(name, r)| format!("\"{name}\": {r:.4}")).collect();
+    let _ = writeln!(json, "  \"mac_vectors_per_ns\": {{{}}}", crb_json.join(", "));
     let _ = writeln!(json, "}}");
 
     for (name, ns) in &results {
@@ -730,6 +771,9 @@ fn main() {
     }
     for (name, r) in &scans {
         println!("{name:>16}: {r:>12.3} GB/s");
+    }
+    for (name, r) in &crb_rates {
+        println!("{name:>16}: {r:>12.3} MAC vectors/ns");
     }
     if let Some(path) = &cfg.out {
         std::fs::write(path, &json).expect("write JSON output");

@@ -297,11 +297,15 @@ impl CkksContext {
                 // are copied from the original NTT-form input — the INTT→NTT
                 // roundtrip is exact, so this is bit-identical and brings
                 // the ModUp NTT count down to the paper's t·L.
-                let mut c_full = rns.zero(&target);
+                // The full-basis slab is reserved before the conversion
+                // allocates `c_ext`: in the other order the freed `c_ext`
+                // fragments the worker's arena, and `lola_mlp_8k`'s peak
+                // RSS rose by 1 %.
+                let mut coeffs = Vec::with_capacity(c.n() * target.len());
                 let conv = self.converter(&digit_basis, &ext_basis);
                 let mut c_ext = conv.convert(rns, &c_d);
                 rns.to_ntt(&mut c_ext);
-                for (pos, &limb) in target.0.iter().enumerate() {
+                for &limb in &target.0 {
                     let src = if digit_basis.0.contains(&limb) {
                         let k = qb.0.iter().position(|&l| l == limb).expect(
                             "every digit limb lies in the level-L prefix basis",
@@ -313,10 +317,12 @@ impl CkksContext {
                         );
                         c_ext.limb(k)
                     };
-                    c_full.limb_mut(pos).copy_from_slice(src);
+                    coeffs.extend_from_slice(src);
                 }
-                c_full.set_ntt_form(true);
-                Some(c_full)
+                Some(
+                    RnsPoly::from_raw_parts(c.n(), target.clone(), coeffs, true)
+                        .expect("one limb of the ring degree per target-basis entry"),
+                )
             })
             .collect();
         Ok(HoistedDecomposition {

@@ -2,8 +2,9 @@
 //! instruction.
 //!
 //! Every slice kernel, NTT butterfly, vector-wide NTT pass and stage
-//! schedule comes from [`simd_driver!`](super::driver); this file holds only
-//! what is particular to 256-bit AVX2. The ISA has no 64-bit unsigned
+//! schedule, and the base conversion, comes from
+//! [`simd_driver!`](super::driver); this file holds only what is particular
+//! to 256-bit AVX2. The ISA has no 64-bit unsigned
 //! compare, no 64-bit full multiply and no cross-lane two-source permute,
 //! so the element helpers build everything from `vpmuludq` 32×32→64
 //! partial products and sign-flipped signed compares, and the sub-vector
@@ -192,6 +193,46 @@ fn barrett_mul_acc(c: Barrett, s: __m256i, a: __m256i, b: __m256i) -> __m256i {
 #[target_feature(enable = "avx2")]
 fn barrett_shoup_lazy(c: Barrett, a: __m256i, w: __m256i, ws: __m256i) -> __m256i {
     _mm256_sub_epi64(mullo64(a, w), mullo64(mulhi64(a, ws), c.r.q))
+}
+
+/// `y as f64` per lane, rounded exactly as the scalar conversion rounds
+/// (AVX2 has no 64-bit integer conversion): the halves become the exact
+/// doubles `2^84 + hi * 2^32` and `2^52 + lo`; subtracting `2^84 + 2^52`
+/// from the first is exact, so the closing add rounds `y` once.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn u64_to_f64(y: __m256i) -> __m256d {
+    let hi = _mm256_or_si256(_mm256_srli_epi64::<32>(y), splat(0x4530_0000_0000_0000));
+    let lo = _mm256_blend_epi32::<0b1010_1010>(y, splat(0x4330_0000_0000_0000));
+    let hi = _mm256_sub_pd(
+        _mm256_castsi256_pd(hi),
+        _mm256_set1_pd(f64::from_bits(0x4530_0000_0010_0000)),
+    );
+    _mm256_add_pd(hi, _mm256_castsi256_pd(lo))
+}
+
+/// The exact base conversion's `alpha = floor(Σ_i y_i * inv_q[i] + 1/2)`
+/// per lane, for `B` vectors of coefficients (`ys[i]` holds `y_i`):
+/// [`u64_to_f64`], then separately rounded multiplies and adds in source
+/// order from `0.0` — the scalar loop's arithmetic, so bit-identical to
+/// it. `alpha` is at most the source limb count, so the 32-bit truncating
+/// conversion is exact.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn hps_alpha<const B: usize>(ys: &[[__m256i; B]], inv_q: &[f64]) -> [__m256i; B] {
+    let mut v = [_mm256_setzero_pd(); B];
+    for (y, &inv) in ys.iter().zip(inv_q) {
+        let inv = _mm256_set1_pd(inv);
+        for (v, &y) in v.iter_mut().zip(y) {
+            *v = _mm256_add_pd(*v, _mm256_mul_pd(u64_to_f64(y), inv));
+        }
+    }
+    // The sums are non-negative, so truncating is the floor.
+    let mut alpha = [splat(0); B];
+    for (a, v) in alpha.iter_mut().zip(v) {
+        *a = _mm256_cvtepi32_epi64(_mm256_cvttpd_epi32(_mm256_add_pd(v, _mm256_set1_pd(0.5))));
+    }
+    alpha
 }
 
 /// # Safety

@@ -2,18 +2,22 @@
 //! instruction.
 //!
 //! Every slice kernel, NTT butterfly, vector-wide NTT pass and stage
-//! schedule comes from [`simd_driver!`](super::driver); this file holds only
-//! what is particular to 512-bit AVX-512 (`avx512f + avx512dq + avx512vl`):
-//! unsigned-min conditional subtracts, `vpmullq`, the `permutex2var` lane
-//! shuffles of the three sub-vector NTT strides (4, 2, 1), and two products.
+//! schedule, and the base conversion, comes from
+//! [`simd_driver!`](super::driver); this file holds only what is particular
+//! to 512-bit AVX-512 (`avx512f + avx512dq + avx512vl`): unsigned-min
+//! conditional subtracts, `vpmullq`, the `permutex2var` lane shuffles of
+//! the three sub-vector NTT strides (4, 2, 1), the `f64` conversions of the
+//! base conversion's `alpha`, and two products.
 //!
-//! Which product runs is decided per call from the modulus and the CPU:
+//! Which product runs is decided per call from the moduli and the CPU:
 //!
 //! - `q < 2^50` on a CPU with `avx512ifma`: every multiply — the NTT
-//!   butterflies, the Barrett slice products and the Shoup slice products —
-//!   runs on the 52-bit `vpmadd52{lo,hi}uq` multipliers (the Shoup slice
-//!   products only when the kernel's operand bound is below `2^52`, which
-//!   the callers state; the butterflies' bound is `4q`).
+//!   butterflies, the Barrett slice products, the Shoup slice product and
+//!   the base conversion — runs on the 52-bit `vpmadd52{lo,hi}uq`
+//!   multipliers (the Shoup products only when the kernel's operand bound
+//!   is below `2^52`; the butterflies' bound is `4q`). Its base conversion
+//!   sums 52-bit halves without reducing ([`ifma_crb_mac`]) while the high
+//!   half provably stays below `2^52` ([`ifma_crb_fits`]).
 //! - `q >= 2^50`, or no `avx512ifma`: the 64-bit products, each high word
 //!   built from four `vpmuludq` partials.
 //!
@@ -25,9 +29,9 @@
 //! Bit-exactness: the 64-bit products run the exact scalar algorithms
 //! lane-parallel, so even lazy intermediates match the scalar backend. The
 //! 52-bit products use a different radix (`2^52` instead of `2^64`), so a
-//! lazy result — an NTT intermediate, or the `[0, 2q)` accumulator of
-//! `mul_shoup_lazy_acc_slice` — may be a different representative, but it
-//! keeps the same `[0, 4q)` / `[0, 2q)` bound and congruence, and the final
+//! lazy result — an NTT intermediate, or a base conversion's `[0, 2q)`
+//! Shoup-lazy sum — may be a different representative, but it keeps the
+//! same `[0, 4q)` / `[0, 2q)` bound and congruence, and the final
 //! corrections land canonical outputs — which are unique mod q — on the
 //! same words.
 
@@ -53,6 +57,9 @@ simd_driver! {
             mul_acc: barrett_ifma_mul_acc,
             shoup_bits: 52,
             shoup_lazy: ifma_shoup_lazy,
+            crb_fits: ifma_crb_fits,
+            crb_mac: ifma_crb_mac,
+            crb_reduce: ifma_crb_reduce,
         },
         {
             feature: "avx512f,avx512dq,avx512vl",
@@ -300,6 +307,74 @@ fn ifma_shoup_lazy(c: BarrettIfma, a: __m512i, w: __m512i, ws52: __m512i) -> __m
     // The true value fits 52 bits, so the wrapped difference masked to the
     // radix is exact.
     _mm512_and_si512(_mm512_sub_epi64(t, u), c.mask52)
+}
+
+/// Whether the IFMA CRB sums stay exact: `terms` low halves below `2^52`
+/// each fit a 64-bit lane, and a total below `bound < 2^104` keeps its
+/// high half — the Shoup operand of [`ifma_crb_reduce`] — below `2^52`.
+/// With 50-bit moduli that allows about 15 source limbs.
+#[inline]
+fn ifma_crb_fits(bound: u128, terms: usize) -> bool {
+    bound >> 104 == 0 && terms < 1 << 12
+}
+
+/// Adds the 52-bit low and high halves of `y * w` to the two sums: two
+/// instructions per term and no reduction. `y`, `w` below `2^52`.
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
+fn ifma_crb_mac(_c: Consts, acc: (__m512i, __m512i), y: __m512i, w: __m512i, _ws: __m512i) -> (__m512i, __m512i) {
+    (_mm512_madd52lo_epu64(acc.0, y, w), _mm512_madd52hi_epu64(acc.1, y, w))
+}
+
+/// The canonical residue mod `b` of an [`ifma_crb_mac`] sum
+/// `V = acc.1 * 2^52 + acc.0`, reduced once: after carrying the low sum's
+/// overflow, `V = hi * 2^52 + lo` with both halves below `2^52`
+/// ([`ifma_crb_fits`]), so `hi * (2^52 mod b)` by a radix-`2^52` Shoup
+/// product (`fold`) and `lo * 1` by another (`one_sh`, the companion of 1)
+/// each land in `[0, 2b)`, and two conditional subtracts canonicalize
+/// their sum.
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
+fn ifma_crb_reduce(c: Consts, acc: (__m512i, __m512i), fold: Tw, one_sh: __m512i) -> __m512i {
+    let z = _mm512_setzero_si512();
+    let mask52 = splat((1u64 << 52) - 1);
+    let hi = _mm512_add_epi64(acc.1, _mm512_srli_epi64::<52>(acc.0));
+    let lo = _mm512_and_si512(acc.0, mask52);
+    // hi * 2^52 mod b: the true value is below 2b < 2^52, so the masked
+    // low-52 difference is exact (as in ifma_shoup_lazy).
+    let qh = _mm512_madd52hi_epu64(z, hi, fold.sh);
+    let h = _mm512_and_si512(
+        _mm512_sub_epi64(_mm512_madd52lo_epu64(z, hi, fold.w), _mm512_madd52lo_epu64(z, qh, c.q)),
+        mask52,
+    );
+    // lo mod b: the quotient estimate never overshoots, so ql * b <= lo
+    // and the plain difference is exact.
+    let ql = _mm512_madd52hi_epu64(z, lo, one_sh);
+    let l = _mm512_sub_epi64(lo, _mm512_madd52lo_epu64(z, ql, c.q));
+    cond_sub(cond_sub(_mm512_add_epi64(h, l), c.two_q), c.q)
+}
+
+/// The exact base conversion's `alpha = floor(Σ_i y_i * inv_q[i] + 1/2)`
+/// per lane, for `B` vectors of coefficients (`ys[i]` holds `y_i`): each
+/// `y_i` converted to `f64` as `as f64` rounds it, multiplied and added
+/// as separately rounded operations in source order from `0.0` — the
+/// scalar loop's arithmetic, so bit-identical to it.
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn hps_alpha<const B: usize>(ys: &[[__m512i; B]], inv_q: &[f64]) -> [__m512i; B] {
+    let mut v = [_mm512_setzero_pd(); B];
+    for (y, &inv) in ys.iter().zip(inv_q) {
+        let inv = _mm512_set1_pd(inv);
+        for (v, &y) in v.iter_mut().zip(y) {
+            *v = _mm512_add_pd(*v, _mm512_mul_pd(_mm512_cvtepu64_pd(y), inv));
+        }
+    }
+    // The sums are non-negative, so truncating is the floor.
+    let mut alpha = [splat(0); B];
+    for (a, v) in alpha.iter_mut().zip(v) {
+        *a = _mm512_cvttpd_epu64(_mm512_add_pd(v, _mm512_set1_pd(0.5)));
+    }
+    alpha
 }
 
 /// # Safety

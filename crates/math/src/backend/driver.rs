@@ -3,12 +3,13 @@
 //! CraterLake replicates one vector datapath across its lanes; this file is
 //! the software counterpart: every slice kernel, the residue-range scan,
 //! every vector-wide NTT pass and the greedy stage schedules of both
-//! transforms are written once, in terms of a vector type, a lane count and
-//! a short list of element primitives, and [`simd_driver!`] stamps that
-//! source into an ISA module (`avx2.rs`: 4 lanes, `avx512.rs`: 8 lanes).
-//! That is sixteen kernels: seven that multiply nothing (add, sub, neg,
-//! raw and lazy reduction, the gather and the scan), compiled with the
-//! module's own feature set, and the nine product kernels below.
+//! transforms, and the base conversion are written once, in terms of a
+//! vector type, a lane count and a short list of element primitives, and
+//! [`simd_driver!`] stamps that source into an ISA module (`avx2.rs`: 4
+//! lanes, `avx512.rs`: 8 lanes). That is fourteen kernels: six that
+//! multiply nothing (add, sub, neg, raw reduction, the gather and the
+//! scan), compiled with the module's own feature set, and the eight
+//! product kernels below.
 //!
 //! It is a `macro_rules!` stamp rather than a trait-generic driver because
 //! every function that touches an intrinsic must itself carry
@@ -35,25 +36,39 @@
 //! | `SmallIdx` (`Copy`), `small_idx(t)` | the lane shuffles of sub-vector NTT stride `t < LANES` |
 //! | `sub_split(v0, v1, idx, w, sh, bits, k0)` | a `2 * LANES` run as its all-`x` and all-`y` vectors, plus their [`Tw`] twiddles from entry `k0`, companions in radix `2^bits` |
 //! | `sub_knit(x, y, idx)` | the inverse shuffle of `sub_split` |
+//! | `hps_alpha(ys, inv_q) -> [V; B]` | the exact base conversion's `floor(Σ_i y_i inv_q[i] + 1/2)` per lane for `B` vectors, in the scalar loop's `f64` operation order |
 //!
 //! A *product* is `{ feature, when, consts, mul, mul_acc, shoup_bits,
-//! shoup_lazy }`, usable for moduli where `when(&Modulus)` holds on a CPU
+//! shoup_lazy }`, optionally followed by a wide sum `crb_fits, crb_mac,
+//! crb_reduce`, usable for moduli where `when(&Modulus)` holds on a CPU
 //! with `feature`: `mul(c, x, y)` is the canonical `x * y mod q` and
 //! `mul_acc(c, s, x, y)` the canonical `s + x * y mod q` for canonical
 //! lanes; `shoup_lazy(c, x, w, ws)` is a lazy Shoup product in `[0, 2q)` in
 //! radix `2^shoup_bits` — `ws` is the scalar companion
 //! ([`Modulus::shoup_precompute`]) shifted right by `64 - shoup_bits` —
-//! for operands `x` below `2^shoup_bits`. The nine product kernels — seven
-//! slice kernels and the two transforms — try the list in order, taking the
-//! first whose `when` holds and, for the three Shoup slice kernels and the
-//! transforms (whose butterfly operands stay below `4q`), whose radix
+//! for operands `x` below `2^shoup_bits`. The wide sum is the base
+//! conversion's accumulator, `acc` a pair of vectors starting at zero:
+//!
+//! | item | contract |
+//! |---|---|
+//! | `crb_mac(c, acc, y, w, ws) -> acc` | adds `y * w` (`ws` the companion in radix `2^shoup_bits`) without reducing |
+//! | `crb_reduce(c, acc, fold, one_sh) -> V` | the canonical residue mod `q` of the sum, reduced once with the radix-`2^52` fold constants of `BaseConvTable` |
+//! | `crb_fits(bound, terms) -> bool` | whether sums of `terms` products totalling at most `bound` stay exact |
+//!
+//! The eight product kernels — five slice kernels, the two transforms and
+//! the base conversion — try the list in order, taking the first whose
+//! `when` holds and, for the Shoup slice kernel, the transforms (whose
+//! butterfly operands stay below `4q`) and the base conversion, whose radix
 //! covers the kernel's operand bound; the last entry must accept every
-//! modulus ([`any_modulus`]) and every operand (`shoup_bits: 64`). Each
-//! entry's loop is compiled with that entry's feature set — for a
-//! transform, its whole `body`: the Harvey butterflies, every pass that
-//! calls them and the fused sub-vector stages — which is how the 52-bit
-//! IFMA products get inlined into their loops without widening the feature
-//! set of the whole module. The ISA's helpers inline into any of these
+//! modulus ([`any_modulus`]) and every operand (`shoup_bits: 64`). A base
+//! conversion whose product lists no wide sum, or whose sum `crb_fits`
+//! rejects, or that has at most `CRB_LAZY_TERMS` terms, sums with
+//! `shoup_lazy` in `[0, 2q)` instead. Each entry's loop is compiled with
+//! that entry's feature set — for a transform or the base conversion, its
+//! whole `body`: the Harvey butterflies, every pass that calls them and the
+//! fused sub-vector stages, or the conversion's products, sums and
+//! reductions — which is how the 52-bit IFMA products get inlined into
+//! their loops without widening the feature set of the whole module. The ISA's helpers inline into any of these
 //! bodies, whose feature sets contain the module's. The test-only
 //! `forced::` twins can pin every call to the last entry, so the portable
 //! products stay under test on CPUs where a faster one applies.
@@ -91,7 +106,8 @@ macro_rules! simd_driver {
             mul: $mul:path,
             mul_acc: $mul_acc:path,
             shoup_bits: $sbits:literal,
-            shoup_lazy: $shoup:path $(,)?
+            shoup_lazy: $shoup:path
+            $(, crb_fits: $crb_fits:path, crb_mac: $crb_mac:path, crb_reduce: $crb_reduce:path)? $(,)?
         }),+ $(,)?] $(,)?
     ) => {
         const LANES: usize = $lanes;
@@ -284,20 +300,6 @@ macro_rules! simd_driver {
         }
 
         #[target_feature(enable = $tf)]
-        pub(crate) fn correct_lazy_slice(m: &Modulus, a: &mut [u64]) {
-            let c = consts(m);
-            let n = a.len() - a.len() % LANES;
-            for i in (0..n).step_by(LANES) {
-                // SAFETY: i + LANES <= n <= a.len().
-                unsafe {
-                    let r = csub_q(c, csub_2q(c, ld(a, i)));
-                    st(a, i, r);
-                }
-            }
-            scalar::correct_lazy_slice(m, &mut a[n..]);
-        }
-
-        #[target_feature(enable = $tf)]
         pub(crate) fn gather_slice(out: &mut [u64], src: &[u64], perm: &[u32]) {
             debug_assert_eq!(out.len(), perm.len());
             let n = out.len() - out.len() % LANES;
@@ -335,8 +337,8 @@ macro_rules! simd_driver {
             scalar::first_at_or_above(&x[n..], bound).map(|j| n + j)
         }
 
-        // The seven product slice kernels (the transforms below are the
-        // other two). Each tries the ISA's products in order (`chosen`,
+        // The five product slice kernels (the transforms and the base
+        // conversion below are the other three). Each tries the ISA's products in order (`chosen`,
         // counting `rank` down to the last entry) and runs its one loop
         // compiled with the chosen product's feature set. `body` is an
         // `unsafe fn` whose one requirement is that the CPU has that feature
@@ -499,76 +501,9 @@ macro_rules! simd_driver {
             unreachable!("the last product accepts every modulus");
         }
 
-        /// `acc` in `[0, 2q)`, every `x` below `x_bound`; `acc` stays in
-        /// `[0, 2q)`.
-        #[target_feature(enable = $tf)]
-        pub(crate) fn mul_shoup_lazy_acc_slice(
-            m: &Modulus,
-            acc: &mut [u64],
-            x: &[u64],
-            x_bound: u64,
-            w: u64,
-            w_shoup: u64,
-        ) {
-            debug_assert_eq!(acc.len(), x.len());
-            let mut rank = PRODUCTS;
-            $(rank -= 1; if chosen(rank, $when(m) && shoup_covers($sbits, x_bound)) {
-                #[target_feature(enable = $ptf)]
-                unsafe fn body(m: &Modulus, acc: &mut [u64], x: &[u64], x_bound: u64, w: u64, w_shoup: u64) {
-                    let (c, pc) = (consts(m), $pconsts(m));
-                    let (wv, wsv) = (splat(w), splat(shoup_in_radix($sbits, w_shoup)));
-                    let n = acc.len() - acc.len() % LANES;
-                    for i in (0..n).step_by(LANES) {
-                        // SAFETY: i + LANES <= n <= acc.len() == x.len().
-                        unsafe {
-                            let v = $shoup(pc, ld_below(x, i, x_bound), wv, wsv);
-                            // acc, v both < 2q: sum < 4q, one conditional
-                            // subtract restores [0, 2q).
-                            let r = csub_2q(c, $add(ld_below(acc, i, m.two_q()), v));
-                            st(acc, i, r);
-                        }
-                    }
-                    scalar::mul_shoup_lazy_acc_slice(m, &mut acc[n..], &x[n..], x_bound, w, w_shoup);
-                }
-                // SAFETY: as mul_mod_slice.
-                return unsafe { body(m, acc, x, x_bound, w, w_shoup) };
-            })+
-            unreachable!("the last product accepts every modulus");
-        }
-
-        /// `out` in `[0, 2q)`, `alpha` below `4q`; canonical output.
-        #[target_feature(enable = $tf)]
-        pub(crate) fn mul_shoup_sub_correct_slice(m: &Modulus, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64) {
-            debug_assert_eq!(out.len(), alpha.len());
-            let bound = 4 * m.value();
-            let mut rank = PRODUCTS;
-            $(rank -= 1; if chosen(rank, $when(m) && shoup_covers($sbits, bound)) {
-                #[target_feature(enable = $ptf)]
-                unsafe fn body(m: &Modulus, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64, bound: u64) {
-                    let (c, pc) = (consts(m), $pconsts(m));
-                    let (wv, wsv) = (splat(w), splat(shoup_in_radix($sbits, w_shoup)));
-                    let n = out.len() - out.len() % LANES;
-                    for i in (0..n).step_by(LANES) {
-                        // SAFETY: i + LANES <= n <= out.len() == alpha.len().
-                        unsafe {
-                            let v = $shoup(pc, ld_below(alpha, i, bound), wv, wsv);
-                            // o < 2q and v < 2q: o + 2q - v in (0, 4q); two
-                            // conditional subtracts canonicalize (correct_lazy).
-                            let r = $sub($add(ld_below(out, i, m.two_q()), c.two_q), v);
-                            st(out, i, csub_q(c, csub_2q(c, r)));
-                        }
-                    }
-                    scalar::mul_shoup_sub_correct_slice(m, &mut out[n..], &alpha[n..], w, w_shoup);
-                }
-                // SAFETY: as mul_mod_slice.
-                return unsafe { body(m, out, alpha, w, w_shoup, bound) };
-            })+
-            unreachable!("the last product accepts every modulus");
-        }
-
         // -------------------------------------------------------------------
-        // NTT: the eighth and ninth product kernels. Each transform picks
-        // its product like the Shoup slice kernels (butterfly operands stay
+        // NTT: the sixth and seventh product kernels. Each transform picks
+        // its product like the Shoup slice kernel (butterfly operands stay
         // below 4q) and runs one `body` compiled with that product's feature
         // set. The Harvey butterflies are closures over the product's
         // `$shoup`, and every pass that calls them is stamped inside the
@@ -1121,6 +1056,172 @@ macro_rules! simd_driver {
                 }
                 // SAFETY: as mul_mod_slice.
                 return unsafe { body(table, a) };
+            })+
+            unreachable!("the last product accepts every modulus");
+        }
+
+        // -------------------------------------------------------------------
+        // Base conversion: the eighth product kernel, the software CRB.
+        // -------------------------------------------------------------------
+
+        /// Vectors of coefficients one CRB block holds per source limb: the
+        /// accumulator chains in flight per destination limb.
+        const CRB_VECS: usize = 4;
+
+        /// The first `len` elements of `buf`.
+        ///
+        /// # Safety
+        ///
+        /// The caller initialized them, and `len <= N`.
+        #[inline(always)]
+        unsafe fn init_prefix<T, const N: usize>(buf: &[::core::mem::MaybeUninit<T>; N], len: usize) -> &[T] {
+            debug_assert!(len <= N);
+            // SAFETY: MaybeUninit<T> has T's layout, and the caller
+            // initialized the first len <= N elements.
+            unsafe { ::core::slice::from_raw_parts(buf.as_ptr().cast(), len) }
+        }
+
+        /// Stores `v` to `s[i..i + LANES]`, initializing those words.
+        ///
+        /// # Safety
+        ///
+        /// `i + LANES <= s.len()`.
+        #[inline]
+        #[target_feature(enable = $tf)]
+        unsafe fn st_uninit(s: &mut [::core::mem::MaybeUninit<u64>], i: usize, v: $V) {
+            debug_assert!(i + LANES <= s.len(), "vector store past the slice");
+            // SAFETY: the caller guarantees LANES words from i are in bounds.
+            unsafe { $store(s.as_mut_ptr().add(i).cast(), v) }
+        }
+
+        /// Fast RNS base conversion in one pass, a block of
+        /// `CRB_VECS * LANES` coefficients at a time: every source limb's
+        /// `y_i = [x_i (Q/q_i)^{-1}]_{q_i}` into an L1 tile (each input word
+        /// read once), the exact path's `alpha` lane-parallel in `f64`
+        /// ([`hps_alpha`], the scalar loop's operation order), then per
+        /// destination limb `b_j` the sum `Σ_i y_i [Q/q_i]_{b_j}` — plus
+        /// `alpha [−Q]_{b_j}` as one more term — accumulated in registers
+        /// and reduced and stored once, canonical.
+        ///
+        /// A product that lists a wide sum (`crb_mac` / `crb_reduce`) uses
+        /// it when `crb_fits` accepts the table's sum bound and there are
+        /// more than [`super::CRB_LAZY_TERMS`] terms; otherwise, and for the
+        /// products that list none, the sum is the product's Shoup-lazy one
+        /// in `[0, 2b)`. The product must apply to every source and
+        /// destination modulus, and its Shoup radix must cover the `y`
+        /// pass's canonical operands.
+        #[target_feature(enable = $tf)]
+        pub(crate) fn base_conv(
+            t: &crate::BaseConvTable,
+            x: &[u64],
+            out: &mut [::core::mem::MaybeUninit<u64>],
+            exact: bool,
+        ) {
+            let mut rank = PRODUCTS;
+            $(rank -= 1;
+            let mut applies = true;
+            for m in t.src().iter().chain(t.dst()) {
+                applies &= $when(m);
+            }
+            for m in t.src() {
+                applies &= shoup_covers($sbits, m.value());
+            }
+            if chosen(rank, applies) {
+                #[target_feature(enable = $ptf)]
+                unsafe fn body(
+                    t: &crate::BaseConvTable,
+                    x: &[u64],
+                    out: &mut [::core::mem::MaybeUninit<u64>],
+                    exact: bool,
+                ) {
+                    const BLOCK: usize = CRB_VECS * LANES;
+                    let (src, dst) = (t.src(), t.dst());
+                    let ls = src.len();
+                    let n = x.len() / ls;
+                    debug_assert!(x.len() == ls * n && out.len() == dst.len() * n);
+                    if n == 0 {
+                        return;
+                    }
+                    let terms = ls + usize::from(exact);
+                    let wide = false $(|| terms > super::CRB_LAZY_TERMS && $crb_fits(t.sum_bound(), terms))?;
+                    // The per-limb constants and the tile live on the stack:
+                    // heap temporaries in every call fragmented the
+                    // allocator's per-thread arenas (peak RSS rose by 1 %).
+                    // Per source limb: reduction constants, the y multiplier
+                    // and its companion in the product's radix, the limb.
+                    let (yw, yws) = t.y_consts();
+                    let mut ys = [const { ::core::mem::MaybeUninit::uninit() }; super::CRB_MAX_LIMBS];
+                    for (i, (slot, m)) in ys.iter_mut().zip(src).enumerate() {
+                        let (w, ws) = (splat(yw[i]), splat(shoup_in_radix($sbits, yws[i])));
+                        slot.write((consts(m), $pconsts(m), w, ws, &x[i * n..(i + 1) * n], m.value()));
+                    }
+                    // SAFETY: the loop initialized the first ls slots.
+                    let ys = unsafe { init_prefix(&ys, ls) };
+                    // The Shoup-lazy sum's per-destination constants.
+                    let mut lazy = [const { ::core::mem::MaybeUninit::uninit() }; super::CRB_MAX_LIMBS];
+                    let lazy_len = if wide { 0 } else { dst.len() };
+                    for (slot, m) in lazy.iter_mut().zip(&dst[..lazy_len]) {
+                        slot.write($pconsts(m));
+                    }
+                    // SAFETY: the loop initialized the first lazy_len slots.
+                    let lazy = unsafe { init_prefix(&lazy, lazy_len) };
+                    // One block's y_0..y_{L-1} and alpha, term-major.
+                    let mut tile = [[splat(0); CRB_VECS]; super::CRB_MAX_LIMBS + 1];
+                    let nb = n - n % BLOCK;
+                    for b in (0..nb).step_by(BLOCK) {
+                        for (row, &(c, pc, w, ws, xi, q)) in tile.iter_mut().zip(ys) {
+                            for (v, y) in row.iter_mut().enumerate() {
+                                // SAFETY: b + BLOCK <= nb <= n == xi.len().
+                                let xv = unsafe { ld_below(xi, b + v * LANES, q) };
+                                *y = csub_q(c, $shoup(pc, xv, w, ws));
+                            }
+                        }
+                        if exact {
+                            let alpha = hps_alpha(&tile[..ls], t.inv_q_f64());
+                            tile[ls] = alpha;
+                        }
+                        for (j, (bj, oj)) in dst.iter().zip(out.chunks_exact_mut(n)).enumerate() {
+                            let c = consts(bj);
+                            let (row, row_s) = t.row(j);
+                            let mut sum = [splat(0); CRB_VECS];
+                            if wide {
+                                $(let mut acc = [(splat(0), splat(0)); CRB_VECS];
+                                for ((yv, &w), &ws) in tile[..terms].iter().zip(row).zip(row_s) {
+                                    let (w, ws) = (splat(w), splat(shoup_in_radix($sbits, ws)));
+                                    for (a, &y) in acc.iter_mut().zip(yv) {
+                                        *a = $crb_mac(c, *a, y, w, ws);
+                                    }
+                                }
+                                let f = t.fold(j);
+                                let fold = Tw { w: splat(f.r52), sh: splat(shoup_in_radix($sbits, f.r52_shoup)) };
+                                let one_sh = splat(shoup_in_radix($sbits, f.one_shoup));
+                                for (s, a) in sum.iter_mut().zip(acc) {
+                                    *s = $crb_reduce(c, a, fold, one_sh);
+                                })?
+                            } else {
+                                let pc = lazy[j];
+                                for ((yv, &w), &ws) in tile[..terms].iter().zip(row).zip(row_s) {
+                                    let (w, ws) = (splat(w), splat(shoup_in_radix($sbits, ws)));
+                                    for (s, &y) in sum.iter_mut().zip(yv) {
+                                        // Both below 2b: one conditional
+                                        // subtract keeps [0, 2b).
+                                        *s = csub_2q(c, $add(*s, $shoup(pc, y, w, ws)));
+                                    }
+                                }
+                                for s in &mut sum {
+                                    *s = csub_q(c, *s);
+                                }
+                            }
+                            for (v, &s) in sum.iter().enumerate() {
+                                // SAFETY: b + BLOCK <= nb <= n == oj.len().
+                                unsafe { st_uninit(oj, b + v * LANES, s) };
+                            }
+                        }
+                    }
+                    scalar::base_conv_cols(t, x, out, exact, nb..n);
+                }
+                // SAFETY: as mul_mod_slice.
+                return unsafe { body(t, x, out, exact) };
             })+
             unreachable!("the last product accepts every modulus");
         }

@@ -3,9 +3,9 @@
 //! This is the software analogue of CraterLake's vector-lane datapath: the
 //! limb pool (`CL_THREADS`) parallelizes *across* residue polynomials, and
 //! the backend selected here parallelizes *within* one — Harvey butterflies,
-//! Shoup multiplies, Barrett products, automorphism gathers and the
-//! residue-range scan all process 4 (AVX2) or 8 (AVX-512) residues per
-//! instruction.
+//! Shoup multiplies, Barrett products, automorphism gathers, the
+//! residue-range scan and the base conversion all process 4 (AVX2) or 8
+//! (AVX-512) residues per instruction.
 //!
 //! A backend is chosen once per process from `is_x86_feature_detected!`,
 //! overridable with `CL_BACKEND=scalar|avx2|avx512` (tests can also switch
@@ -19,10 +19,10 @@
 //!
 //! Layout: `scalar.rs` is the portable reference every backend must match;
 //! `driver.rs` holds the one vector kernel source (slice kernels, the
-//! residue-range scan, NTT passes, stage schedules), which `avx2.rs` and
-//! `avx512.rs` instantiate at 4 and 8 lanes by supplying their element
-//! primitives; this file selects the backend and declares each dispatched
-//! kernel once (`kernels!`).
+//! residue-range scan, NTT passes, stage schedules, the base conversion),
+//! which `avx2.rs` and `avx512.rs` instantiate at 4 and 8 lanes by
+//! supplying their element primitives; this file selects the backend and
+//! declares each dispatched kernel once (`kernels!`).
 
 pub(crate) mod scalar;
 
@@ -35,6 +35,7 @@ pub(crate) mod avx2;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512;
 
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::Modulus;
@@ -142,6 +143,18 @@ pub fn cpu_features() -> Vec<(&'static str, bool)> {
         ]
     }
 }
+
+/// The most source or destination limbs one base conversion takes: the
+/// kernels keep each limb's constants, and a block's `y_i`, in stack
+/// arrays of this length, so a conversion allocates nothing but its
+/// output.
+pub(crate) const CRB_MAX_LIMBS: usize = 64;
+
+/// Base conversion sums of at most this many terms (a rescale's `1 -> L`,
+/// a Standard keyswitch's ModUp digit) take the Shoup-lazy sum on every
+/// backend: with so few terms one wide reduction costs more than the lazy
+/// products it saves.
+pub(crate) const CRB_LAZY_TERMS: usize = 2;
 
 const ACTIVE_UNSET: u8 = u8::MAX;
 static ACTIVE: AtomicU8 = AtomicU8::new(ACTIVE_UNSET);
@@ -413,29 +426,6 @@ kernels! {
     /// `2^52` the IFMA Shoup product accepts.
     fn mul_scalar_shoup_slice(m: &Modulus, a: &mut [u64], w: u64, w_shoup: u64) {}
 
-    /// `acc[i] = reduce_lazy(acc[i] + mul_shoup_lazy(x[i], w, w_shoup))`.
-    ///
-    /// The base-conversion inner loop: `acc` stays in `[0, 2q)` across
-    /// repeated calls; `x` holds residues of a foreign modulus, every one
-    /// below `x_bound`, which picks the product (the IFMA Shoup product
-    /// only for `x_bound <= 2^52`). The lazy result is congruent and below
-    /// `2q` on every backend but may be a different representative.
-    fn mul_shoup_lazy_acc_slice(m: &Modulus, acc: &mut [u64], x: &[u64], x_bound: u64, w: u64, w_shoup: u64) {
-        same_len!(acc, x);
-    }
-
-    /// `out[i] = correct_lazy(out[i] + 2q - mul_shoup_lazy(alpha[i], w, w_shoup))`.
-    ///
-    /// The exact base-conversion correction: subtracts `alpha[i] * w` from a
-    /// lazy accumulator in `[0, 2q)` and canonicalizes in the same pass.
-    /// Every `alpha[i]` must be below `4q`, as for `mul_scalar_shoup_slice`.
-    fn mul_shoup_sub_correct_slice(m: &Modulus, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64) {
-        same_len!(out, alpha);
-    }
-
-    /// `a[i] = correct_lazy(a[i])`: maps lazy `[0, 4q)` words to canonical.
-    fn correct_lazy_slice(m: &Modulus, a: &mut [u64]) {}
-
     /// `a[i] = a[i] mod q` for arbitrary `u64` words — the seeded
     /// hint-expansion kernel (reduce a raw PRG word stream into residues).
     fn reduce_raw_slice(m: &Modulus, a: &mut [u64]) {}
@@ -485,6 +475,17 @@ kernels! {
     /// Inverse lazy NTT pass (including the `n^{-1}` sweep), telemetry and
     /// length assertion likewise with the caller.
     fn ntt_inverse(table: &crate::NttTable, a: &mut [u64]) {}
+
+    /// Fast RNS base conversion, the CRB (see [`crate::BaseConvTable`]):
+    /// `x` holds the table's source limbs limb-major, every word canonical
+    /// for its modulus; every word of `out`, the destination limbs over the
+    /// same coefficients, is written once, canonical, so identical on every
+    /// backend.
+    fn base_conv(t: &crate::BaseConvTable, x: &[u64], out: &mut [MaybeUninit<u64>], exact: bool) {
+        let n = x.len() / t.src().len();
+        assert_eq!(x.len(), n * t.src().len(), "source slab is not whole limbs");
+        assert_eq!(out.len(), n * t.dst().len(), "output slab length mismatch");
+    }
 }
 
 #[cfg(test)]

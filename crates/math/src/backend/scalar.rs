@@ -4,7 +4,12 @@
 //! the vector backends must match them word-for-word on canonical outputs
 //! and bound-for-bound on lazy outputs.
 
-use crate::{Modulus, NttTable};
+use std::mem::MaybeUninit;
+use std::ops::Range;
+
+use super::{CRB_LAZY_TERMS, CRB_MAX_LIMBS};
+use crate::baseconv::Fold;
+use crate::{BaseConvTable, Modulus, NttTable};
 
 pub(crate) fn add_mod_slice(m: &Modulus, a: &mut [u64], b: &[u64]) {
     for (x, &y) in a.iter_mut().zip(b) {
@@ -47,28 +52,6 @@ pub(crate) fn mul_scalar_shoup_slice(m: &Modulus, a: &mut [u64], w: u64, w_shoup
     }
 }
 
-/// `x_bound` picks a vector product; the 64-bit scalar product accepts any
-/// `x`.
-pub(crate) fn mul_shoup_lazy_acc_slice(m: &Modulus, acc: &mut [u64], x: &[u64], _x_bound: u64, w: u64, w_shoup: u64) {
-    for (acc, &xi) in acc.iter_mut().zip(x) {
-        *acc = m.reduce_lazy(m.add_lazy(*acc, m.mul_shoup_lazy(xi, w, w_shoup)));
-    }
-}
-
-pub(crate) fn mul_shoup_sub_correct_slice(m: &Modulus, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64) {
-    let two_q = m.two_q();
-    for (o, &al) in out.iter_mut().zip(alpha) {
-        let v = m.mul_shoup_lazy(al, w, w_shoup);
-        *o = m.correct_lazy(*o + two_q - v);
-    }
-}
-
-pub(crate) fn correct_lazy_slice(m: &Modulus, a: &mut [u64]) {
-    for x in a.iter_mut() {
-        *x = m.correct_lazy(*x);
-    }
-}
-
 pub(crate) fn reduce_raw_slice(m: &Modulus, a: &mut [u64]) {
     for x in a.iter_mut() {
         *x = m.reduce(*x);
@@ -108,6 +91,97 @@ pub(crate) fn gather_mul_acc_pair_slice(
     }
 }
 
+/// Coefficients per block of the scalar base conversion.
+const CRB_BLOCK: usize = 8;
+
+/// Fast RNS base conversion (the CRB), a block of coefficients at a time
+/// like the vector kernels: each `y_i` canonical by Shoup, the exact
+/// path's `alpha` summed in `f64` in source order, then every destination
+/// word as one `u128` sum of its `L` (exact: `L + 1`) products, reduced
+/// once ([`reduce_sum`]) — or, for at most [`CRB_LAZY_TERMS`] terms, as a
+/// Shoup-lazy sum in `[0, 2b)`.
+pub(crate) fn base_conv(t: &BaseConvTable, x: &[u64], out: &mut [MaybeUninit<u64>], exact: bool) {
+    base_conv_cols(t, x, out, exact, 0..x.len() / t.src().len());
+}
+
+/// [`base_conv`] over the coefficients `cols` only: the vector kernels'
+/// tail.
+pub(crate) fn base_conv_cols(t: &BaseConvTable, x: &[u64], out: &mut [MaybeUninit<u64>], exact: bool, cols: Range<usize>) {
+    let (src, dst) = (t.src(), t.dst());
+    let ls = src.len();
+    let n = x.len() / ls;
+    let terms = ls + usize::from(exact);
+    let ((w, ws), inv_q) = (t.y_consts(), t.inv_q_f64());
+    // One block's y_0..y_{L-1}, then alpha, term-major.
+    let mut tile = [[0u64; CRB_BLOCK]; CRB_MAX_LIMBS + 1];
+    let mut c0 = cols.start;
+    while c0 < cols.end {
+        let width = (cols.end - c0).min(CRB_BLOCK);
+        for (i, m) in src.iter().enumerate() {
+            for (y, &xv) in tile[i].iter_mut().zip(&x[i * n + c0..i * n + c0 + width]) {
+                *y = csub(m.mul_shoup_lazy(xv, w[i], ws[i]), m.value());
+            }
+        }
+        if exact {
+            for c in 0..width {
+                let mut v = 0.0f64;
+                for (ys, &inv) in tile[..ls].iter().zip(inv_q) {
+                    v += ys[c] as f64 * inv;
+                }
+                // The sum is non-negative, so truncating is the floor.
+                tile[ls][c] = (v + 0.5) as u64;
+            }
+        }
+        for (j, b) in dst.iter().enumerate() {
+            let (row, row_s) = t.row(j);
+            let out = out[j * n + c0..j * n + c0 + width].iter_mut();
+            // One pass per word: loops over an accumulator array here mix
+            // scalar and vector accesses, and each mixed access stalls
+            // store forwarding.
+            if terms > CRB_LAZY_TERMS {
+                let fold = t.fold(j);
+                for (c, o) in out.enumerate() {
+                    let s: u128 = tile[..terms].iter().zip(row).map(|(ys, &w)| u128::from(ys[c]) * u128::from(w)).sum();
+                    o.write(reduce_sum(b, fold, s));
+                }
+            } else {
+                let (bv, two_b) = (b.value(), b.two_q());
+                for (c, o) in out.enumerate() {
+                    let mut a = b.mul_shoup_lazy(tile[0][c], row[0], row_s[0]);
+                    for i in 1..ls {
+                        a = csub(a + b.mul_shoup_lazy(tile[i][c], row[i], row_s[i]), two_b);
+                    }
+                    if exact {
+                        // Two terms with alpha among them means L = 1, so
+                        // alpha is 0 or 1 and its product is a select.
+                        let alpha = tile[ls][c];
+                        debug_assert!(alpha <= 1);
+                        a = csub(a + (row[ls] & alpha.wrapping_neg()), two_b);
+                    }
+                    o.write(csub(a, bv));
+                }
+            }
+        }
+        c0 += width;
+    }
+}
+
+/// `s mod b`, canonical: `s = h 2^64 + l` folds to `h (2^64 mod b) + l`,
+/// and each of the two Shoup products lands in `[0, 2b)`.
+#[inline]
+fn reduce_sum(b: &Modulus, f: &Fold, s: u128) -> u64 {
+    let h = b.mul_shoup_lazy((s >> 64) as u64, f.r64, f.r64_shoup);
+    let l = b.mul_shoup_lazy(s as u64, 1, f.one_shoup);
+    csub(csub(h + l, b.two_q()), b.value())
+}
+
+/// `x - m` if `x >= m`, else `x`, without a branch on the data (a
+/// conditional-subtract branch mispredicts about half the time here).
+#[inline]
+fn csub(x: u64, m: u64) -> u64 {
+    x.min(x.wrapping_sub(m))
+}
+
 /// Forward lazy NTT (Cooley-Tukey DIT, Harvey lazy reduction), canonical
 /// output. This is the pre-backend `NttTable::forward` body verbatim.
 pub(crate) fn ntt_forward(table: &NttTable, a: &mut [u64]) {
@@ -144,7 +218,9 @@ pub(crate) fn ntt_forward(table: &NttTable, a: &mut [u64]) {
         }
         len <<= 1;
     }
-    correct_lazy_slice(m, a);
+    for x in a.iter_mut() {
+        *x = m.correct_lazy(*x);
+    }
 }
 
 /// Inverse lazy NTT (Gentleman-Sande DIF, Harvey lazy reduction) including

@@ -35,6 +35,7 @@
 mod aligned;
 mod automorphism;
 pub mod backend;
+mod baseconv;
 mod bigint;
 mod cfft;
 mod modulus;
@@ -47,6 +48,7 @@ pub use automorphism::{
     canonical_rotation_step, galois_element_conjugate, galois_element_for_rotation,
     AutomorphismTable,
 };
+pub use baseconv::BaseConvTable;
 pub use backend::{active_backend, cpu_features, set_active_backend, supported_backends, BackendKind};
 pub use bigint::{BigUint, CrtBasis};
 pub use cfft::{Complex, SpecialFft};

@@ -330,36 +330,6 @@ impl Modulus {
         crate::backend::mul_scalar_shoup_slice(self, a, w, w_shoup);
     }
 
-    /// Element-wise lazy multiply-accumulate with a fixed Shoup operand:
-    /// `acc[i] = reduce_lazy(acc[i] + mul_shoup_lazy(x[i], w, w_shoup))`,
-    /// up to the representative: `acc` must be in `[0, 2q)` and stays in
-    /// `[0, 2q)` and congruent, but a 52-bit vector product may land on the
-    /// other representative than the scalar one.
-    ///
-    /// `x` need not be reduced mod `q` (it is typically a residue of another
-    /// modulus), but every `x[i]` must be below `x_bound`: the caller states
-    /// the bound it knows (a base converter, the source limb's modulus) and
-    /// the backend picks a product that accepts it.
-    #[inline]
-    pub fn mul_shoup_lazy_acc_slice(&self, acc: &mut [u64], x: &[u64], x_bound: u64, w: u64, w_shoup: u64) {
-        crate::backend::mul_shoup_lazy_acc_slice(self, acc, x, x_bound, w, w_shoup);
-    }
-
-    /// Element-wise `out[i] = correct_lazy(out[i] + 2q - mul_shoup_lazy(alpha[i], w, w_shoup))`:
-    /// subtract a Shoup product and canonicalize in one pass. `out` must be
-    /// in `[0, 2q)` and every `alpha[i]` below `4q`; output is canonical.
-    #[inline]
-    pub fn mul_shoup_sub_correct_slice(&self, out: &mut [u64], alpha: &[u64], w: u64, w_shoup: u64) {
-        crate::backend::mul_shoup_sub_correct_slice(self, out, alpha, w, w_shoup);
-    }
-
-    /// Element-wise [`Modulus::correct_lazy`]: maps `[0, 4q)` to canonical
-    /// `[0, q)`.
-    #[inline]
-    pub fn correct_lazy_slice(&self, a: &mut [u64]) {
-        crate::backend::correct_lazy_slice(self, a);
-    }
-
     /// Element-wise reduction of *arbitrary* `u64` words into canonical
     /// `[0, q)` — the seeded hint-expansion kernel: a raw PRG word stream is
     /// reduced into residues in one vectorized pass.
@@ -653,20 +623,12 @@ mod tests {
                 let m = Modulus::new(q).unwrap();
                 let w = w_raw % q;
                 let ws = m.shoup_precompute(w);
-                let two_q = m.two_q();
                 for (len, off) in shapes(drawn.len()) {
                     // The drawn vector at natural alignment; the misaligned
-                    // sweep stretches or trims it to each length.
+                    // sweep stretches or trims it to each length. Operands
+                    // over the whole [0, 4q) the contract allows.
                     let raw = Operand::new(off, stretched(&drawn, len));
-                    // Lazy accumulator input in [0, 2q); operands over the
-                    // whole [0, 4q) the scalar-multiply and correction
-                    // contracts allow.
-                    let acc0 = Operand::new(off, raw.iter().map(|&x| x.wrapping_mul(3) % two_q));
                     let x0 = Operand::new(off, raw.iter().map(|&x| x.wrapping_mul(7) % (4 * q)));
-                    // Base-conversion sources: residues of this modulus's
-                    // own width and of a 59-bit one, which no 52-bit
-                    // product may take.
-                    let sources = [(4 * q, &x0), (Q59, &Operand::new(off, raw.iter().map(|&x| x % Q59)))];
                     for route in forced::routes() {
                         // mul_scalar_shoup: canonical output, bit-equal to scalar.
                         let mut a = x0.clone();
@@ -675,56 +637,9 @@ mod tests {
                         forced::mul_scalar_shoup_slice(route, &m, &mut a, w, ws);
                         prop_assert_eq!(&a, &r, "mul_scalar_shoup_slice diverged on {} at q = {}", route, q);
                         prop_assert!(a.iter().all(|&x| x < q), "canonical bound violated on {}", route);
-
-                        // mul_shoup_lazy_acc: [0, 2q) bound + congruence on
-                        // every route, and bit-equality with scalar wherever
-                        // the route cannot take the 52-bit IFMA Shoup product
-                        // (the 64-bit products run the scalar algorithm lane
-                        // by lane). The 52-bit product's quotient estimate
-                        // floor(x * ws52 / 2^52) can exceed the 64-bit one by
-                        // one, so its lazy sum may be the other
-                        // representative in [0, 2q); its consumers
-                        // canonicalize, which the correction kernel below
-                        // checks bit for bit.
-                        for (x_bound, x) in sources {
-                            let mut acc = acc0.clone();
-                            let mut r = acc0.clone();
-                            forced::mul_shoup_lazy_acc_slice(BackendKind::Scalar, &m, &mut r, x, x_bound, w, ws);
-                            forced::mul_shoup_lazy_acc_slice(route, &m, &mut acc, x, x_bound, w, ws);
-                            let may_take_ifma = route.kind == BackendKind::Avx512
-                                && !route.portable
-                                && q < 1 << 50
-                                && x_bound <= 1 << 52;
-                            if !may_take_ifma {
-                                prop_assert_eq!(&acc, &r, "mul_shoup_lazy_acc_slice diverged on {} at q = {}", route, q);
-                            }
-                            for (i, &v) in acc.iter().enumerate() {
-                                prop_assert!(v < two_q, "lazy bound violated on {} at q = {}", route, q);
-                                let expect = (acc0[i] as u128 + x[i] as u128 * w as u128) % q as u128;
-                                prop_assert_eq!(v as u128 % q as u128, expect, "on {} at q = {}", route, q);
-                            }
+                        for (&out, &x) in a.iter().zip(x0.iter()) {
+                            prop_assert_eq!(out as u128, x as u128 * w as u128 % q as u128);
                         }
-
-                        // mul_shoup_sub_correct: canonical output + congruence.
-                        let mut out = acc0.clone();
-                        let mut r = acc0.clone();
-                        forced::mul_shoup_sub_correct_slice(BackendKind::Scalar, &m, &mut r, &x0, w, ws);
-                        forced::mul_shoup_sub_correct_slice(route, &m, &mut out, &x0, w, ws);
-                        prop_assert_eq!(&out, &r, "mul_shoup_sub_correct_slice diverged on {} at q = {}", route, q);
-                        for (i, &v) in out.iter().enumerate() {
-                            prop_assert!(v < q, "canonical bound violated on {}", route);
-                            let prod = (x0[i] as u128 * w as u128) % q as u128;
-                            let expect = (acc0[i] as u128 + 2 * q as u128 - prod) % q as u128;
-                            prop_assert_eq!(v as u128, expect);
-                        }
-
-                        // correct_lazy over the full [0, 4q) range.
-                        let mut lazy = x0.clone();
-                        let mut r = x0.clone();
-                        forced::correct_lazy_slice(BackendKind::Scalar, &m, &mut r);
-                        forced::correct_lazy_slice(route, &m, &mut lazy);
-                        prop_assert_eq!(&lazy, &r, "correct_lazy_slice diverged on {}", route);
-                        prop_assert!(lazy.iter().all(|&x| x < q));
                     }
                 }
             }

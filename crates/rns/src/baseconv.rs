@@ -3,8 +3,11 @@
 //! Boosted keyswitching (Sec. 3) is dominated by conversions of residue
 //! polynomials between RNS bases: expanding the `L`-limb input to `2L` limbs
 //! (`ModUp`) and shrinking the product back (`ModDown`). In hardware this is
-//! the CRB functional unit's job; here we implement the arithmetic it
-//! performs, in two flavors:
+//! the CRB functional unit's job: it streams each input residue in once and
+//! keeps the partial sums inside the unit. Here the same shape is one product
+//! kernel ([`cl_math::BaseConvTable`]) that reads each source limb once per
+//! block of coefficients, accumulates every destination word in registers
+//! and reduces and stores it once, in two flavors:
 //!
 //! - [`BaseConverter::convert`]: the *approximate* (floor) conversion used
 //!   for `ModUp`, which may be off by a small multiple of the source modulus
@@ -13,11 +16,10 @@
 //! - [`BaseConverter::convert_exact`]: the corrected conversion (with the
 //!   floating-point `alpha` estimate of [Halevi-Polyakov-Shoup]) used for
 //!   `ModDown` and rescaling, where the result must be the centered value.
+//!   The `alpha*[−Q]` correction is one more term of the same sum.
 
-use cl_math::BigUint;
-use rayon::prelude::*;
+use cl_math::{BaseConvTable, BigUint};
 
-use crate::scratch::with_scratch;
 use crate::{Basis, RnsContext, RnsPoly};
 
 /// Precomputed constants for converting polynomials from one RNS basis to
@@ -39,22 +41,11 @@ use crate::{Basis, RnsContext, RnsPoly};
 pub struct BaseConverter {
     src: Basis,
     dst: Basis,
-    /// `[(Q/q_i)^{-1}]_{q_i}` for each source limb.
-    inv_punctured: Vec<u64>,
-    /// Shoup companions of `inv_punctured` (w.r.t. `q_i`).
-    inv_punctured_shoup: Vec<u64>,
-    /// `(Q/q_i) mod b_j`, indexed `[i][j]`.
-    punctured_mod_dst: Vec<Vec<u64>>,
-    /// Shoup companions of `punctured_mod_dst` (w.r.t. `b_j`).
-    punctured_shoup_dst: Vec<Vec<u64>>,
-    /// `Q mod b_j` for the alpha correction.
-    q_mod_dst: Vec<u64>,
-    /// Shoup companions of `q_mod_dst` (w.r.t. `b_j`).
-    q_mod_dst_shoup: Vec<u64>,
+    /// The kernel's constants: the destination-major `[Q/q_i]_{b_j}`
+    /// matrix, `[−Q]_{b_j}` and the reduction constants.
+    table: BaseConvTable,
     /// `[Q^{-1}]_{b_j}` — the source-product inverse `ModDown` multiplies by.
     inv_q_mod_dst: Vec<u64>,
-    /// `1/q_i` as f64 for the alpha estimate.
-    inv_q_f64: Vec<f64>,
 }
 
 impl BaseConverter {
@@ -62,68 +53,28 @@ impl BaseConverter {
     ///
     /// # Panics
     ///
-    /// Panics if `src` is empty.
+    /// Panics if `src` is empty, or if either basis has more than 64 limbs
+    /// (see [`BaseConvTable::new`]).
     pub fn new(ctx: &RnsContext, src: Basis, dst: Basis) -> Self {
         assert!(!src.is_empty(), "source basis must be nonempty");
-        let src_moduli: Vec<u64> = src.0.iter().map(|&l| ctx.modulus_value(l)).collect();
-        let q_big = BigUint::product(&src_moduli);
-        let mut inv_punctured = Vec::with_capacity(src.len());
-        let mut inv_punctured_shoup = Vec::with_capacity(src.len());
-        let mut punctured_mod_dst: Vec<Vec<u64>> = Vec::with_capacity(src.len());
-        let mut punctured_shoup_dst = Vec::with_capacity(src.len());
-        for (i, &qi) in src_moduli.iter().enumerate() {
-            let (qi_hat, rem) = q_big.div_rem_u64(qi);
-            debug_assert_eq!(rem, 0);
-            let m = ctx.modulus(src.0[i]);
-            let inv = m.inv(qi_hat.rem_u64(qi));
-            inv_punctured.push(inv);
-            inv_punctured_shoup.push(m.shoup_precompute(inv));
-            punctured_mod_dst.push(
-                dst.0
-                    .iter()
-                    .map(|&l| qi_hat.rem_u64(ctx.modulus_value(l)))
-                    .collect(),
-            );
-            punctured_shoup_dst.push(
-                dst.0
-                    .iter()
-                    .zip(punctured_mod_dst[i].iter())
-                    .map(|(&l, &w)| ctx.modulus(l).shoup_precompute(w))
-                    .collect(),
-            );
-        }
-        let q_mod_dst: Vec<u64> = dst
-            .0
-            .iter()
-            .map(|&l| q_big.rem_u64(ctx.modulus_value(l)))
-            .collect();
-        let q_mod_dst_shoup: Vec<u64> = dst
-            .0
-            .iter()
-            .zip(&q_mod_dst)
-            .map(|(&l, &w)| ctx.modulus(l).shoup_precompute(w))
-            .collect();
+        let src_moduli: Vec<_> = src.0.iter().map(|&l| *ctx.modulus(l)).collect();
+        let dst_moduli: Vec<_> = dst.0.iter().map(|&l| *ctx.modulus(l)).collect();
+        let q_big = BigUint::product(&src.0.iter().map(|&l| ctx.modulus_value(l)).collect::<Vec<_>>());
         // When the bases are disjoint (the only configuration ModDown uses),
         // Q is coprime to every destination modulus and the inverse exists;
         // an overlapping destination limb divides Q, recorded as 0.
-        let inv_q_mod_dst = dst
-            .0
+        let inv_q_mod_dst = dst_moduli
             .iter()
-            .zip(&q_mod_dst)
-            .map(|(&l, &qm)| if qm == 0 { 0 } else { ctx.modulus(l).inv(qm) })
+            .map(|m| match q_big.rem_u64(m.value()) {
+                0 => 0,
+                qm => m.inv(qm),
+            })
             .collect();
-        let inv_q_f64 = src_moduli.iter().map(|&q| 1.0 / q as f64).collect();
         Self {
+            table: BaseConvTable::new(&src_moduli, &dst_moduli),
             src,
             dst,
-            inv_punctured,
-            inv_punctured_shoup,
-            punctured_mod_dst,
-            punctured_shoup_dst,
-            q_mod_dst,
-            q_mod_dst_shoup,
             inv_q_mod_dst,
-            inv_q_f64,
         }
     }
 
@@ -146,6 +97,7 @@ impl BaseConverter {
 
     fn convert_inner(&self, ctx: &RnsContext, poly: &RnsPoly, exact: bool) -> RnsPoly {
         assert_eq!(poly.basis(), &self.src, "polynomial not in source basis");
+        assert_eq!(poly.n(), ctx.n(), "polynomial not of the context's ring degree");
         assert!(
             !poly.ntt_form(),
             "base conversion operates in the coefficient domain"
@@ -163,71 +115,11 @@ impl BaseConverter {
             cl_trace::record_mult(l_dst as u64, n);
             cl_trace::record_add(l_dst as u64, n);
         }
-        // Both temporaries come from the thread-local scratch pool: the
-        // punctured-product matrix `y` and the alpha row are the allocation
-        // hot spots of every keyswitch and rescale. Operand bounds of the
-        // Shoup kernels: `poly`'s limbs are canonical (below 4q_i), each
-        // `y_i` is canonical mod q_i (the bound passed below), and alpha is at
-        // most l_src (below 4b_j for any destination modulus b_j >= 17).
-        with_scratch(l_src * n, |y| {
-            // y_i = [x_i * (Q/q_i)^{-1}]_{q_i}, one task per source limb.
-            y.par_chunks_mut(n).enumerate().for_each(|(i, yi)| {
-                let m = ctx.modulus(self.src.0[i]);
-                yi.copy_from_slice(poly.limb(i));
-                m.mul_scalar_shoup_slice(yi, self.inv_punctured[i], self.inv_punctured_shoup[i]);
-            });
-            let y = &*y;
-            with_scratch(if exact { n } else { 0 }, |alpha| {
-                // alpha_c estimate (how many multiples of Q the floor sum
-                // overshoots by), via the Halevi-Polyakov-Shoup float trick.
-                if exact {
-                    for (c, a) in alpha.iter_mut().enumerate() {
-                        let mut v = 0.0f64;
-                        for i in 0..l_src {
-                            v += y[i * n + c] as f64 * self.inv_q_f64[i];
-                        }
-                        *a = (v + 0.5).floor() as u64;
-                    }
-                }
-                let alpha = &*alpha;
-                let mut out = RnsPoly::zero(n, self.dst.clone());
-                {
-                    // One task per destination limb: the O(L_src * L_dst * n)
-                    // inner-product matrix is the dominant cost (the CRB
-                    // unit's workload).
-                    let (dst_basis, coeffs) = out.parts_mut();
-                    let dst_limbs = &dst_basis.0;
-                    coeffs.par_chunks_mut(n).enumerate().for_each(|(j, out_limb)| {
-                        let m = ctx.modulus(dst_limbs[j]);
-                        // Shoup-lazy accumulation keeps the running sum in
-                        // [0, 2q) across all source limbs; a single fused
-                        // corrective pass canonicalizes at the end (and
-                        // subtracts the alpha*Q term on the exact path)
-                        // instead of reducing per term.
-                        for i in 0..l_src {
-                            m.mul_shoup_lazy_acc_slice(
-                                out_limb,
-                                &y[i * n..(i + 1) * n],
-                                ctx.modulus_value(self.src.0[i]),
-                                self.punctured_mod_dst[i][j],
-                                self.punctured_shoup_dst[i][j],
-                            );
-                        }
-                        if exact {
-                            m.mul_shoup_sub_correct_slice(
-                                out_limb,
-                                alpha,
-                                self.q_mod_dst[j],
-                                self.q_mod_dst_shoup[j],
-                            );
-                        } else {
-                            m.correct_lazy_slice(out_limb);
-                        }
-                    });
-                }
-                out
-            })
-        })
+        // Every limb of `poly` is canonical (below q_i), the kernel's
+        // operand contract; each output word is written once, canonical.
+        let coeffs = self.table.convert(poly.coeffs(), exact);
+        RnsPoly::from_raw_parts(n, self.dst.clone(), coeffs, false)
+            .expect("the converter's output covers its destination basis")
     }
 
     /// Approximate fast base conversion (the CRB operation): the result
@@ -249,13 +141,6 @@ impl BaseConverter {
     /// Panics if `poly` is not in the source basis or is in NTT form.
     pub fn convert_exact(&self, ctx: &RnsContext, poly: &RnsPoly) -> RnsPoly {
         self.convert_inner(ctx, poly, true)
-    }
-
-    /// Number of scalar multiplications one conversion performs per
-    /// coefficient: `L_src` (for `y`) plus `L_src * L_dst` (the matrix);
-    /// this is the `3L^2`-type term of Table 1.
-    pub fn scalar_muls_per_coeff(&self) -> usize {
-        self.src.len() + self.src.len() * self.dst.len()
     }
 }
 
@@ -326,21 +211,6 @@ pub fn mod_down_ntt(
     ctx.sub_assign(&mut diff, &c_p_in_q);
     ctx.scalar_mul_per_limb_assign(&mut diff, conv_p_to_q.src_prod_inv_mod_dst());
     diff
-}
-
-/// Rescales a polynomial: divides by its last limb's modulus with rounding
-/// and drops that limb (the CKKS rescale of Sec. 2.3). Coefficient domain.
-///
-/// # Panics
-///
-/// Panics if the polynomial has fewer than 2 limbs or is in NTT form.
-pub fn rescale(ctx: &RnsContext, poly: &RnsPoly) -> RnsPoly {
-    assert!(poly.num_limbs() >= 2, "cannot rescale a 1-limb polynomial");
-    let basis = poly.basis();
-    let keep = Basis(basis.0[..basis.len() - 1].to_vec());
-    let drop = Basis(vec![basis.0[basis.len() - 1]]);
-    let conv = BaseConverter::new(ctx, drop.clone(), keep.clone());
-    mod_down(ctx, poly, &keep, &drop, &conv)
 }
 
 #[cfg(test)]
@@ -485,30 +355,5 @@ mod tests {
         let got = mod_down_ntt(&c, &x_ntt, &qb, &pb, &conv);
         assert!(got.ntt_form());
         assert_eq!(got, expect, "NTT-domain ModDown must be bit-exact");
-    }
-
-    #[test]
-    fn rescale_divides_small_values() {
-        let c = ctx();
-        let basis = c.q_basis(3);
-        let q_last = c.modulus_value(2);
-        // x = q_last * 7: rescale must give exactly 7.
-        let signed: Vec<i64> = vec![7 * q_last as i64; 8];
-        let x = c.from_signed_coeffs(&signed, &basis);
-        let y = rescale(&c, &x);
-        assert_eq!(y.num_limbs(), 2);
-        for k in 0..2 {
-            let m = c.modulus(y.basis().0[k]);
-            for &v in y.limb(k) {
-                assert_eq!(m.lift_centered(v), 7);
-            }
-        }
-    }
-
-    #[test]
-    fn scalar_muls_formula() {
-        let c = ctx();
-        let conv = BaseConverter::new(&c, c.q_basis(3), c.p_basis(3));
-        assert_eq!(conv.scalar_muls_per_coeff(), 3 + 9);
     }
 }

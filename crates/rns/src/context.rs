@@ -677,20 +677,21 @@ impl RnsContext {
     ///
     /// # Panics
     ///
-    /// Panics if `target` is not a subset of the polynomial's basis.
+    /// Panics if `target` is not a subset of the polynomial's basis or
+    /// repeats a limb.
     pub fn restrict(&self, a: &RnsPoly, target: &Basis) -> RnsPoly {
-        let mut out = RnsPoly::zero(self.n, target.clone());
-        out.set_ntt_form(a.ntt_form());
-        for (dst_k, &limb) in target.0.iter().enumerate() {
+        let mut coeffs = Vec::with_capacity(self.n * target.len());
+        for &limb in &target.0 {
             let src_k = a
                 .basis()
                 .0
                 .iter()
                 .position(|&l| l == limb)
                 .expect("target basis must be a subset");
-            out.limb_mut(dst_k).copy_from_slice(a.limb(src_k));
+            coeffs.extend_from_slice(a.limb(src_k));
         }
-        out
+        RnsPoly::from_raw_parts(self.n, target.clone(), coeffs, a.ntt_form())
+            .expect("a subset of a basis has one limb per entry and no duplicate")
     }
 }
 

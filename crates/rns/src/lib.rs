@@ -31,9 +31,7 @@
 mod baseconv;
 mod context;
 mod poly;
-mod scratch;
 
-pub use baseconv::{mod_down, mod_down_ntt, rescale, BaseConverter};
+pub use baseconv::{mod_down, mod_down_ntt, BaseConverter};
 pub use context::{Basis, RnsContext, RnsError};
 pub use poly::RnsPoly;
-pub use scratch::with_scratch;
