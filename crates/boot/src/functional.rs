@@ -1,7 +1,14 @@
 //! Functional CKKS bootstrapping.
 //!
-//! An executable implementation of the pipeline [`crate::BootstrapPlan`]
-//! models, over the `cl-ckks` library at test-scale parameters:
+//! An executable packed bootstrapping over the `cl-ckks` library at
+//! test-scale parameters. It runs the four phases [`crate::BootstrapPlan`]
+//! models, but not the plan's shape. The packed plan gives the machine model
+//! three radix stages of 20 diagonals per transform, at two levels each,
+//! with baby steps capped by an on-chip budget. This module runs two radix
+//! stages per transform (32 + 31 diagonals at `N = 1024`), at one level
+//! each, with `⌈√d⌉` baby steps and no cap, and a Taylor EvalMod where the
+//! plan counts a Chebyshev one. One shape that drives both is ROADMAP.md
+//! item 5.
 //!
 //! 1. **ModRaise** — lift the exhausted level-1 ciphertext to the full
 //!    modulus chain. Decryption then yields `m + q0·I(X)` for an integer
@@ -36,13 +43,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cl_ckks::{
     Ciphertext, CkksContext, CompactKeySwitchKey, FheError, FheResult, HintCache, HintId,
     KeySwitchKey, Plaintext, SecretKey,
 };
-use cl_math::{Complex, SpecialFft};
+use cl_math::{Cache, Complex, SpecialFft};
 use rand::Rng;
 
 /// Key material for one bootstrapping configuration: rotation keys for the
@@ -551,7 +558,8 @@ pub struct Bootstrapper {
     taylor_degree: usize,
     /// Input range bound `|y| <= k` for EvalMod.
     k_bound: f64,
-    /// Encoded transform plaintexts, cached per `(stage, part, level)`.
+    /// Encoded transform plaintexts, cached per context, stage, part and
+    /// level.
     precompute: BootstrapPrecompute,
 }
 
@@ -606,9 +614,11 @@ impl std::fmt::Debug for PrecomputedTransform {
 }
 
 /// The BSGS baby-step count for a transform with `n_diags` nonzero
-/// diagonals: `ceil(sqrt(n_diags))` (matching
-/// `BootstrapPlan::bsgs_rotations`), independent of level so the
+/// diagonals: `ceil(sqrt(n_diags))`, independent of level so the
 /// rotation-key set is stable across the modulus chain.
+/// `BootstrapPlan::bsgs_rotations` starts from the same count but caps it
+/// so the live baby set fits on chip; this one has no cap (ROADMAP.md
+/// item 5).
 fn bsgs_baby(n_diags: usize) -> i64 {
     ((n_diags as f64).sqrt().ceil() as i64).max(1)
 }
@@ -700,63 +710,14 @@ impl PrecomputedTransform {
     }
 }
 
-/// The precompute cache's key: transform, radix stage within it (0 = the
-/// first applied), and ciphertext level.
-type PrecomputeKey = (TransformStage, usize, usize);
-
-/// Cache of [`PrecomputedTransform`]s keyed by `(stage, part, level)`:
-/// which transform, which of its two radix stages, and the level it runs
-/// at. Filled eagerly at [`Bootstrapper::keygen`] for the four stage
-/// levels [`Bootstrapper::try_bootstrap`] visits; misses (e.g. a transform
-/// applied at a non-standard level) build and cache lazily.
-#[derive(Default)]
-pub struct BootstrapPrecompute {
-    cache: Mutex<HashMap<PrecomputeKey, Arc<PrecomputedTransform>>>,
-}
-
-impl std::fmt::Debug for BootstrapPrecompute {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = self.cache.lock().map(|c| c.len()).unwrap_or(0);
-        f.debug_struct("BootstrapPrecompute").field("entries", &n).finish()
-    }
-}
-
-impl BootstrapPrecompute {
-    /// Returns the cached precompute for radix stage `part` of `stage` at
-    /// `level`, building and inserting it from `diags` on a miss.
-    pub fn get_or_build(
-        &self,
-        ctx: &CkksContext,
-        stage: TransformStage,
-        part: usize,
-        level: usize,
-        diags: &[(i64, Vec<Complex>)],
-    ) -> Arc<PrecomputedTransform> {
-        let key = (stage, part, level);
-        if let Some(hit) = self.lock().get(&key) {
-            return hit.clone();
-        }
-        // Encode outside the lock; a racing builder just wastes one encode.
-        let built = Arc::new(PrecomputedTransform::new(ctx, diags, level));
-        self.lock().entry(key).or_insert(built).clone()
-    }
-
-    /// Number of cached `(stage, part, level)` entries.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<PrecomputeKey, Arc<PrecomputedTransform>>> {
-        self.cache
-            .lock()
-            .expect("precompute cache poisoned: a panic while encoding plaintexts")
-    }
-}
+/// Encoded transform plaintexts keyed by `(params fingerprint, stage,
+/// part, level)`: the context they were encoded under, which transform,
+/// which of its two radix stages (0 = the first applied), and the level it
+/// runs at. A bootstrapper shared by contexts with different moduli thus
+/// never serves one context's plaintexts to another. Filled eagerly at
+/// [`Bootstrapper::keygen`] for the four stage levels
+/// [`Bootstrapper::try_bootstrap`] visits; other levels build lazily.
+pub type BootstrapPrecompute = Cache<(u64, TransformStage, usize, usize), PrecomputedTransform>;
 
 /// Applies a precomputed BSGS linear transform to `ct` and rescales.
 /// Consumes one level.
@@ -994,7 +955,7 @@ impl Bootstrapper {
             r,
             taylor_degree: 7,
             k_bound,
-            precompute: BootstrapPrecompute::default(),
+            precompute: BootstrapPrecompute::unbounded(),
         }
     }
 
@@ -1046,8 +1007,8 @@ impl Bootstrapper {
                 (TransformStage::CoeffToSlot, l_max),
                 (TransformStage::SlotToCoeff, l_max - self.depth()),
             ] {
-                for (part, diags) in self.radix_stages(stage).iter().enumerate() {
-                    self.precompute.get_or_build(ctx, stage, part, top - part, diags);
+                for part in 0..2 {
+                    self.precomputed(ctx, stage, part, top - part);
                 }
             }
         }
@@ -1055,9 +1016,24 @@ impl Bootstrapper {
         BootstrapKeys::generate(ctx, sk, kind, &steps, rng)
     }
 
-    /// Read access to the `(stage, part, level)` plaintext cache.
+    /// Read access to the transform plaintext cache.
     pub fn precompute(&self) -> &BootstrapPrecompute {
         &self.precompute
+    }
+
+    /// The plaintexts of radix stage `part` of `stage` at `level` under
+    /// `ctx`, encoded on a miss.
+    fn precomputed(
+        &self,
+        ctx: &CkksContext,
+        stage: TransformStage,
+        part: usize,
+        level: usize,
+    ) -> Arc<PrecomputedTransform> {
+        let key = (ctx.params_fingerprint(), stage, part, level);
+        self.precompute.get_or_insert_with(key, || {
+            PrecomputedTransform::new(ctx, &self.radix_stages(stage)[part], level)
+        })
     }
 
     /// The special-FFT transform `stage` as its two radix stages in turn,
@@ -1070,10 +1046,9 @@ impl Bootstrapper {
         stage: TransformStage,
         keys: &BootstrapKeys,
     ) -> FheResult<Ciphertext> {
-        let [first, second] = self.radix_stages(stage);
-        let pre = self.precompute.get_or_build(ctx, stage, 0, ct.level(), first);
+        let pre = self.precomputed(ctx, stage, 0, ct.level());
         let mid = try_bsgs_transform(ctx, ct, &pre, keys)?;
-        let pre = self.precompute.get_or_build(ctx, stage, 1, mid.level(), second);
+        let pre = self.precomputed(ctx, stage, 1, mid.level());
         try_bsgs_transform(ctx, &mid, &pre, keys)
     }
 
@@ -1629,12 +1604,20 @@ mod tests {
         // nothing missing, nothing extra.
         let m = ctx.params().slots();
         let mut want = BTreeSet::new();
-        for pre in booter.precompute.lock().values() {
-            let diags: usize = pre.giants.iter().map(|(_, terms)| terms.len()).sum();
-            let steps = pre.required_steps();
-            assert!(steps.len() <= 2 * bsgs_baby(diags) as usize);
-            want.extend(steps.iter().map(|&s| cl_math::canonical_rotation_step(s, m)));
+        let l_max = ctx.max_level();
+        for (stage, top) in [
+            (TransformStage::CoeffToSlot, l_max),
+            (TransformStage::SlotToCoeff, l_max - booter.depth()),
+        ] {
+            for part in 0..2 {
+                let pre = booter.precomputed(&ctx, stage, part, top - part);
+                let diags: usize = pre.giants.iter().map(|(_, terms)| terms.len()).sum();
+                let steps = pre.required_steps();
+                assert!(steps.len() <= 2 * bsgs_baby(diags) as usize);
+                want.extend(steps.iter().map(|&s| cl_math::canonical_rotation_step(s, m)));
+            }
         }
+        assert_eq!(booter.precompute().stats().hits, 4, "keygen filled all four");
         assert_eq!(keys.rotation_steps(), want.into_iter().collect::<Vec<_>>());
         // CoeffToSlot's and SlotToCoeff's stages share offset sets, so the
         // whole bundle needs at most 2⌈√d⌉ keys per stage shape — against

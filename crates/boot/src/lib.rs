@@ -12,8 +12,11 @@
 //!   decomposition into on-chip-sized partitions the paper's compiler
 //!   applies (Sec. 6, "a 4x4 tile").
 //! - [`functional`]: an executable bootstrapping implementation over the
-//!   `cl-ckks` library at reduced (test-scale) parameters, validating that
-//!   the pipeline the plan describes actually refreshes ciphertexts.
+//!   `cl-ckks` library at reduced (test-scale) parameters. It runs the
+//!   plan's four phases but not its shape: two radix stages per transform
+//!   with uncapped baby steps, where the plan models three stages of 20
+//!   diagonals with a capped baby set. The [`functional`] module docs list
+//!   the differences; one shape for both is ROADMAP.md item 5.
 
 #![warn(missing_docs)]
 // Library code must propagate failures (`FheResult`/`?`) or `expect` with

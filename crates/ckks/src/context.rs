@@ -1,10 +1,9 @@
 //! The CKKS context: parameters, RNS machinery, encoder, and key/ct I/O.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-use cl_math::{Complex, CrtBasis, SpecialFft};
+use cl_math::{Cache, Complex, CrtBasis, SpecialFft};
 use cl_rns::{BaseConverter, Basis, RnsContext, RnsError, RnsPoly};
 use rand::Rng;
 
@@ -73,9 +72,6 @@ pub enum GuardrailPolicy {
     },
 }
 
-/// Cache of base converters keyed by `(source, destination)` limb bases.
-type ConverterCache = Mutex<HashMap<(Vec<u32>, Vec<u32>), Arc<BaseConverter>>>;
-
 /// A fully initialized CKKS instance.
 ///
 /// Owns the RNS context (modulus chains and NTT tables), the encoder FFT,
@@ -85,7 +81,7 @@ pub struct CkksContext {
     params: CkksParams,
     rns: RnsContext,
     fft: SpecialFft,
-    converters: ConverterCache,
+    converters: Cache<(Vec<u32>, Vec<u32>), BaseConverter>,
     policy: GuardrailPolicy,
     /// NTT image of the monomial `X^{N/2}` over the full ciphertext chain,
     /// built on first use (see [`CkksContext::try_mul_by_i`]).
@@ -120,7 +116,7 @@ impl CkksContext {
             params,
             rns,
             fft,
-            converters: Mutex::new(HashMap::new()),
+            converters: Cache::unbounded(),
             policy: GuardrailPolicy::default(),
             i_monomial: OnceLock::new(),
         })
@@ -194,12 +190,9 @@ impl CkksContext {
     /// Fetches (or builds and caches) the base converter from `src` to
     /// `dst`.
     pub fn converter(&self, src: &Basis, dst: &Basis) -> Arc<BaseConverter> {
-        let key = (src.0.clone(), dst.0.clone());
-        let mut cache = self.converters.lock().expect("converter cache poisoned");
-        cache
-            .entry(key)
-            .or_insert_with(|| Arc::new(BaseConverter::new(&self.rns, src.clone(), dst.clone())))
-            .clone()
+        self.converters.get_or_insert_with((src.0.clone(), dst.0.clone()), || {
+            BaseConverter::new(&self.rns, src.clone(), dst.clone())
+        })
     }
 
     /// The NTT image of `X^{N/2}` over the full ciphertext chain, built

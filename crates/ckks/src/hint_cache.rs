@@ -4,22 +4,12 @@
 //! Compact keys ([`CompactKeySwitchKey`]) keep only the seed and the
 //! non-random `k0` halves resident; applying one requires the full
 //! materialized [`KeySwitchKey`]. This cache bounds how many materialized
-//! hints exist at once: a hit returns the shared `Arc` immediately, a miss
-//! expands through the seeded generator (outside the lock, so concurrent
-//! expansions of *different* keys overlap) and inserts the result, evicting
-//! colder hints until the byte budget holds again.
-//!
-//! Two eviction policies layer on one mechanism:
-//!
-//! - **LRU baseline**: every access stamps a monotone tick; the victim is
-//!   the least-recently-stamped entry.
-//! - **Belady oracle** ([`HintCache::plan`]): when the caller knows its
-//!   rotation schedule (a BSGS transform, a pipeline's hoisted-rotation
-//!   groups), it installs the future access sequence and eviction follows
-//!   the MIN rule the `cl-core` residency machinery uses for operand
-//!   scheduling — evict first what the schedule proves dead (no next use),
-//!   otherwise what is reused farthest in the future, falling back to LRU
-//!   for entries outside the plan.
+//! hints exist at once. It is a bytes-bounded [`cl_math::Cache`] keyed by
+//! [`HintId`]: a hit returns the shared `Arc`, a miss expands through the
+//! seeded generator outside the lock, and eviction is least recently used
+//! or, while a caller's rotation schedule is installed ([`HintCache::plan`]),
+//! Belady's MIN rule over it. The wrapper adds only the hint format: the
+//! identity of a compact key and its seeded expansion.
 //!
 //! Evicting an entry only drops the cache's reference: callers holding the
 //! `Arc` keep computing with it, and a later re-expansion regenerates a
@@ -27,8 +17,9 @@
 //! never change results — only regen cost, which `cl-trace` attributes via
 //! the `hint_regen` counter.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
+
+use cl_math::{Cache, CacheStats};
 
 use crate::error::FheResult;
 use crate::keys::{CompactKeySwitchKey, KeySwitchKey};
@@ -39,131 +30,16 @@ use crate::CkksContext;
 /// collision) plus the key's integrity digest.
 pub type HintId = (u64, u64);
 
-/// Counters describing cache behaviour since construction (or the last
-/// [`HintCache::reset_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HintCacheStats {
-    /// Lookups served from a resident materialized hint.
-    pub hits: u64,
-    /// Lookups that had to expand from the compact form.
-    pub misses: u64,
-    /// Materialized hints dropped to fit the byte budget.
-    pub evictions: u64,
-    /// Bytes of materialized hint payload currently resident.
-    pub bytes_resident: usize,
-}
-
-struct Entry {
-    key: Arc<KeySwitchKey>,
-    bytes: usize,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct Plan {
-    /// Future hint accesses in schedule order.
-    schedule: Vec<HintId>,
-    /// Next schedule position not yet consumed.
-    cursor: usize,
-}
-
-impl Plan {
-    /// Position of the next use of `id` at or after the cursor, if any.
-    fn next_use(&self, id: HintId) -> Option<usize> {
-        self.schedule[self.cursor.min(self.schedule.len())..]
-            .iter()
-            .position(|&s| s == id)
-    }
-}
-
-#[derive(Default)]
-struct Inner {
-    entries: HashMap<HintId, Entry>,
-    bytes: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    plan: Option<Plan>,
-}
-
-impl Inner {
-    fn touch(&mut self, id: HintId) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.last_used = tick;
-        }
-        // Consume the schedule head when the access matches it, so
-        // next-use distances stay anchored to the pipeline's position.
-        if let Some(plan) = &mut self.plan {
-            while plan.cursor < plan.schedule.len() && plan.schedule[plan.cursor] == id {
-                plan.cursor += 1;
-            }
-        }
-    }
-
-    /// Evicts until the budget holds, never evicting `keep` (the entry the
-    /// current caller is about to use) and always leaving at least one
-    /// entry — a single hint larger than the whole budget must still be
-    /// usable.
-    fn evict_to_fit(&mut self, capacity: usize, keep: HintId) {
-        while self.bytes > capacity && self.entries.len() > 1 {
-            let victim = self.pick_victim(keep);
-            let Some(victim) = victim else { break };
-            if let Some(e) = self.entries.remove(&victim) {
-                self.bytes -= e.bytes;
-                self.evictions += 1;
-            }
-        }
-    }
-
-    fn pick_victim(&self, keep: HintId) -> Option<HintId> {
-        let candidates = self.entries.iter().filter(|(&id, _)| id != keep);
-        match &self.plan {
-            Some(plan) => {
-                // Belady/MIN, mirroring cl-core's residency policy: dead
-                // entries first (no next use in the remaining schedule),
-                // then the farthest next use. Entries the plan does not
-                // mention are "dead to the schedule" and rank by LRU among
-                // themselves, before any entry with a real next use.
-                candidates
-                    .map(|(&id, e)| {
-                        let next = plan.next_use(id);
-                        // Sort key: planned entries by descending next use;
-                        // unplanned/dead ones always ahead, oldest first.
-                        match next {
-                            None => (2u8, u64::MAX - e.last_used, id),
-                            Some(pos) => (1, pos as u64, id),
-                        }
-                    })
-                    .max()
-                    .map(|(_, _, id)| id)
-            }
-            None => candidates
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&id, _)| id),
-        }
-    }
-}
+/// Hint cache counters: the shared [`CacheStats`].
+pub type HintCacheStats = CacheStats;
 
 /// A bytes-bounded, thread-safe cache of materialized keyswitch hints,
 /// shareable across tenants (entries are keyed by parameter fingerprint and
 /// integrity digest, so tenants with identical keys deduplicate and tenants
 /// with different parameters never collide).
+#[derive(Debug)]
 pub struct HintCache {
-    capacity_bytes: usize,
-    inner: Mutex<Inner>,
-}
-
-impl std::fmt::Debug for HintCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
-        f.debug_struct("HintCache")
-            .field("capacity_bytes", &self.capacity_bytes)
-            .field("stats", &s)
-            .finish()
-    }
+    cache: Cache<HintId, KeySwitchKey>,
 }
 
 /// Default hot-hint budget when `CL_HINT_CACHE_BYTES` is unset: 64 MiB,
@@ -172,12 +48,10 @@ pub const DEFAULT_HINT_CACHE_BYTES: usize = 64 << 20;
 
 impl HintCache {
     /// A cache bounded to `capacity_bytes` of materialized hint payload
-    /// (a budget of 0 still holds one entry at a time — see eviction
-    /// semantics).
+    /// (a budget of 0 still holds one entry at a time).
     pub fn new(capacity_bytes: usize) -> Self {
         Self {
-            capacity_bytes,
-            inner: Mutex::new(Inner::default()),
+            cache: Cache::bounded(capacity_bytes, KeySwitchKey::resident_bytes),
         }
     }
 
@@ -194,85 +68,21 @@ impl HintCache {
         })
     }
 
-    /// The configured byte budget.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner
-            .lock()
-            .expect("hint cache poisoned: a holder panicked mid-update")
-    }
-
     /// Returns the materialized hint for `compact`, expanding it through
     /// the seeded generator on a miss.
-    ///
-    /// Expansion runs outside the cache lock, so concurrent misses on
-    /// different keys overlap; concurrent misses on the *same* key race
-    /// benignly (both expand bit-identically, the resident copy wins).
     ///
     /// # Errors
     ///
     /// [`crate::FheError::CorruptKey`] when expansion fails the integrity
-    /// digest ([`CompactKeySwitchKey::expand`]).
+    /// digest ([`CompactKeySwitchKey::expand`]); the failure is neither
+    /// cached nor billed.
     pub fn get_or_expand(
         &self,
         ctx: &CkksContext,
         compact: &CompactKeySwitchKey,
     ) -> FheResult<Arc<KeySwitchKey>> {
-        let id: HintId = (ctx.params_fingerprint(), compact.integrity_digest());
-        {
-            let mut inner = self.lock();
-            if let Some(e) = inner.entries.get(&id) {
-                let key = Arc::clone(&e.key);
-                inner.hits += 1;
-                inner.touch(id);
-                return Ok(key);
-            }
-            inner.misses += 1;
-        }
-        let expanded = Arc::new(compact.expand(ctx)?);
-        let bytes = expanded.resident_bytes();
-        let mut inner = self.lock();
-        if let Some(e) = inner.entries.get(&id) {
-            // Lost the expansion race — keep the resident copy so every
-            // caller shares one allocation.
-            let key = Arc::clone(&e.key);
-            inner.touch(id);
-            return Ok(key);
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.entries.insert(
-            id,
-            Entry {
-                key: Arc::clone(&expanded),
-                bytes,
-                last_used: tick,
-            },
-        );
-        inner.bytes += bytes;
-        inner.touch(id);
-        inner.evict_to_fit(self.capacity_bytes, id);
-        Ok(expanded)
-    }
-
-    /// Installs the future access schedule (a sequence of
-    /// [`HintCache::hint_id`] values in execution order) as the Belady
-    /// eviction oracle, replacing any previous plan. Accesses matching the
-    /// schedule head advance it; eviction prefers entries the remaining
-    /// schedule proves dead, then the farthest next use.
-    pub fn plan(&self, schedule: Vec<HintId>) {
-        self.lock().plan = Some(Plan {
-            schedule,
-            cursor: 0,
-        });
-    }
-
-    /// Clears the Belady plan, returning to pure LRU.
-    pub fn clear_plan(&self) {
-        self.lock().plan = None;
+        self.cache
+            .get_or_try_insert_with(Self::hint_id(ctx, compact), || compact.expand(ctx))
     }
 
     /// Expands `compact` into the cache if absent, without counting a hit
@@ -283,29 +93,20 @@ impl HintCache {
     ///
     /// Same contract as [`HintCache::get_or_expand`].
     pub fn prefetch(&self, ctx: &CkksContext, compact: &CompactKeySwitchKey) -> FheResult<()> {
-        let id: HintId = (ctx.params_fingerprint(), compact.integrity_digest());
-        if self.lock().entries.contains_key(&id) {
-            return Ok(());
-        }
-        let expanded = Arc::new(compact.expand(ctx)?);
-        let bytes = expanded.resident_bytes();
-        let mut inner = self.lock();
-        if inner.entries.contains_key(&id) {
-            return Ok(());
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.entries.insert(
-            id,
-            Entry {
-                key: expanded,
-                bytes,
-                last_used: tick,
-            },
-        );
-        inner.bytes += bytes;
-        inner.evict_to_fit(self.capacity_bytes, id);
-        Ok(())
+        self.cache
+            .prefetch(Self::hint_id(ctx, compact), || compact.expand(ctx))
+    }
+
+    /// Installs the future access schedule (a sequence of
+    /// [`HintCache::hint_id`] values in execution order) as the Belady
+    /// eviction oracle, replacing any previous plan.
+    pub fn plan(&self, schedule: Vec<HintId>) {
+        self.cache.plan(schedule);
+    }
+
+    /// Clears the Belady plan, returning to pure LRU.
+    pub fn clear_plan(&self) {
+        self.cache.clear_plan();
     }
 
     /// The cache identity of a compact key under `ctx` — the value
@@ -314,39 +115,21 @@ impl HintCache {
         (ctx.params_fingerprint(), compact.integrity_digest())
     }
 
-    /// Whether the materialized form of `compact` is currently resident.
-    pub fn contains(&self, ctx: &CkksContext, compact: &CompactKeySwitchKey) -> bool {
-        self.lock()
-            .entries
-            .contains_key(&Self::hint_id(ctx, compact))
-    }
-
     /// Current counters.
     pub fn stats(&self) -> HintCacheStats {
-        let inner = self.lock();
-        HintCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            bytes_resident: inner.bytes,
-        }
+        self.cache.stats()
     }
 
     /// Zeroes the hit/miss/eviction counters (resident bytes are a gauge
     /// and unaffected).
     pub fn reset_stats(&self) {
-        let mut inner = self.lock();
-        inner.hits = 0;
-        inner.misses = 0;
-        inner.evictions = 0;
+        self.cache.reset_stats();
     }
 
-    /// Drops every resident entry (outstanding `Arc`s keep their keys).
+    /// Drops every resident entry and the plan (outstanding `Arc`s keep
+    /// their keys).
     pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.entries.clear();
-        inner.bytes = 0;
-        inner.plan = None;
+        self.cache.clear();
     }
 }
 
@@ -395,74 +178,5 @@ mod tests {
         let c2 = cache.get_or_expand(&c, &keys[0]).unwrap();
         assert_eq!(c2.integrity_digest(), a.integrity_digest());
         assert!(c2.verify_integrity());
-    }
-
-    #[test]
-    fn lru_evicts_coldest_within_budget() {
-        let c = ctx();
-        let keys = compact_keys(&c, 3);
-        let one = keys[0].expand(&c).unwrap().resident_bytes();
-        // Room for two materialized hints.
-        let cache = HintCache::new(2 * one);
-        let _a = cache.get_or_expand(&c, &keys[0]).unwrap();
-        let _b = cache.get_or_expand(&c, &keys[1]).unwrap();
-        // Touch key 0 so key 1 is coldest, then insert key 2.
-        let _a2 = cache.get_or_expand(&c, &keys[0]).unwrap();
-        let _c = cache.get_or_expand(&c, &keys[2]).unwrap();
-        assert!(cache.contains(&c, &keys[0]));
-        assert!(!cache.contains(&c, &keys[1]), "coldest entry must go");
-        assert!(cache.contains(&c, &keys[2]));
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert!(s.bytes_resident <= 2 * one);
-    }
-
-    #[test]
-    fn belady_plan_evicts_dead_then_farthest() {
-        let c = ctx();
-        let keys = compact_keys(&c, 3);
-        let one = keys[0].expand(&c).unwrap().resident_bytes();
-        let cache = HintCache::new(2 * one);
-        let id = |k: &CompactKeySwitchKey| HintCache::hint_id(&c, k);
-        // Schedule: 0, 1, 2, 0 — after accessing 0 and 1, key 0 is reused
-        // later but key 1 is dead, so inserting 2 must evict 1 even though
-        // 0 is older by LRU.
-        cache.plan(vec![id(&keys[0]), id(&keys[1]), id(&keys[2]), id(&keys[0])]);
-        let _a = cache.get_or_expand(&c, &keys[0]).unwrap();
-        let _b = cache.get_or_expand(&c, &keys[1]).unwrap();
-        let _c2 = cache.get_or_expand(&c, &keys[2]).unwrap();
-        assert!(
-            cache.contains(&c, &keys[0]),
-            "scheduled reuse must stay resident"
-        );
-        assert!(!cache.contains(&c, &keys[1]), "dead entry must go first");
-    }
-
-    #[test]
-    fn prefetch_warms_without_counting() {
-        let c = ctx();
-        let keys = compact_keys(&c, 1);
-        let cache = HintCache::new(usize::MAX);
-        cache.prefetch(&c, &keys[0]).unwrap();
-        assert!(cache.contains(&c, &keys[0]));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 0));
-        let _k = cache.get_or_expand(&c, &keys[0]).unwrap();
-        assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn single_oversized_entry_stays_usable() {
-        let c = ctx();
-        let keys = compact_keys(&c, 2);
-        let cache = HintCache::new(1); // budget smaller than any hint
-        let a = cache.get_or_expand(&c, &keys[0]).unwrap();
-        assert!(a.verify_integrity());
-        assert!(cache.contains(&c, &keys[0]));
-        // Inserting a second evicts down to one entry again.
-        let b = cache.get_or_expand(&c, &keys[1]).unwrap();
-        assert!(b.verify_integrity());
-        assert!(cache.contains(&c, &keys[1]));
-        assert!(!cache.contains(&c, &keys[0]));
     }
 }

@@ -37,6 +37,7 @@ mod automorphism;
 pub mod backend;
 mod baseconv;
 mod bigint;
+mod cache;
 mod cfft;
 mod modulus;
 mod ntt;
@@ -51,6 +52,7 @@ pub use automorphism::{
 pub use baseconv::BaseConvTable;
 pub use backend::{active_backend, cpu_features, set_active_backend, supported_backends, BackendKind};
 pub use bigint::{BigUint, CrtBasis};
+pub use cache::{Cache, CacheStats};
 pub use cfft::{Complex, SpecialFft};
 pub use modulus::Modulus;
 pub use ntt::NttTable;

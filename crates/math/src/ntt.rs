@@ -13,10 +13,9 @@
 //! [`NttTable::inverse_strict`]; differential tests assert both paths are
 //! bit-identical.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 
-use crate::{bit_reverse, AlignedVec, Modulus};
+use crate::{bit_reverse, AlignedVec, Cache, Modulus};
 
 /// Precomputed tables for the degree-`N` negacyclic NTT over one modulus.
 ///
@@ -118,26 +117,10 @@ impl NttTable {
     /// Returns `None` under the same conditions as [`NttTable::new`]. Failed
     /// lookups are not cached.
     pub fn cached(n: usize, q: u64) -> Option<Arc<NttTable>> {
-        type Cache = Mutex<HashMap<(usize, u64), Arc<NttTable>>>;
-        static CACHE: OnceLock<Cache> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(t) = cache
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .get(&(n, q))
-        {
-            return Some(Arc::clone(t));
-        }
-        // Build outside the lock: construction is O(n log n) and must not
-        // serialize unrelated lookups. A racing builder just loses its copy.
-        let table = Arc::new(NttTable::new(n, q)?);
-        Some(Arc::clone(
-            cache
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .entry((n, q))
-                .or_insert(table),
-        ))
+        static CACHE: LazyLock<Cache<(usize, u64), NttTable>> = LazyLock::new(Cache::unbounded);
+        CACHE
+            .get_or_try_insert_with((n, q), || NttTable::new(n, q).ok_or(()))
+            .ok()
     }
 
     /// Ring degree.

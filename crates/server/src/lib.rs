@@ -18,10 +18,12 @@
 //!   executor's restore-and-retry, metered by a per-tenant retry budget;
 //! - tenant isolation: per-tenant params fingerprints (checked at
 //!   admission *and* on every deep parse), per-tenant bytes-bounded
-//!   [`KeyCache`]s of compact key bundles (materialized hints share the
-//!   process-wide `cl_ckks::HintCache` across tenants),
-//!   and disjoint per-`(tenant, worker)` checkpoint directories guarded
-//!   by the `CheckpointStore` owner lock;
+//!   [`KeyCache`]s of compact key bundles, and disjoint per-`(tenant,
+//!   worker)` checkpoint directories guarded by the `CheckpointStore`
+//!   owner lock. Materialized hints live in the process-wide
+//!   `cl_ckks::HintCache`, shared across tenants. Both caches are the one
+//!   `cl_math::Cache` type behind a thin wrapper that parses or expands
+//!   its format;
 //! - structured outcomes: every failure maps to a stable
 //!   [`OutcomeCode`], with per-tenant [`TenantReport`] accounting
 //!   (job counts, shed counts, retry spend, recovery telemetry, op

@@ -1094,7 +1094,7 @@ fn run_attempts(
         .map_err(|e| classify(&e))?;
     let keys = tenant
         .keys
-        .get_or_load_with_digest(ctx, &job.spec.key_blob, job.spec.key_blob.digest())
+        .get_or_load(ctx, &job.spec.key_blob)
         .map_err(|e| classify(&e))?;
 
     // Disjoint per-(tenant, job) directory: the CheckpointStore owner

@@ -5,8 +5,11 @@
 //! - every tenant's blobs are validated against *its own* registered
 //!   params fingerprint, so a blob from tenant A (or a stale deployment)
 //!   can never be decoded into tenant B's job;
-//! - key bundles live in a per-tenant LRU cache keyed by blob digest —
-//!   one tenant's churn evicts only its own entries;
+//! - key bundles live in a per-tenant [`KeyCache`] keyed by blob digest,
+//!   so one tenant's churn evicts only its own entries. It is the
+//!   workspace's one cache type ([`cl_ckks::Cache`]) with a byte budget:
+//!   least-recently-used eviction, a miss billed per successful parse,
+//!   and a rejected blob never cached;
 //! - checkpoint directories are disjoint per `(tenant, job)` pair, so the
 //!   `CheckpointStore` owner lock never contends across tenants, a
 //!   corrupt checkpoint poisons at most one job's retry path, and a
@@ -21,133 +24,30 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cl_boot::{BootstrapKeys, Bootstrapper};
-use cl_ckks::serialize::fnv1a_fast;
-use cl_ckks::{CkksContext, FheResult};
+use cl_ckks::{Cache, CacheStats, CkksContext, FheResult};
 use cl_runtime::RecoveryTelemetry;
 use cl_trace::OpSnapshot;
 
 use crate::breaker::{BreakerReport, CircuitBreaker};
-use crate::OutcomeCode;
+use crate::{Blob, OutcomeCode};
 
-/// Key-cache counters for one tenant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KeyCacheStats {
-    /// Lookups served from the parsed cache.
-    pub hits: u64,
-    /// Lookups that had to deserialize (and integrity-check) the blob.
-    pub misses: u64,
-    /// Parsed bundles dropped to stay within the cache bound.
-    pub evictions: u64,
-    /// Bytes of compact key payload currently resident (gauge, not a
-    /// counter).
-    pub bytes_resident: usize,
-}
+/// Key-cache counters for one tenant: the shared [`CacheStats`].
+pub type KeyCacheStats = CacheStats;
 
 /// A **bytes-bounded** cache of parsed [`BootstrapKeys`] bundles, keyed by
 /// the FNV-1a digest of the serialized blob and evicted
-/// least-recently-used. Deserialization (with full checksum/fingerprint
-/// verification) is paid once per distinct blob while it stays resident.
+/// least-recently-used ([`cl_ckks::Cache`]). Deserialization (with full
+/// checksum/fingerprint verification) is paid once per distinct blob while
+/// it stays resident.
 ///
 /// Bundles are resident in their *compact* form (seed + `k0` halves; see
 /// [`cl_ckks::CompactKeySwitchKey`]), so the budget counts
 /// [`BootstrapKeys::compact_resident_bytes`] — materialized hints live in
 /// the process-wide [`cl_ckks::HintCache`] shared across tenants, with
 /// per-tenant regen cost attributed through the `hint_regen` op counter.
-///
-/// Lookups are O(1): a digest-keyed `HashMap` whose nodes form an
-/// intrusive doubly-linked recency list (no `Vec` scan, no allocation on
-/// a hit).
 #[derive(Debug)]
 pub struct KeyCache {
-    inner: Mutex<KeyCacheInner>,
-}
-
-#[derive(Debug)]
-struct Node {
-    keys: Arc<BootstrapKeys>,
-    bytes: usize,
-    /// Neighbor toward the MRU end (`None` = this is the head).
-    prev: Option<u64>,
-    /// Neighbor toward the LRU end (`None` = this is the tail).
-    next: Option<u64>,
-}
-
-#[derive(Debug)]
-struct KeyCacheInner {
-    entries: HashMap<u64, Node>,
-    /// Most-recently-used digest.
-    head: Option<u64>,
-    /// Least-recently-used digest (first eviction victim).
-    tail: Option<u64>,
-    capacity_bytes: usize,
-    bytes: usize,
-    stats: KeyCacheStats,
-}
-
-impl KeyCacheInner {
-    /// Detaches `digest` from the recency list (the node stays in the map).
-    fn unlink(&mut self, digest: u64) {
-        let (prev, next) = {
-            let n = &self.entries[&digest];
-            (n.prev, n.next)
-        };
-        match prev {
-            Some(p) => {
-                if let Some(node) = self.entries.get_mut(&p) {
-                    node.next = next;
-                }
-            }
-            None => self.head = next,
-        }
-        match next {
-            Some(nx) => {
-                if let Some(node) = self.entries.get_mut(&nx) {
-                    node.prev = prev;
-                }
-            }
-            None => self.tail = prev,
-        }
-    }
-
-    /// Links `digest` in as the new head (must currently be detached).
-    fn push_front(&mut self, digest: u64) {
-        let old_head = self.head;
-        if let Some(node) = self.entries.get_mut(&digest) {
-            node.prev = None;
-            node.next = old_head;
-        }
-        if let Some(h) = old_head {
-            if let Some(node) = self.entries.get_mut(&h) {
-                node.prev = Some(digest);
-            }
-        }
-        self.head = Some(digest);
-        if self.tail.is_none() {
-            self.tail = Some(digest);
-        }
-    }
-
-    fn touch(&mut self, digest: u64) {
-        if self.head == Some(digest) {
-            return;
-        }
-        self.unlink(digest);
-        self.push_front(digest);
-    }
-
-    /// Evicts LRU-first until the byte budget holds, always keeping at
-    /// least one bundle — a single bundle larger than the whole budget
-    /// must still be usable.
-    fn evict_to_fit(&mut self) {
-        while self.bytes > self.capacity_bytes && self.entries.len() > 1 {
-            let Some(victim) = self.tail else { break };
-            self.unlink(victim);
-            if let Some(node) = self.entries.remove(&victim) {
-                self.bytes -= node.bytes;
-                self.stats.evictions += 1;
-            }
-        }
-    }
+    cache: Cache<u64, BootstrapKeys>,
 }
 
 impl KeyCache {
@@ -155,101 +55,28 @@ impl KeyCache {
     /// budget of 0 still holds one bundle at a time).
     pub fn new(capacity_bytes: usize) -> Self {
         Self {
-            inner: Mutex::new(KeyCacheInner {
-                entries: HashMap::new(),
-                head: None,
-                tail: None,
-                capacity_bytes,
-                bytes: 0,
-                stats: KeyCacheStats::default(),
-            }),
+            cache: Cache::bounded(capacity_bytes, BootstrapKeys::compact_resident_bytes),
         }
     }
 
-    /// Returns the parsed bundle for `blob`, deserializing on a miss.
+    /// Returns the parsed bundle for `blob`, deserializing on a miss. A hit
+    /// costs one map lookup by the blob's digest, not a re-hash of a
+    /// megabyte bundle.
     ///
     /// # Errors
     ///
     /// Whatever [`BootstrapKeys::try_deserialize`] rejects: structural
     /// damage, checksum mismatch, or a foreign params fingerprint. A
-    /// rejected blob is *not* cached — the next attempt revalidates.
-    pub fn get_or_load(&self, ctx: &CkksContext, blob: &[u8]) -> FheResult<Arc<BootstrapKeys>> {
-        self.get_or_load_with_digest(ctx, blob, fnv1a_fast(blob))
-    }
-
-    /// [`KeyCache::get_or_load`] with the `fnv1a_fast(blob)` digest
-    /// already in hand (e.g. cached on a [`crate::Blob`]): a cache hit
-    /// then costs one map lookup, not a re-hash of a megabyte bundle.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KeyCache::get_or_load`].
-    pub fn get_or_load_with_digest(
-        &self,
-        ctx: &CkksContext,
-        blob: &[u8],
-        digest: u64,
-    ) -> FheResult<Arc<BootstrapKeys>> {
-        {
-            let mut inner = self.lock();
-            if let Some(node) = inner.entries.get(&digest) {
-                let keys = Arc::clone(&node.keys);
-                inner.stats.hits += 1;
-                inner.touch(digest);
-                return Ok(keys);
-            }
-        }
-        // Parse outside the lock: deserialization verifies every nested
-        // key and dominates the cost; other jobs keep hitting the cache.
-        let keys = Arc::new(BootstrapKeys::try_deserialize(ctx, blob)?);
-        let bytes = keys.compact_resident_bytes();
-        let mut inner = self.lock();
-        inner.stats.misses += 1;
-        if let Some(node) = inner.entries.get(&digest) {
-            // Another worker parsed the same blob concurrently; keep the
-            // resident copy and refresh its recency.
-            let resident = Arc::clone(&node.keys);
-            inner.touch(digest);
-            return Ok(resident);
-        }
-        inner.entries.insert(
-            digest,
-            Node {
-                keys: Arc::clone(&keys),
-                bytes,
-                prev: None,
-                next: None,
-            },
-        );
-        inner.push_front(digest);
-        inner.bytes += bytes;
-        inner.evict_to_fit();
-        Ok(keys)
+    /// rejected blob is neither cached nor billed — the next attempt
+    /// revalidates.
+    pub fn get_or_load(&self, ctx: &CkksContext, blob: &Blob) -> FheResult<Arc<BootstrapKeys>> {
+        self.cache
+            .get_or_try_insert_with(blob.digest(), || BootstrapKeys::try_deserialize(ctx, blob))
     }
 
     /// Current counters, with `bytes_resident` reflecting this instant.
     pub fn stats(&self) -> KeyCacheStats {
-        let inner = self.lock();
-        KeyCacheStats {
-            bytes_resident: inner.bytes,
-            ..inner.stats
-        }
-    }
-
-    /// Parsed bundles currently resident.
-    pub fn resident(&self) -> usize {
-        self.lock().entries.len()
-    }
-
-    /// Compact key bytes currently resident.
-    pub fn bytes_resident(&self) -> usize {
-        self.lock().bytes
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, KeyCacheInner> {
-        self.inner
-            .lock()
-            .expect("key cache poisoned: a holder panicked mid-update")
+        self.cache.stats()
     }
 }
 
@@ -510,68 +337,26 @@ mod tests {
     }
 
     #[test]
-    fn key_cache_hits_after_first_load_and_evicts_lru() {
-        let ctx = ctx();
-        let blob_a = key_blob(&ctx, 1);
-        let blob_b = key_blob(&ctx, 2);
-        let blob_c = key_blob(&ctx, 3);
-        // Every bundle has the same shape, so one parse prices them all;
-        // budget for exactly two resident bundles.
-        let one = BootstrapKeys::try_deserialize(&ctx, &blob_a)
-            .unwrap()
-            .compact_resident_bytes();
-        let cache = KeyCache::new(2 * one);
-
-        cache.get_or_load(&ctx, &blob_a).unwrap();
-        cache.get_or_load(&ctx, &blob_a).unwrap();
-        assert_eq!(
-            cache.stats(),
-            KeyCacheStats { hits: 1, misses: 1, evictions: 0, bytes_resident: one }
-        );
-
-        cache.get_or_load(&ctx, &blob_b).unwrap();
-        // `a` was touched more recently than nothing — order is now b, a.
-        // Loading `c` exceeds the byte budget and evicts the least recent
-        // (`a`).
-        cache.get_or_load(&ctx, &blob_c).unwrap();
-        assert_eq!(cache.resident(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.bytes_resident(), 2 * one);
-        // `a` must be reparsed (a fresh miss), `c` is a hit.
-        cache.get_or_load(&ctx, &blob_c).unwrap();
-        cache.get_or_load(&ctx, &blob_a).unwrap();
-        assert_eq!(cache.stats().misses, 4);
-        assert_eq!(cache.stats().hits, 2);
-    }
-
-    #[test]
     fn corrupt_key_blob_is_rejected_and_never_cached() {
         let ctx = ctx();
         let mut blob = key_blob(&ctx, 7);
         let mid = blob.len() / 2;
         blob[mid] ^= 0x40;
+        let blob = Blob::new(blob);
         let cache = KeyCache::new(1 << 20);
         assert!(cache.get_or_load(&ctx, &blob).is_err());
-        assert_eq!(cache.resident(), 0);
-        assert_eq!(cache.bytes_resident(), 0);
         // Misses only count *successful* parses; the reject is not billed
-        // as cache traffic.
-        assert_eq!(cache.stats().misses, 0);
-    }
-
-    #[test]
-    fn oversized_single_bundle_stays_usable() {
-        let ctx = ctx();
-        let blob_a = key_blob(&ctx, 1);
-        let blob_b = key_blob(&ctx, 2);
-        // Budget smaller than any bundle: the cache still holds exactly
-        // one at a time instead of thrashing to empty.
-        let cache = KeyCache::new(1);
-        cache.get_or_load(&ctx, &blob_a).unwrap();
-        assert_eq!(cache.resident(), 1);
-        cache.get_or_load(&ctx, &blob_b).unwrap();
-        assert_eq!(cache.resident(), 1);
-        assert_eq!(cache.stats().evictions, 1);
+        // as cache traffic, and nothing is resident.
+        assert_eq!(cache.stats(), CacheStats::default());
+        // The next attempt revalidates instead of serving a cached reject.
+        assert!(cache.get_or_load(&ctx, &blob).is_err());
+        // A sound bundle loads once and then hits by its digest.
+        let sound = Blob::new(key_blob(&ctx, 7));
+        let a = cache.get_or_load(&ctx, &sound).unwrap();
+        let b = cache.get_or_load(&ctx, &sound).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.bytes_resident), (1, 1, a.compact_resident_bytes()));
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! - lazily materialized keyswitch hints (compact seed + k0 form, k1
 //!   regenerated on demand) must be bit-identical to eager generation on
 //!   every backend and thread count, including under hint-cache eviction
-//!   and re-expansion mid-pipeline.
+//!   and re-expansion mid-pipeline,
+//! - a bootstrapper shared by two parameter sets must refresh each one
+//!   exactly as a bootstrapper of its own does.
 //!
 //! Thread count, backend selection and the `cl-trace` op counters are all
 //! process-global, so every test in this binary holds [`THREADS`] for its
@@ -23,7 +25,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use cl_boot::{try_bsgs_transform, BootstrapKeys, PrecomputedTransform};
+use cl_boot::{try_bsgs_transform, BootstrapKeys, Bootstrapper, PrecomputedTransform};
 use cl_ckks::{Ciphertext, CkksContext, CkksParams, KeySwitchKey, KeySwitchKind};
 use cl_math::{set_active_backend, supported_backends, BackendKind, Complex, NttTable};
 use cl_rns::{Basis, RnsContext, RnsPoly};
@@ -478,6 +480,43 @@ fn bootstrap_step_backend_invariant() {
             (stepped.c0().clone(), stepped.c1().clone(), ops)
         });
     }
+}
+
+/// One bootstrapper shared by two contexts with the same ring degree and
+/// level count but different moduli (a server tenant registers an
+/// `Arc<Bootstrapper>`, which may serve several contexts) refreshes each
+/// context's ciphertext bit-identically to a bootstrapper of its own: the
+/// cached transform plaintexts are keyed by the params fingerprint.
+#[test]
+fn shared_bootstrapper_matches_per_context_bootstrapper() {
+    let _held = hold_threads();
+    let boot_ctx = |bits: u32| {
+        let params = CkksParams::builder()
+            .ring_degree(64)
+            .levels(20)
+            .special_limbs(20)
+            .limb_bits(bits)
+            .scale_bits(bits)
+            .build()
+            .expect("valid params");
+        CkksContext::new(params).expect("context")
+    };
+    let (a, b) = (boot_ctx(45), boot_ctx(46));
+    assert_ne!(a.params_fingerprint(), b.params_fingerprint());
+    let shared = Bootstrapper::new(&a, 8);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    for ctx in [&a, &b] {
+        let sk = ctx.keygen_sparse(8, &mut rng);
+        let keys = shared.keygen(ctx, &sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
+        let pt = ctx.encode(&vec![0.25; ctx.params().slots()], ctx.default_scale(), 1);
+        let ct = ctx.encrypt(&pt, &sk, &mut rng);
+        let own = Bootstrapper::new(ctx, 8)
+            .try_bootstrap(ctx, &ct, &keys)
+            .expect("per-context bootstrap");
+        let got = shared.try_bootstrap(ctx, &ct, &keys).expect("shared bootstrap");
+        assert!(got == own, "a shared bootstrapper must refresh like a per-context one");
+    }
+    assert_eq!(shared.precompute().len(), 8, "four stage levels per context");
 }
 
 proptest! {
