@@ -216,26 +216,51 @@ impl CkksContext {
     // ------------------------------------------------------------------
 
     /// Encodes complex slot values into a plaintext at the given scale and
-    /// level. Unfilled slots are zero.
+    /// level. Unfilled slots are zero. The composition of
+    /// [`CkksContext::encode_coeffs`] and
+    /// [`CkksContext::plaintext_from_coeffs`].
     ///
     /// # Panics
     ///
     /// Panics if more than `N/2` values are supplied or `level` is out of
     /// range.
     pub fn encode_complex(&self, vals: &[Complex], scale: f64, level: usize) -> Plaintext {
+        self.plaintext_from_coeffs(&self.encode_coeffs(vals, scale), scale, level)
+    }
+
+    /// The first half of encoding: the inverse canonical embedding of the
+    /// slot values, scaled and rounded to the `N` signed integer
+    /// coefficients of the plaintext polynomial. It depends only on the
+    /// values, the scale and the ring degree, not on the level, so a caller
+    /// that encodes the same operand again can keep the coefficients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `N/2` values are supplied.
+    pub fn encode_coeffs(&self, vals: &[Complex], scale: f64) -> Vec<i64> {
         let slots = self.params.slots();
         assert!(vals.len() <= slots, "too many values for {slots} slots");
-        assert!((1..=self.params.levels).contains(&level), "bad level");
         let mut v = vec![Complex::default(); slots];
         v[..vals.len()].copy_from_slice(vals);
         self.fft.inverse(&mut v);
-        let signed: Vec<i64> = v
-            .iter()
+        v.iter()
             .map(|c| (c.re * scale).round() as i64)
             .chain(v.iter().map(|c| (c.im * scale).round() as i64))
-            .collect();
+            .collect()
+    }
+
+    /// The second half of encoding: the coefficients of
+    /// [`CkksContext::encode_coeffs`] reduced into each limb of `level`'s
+    /// basis and taken to NTT form, as a plaintext at `scale`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coeffs` does not hold `N` coefficients or `level` is out
+    /// of range.
+    pub fn plaintext_from_coeffs(&self, coeffs: &[i64], scale: f64, level: usize) -> Plaintext {
+        assert!((1..=self.params.levels).contains(&level), "bad level");
         let basis = self.rns.q_basis(level);
-        let mut poly = self.rns.from_signed_coeffs(&signed, &basis);
+        let mut poly = self.rns.from_signed_coeffs(coeffs, &basis);
         self.rns.to_ntt(&mut poly);
         Plaintext { poly, level, scale }
     }

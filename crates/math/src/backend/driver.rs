@@ -6,9 +6,9 @@
 //! transforms, and the base conversion are written once, in terms of a
 //! vector type, a lane count and a short list of element primitives, and
 //! [`simd_driver!`] stamps that source into an ISA module (`avx2.rs`: 4
-//! lanes, `avx512.rs`: 8 lanes). That is fourteen kernels: six that
-//! multiply nothing (add, sub, neg, raw reduction, the gather and the
-//! scan), compiled with the module's own feature set, and the eight
+//! lanes, `avx512.rs`: 8 lanes). That is fifteen kernels: seven that
+//! use no product (add, sub, neg, the raw and the signed reduction, the
+//! gather and the scan), compiled with the module's own feature set, and the eight
 //! product kernels below.
 //!
 //! It is a `macro_rules!` stamp rather than a trait-generic driver because
@@ -297,6 +297,37 @@ macro_rules! simd_driver {
                 }
             }
             scalar::reduce_raw_slice(m, &mut a[n..]);
+        }
+
+        /// Reduces signed words into canonical `[0, q)`: `out[i]` is the
+        /// Euclidean residue of `a[i]`.
+        ///
+        /// Each word is biased into the unsigned range, `x + 2^63` (exact
+        /// for every `i64`), reduced as in [`reduce_raw_slice`] to `r`, and
+        /// the bias taken back off: `x = r - (2^63 mod q) (mod q)`, so
+        /// `r + (q - 2^63 mod q)` lies in `(0, 2q)` and one conditional
+        /// subtract canonicalizes. No lane needs its sign.
+        #[target_feature(enable = $tf)]
+        pub(crate) fn reduce_signed_slice(m: &Modulus, a: &[i64], out: &mut [u64]) {
+            debug_assert_eq!(a.len(), out.len());
+            // SAFETY: `i64` and `u64` have the same size and alignment, and
+            // every bit pattern is a valid value of both.
+            let words: &[u64] = unsafe { ::core::slice::from_raw_parts(a.as_ptr().cast(), a.len()) };
+            let c = consts(m);
+            let q = m.value();
+            let minv = splat(((1u128 << 64) / q as u128) as u64);
+            let bias = splat(1 << 63);
+            let unbias = splat(q - (1u64 << 63) % q);
+            let n = a.len() - a.len() % LANES;
+            for i in (0..n).step_by(LANES) {
+                // SAFETY: i + LANES <= n <= words.len() == out.len().
+                unsafe {
+                    let x = $add(ld(words, i), bias);
+                    let r = csub_q(c, $sub(x, mullo64(mulhi64(x, minv), c.q)));
+                    st(out, i, csub_q(c, $add(r, unbias)));
+                }
+            }
+            scalar::reduce_signed_slice(m, &a[n..], &mut out[n..]);
         }
 
         #[target_feature(enable = $tf)]

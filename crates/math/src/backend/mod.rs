@@ -430,6 +430,13 @@ kernels! {
     /// hint-expansion kernel (reduce a raw PRG word stream into residues).
     fn reduce_raw_slice(m: &Modulus, a: &mut [u64]) {}
 
+    /// `out[i] = a[i] mod q` (the Euclidean residue) for signed words,
+    /// canonical output — the encoder's reduction of rounded coefficients
+    /// into each limb.
+    fn reduce_signed_slice(m: &Modulus, a: &[i64], out: &mut [u64]) {
+        same_len!(a, out);
+    }
+
     /// `out[i] = src[perm[i]]` — the NTT-domain automorphism gather. `perm`
     /// must be an `AutomorphismTable` permutation.
     fn gather_slice(out: &mut [u64], src: &[u64], perm: &[u32]) {

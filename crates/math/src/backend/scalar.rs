@@ -58,6 +58,12 @@ pub(crate) fn reduce_raw_slice(m: &Modulus, a: &mut [u64]) {
     }
 }
 
+pub(crate) fn reduce_signed_slice(m: &Modulus, a: &[i64], out: &mut [u64]) {
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = m.from_i64(x);
+    }
+}
+
 pub(crate) fn gather_slice(out: &mut [u64], src: &[u64], perm: &[u32]) {
     for (dst, &s) in out.iter_mut().zip(perm) {
         *dst = src[s as usize];

@@ -338,6 +338,18 @@ impl Modulus {
         crate::backend::reduce_raw_slice(self, a);
     }
 
+    /// Element-wise reduction of signed words into canonical `[0, q)`:
+    /// `out[i]` is the Euclidean residue of `a[i]`, the word
+    /// [`Modulus::from_i64`] returns, in one vectorized pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `out` differ in length.
+    #[inline]
+    pub fn reduce_signed_slice(&self, a: &[i64], out: &mut [u64]) {
+        crate::backend::reduce_signed_slice(self, a, out);
+    }
+
     /// The index of the first word of `x` that is not a canonical residue
     /// (`x[i] >= q`), or `None` if every word is below `q` — the residue
     /// range check, one lane-parallel pass over `x`.
@@ -706,6 +718,47 @@ mod tests {
                         prop_assert_eq!(&p0, &r0, "gather_mul_acc_pair_slice acc0 diverged on {} at q = {}", route, q);
                         prop_assert_eq!(&p1, &r1, "gather_mul_acc_pair_slice acc1 diverged on {} at q = {}", route, q);
                     }
+                }
+            }
+        }
+    }
+
+    /// The signed reduction on every route, and through the dispatcher
+    /// (whichever backend `CL_BACKEND` pins), against `rem_euclid`: the
+    /// words at both ends of the `i64` range, around zero, around `±q` and
+    /// at `±2^52`, then a pseudo-random stream, over every kernel modulus
+    /// and a 30-bit one; every length through three vectors of the widest
+    /// backend plus a tail, and one ring degree.
+    #[test]
+    fn reduce_signed_matches_rem_euclid_on_every_route() {
+        let mut qs = kernel_moduli().to_vec();
+        qs.push(0x3fff_c001);
+        for q in qs {
+            let m = Modulus::new(q).unwrap();
+            let qi = q as i64;
+            let edges = [
+                i64::MIN, i64::MAX, 0, 1, -1, qi, -qi, qi - 1, 1 - qi, qi + 1, -qi - 1,
+                1 << 52, -(1 << 52), i64::MIN + 1, i64::MAX - 1,
+            ];
+            let mut state = q;
+            let random = std::iter::repeat_with(|| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                state as i64 >> (state % 13)
+            });
+            let words: Vec<i64> = edges.iter().copied().chain(random.take(1024)).collect();
+            for len in (0..=3 * 8 + 1).chain([words.len()]) {
+                // Rotate the edges through every lane position.
+                for start in [0, 1, 7] {
+                    let a: Vec<i64> = words.iter().cycle().skip(start).take(len).copied().collect();
+                    let want: Vec<u64> = a.iter().map(|&x| x.rem_euclid(qi) as u64).collect();
+                    for route in forced::routes() {
+                        let mut out = vec![u64::MAX; len];
+                        forced::reduce_signed_slice(route, &m, &a, &mut out);
+                        assert_eq!(out, want, "{route}, q = {q}, len {len}, start {start}");
+                    }
+                    let mut out = vec![u64::MAX; len];
+                    m.reduce_signed_slice(&a, &mut out);
+                    assert_eq!(out, want, "{}, q = {q}, len {len}, start {start}", active_backend());
                 }
             }
         }

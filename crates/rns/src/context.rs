@@ -308,10 +308,7 @@ impl RnsContext {
         assert_eq!(signed.len(), self.n);
         let mut p = RnsPoly::zero(self.n, basis.clone());
         self.par_limbs(&mut p, |_, limb, data| {
-            let m = &self.modulus_structs[limb as usize];
-            for (c, &s) in data.iter_mut().zip(signed) {
-                *c = m.from_i64(s);
-            }
+            self.modulus_structs[limb as usize].reduce_signed_slice(signed, data);
         });
         p
     }

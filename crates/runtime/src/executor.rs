@@ -8,12 +8,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cl_boot::{BootState, Bootstrapper, BootstrapKeys};
-use cl_ckks::{Ciphertext, CkksContext, FheError, FheResult, GuardrailPolicy};
+use cl_ckks::{Ciphertext, CkksContext, FheError, FheResult, GuardrailPolicy, Plaintext};
+use cl_math::Complex;
 
 #[cfg(any(test, feature = "faults"))]
 use cl_ckks::faults::{FaultAction, FaultPlan};
 
 use crate::checkpoint::{validate_boot_state, Checkpoint, CheckpointStore, WorkState};
+use crate::prepared::PreparedProgram;
 use crate::program::{PipelineOp, Program};
 
 /// Executor configuration.
@@ -461,9 +463,30 @@ impl<'a> PipelineExecutor<'a> {
     /// Same contract as [`PipelineExecutor::run`], plus
     /// [`FheError::InvalidParams`] for an empty input slice.
     pub fn run_graph(&mut self, inputs: &[Ciphertext], program: &Program) -> FheResult<RunOutcome> {
-        let first = self.check_graph(inputs, program)?;
-        self.binding = self.job_binding(inputs, program);
-        self.drive((0, Acc::ct(first.clone()), Slots::new()), program, inputs)
+        self.run_prepared(
+            inputs,
+            &PreparedProgram::borrowed_with_memo(self.ctx, program, 0),
+        )
+    }
+
+    /// [`PipelineExecutor::run_graph`] of a program prepared once for many
+    /// runs: its schedule is reused and its memoized plaintext operands
+    /// are rounded only on the first run that reaches them at a scale. The output is
+    /// bit-identical to an unprepared run.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`PipelineExecutor::run_graph`], plus
+    /// [`FheError::InvalidParams`] for a program prepared for another ring
+    /// degree.
+    pub fn run_prepared(
+        &mut self,
+        inputs: &[Ciphertext],
+        prepared: &PreparedProgram<'_>,
+    ) -> FheResult<RunOutcome> {
+        let first = self.check_graph(inputs, prepared)?;
+        self.binding = self.job_binding(inputs, prepared.program());
+        self.drive((0, Acc::ct(first.clone()), Slots::new()), prepared, inputs)
     }
 
     /// Resumes `program` after a crash: reloads the newest valid durable
@@ -488,8 +511,25 @@ impl<'a> PipelineExecutor<'a> {
         inputs: &[Ciphertext],
         program: &Program,
     ) -> FheResult<RunOutcome> {
-        let first = self.check_graph(inputs, program)?;
-        self.binding = self.job_binding(inputs, program);
+        self.resume_prepared(
+            inputs,
+            &PreparedProgram::borrowed_with_memo(self.ctx, program, 0),
+        )
+    }
+
+    /// [`PipelineExecutor::resume_graph`] of a prepared program (see
+    /// [`PipelineExecutor::run_prepared`]).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`PipelineExecutor::run_prepared`].
+    pub fn resume_prepared(
+        &mut self,
+        inputs: &[Ciphertext],
+        prepared: &PreparedProgram<'_>,
+    ) -> FheResult<RunOutcome> {
+        let first = self.check_graph(inputs, prepared)?;
+        self.binding = self.job_binding(inputs, prepared.program());
         let fresh = || (0, Acc::ct(first.clone()), Slots::new());
         let start = match &mut self.store {
             Some(store) => match store.load_latest(self.ctx, self.binding) {
@@ -512,7 +552,7 @@ impl<'a> PipelineExecutor<'a> {
             },
             None => fresh(),
         };
-        self.drive(start, program, inputs)
+        self.drive(start, prepared, inputs)
     }
 
     /// Content digest binding checkpoints to this exact `(program,
@@ -543,9 +583,19 @@ impl<'a> PipelineExecutor<'a> {
     fn check_graph<'i>(
         &self,
         inputs: &'i [Ciphertext],
-        program: &Program,
+        prepared: &PreparedProgram<'_>,
     ) -> FheResult<&'i Ciphertext> {
-        if program.needs_bootstrapper() && self.booter.is_none() {
+        let n = self.ctx.params().ring_degree();
+        if prepared.ring_degree() != n {
+            return Err(FheError::InvalidParams {
+                op: "executor",
+                reason: format!(
+                    "program prepared for ring degree {}, context has {n}",
+                    prepared.ring_degree()
+                ),
+            });
+        }
+        if prepared.program().needs_bootstrapper() && self.booter.is_none() {
             return Err(FheError::InvalidParams {
                 op: "executor",
                 reason: "program contains a bootstrap but no Bootstrapper is attached".into(),
@@ -563,11 +613,11 @@ impl<'a> PipelineExecutor<'a> {
     fn drive(
         &mut self,
         start: Boundary,
-        program: &Program,
+        prepared: &PreparedProgram<'_>,
         inputs: &[Ciphertext],
     ) -> FheResult<RunOutcome> {
         let at_entry = cl_trace::OpSnapshot::capture();
-        let out = self.drive_inner(start, program, inputs);
+        let out = self.drive_inner(start, prepared, inputs);
         let delta = cl_trace::OpSnapshot::capture().delta_since(&at_entry);
         self.telemetry.ops = self.telemetry.ops.plus(&delta);
         out
@@ -576,10 +626,10 @@ impl<'a> PipelineExecutor<'a> {
     fn drive_inner(
         &mut self,
         start: Boundary,
-        program: &Program,
+        prepared: &PreparedProgram<'_>,
         inputs: &[Ciphertext],
     ) -> FheResult<RunOutcome> {
-        let schedule = program.micro_schedule();
+        let schedule = prepared.schedule();
         let end = schedule.len() as u64;
         let (mut pc, mut state, mut slots) = start;
         if pc > end {
@@ -619,7 +669,7 @@ impl<'a> PipelineExecutor<'a> {
 
             let (op_idx, stage) = schedule[pc as usize];
             let step = self
-                .exec_micro(&program.ops()[op_idx], stage, &state, &mut slots, inputs)
+                .exec_micro(prepared, op_idx, stage, &state, &mut slots, inputs)
                 // A successful op can still hand a corrupted state to the
                 // *next* op; validating here bounds detection latency to
                 // one micro-op and keeps checkpoints clean.
@@ -734,12 +784,14 @@ impl<'a> PipelineExecutor<'a> {
     /// partial mutations never leak into a retry.
     fn exec_micro(
         &self,
-        op: &PipelineOp,
+        prepared: &PreparedProgram<'_>,
+        op_idx: usize,
         stage: usize,
         state: &Acc,
         slots: &mut Slots,
         inputs: &[Ciphertext],
     ) -> FheResult<Acc> {
+        let op = &prepared.program().ops()[op_idx];
         // Bootstrap stages operate on (and may produce) a BootState; every
         // other op needs a plain ciphertext.
         if let PipelineOp::Bootstrap = op {
@@ -786,21 +838,11 @@ impl<'a> PipelineExecutor<'a> {
                 .try_square(ct, self.keys.try_relin(self.ctx)?.as_ref())?,
             PipelineOp::Rescale => self.ctx.try_rescale(ct)?,
             PipelineOp::AddPlain(vals) => {
-                let p = self.ctx.encode(vals, ct.scale(), ct.level());
+                let p = self.plaintext(prepared, op_idx, vals, ct.scale(), ct.level());
                 self.ctx.try_add_plain(ct, &p)?
             }
             PipelineOp::MulPlainRescale(vals) => {
-                // Encode at exactly the dropped modulus' value so the
-                // rescale lands back on the original scale.
-                if ct.level() < 2 {
-                    return Err(FheError::LevelMismatch {
-                        op: "mul_plain_rescale",
-                        got: ct.level(),
-                        want: 2,
-                    });
-                }
-                let q_drop = self.ctx.rns().modulus_value((ct.level() - 1) as u32) as f64;
-                let p = self.ctx.encode(vals, q_drop, ct.level());
+                let p = self.mul_plain_operand(prepared, op_idx, vals, ct, "mul_plain_rescale")?;
                 let prod = self.ctx.try_mul_plain(ct, &p)?;
                 self.ctx.try_rescale(&prod)?
             }
@@ -849,18 +891,7 @@ impl<'a> PipelineExecutor<'a> {
                     .try_mul(ct, rhs, self.keys.try_relin(self.ctx)?.as_ref())?
             }
             PipelineOp::MulPlain(vals) => {
-                // Encode at the next-to-drop modulus' value (the
-                // MulPlainRescale convention) so a later Rescale restores
-                // the ciphertext's scale exactly.
-                if ct.level() < 2 {
-                    return Err(FheError::LevelMismatch {
-                        op: "mul_plain",
-                        got: ct.level(),
-                        want: 2,
-                    });
-                }
-                let q_drop = self.ctx.rns().modulus_value((ct.level() - 1) as u32) as f64;
-                let p = self.ctx.encode(vals, q_drop, ct.level());
+                let p = self.mul_plain_operand(prepared, op_idx, vals, ct, "mul_plain")?;
                 self.ctx.try_mul_plain(ct, &p)?
             }
             PipelineOp::RotateHoisted { steps, dsts } => {
@@ -896,6 +927,48 @@ impl<'a> PipelineExecutor<'a> {
         Ok(Acc::ct(out))
     }
 
+    /// The plaintext operand `vals` of op `op_idx`, encoded at `scale` and
+    /// `level`. Its rounded coefficients come from the prepared program's
+    /// memo, so only the first run to reach the op at this scale pays the
+    /// inverse embedding; every run reduces and transforms them.
+    fn plaintext(
+        &self,
+        prepared: &PreparedProgram<'_>,
+        op_idx: usize,
+        vals: &[f64],
+        scale: f64,
+        level: usize,
+    ) -> Plaintext {
+        let coeffs = prepared.coeffs(op_idx, scale, || {
+            let slots: Vec<Complex> = vals.iter().map(|&r| Complex::new(r, 0.0)).collect();
+            self.ctx.encode_coeffs(&slots, scale)
+        });
+        self.ctx.plaintext_from_coeffs(&coeffs, scale, level)
+    }
+
+    /// The operand of a `MulPlain` or `MulPlainRescale` op: encoded at the
+    /// value of the next modulus to drop, so the rescale that follows lands
+    /// back on the ciphertext's scale exactly.
+    fn mul_plain_operand(
+        &self,
+        prepared: &PreparedProgram<'_>,
+        op_idx: usize,
+        vals: &[f64],
+        ct: &Ciphertext,
+        op: &'static str,
+    ) -> FheResult<Plaintext> {
+        let level = ct.level();
+        if level < 2 {
+            return Err(FheError::LevelMismatch {
+                op,
+                got: level,
+                want: 2,
+            });
+        }
+        let q_drop = self.ctx.rns().modulus_value((level - 1) as u32) as f64;
+        Ok(self.plaintext(prepared, op_idx, vals, q_drop, level))
+    }
+
     /// Reads a named slot, or fails with the op that needed it.
     fn slot_get<'s>(
         slots: &'s Slots,
@@ -912,6 +985,7 @@ impl<'a> PipelineExecutor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepared::COEFF_MEMO_BYTES;
     use cl_boot::Bootstrapper;
     use cl_ckks::faults::flip_ciphertext_word;
     use cl_ckks::CkksParams;
@@ -1417,6 +1491,189 @@ mod tests {
                 let _ = std::fs::remove_dir_all(&dir);
             }
         }
+    }
+
+    /// Every plaintext-operand op form: `AddPlain` (twice) at the
+    /// ciphertext's scale, `MulPlain` and `MulPlainRescale` at the value of
+    /// the next modulus to drop.
+    fn plain_operand_program() -> Program {
+        Program::new()
+            .then(PipelineOp::MulPlainRescale(vec![0.5, -1.25, 2.0]))
+            .then(PipelineOp::AddPlain(vec![0.1, 0.2, -0.3]))
+            .then(PipelineOp::MulPlain(vec![1.5, 0.75]))
+            .then(PipelineOp::Rescale)
+            .then(PipelineOp::AddPlain(vec![-0.05; 7]))
+    }
+
+    fn completed(out: FheResult<RunOutcome>) -> Ciphertext {
+        match out.unwrap() {
+            RunOutcome::Completed(ct) => ct,
+            RunOutcome::Crashed => panic!("no fault plan attached"),
+        }
+    }
+
+    fn no_ckpt() -> ExecutorConfig {
+        ExecutorConfig {
+            checkpoint_every: 0,
+            max_retries: 1,
+            checkpoint_dir: None,
+        }
+    }
+
+    #[test]
+    fn prepared_run_is_bit_identical_to_unprepared_run() {
+        let ctx = strict_ctx();
+        let (sk, keys) = graph_keys(&ctx, &[]);
+        let input = dataflow_inputs(&ctx, &sk, 9).remove(0);
+        let program = plain_operand_program();
+        let mut exec = PipelineExecutor::new(&ctx, &keys, no_ckpt()).unwrap();
+        let want = completed(exec.run(&input, &program));
+
+        let prepared = PreparedProgram::new(&ctx, program.clone());
+        let inputs = std::slice::from_ref(&input);
+        let first = completed(exec.run_prepared(inputs, &prepared));
+        let s = prepared.memo_stats();
+        assert_eq!(
+            (s.hits, s.misses),
+            (0, 4),
+            "the first run rounds every operand"
+        );
+        let second = completed(exec.run_prepared(inputs, &prepared));
+        let s = prepared.memo_stats();
+        assert_eq!((s.hits, s.misses), (4, 4), "the second run rounds none");
+        assert_eq!(s.evictions, 0, "one scale's worth fits the memo");
+        assert_eq!(first, want, "a prepared run must match the unprepared one");
+        assert_eq!(second, want, "a memo-hit run must match the unprepared one");
+        assert_eq!(exec.telemetry().ops_executed, 3 * program.len() as u64);
+
+        // A program prepared for another ring degree is refused, not run.
+        let wide = CkksContext::new(
+            CkksParams::builder()
+                .ring_degree(128)
+                .levels(6)
+                .special_limbs(6)
+                .limb_bits(45)
+                .scale_bits(40)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let foreign = PreparedProgram::borrowed(&wide, &program);
+        assert!(matches!(
+            exec.run_prepared(inputs, &foreign),
+            Err(FheError::InvalidParams { .. })
+        ));
+    }
+
+    #[test]
+    fn coefficient_memo_is_capped_whatever_the_operand_count() {
+        let ctx = strict_ctx();
+        let (sk, keys) = graph_keys(&ctx, &[]);
+        let input = dataflow_inputs(&ctx, &sk, 11).remove(0);
+        let vector_bytes = ctx.params().ring_degree() * std::mem::size_of::<i64>();
+        // Many one-value operands, ten times more than a small cap holds:
+        // the first ten are memoized, the rest round on every run.
+        let program = (0..100).fold(Program::new(), |p, i| {
+            p.then(PipelineOp::AddPlain(vec![f64::from(i) / 512.0]))
+        });
+        let mut exec = PipelineExecutor::new(&ctx, &keys, no_ckpt()).unwrap();
+        let want = completed(exec.run(&input, &program));
+        let prepared = PreparedProgram::borrowed_with_memo(&ctx, &program, 10 * vector_bytes);
+        for run in 0..2u64 {
+            let got = completed(exec.run_prepared(std::slice::from_ref(&input), &prepared));
+            assert_eq!(got, want, "run {run} must match the unprepared run");
+            let s = prepared.memo_stats();
+            assert_eq!((s.hits, s.misses, s.evictions), (10 * run, 10, 0), "{s:?}");
+            assert_eq!(s.bytes_resident, 10 * vector_bytes);
+        }
+
+        // The public constructors weigh no more than COEFF_MEMO_BYTES of
+        // memo, however many operands the program carries.
+        let operands = COEFF_MEMO_BYTES / vector_bytes + 100;
+        let program = (0..operands).fold(Program::new(), |p, _| {
+            p.then(PipelineOp::AddPlain(vec![0.5]))
+        });
+        let ops = std::mem::size_of::<PipelineOp>() + std::mem::size_of::<f64>();
+        assert_eq!(
+            PreparedProgram::new(&ctx, program).resident_bytes(),
+            operands * ops + COEFF_MEMO_BYTES
+        );
+    }
+
+    #[test]
+    fn one_prepared_program_at_two_alternating_scales_stays_bit_identical() {
+        let ctx = strict_ctx();
+        let (sk, keys) = graph_keys(&ctx, &[]);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let vals = [0.5, -0.25, 0.125, 0.75];
+        // Another scale and another level: every operand's memo key moves.
+        let inputs = [
+            (ctx.default_scale(), ctx.max_level()),
+            (2f64.powi(35), ctx.max_level() - 1),
+        ]
+        .map(|(scale, level)| ctx.encrypt(&ctx.encode(&vals, scale, level), &sk, &mut rng));
+        let program = plain_operand_program();
+        let mut exec = PipelineExecutor::new(&ctx, &keys, no_ckpt()).unwrap();
+        let want = inputs
+            .clone()
+            .map(|input| completed(exec.run(&input, &program)));
+        assert_ne!(want[0], want[1]);
+
+        let prepared = PreparedProgram::borrowed(&ctx, &program);
+        for round in 0..3 {
+            for (input, want) in inputs.iter().zip(&want) {
+                let got = completed(exec.run_prepared(std::slice::from_ref(input), &prepared));
+                assert_eq!(&got, want, "round {round}, scale {}", input.scale());
+            }
+        }
+        let s = prepared.memo_stats();
+        assert!(
+            s.evictions > 0,
+            "two scales overflow a one-scale memo: {s:?}"
+        );
+        assert_eq!(s.hits + s.misses, 6 * 4, "one lookup per operand per run");
+    }
+
+    #[test]
+    fn threads_sharing_one_prepared_program_agree_bit_for_bit() {
+        let ctx = strict_ctx();
+        let (sk, keys) = graph_keys(&ctx, &[]);
+        let input = dataflow_inputs(&ctx, &sk, 13).remove(0);
+        let program = plain_operand_program();
+        let want = completed(
+            PipelineExecutor::new(&ctx, &keys, no_ckpt())
+                .unwrap()
+                .run(&input, &program),
+        );
+        let prepared = PreparedProgram::new(&ctx, program);
+        let outs: Vec<Ciphertext> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut exec = PipelineExecutor::new(&ctx, &keys, no_ckpt()).unwrap();
+                        (0..3)
+                            .map(|_| {
+                                completed(
+                                    exec.run_prepared(std::slice::from_ref(&input), &prepared),
+                                )
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        assert_eq!(outs.len(), 6);
+        assert!(
+            outs.iter().all(|out| *out == want),
+            "every shared run must match"
+        );
+        let s = prepared.memo_stats();
+        assert_eq!(s.hits + s.misses, 6 * 4, "one lookup per operand per run");
+        assert_eq!(prepared.memo_stats().bytes_resident, 4 * 64 * 8);
     }
 
     #[test]

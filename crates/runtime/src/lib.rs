@@ -14,6 +14,9 @@
 //!   format of [`cl_ckks::serialize`] — corrupt or torn records are
 //!   *rejected at load time* by checksum/fingerprint checks, never
 //!   resumed from;
+//! - [`PreparedProgram`]: a program with its micro-op schedule and a
+//!   memo of its plaintext operands' rounded coefficients, built once and
+//!   shared by every run of the program;
 //! - [`PipelineExecutor`]: runs a program under
 //!   [`GuardrailPolicy::Strict`], checkpoints every N micro-ops, and on
 //!   any detected fault (corrupt limb, exhausted budget, tampered hint)
@@ -35,10 +38,12 @@
 
 mod checkpoint;
 mod executor;
+mod prepared;
 mod program;
 
 pub use checkpoint::{sweep_checkpoint_dir, Checkpoint, CheckpointStore, WorkState};
 pub use executor::{
     ExecutorConfig, PipelineExecutor, RecoveryTelemetry, RunControl, RunOutcome,
 };
+pub use prepared::{PreparedProgram, COEFF_MEMO_BYTES};
 pub use program::{PipelineOp, Program, MAX_PLAIN_VALUES, MAX_PROGRAM_OPS};

@@ -96,6 +96,17 @@ impl PipelineOp {
         }
     }
 
+    /// The plaintext operand values of an `AddPlain`, `MulPlain` or
+    /// `MulPlainRescale` op.
+    pub fn plain_values(&self) -> Option<&[f64]> {
+        match self {
+            PipelineOp::AddPlain(vals)
+            | PipelineOp::MulPlain(vals)
+            | PipelineOp::MulPlainRescale(vals) => Some(vals),
+            _ => None,
+        }
+    }
+
     /// Short name for telemetry and errors.
     pub fn name(&self) -> &'static str {
         match self {
@@ -118,6 +129,35 @@ impl PipelineOp {
             PipelineOp::ModDropTo(_) => "mod_drop_to",
         }
     }
+}
+
+/// Writes a plaintext operand vector: its length, then each value.
+fn put_plain(out: &mut Vec<u8>, vals: &[f64]) {
+    put_u32(out, vals.len() as u32);
+    for v in vals {
+        put_f64(out, *v);
+    }
+}
+
+/// Reads the plaintext operand vector of op `i` written by [`put_plain`],
+/// rejecting a length beyond [`MAX_PLAIN_VALUES`] before allocating and
+/// any value that is not finite.
+fn read_plain(r: &mut Reader<'_>, i: usize) -> FheResult<Vec<f64>> {
+    let len = r.u32()? as usize;
+    if len > MAX_PLAIN_VALUES {
+        return Err(r.err(format!(
+            "op {i}: plaintext vector length {len} exceeds the {MAX_PLAIN_VALUES} cap"
+        )));
+    }
+    let mut vals = Vec::with_capacity(len);
+    for j in 0..len {
+        let v = r.f64()?;
+        if !v.is_finite() {
+            return Err(r.err(format!("op {i}: plaintext value {j} is not finite ({v})")));
+        }
+        vals.push(v);
+    }
+    Ok(vals)
 }
 
 /// A declared sequence of pipeline ops.
@@ -208,17 +248,11 @@ impl Program {
                 PipelineOp::Rescale => put_u8(&mut out, 1),
                 PipelineOp::AddPlain(vals) => {
                     put_u8(&mut out, 2);
-                    put_u32(&mut out, vals.len() as u32);
-                    for v in vals {
-                        put_f64(&mut out, *v);
-                    }
+                    put_plain(&mut out, vals);
                 }
                 PipelineOp::MulPlainRescale(vals) => {
                     put_u8(&mut out, 3);
-                    put_u32(&mut out, vals.len() as u32);
-                    for v in vals {
-                        put_f64(&mut out, *v);
-                    }
+                    put_plain(&mut out, vals);
                 }
                 PipelineOp::Rotate(steps) => {
                     put_u8(&mut out, 4);
@@ -256,10 +290,7 @@ impl Program {
                 }
                 PipelineOp::MulPlain(vals) => {
                     put_u8(&mut out, 14);
-                    put_u32(&mut out, vals.len() as u32);
-                    for v in vals {
-                        put_f64(&mut out, *v);
-                    }
+                    put_plain(&mut out, vals);
                 }
                 PipelineOp::RotateHoisted { steps, dsts } => {
                     put_u8(&mut out, 15);
@@ -309,30 +340,8 @@ impl Program {
             let op = match tag {
                 0 => PipelineOp::Square,
                 1 => PipelineOp::Rescale,
-                2 | 3 => {
-                    let len = r.u32()? as usize;
-                    if len > MAX_PLAIN_VALUES {
-                        return Err(r.err(format!(
-                            "op {i}: plaintext vector length {len} exceeds the \
-                             {MAX_PLAIN_VALUES} cap"
-                        )));
-                    }
-                    let mut vals = Vec::with_capacity(len);
-                    for j in 0..len {
-                        let v = r.f64()?;
-                        if !v.is_finite() {
-                            return Err(r.err(format!(
-                                "op {i}: plaintext value {j} is not finite ({v})"
-                            )));
-                        }
-                        vals.push(v);
-                    }
-                    if tag == 2 {
-                        PipelineOp::AddPlain(vals)
-                    } else {
-                        PipelineOp::MulPlainRescale(vals)
-                    }
-                }
+                2 => PipelineOp::AddPlain(read_plain(&mut r, i)?),
+                3 => PipelineOp::MulPlainRescale(read_plain(&mut r, i)?),
                 4 => PipelineOp::Rotate(r.i64()?),
                 5 => PipelineOp::Conjugate,
                 6 => PipelineOp::Bootstrap,
@@ -351,26 +360,7 @@ impl Program {
                         _ => PipelineOp::MulCtSlot(slot),
                     }
                 }
-                14 => {
-                    let len = r.u32()? as usize;
-                    if len > MAX_PLAIN_VALUES {
-                        return Err(r.err(format!(
-                            "op {i}: plaintext vector length {len} exceeds the \
-                             {MAX_PLAIN_VALUES} cap"
-                        )));
-                    }
-                    let mut vals = Vec::with_capacity(len);
-                    for j in 0..len {
-                        let v = r.f64()?;
-                        if !v.is_finite() {
-                            return Err(r.err(format!(
-                                "op {i}: plaintext value {j} is not finite ({v})"
-                            )));
-                        }
-                        vals.push(v);
-                    }
-                    PipelineOp::MulPlain(vals)
-                }
+                14 => PipelineOp::MulPlain(read_plain(&mut r, i)?),
                 15 => {
                     let len = r.u32()? as usize;
                     if len > MAX_HOISTED_STEPS {

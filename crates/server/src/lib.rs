@@ -18,12 +18,14 @@
 //!   executor's restore-and-retry, metered by a per-tenant retry budget;
 //! - tenant isolation: per-tenant params fingerprints (checked at
 //!   admission *and* on every deep parse), per-tenant bytes-bounded
-//!   [`KeyCache`]s of compact key bundles, and disjoint per-`(tenant,
-//!   worker)` checkpoint directories guarded by the `CheckpointStore`
+//!   [`KeyCache`]s of compact key bundles and caches of prepared
+//!   programs (parsed once per blob digest, their plaintext operands
+//!   rounded once), and disjoint per-`(tenant, worker)` checkpoint
+//!   directories guarded by the `CheckpointStore`
 //!   owner lock. Materialized hints live in the process-wide
-//!   `cl_ckks::HintCache`, shared across tenants. Both caches are the one
-//!   `cl_math::Cache` type behind a thin wrapper that parses or expands
-//!   its format;
+//!   `cl_ckks::HintCache`, shared across tenants. All three caches are
+//!   the one `cl_math::Cache` type; the key and hint caches sit behind a
+//!   thin wrapper that parses or expands its format;
 //! - structured outcomes: every failure maps to a stable
 //!   [`OutcomeCode`], with per-tenant [`TenantReport`] accounting
 //!   (job counts, shed counts, retry spend, recovery telemetry, op
@@ -61,4 +63,4 @@ pub use job::{Blob, JobId, JobOutcome, JobSpec, OutcomeCode};
 pub use journal::{FsyncPolicy, Journal, JournalReplay, ReplayedJob, ReplayedOutcome};
 pub use queue::{AdmissionQueue, ShedReason};
 pub use server::{JobHandle, JobServer, RecoveryReport, ServerConfig, TenantSetup};
-pub use tenant::{KeyCache, KeyCacheStats, TenantReport, TenantState};
+pub use tenant::{KeyCache, KeyCacheStats, TenantReport, TenantState, PROGRAM_CACHE_BYTES};

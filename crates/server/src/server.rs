@@ -56,7 +56,7 @@ use cl_trace::OpSnapshot;
 use crate::job::{Blob, JobId, JobOutcome, JobSpec, OutcomeCode};
 use crate::journal::{FsyncPolicy, Journal, JournalReplay};
 use crate::queue::{AdmissionQueue, ShedReason};
-use crate::tenant::{TenantRegistry, TenantReport, TenantState};
+use crate::tenant::{TenantRegistry, TenantReport, TenantState, PROGRAM_CACHE_BYTES};
 
 /// Base unit for the retry-after hint returned with an
 /// [`FheError::Overloaded`] rejection; scaled by queue pressure.
@@ -68,9 +68,14 @@ const RETRY_AFTER_BASE_MS: u64 = 10;
 pub struct ServerConfig {
     /// Worker threads draining the queue (min 1).
     pub workers: usize,
-    /// Global admission bound: queued jobs across all tenants. This is
-    /// the server's memory bound — blobs are only held while queued or
-    /// running.
+    /// Global admission bound: queued jobs across all tenants. With the
+    /// per-tenant caches it bounds the server's memory: input blobs are
+    /// only held while queued or running, while parsed key bundles
+    /// (`key_cache_bytes`) and prepared programs
+    /// ([`PROGRAM_CACHE_BYTES`](crate::PROGRAM_CACHE_BYTES)) stay resident
+    /// per tenant within their budgets — except that each cache keeps its
+    /// most recent entry even when that entry alone is over budget, so one
+    /// oversized program or bundle per tenant outlives its job.
     pub queue_capacity: usize,
     /// Per-tenant admission bound (tenant-fair shedding).
     pub tenant_queue_capacity: usize,
@@ -547,6 +552,7 @@ impl JobServer {
             ctx,
             root,
             self.shared.config.key_cache_bytes,
+            PROGRAM_CACHE_BYTES,
             self.shared.config.tenant_retry_budget,
         );
         if let Some(booter) = booter {
@@ -1080,9 +1086,10 @@ fn run_attempts(
     // queued, or whose deadline elapsed waiting, spends no compute.
     job.control.check("dequeue").map_err(|e| classify(&e))?;
 
-    let program = Program::try_deserialize(&job.spec.program_blob, tenant.fingerprint)
+    let prepared = tenant
+        .program(&job.spec.program_blob)
         .map_err(|e| classify(&e))?;
-    if program.needs_bootstrapper() && tenant.booter.is_none() {
+    if prepared.program().needs_bootstrapper() && tenant.booter.is_none() {
         return Err((
             OutcomeCode::Unsupported,
             "this tenant does not host a bootstrapper; bootstrap programs are not served"
@@ -1122,10 +1129,11 @@ fn run_attempts(
         if let Some(p) = plan.take() {
             exec.set_fault_plan(p);
         }
+        let inputs = std::slice::from_ref(&input);
         let res = if attempt == 0 && !job.resume_first {
-            exec.run(&input, &program)
+            exec.run_prepared(inputs, &prepared)
         } else {
-            exec.resume(&input, &program)
+            exec.resume_prepared(inputs, &prepared)
         };
         #[cfg(feature = "faults")]
         {
@@ -1224,16 +1232,34 @@ mod tests {
     }
 
     fn fixture(seed: u64) -> Fixture {
+        fixture_with(
+            seed,
+            Program::new()
+                .then(PipelineOp::Square)
+                .then(PipelineOp::Rescale)
+                .then(PipelineOp::Rotate(1)),
+        )
+    }
+
+    /// A program with plaintext operands of every form, so a served run
+    /// reads the prepared program's coefficient memo.
+    fn plain_operand_program(offset: f64) -> Program {
+        Program::new()
+            .then(PipelineOp::Square)
+            .then(PipelineOp::Rescale)
+            .then(PipelineOp::AddPlain(vec![0.25 + offset, -0.5]))
+            .then(PipelineOp::MulPlainRescale(vec![1.5, 0.5 - offset]))
+            .then(PipelineOp::MulPlain(vec![2.0 * offset]))
+            .then(PipelineOp::Rotate(1))
+    }
+
+    fn fixture_with(seed: u64, program: Program) -> Fixture {
         let ctx = Arc::new(strict_ctx(45));
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let sk = ctx.keygen_sparse(8, &mut rng);
         let keys = BootstrapKeys::generate(&ctx, &sk, KeySwitchKind::Standard, &[1], &mut rng);
         let pt = ctx.encode(&[0.5, -0.25, 0.125], ctx.default_scale(), ctx.max_level());
         let ct = ctx.encrypt(&pt, &sk, &mut rng);
-        let program = Program::new()
-            .then(PipelineOp::Square)
-            .then(PipelineOp::Rescale)
-            .then(PipelineOp::Rotate(1));
         // Serial clean reference on a private executor.
         let mut exec = PipelineExecutor::new(
             &ctx,
@@ -1327,6 +1353,131 @@ mod tests {
         let all = server.shutdown();
         assert_eq!(all.len(), 1);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn repeated_program_digest_is_parsed_once_and_served_bit_identically() {
+        let fx = fixture_with(17, plain_operand_program(0.125));
+        let root = tmp_root("program-hit");
+        let server = JobServer::start(ServerConfig {
+            checkpoint_root: root.clone(),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        server.register_tenant("alice", Arc::clone(&fx.ctx)).unwrap();
+        for job in 0..3u64 {
+            // A fresh allocation each time: the cache keys on content.
+            let handle = server
+                .submit(JobSpec::new(
+                    "alice",
+                    fx.program_blob.clone(),
+                    fx.input_blob.clone(),
+                    fx.key_blob.clone(),
+                ))
+                .unwrap();
+            let outcome = server.wait(handle.id);
+            assert_eq!(outcome.code, OutcomeCode::Ok, "{}", outcome.detail);
+            assert_eq!(
+                outcome.output.as_deref(),
+                Some(fx.expected.as_slice()),
+                "job {job} must match the direct run"
+            );
+        }
+        let report = server.tenant_report("alice").unwrap();
+        let s = report.program_cache;
+        assert_eq!((s.hits, s.misses, s.evictions), (2, 1, 0), "{s:?}");
+        assert!(s.bytes_resident > 0);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn corrupt_program_blob_fails_as_before_and_is_never_cached() {
+        let fx = fixture_with(19, plain_operand_program(0.25));
+        let root = tmp_root("program-corrupt");
+        let server = JobServer::start(ServerConfig {
+            checkpoint_root: root.clone(),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        server.register_tenant("alice", Arc::clone(&fx.ctx)).unwrap();
+        // A damaged checksum and a truncated body both pass the header
+        // peek at admission and fail the worker's parse: the first as an
+        // integrity failure, the second as malformed — twice each, since a
+        // rejected blob is parsed again, never served from the cache.
+        let mut flipped = fx.program_blob.clone();
+        *flipped.last_mut().unwrap() ^= 0x01;
+        let truncated = fx.program_blob[..fx.program_blob.len() - 9].to_vec();
+        for (bad, code) in [
+            (flipped, OutcomeCode::IntegrityFailure),
+            (truncated, OutcomeCode::Malformed),
+        ] {
+            let parsed = Program::try_deserialize(&bad, fx.ctx.params_fingerprint());
+            assert_eq!(OutcomeCode::from_error(&parsed.unwrap_err()), code);
+            for _ in 0..2 {
+                let handle = server
+                    .submit(JobSpec::new(
+                        "alice",
+                        bad.clone(),
+                        fx.input_blob.clone(),
+                        fx.key_blob.clone(),
+                    ))
+                    .unwrap();
+                let outcome = server.wait(handle.id);
+                assert_eq!(outcome.code, code, "{}", outcome.detail);
+                assert_eq!(outcome.retries, 0, "a parse failure is not retried");
+            }
+        }
+        let report = server.tenant_report("alice").unwrap();
+        assert_eq!(report.program_cache, cl_ckks::CacheStats::default());
+        assert_eq!(report.jobs_failed, 4);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn zero_budget_program_cache_stays_bit_identical_under_eviction() {
+        // Two tenants' worth of programs through one tenant whose program
+        // cache holds a single entry: every lookup evicts the other one.
+        let fixtures = [
+            fixture_with(23, plain_operand_program(0.5)),
+            fixture_with(23, plain_operand_program(-0.75)),
+        ];
+        let ctx = Arc::clone(&fixtures[0].ctx);
+        let tenant = TenantState::new(
+            "t0".into(),
+            Arc::clone(&ctx),
+            tmp_root("program-zero"),
+            1 << 20,
+            0,
+            0,
+        );
+        let blobs = fixtures
+            .each_ref()
+            .map(|fx| Blob::new(fx.program_blob.clone()));
+        for round in 0..3 {
+            for (fx, blob) in fixtures.iter().zip(&blobs) {
+                let prepared = tenant.program(blob).unwrap();
+                let keys = tenant
+                    .keys
+                    .get_or_load(&ctx, &Blob::new(fx.key_blob.clone()))
+                    .unwrap();
+                let input = ctx.try_deserialize_ciphertext(&fx.input_blob).unwrap();
+                let config = ExecutorConfig {
+                    checkpoint_every: 0,
+                    max_retries: 1,
+                    checkpoint_dir: None,
+                };
+                let mut exec = PipelineExecutor::new(&ctx, &keys, config).unwrap();
+                let out = match exec.run_prepared(std::slice::from_ref(&input), &prepared) {
+                    Ok(RunOutcome::Completed(out)) => ctx.serialize_ciphertext(&out),
+                    other => panic!("round {round}: run did not complete: {other:?}"),
+                };
+                assert_eq!(out, fx.expected, "round {round}");
+            }
+        }
+        let s = tenant.report().program_cache;
+        assert_eq!((s.hits, s.misses, s.evictions), (0, 6, 5), "{s:?}");
     }
 
     #[test]

@@ -10,6 +10,14 @@
 //!   workspace's one cache type ([`cl_ckks::Cache`]) with a byte budget:
 //!   least-recently-used eviction, a miss billed per successful parse,
 //!   and a rejected blob never cached;
+//! - programs live in a per-tenant cache of [`PreparedProgram`]s keyed by
+//!   program blob digest and length, the same cache type under
+//!   [`PROGRAM_CACHE_BYTES`]: a program blob is parsed once while its
+//!   prepared form stays resident, the rounded plaintext operands it
+//!   memoizes are only ever read by that tenant's jobs, and a rejected
+//!   blob is never cached. Like the key cache, a hit trusts the digest
+//!   and skips the blob's checksum: a tenant that crafts a colliding
+//!   blob reaches only its own cached program;
 //! - checkpoint directories are disjoint per `(tenant, job)` pair, so the
 //!   `CheckpointStore` owner lock never contends across tenants, a
 //!   corrupt checkpoint poisons at most one job's retry path, and a
@@ -25,11 +33,20 @@ use std::sync::{Arc, Mutex};
 
 use cl_boot::{BootstrapKeys, Bootstrapper};
 use cl_ckks::{Cache, CacheStats, CkksContext, FheResult};
-use cl_runtime::RecoveryTelemetry;
+use cl_runtime::{PreparedProgram, Program, RecoveryTelemetry};
 use cl_trace::OpSnapshot;
 
 use crate::breaker::{BreakerReport, CircuitBreaker};
 use crate::{Blob, OutcomeCode};
+
+/// Byte budget of each tenant's cache of prepared programs, counted by
+/// [`PreparedProgram::resident_bytes`]: the parsed ops plus a full memo of
+/// rounded plaintext operands, itself capped at
+/// [`cl_runtime::COEFF_MEMO_BYTES`]. A program at `lola_mlp_8k`'s shape
+/// (N = 8K, 105 plaintext operands) weighs about 10 MiB. Like every
+/// bounded cache, it still holds its most recent program when that program
+/// alone exceeds the budget.
+pub const PROGRAM_CACHE_BYTES: usize = 32 << 20;
 
 /// Key-cache counters for one tenant: the shared [`CacheStats`].
 pub type KeyCacheStats = CacheStats;
@@ -91,6 +108,9 @@ pub struct TenantState {
     pub fingerprint: u64,
     /// Parsed compact key bundles, bytes-bounded and LRU-evicted.
     pub keys: KeyCache,
+    /// Prepared programs by blob digest and length, bytes-bounded and
+    /// LRU-evicted.
+    programs: Cache<(u64, usize), PreparedProgram<'static>>,
     /// Root under which this tenant's per-job checkpoint dirs live.
     pub checkpoint_root: PathBuf,
     /// Server-level retry units remaining (shared across the tenant's
@@ -116,6 +136,7 @@ impl TenantState {
         ctx: Arc<CkksContext>,
         checkpoint_root: PathBuf,
         key_cache_bytes: usize,
+        program_cache_bytes: usize,
         retry_budget: u32,
     ) -> Self {
         let fingerprint = ctx.params_fingerprint();
@@ -124,6 +145,7 @@ impl TenantState {
             ctx,
             fingerprint,
             keys: KeyCache::new(key_cache_bytes),
+            programs: Cache::bounded(program_cache_bytes, PreparedProgram::resident_bytes),
             checkpoint_root,
             retry_budget: AtomicU32::new(retry_budget),
             booter: None,
@@ -137,6 +159,22 @@ impl TenantState {
             recovery: Mutex::new(RecoveryTelemetry::default()),
             ops: Mutex::new(OpSnapshot::default()),
         }
+    }
+
+    /// The prepared form of the program in `blob`, parsed and prepared on
+    /// a miss. A hit costs one map lookup by the blob's digest and length.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Program::try_deserialize`] rejects under this tenant's
+    /// fingerprint. A rejected blob is neither cached nor billed — the next
+    /// attempt revalidates.
+    pub(crate) fn program(&self, blob: &Blob) -> FheResult<Arc<PreparedProgram<'static>>> {
+        self.programs
+            .get_or_try_insert_with((blob.digest(), blob.len()), || {
+                Program::try_deserialize(blob, self.fingerprint)
+                    .map(|program| PreparedProgram::new(&self.ctx, program))
+            })
     }
 
     /// Hosts a bootstrapper for this tenant (set before registration).
@@ -231,6 +269,7 @@ impl TenantState {
                 .lock()
                 .expect("tenant op ledger poisoned: a holder panicked mid-update"),
             key_cache: self.keys.stats(),
+            program_cache: self.programs.stats(),
             breaker: self
                 .breaker
                 .lock()
@@ -266,6 +305,9 @@ pub struct TenantReport {
     pub ops: OpSnapshot,
     /// Key-cache behaviour.
     pub key_cache: KeyCacheStats,
+    /// Program-cache behaviour: a hit per job whose program was already
+    /// parsed and prepared.
+    pub program_cache: CacheStats,
     /// Circuit-breaker state at this instant.
     pub breaker: BreakerReport,
     /// Submissions refused by the breaker over the tenant's lifetime.
@@ -366,6 +408,7 @@ mod tests {
             Arc::new(ctx()),
             std::env::temp_dir().join("cl-server-tenant-test"),
             1 << 20,
+            PROGRAM_CACHE_BYTES,
             3,
         );
         assert!(t.try_spend_retry());

@@ -1,10 +1,14 @@
 //! Compile-and-run smoke: a LoLa-MNIST layer graph (16 diagonals, BSGS
 //! packing, square activation) is compiled by `lower_to_program` into a
-//! pipeline `Program` and executed at N = 8K, and the compiler's three
-//! promises are checked against the run:
+//! pipeline `Program` and executed at N = 8K, twice through one
+//! `PreparedProgram` (as a server runs a program it has seen before), and
+//! the compiler's three promises are checked against the second run:
 //!
 //!   1. `predict_program`'s closed-form op counts equal the live
-//!      `cl-trace` counter delta of a warm-cache run *exactly*;
+//!      `cl-trace` counter delta of a warm-cache run *exactly* — the run
+//!      whose plaintext operands all come from the prepared program's
+//!      coefficient memo, so the memo saves work without changing a
+//!      count;
 //!   2. the residency plan's predicted live-ciphertext high-water mark
 //!      equals the executor's measured peak;
 //!   3. the decrypted output matches the unencrypted reference
@@ -18,7 +22,7 @@ use craterlake::apps::{eval_plain, lola_layer_runnable};
 use craterlake::boot::BootstrapKeys;
 use craterlake::ckks::{CkksContext, CkksParams, GuardrailPolicy, KeySwitchKind};
 use craterlake::compiler::{lower_to_program, predict_program, LowerOptions};
-use craterlake::runtime::{ExecutorConfig, PipelineExecutor, RunOutcome};
+use craterlake::runtime::{ExecutorConfig, PipelineExecutor, PreparedProgram, RunOutcome};
 use cl_trace::OpSnapshot;
 use rand::SeedableRng;
 
@@ -80,9 +84,13 @@ fn main() {
     let x = ctx.encrypt(&ctx.encode(&image, ctx.default_scale(), INPUT_LEVEL), &sk, &mut rng);
 
     let config = ExecutorConfig { checkpoint_every: 0, max_retries: 1, checkpoint_dir: None };
+    let prepared = PreparedProgram::borrowed(&ctx, &lowered.program);
+    let operands =
+        lowered.program.ops().iter().filter(|op| op.plain_values().is_some()).count() as u64;
+    assert!(operands > 0, "the layer multiplies by plaintext diagonals");
     let run = |warm: &str| {
         let mut exec = PipelineExecutor::new(&ctx, &keys, config.clone()).expect("executor");
-        let out = match exec.run_graph(std::slice::from_ref(&x), &lowered.program).expect(warm) {
+        let out = match exec.run_prepared(std::slice::from_ref(&x), &prepared).expect(warm) {
             RunOutcome::Completed(ct) => ct,
             RunOutcome::Crashed => unreachable!("no fault plan attached"),
         };
@@ -90,12 +98,22 @@ fn main() {
     };
 
     // Warm run: materializes every seeded keyswitch hint (regeneration
-    // work the cost model deliberately excludes), then measure.
+    // work the cost model deliberately excludes) and rounds every
+    // plaintext operand into the memo, then measure.
     let (warm_out, peak) = run("warm run");
+    let warm_memo = prepared.memo_stats();
+    assert_eq!((warm_memo.hits, warm_memo.misses), (0, operands), "warm run rounds each operand");
     let before = OpSnapshot::capture();
     let (out, _) = run("measured run");
     let measured = OpSnapshot::capture().delta_since(&before);
     assert_eq!(out, warm_out, "warm and measured runs must be bit-identical");
+    let memo = prepared.memo_stats();
+    assert_eq!(
+        (memo.hits, memo.misses),
+        (operands, operands),
+        "the measured run must take every operand from the memo"
+    );
+    println!("  plaintext operands: {operands}, all from the memo on the measured run");
 
     // Promise 1: predicted == measured, field by field.
     let predicted =
