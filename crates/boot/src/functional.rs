@@ -729,6 +729,13 @@ pub type BootstrapPrecompute = Cache<(u64, TransformStage, usize, usize), Precom
 /// CraterLake's bootstrap schedule amortizes its keyswitch traffic with
 /// (Sec. 6).
 ///
+/// The sums accumulate in place: each giant group's inner sum is one
+/// ciphertext that takes every further plaintext product through
+/// [`CkksContext::try_mul_plain_acc`], and the giant steps' hint inner
+/// products share one extended-basis pair. What still allocates per term
+/// is the first product of each group, each giant step's hoisted
+/// decomposition and its `σ(c0)`, and each baby rotation's output.
+///
 /// The transform's rotation schedule is known up front (babies, then
 /// giants), so it is installed into the bundle's [`HintCache`] as a Belady
 /// eviction oracle, and the giant-group hints are prefetched right after
@@ -795,21 +802,24 @@ pub fn try_bsgs_transform(
     let mut babies: HashMap<i64, &Ciphertext> =
         nonzero.iter().copied().zip(rotated.iter()).collect();
     babies.insert(0, ct);
-    // Inner sums: plaintext-multiply each baby into its giant group.
+    // Inner sums: plaintext-multiply each baby into its giant group, the
+    // first product in a fresh ciphertext and the rest accumulated into it
+    // in place.
     let mut inners: Vec<(Ciphertext, i64)> = Vec::with_capacity(pre.giants.len());
     for (jb, terms) in &pre.giants {
-        let mut acc: Option<Ciphertext> = None;
-        for (i, pt) in terms {
+        let mut terms = terms.iter().map(|(i, pt)| {
             let baby = babies
                 .get(i)
                 .expect("baby offsets and giant groups come from the same diagonal split");
-            let term = ctx.try_mul_plain(baby, pt)?;
-            acc = Some(match acc {
-                None => term,
-                Some(a) => ctx.try_add(&a, &term)?,
-            });
+            (*baby, pt)
+        });
+        let (baby, pt) = terms
+            .next()
+            .expect("giant groups are non-empty by construction");
+        let mut inner = ctx.try_mul_plain(baby, pt)?;
+        for (baby, pt) in terms {
+            ctx.try_mul_plain_acc(&mut inner, baby, pt)?;
         }
-        let inner = acc.expect("giant groups are non-empty by construction");
         inners.push((inner, *jb));
     }
     // Giant rotations: extended-basis accumulation, one closing ModDown.
@@ -1092,6 +1102,7 @@ impl Bootstrapper {
         // E0 = sum_k coeffs[k] * y^k.
         let target_level = y7.level();
         let powers = [y1, y2, y3, y4, y5, y6, y7];
+        // The first term is a fresh product; the rest accumulate into it.
         let mut acc: Option<Ciphertext> = None;
         for (k, p) in powers.iter().enumerate() {
             let p = ctx.try_mod_drop(p, target_level)?;
@@ -1104,11 +1115,10 @@ impl Bootstrapper {
             let slots = ctx.params().slots();
             let cvec = vec![coeffs[k + 1]; slots];
             let pt = ctx.encode_complex(&cvec, coeff_scale, target_level);
-            let term = ctx.try_mul_plain(&p, &pt)?;
-            acc = Some(match acc {
-                None => term,
-                Some(a) => ctx.try_add(&a, &term)?,
-            });
+            match &mut acc {
+                None => acc = Some(ctx.try_mul_plain(&p, &pt)?),
+                Some(sum) => ctx.try_mul_plain_acc(sum, &p, &pt)?,
+            }
         }
         let acc = acc.expect("Taylor sum over a non-empty power basis");
         let mut e = ctx.try_rescale(&acc)?;

@@ -221,9 +221,9 @@ impl<'a> BgvContext<'a> {
             .hoist_impl("bgv_mul", &d2, relin.kind())?
             .apply_ext(self.inner, "bgv_mul", None, relin)?;
         let special = self.inner.special_for(relin.kind());
-        let (ks0, ks1) = self.mod_down_exact(acc0, acc1, a.level(), special);
-        let c0 = rns.add(&d0, &ks0);
-        let c1 = rns.add(&d1, &ks1);
+        let (mut c0, mut c1) = self.mod_down_exact(acc0, acc1, a.level(), special);
+        rns.add_assign(&mut c0, &d0);
+        rns.add_assign(&mut c1, &d1);
         // Coarse BGV noise model: the noise product t·e_a·t·e_b dominated
         // by each operand's noise riding on the other's t-bounded message,
         // soft-maxed with the (t-scaled) keyswitch error.

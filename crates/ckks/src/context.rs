@@ -549,12 +549,7 @@ impl CkksContext {
     /// the same report on every backend.
     pub fn validate_ciphertext(&self, op: &'static str, ct: &Ciphertext) -> FheResult<()> {
         let corrupt = |reason: String| FheError::CorruptCiphertext { op, reason };
-        if !(1..=self.params.levels).contains(&ct.level) {
-            return Err(corrupt(format!("level {} out of range", ct.level)));
-        }
-        if !(ct.scale.is_finite() && ct.scale > 0.0) {
-            return Err(corrupt(format!("scale {} is not a positive finite value", ct.scale)));
-        }
+        self.validate_metadata(op, ct.level, ct.scale)?;
         let expected = self.rns.q_basis(ct.level);
         for (name, poly) in [("c0", &ct.c0), ("c1", &ct.c1)] {
             if poly.basis() != &expected {
@@ -573,6 +568,24 @@ impl CkksContext {
                     )));
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// The bookkeeping half of [`CkksContext::validate_ciphertext`]: the
+    /// level lies in the chain and the scale is a positive finite value.
+    pub(crate) fn validate_metadata(
+        &self,
+        op: &'static str,
+        level: usize,
+        scale: f64,
+    ) -> FheResult<()> {
+        let corrupt = |reason: String| FheError::CorruptCiphertext { op, reason };
+        if !(1..=self.params.levels).contains(&level) {
+            return Err(corrupt(format!("level {level} out of range")));
+        }
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(corrupt(format!("scale {scale} is not a positive finite value")));
         }
         Ok(())
     }
@@ -609,8 +622,20 @@ impl CkksContext {
     /// the estimated signed budget falls below the policy threshold.
     /// No-op under other policies.
     pub(crate) fn guard_budget(&self, op: &'static str, ct: &Ciphertext) -> FheResult<()> {
+        self.guard_budget_of(op, ct.level, ct.scale, ct.noise_bits_est)
+    }
+
+    /// [`CkksContext::guard_budget`] on a result's level, scale and noise
+    /// estimate, checked before the result is built.
+    pub(crate) fn guard_budget_of(
+        &self,
+        op: &'static str,
+        level: usize,
+        scale: f64,
+        noise_bits: f64,
+    ) -> FheResult<()> {
         if let GuardrailPolicy::Strict { min_budget_bits } = self.policy {
-            let budget_bits = self.budget_bits_signed(ct);
+            let budget_bits = self.budget_bits_signed_of(level, scale, noise_bits);
             if budget_bits < min_budget_bits || budget_bits.is_nan() {
                 return Err(FheError::BudgetExhausted {
                     op,

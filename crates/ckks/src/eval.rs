@@ -17,7 +17,10 @@ use cl_rns::{mod_down_ntt, Basis, RnsPoly};
 
 use crate::error::{FheError, FheResult};
 use crate::noise::log2_add;
-use crate::{Ciphertext, CkksContext, HoistedDecomposition, KeySwitchKey, Plaintext};
+use crate::{
+    Ciphertext, CkksContext, GuardrailPolicy, HoistedDecomposition, KeySwitchKey, KeySwitchKind,
+    Plaintext,
+};
 
 impl CkksContext {
     /// Fallible homomorphic addition.
@@ -158,6 +161,70 @@ impl CkksContext {
         Ok(out)
     }
 
+    /// Fallible plaintext multiply-accumulate: `acc += a·p` in place, one
+    /// `mul_acc` pass per polynomial, where
+    /// `*acc = try_add(acc, &try_mul_plain(a, p)?)?` builds a product
+    /// ciphertext and then a sum ciphertext per term. The sums of
+    /// plaintext products that bootstrapping's linear transforms and
+    /// EvalMod's Taylor sum run on accumulate this way into one
+    /// caller-owned ciphertext, as CraterLake chains its multiplier into
+    /// its adder instead of writing each term back (Sec. 5).
+    ///
+    /// Bit-identical to that pair of calls: the same checks in the same
+    /// order with the same errors (`mul_plain`'s for the operand `a`, the
+    /// plaintext's level and the product's budget; `add`'s for `acc`, the
+    /// shapes and the sum's budget), the same trace counts, and the sum's
+    /// limbs, scale (`acc`'s) and noise estimate. Every check runs before
+    /// the first limb is written, so on error `acc` is unchanged. The
+    /// product is never built: under Strict, of the checks `try_add` runs
+    /// on it only the bookkeeping ones apply (its residues are canonical
+    /// by the multiply kernel's contract).
+    ///
+    /// # Errors
+    ///
+    /// [`FheError::LevelMismatch`] (`mul_plain`) when the plaintext's level
+    /// differs from `a`'s; [`FheError::LevelMismatch`] /
+    /// [`FheError::ScaleMismatch`] (`add`) when the product's shape differs
+    /// from `acc`'s; plus any guardrail failure of either step.
+    pub fn try_mul_plain_acc(
+        &self,
+        acc: &mut Ciphertext,
+        a: &Ciphertext,
+        p: &Plaintext,
+    ) -> FheResult<()> {
+        cl_trace::record_pt_mult();
+        self.guard_operands("mul_plain", &[a])?;
+        if a.level != p.level {
+            return Err(FheError::LevelMismatch {
+                op: "mul_plain",
+                got: p.level,
+                want: a.level,
+            });
+        }
+        let scale = a.scale * p.scale;
+        let term_noise = self.est_mul_plain(a, p.scale);
+        self.guard_budget_of("mul_plain", a.level, scale, term_noise)?;
+        self.guard_operands("add", &[acc])?;
+        if matches!(self.policy(), GuardrailPolicy::Strict { .. }) {
+            self.validate_metadata("add", a.level, scale)?;
+        }
+        if acc.level != a.level {
+            return Err(FheError::LevelMismatch {
+                op: "add",
+                got: a.level,
+                want: acc.level,
+            });
+        }
+        self.try_check_scale("add", scale, acc.scale)?;
+        let noise = log2_add(acc.noise_bits_est, term_noise);
+        self.guard_budget_of("add", acc.level, acc.scale, noise)?;
+        let rns = self.rns();
+        rns.mul_acc(&mut acc.c0, &a.c0, &p.poly);
+        rns.mul_acc(&mut acc.c1, &a.c1, &p.poly);
+        acc.noise_bits_est = noise;
+        Ok(())
+    }
+
     /// Fallible scalar multiplication by an integer (no level consumed,
     /// scale unchanged).
     ///
@@ -216,10 +283,12 @@ impl CkksContext {
         rns.mul_acc(&mut d1, &a.c1, &b.c0);
         let d2 = rns.mul(&a.c1, &b.c1);
         // Relinearize d2 (implicitly multiplied by s^2).
-        let (ks0, ks1) = self.keyswitch_impl("mul", &d2, relin_key)?;
+        let (mut ks0, mut ks1) = self.keyswitch_impl("mul", &d2, relin_key)?;
+        rns.add_assign(&mut ks0, &d0);
+        rns.add_assign(&mut ks1, &d1);
         let out = Ciphertext {
-            c0: rns.add(&d0, &ks0),
-            c1: rns.add(&d1, &ks1),
+            c0: ks0,
+            c1: ks1,
             level: a.level,
             scale: a.scale * b.scale,
             noise_bits_est: self.est_mul(a, b, relin_key),
@@ -242,10 +311,12 @@ impl CkksContext {
         let cross = rns.mul(&a.c0, &a.c1);
         let d1 = rns.add(&cross, &cross);
         let d2 = rns.mul(&a.c1, &a.c1);
-        let (ks0, ks1) = self.keyswitch_impl("square", &d2, relin_key)?;
+        let (mut ks0, mut ks1) = self.keyswitch_impl("square", &d2, relin_key)?;
+        rns.add_assign(&mut ks0, &d0);
+        rns.add_assign(&mut ks1, &d1);
         let out = Ciphertext {
-            c0: rns.add(&d0, &ks0),
-            c1: rns.add(&d1, &ks1),
+            c0: ks0,
+            c1: ks1,
             level: a.level,
             scale: a.scale * a.scale,
             noise_bits_est: self.est_mul(a, a, relin_key),
@@ -279,8 +350,8 @@ impl CkksContext {
         let keep = rns.q_basis(a.level - 1);
         let drop = Basis(vec![(a.level - 1) as u32]);
         let conv = self.converter(&drop, &keep);
-        let r0 = mod_down_ntt(rns, &a.c0, &keep, &drop, &conv);
-        let r1 = mod_down_ntt(rns, &a.c1, &keep, &drop, &conv);
+        let r0 = mod_down_ntt(rns, a.c0.clone(), &keep, &drop, &conv);
+        let r1 = mod_down_ntt(rns, a.c1.clone(), &keep, &drop, &conv);
         let out = Ciphertext {
             c0: r0,
             c1: r1,
@@ -373,7 +444,9 @@ impl CkksContext {
 
     /// The one epilogue of every rotation and conjugation: keyswitches the
     /// hoisted decomposition `dec` of `a.c1` under `σ_g`, and returns
-    /// `(σ_g(a.c0) + ks0, ks1)` with the keyswitch noise added to `a`'s.
+    /// `(ks0 + σ_g(a.c0), ks1)` with the keyswitch noise added to `a`'s.
+    /// `σ_g(a.c0)` is added into `ks0` in place (modular addition is
+    /// commutative, so this is bit-identical to a fresh sum).
     fn galois_from_decomposition(
         &self,
         op: &'static str,
@@ -384,9 +457,10 @@ impl CkksContext {
     ) -> FheResult<Ciphertext> {
         cl_trace::record_rotation();
         let rns = self.rns();
-        let (ks0, ks1) = dec.apply_impl(self, op, Some(g), key)?;
+        let (mut ks0, ks1) = dec.apply_impl(self, op, Some(g), key)?;
+        rns.add_assign(&mut ks0, &rns.apply_automorphism(&a.c0, g));
         let out = Ciphertext {
-            c0: rns.add(&rns.apply_automorphism(&a.c0, g), &ks0),
+            c0: ks0,
             c1: ks1,
             level: a.level,
             scale: a.scale,
@@ -450,9 +524,17 @@ impl CkksContext {
     /// covers — this is the extended-basis accumulation the BSGS
     /// giant-step loop of `cl-boot` runs on.
     ///
+    /// One extended-basis pair, allocated at the first nonzero step,
+    /// takes every term's hint inner product in place (the hint MACs
+    /// write straight into it), and the result's two polynomials take the
+    /// step-0 terms, each `σ(c0)` and the closing ModDown's output. So each
+    /// further term allocates only its own hoisted decomposition and its
+    /// `σ(c0)`, never an extended-basis polynomial.
+    ///
     /// Terms with step 0 are added directly (no key needed; a key given
     /// for step 0 is ignored). All terms must share level and scale, and
-    /// all keys one keyswitch kind.
+    /// all keys one keyswitch kind; a key of another kind is rejected
+    /// before its term is hoisted or touches the shared pair.
     ///
     /// # Errors
     ///
@@ -479,7 +561,9 @@ impl CkksContext {
         base0.set_ntt_form(true);
         let mut base1 = base0.clone();
         let mut noise = f64::NEG_INFINITY;
-        let mut acc: Option<(HoistedDecomposition, RnsPoly, RnsPoly)> = None;
+        // The shared extended-basis pair and the keyswitch kind that fixes
+        // its special limbs.
+        let mut ext: Option<(KeySwitchKind, RnsPoly, RnsPoly)> = None;
         for &(ct, k, key) in terms {
             self.guard_operands(OP, &[ct])?;
             self.try_check_same_shape(OP, head, ct)?;
@@ -494,35 +578,33 @@ impl CkksContext {
                     what: format!("rotation key for step {k}"),
                 });
             };
+            if let Some((kind, ..)) = &ext {
+                if *kind != key.kind() {
+                    return Err(FheError::InvalidParams {
+                        op: OP,
+                        reason: format!(
+                            "mixed keyswitch kinds {kind:?} and {:?} in one rotate-sum",
+                            key.kind()
+                        ),
+                    });
+                }
+            }
             cl_trace::record_rotation();
             let g = cl_math::galois_element_for_rotation(k, n);
             let dec = self.hoist_impl(OP, &ct.c1, key.kind())?;
-            let (e0, e1) = dec.apply_ext(self, OP, Some(g), key)?;
-            match &mut acc {
-                None => acc = Some((dec, e0, e1)),
-                Some((head_dec, a0, a1)) => {
-                    if head_dec.kind() != key.kind() {
-                        return Err(FheError::InvalidParams {
-                            op: OP,
-                            reason: format!(
-                                "mixed keyswitch kinds {:?} and {:?} in one rotate-sum",
-                                head_dec.kind(),
-                                key.kind()
-                            ),
-                        });
-                    }
-                    rns.add_assign(a0, &e0);
-                    rns.add_assign(a1, &e1);
-                }
-            }
+            let (_, acc0, acc1) = ext.get_or_insert_with(|| {
+                let (acc0, acc1) = dec.zero_ext_pair(self);
+                (key.kind(), acc0, acc1)
+            });
+            dec.apply_ext_into(self, OP, Some(g), key, acc0, acc1)?;
             rns.add_assign(&mut base0, &rns.apply_automorphism(&ct.c0, g));
             noise = log2_add(
                 noise,
                 log2_add(ct.noise_bits_est, self.est_keyswitch_bits(level, key)),
             );
         }
-        if let Some((dec, a0, a1)) = acc {
-            let (ks0, ks1) = dec.mod_down_pair(self, a0, a1);
+        if let Some((kind, acc0, acc1)) = ext {
+            let (ks0, ks1) = self.mod_down_pair(level, kind, acc0, acc1);
             rns.add_assign(&mut base0, &ks0);
             rns.add_assign(&mut base1, &ks1);
         }
@@ -883,6 +965,212 @@ mod tests {
                 assert!(what.contains("step 2"), "message: {what}");
             }
             other => panic!("expected MissingKey, got {other:?}"),
+        }
+    }
+
+    /// `try_mul_plain_acc` against the two calls it fuses: the same sum
+    /// (limbs, scale and noise estimate, bit for bit) or the same error,
+    /// with `acc` untouched. Returns the reference outcome.
+    fn check_mul_plain_acc(
+        ctx: &CkksContext,
+        acc: &Ciphertext,
+        a: &Ciphertext,
+        p: &Plaintext,
+    ) -> FheResult<Ciphertext> {
+        let reference = ctx.try_mul_plain(a, p).and_then(|t| ctx.try_add(acc, &t));
+        let mut fused = acc.clone();
+        let got = ctx.try_mul_plain_acc(&mut fused, a, p);
+        match (&reference, got) {
+            (Ok(want), Ok(())) => {
+                assert_eq!(&fused, want, "limbs differ");
+                assert_eq!(fused.scale().to_bits(), want.scale().to_bits(), "scale");
+                assert_eq!(
+                    fused.noise_estimate_bits().to_bits(),
+                    want.noise_estimate_bits().to_bits(),
+                    "noise estimate"
+                );
+            }
+            (Err(want), Err(e)) => {
+                assert_eq!(format!("{e:?}"), format!("{want:?}"), "error differs");
+                assert_eq!(&fused, acc, "a failed accumulation must leave acc unchanged");
+                assert_eq!(
+                    fused.noise_estimate_bits().to_bits(),
+                    acc.noise_estimate_bits().to_bits()
+                );
+            }
+            (want, got) => panic!("reference {want:?} but fused {got:?}"),
+        }
+        reference
+    }
+
+    #[test]
+    fn mul_plain_acc_matches_mul_plain_then_add() {
+        use crate::{FheError, GuardrailPolicy};
+        let (mut ctx, sk, mut rng) = setup(3);
+        let scale = ctx.default_scale();
+        let enc = |vals: &[f64], level, rng: &mut rand::rngs::StdRng| {
+            ctx.encrypt(&ctx.encode(vals, scale, level), &sk, rng)
+        };
+        let a = enc(&[0.5, -1.25, 2.0], 3, &mut rng);
+        let b = enc(&[1.5, 0.75, -0.5], 3, &mut rng);
+        let a_low = enc(&[0.5], 2, &mut rng);
+        let w = ctx.encode(&[0.25, 2.0, -1.0], scale, 3);
+        let v = ctx.encode(&[-3.0, 0.5, 1.0], scale, 3);
+        let w_low = ctx.encode(&[0.25], scale, 2);
+        let w_wide = ctx.encode(&[0.25], scale * 2.0, 3);
+        let acc = ctx.try_mul_plain(&b, &v).unwrap();
+        let acc_low = ctx.try_mul_plain(&a_low, &w_low).unwrap();
+
+        // A chain of accumulations, each step against the reference.
+        let mut chain = acc.clone();
+        for (ct, pt) in [(&a, &w), (&b, &w), (&a, &v)] {
+            chain = check_mul_plain_acc(&ctx, &chain, ct, pt).expect("shapes agree");
+        }
+        // The plaintext's level differs from `a`'s: mul_plain's error.
+        let e = check_mul_plain_acc(&ctx, &acc, &a, &w_low).unwrap_err();
+        assert!(matches!(e, FheError::LevelMismatch { op: "mul_plain", .. }), "{e:?}");
+        // The product's level differs from `acc`'s: add's error.
+        let e = check_mul_plain_acc(&ctx, &acc_low, &a, &w).unwrap_err();
+        assert!(matches!(e, FheError::LevelMismatch { op: "add", .. }), "{e:?}");
+        // The product's scale differs from `acc`'s.
+        let e = check_mul_plain_acc(&ctx, &acc, &a, &w_wide).unwrap_err();
+        assert!(matches!(e, FheError::ScaleMismatch { op: "add", .. }), "{e:?}");
+
+        ctx.set_policy(GuardrailPolicy::Strict {
+            min_budget_bits: -1e9,
+        });
+        check_mul_plain_acc(&ctx, &acc, &a, &w).expect("clean operands pass Strict");
+        // A residue at its modulus: caught on `a` by mul_plain, on `acc`
+        // by add.
+        let corrupt = |ct: &Ciphertext| {
+            let mut bad = ct.clone();
+            bad.c1.limb_mut(1)[5] = ctx.rns().modulus_value(1);
+            bad
+        };
+        let e = check_mul_plain_acc(&ctx, &acc, &corrupt(&a), &w).unwrap_err();
+        assert!(matches!(e, FheError::CorruptCiphertext { op: "mul_plain", .. }), "{e:?}");
+        let e = check_mul_plain_acc(&ctx, &corrupt(&acc), &a, &w).unwrap_err();
+        assert!(matches!(e, FheError::CorruptCiphertext { op: "add", .. }), "{e:?}");
+        // A zero-scale plaintext: the product `try_add` would validate has
+        // a scale that is not positive.
+        let w_zero = ctx.encode(&[0.25], 0.0, 3);
+        let e = check_mul_plain_acc(&ctx, &acc, &a, &w_zero).unwrap_err();
+        assert!(matches!(e, FheError::CorruptCiphertext { op: "add", .. }), "{e:?}");
+
+        // Budget exhaustion, once on the product and once on the sum: an
+        // accumulator 20 bits noisier than the product puts the sum's
+        // budget 20 bits under the product's.
+        let product = ctx.try_mul_plain(&a, &w).unwrap();
+        let noisy = acc.clone().with_noise_bits(product.noise_estimate_bits() + 20.0);
+        let product_budget = ctx.budget_bits_signed(&product);
+        let thresholds = [(product_budget + 1.0, "mul_plain"), (product_budget - 10.0, "add")];
+        for (threshold, op) in thresholds {
+            ctx.set_policy(GuardrailPolicy::Strict {
+                min_budget_bits: threshold,
+            });
+            match check_mul_plain_acc(&ctx, &noisy, &a, &w) {
+                Err(FheError::BudgetExhausted { op: got, .. }) => assert_eq!(got, op),
+                other => panic!("expected BudgetExhausted from {op}, got {other:?}"),
+            }
+        }
+    }
+
+    /// The rotate-sum as it was before its terms shared one extended-basis
+    /// pair: a fresh pair per term from `apply_ext`, added into the first
+    /// term's, and one closing ModDown.
+    fn rotate_sum_reference(
+        ctx: &CkksContext,
+        terms: &[(&Ciphertext, i64, &crate::KeySwitchKey)],
+    ) -> (RnsPoly, RnsPoly) {
+        let rns = ctx.rns();
+        let level = terms[0].0.level();
+        let n = ctx.params().ring_degree();
+        let mut base0 = rns.zero(&rns.q_basis(level));
+        base0.set_ntt_form(true);
+        let mut base1 = base0.clone();
+        let mut ext: Option<(RnsPoly, RnsPoly)> = None;
+        for &(ct, k, key) in terms {
+            if k == 0 {
+                rns.add_assign(&mut base0, &ct.c0);
+                rns.add_assign(&mut base1, &ct.c1);
+                continue;
+            }
+            let g = cl_math::galois_element_for_rotation(k, n);
+            let dec = ctx.try_hoist(&ct.c1, key.kind()).unwrap();
+            let (e0, e1) = dec.apply_ext(ctx, "rotate_sum", Some(g), key).unwrap();
+            match &mut ext {
+                None => ext = Some((e0, e1)),
+                Some((a0, a1)) => {
+                    rns.add_assign(a0, &e0);
+                    rns.add_assign(a1, &e1);
+                }
+            }
+            rns.add_assign(&mut base0, &rns.apply_automorphism(&ct.c0, g));
+        }
+        let (a0, a1) = ext.expect("at least one nonzero step");
+        let (ks0, ks1) = ctx.mod_down_pair(level, terms[0].2.kind(), a0, a1);
+        rns.add_assign(&mut base0, &ks0);
+        rns.add_assign(&mut base1, &ks1);
+        (base0, base1)
+    }
+
+    #[test]
+    fn rotate_sum_matches_per_term_extended_pairs() {
+        let (ctx, sk, mut rng) = setup(3);
+        let slots = ctx.params().slots();
+        let steps = [1i64, 0, -2, 5, 3];
+        for kind in [KIND, KeySwitchKind::Standard] {
+            let keys: Vec<_> = steps
+                .iter()
+                .map(|&s| ctx.rotation_keygen(&sk, s, kind, &mut rng))
+                .collect();
+            for level in [3, 2] {
+                let cts: Vec<Ciphertext> = (0..steps.len())
+                    .map(|t| {
+                        let vals: Vec<f64> =
+                            (0..slots).map(|i| ((i * 3 + t) % 7) as f64 - 3.0).collect();
+                        ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), level), &sk, &mut rng)
+                    })
+                    .collect();
+                let terms: Vec<(&Ciphertext, i64, &crate::KeySwitchKey)> = cts
+                    .iter()
+                    .zip(&steps)
+                    .zip(&keys)
+                    .map(|((ct, &s), key)| (ct, s, key))
+                    .collect();
+                let fused = ctx
+                    .try_rotate_sum(
+                        &terms.iter().map(|&(ct, s, key)| (ct, s, Some(key))).collect::<Vec<_>>(),
+                    )
+                    .unwrap();
+                let (c0, c1) = rotate_sum_reference(&ctx, &terms);
+                assert_eq!(fused.c0, c0, "{kind:?} level {level}: c0 differs");
+                assert_eq!(fused.c1, c1, "{kind:?} level {level}: c1 differs");
+                assert_eq!(fused.level(), level);
+            }
+        }
+    }
+
+    #[test]
+    fn rotate_sum_rejects_mixed_kinds_before_touching_the_pair() {
+        // The two kinds extend to different special bases (1 limb and 3),
+        // so a term of the second kind reaching the shared pair would trip
+        // the kernel's basis assertion instead of returning an error.
+        let (ctx, sk, mut rng) = setup(3);
+        let boosted = ctx.rotation_keygen(&sk, 1, KIND, &mut rng);
+        let standard = ctx.rotation_keygen(&sk, 2, KeySwitchKind::Standard, &mut rng);
+        let ct = ctx.encrypt(&ctx.encode(&[1.0], ctx.default_scale(), 3), &sk, &mut rng);
+        for terms in [
+            [(&ct, 1, Some(&boosted)), (&ct, 2, Some(&standard))],
+            [(&ct, 2, Some(&standard)), (&ct, 1, Some(&boosted))],
+        ] {
+            match ctx.try_rotate_sum(&terms) {
+                Err(crate::FheError::InvalidParams { op, reason }) => {
+                    assert_eq!(op, "rotate_sum");
+                    assert!(reason.contains("mixed keyswitch kinds"), "{reason}");
+                }
+                other => panic!("expected InvalidParams, got {other:?}"),
+            }
         }
     }
 

@@ -288,7 +288,6 @@ impl CkksContext {
                         .filter(|l| !present.contains(l))
                         .collect(),
                 );
-                let c_d = rns.restrict(&c_coeff, &digit_basis);
                 // ModUp: fast base conversion to the rest of the target basis
                 // (this is the changeRNSBase of Listing 1, line 3). The
                 // extension is never empty: the target holds at least one
@@ -298,27 +297,44 @@ impl CkksContext {
                 // roundtrip is exact, so this is bit-identical and brings
                 // the ModUp NTT count down to the paper's t·L.
                 // The full-basis slab is reserved before the conversion
-                // allocates `c_ext`: in the other order the freed `c_ext`
+                // writes anything: in the other order a freed temporary
                 // fragments the worker's arena, and `lola_mlp_8k`'s peak
                 // RSS rose by 1 %.
-                let mut coeffs = Vec::with_capacity(c.n() * target.len());
-                let conv = self.converter(&digit_basis, &ext_basis);
-                let mut c_ext = conv.convert(rns, &c_d);
-                rns.to_ntt(&mut c_ext);
-                for &limb in &target.0 {
-                    let src = if digit_basis.0.contains(&limb) {
-                        let k = qb.0.iter().position(|&l| l == limb).expect(
-                            "every digit limb lies in the level-L prefix basis",
-                        );
-                        c.limb(k)
-                    } else {
-                        let k = ext_basis.0.iter().position(|&l| l == limb).expect(
-                            "target basis is the disjoint union of digit and extension bases",
-                        );
-                        c_ext.limb(k)
-                    };
-                    coeffs.extend_from_slice(src);
-                }
+                let coeffs = if digit_basis == qb {
+                    // The digit is the whole input (every single-digit
+                    // keyswitch, and a multi-digit one at a low level): the
+                    // slab is the input's limbs followed by the special
+                    // limbs, so the conversion reads the coefficient-form
+                    // input as it is, with no restricted copy, and appends
+                    // straight into the slab.
+                    let mut coeffs = Vec::with_capacity(c.n() * target.len());
+                    coeffs.extend_from_slice(c.coeffs());
+                    self.converter(&digit_basis, &ext_basis)
+                        .convert_append(rns, &c_coeff, &mut coeffs);
+                    rns.to_ntt_limbs(&ext_basis.0, &mut coeffs[level * c.n()..]);
+                    coeffs
+                } else {
+                    let c_d = rns.restrict(&c_coeff, &digit_basis);
+                    let mut coeffs = Vec::with_capacity(c.n() * target.len());
+                    let conv = self.converter(&digit_basis, &ext_basis);
+                    let mut c_ext = conv.convert(rns, &c_d);
+                    rns.to_ntt(&mut c_ext);
+                    for &limb in &target.0 {
+                        let src = if digit_basis.0.contains(&limb) {
+                            let k = qb.0.iter().position(|&l| l == limb).expect(
+                                "every digit limb lies in the level-L prefix basis",
+                            );
+                            c.limb(k)
+                        } else {
+                            let k = ext_basis.0.iter().position(|&l| l == limb).expect(
+                                "target basis is the disjoint union of digit and extension bases",
+                            );
+                            c_ext.limb(k)
+                        };
+                        coeffs.extend_from_slice(src);
+                    }
+                    coeffs
+                };
                 Some(
                     RnsPoly::from_raw_parts(c.n(), target.clone(), coeffs, true)
                         .expect("one limb of the ring degree per target-basis entry"),
@@ -328,10 +344,29 @@ impl CkksContext {
         Ok(HoistedDecomposition {
             kind,
             level,
-            special,
             target,
             digits,
         })
+    }
+
+    /// Closing ModDown of a pair of extended-basis accumulators (Listing
+    /// 1, lines 7-10), entirely in the NTT domain: divides by the special
+    /// modulus of `kind` and returns the pair over the level-`level`
+    /// prefix basis. Each accumulator becomes its result in place.
+    pub(crate) fn mod_down_pair(
+        &self,
+        level: usize,
+        kind: KeySwitchKind,
+        acc0: RnsPoly,
+        acc1: RnsPoly,
+    ) -> (RnsPoly, RnsPoly) {
+        let rns = self.rns();
+        let qb = rns.q_basis(level);
+        let pb = rns.p_basis(self.special_for(kind));
+        let conv = self.converter(&pb, &qb);
+        let ks0 = mod_down_ntt(rns, acc0, &qb, &pb, &conv);
+        let ks1 = mod_down_ntt(rns, acc1, &qb, &pb, &conv);
+        (ks0, ks1)
     }
 
     /// Generates a relinearization key (keyswitch key for `s^2 → s`).
@@ -396,7 +431,6 @@ impl CkksContext {
 pub struct HoistedDecomposition {
     kind: KeySwitchKind,
     level: usize,
-    special: usize,
     target: Basis,
     /// ModUp'd digit polynomials over `target`, NTT form; `None` for
     /// digits whose limbs all lie above `level`.
@@ -427,50 +461,13 @@ impl HoistedDecomposition {
         Ok(())
     }
 
-    /// Hint inner product over the extended basis (Listing 1, line 6),
-    /// optionally with `σ_galois` fused onto the digits. Accumulation is
-    /// serial in digit order so the result is bit-identical at any thread
-    /// count; the limb loops inside each `mul_acc` kernel still run on the
-    /// worker pool.
-    fn inner_product(
-        &self,
-        ctx: &CkksContext,
-        galois: Option<u64>,
-        ksk: &KeySwitchKey,
-    ) -> (RnsPoly, RnsPoly) {
-        let rns = ctx.rns();
-        let mut acc0 = rns.zero(&self.target);
+    /// A zeroed pair of extended-basis (`Q·P`) accumulators in NTT form,
+    /// the shape [`HoistedDecomposition::apply_ext_into`] accumulates into.
+    pub(crate) fn zero_ext_pair(&self, ctx: &CkksContext) -> (RnsPoly, RnsPoly) {
+        let mut acc0 = ctx.rns().zero(&self.target);
         acc0.set_ntt_form(true);
-        let mut acc1 = acc0.clone();
-        for (d, digit) in self.digits.iter().enumerate() {
-            let Some(c_full) = digit else { continue };
-            rns.mul_acc_pair_superset(
-                &mut acc0,
-                &mut acc1,
-                c_full,
-                galois,
-                &ksk.elems[d].0,
-                &ksk.elems[d].1,
-            );
-        }
+        let acc1 = acc0.clone();
         (acc0, acc1)
-    }
-
-    /// Closing ModDown of both accumulators (Listing 1, lines 7-10),
-    /// entirely in the NTT domain.
-    pub(crate) fn mod_down_pair(
-        &self,
-        ctx: &CkksContext,
-        acc0: RnsPoly,
-        acc1: RnsPoly,
-    ) -> (RnsPoly, RnsPoly) {
-        let rns = ctx.rns();
-        let qb = rns.q_basis(self.level);
-        let pb = rns.p_basis(self.special);
-        let conv = ctx.converter(&pb, &qb);
-        let ks0 = mod_down_ntt(rns, &acc0, &qb, &pb, &conv);
-        let ks1 = mod_down_ntt(rns, &acc1, &qb, &pb, &conv);
-        (ks0, ks1)
     }
 
     /// Phase two: hint inner product plus the single closing ModDown.
@@ -505,17 +502,11 @@ impl HoistedDecomposition {
         ksk: &KeySwitchKey,
     ) -> FheResult<(RnsPoly, RnsPoly)> {
         let (acc0, acc1) = self.apply_ext(ctx, op, galois, ksk)?;
-        Ok(self.mod_down_pair(ctx, acc0, acc1))
+        Ok(ctx.mod_down_pair(self.level, self.kind, acc0, acc1))
     }
 
-    /// Phase two *without* the closing ModDown: returns the hint inner
-    /// product accumulators over the extended basis `Q·P`, still scaled by
-    /// `P`. Double hoisting sums many of these (ModDown is linear up to the
-    /// ±1 conversion rounding, which the noise model's rounding floor
-    /// already covers) and pays one ModDown for the whole sum.
-    ///
-    /// Every CKKS hint application passes through here, so this is where
-    /// the Strict policy checks the hint — once per application.
+    /// Phase two *without* the closing ModDown, into fresh accumulators:
+    /// the allocating form of [`HoistedDecomposition::apply_ext_into`].
     pub(crate) fn apply_ext(
         &self,
         ctx: &CkksContext,
@@ -523,9 +514,45 @@ impl HoistedDecomposition {
         galois: Option<u64>,
         ksk: &KeySwitchKey,
     ) -> FheResult<(RnsPoly, RnsPoly)> {
+        let (mut acc0, mut acc1) = self.zero_ext_pair(ctx);
+        self.apply_ext_into(ctx, op, galois, ksk, &mut acc0, &mut acc1)?;
+        Ok((acc0, acc1))
+    }
+
+    /// Phase two *without* the closing ModDown, accumulated into a
+    /// caller-owned pair: `(acc0, acc1) += Σ_d σ(digit_d)·hint_d` over the
+    /// extended basis `Q·P`, still scaled by `P`. The pair must have this
+    /// decomposition's shape ([`HoistedDecomposition::zero_ext_pair`]: its
+    /// level's `Q` limbs, then its kind's special limbs, NTT form).
+    ///
+    /// Double hoisting sums many terms into one pair (ModDown is linear up
+    /// to the ±1 conversion rounding, which the noise model's rounding
+    /// floor already covers) and pays one ModDown for the whole sum, so a
+    /// rotate-sum allocates no extended-basis polynomial per term. The
+    /// MACs accumulate serially in digit order, so the result is
+    /// bit-identical at any thread count; the limb loops inside each
+    /// kernel still run on the worker pool.
+    ///
+    /// Every CKKS hint application passes through here, so this is where
+    /// the Strict policy checks the hint — once per application. The key
+    /// is checked before the first MAC: on error the pair is unchanged.
+    pub(crate) fn apply_ext_into(
+        &self,
+        ctx: &CkksContext,
+        op: &'static str,
+        galois: Option<u64>,
+        ksk: &KeySwitchKey,
+        acc0: &mut RnsPoly,
+        acc1: &mut RnsPoly,
+    ) -> FheResult<()> {
         ctx.guard_key(op, ksk)?;
         self.check_key(op, ksk)?;
-        Ok(self.inner_product(ctx, galois, ksk))
+        let rns = ctx.rns();
+        for (d, digit) in self.digits.iter().enumerate() {
+            let Some(c_full) = digit else { continue };
+            rns.mul_acc_pair_superset(acc0, acc1, c_full, galois, &ksk.elems[d].0, &ksk.elems[d].1);
+        }
+        Ok(())
     }
 }
 

@@ -110,11 +110,18 @@ impl CkksContext {
     /// threshold so exhaustion is observable (the public
     /// [`CkksContext::budget_bits`] clamps at zero).
     pub(crate) fn budget_bits_signed(&self, ct: &Ciphertext) -> f64 {
+        self.budget_bits_signed_of(ct.level(), ct.scale(), ct.noise_bits_est)
+    }
+
+    /// [`CkksContext::budget_bits_signed`] of a ciphertext with this level,
+    /// scale and noise estimate — the budget depends on nothing else, so an
+    /// operation can check its result's budget before building it.
+    pub(crate) fn budget_bits_signed_of(&self, level: usize, scale: f64, noise_bits: f64) -> f64 {
         let rns = self.rns();
-        let log_q: f64 = (0..ct.level())
+        let log_q: f64 = (0..level)
             .map(|l| (rns.modulus_value(l as u32) as f64).log2())
             .sum();
-        log_q - ct.scale().log2() - ct.noise_bits_est.max(0.0)
+        log_q - scale.log2() - noise_bits.max(0.0)
     }
 
     /// Approximate remaining multiplicative depth (levels of budget left).

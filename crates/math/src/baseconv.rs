@@ -167,13 +167,27 @@ impl BaseConvTable {
     ///
     /// Panics if `x.len()` is not a multiple of the source limb count.
     pub fn convert(&self, x: &[u64], exact: bool) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.convert_append(x, &mut out, exact);
+        out
+    }
+
+    /// [`BaseConvTable::convert`] into a caller-owned buffer: the
+    /// destination limbs are appended to `out`, which grows only when its
+    /// spare capacity is short of them. A caller assembling a wider
+    /// polynomial reserves it whole and lets the kernel write its tail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` is not a multiple of the source limb count.
+    pub fn convert_append(&self, x: &[u64], out: &mut Vec<u64>, exact: bool) {
         let len = x.len() / self.src.len() * self.dst.len();
-        let mut out = Vec::with_capacity(len);
+        let start = out.len();
+        out.reserve_exact(len);
         crate::backend::base_conv(self, x, &mut out.spare_capacity_mut()[..len], exact);
         // SAFETY: `base_conv` writes every word of the `len`-word slice it
-        // is given.
-        unsafe { out.set_len(len) };
-        out
+        // is given, which begins at `out`'s old length.
+        unsafe { out.set_len(start + len) };
     }
 
     /// `[(Q/q_i)^{-1}]_{q_i}` and its Shoup companion, per source limb.

@@ -96,13 +96,32 @@ impl BaseConverter {
     }
 
     fn convert_inner(&self, ctx: &RnsContext, poly: &RnsPoly, exact: bool) -> RnsPoly {
+        self.check_source(ctx, poly);
+        self.convert_slab(ctx, poly.coeffs(), exact)
+    }
+
+    fn check_source(&self, ctx: &RnsContext, poly: &RnsPoly) {
         assert_eq!(poly.basis(), &self.src, "polynomial not in source basis");
         assert_eq!(poly.n(), ctx.n(), "polynomial not of the context's ring degree");
         assert!(
             !poly.ntt_form(),
             "base conversion operates in the coefficient domain"
         );
-        let n = poly.n();
+    }
+
+    /// The conversion of a bare limb-major source slab (coefficient form,
+    /// source-basis order) as a fresh polynomial.
+    fn convert_slab(&self, ctx: &RnsContext, src: &[u64], exact: bool) -> RnsPoly {
+        let mut coeffs = Vec::new();
+        self.append_slab(ctx, src, exact, &mut coeffs);
+        RnsPoly::from_raw_parts(ctx.n(), self.dst.clone(), coeffs, false)
+            .expect("the converter's output covers its destination basis")
+    }
+
+    /// [`BaseConverter::convert_slab`], appended to `out`.
+    fn append_slab(&self, ctx: &RnsContext, src: &[u64], exact: bool, out: &mut Vec<u64>) {
+        let n = ctx.n();
+        assert_eq!(src.len(), self.src.len() * n, "source slab is not the source basis");
         let l_src = self.src.len();
         let l_dst = self.dst.len();
         // The y-scaling pass is an element-wise mult per source limb; the
@@ -115,11 +134,9 @@ impl BaseConverter {
             cl_trace::record_mult(l_dst as u64, n);
             cl_trace::record_add(l_dst as u64, n);
         }
-        // Every limb of `poly` is canonical (below q_i), the kernel's
-        // operand contract; each output word is written once, canonical.
-        let coeffs = self.table.convert(poly.coeffs(), exact);
-        RnsPoly::from_raw_parts(n, self.dst.clone(), coeffs, false)
-            .expect("the converter's output covers its destination basis")
+        // Every source word is canonical (below q_i), the kernel's operand
+        // contract; each output word is written once, canonical.
+        self.table.convert_append(src, out, exact);
     }
 
     /// Approximate fast base conversion (the CRB operation): the result
@@ -130,6 +147,20 @@ impl BaseConverter {
     /// Panics if `poly` is not in the source basis or is in NTT form.
     pub fn convert(&self, ctx: &RnsContext, poly: &RnsPoly) -> RnsPoly {
         self.convert_inner(ctx, poly, false)
+    }
+
+    /// [`BaseConverter::convert`] appending the destination limbs
+    /// (coefficient form, destination-basis order) to a caller-owned
+    /// limb-major buffer instead of returning a fresh polynomial. ModUp
+    /// uses it to write the extension limbs straight into the slab of the
+    /// extended polynomial.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`BaseConverter::convert`].
+    pub fn convert_append(&self, ctx: &RnsContext, poly: &RnsPoly, out: &mut Vec<u64>) {
+        self.check_source(ctx, poly);
+        self.append_slab(ctx, poly.coeffs(), false, out);
     }
 
     /// Exact base conversion of the *centered* value: for
@@ -184,6 +215,12 @@ pub fn mod_down(
 /// per accumulator disappears: `|P|` inverse + `|Q|` forward NTTs instead
 /// of `|Q|+|P|` inverse + `|Q|` forward.
 ///
+/// The input is consumed and becomes the output in place: its `P` limbs
+/// are inverse-transformed where they lie and read by the conversion, then
+/// released, and the correction is subtracted from its `Q` limbs. A caller
+/// that still needs its input passes a clone — the same bytes the two
+/// restricted copies of the input used to cost, in one allocation.
+///
 /// Bit-exactness with `to_ntt(mod_down(from_ntt(x)))` follows from the NTT
 /// being a `Z_q`-linear bijection: subtraction and the per-limb scalar
 /// multiplication by `P^{-1}` commute with it exactly.
@@ -194,7 +231,7 @@ pub fn mod_down(
 /// polynomial is not in NTT form.
 pub fn mod_down_ntt(
     ctx: &RnsContext,
-    poly: &RnsPoly,
+    mut poly: RnsPoly,
     q_basis: &Basis,
     p_basis: &Basis,
     conv_p_to_q: &BaseConverter,
@@ -203,14 +240,15 @@ pub fn mod_down_ntt(
     assert_eq!(poly.basis(), &q_basis.union(p_basis), "basis mismatch");
     assert_eq!(conv_p_to_q.src_basis(), p_basis);
     assert_eq!(conv_p_to_q.dst_basis(), q_basis);
-    let mut c_p = ctx.restrict(poly, p_basis);
-    ctx.from_ntt(&mut c_p);
-    let mut c_p_in_q = conv_p_to_q.convert_exact(ctx, &c_p);
+    let split = q_basis.len() * ctx.n();
+    let c_p = &mut poly.parts_mut().1[split..];
+    ctx.from_ntt_limbs(&p_basis.0, c_p);
+    let mut c_p_in_q = conv_p_to_q.convert_slab(ctx, c_p, true);
     ctx.to_ntt(&mut c_p_in_q);
-    let mut diff = ctx.restrict(poly, q_basis);
-    ctx.sub_assign(&mut diff, &c_p_in_q);
-    ctx.scalar_mul_per_limb_assign(&mut diff, conv_p_to_q.src_prod_inv_mod_dst());
-    diff
+    poly.truncate_limbs(q_basis.len());
+    ctx.sub_assign(&mut poly, &c_p_in_q);
+    ctx.scalar_mul_per_limb_assign(&mut poly, conv_p_to_q.src_prod_inv_mod_dst());
+    poly
 }
 
 #[cfg(test)]
@@ -352,7 +390,7 @@ mod tests {
         c.from_ntt(&mut x_coeff);
         let mut expect = mod_down(&c, &x_coeff, &qb, &pb, &conv);
         c.to_ntt(&mut expect);
-        let got = mod_down_ntt(&c, &x_ntt, &qb, &pb, &conv);
+        let got = mod_down_ntt(&c, x_ntt, &qb, &pb, &conv);
         assert!(got.ntt_form());
         assert_eq!(got, expect, "NTT-domain ModDown must be bit-exact");
     }

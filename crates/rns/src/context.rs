@@ -318,10 +318,41 @@ impl RnsContext {
         if p.ntt_form() {
             return;
         }
-        self.par_limbs(p, |_, limb, data| {
-            self.tables[limb as usize].forward(data);
-        });
+        let (basis, coeffs) = p.parts_mut();
+        self.to_ntt_limbs(&basis.0, coeffs);
         p.set_ntt_form(true);
+    }
+
+    /// [`RnsContext::to_ntt`] of a bare limb-major slab: the `k`-th
+    /// `n`-word limb of `data` is transformed under global limb
+    /// `limbs[k]`. For limbs of a polynomial under construction whose
+    /// limbs are in different domains (ModUp appends its converted
+    /// extension limbs after limbs already in NTT form).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not exactly `limbs.len()` limbs of the ring
+    /// degree.
+    pub fn to_ntt_limbs(&self, limbs: &[u32], data: &mut [u64]) {
+        assert_eq!(data.len(), limbs.len() * self.n, "slab is not one limb per entry");
+        data.par_chunks_mut(self.n)
+            .enumerate()
+            .for_each(|(k, chunk)| self.tables[limbs[k] as usize].forward(chunk));
+    }
+
+    /// [`RnsContext::from_ntt`] of a bare limb-major slab, as
+    /// [`RnsContext::to_ntt_limbs`] (ModDown inverse-transforms only the
+    /// special limbs of its input).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not exactly `limbs.len()` limbs of the ring
+    /// degree.
+    pub fn from_ntt_limbs(&self, limbs: &[u32], data: &mut [u64]) {
+        assert_eq!(data.len(), limbs.len() * self.n, "slab is not one limb per entry");
+        data.par_chunks_mut(self.n)
+            .enumerate()
+            .for_each(|(k, chunk)| self.tables[limbs[k] as usize].inverse(chunk));
     }
 
     /// Converts a polynomial to coefficient form in place (no-op if already
@@ -330,9 +361,8 @@ impl RnsContext {
         if !p.ntt_form() {
             return;
         }
-        self.par_limbs(p, |_, limb, data| {
-            self.tables[limb as usize].inverse(data);
-        });
+        let (basis, coeffs) = p.parts_mut();
+        self.from_ntt_limbs(&basis.0, coeffs);
         p.set_ntt_form(false);
     }
 
@@ -535,7 +565,8 @@ impl RnsContext {
     /// # Panics
     ///
     /// Same contract as [`RnsContext::mul_acc_superset`] for each
-    /// accumulator; additionally `acc0` and `acc1` must share a basis.
+    /// accumulator; additionally `acc0` and `acc1` must share a basis, and
+    /// every operand must have the context's ring degree.
     pub fn mul_acc_pair_superset(
         &self,
         acc0: &mut RnsPoly,
@@ -548,6 +579,13 @@ impl RnsContext {
         self.check_compatible(acc0, a);
         self.check_compatible(acc1, a);
         assert_eq!(acc0.basis(), acc1.basis(), "accumulators must share a basis");
+        // `acc1` is written through a raw pointer at `self.n`-word strides
+        // and the kernels index `a`, `b0` and `b1` by the same stride: a
+        // shorter operand over the same basis would run out of bounds.
+        let operands = [("acc0", &*acc0), ("acc1", &*acc1), ("a", a), ("b0", b0), ("b1", b1)];
+        for (name, p) in operands {
+            assert_eq!(p.n(), self.n, "{name} is not of the context's ring degree");
+        }
         assert!(
             acc0.ntt_form() && acc1.ntt_form() && b0.ntt_form() && b1.ntt_form(),
             "mul_acc requires NTT form"
@@ -584,8 +622,9 @@ impl RnsContext {
                 .position(|&l| l == limb)
                 .expect("b1's basis must contain every limb of acc");
             let (a_limb, b0_limb, b1_limb) = (a.limb(k), b0.limb(bk0), b1.limb(bk1));
-            // SAFETY: acc0 and acc1 share a basis, so acc1's limb `k` is a
-            // disjoint n-word chunk owned by exactly this task.
+            // SAFETY: acc0 and acc1 share a basis and the ring degree
+            // `n`, so acc1's limb `k` is a disjoint in-bounds n-word chunk
+            // owned by exactly this task.
             let d1 = unsafe { std::slice::from_raw_parts_mut(ptr1.get().add(k * n), n) };
             match &table {
                 Some(t) => {
@@ -771,6 +810,40 @@ mod tests {
             assert_eq!(p0, s0, "paired acc0 must be bit-exact (galois={galois:?})");
             assert_eq!(p1, s1, "paired acc1 must be bit-exact (galois={galois:?})");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "acc1 is not of the context's ring degree")]
+    fn mul_acc_pair_rejects_a_short_accumulator() {
+        let c = ctx();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        let sub = c.q_basis(2);
+        let full = c.q_basis(3).union(&c.p_basis(2));
+        let a = c.sample_uniform(&sub, &mut rng);
+        let b0 = c.sample_uniform(&full, &mut rng);
+        let b1 = c.sample_uniform(&full, &mut rng);
+        let mut acc0 = c.zero(&sub);
+        acc0.set_ntt_form(true);
+        // Same basis and domain, half the ring degree: the second
+        // accumulator's limbs are too short for the kernel's stride.
+        let mut acc1 = RnsPoly::zero(c.n() / 2, sub.clone());
+        acc1.set_ntt_form(true);
+        c.mul_acc_pair_superset(&mut acc0, &mut acc1, &a, Some(5), &b0, &b1);
+    }
+
+    #[test]
+    fn slab_ntts_match_the_polynomial_ones() {
+        let c = ctx();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let basis = c.q_basis(1).union(&c.p_basis(2));
+        let want = c.sample_uniform(&basis, &mut rng);
+        let mut coeff = want.clone();
+        c.from_ntt(&mut coeff);
+        let mut slab = coeff.coeffs().to_vec();
+        c.to_ntt_limbs(&basis.0, &mut slab);
+        assert_eq!(slab, want.coeffs());
+        c.from_ntt_limbs(&basis.0, &mut slab);
+        assert_eq!(slab, coeff.coeffs());
     }
 
     #[test]

@@ -196,6 +196,22 @@ impl RnsPoly {
         self.coeffs.extend_from_slice(data);
     }
 
+    /// Keeps the first `limbs` limbs and releases the rest, storage
+    /// included: the slab is shrunk in place, so a polynomial built over a
+    /// wide basis (an extended-basis accumulator) can become its own
+    /// narrower result without a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `limbs` exceeds the limb count.
+    pub fn truncate_limbs(&mut self, limbs: usize) {
+        assert!(limbs <= self.basis.len(), "cannot keep more limbs than present");
+        self.basis.0.truncate(limbs);
+        self.limb_mask = mask_of(&self.basis);
+        self.coeffs.truncate(limbs * self.n);
+        self.coeffs.shrink_to_fit();
+    }
+
     /// Total number of machine words of payload (used by footprint
     /// accounting).
     #[inline]
@@ -253,6 +269,18 @@ mod tests {
         assert!(RnsPoly::from_raw_parts(2, Basis(vec![3, 3]), vec![1, 2, 3, 4], false).is_err());
         // Zero degree.
         assert!(RnsPoly::from_raw_parts(0, Basis(vec![]), vec![], false).is_err());
+    }
+
+    #[test]
+    fn truncate_limbs_keeps_the_leading_limbs() {
+        let mut p =
+            RnsPoly::from_raw_parts(2, Basis(vec![0, 3, 5]), vec![1, 2, 3, 4, 5, 6], true).unwrap();
+        p.truncate_limbs(2);
+        let want = RnsPoly::from_raw_parts(2, Basis(vec![0, 3]), vec![1, 2, 3, 4], true).unwrap();
+        assert_eq!(p, want);
+        // The dropped limb is gone from the membership bitmap too.
+        p.push_limb(5, &[7, 8]);
+        assert_eq!(p.limb(2), &[7, 8]);
     }
 
     #[test]

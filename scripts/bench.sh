@@ -5,8 +5,8 @@
 # hint integrity digest, ciphertext residue scan, rotate, hoisted rotation,
 # rescale, BSGS linear transform, one bootstrap step, key-residency tiers
 # eager/compact/hot with warm hint-cache variants)
-# at CL_THREADS=1 and CL_THREADS=4 and merges both runs into
-# benchmarks/BENCH_kernels.json.
+# at CL_THREADS=1 and at CL_THREADS=$(nproc) and merges both runs, with
+# the host's nproc, into benchmarks/BENCH_kernels.json.
 #
 # The op-count identities (keyswitch and rescale pass counts vs the cl-isa
 # cost formulas) are asserted exactly by tests/trace_validation.rs, not here.
@@ -47,30 +47,34 @@ label=$(git rev-parse --short HEAD 2>/dev/null || echo current)
 echo "== bench: serial (CL_THREADS=1) =="
 CL_THREADS=1 "$BIN" $SMOKE --label "serial-$label" --out "$OUT_DIR/BENCH_kernels_t1.json"
 
-echo "== bench: parallel (CL_THREADS=4) =="
-CL_THREADS=4 "$BIN" $SMOKE --label "parallel-$label" --out "$OUT_DIR/BENCH_kernels_t4.json"
+# The parallel pass uses every core the host has: more threads than cores
+# only measures the scheduler.
+nproc=$(nproc)
+echo "== bench: parallel (CL_THREADS=$nproc) =="
+CL_THREADS=$nproc "$BIN" $SMOKE --label "parallel-$label" --out "$OUT_DIR/BENCH_kernels_par.json"
 
 echo "== bench: merge =="
-python3 - "$OUT_DIR" <<'EOF'
+python3 - "$OUT_DIR" "$nproc" <<'EOF'
 import json, os, sys
 
-out_dir = sys.argv[1]
+out_dir, nproc = sys.argv[1], int(sys.argv[2])
 
 def load(path):
     with open(path) as f:
         return json.load(f)
 
 t1 = load(os.path.join(out_dir, "BENCH_kernels_t1.json"))
-t4 = load(os.path.join(out_dir, "BENCH_kernels_t4.json"))
+par = load(os.path.join(out_dir, "BENCH_kernels_par.json"))
 
 merged = {
     "shape": {k: t1[k] for k in ("n", "limbs", "limb_bits", "smoke")},
     "host": {
+        "nproc": nproc,
         "backend": t1.get("backend"),
         "cpu_features": t1.get("cpu_features"),
     },
     "serial": t1,
-    "parallel": t4,
+    "parallel": par,
 }
 
 path = os.path.join(out_dir, "BENCH_kernels.json")
@@ -91,7 +95,7 @@ if not os.path.exists(baseline_path):
     sys.exit("bench check: no recorded baseline at " + baseline_path)
 with open(baseline_path) as f:
     baseline = json.load(f)
-with open(os.path.join(out_dir, "BENCH_kernels_t4.json")) as f:
+with open(os.path.join(out_dir, "BENCH_kernels_par.json")) as f:
     current = json.load(f)["kernels_ns"]
 
 recorded = baseline["parallel"]["kernels_ns"]

@@ -216,6 +216,32 @@ fn mul_decomposes_into_tensor_plus_keyswitch_and_matches_formulas() {
     assert_eq!(d.rotations, 0);
 }
 
+#[test]
+fn mul_plain_acc_counts_match_mul_plain_then_add() {
+    let _g = counter_lock();
+    let ctx = ks_ctx();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+    let sk = ctx.keygen(&mut rng);
+    let scale = ctx.default_scale();
+    let a = ctx.encrypt(&ctx.encode(&[0.5, -0.25], scale, L), &sk, &mut rng);
+    let w = ctx.encode(&[1.5, 0.75], scale, L);
+    let acc = ctx
+        .try_mul_plain(&a, &ctx.encode(&[-2.0, 0.5], scale, L))
+        .expect("mul_plain");
+
+    let (want, reference) = measure(|| ctx.try_add(&acc, &ctx.try_mul_plain(&a, &w)?));
+    let (got, fused) = measure(|| {
+        let mut sum = acc.clone();
+        ctx.try_mul_plain_acc(&mut sum, &a, &w).map(|()| sum)
+    });
+    assert_eq!(got.expect("fused"), want.expect("reference"));
+    // The fused pass is one multiply and one add per limb of each
+    // polynomial, exactly what the product and the sum count.
+    assert_eq!(fused, reference);
+    let l = L as u64;
+    assert_eq!((fused.mult, fused.add, fused.pt_mults), (2 * l, 2 * l, 1));
+}
+
 /// The generalized diagonals of `apply` over `m` slots, read column by
 /// column from unit vectors (`diag_d[j] = M[j][(j + d) mod m]`), keeping
 /// the nonzero ones.
