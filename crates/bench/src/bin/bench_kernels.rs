@@ -9,7 +9,10 @@
 //! `(n/2) * log2(n) * limbs` over the timed call, the Strict residue
 //! scan (`ct_validate`) as GB/s over the ciphertext it reads, and base
 //! conversion at the N = 1K shapes as eight-word multiply-accumulate
-//! vectors per ns.
+//! vectors per ns. A grain sweep (`grain_*` rows) times four kernel
+//! classes with their limbs fanned out over the worker pool at two ring
+//! degrees and five limb counts; `scripts/bench.sh` runs it at one thread
+//! and at `nproc`, which places `cl_rns::PAR_GRAIN_WORDS`.
 //!
 //! Usage:
 //!   bench_kernels [--smoke] [--label NAME] [--out PATH]
@@ -81,6 +84,78 @@ fn time_ns(smoke: bool, mut f: impl FnMut()) -> f64 {
         }
     }
     best_ns as f64
+}
+
+/// One shape of the grain sweep: a row per kernel class, named
+/// `grain_{class}_{N/1024}k_l{limbs}`, each limb (CRB: each destination
+/// limb) one task of a region that always fans out.
+fn grain_sweep(
+    results: &mut Vec<(&'static str, f64)>,
+    smoke: bool,
+    n: usize,
+    limbs: usize,
+    bits: u32,
+) {
+    use cl_rns::{par_chunks_mut, PAR_GRAIN_WORDS};
+
+    let ctx = RnsContext::generate(n, limbs, limbs, bits).expect("rns context");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+    let a = ctx.sample_uniform(&ctx.q_basis(limbs), &mut rng);
+    let b = ctx.sample_uniform(&ctx.q_basis(limbs), &mut rng);
+    let moduli: Vec<cl_math::Modulus> = (0..limbs as u32).map(|l| *ctx.modulus(l)).collect();
+    let specials: Vec<cl_math::Modulus> = ctx
+        .p_basis(limbs)
+        .0
+        .iter()
+        .map(|&l| *ctx.modulus(l))
+        .collect();
+    let tables: Vec<cl_math::BaseConvTable> = specials
+        .iter()
+        .map(|p| cl_math::BaseConvTable::new(&moduli, std::slice::from_ref(p)))
+        .collect();
+    let mut row = |class: &str, ns: f64| {
+        let name = format!("grain_{class}_{}k_l{limbs}", n >> 10);
+        results.push((Box::leak(name.into_boxed_str()), ns));
+    };
+    let mut data = a.coeffs().to_vec();
+    row(
+        "ew",
+        time_ns(smoke, || {
+            par_chunks_mut(&mut data, n, PAR_GRAIN_WORDS, |k, limb| {
+                moduli[k].mul_mod_slice(limb, b.limb(k));
+            });
+            std::hint::black_box(&data);
+        }),
+    );
+    row(
+        "ntt",
+        time_ns(smoke, || {
+            par_chunks_mut(&mut data, n, PAR_GRAIN_WORDS, |k, limb| {
+                ctx.ntt_table(k as u32).forward(limb);
+            });
+            std::hint::black_box(&data);
+        }),
+    );
+    let mut outs: Vec<Vec<u64>> = (0..limbs).map(|_| Vec::with_capacity(n)).collect();
+    row(
+        "crb",
+        time_ns(smoke, || {
+            par_chunks_mut(&mut outs, 1, PAR_GRAIN_WORDS, |k, out| {
+                out[0].clear();
+                tables[k].convert_append(a.coeffs(), &mut out[0], false);
+            });
+            std::hint::black_box(&outs);
+        }),
+    );
+    row(
+        "mac",
+        time_ns(smoke, || {
+            par_chunks_mut(&mut data, n, PAR_GRAIN_WORDS, |k, limb| {
+                moduli[k].mul_acc_mod_slice(limb, a.limb(k), b.limb(k));
+            });
+            std::hint::black_box(&data);
+        }),
+    );
 }
 
 fn main() {
@@ -202,6 +277,21 @@ fn main() {
                 let macs = ((src.len() + usize::from(exact)) * dst.len() * n1) as f64 / 8.0;
                 crb_rates.push((name, macs / ns));
             }
+        }
+    }
+
+    // --- Grain sweep ---------------------------------------------------------
+    // What a limb's worth of each kernel class costs when its limbs fan
+    // out over the worker pool, at N ∈ {1K, 8K} × limbs ∈ {1, 4, 8, 20,
+    // 40}: element-wise (`mul_mod_slice`), NTT (`forward`), CRB (one
+    // destination limb from every source limb) and MAC (`mul_acc`). Each
+    // task claims `PAR_GRAIN_WORDS` words so every region fans out; the
+    // serial pass (`CL_THREADS=1`) against the `nproc` pass shows where
+    // fan-out pays, which is where `cl_rns::PAR_GRAIN_WORDS` sits
+    // (EXPERIMENTS.md, "The grain sweep").
+    for n_sweep in [1usize << 10, 1 << 13] {
+        for limbs_sweep in [1usize, 4, 8, 20, 40] {
+            grain_sweep(&mut results, cfg.smoke, n_sweep, limbs_sweep, bits);
         }
     }
 

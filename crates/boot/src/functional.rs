@@ -46,7 +46,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use cl_ckks::{
-    Ciphertext, CkksContext, CompactKeySwitchKey, FheError, FheResult, HintCache, HintId,
+    par_map, Ciphertext, CkksContext, CompactKeySwitchKey, FheError, FheResult, HintCache, HintId,
     KeySwitchKey, Plaintext, SecretKey,
 };
 use cl_math::{Cache, Complex, SpecialFft};
@@ -736,6 +736,11 @@ pub type BootstrapPrecompute = Cache<(u64, TransformStage, usize, usize), Precom
 /// is the first product of each group, each giant step's hoisted
 /// decomposition and its `σ(c0)`, and each baby rotation's output.
 ///
+/// The baby steps and the giant groups' inner sums are independent
+/// operations, so both fan out across the worker pool above its grain
+/// ([`cl_ckks::par_map`]); results come back in step and group order, so
+/// the output, its noise estimate and the op counts are the serial run's.
+///
 /// The transform's rotation schedule is known up front (babies, then
 /// giants), so it is installed into the bundle's [`HintCache`] as a Belady
 /// eviction oracle, and the giant-group hints are prefetched right after
@@ -804,9 +809,12 @@ pub fn try_bsgs_transform(
     babies.insert(0, ct);
     // Inner sums: plaintext-multiply each baby into its giant group, the
     // first product in a fresh ciphertext and the rest accumulated into it
-    // in place.
-    let mut inners: Vec<(Ciphertext, i64)> = Vec::with_capacity(pre.giants.len());
-    for (jb, terms) in &pre.giants {
+    // in place. The groups are independent (each reads the shared babies
+    // and writes its own sum), so they fan out across the worker pool, and
+    // come back in group order.
+    let words = 2 * ct.c0().num_words();
+    let inners: Vec<(Ciphertext, i64)> = par_map(pre.giants.len(), words, |g| {
+        let (jb, terms) = &pre.giants[g];
         let mut terms = terms.iter().map(|(i, pt)| {
             let baby = babies
                 .get(i)
@@ -820,8 +828,10 @@ pub fn try_bsgs_transform(
         for (baby, pt) in terms {
             ctx.try_mul_plain_acc(&mut inner, baby, pt)?;
         }
-        inners.push((inner, *jb));
-    }
+        Ok((inner, *jb))
+    })
+    .into_iter()
+    .collect::<FheResult<_>>()?;
     // Giant rotations: extended-basis accumulation, one closing ModDown.
     let giant_arcs: Vec<Option<Arc<KeySwitchKey>>> = inners
         .iter()
@@ -841,6 +851,24 @@ pub fn try_bsgs_transform(
     let summed = ctx.try_rotate_sum(&giant_terms)?;
     cache.clear_plan();
     ctx.try_rescale(&summed)
+}
+
+/// One depth of EvalMod's power tree: each `a·b`, with `a` dropped to
+/// `b`'s level first, relinearized and rescaled. The products are
+/// independent, so they fan out across the worker pool; the results and
+/// the first error are in the order given.
+fn power_products<const K: usize>(
+    ctx: &CkksContext,
+    relin: &KeySwitchKey,
+    pairs: [(&Ciphertext, &Ciphertext); K],
+) -> FheResult<[Ciphertext; K]> {
+    let products: Vec<Ciphertext> = par_map(K, 2 * pairs[0].1.c0().num_words(), |i| {
+        let (a, b) = pairs[i];
+        ctx.try_rescale(&ctx.try_mul(&ctx.try_mod_drop(a, b.level())?, b, relin)?)
+    })
+    .into_iter()
+    .collect::<FheResult<_>>()?;
+    Ok(products.try_into().expect("one product per pair"))
 }
 
 /// One radix stage of a bootstrap transform in generalized-diagonal form:
@@ -1084,20 +1112,14 @@ impl Bootstrapper {
             term = term * Complex::new(0.0, theta) / k as f64;
             coeffs.push(term);
         }
-        // Powers y^1..y^7 with depth 3: y2=y*y, y3=y*y2, y4=y2*y2,
-        // y5=y2*y3, y6=y3*y3, y7=y3*y4.
+        // Powers y^1..y^7 with depth 3: y2=y*y, then y3=y*y2 ‖ y4=y2*y2,
+        // then y5=y2*y3 ‖ y6=y3*y3 ‖ y7=y3*y4. The products of one depth
+        // are independent relinearized multiplications, so each depth fans
+        // out across the worker pool (results in the order written).
         let y1 = ct.clone();
         let y2 = ctx.try_rescale(&ctx.try_mul(&y1, &y1, relin)?)?;
-        let y3 =
-            ctx.try_rescale(&ctx.try_mul(&ctx.try_mod_drop(&y1, y2.level())?, &y2, relin)?)?;
-        let y4 =
-            ctx.try_rescale(&ctx.try_mul(&ctx.try_mod_drop(&y2, y2.level())?, &y2, relin)?)?;
-        let y5 =
-            ctx.try_rescale(&ctx.try_mul(&ctx.try_mod_drop(&y2, y3.level())?, &y3, relin)?)?;
-        let y6 =
-            ctx.try_rescale(&ctx.try_mul(&ctx.try_mod_drop(&y3, y3.level())?, &y3, relin)?)?;
-        let y7 =
-            ctx.try_rescale(&ctx.try_mul(&ctx.try_mod_drop(&y3, y4.level())?, &y4, relin)?)?;
+        let [y3, y4] = power_products(ctx, relin, [(&y1, &y2), (&y2, &y2)])?;
+        let [y5, y6, y7] = power_products(ctx, relin, [(&y2, &y3), (&y3, &y3), (&y3, &y4)])?;
         // Align all powers at the deepest level/scale and combine:
         // E0 = sum_k coeffs[k] * y^k.
         let target_level = y7.level();

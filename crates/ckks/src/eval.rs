@@ -481,6 +481,12 @@ impl CkksContext {
     /// Results are bit-identical to calling [`CkksContext::try_rotate`]
     /// once per step, noise estimates included.
     ///
+    /// The steps are independent keyswitches over one shared
+    /// decomposition, so they fan out across the worker pool
+    /// ([`crate::par_map`]) when a ciphertext reaches the grain; results,
+    /// trace counts and the first error (in step order) are the serial
+    /// run's.
+    ///
     /// # Errors
     ///
     /// [`FheError::InvalidParams`] when `steps` and `keys` have different
@@ -505,14 +511,15 @@ impl CkksContext {
         };
         let n = self.params().ring_degree();
         let dec = self.hoist_impl(OP, &a.c1, first.kind())?;
-        steps
-            .iter()
-            .zip(keys)
-            .map(|(&k, key)| {
-                let g = cl_math::galois_element_for_rotation(k, n);
-                self.galois_from_decomposition(OP, a, &dec, g, key)
-            })
-            .collect()
+        // The steps share only the read-only decomposition: each is an
+        // independent keyswitch writing one ciphertext.
+        let words = 2 * a.c0.num_words();
+        crate::par_map(steps.len(), words, |i| {
+            let g = cl_math::galois_element_for_rotation(steps[i], n);
+            self.galois_from_decomposition(OP, a, &dec, g, keys[i])
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Fallible rotate-and-sum `Σ_j rot_{k_j}(ct_j)` with *double

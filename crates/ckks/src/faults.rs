@@ -11,8 +11,9 @@
 //! | dropped rescale / tampered scale ([`corrupt_scale`]) | signed noise-budget threshold | [`FheError::BudgetExhausted`](crate::FheError) |
 //! | corrupted hint ([`corrupt_hint_word`]) | keygen-time integrity digest, re-checked once per hint application | [`FheError::CorruptKey`](crate::FheError) |
 //!
-//! [`digests_computed`] counts hint digests per thread, so tests can pin
-//! that each hint application checks its hint exactly once.
+//! [`digests_computed`] counts hint digests per calling thread (a fanned-out
+//! operation's digests included), so tests can pin that each hint
+//! application checks its hint exactly once.
 //!
 //! On top of the deterministic primitives, [`FaultPlan`] is a seeded
 //! probabilistic injector for soak-style testing: intermittent bit flips at
@@ -39,9 +40,27 @@ pub(crate) fn count_digest() {
 
 /// Keyswitch-hint integrity digests computed on the calling thread so far
 /// (keygen, expansion, loading and every Strict hint check). Per thread, so
-/// concurrently running tests do not see each other's digests.
+/// concurrently running tests do not see each other's digests; an
+/// operation fanned out across the worker pool ([`crate::par_map`]) counts
+/// its tasks' digests on the thread that called it.
 pub fn digests_computed() -> u64 {
     DIGESTS.with(Cell::get)
+}
+
+/// Runs `f` and returns its result with the digests it computed, taken
+/// back off the running thread's count: a fanned-out task's digests
+/// belong to the thread that fanned it out.
+pub(crate) fn take_digests<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = digests_computed();
+    let out = f();
+    let counted = digests_computed() - before;
+    DIGESTS.with(|c| c.set(before));
+    (out, counted)
+}
+
+/// Adds `n` digests to the calling thread's count.
+pub(crate) fn add_digests(n: u64) {
+    DIGESTS.with(|c| c.set(c.get() + n));
 }
 
 /// Bit flipped into a 64-bit residue word. Bit 62 is above every modulus

@@ -1,19 +1,20 @@
 //! The RNS context: ring degree, modulus chains, and NTT tables.
 //!
-//! Every per-limb operation dispatches its limbs across the global worker
-//! pool (`CL_THREADS` threads; see `vendor/rayon`): limbs are fully
-//! data-independent — exactly the parallelism CraterLake exploits by
-//! streaming one residue polynomial per vector-lane group — so results are
-//! bit-identical at every thread count.
+//! Every per-limb operation is a limb loop under the grain rule
+//! ([`crate::PAR_GRAIN_WORDS`]): at a ring degree of at least the grain its
+//! limbs fan out across the global worker pool (`CL_THREADS` threads; see
+//! `vendor/rayon`), below it they run inline. Limbs are fully
+//! data-independent — the parallelism CraterLake exploits by streaming one
+//! residue polynomial per vector-lane group — so results are bit-identical
+//! at every thread count.
 
 use std::fmt;
 use std::sync::Arc;
 
 use cl_math::{generate_ntt_primes, MathError, Modulus, NttTable};
 use rand::Rng;
-use rayon::prelude::*;
 
-use crate::RnsPoly;
+use crate::{par_chunks_mut, RnsPoly};
 
 /// Errors produced by RNS operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,21 +216,22 @@ impl RnsContext {
         RnsPoly::zero(self.n, basis.clone())
     }
 
-    /// Runs `f(local index, global limb, limb data)` for every limb of `p`,
-    /// dispatching the disjoint `n`-word limb chunks across the worker pool.
+    /// Runs `f(local index, global limb, limb data)` for every limb of `p`:
+    /// one task per disjoint `n`-word limb chunk, mirroring how CraterLake
+    /// streams whole residue polynomials through its lane groups.
     ///
-    /// This is the limb-level execution engine: one task per residue
-    /// polynomial, mirroring how CraterLake schedules whole residue
-    /// polynomials onto its lane groups. Items are data-independent, so the
-    /// result is bit-identical at any thread count.
-    fn par_limbs(&self, p: &mut RnsPoly, f: impl Fn(usize, u32, &mut [u64]) + Sync) {
+    /// A task touches one limb, so the loop fans out across the worker
+    /// pool only when `n` reaches [`crate::PAR_GRAIN_WORDS`]; below it
+    /// (every limb loop at N = 1K) a dispatch costs about as much as the
+    /// limb, and the loop runs inline so the pool stays free for
+    /// independent operations ([`crate::par_map`]). Items are
+    /// data-independent, so the result is bit-identical at any thread
+    /// count.
+    fn par_limbs(&self, p: &mut RnsPoly, f: impl Fn(usize, u32, &mut [u64]) + Sync + Send) {
         let n = self.n;
         let (basis, coeffs) = p.parts_mut();
         let limbs = &basis.0;
-        coeffs
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(k, chunk)| f(k, limbs[k], chunk));
+        par_chunks_mut(coeffs, n, n, |k, chunk| f(k, limbs[k], chunk));
     }
 
     /// Samples a polynomial with uniformly random residues (NTT form —
@@ -335,9 +337,9 @@ impl RnsContext {
     /// degree.
     pub fn to_ntt_limbs(&self, limbs: &[u32], data: &mut [u64]) {
         assert_eq!(data.len(), limbs.len() * self.n, "slab is not one limb per entry");
-        data.par_chunks_mut(self.n)
-            .enumerate()
-            .for_each(|(k, chunk)| self.tables[limbs[k] as usize].forward(chunk));
+        par_chunks_mut(data, self.n, self.n, |k, chunk| {
+            self.tables[limbs[k] as usize].forward(chunk);
+        });
     }
 
     /// [`RnsContext::from_ntt`] of a bare limb-major slab, as
@@ -350,9 +352,9 @@ impl RnsContext {
     /// degree.
     pub fn from_ntt_limbs(&self, limbs: &[u32], data: &mut [u64]) {
         assert_eq!(data.len(), limbs.len() * self.n, "slab is not one limb per entry");
-        data.par_chunks_mut(self.n)
-            .enumerate()
-            .for_each(|(k, chunk)| self.tables[limbs[k] as usize].inverse(chunk));
+        par_chunks_mut(data, self.n, self.n, |k, chunk| {
+            self.tables[limbs[k] as usize].inverse(chunk);
+        });
     }
 
     /// Converts a polynomial to coefficient form in place (no-op if already

@@ -11,7 +11,10 @@
 //! - [`RnsPoly`]: a polynomial over an arbitrary sub-basis of those moduli,
 //! - [`BaseConverter`]: the fast base conversion `changeRNSBase()` of
 //!   Listing 1 — the kernel the CRB functional unit accelerates — plus the
-//!   exact division-and-round used by rescaling and `ModDown`.
+//!   exact division-and-round used by rescaling and `ModDown`,
+//! - [`par_map`] / [`par_chunks_mut`]: the worker pool under one grain
+//!   rule ([`PAR_GRAIN_WORDS`]), for limb loops and for independent
+//!   homomorphic operations alike.
 //!
 //! # Example
 //!
@@ -30,8 +33,10 @@
 
 mod baseconv;
 mod context;
+mod par;
 mod poly;
 
 pub use baseconv::{mod_down, mod_down_ntt, BaseConverter};
 pub use context::{Basis, RnsContext, RnsError};
+pub use par::{par_chunks_mut, par_map, PAR_GRAIN_WORDS};
 pub use poly::RnsPoly;

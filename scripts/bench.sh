@@ -4,7 +4,10 @@
 # Runs the bench_kernels binary (NTT, RNS mul, base conversion, keyswitch,
 # hint integrity digest, ciphertext residue scan, rotate, hoisted rotation,
 # rescale, BSGS linear transform, one bootstrap step, key-residency tiers
-# eager/compact/hot with warm hint-cache variants)
+# eager/compact/hot with warm hint-cache variants, and the grain sweep:
+# element-wise, NTT, CRB and MAC limb loops fanned out over the pool at
+# N in {1K, 8K} x limbs in {1, 4, 8, 20, 40}, the table cl_rns's
+# PAR_GRAIN_WORDS is read from)
 # at CL_THREADS=1 and at CL_THREADS=$(nproc) and merges both runs, with
 # the host's nproc, into benchmarks/BENCH_kernels.json.
 #

@@ -2,7 +2,9 @@
 # Tier-1 verification gate. The steps, in the order they run:
 #
 #  0. Library code reads exactly three environment variables; every
-#     other setting is a typed field with one setter.
+#     other setting is a typed field with one setter. The benchmark
+#     package's lockfile must resolve as committed (no new dependency
+#     edge may reach it).
 #  1. Release build of the whole workspace.
 #  2. Full test suite, again under the forced scalar backend, the kernel
 #     crates under forced AVX2, and cl-trace with its counters off.
@@ -54,6 +56,14 @@ if [ "$env_reads" != "$want_reads" ]; then
     diff <(echo "$want_reads") <(echo "$env_reads") >&2 || true
     exit 1
 fi
+
+echo "== tier-1: benchmark lockfile =="
+# benchmarks/e2e is a detached package with a lockfile of its own, which
+# cargo rewrites whenever a crate it builds gains or drops a dependency
+# edge. The e2e smoke below would do that silently; resolving with
+# --locked first fails the gate instead.
+cargo metadata --locked --offline --format-version 1 \
+    --manifest-path benchmarks/e2e/Cargo.toml >/dev/null
 
 echo "== tier-1: release build =="
 cargo build --release

@@ -16,7 +16,11 @@
 //!   every backend and thread count, including under hint-cache eviction
 //!   and re-expansion mid-pipeline,
 //! - a bootstrapper shared by two parameter sets must refresh each one
-//!   exactly as a bootstrapper of its own does.
+//!   exactly as a bootstrapper of its own does,
+//! - above the pool's grain (`cl_rns::PAR_GRAIN_WORDS`), where limb loops
+//!   and independent operations — hoisted steps, BSGS inner sums, EvalMod's
+//!   power tree — fan out, results, noise estimates, trace counts and the
+//!   first error are the serial run's.
 //!
 //! Thread count, backend selection and the `cl-trace` op counters are all
 //! process-global, so every test in this binary holds [`THREADS`] for its
@@ -25,10 +29,13 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use cl_boot::{try_bsgs_transform, BootstrapKeys, Bootstrapper, PrecomputedTransform};
-use cl_ckks::{Ciphertext, CkksContext, CkksParams, KeySwitchKey, KeySwitchKind};
+use cl_boot::{try_bsgs_transform, BootState, BootstrapKeys, Bootstrapper, PrecomputedTransform};
+use cl_ckks::{
+    faults, Ciphertext, CkksContext, CkksParams, FheResult, GuardrailPolicy, KeySwitchKey,
+    KeySwitchKind,
+};
 use cl_math::{set_active_backend, supported_backends, BackendKind, Complex, NttTable};
-use cl_rns::{Basis, RnsContext, RnsPoly};
+use cl_rns::{Basis, RnsContext, RnsPoly, PAR_GRAIN_WORDS};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -381,7 +388,7 @@ fn op_counters_are_thread_invariant() {
 }
 
 /// Runs `f` once with the scalar backend at 1 thread (the reference), then
-/// re-runs it under every supported SIMD backend at 1 and 4 threads,
+/// re-runs it under every supported SIMD backend at 1, 2 and 4 threads,
 /// asserting every result is bit-identical to the reference.
 ///
 /// Backend selection is process-global like the thread count, so the whole
@@ -393,7 +400,7 @@ fn assert_backend_invariant<R: PartialEq + std::fmt::Debug>(_held: &Held, f: imp
     rayon::set_num_threads(1);
     let reference = f();
     for &kind in &supported {
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 4] {
             set_active_backend(kind).expect("listed backend must be supported");
             rayon::set_num_threads(threads);
             let got = f();
@@ -673,4 +680,267 @@ fn keyswitch_below_max_level_thread_invariant() {
     };
     let (serial, parallel) = serial_vs_parallel(&held, 4, run);
     assert_eq!(serial, parallel);
+}
+
+// ---------------------------------------------------------------------------
+// Above the grain: the shapes where the worker pool fans out
+// ---------------------------------------------------------------------------
+
+/// A context at N = 256: a ciphertext of `levels` limbs is `2 · 256 ·
+/// levels` words, at or above [`PAR_GRAIN_WORDS`] from 8 limbs, so each
+/// operation-level region (hoisted steps, BSGS inner sums, EvalMod's power
+/// tree, a keyswitch's digits) fans out. Its limb loops stay inline.
+fn grain_ctx(levels: usize, special: usize) -> CkksContext {
+    let params = CkksParams::builder()
+        .ring_degree(256)
+        .levels(levels)
+        .special_limbs(special)
+        .limb_bits(45)
+        .scale_bits(45)
+        .build()
+        .expect("valid params");
+    const { assert!(2 * 256 * 8 >= PAR_GRAIN_WORDS, "8 limbs must reach the grain") };
+    CkksContext::new(params).expect("context")
+}
+
+/// Everything a ciphertext carries, bit for bit: limbs, level, scale and
+/// the noise estimate (which `Ciphertext`'s equality leaves out).
+type CtBits = (RnsPoly, RnsPoly, usize, u64, u64);
+
+fn ct_bits(ct: &Ciphertext) -> CtBits {
+    (
+        ct.c0().clone(),
+        ct.c1().clone(),
+        ct.level(),
+        ct.scale().to_bits(),
+        ct.noise_estimate_bits().to_bits(),
+    )
+}
+
+/// Limb loops at a ring degree of [`PAR_GRAIN_WORDS`] fan out one limb per
+/// task: every `par_limbs` kernel, both NTT directions and the fused pair
+/// MAC (written through a raw pointer) stay bit-identical at 1, 2 and 4
+/// threads.
+#[test]
+fn limb_loops_at_the_grain_are_thread_invariant() {
+    let held = hold_threads();
+    let ctx = RnsContext::generate(PAR_GRAIN_WORDS, 3, 1, 36).expect("test context");
+    let basis = ctx.q_basis(3);
+    let a = poly_from_seed(&ctx, &basis, 1);
+    let b = poly_from_seed(&ctx, &basis, 2);
+    let g = cl_math::galois_element_for_rotation(3, PAR_GRAIN_WORDS);
+    let run = || {
+        let mut acc = a.clone();
+        for op in 0..6 {
+            apply_op(&ctx, &mut acc, &b, op);
+        }
+        ctx.mul_acc(&mut acc, &a, &b);
+        let mut acc1 = b.clone();
+        ctx.mul_acc_pair_superset(&mut acc, &mut acc1, &a, Some(g), &b, &a);
+        let rotated = ctx.apply_automorphism(&acc, g);
+        (acc, acc1, rotated)
+    };
+    let reference = serial_vs_parallel(&held, 2, run).0;
+    for threads in [2, 4] {
+        let (serial, parallel) = serial_vs_parallel(&held, threads, run);
+        assert_eq!(serial, reference);
+        assert_eq!(
+            parallel, reference,
+            "limb loops diverged at {threads} threads"
+        );
+    }
+}
+
+/// A hoisted rotation batch above the grain — its steps fan out, and at
+/// two digits so do the digits of its ModUp — is bit-identical to one
+/// `try_rotate` per step, with the same trace counts at every backend and
+/// thread count.
+#[test]
+fn hoisted_batch_above_the_grain_matches_serial_everywhere() {
+    let held = hold_threads();
+    let ctx = grain_ctx(8, 4);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x6A1);
+    let sk = ctx.keygen(&mut rng);
+    let kind = KeySwitchKind::Boosted { digits: 2 };
+    let steps = [1i64, 2, 3, 5, -4];
+    let keys: Vec<KeySwitchKey> = steps
+        .iter()
+        .map(|&s| ctx.rotation_keygen(&sk, s, kind, &mut rng))
+        .collect();
+    let key_refs: Vec<&KeySwitchKey> = keys.iter().collect();
+    let vals: Vec<f64> = (0..128)
+        .map(|i| ((i * 7 % 31) as f64) / 31.0 - 0.5)
+        .collect();
+    let ct = ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), 8), &sk, &mut rng);
+    let naive: Vec<CtBits> = steps
+        .iter()
+        .zip(&keys)
+        .map(|(&s, k)| ct_bits(&ctx.try_rotate(&ct, s, k).expect("naive rotation")))
+        .collect();
+    assert_backend_invariant(&held, || {
+        let before = cl_trace::OpSnapshot::capture();
+        let hoisted = ctx
+            .try_rotate_hoisted_many(&ct, &steps, &key_refs)
+            .expect("hoisted rotations");
+        let ops = cl_trace::OpSnapshot::capture().delta_since(&before);
+        let bits: Vec<CtBits> = hoisted.iter().map(ct_bits).collect();
+        assert_eq!(
+            bits, naive,
+            "hoisted batch must match one try_rotate per step"
+        );
+        (bits, ops)
+    });
+}
+
+/// A BSGS transform above the grain, with several giant groups whose inner
+/// sums fan out: bit-identical output and trace counts on every backend
+/// and thread count, and the matrix it computes is the plaintext one (a
+/// group summed under another group's giant step fails here).
+#[test]
+fn bsgs_transform_above_the_grain_matches_serial_everywhere() {
+    let held = hold_threads();
+    let level = 8;
+    let ctx = grain_ctx(level, 8);
+    let m = ctx.params().slots();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB565);
+    let sk = ctx.keygen(&mut rng);
+    let diags: Vec<(i64, Vec<Complex>)> = [0i64, 1, 2, 5, 9, 17, 30, 44, 63, 100]
+        .iter()
+        .map(|&d| {
+            let v: Vec<Complex> = (0..m)
+                .map(|_| Complex::new(rng.gen_range(-0.5..0.5), rng.gen_range(-0.5..0.5)))
+                .collect();
+            (d, v)
+        })
+        .collect();
+    let pre = PrecomputedTransform::new(&ctx, &diags, level);
+    let keys = BootstrapKeys::generate(
+        &ctx,
+        &sk,
+        KeySwitchKind::Boosted { digits: 1 },
+        &pre.required_steps(),
+        &mut rng,
+    );
+    let vals: Vec<Complex> = (0..m)
+        .map(|_| Complex::new(rng.gen_range(-0.5..0.5), rng.gen_range(-0.5..0.5)))
+        .collect();
+    let ct = ctx.encrypt(
+        &ctx.encode_complex(&vals, ctx.default_scale(), level),
+        &sk,
+        &mut rng,
+    );
+    let expect: Vec<Complex> = (0..m)
+        .map(|t| {
+            diags.iter().fold(Complex::default(), |s, (d, diag)| {
+                s + diag[t] * vals[(t as i64 + d).rem_euclid(m as i64) as usize]
+            })
+        })
+        .collect();
+    // One warm-up run materializes every hint, so no run below counts a
+    // hint expansion the others do not.
+    try_bsgs_transform(&ctx, &ct, &pre, &keys).expect("warm-up transform");
+    assert_backend_invariant(&held, || {
+        let before = cl_trace::OpSnapshot::capture();
+        let out = try_bsgs_transform(&ctx, &ct, &pre, &keys).expect("bsgs transform");
+        let ops = cl_trace::OpSnapshot::capture().delta_since(&before);
+        let got = ctx.decode_complex(&ctx.decrypt(&out, &sk), m);
+        for t in 0..m {
+            assert!(
+                (got[t] - expect[t]).abs() < 1e-2,
+                "slot {t}: {:?} vs the plaintext matrix's {:?}",
+                got[t],
+                expect[t]
+            );
+        }
+        (ct_bits(&out), ops)
+    });
+}
+
+/// The five bootstrap stages, stepped one `try_step` at a time above the
+/// grain (hoisted baby steps, inner sums, the power tree and a two-digit
+/// ModUp all fan out): every stage's ciphertexts — limbs, level, scale,
+/// noise estimate — and the run's trace counts are identical on every
+/// backend at 1, 2 and 4 threads.
+#[test]
+fn bootstrap_stages_above_the_grain_match_serial_everywhere() {
+    let held = hold_threads();
+    let ctx = grain_ctx(22, 11);
+    let boot = Bootstrapper::new(&ctx, 8);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB0075);
+    let sk = ctx.keygen_sparse(8, &mut rng);
+    let keys = boot.keygen(&ctx, &sk, KeySwitchKind::Boosted { digits: 2 }, &mut rng);
+    let vals: Vec<f64> = (0..ctx.params().slots())
+        .map(|i| ((i % 9) as f64) / 20.0 - 0.2)
+        .collect();
+    let ct = ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), 1), &sk, &mut rng);
+    // As in the transform test above: materialize every hint first.
+    boot.try_bootstrap(&ctx, &ct, &keys)
+        .expect("warm-up bootstrap");
+    assert_backend_invariant(&held, || {
+        let before = cl_trace::OpSnapshot::capture();
+        let mut state = BootState::Start { ct: ct.clone() };
+        let mut stages: Vec<Vec<CtBits>> = Vec::new();
+        for _ in 0..BootState::NUM_STAGES {
+            state = boot.try_step(&ctx, state, &keys).expect("bootstrap stage");
+            stages.push(state.ciphertexts().into_iter().map(ct_bits).collect());
+        }
+        assert!(state.is_done());
+        (stages, cl_trace::OpSnapshot::capture().delta_since(&before))
+    });
+}
+
+/// A corrupt hint in the middle of a hoisted batch above the grain fails
+/// the batch with the serial run's error — the first failing step's, in
+/// step order — on every backend and thread count, whichever step a
+/// worker reaches first.
+#[test]
+fn corrupt_hint_mid_batch_fails_as_the_serial_run_does() {
+    let held = hold_threads();
+    let mut ctx = grain_ctx(8, 8);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xBAD);
+    let sk = ctx.keygen(&mut rng);
+    let kind = KeySwitchKind::Boosted { digits: 1 };
+    let steps = [1i64, 2, 3, 4];
+    let keys: Vec<KeySwitchKey> = steps
+        .iter()
+        .map(|&s| ctx.rotation_keygen(&sk, s, kind, &mut rng))
+        .collect();
+    // A corrupt hint fails its Strict digest check; a key of another kind
+    // fails the decomposition's kind check. Each batch puts one of them at
+    // step 1 and the other at step 3.
+    let mut corrupt = keys[1].clone();
+    faults::corrupt_hint_word(&mut corrupt, 0, 1, 3, 17);
+    let other_kind = ctx.rotation_keygen(&sk, 4, KeySwitchKind::Boosted { digits: 2 }, &mut rng);
+    let ct = ctx.encrypt(
+        &ctx.encode(&[0.5, -0.25], ctx.default_scale(), 8),
+        &sk,
+        &mut rng,
+    );
+    ctx.set_policy(GuardrailPolicy::Strict {
+        min_budget_bits: 0.0,
+    });
+    let batches: [([&KeySwitchKey; 4], &str); 2] = [
+        (
+            [&keys[0], &corrupt, &keys[2], &other_kind],
+            "rotate_hoisted: corrupt keyswitch hint",
+        ),
+        (
+            [&keys[0], &other_kind, &keys[2], &corrupt],
+            "rotate_hoisted: invalid arguments",
+        ),
+    ];
+    for (batch, want) in batches {
+        let first_error = |r: FheResult<Vec<Ciphertext>>| match r {
+            Ok(_) => panic!("a batch holding a bad key must fail"),
+            Err(e) => e.to_string(),
+        };
+        let serial = first_error(ctx.try_rotate_hoisted_many(&ct, &steps, &batch));
+        assert!(
+            serial.starts_with(want),
+            "serial run failed with {serial:?}"
+        );
+        assert_backend_invariant(&held, || {
+            first_error(ctx.try_rotate_hoisted_many(&ct, &steps, &batch))
+        });
+    }
 }

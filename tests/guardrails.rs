@@ -159,6 +159,37 @@ fn strict_checks_each_hint_application_once_at_every_entry_point() {
     }
 }
 
+/// The row above the pool's grain: at N = 1K with 16 limbs a ciphertext
+/// is 32K words, so `try_rotate_hoisted_many` fans its steps out across
+/// the worker pool and each hint check may run on a pool thread. The
+/// count still lands on the calling thread: one digest per application.
+#[test]
+fn strict_counts_fanned_out_hint_checks_on_the_calling_thread() {
+    let params = CkksParams::builder()
+        .ring_degree(1024)
+        .levels(16)
+        .special_limbs(16)
+        .limb_bits(40)
+        .scale_bits(32)
+        .build()
+        .expect("test parameters are valid");
+    let mut ctx = CkksContext::new(params).expect("test context builds");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1024);
+    let sk = ctx.keygen(&mut rng);
+    let rot = ctx.rotation_keygen(&sk, 1, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
+    let pt = ctx.encode(&[0.5, -0.25], ctx.default_scale(), 16);
+    let ct = ctx.encrypt(&pt, &sk, &mut rng);
+    assert!(2 * ct.c0().num_words() >= cl_rns::PAR_GRAIN_WORDS);
+    ctx.set_policy(GuardrailPolicy::Strict {
+        min_budget_bits: 0.0,
+    });
+    rayon::set_num_threads(2);
+    let before = faults::digests_computed();
+    ctx.try_rotate_hoisted_many(&ct, &[1, 1], &[&rot, &rot])
+        .expect("clean hints pass");
+    assert_eq!(faults::digests_computed() - before, 2, "digests per call");
+}
+
 #[test]
 fn fallible_api_reports_structured_errors_across_the_workspace() {
     let (ctx, sk, mut rng) = setup();
