@@ -12,8 +12,9 @@
 
 /// `f(0), …, f(len − 1)` in index order, each an independent operation
 /// touching `words_per_task` words: fanned out across the pool when that
-/// reaches [`cl_rns::PAR_GRAIN_WORDS`], inline otherwise. Collect fallible results
-/// with `FromIterator` to get the first error in index order.
+/// reaches [`cl_rns::PAR_GRAIN_WORDS`], inline otherwise. Collect
+/// fallible results with `FromIterator` to get the first error in index
+/// order.
 pub fn par_map<T: Send>(
     len: usize,
     words_per_task: usize,

@@ -18,12 +18,14 @@ use rayon::prelude::*;
 
 /// Words (64-bit residues) each task of a parallel region must touch for
 /// the region to fan out. Read off `bench_kernels`' grain sweep
-/// (EXPERIMENTS.md, "The grain sweep", 2-core host), 4 to 40 limbs per
-/// region: tasks touching at most 3K words — element-wise, NTT and MAC
-/// limbs at N = 1K — ran no faster on two threads than on one
-/// (0.62–1.05×), and tasks touching 5K words or more — every class at
-/// N = 8K, a CRB destination limb at N = 1K (it reads every source limb)
-/// — ran faster (1.04–2.5×). The grain sits between the two.
+/// (EXPERIMENTS.md, "The grain sweep": 2-core host, 4 to 40 limbs per
+/// region, two threads against one): element-wise and MAC limbs at
+/// N = 1K, tasks of 2K–3K words, ran 0.75–1.13×, mostly slower; NTT
+/// limbs at N = 1K ran 1.02–1.11×; tasks of 5K words or more — every
+/// class at N = 8K, and a CRB destination limb at N = 1K, which reads
+/// every source limb — ran 1.04–3.1×. The grain sits between the two,
+/// and leaves the near-even N = 1K NTT inline: at that size the pool is
+/// worth more to independent operations.
 ///
 /// A limb loop counts a task as the `n`-word limb it writes, so limb
 /// loops fan out from N = 4K; an operation counts the ciphertext or slab
