@@ -88,7 +88,10 @@ fn time_ns(smoke: bool, mut f: impl FnMut()) -> f64 {
 
 /// One shape of the grain sweep: a row per kernel class, named
 /// `grain_{class}_{N/1024}k_l{limbs}`, each limb (CRB: each destination
-/// limb) one task of a region that always fans out.
+/// limb) one task of a region offered to the pool whatever its size
+/// (`cl_rns::par_map`, the operation-level form; the limb-loop form would
+/// run every N = 1K region inline). A task takes its limb through an
+/// uncontended mutex, about 20 ns in both passes.
 fn grain_sweep(
     results: &mut Vec<(&'static str, f64)>,
     smoke: bool,
@@ -96,7 +99,8 @@ fn grain_sweep(
     limbs: usize,
     bits: u32,
 ) {
-    use cl_rns::{par_chunks_mut, PAR_GRAIN_WORDS};
+    use cl_rns::par_map;
+    use std::sync::Mutex;
 
     let ctx = RnsContext::generate(n, limbs, limbs, bits).expect("rns context");
     let mut rng = rand::rngs::StdRng::seed_from_u64(44);
@@ -118,31 +122,32 @@ fn grain_sweep(
         results.push((Box::leak(name.into_boxed_str()), ns));
     };
     let mut data = a.coeffs().to_vec();
+    let data: Vec<Mutex<&mut [u64]>> = data.chunks_mut(n).map(Mutex::new).collect();
+    let limb = |k: usize| data[k].lock().expect("one task per limb");
     row(
         "ew",
         time_ns(smoke, || {
-            par_chunks_mut(&mut data, n, PAR_GRAIN_WORDS, |k, limb| {
-                moduli[k].mul_mod_slice(limb, b.limb(k));
-            });
+            par_map(limbs, |k| moduli[k].mul_mod_slice(&mut limb(k), b.limb(k)));
             std::hint::black_box(&data);
         }),
     );
     row(
         "ntt",
         time_ns(smoke, || {
-            par_chunks_mut(&mut data, n, PAR_GRAIN_WORDS, |k, limb| {
-                ctx.ntt_table(k as u32).forward(limb);
-            });
+            par_map(limbs, |k| ctx.ntt_table(k as u32).forward(&mut limb(k)));
             std::hint::black_box(&data);
         }),
     );
-    let mut outs: Vec<Vec<u64>> = (0..limbs).map(|_| Vec::with_capacity(n)).collect();
+    let outs: Vec<Mutex<Vec<u64>>> = (0..limbs)
+        .map(|_| Mutex::new(Vec::with_capacity(n)))
+        .collect();
     row(
         "crb",
         time_ns(smoke, || {
-            par_chunks_mut(&mut outs, 1, PAR_GRAIN_WORDS, |k, out| {
-                out[0].clear();
-                tables[k].convert_append(a.coeffs(), &mut out[0], false);
+            par_map(limbs, |k| {
+                let mut out = outs[k].lock().expect("one task per limb");
+                out.clear();
+                tables[k].convert_append(a.coeffs(), &mut out, false);
             });
             std::hint::black_box(&outs);
         }),
@@ -150,8 +155,8 @@ fn grain_sweep(
     row(
         "mac",
         time_ns(smoke, || {
-            par_chunks_mut(&mut data, n, PAR_GRAIN_WORDS, |k, limb| {
-                moduli[k].mul_acc_mod_slice(limb, a.limb(k), b.limb(k));
+            par_map(limbs, |k| {
+                moduli[k].mul_acc_mod_slice(&mut limb(k), a.limb(k), b.limb(k))
             });
             std::hint::black_box(&data);
         }),
@@ -284,9 +289,8 @@ fn main() {
     // What a limb's worth of each kernel class costs when its limbs fan
     // out over the worker pool, at N ∈ {1K, 8K} × limbs ∈ {1, 4, 8, 20,
     // 40}: element-wise (`mul_mod_slice`), NTT (`forward`), CRB (one
-    // destination limb from every source limb) and MAC (`mul_acc`). Each
-    // task claims `PAR_GRAIN_WORDS` words so every region fans out; the
-    // serial pass (`CL_THREADS=1`) against the `nproc` pass shows where
+    // destination limb from every source limb) and MAC (`mul_acc`). Every
+    // region is offered to the pool, below the grain too; the serial pass (`CL_THREADS=1`) against the `nproc` pass shows where
     // fan-out pays, which is where `cl_rns::PAR_GRAIN_WORDS` sits
     // (EXPERIMENTS.md, "The grain sweep").
     for n_sweep in [1usize << 10, 1 << 13] {

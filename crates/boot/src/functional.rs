@@ -46,8 +46,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use cl_ckks::{
-    par_map, Ciphertext, CkksContext, CompactKeySwitchKey, FheError, FheResult, HintCache, HintId,
-    KeySwitchKey, Plaintext, SecretKey,
+    try_par_map, Ciphertext, CkksContext, CompactKeySwitchKey, FheError, FheResult, HintCache,
+    HintId, KeySwitchKey, Plaintext, SecretKey,
 };
 use cl_math::{Cache, Complex, SpecialFft};
 use rand::Rng;
@@ -737,9 +737,10 @@ pub type BootstrapPrecompute = Cache<(u64, TransformStage, usize, usize), Precom
 /// decomposition and its `σ(c0)`, and each baby rotation's output.
 ///
 /// The baby steps and the giant groups' inner sums are independent
-/// operations, so both fan out across the worker pool above its grain
-/// ([`cl_ckks::par_map`]); results come back in step and group order, so
-/// the output, its noise estimate and the op counts are the serial run's.
+/// operations, so both fan out across the worker pool
+/// ([`cl_ckks::try_par_map`]); results come back in step and group order,
+/// so the output, its noise estimate and the op counts are the serial
+/// run's.
 ///
 /// The transform's rotation schedule is known up front (babies, then
 /// giants), so it is installed into the bundle's [`HintCache`] as a Belady
@@ -812,8 +813,7 @@ pub fn try_bsgs_transform(
     // in place. The groups are independent (each reads the shared babies
     // and writes its own sum), so they fan out across the worker pool, and
     // come back in group order.
-    let words = 2 * ct.c0().num_words();
-    let inners: Vec<(Ciphertext, i64)> = par_map(pre.giants.len(), words, |g| {
+    let inners: Vec<(Ciphertext, i64)> = try_par_map(pre.giants.len(), |g| {
         let (jb, terms) = &pre.giants[g];
         let mut terms = terms.iter().map(|(i, pt)| {
             let baby = babies
@@ -828,10 +828,8 @@ pub fn try_bsgs_transform(
         for (baby, pt) in terms {
             ctx.try_mul_plain_acc(&mut inner, baby, pt)?;
         }
-        Ok((inner, *jb))
-    })
-    .into_iter()
-    .collect::<FheResult<_>>()?;
+        Ok::<_, FheError>((inner, *jb))
+    })?;
     // Giant rotations: extended-basis accumulation, one closing ModDown.
     let giant_arcs: Vec<Option<Arc<KeySwitchKey>>> = inners
         .iter()
@@ -862,12 +860,10 @@ fn power_products<const K: usize>(
     relin: &KeySwitchKey,
     pairs: [(&Ciphertext, &Ciphertext); K],
 ) -> FheResult<[Ciphertext; K]> {
-    let products: Vec<Ciphertext> = par_map(K, 2 * pairs[0].1.c0().num_words(), |i| {
+    let products: Vec<Ciphertext> = try_par_map(K, |i| {
         let (a, b) = pairs[i];
         ctx.try_rescale(&ctx.try_mul(&ctx.try_mod_drop(a, b.level())?, b, relin)?)
-    })
-    .into_iter()
-    .collect::<FheResult<_>>()?;
+    })?;
     Ok(products.try_into().expect("one product per pair"))
 }
 

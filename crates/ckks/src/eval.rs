@@ -483,9 +483,8 @@ impl CkksContext {
     ///
     /// The steps are independent keyswitches over one shared
     /// decomposition, so they fan out across the worker pool
-    /// ([`crate::par_map`]) when a ciphertext reaches the grain; results,
-    /// trace counts and the first error (in step order) are the serial
-    /// run's.
+    /// ([`crate::try_par_map`]); results, trace counts and the first error
+    /// (in step order) are the serial run's.
     ///
     /// # Errors
     ///
@@ -513,13 +512,10 @@ impl CkksContext {
         let dec = self.hoist_impl(OP, &a.c1, first.kind())?;
         // The steps share only the read-only decomposition: each is an
         // independent keyswitch writing one ciphertext.
-        let words = 2 * a.c0.num_words();
-        crate::par_map(steps.len(), words, |i| {
+        crate::try_par_map(steps.len(), |i| {
             let g = cl_math::galois_element_for_rotation(steps[i], n);
             self.galois_from_decomposition(OP, a, &dec, g, keys[i])
         })
-        .into_iter()
-        .collect()
     }
 
     /// Fallible rotate-and-sum `Σ_j rot_{k_j}(ct_j)` with *double

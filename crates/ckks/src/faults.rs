@@ -41,7 +41,7 @@ pub(crate) fn count_digest() {
 /// Keyswitch-hint integrity digests computed on the calling thread so far
 /// (keygen, expansion, loading and every Strict hint check). Per thread, so
 /// concurrently running tests do not see each other's digests; an
-/// operation fanned out across the worker pool ([`crate::par_map`]) counts
+/// operation fanned out across the worker pool ([`crate::try_par_map`]) counts
 /// its tasks' digests on the thread that called it.
 pub fn digests_computed() -> u64 {
     DIGESTS.with(Cell::get)

@@ -266,85 +266,82 @@ impl CkksContext {
         let target = qb.union(&rns.p_basis(special));
         let mut c_coeff = c.clone();
         rns.from_ntt(&mut c_coeff);
-        // ModUp each digit as an independent task: every digit's restrict
-        // + base conversion + NTT is independent of the others (the
-        // CraterLake schedule overlaps them across functional units the
-        // same way). A task writes one extended-basis slab, so the digits
-        // fan out under the grain rule ([`cl_rns::PAR_GRAIN_WORDS`]) by
-        // that slab's size, and run inline below it.
+        // ModUp each digit as an independent operation: every digit's
+        // restrict + base conversion + NTT is independent of the others
+        // (the CraterLake schedule overlaps them across functional units
+        // the same way), so the digits fan out across the worker pool
+        // ([`cl_rns::par_map`]), each writing one extended-basis slab. The
+        // limb loops inside a digit follow the grain rule
+        // ([`cl_rns::PAR_GRAIN_WORDS`]).
         let slab_words = c.n() * target.len();
-        let digits: Vec<Option<RnsPoly>> = crate::par_map(
-            digit_limbs.len(),
-            slab_words,
-            |d| {
-                let limbs = &digit_limbs[d];
-                let present: Vec<u32> =
-                    limbs.iter().copied().filter(|&l| (l as usize) < level).collect();
-                if present.is_empty() {
-                    return None;
+        let digits: Vec<Option<RnsPoly>> = cl_rns::par_map(digit_limbs.len(), |d| {
+            let limbs = &digit_limbs[d];
+            let present: Vec<u32> =
+                limbs.iter().copied().filter(|&l| (l as usize) < level).collect();
+            if present.is_empty() {
+                return None;
+            }
+            let digit_basis = Basis(present.clone());
+            let ext_basis = Basis(
+                target
+                    .0
+                    .iter()
+                    .copied()
+                    .filter(|l| !present.contains(l))
+                    .collect(),
+            );
+            // ModUp: fast base conversion to the rest of the target basis
+            // (this is the changeRNSBase of Listing 1, line 3). The
+            // extension is never empty: the target holds at least one
+            // special limb, which no digit contains. Only the converted
+            // extension limbs need a forward NTT: the digit's own limbs
+            // are copied from the original NTT-form input — the INTT→NTT
+            // roundtrip is exact, so this is bit-identical and brings
+            // the ModUp NTT count down to the paper's t·L.
+            // The full-basis slab is reserved before the conversion
+            // writes anything: in the other order a freed temporary
+            // fragments the worker's arena, and `lola_mlp_8k`'s peak
+            // RSS rose by 1 %.
+            let coeffs = if digit_basis == qb {
+                // The digit is the whole input (every single-digit
+                // keyswitch, and a multi-digit one at a low level): the
+                // slab is the input's limbs followed by the special
+                // limbs, so the conversion reads the coefficient-form
+                // input as it is, with no restricted copy, and appends
+                // straight into the slab.
+                let mut coeffs = Vec::with_capacity(slab_words);
+                coeffs.extend_from_slice(c.coeffs());
+                self.converter(&digit_basis, &ext_basis)
+                    .convert_append(rns, &c_coeff, &mut coeffs);
+                rns.to_ntt_limbs(&ext_basis.0, &mut coeffs[level * c.n()..]);
+                coeffs
+            } else {
+                let c_d = rns.restrict(&c_coeff, &digit_basis);
+                let mut coeffs = Vec::with_capacity(slab_words);
+                let conv = self.converter(&digit_basis, &ext_basis);
+                let mut c_ext = conv.convert(rns, &c_d);
+                rns.to_ntt(&mut c_ext);
+                for &limb in &target.0 {
+                    let src = if digit_basis.0.contains(&limb) {
+                        let k = qb.0.iter().position(|&l| l == limb).expect(
+                            "every digit limb lies in the level-L prefix basis",
+                        );
+                        c.limb(k)
+                    } else {
+                        let k = ext_basis.0.iter().position(|&l| l == limb).expect(
+                            "target basis is the disjoint union of digit and extension bases",
+                        );
+                        c_ext.limb(k)
+                    };
+                    coeffs.extend_from_slice(src);
                 }
-                let digit_basis = Basis(present.clone());
-                let ext_basis = Basis(
-                    target
-                        .0
-                        .iter()
-                        .copied()
-                        .filter(|l| !present.contains(l))
-                        .collect(),
-                );
-                // ModUp: fast base conversion to the rest of the target basis
-                // (this is the changeRNSBase of Listing 1, line 3). The
-                // extension is never empty: the target holds at least one
-                // special limb, which no digit contains. Only the converted
-                // extension limbs need a forward NTT: the digit's own limbs
-                // are copied from the original NTT-form input — the INTT→NTT
-                // roundtrip is exact, so this is bit-identical and brings
-                // the ModUp NTT count down to the paper's t·L.
-                // The full-basis slab is reserved before the conversion
-                // writes anything: in the other order a freed temporary
-                // fragments the worker's arena, and `lola_mlp_8k`'s peak
-                // RSS rose by 1 %.
-                let coeffs = if digit_basis == qb {
-                    // The digit is the whole input (every single-digit
-                    // keyswitch, and a multi-digit one at a low level): the
-                    // slab is the input's limbs followed by the special
-                    // limbs, so the conversion reads the coefficient-form
-                    // input as it is, with no restricted copy, and appends
-                    // straight into the slab.
-                    let mut coeffs = Vec::with_capacity(slab_words);
-                    coeffs.extend_from_slice(c.coeffs());
-                    self.converter(&digit_basis, &ext_basis)
-                        .convert_append(rns, &c_coeff, &mut coeffs);
-                    rns.to_ntt_limbs(&ext_basis.0, &mut coeffs[level * c.n()..]);
-                    coeffs
-                } else {
-                    let c_d = rns.restrict(&c_coeff, &digit_basis);
-                    let mut coeffs = Vec::with_capacity(slab_words);
-                    let conv = self.converter(&digit_basis, &ext_basis);
-                    let mut c_ext = conv.convert(rns, &c_d);
-                    rns.to_ntt(&mut c_ext);
-                    for &limb in &target.0 {
-                        let src = if digit_basis.0.contains(&limb) {
-                            let k = qb.0.iter().position(|&l| l == limb).expect(
-                                "every digit limb lies in the level-L prefix basis",
-                            );
-                            c.limb(k)
-                        } else {
-                            let k = ext_basis.0.iter().position(|&l| l == limb).expect(
-                                "target basis is the disjoint union of digit and extension bases",
-                            );
-                            c_ext.limb(k)
-                        };
-                        coeffs.extend_from_slice(src);
-                    }
-                    coeffs
-                };
-                Some(
-                    RnsPoly::from_raw_parts(c.n(), target.clone(), coeffs, true)
-                        .expect("one limb of the ring degree per target-basis entry"),
-                )
-            },
-        );
+                coeffs
+            };
+            Some(
+                RnsPoly::from_raw_parts(c.n(), target.clone(), coeffs, true)
+                    .expect("one limb of the ring degree per target-basis entry"),
+            )
+        });
         Ok(HoistedDecomposition {
             kind,
             level,

@@ -75,5 +75,5 @@ pub use cl_math::{Cache, CacheStats};
 pub use hint_cache::{HintCache, HintCacheStats, HintId, DEFAULT_HINT_CACHE_BYTES};
 pub use keys::{CompactKeySwitchKey, KeySwitchKey, PublicKey, SecretKey};
 pub use keyswitch::{HoistedDecomposition, KeySwitchKind};
-pub use par::par_map;
+pub use par::try_par_map;
 pub use params::{CkksParams, CkksParamsBuilder};

@@ -224,14 +224,14 @@ impl RnsContext {
     /// pool only when `n` reaches [`crate::PAR_GRAIN_WORDS`]; below it
     /// (every limb loop at N = 1K) a dispatch costs about as much as the
     /// limb, and the loop runs inline so the pool stays free for
-    /// independent operations ([`crate::par_map`]). Items are
+    /// independent operations ([`crate::try_par_map`]). Items are
     /// data-independent, so the result is bit-identical at any thread
     /// count.
     fn par_limbs(&self, p: &mut RnsPoly, f: impl Fn(usize, u32, &mut [u64]) + Sync + Send) {
         let n = self.n;
         let (basis, coeffs) = p.parts_mut();
         let limbs = &basis.0;
-        par_chunks_mut(coeffs, n, n, |k, chunk| f(k, limbs[k], chunk));
+        par_chunks_mut(coeffs, n, |k, chunk| f(k, limbs[k], chunk));
     }
 
     /// Samples a polynomial with uniformly random residues (NTT form —
@@ -337,7 +337,7 @@ impl RnsContext {
     /// degree.
     pub fn to_ntt_limbs(&self, limbs: &[u32], data: &mut [u64]) {
         assert_eq!(data.len(), limbs.len() * self.n, "slab is not one limb per entry");
-        par_chunks_mut(data, self.n, self.n, |k, chunk| {
+        par_chunks_mut(data, self.n, |k, chunk| {
             self.tables[limbs[k] as usize].forward(chunk);
         });
     }
@@ -352,7 +352,7 @@ impl RnsContext {
     /// degree.
     pub fn from_ntt_limbs(&self, limbs: &[u32], data: &mut [u64]) {
         assert_eq!(data.len(), limbs.len() * self.n, "slab is not one limb per entry");
-        par_chunks_mut(data, self.n, self.n, |k, chunk| {
+        par_chunks_mut(data, self.n, |k, chunk| {
             self.tables[limbs[k] as usize].inverse(chunk);
         });
     }

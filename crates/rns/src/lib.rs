@@ -12,9 +12,9 @@
 //! - [`BaseConverter`]: the fast base conversion `changeRNSBase()` of
 //!   Listing 1 — the kernel the CRB functional unit accelerates — plus the
 //!   exact division-and-round used by rescaling and `ModDown`,
-//! - [`par_map`] / [`par_chunks_mut`]: the worker pool under one grain
-//!   rule ([`PAR_GRAIN_WORDS`]), for limb loops and for independent
-//!   homomorphic operations alike.
+//! - [`par_chunks_mut`]: limb loops on the worker pool under one grain
+//!   rule ([`PAR_GRAIN_WORDS`]), and [`par_map`] / [`try_par_map`]:
+//!   independent homomorphic operations, always offered to the pool.
 //!
 //! # Example
 //!
@@ -38,5 +38,5 @@ mod poly;
 
 pub use baseconv::{mod_down, mod_down_ntt, BaseConverter};
 pub use context::{Basis, RnsContext, RnsError};
-pub use par::{par_chunks_mut, par_map, PAR_GRAIN_WORDS};
+pub use par::{par_chunks_mut, par_map, try_par_map, PAR_GRAIN_WORDS};
 pub use poly::RnsPoly;

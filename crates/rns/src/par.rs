@@ -1,23 +1,28 @@
-//! Where the worker pool fans out: one grain rule for every parallel
-//! region of the functional stack.
+//! Where the worker pool fans out: limb loops under one grain rule, and
+//! independent operations.
 //!
-//! A parallel region fans out only when each of its tasks touches at least
-//! [`PAR_GRAIN_WORDS`] words; otherwise its tasks run inline on the caller,
-//! in index order. Below the grain a pool dispatch (publish, wake, claim,
-//! join) costs about as much as the task, so a limb loop at N = 1K runs
-//! serially and the pool is left to independent operations big enough to
-//! pay for it: the steps of a hoisted rotation batch, the giant-group
-//! inner sums of a BSGS transform, EvalMod's power tree. This is the CPU
+//! A limb loop ([`par_chunks_mut`]) fans out only when each of its chunks
+//! is at least [`PAR_GRAIN_WORDS`] words; otherwise its chunks run inline
+//! on the caller, in index order. Below the grain a pool dispatch
+//! (publish, wake, claim, join) costs about as much as the limb, so a limb
+//! loop at N = 1K runs serially and the pool is left to independent
+//! operations ([`par_map`], [`try_par_map`]), which always offer their
+//! tasks to it: the digits of a ModUp, the steps of a hoisted rotation
+//! batch, the giant-group inner sums of a BSGS transform, EvalMod's power
+//! tree. Each of those is a whole keyswitch, multiply or base extension,
+//! far above a dispatch at every shape the workloads run. This is the CPU
 //! form of CraterLake's schedule (Sec. 6): one instruction stream over
 //! wide lanes, with independent homomorphic operations overlapped.
 //!
 //! Results are collected in index order and tasks share no state, so a
 //! region's output is the serial run's at any thread count.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use rayon::prelude::*;
 
-/// Words (64-bit residues) each task of a parallel region must touch for
-/// the region to fan out. Read off `bench_kernels`' grain sweep
+/// Words (64-bit residues) each chunk of a limb loop must hold for the
+/// loop to fan out. Read off `bench_kernels`' grain sweep
 /// (EXPERIMENTS.md, "The grain sweep": 2-core host, 4 to 40 limbs per
 /// region, two threads against one): element-wise and MAC limbs at
 /// N = 1K, tasks of 2K–3K words, ran 0.75–1.13×, mostly slower; NTT
@@ -27,37 +32,55 @@ use rayon::prelude::*;
 /// and leaves the near-even N = 1K NTT inline: at that size the pool is
 /// worth more to independent operations.
 ///
-/// A limb loop counts a task as the `n`-word limb it writes, so limb
-/// loops fan out from N = 4K; an operation counts the ciphertext or slab
-/// it writes.
+/// A chunk is the `n`-word limb a task writes, so limb loops fan out from
+/// N = 4K.
 pub const PAR_GRAIN_WORDS: usize = 4096;
 
-/// `f(0), …, f(len − 1)` in index order: independent operations of
-/// `words_per_task` words each, fanned out across the pool above the
-/// grain and run inline below it. A fallible task's results collect
-/// (`FromIterator`) to the first error in index order, the serial run's.
-pub fn par_map<T: Send>(
+/// `f(0), …, f(len − 1)` in index order: independent operations, offered
+/// to the worker pool (which runs them inline at one thread, from inside
+/// another region, or while another thread's region is in flight).
+pub fn par_map<T: Send>(len: usize, f: impl Fn(usize) -> T + Sync + Send) -> Vec<T> {
+    (0..len).into_par_iter().map(f).collect()
+}
+
+/// [`par_map`] for fallible operations: all results in index order, or
+/// the first error in index order — the serial run's. No task above a
+/// failed one is started once the failure is seen, so at one thread the
+/// work done is the serial run's; fanned out, a task above the failure
+/// that had already started still finishes.
+pub fn try_par_map<T: Send, E: Send>(
     len: usize,
-    words_per_task: usize,
-    f: impl Fn(usize) -> T + Sync + Send,
-) -> Vec<T> {
-    if words_per_task >= PAR_GRAIN_WORDS {
-        (0..len).into_par_iter().map(f).collect()
-    } else {
-        (0..len).map(f).collect()
-    }
+    f: impl Fn(usize) -> Result<T, E> + Sync + Send,
+) -> Result<Vec<T>, E> {
+    let first_failed = AtomicUsize::new(usize::MAX);
+    // A task is skipped only when a lower index has failed, so every task
+    // up to the lowest failure runs, and the walk in index order below
+    // reaches that failure before any skipped task.
+    let results: Vec<Option<Result<T, E>>> = par_map(len, |i| {
+        if i > first_failed.load(Ordering::Relaxed) {
+            return None;
+        }
+        let r = f(i);
+        if r.is_err() {
+            first_failed.fetch_min(i, Ordering::Relaxed);
+        }
+        Some(r)
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("no task below the first failure is skipped"))
+        .collect()
 }
 
 /// `f(k, chunk)` for each `chunk`-sized piece `k` of `data` (the last may
-/// be shorter), under the grain rule with `words_per_task` words per
-/// piece: the limb-loop form of [`par_map`].
+/// be shorter): a limb loop, fanned out across the pool when `chunk`
+/// reaches [`PAR_GRAIN_WORDS`] and run inline below it.
 pub fn par_chunks_mut<T: Send + Sync>(
     data: &mut [T],
     chunk: usize,
-    words_per_task: usize,
     f: impl Fn(usize, &mut [T]) + Sync + Send,
 ) {
-    if words_per_task >= PAR_GRAIN_WORDS {
+    if chunk >= PAR_GRAIN_WORDS {
         data.par_chunks_mut(chunk)
             .enumerate()
             .for_each(|(k, c)| f(k, c));
@@ -73,36 +96,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_keeps_index_order_on_both_sides_of_the_grain() {
-        for words in [1, PAR_GRAIN_WORDS - 1, PAR_GRAIN_WORDS] {
-            let got = par_map(37, words, |i| i * i);
-            assert_eq!(got, (0..37).map(|i| i * i).collect::<Vec<_>>());
-        }
+    fn map_keeps_index_order() {
+        assert_eq!(
+            par_map(37, |i| i * i),
+            (0..37).map(|i| i * i).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn fallible_map_returns_the_first_error_in_index_order() {
-        let got: Result<Vec<usize>, usize> =
-            par_map(
-                16,
-                PAR_GRAIN_WORDS,
-                |i| if i % 5 == 3 { Err(i) } else { Ok(i) },
-            )
-            .into_iter()
-            .collect();
+        let got = try_par_map(16, |i| if i % 5 == 3 { Err(i) } else { Ok(i) });
         assert_eq!(got, Err(3));
+        assert_eq!(try_par_map::<_, ()>(5, Ok), Ok(vec![0, 1, 2, 3, 4]));
     }
 
     #[test]
     fn chunks_cover_every_word_once() {
-        for words in [8, PAR_GRAIN_WORDS] {
-            let mut data = vec![0u64; 100];
-            par_chunks_mut(&mut data, 8, words, |k, c| {
+        for (len, chunk) in [(100, 8), (3 * PAR_GRAIN_WORDS + 5, PAR_GRAIN_WORDS)] {
+            let mut data = vec![0u64; len];
+            par_chunks_mut(&mut data, chunk, |k, c| {
                 for (i, x) in c.iter_mut().enumerate() {
-                    *x += (k * 8 + i) as u64;
+                    *x += (k * chunk + i) as u64;
                 }
             });
-            assert_eq!(data, (0..100).collect::<Vec<u64>>());
+            assert_eq!(data, (0..len as u64).collect::<Vec<u64>>());
         }
     }
 }

@@ -17,10 +17,10 @@
 //!   and re-expansion mid-pipeline,
 //! - a bootstrapper shared by two parameter sets must refresh each one
 //!   exactly as a bootstrapper of its own does,
-//! - above the pool's grain (`cl_rns::PAR_GRAIN_WORDS`), where limb loops
-//!   and independent operations — hoisted steps, BSGS inner sums, EvalMod's
-//!   power tree — fan out, results, noise estimates, trace counts and the
-//!   first error are the serial run's.
+//! - where the worker pool fans out — limb loops above its grain
+//!   (`cl_rns::PAR_GRAIN_WORDS`), and independent operations: hoisted
+//!   steps, BSGS inner sums, EvalMod's power tree — results, noise
+//!   estimates, trace counts and the first error are the serial run's.
 //!
 //! Thread count, backend selection and the `cl-trace` op counters are all
 //! process-global, so every test in this binary holds [`THREADS`] for its
@@ -687,9 +687,10 @@ fn keyswitch_below_max_level_thread_invariant() {
 // ---------------------------------------------------------------------------
 
 /// A context at N = 256: a ciphertext of `levels` limbs is `2 · 256 ·
-/// levels` words, at or above [`PAR_GRAIN_WORDS`] from 8 limbs, so each
-/// operation-level region (hoisted steps, BSGS inner sums, EvalMod's power
-/// tree, a keyswitch's digits) fans out. Its limb loops stay inline.
+/// levels` words, at or above [`PAR_GRAIN_WORDS`] from 8 limbs, the size
+/// of operation the benchmarks fan out. Operation-level regions (hoisted
+/// steps, BSGS inner sums, EvalMod's power tree, a keyswitch's digits) fan
+/// out at any size; its limb loops stay inline.
 fn grain_ctx(levels: usize, special: usize) -> CkksContext {
     let params = CkksParams::builder()
         .ring_degree(256)
@@ -892,7 +893,8 @@ fn bootstrap_stages_above_the_grain_match_serial_everywhere() {
 /// A corrupt hint in the middle of a hoisted batch above the grain fails
 /// the batch with the serial run's error — the first failing step's, in
 /// step order — on every backend and thread count, whichever step a
-/// worker reaches first.
+/// worker reaches first; at one thread it also stops where the serial run
+/// stops.
 #[test]
 fn corrupt_hint_mid_batch_fails_as_the_serial_run_does() {
     let held = hold_threads();
@@ -943,4 +945,24 @@ fn corrupt_hint_mid_batch_fails_as_the_serial_run_does() {
             first_error(ctx.try_rotate_hoisted_many(&ct, &steps, &batch))
         });
     }
+    // At one thread a failed batch does the serial run's work and no more:
+    // no step after the failing one starts, so its op counts and digests
+    // are those of the batch cut just past the failure.
+    rayon::set_num_threads(1);
+    let cost = |keys: &[&KeySwitchKey]| {
+        let ops = cl_trace::OpSnapshot::capture();
+        let digests = faults::digests_computed();
+        let result = ctx.try_rotate_hoisted_many(&ct, &steps[..keys.len()], keys);
+        assert!(result.is_err(), "a batch holding a bad key must fail");
+        (
+            cl_trace::OpSnapshot::capture().delta_since(&ops),
+            faults::digests_computed() - digests,
+        )
+    };
+    let failing = batches[0].0;
+    assert_eq!(
+        cost(&failing),
+        cost(&failing[..2]),
+        "steps after the failing one ran"
+    );
 }

@@ -3,6 +3,11 @@
 //! exercised through the public `cl-ckks` surface (with the `faults`
 //! feature) exactly as an external consumer would.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
+use std::thread;
+use std::time::{Duration, Instant};
+
 use cl_ckks::bgv::BgvContext;
 use cl_ckks::{
     faults, CkksContext, CkksParams, FheError, FheResult, GuardrailPolicy, KeySwitchKey,
@@ -159,12 +164,24 @@ fn strict_checks_each_hint_application_once_at_every_entry_point() {
     }
 }
 
+/// Held by every test in this binary that sets the process-global thread
+/// count, which it restores before releasing the lock.
+static THREADS: Mutex<()> = Mutex::new(());
+
 /// The row above the pool's grain: at N = 1K with 16 limbs a ciphertext
-/// is 32K words, so `try_rotate_hoisted_many` fans its steps out across
-/// the worker pool and each hint check may run on a pool thread. The
+/// is 32K words, and `try_rotate_hoisted_many` fans its steps out across
+/// the worker pool, so each hint check may run on a pool thread. The
 /// count still lands on the calling thread: one digest per application.
+///
+/// Whether a given call fans out is up to the pool (it runs a region
+/// inline while another thread's is in flight), so the batch also runs as
+/// the second task of a two-task region whose first task waits for the
+/// second to start: that task runs on a pool worker, which the test
+/// checks, retrying a region that stayed inline. Its digests must still
+/// land on the test thread.
 #[test]
 fn strict_counts_fanned_out_hint_checks_on_the_calling_thread() {
+    let _threads = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
     let params = CkksParams::builder()
         .ring_degree(1024)
         .levels(16)
@@ -183,11 +200,41 @@ fn strict_counts_fanned_out_hint_checks_on_the_calling_thread() {
     ctx.set_policy(GuardrailPolicy::Strict {
         min_budget_bits: 0.0,
     });
+    let batch = || ctx.try_rotate_hoisted_many(&ct, &[1, 1], &[&rot, &rot]);
+    let previous = rayon::current_num_threads();
     rayon::set_num_threads(2);
     let before = faults::digests_computed();
-    ctx.try_rotate_hoisted_many(&ct, &[1, 1], &[&rot, &rot])
-        .expect("clean hints pass");
-    assert_eq!(faults::digests_computed() - before, 2, "digests per call");
+    batch().expect("clean hints pass");
+    let direct = faults::digests_computed() - before;
+    let caller = thread::current().id();
+    let mut on_worker = None;
+    for _ in 0..20 {
+        let started = AtomicBool::new(false);
+        let before = faults::digests_computed();
+        let ran_on = cl_ckks::try_par_map(2, |i| {
+            if i == 0 {
+                let deadline = Instant::now() + Duration::from_millis(500);
+                while !started.load(Ordering::Acquire) && Instant::now() < deadline {
+                    thread::yield_now();
+                }
+                return Ok(None);
+            }
+            started.store(true, Ordering::Release);
+            batch().map(|_| Some(thread::current().id()))
+        })
+        .expect("clean hints pass")[1];
+        if ran_on != Some(caller) {
+            on_worker = Some(faults::digests_computed() - before);
+            break;
+        }
+    }
+    rayon::set_num_threads(previous);
+    assert_eq!(direct, 2, "digests per call");
+    assert_eq!(
+        on_worker,
+        Some(2),
+        "digests per call run on a pool worker (None: the region never fanned out)"
+    );
 }
 
 #[test]
