@@ -396,7 +396,7 @@ fn main() {
                     keys.iter().map(KeySwitchKey::to_compact).collect();
                 let cache = HintCache::new(1 << 30);
                 for ck in &compacts {
-                    cache.prefetch(&ctx, ck).expect("warm hint cache");
+                    cache.get_or_expand(&ctx, ck).expect("warm hint cache");
                 }
                 results.push((
                     "rotate_hoisted_x8_cached",
@@ -492,7 +492,9 @@ fn main() {
         {
             let relin_compact = relin.to_compact();
             let cache = HintCache::new(1 << 30);
-            cache.prefetch(&ctx, &relin_compact).expect("warm hint cache");
+            cache
+                .get_or_expand(&ctx, &relin_compact)
+                .expect("warm hint cache");
             results.push((
                 "bootstrap_step_cached",
                 time_ns(cfg.smoke, || {
@@ -537,7 +539,7 @@ fn main() {
                 .sum();
             let cache = HintCache::new(eager_bytes / 8);
             for ck in &compacts {
-                cache.prefetch(&ctx, ck).expect("hot tier");
+                cache.get_or_expand(&ctx, ck).expect("hot tier");
             }
             let hot_bytes = cache.stats().bytes_resident;
             results.push(("key_memory_eager_bytes", eager_bytes as f64));

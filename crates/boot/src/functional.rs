@@ -47,7 +47,7 @@ use std::sync::Arc;
 
 use cl_ckks::{
     try_par_map, Ciphertext, CkksContext, CompactKeySwitchKey, FheError, FheResult, HintCache,
-    HintId, KeySwitchKey, Plaintext, SecretKey,
+    KeySwitchKey, Plaintext, SecretKey,
 };
 use cl_math::{Cache, Complex, SpecialFft};
 use rand::Rng;
@@ -742,12 +742,10 @@ pub type BootstrapPrecompute = Cache<(u64, TransformStage, usize, usize), Precom
 /// so the output, its noise estimate and the op counts are the serial
 /// run's.
 ///
-/// The transform's rotation schedule is known up front (babies, then
-/// giants), so it is installed into the bundle's [`HintCache`] as a Belady
-/// eviction oracle, and the giant-group hints are prefetched right after
-/// the hoisted baby rotations fetch theirs — the next hoisted-rotation
-/// group's hints are warm before the inner sums ask for them, and eviction
-/// under pressure discards hints the remaining schedule proves dead.
+/// Every baby and giant step's compact key is looked up before any work,
+/// so a missing key fails first. Each hint is fetched from the bundle's
+/// [`HintCache`] when its hoisted-rotation group runs, under the cache's
+/// one eviction rule (least recently used).
 ///
 /// # Errors
 ///
@@ -783,14 +781,10 @@ pub fn try_bsgs_transform(
         .map(|(jb, _)| *jb)
         .filter(|&jb| jb != 0)
         .collect();
-    // The full access schedule is known before the first fetch: install it
-    // as the cache's Belady oracle.
-    let cache = keys.hint_cache();
-    let mut schedule: Vec<HintId> = Vec::with_capacity(nonzero.len() + giant_steps.len());
+    // A missing key fails before any work is done.
     for &step in nonzero.iter().chain(&giant_steps) {
-        schedule.push(HintCache::hint_id(ctx, keys.rot_compact(step)?));
+        keys.rot_compact(step)?;
     }
-    cache.plan(schedule);
     // Baby rotations: one hoisted ModUp serves every step.
     let baby_arcs: Vec<Arc<KeySwitchKey>> = nonzero
         .iter()
@@ -800,11 +794,6 @@ pub fn try_bsgs_transform(
     let rotated = ctx.try_rotate_hoisted_many(ct, &nonzero, &baby_keys)?;
     drop(baby_keys);
     drop(baby_arcs);
-    // The babies are done with their hints; warm the next hoisted-rotation
-    // group (the giant steps) before the inner sums run.
-    for &jb in &giant_steps {
-        cache.prefetch(ctx, keys.rot_compact(jb)?)?;
-    }
     let mut babies: HashMap<i64, &Ciphertext> =
         nonzero.iter().copied().zip(rotated.iter()).collect();
     babies.insert(0, ct);
@@ -847,7 +836,6 @@ pub fn try_bsgs_transform(
         .map(|((inner, jb), key)| (inner, *jb, key.as_deref()))
         .collect();
     let summed = ctx.try_rotate_sum(&giant_terms)?;
-    cache.clear_plan();
     ctx.try_rescale(&summed)
 }
 

@@ -5,11 +5,12 @@
 //! non-random `k0` halves resident; applying one requires the full
 //! materialized [`KeySwitchKey`]. This cache bounds how many materialized
 //! hints exist at once. It is a bytes-bounded [`cl_math::Cache`] keyed by
-//! [`HintId`]: a hit returns the shared `Arc`, a miss expands through the
-//! seeded generator outside the lock, and eviction is least recently used
-//! or, while a caller's rotation schedule is installed ([`HintCache::plan`]),
-//! Belady's MIN rule over it. The wrapper adds only the hint format: the
-//! identity of a compact key and its seeded expansion.
+//! the parameter fingerprint and the key's integrity digest: a hit returns
+//! the shared `Arc`, a miss expands through the seeded generator outside
+//! the lock, and eviction is least recently used. Every tenant and worker
+//! shares the process-wide cache, so no one caller's schedule decides what
+//! it evicts. The wrapper adds only the hint format: the identity of a
+//! compact key and its seeded expansion.
 //!
 //! Evicting an entry only drops the cache's reference: callers holding the
 //! `Arc` keep computing with it, and a later re-expansion regenerates a
@@ -28,7 +29,7 @@ use crate::CkksContext;
 /// Identity of a cached hint: the parameter fingerprint (two tenants with
 /// different parameter sets never share an entry even on a digest
 /// collision) plus the key's integrity digest.
-pub type HintId = (u64, u64);
+type HintId = (u64, u64);
 
 /// Hint cache counters: the shared [`CacheStats`].
 pub type HintCacheStats = CacheStats;
@@ -81,38 +82,8 @@ impl HintCache {
         ctx: &CkksContext,
         compact: &CompactKeySwitchKey,
     ) -> FheResult<Arc<KeySwitchKey>> {
-        self.cache
-            .get_or_try_insert_with(Self::hint_id(ctx, compact), || compact.expand(ctx))
-    }
-
-    /// Expands `compact` into the cache if absent, without counting a hit
-    /// or miss — used to warm the hints an upcoming hoisted-rotation group
-    /// needs while earlier work is still executing.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HintCache::get_or_expand`].
-    pub fn prefetch(&self, ctx: &CkksContext, compact: &CompactKeySwitchKey) -> FheResult<()> {
-        self.cache
-            .prefetch(Self::hint_id(ctx, compact), || compact.expand(ctx))
-    }
-
-    /// Installs the future access schedule (a sequence of
-    /// [`HintCache::hint_id`] values in execution order) as the Belady
-    /// eviction oracle, replacing any previous plan.
-    pub fn plan(&self, schedule: Vec<HintId>) {
-        self.cache.plan(schedule);
-    }
-
-    /// Clears the Belady plan, returning to pure LRU.
-    pub fn clear_plan(&self) {
-        self.cache.clear_plan();
-    }
-
-    /// The cache identity of a compact key under `ctx` — the value
-    /// [`HintCache::plan`] schedules are built from.
-    pub fn hint_id(ctx: &CkksContext, compact: &CompactKeySwitchKey) -> HintId {
-        (ctx.params_fingerprint(), compact.integrity_digest())
+        let id: HintId = (ctx.params_fingerprint(), compact.integrity_digest());
+        self.cache.get_or_try_insert_with(id, || compact.expand(ctx))
     }
 
     /// Current counters.
@@ -126,8 +97,7 @@ impl HintCache {
         self.cache.reset_stats();
     }
 
-    /// Drops every resident entry and the plan (outstanding `Arc`s keep
-    /// their keys).
+    /// Drops every resident entry (outstanding `Arc`s keep their keys).
     pub fn clear(&self) {
         self.cache.clear();
     }

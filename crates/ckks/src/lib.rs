@@ -72,7 +72,7 @@ pub use context::{CkksContext, CkksError, GuardrailPolicy};
 pub use error::{FheError, FheResult};
 /// The shared cache type under [`HintCache`], for the crates above this one.
 pub use cl_math::{Cache, CacheStats};
-pub use hint_cache::{HintCache, HintCacheStats, HintId, DEFAULT_HINT_CACHE_BYTES};
+pub use hint_cache::{HintCache, HintCacheStats, DEFAULT_HINT_CACHE_BYTES};
 pub use keys::{CompactKeySwitchKey, KeySwitchKey, PublicKey, SecretKey};
 pub use keyswitch::{HoistedDecomposition, KeySwitchKind};
 pub use par::try_par_map;

@@ -17,13 +17,13 @@
 //! inserting it, and then evicts until the resident bytes fit the budget.
 //! It never evicts the entry being inserted and always keeps one entry, so
 //! a value larger than the whole budget is still usable. The victim is the
-//! least recently used entry. While a Belady plan ([`Cache::plan`]) is
-//! installed, it is instead an entry the rest of the schedule never uses
-//! (oldest first), else the entry it uses farthest in the future: the MIN
-//! rule CraterLake's compiler applies to on-chip storage over a known
-//! schedule (Sec. 6). A [`Cache::unbounded`] cache weighs nothing and
-//! never evicts. Eviction drops only the cache's reference; holders of the
-//! `Arc` keep using the value.
+//! least recently used entry, always: a cache shared by concurrent callers
+//! has no one schedule to plan eviction over. (CraterLake's compiler
+//! applies Belady's MIN to on-chip storage because it owns the whole
+//! static schedule (Sec. 6); the machine model in `cl-core` keeps that
+//! rule.) A [`Cache::unbounded`] cache weighs nothing and never evicts.
+//! Eviction drops only the cache's reference; holders of the `Arc` keep
+//! using the value.
 //!
 //! **Poisoning.** The lock guards only the cache's own bookkeeping: no
 //! build and no weighing runs under it. A panic while it is held can come
@@ -68,23 +68,14 @@ struct Inner<K, V> {
     entries: HashMap<K, Entry<V>>,
     tick: u64,
     stats: CacheStats,
-    /// The Belady plan: future accesses in order, and the position of the
-    /// next one not yet made.
-    plan: Option<(Vec<K>, usize)>,
 }
 
 impl<K: Eq + Hash + Clone, V> Inner<K, V> {
-    /// The resident value of `key`, stamped as used now. Accesses of `key`
-    /// at the head of the plan are consumed.
+    /// The resident value of `key`, stamped as used now.
     fn touch(&mut self, key: &K) -> Option<Arc<V>> {
         let entry = self.entries.get_mut(key)?;
         self.tick += 1;
         entry.last_used = self.tick;
-        if let Some((schedule, next)) = &mut self.plan {
-            while schedule.get(*next) == Some(key) {
-                *next += 1;
-            }
-        }
         Some(Arc::clone(&entry.value))
     }
 
@@ -114,19 +105,13 @@ impl<K: Eq + Hash + Clone, V> Inner<K, V> {
         }
     }
 
+    /// The least recently used entry other than `keep`.
     fn victim(&self, keep: &K) -> Option<K> {
-        let candidates = self.entries.iter().filter(|(k, _)| *k != keep);
-        let victim = match &self.plan {
-            None => candidates.min_by_key(|(_, e)| e.last_used),
-            Some((schedule, next)) => {
-                let rest = &schedule[*next..];
-                candidates.max_by_key(|(k, e)| match rest.iter().position(|s| s == *k) {
-                    None => (true, u64::MAX - e.last_used),
-                    Some(distance) => (false, distance as u64),
-                })
-            }
-        };
-        victim.map(|(k, _)| k.clone())
+        self.entries
+            .iter()
+            .filter(|(k, _)| *k != keep)
+            .min_by_key(|(_, e)| e.last_used)
+            .map(|(k, _)| k.clone())
     }
 }
 
@@ -146,7 +131,6 @@ impl<K: Eq + Hash + Clone, V> Cache<K, V> {
                 entries: HashMap::new(),
                 tick: 0,
                 stats: CacheStats::default(),
-                plan: None,
             }),
         }
     }
@@ -187,40 +171,9 @@ impl<K: Eq + Hash + Clone, V> Cache<K, V> {
         Ok(value)
     }
 
-    /// Builds the value of `key` into the cache if it is absent, with no
-    /// hit, no miss and no step along the plan: for warming what a known
-    /// schedule needs next.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `build` returns; nothing is inserted then.
-    pub fn prefetch<E>(&self, key: K, build: impl FnOnce() -> Result<V, E>) -> Result<(), E> {
-        if self.contains(&key) {
-            return Ok(());
-        }
-        let value = Arc::new(build()?);
-        let bytes = (self.weigh)(&value);
-        let mut inner = self.lock();
-        if !inner.entries.contains_key(&key) {
-            inner.insert(key.clone(), value, bytes);
-            inner.evict_to_fit(self.capacity_bytes, &key);
-        }
-        Ok(())
-    }
-
-    /// Installs the future access sequence as the Belady eviction oracle,
-    /// replacing any previous plan.
-    pub fn plan(&self, schedule: Vec<K>) {
-        self.lock().plan = Some((schedule, 0));
-    }
-
-    /// Drops the Belady plan: eviction is least recently used again.
-    pub fn clear_plan(&self) {
-        self.lock().plan = None;
-    }
-
     /// Whether `key` is resident.
-    pub fn contains(&self, key: &K) -> bool {
+    #[cfg(test)]
+    fn contains(&self, key: &K) -> bool {
         self.lock().entries.contains_key(key)
     }
 
@@ -249,13 +202,11 @@ impl<K: Eq + Hash + Clone, V> Cache<K, V> {
         };
     }
 
-    /// Drops every entry and the plan (outstanding `Arc`s keep their
-    /// values).
+    /// Drops every entry (outstanding `Arc`s keep their values).
     pub fn clear(&self) {
         let mut inner = self.lock();
         inner.entries.clear();
         inner.stats.bytes_resident = 0;
-        inner.plan = None;
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner<K, V>> {
@@ -337,7 +288,6 @@ mod tests {
             cache.get_or_try_insert_with(1, || Err("corrupt")),
             Err("corrupt")
         );
-        assert_eq!(cache.prefetch(1, || Err("corrupt")), Err("corrupt"));
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
         // The next lookup builds again.
@@ -387,33 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn belady_plan_evicts_dead_then_farthest() {
-        // Schedule 0, 1, 2, 0: after 0 and 1, entry 1 is dead and 0 is
-        // reused, so inserting 2 evicts 1 although 0 is older.
-        let cache = bounded(20);
-        cache.plan(vec![0, 1, 2, 0]);
-        get(&cache, 0);
-        get(&cache, 1);
-        get(&cache, 2);
-        assert!(cache.contains(&0), "scheduled reuse must stay resident");
-        assert!(!cache.contains(&1), "dead entry must go first");
-        // Schedule 0, 1, 2, 1, 0: both are reused, 0 farther away.
-        let cache = bounded(20);
-        cache.plan(vec![0, 1, 2, 1, 0]);
-        get(&cache, 0);
-        get(&cache, 1);
-        get(&cache, 2);
-        assert!(
-            !cache.contains(&0) && cache.contains(&1),
-            "farthest next use goes"
-        );
-        // Without the plan the same accesses evict by recency.
-        cache.clear_plan();
-        get(&cache, 0);
-        assert!(!cache.contains(&1), "least recently used goes");
-    }
-
-    #[test]
     fn oversized_entry_stays_usable() {
         // A budget smaller than any value still holds exactly one entry.
         let cache = bounded(1);
@@ -424,17 +347,6 @@ mod tests {
         assert!(cache.contains(&1) && !cache.contains(&0));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn prefetch_warms_without_billing() {
-        let cache = bounded(usize::MAX);
-        cache.prefetch(0, || Ok::<_, ()>(vec![0; 10])).unwrap();
-        assert!(cache.contains(&0));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 0));
-        get(&cache, 0);
-        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

@@ -338,7 +338,6 @@ mod tests {
         x.set_ntt_form(false);
         let y = mod_down(&c, &x, &qb, &pb, &conv);
         let p_moduli: Vec<u64> = pb.0.iter().map(|&l| c.modulus_value(l)).collect();
-        let p_big = BigUint::product(&p_moduli);
         let q_moduli: Vec<u64> = qb.0.iter().map(|&l| c.modulus_value(l)).collect();
         let q_big = BigUint::product(&q_moduli);
         let qp_big = {

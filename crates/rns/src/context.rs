@@ -601,9 +601,10 @@ impl RnsContext {
         let n = self.n;
         let b0_basis = &b0.basis().0;
         let b1_basis = &b1.basis().0;
-        /// `*mut u64` wrapper the limb tasks can capture (the vendored
-        /// rayon subset has no `zip`, so the second accumulator is reached
-        /// through a raw pointer into its disjoint per-limb chunks).
+        /// `*mut u64` wrapper the limb tasks can capture (a limb loop
+        /// walks the chunks of one slice, so the second accumulator is
+        /// reached through a raw pointer into its disjoint per-limb
+        /// chunks).
         struct SyncPtr(*mut u64);
         unsafe impl Send for SyncPtr {}
         unsafe impl Sync for SyncPtr {}

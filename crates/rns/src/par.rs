@@ -19,8 +19,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rayon::prelude::*;
-
 /// Words (64-bit residues) each chunk of a limb loop must hold for the
 /// loop to fan out. Read off `bench_kernels`' grain sweep
 /// (EXPERIMENTS.md, "The grain sweep": 2-core host, 4 to 40 limbs per
@@ -40,7 +38,7 @@ pub const PAR_GRAIN_WORDS: usize = 4096;
 /// to the worker pool (which runs them inline at one thread, from inside
 /// another region, or while another thread's region is in flight).
 pub fn par_map<T: Send>(len: usize, f: impl Fn(usize) -> T + Sync + Send) -> Vec<T> {
-    (0..len).into_par_iter().map(f).collect()
+    rayon::map_collect(len, f)
 }
 
 /// [`par_map`] for fallible operations: all results in index order, or
@@ -81,9 +79,7 @@ pub fn par_chunks_mut<T: Send + Sync>(
     f: impl Fn(usize, &mut [T]) + Sync + Send,
 ) {
     if chunk >= PAR_GRAIN_WORDS {
-        data.par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(k, c)| f(k, c));
+        rayon::for_each_chunk_mut(data, chunk, f);
     } else {
         for (k, c) in data.chunks_mut(chunk).enumerate() {
             f(k, c);
@@ -94,13 +90,28 @@ pub fn par_chunks_mut<T: Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// The thread count is process-global: tests that set it hold this for
+    /// their whole body, so one test's count never leaks into another's.
+    static THREADS: Mutex<()> = Mutex::new(());
+
+    fn hold_threads(n: usize) -> MutexGuard<'static, ()> {
+        let held = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+        rayon::set_num_threads(n);
+        held
+    }
 
     #[test]
     fn map_keeps_index_order() {
-        assert_eq!(
-            par_map(37, |i| i * i),
-            (0..37).map(|i| i * i).collect::<Vec<_>>()
-        );
+        let _held = hold_threads(2);
+        for len in [37, 257] {
+            assert_eq!(
+                par_map(len, |i| i * i),
+                (0..len).map(|i| i * i).collect::<Vec<_>>()
+            );
+        }
+        rayon::set_num_threads(1);
     }
 
     #[test]
@@ -112,6 +123,7 @@ mod tests {
 
     #[test]
     fn chunks_cover_every_word_once() {
+        let _held = hold_threads(2);
         for (len, chunk) in [(100, 8), (3 * PAR_GRAIN_WORDS + 5, PAR_GRAIN_WORDS)] {
             let mut data = vec![0u64; len];
             par_chunks_mut(&mut data, chunk, |k, c| {
@@ -121,5 +133,6 @@ mod tests {
             });
             assert_eq!(data, (0..len as u64).collect::<Vec<u64>>());
         }
+        rayon::set_num_threads(1);
     }
 }

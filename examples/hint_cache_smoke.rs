@@ -79,8 +79,8 @@ fn main() {
     let roomy = keys_with_cache(&ctx, &steps, Arc::clone(&roomy_cache));
     let tight = keys_with_cache(&ctx, &steps, Arc::clone(&tight_cache));
 
-    // BSGS transform: exercises the rotation-schedule plan, hoisted baby
-    // steps, and giant-step prefetch under both residency regimes.
+    // BSGS transform: exercises the hoisted baby steps and the giant-step
+    // hint fetches under both residency regimes.
     let out_roomy = try_bsgs_transform(&ctx, &ct, &pre, &roomy).expect("bsgs roomy");
     let out_tight = try_bsgs_transform(&ctx, &ct, &pre, &tight).expect("bsgs tight");
     assert_eq!(

@@ -6,8 +6,10 @@
 #     package's lockfile must resolve as committed (no new dependency
 #     edge may reach it).
 #  1. Release build of the whole workspace.
-#  2. Full test suite, again under the forced scalar backend, the kernel
-#     crates under forced AVX2, and cl-trace with its counters off.
+#  2. Every workspace crate's tests (`--workspace`: the root manifest is
+#     also a package, so a bare `cargo test` would test only it), again
+#     under the forced scalar backend; the kernel crates under forced
+#     AVX2, and cl-trace with its counters off.
 #  3. Kernel bench harness smoke: smoke shapes and a presence check
 #     against the recorded kernel baseline (scripts/bench.sh).
 #  4. The release kernel bench binary is disassembled: no AVX-512 helper
@@ -69,14 +71,14 @@ echo "== tier-1: release build =="
 cargo build --release
 
 echo "== tier-1: tests =="
-cargo test -q
+cargo test -q --workspace
 
 echo "== tier-1: tests (forced scalar backend) =="
 # Every SIMD backend must be bit-exact with the portable scalar reference.
 # Rerunning the suite with CL_BACKEND=scalar pins the dispatcher to the
 # reference kernels, so a backend-specific miscompare fails one of the two
 # passes instead of hiding behind whichever backend the host auto-selects.
-CL_BACKEND=scalar cargo test -q
+CL_BACKEND=scalar cargo test -q --workspace
 
 echo "== tier-1: kernel tests (forced avx2 backend) =="
 # The AVX2 and AVX-512 backends are two instantiations of one driver source

@@ -4,15 +4,17 @@
 //! feature) exactly as an external consumer would.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use cl_boot::{try_bsgs_transform, BootstrapKeys, PrecomputedTransform};
 use cl_ckks::bgv::BgvContext;
 use cl_ckks::{
-    faults, CkksContext, CkksParams, FheError, FheResult, GuardrailPolicy, KeySwitchKey,
-    KeySwitchKind, SecretKey,
+    faults, CkksContext, CkksParams, FheError, FheResult, GuardrailPolicy, HintCache,
+    KeySwitchKey, KeySwitchKind, SecretKey,
 };
+use cl_math::Complex;
 use rand::SeedableRng;
 
 fn setup() -> (CkksContext, SecretKey, rand::rngs::StdRng) {
@@ -234,6 +236,77 @@ fn strict_counts_fanned_out_hint_checks_on_the_calling_thread() {
         on_worker,
         Some(2),
         "digests per call run on a pool worker (None: the region never fanned out)"
+    );
+}
+
+/// A BSGS transform that fails partway leaves nothing of its own behind
+/// in the hint cache it shares: eviction stays least recently used. The
+/// cache holds two hints. The transform fetches its baby hints and then
+/// fails its first inner sum under Strict; a giant-step hint and two hints
+/// outside the transform are fetched next, and the first of those two is
+/// still resident when it is fetched again.
+#[test]
+fn failed_bsgs_transform_leaves_the_hint_cache_least_recently_used() {
+    let (mut ctx, sk, mut rng) = setup();
+    let m = ctx.params().slots();
+    let level = 3;
+    // Nine consecutive diagonals: babies 0, 1, 2 and giants 0, 3, 6.
+    let diags: Vec<(i64, Vec<Complex>)> = (0..9i64)
+        .map(|d| {
+            let diag = (0..m as i64)
+                .map(|s| Complex::new(((d * 7 + s) % 5) as f64 * 0.1, 0.0))
+                .collect();
+            (d, diag)
+        })
+        .collect();
+    let pre = PrecomputedTransform::new(&ctx, &diags, level);
+    assert_eq!(pre.required_steps(), vec![1, 2, 3, 6]);
+    let (giant, x, y) = (6, 5, 7);
+    let keys = BootstrapKeys::generate(
+        &ctx,
+        &sk,
+        KeySwitchKind::Boosted { digits: 1 },
+        &[1, 2, 3, 6, x, y],
+        &mut rng,
+    );
+    let expand = |step| {
+        keys.rot_compact(step)
+            .and_then(|k| k.expand(&ctx))
+            .expect("hint expands")
+    };
+    let cache = Arc::new(HintCache::new(2 * expand(x).resident_bytes()));
+    let pt = ctx.encode(&[0.5, -0.25, 0.125], ctx.default_scale(), level);
+    let ct = ctx.encrypt(&pt, &sk, &mut rng);
+    // One bit under the baby rotations' budget: they pass, and the first
+    // plaintext product of the inner sums does not.
+    let babies = [expand(1), expand(2)];
+    let rotated = ctx
+        .try_rotate_hoisted_many(&ct, &[1, 2], &[&babies[0], &babies[1]])
+        .expect("baby rotations");
+    let floor = rotated
+        .iter()
+        .map(|r| ctx.budget_bits(r))
+        .fold(f64::INFINITY, f64::min);
+    let keys = keys.with_cache(Arc::clone(&cache));
+    ctx.set_policy(GuardrailPolicy::Strict {
+        min_budget_bits: floor - 1.0,
+    });
+    let failed = try_bsgs_transform(&ctx, &ct, &pre, &keys);
+    assert!(
+        matches!(failed, Err(FheError::BudgetExhausted { op: "mul_plain", .. })),
+        "{failed:?}"
+    );
+    let fetch = |step| keys.try_rot_key(&ctx, step).expect("hint expands");
+    fetch(giant);
+    fetch(x);
+    fetch(y);
+    let before = cache.stats();
+    fetch(x);
+    let after = cache.stats();
+    assert_eq!(
+        (after.hits - before.hits, after.misses - before.misses),
+        (1, 0),
+        "the hint used second most recently must still be resident"
     );
 }
 
