@@ -33,7 +33,8 @@ pub use logreg::{logistic_regression, logistic_regression_at};
 pub use lstm::{lstm, lstm_at};
 pub use resnet::{resnet20, resnet20_at};
 pub use runnable::{
-    eval_plain, lola_layer_runnable, lola_mlp_runnable, DenseLayer, RunnableWorkload,
+    eval_plain, inner_sum_runnable, lola_layer_runnable, lola_mlp_runnable, DenseLayer,
+    RunnableWorkload,
 };
 
 use cl_isa::HeGraph;

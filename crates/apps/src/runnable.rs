@@ -166,6 +166,42 @@ pub fn lola_mlp_runnable(
     }
 }
 
+/// One BSGS giant group's inner sum over `diags` diagonals whose babies
+/// are all the input itself: `Σ_d w_d ⊙ x`, with no rotation and no
+/// rescale, at `level`. Lowered, it is a single inner-sum chain (a
+/// plaintext product parked in a slot, then one `Load`, `MulPlain`,
+/// `AddSlot` term per further diagonal), so the executor's inner-sum step
+/// can be timed and bounded apart from the rotations around it.
+///
+/// # Panics
+///
+/// Panics if `diags == 0`, if `level < 2` (the plaintext operands are
+/// encoded at the next modulus to drop), or if `slots` is zero.
+pub fn inner_sum_runnable(slots: usize, level: usize, diags: usize) -> RunnableWorkload {
+    assert!(slots > 0, "need at least one slot");
+    assert!(diags > 0, "an inner sum needs a diagonal");
+    assert!(level >= 2, "plaintext products need a modulus to drop");
+    let mut g = HeGraph::new();
+    let mut plain = BTreeMap::new();
+    let x = g.input(level);
+    let mut sum: Option<NodeId> = None;
+    for d in 0..diags {
+        let w = g.plain_input(level);
+        plain.insert(w, diagonal_weights(slots, 0, d));
+        let term = g.mul_plain(x, w);
+        sum = Some(sum.map_or(term, |s| g.add(s, term)));
+    }
+    g.output(sum.expect("at least one diagonal"));
+    RunnableWorkload {
+        name: "BSGS inner sum (runnable)",
+        graph: g,
+        plain,
+        inputs: vec![x],
+        input_level: level,
+        slots,
+    }
+}
+
 /// Evaluates the workload's graph over unencrypted slot vectors — the
 /// reference result the homomorphic run must approximate. `inputs` binds
 /// the graph's `Input` nodes in [`RunnableWorkload::inputs`] order; each

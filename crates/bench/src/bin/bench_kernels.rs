@@ -2,8 +2,9 @@
 //!
 //! Times the functional hot paths the parallel execution engine targets —
 //! NTT, RNS element-wise ops, base conversion, keyswitch, the hint integrity
-//! digest, the ciphertext residue scan, rescale, and one bootstrap step (an
-//! EvalMod square+rescale) — and writes ns/op as JSON so `scripts/bench.sh`
+//! digest, the ciphertext residue scan, rescale, one bootstrap step (an
+//! EvalMod square+rescale) and one compiled BSGS inner sum through the
+//! executor (`exec_inner_sum_{1k,8k}`) — and writes ns/op as JSON so `scripts/bench.sh`
 //! can track the serial-vs-parallel trajectory across commits. Both transforms are also
 //! reported as a roofline rate: radix-2 butterflies per ns,
 //! `(n/2) * log2(n) * limbs` over the timed call, the Strict residue
@@ -684,6 +685,75 @@ fn main() {
                 "compiled_layer_run",
                 time_ns(cfg.smoke, || {
                     std::hint::black_box(run_compiled());
+                }),
+            ));
+        }
+
+        // --- One BSGS inner sum through the executor ----------------------
+        // A lowered 8-diagonal giant group (`cl_apps::inner_sum_runnable`:
+        // no rotation, so the row is the sum alone) through `run_graph`
+        // under Strict at N = 1K and 8K, `limbs` levels: the executor runs
+        // it as one step accumulating in place. Smoke: one tiny shape
+        // under both names.
+        for (name, n_sum) in [
+            ("exec_inner_sum_1k", 1usize << 10),
+            ("exec_inner_sum_8k", 1 << 13),
+        ] {
+            let n_sum = if cfg.smoke { n } else { n_sum };
+            let params = CkksParams::builder()
+                .ring_degree(n_sum)
+                .levels(limbs)
+                .special_limbs(limbs)
+                .limb_bits(bits)
+                .scale_bits(bits - 4)
+                .build()
+                .expect("params");
+            let ctx = CkksContext::new(params).expect("ckks context").with_policy(
+                GuardrailPolicy::Strict {
+                    min_budget_bits: -200.0,
+                },
+            );
+            let slots = ctx.params().slots();
+            let w = cl_apps::inner_sum_runnable(slots, limbs, 8);
+            let lowered = cl_compiler::lower_to_program(
+                &w.graph,
+                &cl_compiler::LowerOptions {
+                    slots,
+                    plain: w.plain.clone(),
+                    reorder: true,
+                    auto_bootstrap: None,
+                    max_live_cts: None,
+                },
+            )
+            .expect("inner sum lowers");
+            let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+            let sk = ctx.keygen(&mut rng);
+            let skeys = cl_boot::BootstrapKeys::generate(
+                &ctx,
+                &sk,
+                KeySwitchKind::Boosted { digits: 1 },
+                &[],
+                &mut rng,
+            );
+            let img: Vec<f64> = (0..slots).map(|i| (i % 7) as f64 * 0.1 - 0.3).collect();
+            let sx = ctx.encrypt(&ctx.encode(&img, ctx.default_scale(), limbs), &sk, &mut rng);
+            let mut exec = PipelineExecutor::new(
+                &ctx,
+                &skeys,
+                ExecutorConfig {
+                    checkpoint_every: 0,
+                    max_retries: 0,
+                    checkpoint_dir: None,
+                },
+            )
+            .expect("executor");
+            results.push((
+                name,
+                time_ns(cfg.smoke, || {
+                    std::hint::black_box(
+                        exec.run_graph(std::slice::from_ref(&sx), &lowered.program)
+                            .expect("inner sum run"),
+                    );
                 }),
             ));
         }

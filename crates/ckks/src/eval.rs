@@ -161,31 +161,35 @@ impl CkksContext {
         Ok(out)
     }
 
-    /// Fallible plaintext multiply-accumulate: `acc += a·p` in place, one
-    /// `mul_acc` pass per polynomial, where
-    /// `*acc = try_add(acc, &try_mul_plain(a, p)?)?` builds a product
+    /// Fallible plaintext multiply-accumulate: `acc = a·p + acc` in place,
+    /// one `mul_acc` pass per polynomial, where
+    /// `*acc = try_add(&try_mul_plain(a, p)?, acc)?` builds a product
     /// ciphertext and then a sum ciphertext per term. The sums of
-    /// plaintext products that bootstrapping's linear transforms and
-    /// EvalMod's Taylor sum run on accumulate this way into one
-    /// caller-owned ciphertext, as CraterLake chains its multiplier into
-    /// its adder instead of writing each term back (Sec. 5).
+    /// plaintext products that bootstrapping's linear transforms, EvalMod's
+    /// Taylor sum and a compiled program's BSGS inner sums run on
+    /// accumulate this way into one caller-owned ciphertext, as CraterLake
+    /// chains its multiplier into its adder instead of writing each term
+    /// back (Sec. 5).
     ///
-    /// Bit-identical to that pair of calls: the same checks in the same
+    /// Bit-identical to that pair of calls, with the product as `add`'s
+    /// left operand (a compiled `AddSlot` adds the running sum in its slot
+    /// to the product in the accumulator): the same checks in the same
     /// order with the same errors (`mul_plain`'s for the operand `a`, the
-    /// plaintext's level and the product's budget; `add`'s for `acc`, the
-    /// shapes and the sum's budget), the same trace counts, and the sum's
-    /// limbs, scale (`acc`'s) and noise estimate. Every check runs before
-    /// the first limb is written, so on error `acc` is unchanged. The
-    /// product is never built: under Strict, of the checks `try_add` runs
-    /// on it only the bookkeeping ones apply (its residues are canonical
-    /// by the multiply kernel's contract).
+    /// plaintext's level and the product's budget; `add`'s for the
+    /// product's bookkeeping, `acc`, the shapes and the sum's budget), the
+    /// same trace counts, and the sum's limbs, scale (the product's) and
+    /// noise estimate. Every check runs before the first limb is written,
+    /// so on error `acc` is unchanged. The product is never built: under
+    /// Strict, of the checks `try_add` runs on it only the bookkeeping ones
+    /// apply (its residues are canonical by the multiply kernel's
+    /// contract).
     ///
     /// # Errors
     ///
     /// [`FheError::LevelMismatch`] (`mul_plain`) when the plaintext's level
     /// differs from `a`'s; [`FheError::LevelMismatch`] /
-    /// [`FheError::ScaleMismatch`] (`add`) when the product's shape differs
-    /// from `acc`'s; plus any guardrail failure of either step.
+    /// [`FheError::ScaleMismatch`] (`add`) when `acc`'s shape differs from
+    /// the product's; plus any guardrail failure of either step.
     pub fn try_mul_plain_acc(
         &self,
         acc: &mut Ciphertext,
@@ -204,23 +208,24 @@ impl CkksContext {
         let scale = a.scale * p.scale;
         let term_noise = self.est_mul_plain(a, p.scale);
         self.guard_budget_of("mul_plain", a.level, scale, term_noise)?;
-        self.guard_operands("add", &[acc])?;
         if matches!(self.policy(), GuardrailPolicy::Strict { .. }) {
             self.validate_metadata("add", a.level, scale)?;
         }
+        self.guard_operands("add", &[acc])?;
         if acc.level != a.level {
             return Err(FheError::LevelMismatch {
                 op: "add",
-                got: a.level,
-                want: acc.level,
+                got: acc.level,
+                want: a.level,
             });
         }
-        self.try_check_scale("add", scale, acc.scale)?;
-        let noise = log2_add(acc.noise_bits_est, term_noise);
-        self.guard_budget_of("add", acc.level, acc.scale, noise)?;
+        self.try_check_scale("add", acc.scale, scale)?;
+        let noise = log2_add(term_noise, acc.noise_bits_est);
+        self.guard_budget_of("add", a.level, scale, noise)?;
         let rns = self.rns();
         rns.mul_acc(&mut acc.c0, &a.c0, &p.poly);
         rns.mul_acc(&mut acc.c1, &a.c1, &p.poly);
+        acc.scale = scale;
         acc.noise_bits_est = noise;
         Ok(())
     }
@@ -971,16 +976,17 @@ mod tests {
         }
     }
 
-    /// `try_mul_plain_acc` against the two calls it fuses: the same sum
-    /// (limbs, scale and noise estimate, bit for bit) or the same error,
-    /// with `acc` untouched. Returns the reference outcome.
+    /// `try_mul_plain_acc` against the two calls it fuses, the product on
+    /// the left: the same sum (limbs, scale and noise estimate, bit for
+    /// bit) or the same error, with `acc` untouched. Returns the reference
+    /// outcome.
     fn check_mul_plain_acc(
         ctx: &CkksContext,
         acc: &Ciphertext,
         a: &Ciphertext,
         p: &Plaintext,
     ) -> FheResult<Ciphertext> {
-        let reference = ctx.try_mul_plain(a, p).and_then(|t| ctx.try_add(acc, &t));
+        let reference = ctx.try_mul_plain(a, p).and_then(|t| ctx.try_add(&t, acc));
         let mut fused = acc.clone();
         let got = ctx.try_mul_plain_acc(&mut fused, a, p);
         match (&reference, got) {
@@ -1075,6 +1081,73 @@ mod tests {
                 Err(FheError::BudgetExhausted { op: got, .. }) => assert_eq!(got, op),
                 other => panic!("expected BudgetExhausted from {op}, got {other:?}"),
             }
+        }
+    }
+
+    /// A product and a running sum whose scales sit apart by less than
+    /// [`SCALE_REL_TOLERANCE`](crate::context::SCALE_REL_TOLERANCE) add
+    /// without error, and the sum takes the left operand's scale: the
+    /// accumulate's result and errors are those of
+    /// `try_add(&product, &sum)`, the order a compiled `AddSlot` runs, not
+    /// those of `try_add(&sum, &product)`.
+    #[test]
+    fn mul_plain_acc_takes_the_products_scale_and_errors() {
+        use crate::context::SCALE_REL_TOLERANCE;
+        use crate::FheError;
+        let (ctx, sk, mut rng) = setup(3);
+        let scale = ctx.default_scale();
+        let a = ctx.encrypt(&ctx.encode(&[0.5, -1.25], scale, 3), &sk, &mut rng);
+        let b = ctx.encrypt(&ctx.encode(&[1.5, 0.75], scale, 3), &sk, &mut rng);
+        let w = ctx.encode(&[0.25, 2.0], scale, 3);
+        let product_scale = scale * scale;
+        let nudge = 1.0 + SCALE_REL_TOLERANCE / 4.0;
+        let apart = |mut sum: Ciphertext, factor: f64| {
+            sum.scale *= factor;
+            sum
+        };
+        let sum = apart(ctx.try_mul_plain(&b, &w).unwrap(), nudge);
+        assert_ne!(sum.scale().to_bits(), product_scale.to_bits());
+
+        let out = check_mul_plain_acc(&ctx, &sum, &a, &w).expect("within tolerance");
+        assert_eq!(
+            out.scale().to_bits(),
+            product_scale.to_bits(),
+            "the product's scale"
+        );
+
+        // Out of tolerance: `got` is the sum's scale, `want` the product's.
+        let wide = apart(sum.clone(), 2.0);
+        match check_mul_plain_acc(&ctx, &wide, &a, &w) {
+            Err(FheError::ScaleMismatch {
+                op: "add",
+                got,
+                want,
+                ..
+            }) => {
+                assert_eq!(
+                    got.to_bits(),
+                    wide.scale().to_bits(),
+                    "got: the sum's scale"
+                );
+                assert_eq!(
+                    want.to_bits(),
+                    product_scale.to_bits(),
+                    "want: the product's"
+                );
+            }
+            other => panic!("expected add's ScaleMismatch, got {other:?}"),
+        }
+        // Another level: `got` is the sum's level, `want` the product's.
+        let low = ctx.encrypt(&ctx.encode(&[0.5], scale, 2), &sk, &mut rng);
+        let w_low = ctx.encode(&[0.25], scale, 2);
+        let sum_low = apart(ctx.try_mul_plain(&low, &w_low).unwrap(), nudge);
+        match check_mul_plain_acc(&ctx, &sum_low, &a, &w) {
+            Err(FheError::LevelMismatch {
+                op: "add",
+                got: 2,
+                want: 3,
+            }) => {}
+            other => panic!("expected add's LevelMismatch from the sum's level, got {other:?}"),
         }
     }
 

@@ -1,7 +1,25 @@
 //! The resilient pipeline executor: strict guardrails, periodic durable
 //! checkpoints, and restore-and-retry recovery with a bounded budget.
+//!
+//! A program runs one micro-op per step, except its inner sums
+//! ([`PreparedProgram::inner_sums`]): each runs as one step that
+//! accumulates a BSGS giant group's plaintext products in place into one
+//! private ciphertext ([`CkksContext::try_mul_plain_acc`]), as the
+//! bootstrap's transforms do, instead of building a product and a new sum
+//! per term. The step keeps every check the op-by-op run makes on a value
+//! it builds — each baby's `Load` boundary validation and `mul_plain`
+//! guard, `add`'s guard on the running sum at every term, the published
+//! sum's boundary validation — and skips only those on values it never
+//! builds: the products and the interior copies of the sum. Its interior
+//! boundaries still count toward `ops_executed` and `peak_live_cts`, and
+//! still consult the [`RunControl`]. An inner sum runs op by op when a
+//! checkpoint falls due inside it, when a fault plan is attached, when a
+//! run resumes inside it, and after its step failed: the op-by-op run then
+//! reports the error, so a failure is the op-by-op one in every field (the
+//! discarded step's work still shows in the trace counters).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -272,7 +290,9 @@ pub enum RunOutcome {
 /// The accumulator at a micro-op boundary, held by reference count: the
 /// in-memory form of [`WorkState`]. The driving loop, `last_good` and any
 /// slot a `Store`/`Load` aliased it with all point at one payload; the
-/// payload itself is never written after it is wrapped.
+/// payload itself is never written after it is wrapped. (An inner-sum step
+/// writes its sum in place before wrapping it, while nothing else holds
+/// it.)
 #[derive(Clone)]
 enum Acc {
     Ct(Arc<Ciphertext>),
@@ -640,10 +660,14 @@ impl<'a> PipelineExecutor<'a> {
         }
         // The boundary to fall back to shares its payloads with the live
         // state; an op never writes a payload in place (it wraps a fresh
-        // output, or moves references), so holding a reference *is* the
-        // snapshot.
+        // output, or moves references; an inner-sum step writes only its
+        // private sum, which nothing else holds until the step publishes
+        // it), so holding a reference *is* the snapshot.
         let mut last_good: Boundary = (pc, state.clone(), slots.clone());
         let mut retries_left = self.config.max_retries;
+        // Inner sums starting before this pc run op by op: one whose step
+        // failed is run again that way, so the error is the op-by-op one.
+        let mut op_by_op_until = 0u64;
         self.note_live(&slots);
 
         while pc < end {
@@ -667,21 +691,29 @@ impl<'a> PipelineExecutor<'a> {
                 }
             }
 
-            let (op_idx, stage) = schedule[pc as usize];
-            let step = self
-                .exec_micro(prepared, op_idx, stage, &state, &mut slots, inputs)
-                // A successful op can still hand a corrupted state to the
-                // *next* op; validating here bounds detection latency to
-                // one micro-op and keeps checkpoints clean.
-                .and_then(|next| {
-                    next.validate(self.ctx)?;
-                    Ok(next)
-                });
+            let step = match self.try_inner_sum(prepared, pc, &state, &slots, &mut op_by_op_until) {
+                Some((next, next_slots, ran)) => {
+                    slots = next_slots;
+                    Ok((next, ran))
+                }
+                None => {
+                    let (op_idx, stage) = schedule[pc as usize];
+                    self.exec_micro(prepared, op_idx, stage, &state, &mut slots, inputs)
+                        // A successful op can still hand a corrupted state
+                        // to the *next* op; validating here bounds detection
+                        // latency to one micro-op and keeps checkpoints
+                        // clean.
+                        .and_then(|next| {
+                            next.validate(self.ctx)?;
+                            Ok((next, 1))
+                        })
+                }
+            };
             match step {
-                Ok(next) => {
+                Ok((next, ran)) => {
                     state = next;
-                    pc += 1;
-                    self.telemetry.ops_executed += 1;
+                    pc += ran;
+                    self.telemetry.ops_executed += ran;
                     self.note_live(&slots);
                     let due = self.config.checkpoint_every > 0
                         && (pc.is_multiple_of(self.config.checkpoint_every) || pc == end);
@@ -729,8 +761,142 @@ impl<'a> PipelineExecutor<'a> {
     /// Records the live-ciphertext count at a micro-op boundary (named
     /// slots plus the accumulator) into the telemetry high-water mark.
     fn note_live(&mut self, slots: &Slots) {
-        let live = slots.len() as u64 + 1;
+        self.note_peak(slots.len() as u64 + 1);
+    }
+
+    fn note_peak(&mut self, live: u64) {
         self.telemetry.peak_live_cts = self.telemetry.peak_live_cts.max(live);
+    }
+
+    /// Runs the inner sum starting at `pc` as one step
+    /// ([`PipelineExecutor::exec_inner_sum`]) when it may: no fault plan is
+    /// attached, no checkpoint falls due at one of its interior boundaries,
+    /// and it starts at or after `op_by_op_until`. On success returns the
+    /// accumulator and slots it leaves and the micro-ops it ran, with the
+    /// published sum validated as any step's output is. On failure it
+    /// leaves the state untouched, marks the sum to run op by op and
+    /// returns `None`, as for a pc that starts no inner sum.
+    fn try_inner_sum(
+        &mut self,
+        prepared: &PreparedProgram<'_>,
+        pc: u64,
+        state: &Acc,
+        slots: &Slots,
+        op_by_op_until: &mut u64,
+    ) -> Option<(Acc, Slots, u64)> {
+        #[cfg(any(test, feature = "faults"))]
+        if self.plan.is_some() {
+            return None;
+        }
+        if pc < *op_by_op_until {
+            return None;
+        }
+        let range = prepared.inner_sum_at(pc)?.clone();
+        let every = self.config.checkpoint_every;
+        if every > 0 && (range.start / every + 1) * every < range.end {
+            return None;
+        }
+        let step = self
+            .exec_inner_sum(prepared, range.clone(), state, slots)
+            .and_then(|(next, slots, peak)| {
+                next.validate(self.ctx)?;
+                Ok((next, slots, peak))
+            });
+        match step {
+            Ok((next, slots, peak)) => {
+                self.note_peak(peak);
+                Some((next, slots, range.end - range.start))
+            }
+            Err(_) => {
+                *op_by_op_until = range.end;
+                None
+            }
+        }
+    }
+
+    /// Executes the inner sum at `range` of the schedule as one step:
+    /// checks each baby as its `Load` boundary does, builds the head
+    /// product, accumulates every later term into it in place in program
+    /// order ([`CkksContext::try_mul_plain_acc`], the product as `add`'s
+    /// left operand, as `AddSlot` runs), and applies the slot ops. The
+    /// running sum stays private: a slot that holds it between terms is
+    /// tracked by id and counted live, and only the sum the step publishes
+    /// is wrapped (and stored, when the last term parks it). Returns the
+    /// new accumulator, the new slots and the live-ciphertext peak of the
+    /// interior boundaries, each of which also consults the run control.
+    fn exec_inner_sum(
+        &self,
+        prepared: &PreparedProgram<'_>,
+        range: Range<u64>,
+        state: &Acc,
+        slots: &Slots,
+    ) -> FheResult<(Acc, Slots, u64)> {
+        let Acc::Ct(outer) = state else {
+            return Err(FheError::InvalidParams {
+                op: "executor",
+                reason: "inner sum reached mid-bootstrap".into(),
+            });
+        };
+        let ops = prepared.program().ops();
+        let mut slots = slots.clone();
+        // The accumulator while it is not the sum: the outer value, then
+        // each loaded baby.
+        let mut operand = Arc::clone(outer);
+        let mut sum: Option<Ciphertext> = None;
+        let mut sum_slot: Option<u16> = None;
+        let mut term: Option<Plaintext> = None;
+        let mut peak = 0;
+        for pc in range.clone() {
+            let op_idx = prepared.schedule()[pc as usize].0;
+            match (&ops[op_idx], sum.as_mut()) {
+                (PipelineOp::Load(b), _) => {
+                    operand = Arc::clone(Self::slot_get(&slots, *b, "load")?);
+                    self.ctx.validate_ciphertext("checkpoint", &operand)?;
+                }
+                (PipelineOp::MulPlain(vals), running) => {
+                    let p =
+                        self.mul_plain_operand(prepared, op_idx, vals, &operand, "mul_plain")?;
+                    match running {
+                        None => sum = Some(self.ctx.try_mul_plain(&operand, &p)?),
+                        Some(_) => term = Some(p),
+                    }
+                }
+                (PipelineOp::AddSlot(s), Some(running)) if sum_slot == Some(*s) => {
+                    let p = term.take().ok_or_else(|| Self::off_pattern("add_slot"))?;
+                    self.ctx.try_mul_plain_acc(running, &operand, &p)?;
+                }
+                (PipelineOp::Free(s), _) if sum_slot == Some(*s) => sum_slot = None,
+                (PipelineOp::Free(b), _) => {
+                    slots.remove(b).ok_or_else(|| Self::off_pattern("free"))?;
+                }
+                (PipelineOp::Store(s), Some(_)) => {
+                    slots.remove(s);
+                    sum_slot = Some(*s);
+                }
+                (op, _) => return Err(Self::off_pattern(op.name())),
+            }
+            if pc + 1 < range.end {
+                if let Some(control) = &self.control {
+                    control.check("pipeline")?;
+                }
+                peak = peak.max(slots.len() as u64 + u64::from(sum_slot.is_some()) + 1);
+            }
+        }
+        let sum = Arc::new(sum.ok_or_else(|| Self::off_pattern("inner sum"))?);
+        if let Some(s) = sum_slot {
+            slots.insert(s, Arc::clone(&sum));
+        }
+        Ok((Acc::Ct(sum), slots, peak))
+    }
+
+    /// An op the inner-sum pattern does not allow where it stands. Never
+    /// surfaces: a failed step is run again op by op, which reports the
+    /// op-by-op error.
+    fn off_pattern(op: &str) -> FheError {
+        FheError::InvalidParams {
+            op: "executor",
+            reason: format!("{op} out of place in an inner sum"),
+        }
     }
 
     /// Restores the last good execution point, preferring the durable

@@ -14,9 +14,10 @@
 //!   format of [`cl_ckks::serialize`] — corrupt or torn records are
 //!   *rejected at load time* by checksum/fingerprint checks, never
 //!   resumed from;
-//! - [`PreparedProgram`]: a program with its micro-op schedule and a
-//!   memo of its plaintext operands' rounded coefficients, built once and
-//!   shared by every run of the program;
+//! - [`PreparedProgram`]: a program with its micro-op schedule, a memo
+//!   of its plaintext operands' rounded coefficients and a table of its
+//!   BSGS inner sums (each run as one fused step), built once and shared
+//!   by every run of the program;
 //! - [`PipelineExecutor`]: runs a program under
 //!   [`GuardrailPolicy::Strict`], checkpoints every N micro-ops, and on
 //!   any detected fault (corrupt limb, exhausted budget, tampered hint)

@@ -9,9 +9,16 @@
 //! only reduces them into its limbs and takes them to NTT form — the part
 //! that depends on the ciphertext's level. The compiler of the paper makes
 //! this kind of reuse statically (Sec. 6); here it is made on first use.
+//!
+//! It also holds the program's first def/use table: its *inner sums*, the
+//! micro-op runs the lowering emits for one BSGS giant group's sum of
+//! plaintext products. The executor runs each as one fused step
+//! (`PipelineExecutor`'s inner-sum step), found here once per program
+//! rather than matched at every run.
 
 use std::borrow::Cow;
 use std::mem::{size_of, size_of_val};
+use std::ops::Range;
 use std::sync::Arc;
 
 use cl_ckks::{Cache, CacheStats, CkksContext};
@@ -41,10 +48,14 @@ pub const COEFF_MEMO_BYTES: usize = 8 << 20;
 /// large as its coefficients times its limb count, and every run still
 /// performs each operand's reduction and NTT, so op counts stay what
 /// `predict_program` charges.
+///
+/// Its inner-sum table ([`PreparedProgram::inner_sums`]) lists the
+/// schedule ranges the executor runs as one step each.
 #[derive(Debug)]
 pub struct PreparedProgram<'p> {
     program: Cow<'p, Program>,
     schedule: Vec<(usize, usize)>,
+    inner_sums: Vec<Range<u64>>,
     ring_degree: usize,
     /// Ops before this index have their operands memoized.
     memo_end: usize,
@@ -95,6 +106,7 @@ impl<'p> PreparedProgram<'p> {
             .sum();
         Self {
             schedule: program.micro_schedule(),
+            inner_sums: inner_sums(ops),
             resident_bytes: size_of_val(ops) + values + memo_bytes,
             program,
             ring_degree,
@@ -117,6 +129,30 @@ impl<'p> PreparedProgram<'p> {
     /// ([`Program::micro_schedule`]).
     pub(crate) fn schedule(&self) -> &[(usize, usize)] {
         &self.schedule
+    }
+
+    /// The program's inner sums, as ranges of micro-op indices (program
+    /// counters) in program order: each is the longest run of the pattern
+    /// the lowering emits for one BSGS giant group's sum of plaintext
+    /// products,
+    ///
+    /// - a head `[Load(b)] MulPlain [Free(b)] Store(s)`, its `Load` left
+    ///   out when the head multiplies the accumulator itself,
+    /// - then one or more terms
+    ///   `Load(b) MulPlain [Free(b)] AddSlot(s) Free(s) [Store(s')]`,
+    ///   where `b` is never the running sum's slot `s` and every term but
+    ///   the last parks the sum again for the next one.
+    ///
+    /// Every op in the pattern is one micro-op, so a range spans exactly
+    /// its ops.
+    pub fn inner_sums(&self) -> &[Range<u64>] {
+        &self.inner_sums
+    }
+
+    /// The inner sum starting at program counter `pc`, if one does.
+    pub(crate) fn inner_sum_at(&self, pc: u64) -> Option<&Range<u64>> {
+        let i = self.inner_sums.partition_point(|r| r.start < pc);
+        self.inner_sums.get(i).filter(|r| r.start == pc)
     }
 
     /// The rounded coefficients of op `op`'s plaintext operand at `scale`,
@@ -145,5 +181,115 @@ impl<'p> PreparedProgram<'p> {
     /// most [`COEFF_MEMO_BYTES`]).
     pub fn resident_bytes(&self) -> usize {
         self.resident_bytes
+    }
+}
+
+/// The inner sums of `ops` ([`PreparedProgram::inner_sums`]), matched left
+/// to right, as ranges of program counters.
+fn inner_sums(ops: &[PipelineOp]) -> Vec<Range<u64>> {
+    let (mut out, mut i, mut pc) = (Vec::new(), 0, 0u64);
+    while i < ops.len() {
+        match inner_sum_len(&ops[i..]) {
+            Some(len) => {
+                out.push(pc..pc + len as u64);
+                i += len;
+                pc += len as u64;
+            }
+            None => {
+                pc += ops[i].micro_ops() as u64;
+                i += 1;
+            }
+        }
+    }
+    out
+}
+
+/// The length in ops of the inner sum `ops` starts with, if it starts with
+/// one.
+fn inner_sum_len(ops: &[PipelineOp]) -> Option<usize> {
+    use PipelineOp::{AddSlot, Free, Load, MulPlain, Store};
+    let at = |i: usize| ops.get(i);
+    let is_mul = |i: usize| matches!(at(i), Some(MulPlain(_)));
+    // Head: [Load(b)] MulPlain [Free(b)] Store(s).
+    let (mut i, baby) = match at(0) {
+        Some(Load(b)) if is_mul(1) => (2, Some(*b)),
+        _ if is_mul(0) => (1, None),
+        _ => return None,
+    };
+    if baby.is_some_and(|b| at(i) == Some(&Free(b))) {
+        i += 1;
+    }
+    let Some(&Store(mut sum)) = at(i) else {
+        return None;
+    };
+    i += 1;
+    // Terms: Load(b) MulPlain [Free(b)] AddSlot(s) Free(s) [Store(s')].
+    let mut end = None;
+    while let Some(&Load(b)) = at(i) {
+        if b == sum || !is_mul(i + 1) {
+            break;
+        }
+        let mut j = i + 2;
+        if at(j) == Some(&Free(b)) {
+            j += 1;
+        }
+        if at(j) != Some(&AddSlot(sum)) || at(j + 1) != Some(&Free(sum)) {
+            break;
+        }
+        j += 2;
+        end = Some(j);
+        let Some(&Store(next)) = at(j) else {
+            break;
+        };
+        sum = next;
+        i = j + 1;
+        end = Some(i);
+    }
+    end
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cl_boot::BootState;
+    use PipelineOp::{AddSlot, Bootstrap, Free, Load, MulPlain, Rotate, Store};
+
+    #[test]
+    fn inner_sums_are_the_lowered_giant_groups_and_nothing_else() {
+        let w = || MulPlain(vec![0.5]);
+        let ops = vec![
+            Bootstrap,
+            // A head on the accumulator, a term parking the sum again and
+            // a last term freeing its baby.
+            w(),
+            Store(1),
+            Load(0),
+            w(),
+            AddSlot(1),
+            Free(1),
+            Store(1),
+            Load(0),
+            w(),
+            Free(0),
+            AddSlot(1),
+            Free(1),
+            Rotate(1),
+            // A head with no term.
+            Load(2),
+            w(),
+            Free(2),
+            Store(2),
+            Rotate(1),
+            // A term that loads the running sum itself.
+            Load(3),
+            w(),
+            Store(4),
+            Load(4),
+            w(),
+            AddSlot(4),
+            Free(4),
+        ];
+        let start = BootState::NUM_STAGES as u64;
+        assert_eq!(inner_sums(&ops), vec![start..start + 12]);
     }
 }

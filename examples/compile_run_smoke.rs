@@ -10,9 +10,15 @@
 //!      coefficient memo, so the memo saves work without changing a
 //!      count;
 //!   2. the residency plan's predicted live-ciphertext high-water mark
-//!      equals the executor's measured peak;
+//!      equals the executor's measured peak, with every BSGS inner sum
+//!      run as one fused step (the prepared program finds one per giant
+//!      group) whose interior boundaries still count;
 //!   3. the decrypted output matches the unencrypted reference
 //!      evaluation of the same graph.
+//!
+//! Then runs killed inside an inner sum, one before any checkpoint and one
+//! after a checkpoint inside the sum, resume to the uninterrupted run's
+//! output bit for bit.
 //!
 //! `scripts/verify.sh` runs this as a tier-1 gate.
 //!
@@ -20,6 +26,7 @@
 
 use craterlake::apps::{eval_plain, lola_layer_runnable};
 use craterlake::boot::BootstrapKeys;
+use craterlake::ckks::faults::FaultPlan;
 use craterlake::ckks::{CkksContext, CkksParams, GuardrailPolicy, KeySwitchKind};
 use craterlake::compiler::{lower_to_program, predict_program, LowerOptions};
 use craterlake::runtime::{ExecutorConfig, PipelineExecutor, PreparedProgram, RunOutcome};
@@ -88,6 +95,14 @@ fn main() {
     let operands =
         lowered.program.ops().iter().filter(|op| op.plain_values().is_some()).count() as u64;
     assert!(operands > 0, "the layer multiplies by plaintext diagonals");
+    // The layer's BSGS split: one inner sum per giant group.
+    let giants = DIAGS.div_ceil((DIAGS as f64).sqrt().ceil() as usize);
+    assert_eq!(
+        prepared.inner_sums().len(),
+        giants,
+        "the prepared program must find one inner sum per giant group"
+    );
+    println!("  inner sums run as one step each: {giants} (one per giant group)");
     let run = |warm: &str| {
         let mut exec = PipelineExecutor::new(&ctx, &keys, config.clone()).expect("executor");
         let out = match exec.run_prepared(std::slice::from_ref(&x), &prepared).expect(warm) {
@@ -138,10 +153,11 @@ fn main() {
     assert_eq!(lowered.counts.ct_mults, measured.ct_mults);
     assert_eq!(lowered.counts.pt_mults, measured.pt_mults);
 
-    // Promise 2: the residency plan bounds live ciphertext memory.
+    // Promise 2: the residency plan bounds live ciphertext memory; the
+    // fused inner sums' interior boundaries count like any other.
     assert_eq!(
         peak, lowered.predicted_peak_live,
-        "residency plan must predict the executor's live-ciphertext peak"
+        "residency plan must predict the executor's live-ciphertext peak with inner sums fused"
     );
     println!("  peak live ciphertexts: predicted = measured = {peak}");
 
@@ -154,5 +170,67 @@ fn main() {
     }
     assert!(worst < 1e-3, "decrypted output drifted {worst} from the plain reference");
     println!("  max |decrypt - reference| = {worst:.2e} over {slots} slots");
+
+    // Kills inside inner sums, with checkpoints due one micro-op into the
+    // last sum (and nowhere else), so that sum always runs op by op. A
+    // kill inside the first sum finds no checkpoint: the resume starts
+    // over with every other sum run as one step. A kill inside the last
+    // sum resumes from the checkpoint inside it and runs the rest op by
+    // op. Both land on the uninterrupted output with the op-by-op counts.
+    let sums = prepared.inner_sums();
+    let micro_ops = lowered.program.num_micro_ops() as u64;
+    let last = sums.last().expect("the layer has inner sums").clone();
+    let every = last.start + 1;
+    assert!(
+        2 * every > micro_ops,
+        "one checkpoint inside the last sum, then the end"
+    );
+    let dir = std::env::temp_dir().join(format!("cl_compile_run_smoke_{}", std::process::id()));
+    for kill_at in [sums[0].start + 3, every + 2] {
+        assert!(sums.iter().any(|r| r.start < kill_at && kill_at < r.end));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = ExecutorConfig {
+            checkpoint_every: every,
+            max_retries: 1,
+            checkpoint_dir: Some(dir.clone()),
+        };
+        let mut exec = PipelineExecutor::new(&ctx, &keys, durable).expect("executor");
+        exec.set_fault_plan(FaultPlan::new(0, 0.0).with_kill_point(kill_at));
+        let inputs = std::slice::from_ref(&x);
+        assert!(matches!(
+            exec.run_prepared(inputs, &prepared).expect("killed run"),
+            RunOutcome::Crashed
+        ));
+        exec.take_fault_plan();
+        let resumed = match exec
+            .resume_prepared(inputs, &prepared)
+            .expect("resumed run")
+        {
+            RunOutcome::Completed(ct) => ct,
+            RunOutcome::Crashed => unreachable!("the kill point fired once"),
+        };
+        assert_eq!(
+            resumed, out,
+            "killed at micro-op {kill_at}: the resume must be bit-identical"
+        );
+        let resumed_at = if kill_at > every { every } else { 0 };
+        let t = exec.telemetry();
+        assert_eq!(
+            t.restores,
+            u64::from(resumed_at > 0),
+            "killed at micro-op {kill_at}"
+        );
+        assert_eq!(
+            t.ops_executed,
+            kill_at + micro_ops - resumed_at,
+            "killed at {kill_at}"
+        );
+        assert_eq!(
+            t.peak_live_cts, lowered.predicted_peak_live,
+            "killed at {kill_at}"
+        );
+        println!("  killed at micro-op {kill_at}, resumed from {resumed_at}: bit-identical");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
     println!("compile_run_smoke: OK");
 }

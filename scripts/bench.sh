@@ -4,7 +4,8 @@
 # Runs the bench_kernels binary (NTT, RNS mul, base conversion, keyswitch,
 # hint integrity digest, ciphertext residue scan, rotate, hoisted rotation,
 # rescale, BSGS linear transform, one bootstrap step, key-residency tiers
-# eager/compact/hot with warm hint-cache variants, and the grain sweep:
+# eager/compact/hot with warm hint-cache variants, one compiled BSGS inner
+# sum through the executor at N in {1K, 8K}, and the grain sweep:
 # element-wise, NTT, CRB and MAC limb loops fanned out over the pool at
 # N in {1K, 8K} x limbs in {1, 4, 8, 20, 40}, the table cl_rns's
 # PAR_GRAIN_WORDS is read from)

@@ -25,7 +25,8 @@
 #     a 1-byte hint cache stay limb-bit-identical
 #     (examples/hint_cache_smoke.rs).
 #  9. Compile-and-run smoke: a compiled LoLa layer runs with exactly the
-#     predicted op counts (examples/compile_run_smoke.rs).
+#     predicted op counts, its inner sums fused, and resumes bit-identically
+#     after a kill inside one (examples/compile_run_smoke.rs).
 # 10. The end-to-end benchmark's smoke suite (compiles the detached
 #     benchmarks/e2e package against the workspace and runs it).
 # 11. The simulator-backed tables and figures of the evaluation
@@ -143,8 +144,9 @@ cargo run --release --example hint_cache_smoke
 echo "== tier-1: compile-and-run smoke =="
 # Compiler-driven execution at N = 8K: a LoLa layer graph lowered to a
 # pipeline Program must run with exactly the op counts and live-ciphertext
-# peak the compiler predicted, and decrypt to the plain reference
-# (examples/compile_run_smoke.rs).
+# peak the compiler predicted, one fused step per BSGS inner sum, decrypt
+# to the plain reference, and resume bit-identically after a kill inside
+# an inner sum (examples/compile_run_smoke.rs).
 cargo run --release --example compile_run_smoke
 
 echo "== tier-1: end-to-end benchmark smoke =="

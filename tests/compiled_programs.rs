@@ -16,6 +16,10 @@
 //!    live-ciphertext high-water mark equals the executor's measured
 //!    `peak_live_cts`.
 //!
+//! The executor runs each BSGS inner sum as one fused step; a run killed
+//! at any micro-op inside one resumes to the same output with the op-by-op
+//! run's counts.
+//!
 //! The `trace` feature is lit for this binary through the root crate's
 //! dev-dependency on `cl-trace`, so the counters are live here.
 
@@ -25,10 +29,11 @@ use craterlake::apps::{
     eval_plain, lola_layer_runnable, lola_mlp_runnable, DenseLayer, RunnableWorkload,
 };
 use craterlake::boot::BootstrapKeys;
+use craterlake::ckks::faults::FaultPlan;
 use craterlake::ckks::{Ciphertext, CkksContext, CkksParams, GuardrailPolicy, KeySwitchKind};
 use craterlake::compiler::{lower_to_program, predict_program, LowerOptions, LoweredProgram};
 use craterlake::isa::{HeOp, NodeId};
-use craterlake::runtime::{ExecutorConfig, PipelineExecutor, RunOutcome};
+use craterlake::runtime::{ExecutorConfig, PipelineExecutor, PreparedProgram, RunOutcome};
 use cl_trace::OpSnapshot;
 use rand::SeedableRng;
 
@@ -416,4 +421,67 @@ fn compiled_three_layer_mlp_is_bit_identical_to_node_by_node_evaluation() {
     for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
         assert!((g - r).abs() < 1e-3, "slot {i}: decrypted {g} vs plain reference {r}");
     }
+}
+
+/// A run killed before every micro-op inside each of the layer's three
+/// inner sums, then resumed without the fault plan (so later sums run as
+/// fused steps again), lands on the uninterrupted output bit for bit at
+/// every checkpoint cadence — none, every boundary, and two cadences that
+/// put checkpoints inside some sums but not others — with the op-by-op
+/// run's counts: each micro-op executed once per pass over it, the
+/// uninterrupted run's checkpoint count and the predicted peak.
+#[test]
+fn runs_killed_inside_an_inner_sum_resume_bit_identically() {
+    let _g = counter_lock();
+    let ctx = strict_ctx();
+    let w = layer();
+    let lowered = compile(&w);
+    let (sk, keys) = keys_for(&ctx, &lowered);
+    let x = encrypt_input(&ctx, &sk);
+    let (want, _) = run_compiled(&ctx, &keys, &x, &lowered);
+    let prepared = PreparedProgram::borrowed(&ctx, &lowered.program);
+    let sums = prepared.inner_sums();
+    assert_eq!(sums.len(), 3, "one inner sum per giant group");
+    let n = lowered.program.num_micro_ops() as u64;
+    let inputs = std::slice::from_ref(&x);
+    let dir = std::env::temp_dir().join(format!("cl-inner-sum-kill-{}", std::process::id()));
+    for every in [0u64, 1, 7, 16] {
+        for kill_at in sums.iter().flat_map(|r| r.clone()) {
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = ExecutorConfig {
+                checkpoint_every: every,
+                max_retries: 1,
+                checkpoint_dir: (every > 0).then(|| dir.clone()),
+            };
+            let mut exec = PipelineExecutor::new(&ctx, &keys, config).unwrap();
+            exec.set_fault_plan(FaultPlan::new(kill_at, 0.0).with_kill_point(kill_at));
+            assert!(matches!(
+                exec.run_prepared(inputs, &prepared).unwrap(),
+                RunOutcome::Crashed
+            ));
+            exec.take_fault_plan();
+            let got = match exec.resume_prepared(inputs, &prepared).unwrap() {
+                RunOutcome::Completed(ct) => ct,
+                RunOutcome::Crashed => unreachable!("the plan is detached"),
+            };
+            let at = format!("cadence {every}, killed before micro-op {kill_at}");
+            assert_eq!(got, want, "{at}");
+            assert_eq!(
+                got.noise_estimate_bits().to_bits(),
+                want.noise_estimate_bits().to_bits()
+            );
+            assert_eq!(got.scale().to_bits(), want.scale().to_bits());
+            let t = exec.telemetry();
+            let resumed_at = kill_at.checked_div(every).map_or(0, |k| k * every);
+            assert_eq!(t.ops_executed, kill_at + n - resumed_at, "{at}");
+            assert_eq!(
+                t.checkpoints_written,
+                if every == 0 { 0 } else { n.div_ceil(every) },
+                "{at}"
+            );
+            assert_eq!(t.peak_live_cts, lowered.predicted_peak_live, "{at}");
+            assert_eq!(t.faults_detected, 0, "{at}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

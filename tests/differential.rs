@@ -20,7 +20,9 @@
 //! - where the worker pool fans out — limb loops above its grain
 //!   (`cl_rns::PAR_GRAIN_WORDS`), and independent operations: hoisted
 //!   steps, BSGS inner sums, EvalMod's power tree — results, noise
-//!   estimates, trace counts and the first error are the serial run's.
+//!   estimates, trace counts and the first error are the serial run's,
+//! - a compiled BSGS layer whose inner sums the executor runs as fused
+//!   steps computes the graph's node-by-node evaluation bit for bit.
 //!
 //! Thread count, backend selection and the `cl-trace` op counters are all
 //! process-global, so every test in this binary holds [`THREADS`] for its
@@ -29,13 +31,17 @@
 
 use std::sync::{Mutex, MutexGuard};
 
+use cl_apps::{lola_layer_runnable, RunnableWorkload};
 use cl_boot::{try_bsgs_transform, BootState, BootstrapKeys, Bootstrapper, PrecomputedTransform};
 use cl_ckks::{
     faults, Ciphertext, CkksContext, CkksParams, FheResult, GuardrailPolicy, KeySwitchKey,
     KeySwitchKind,
 };
+use cl_compiler::{lower_to_program, predict_program, LowerOptions};
+use cl_isa::{HeOp, NodeId};
 use cl_math::{set_active_backend, supported_backends, BackendKind, Complex, NttTable};
 use cl_rns::{Basis, RnsContext, RnsPoly, PAR_GRAIN_WORDS};
+use cl_runtime::{ExecutorConfig, PipelineExecutor, PreparedProgram, RunOutcome};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -851,6 +857,139 @@ fn bsgs_transform_above_the_grain_matches_serial_everywhere() {
                 "slot {t}: {:?} vs the plaintext matrix's {:?}",
                 got[t],
                 expect[t]
+            );
+        }
+        (ct_bits(&out), ops)
+    });
+}
+
+/// Evaluates a runnable graph node by node in construction order with the
+/// public `try_*` ops, each rotation on its own and each sum as the graph
+/// writes it (`try_add(sum, term)`): no lowering, no slots, no executor.
+/// Plaintexts are encoded at the to-be-dropped modulus, the `MulPlain`
+/// convention.
+fn eval_graph_direct(
+    ctx: &CkksContext,
+    keys: &BootstrapKeys,
+    w: &RunnableWorkload,
+    x: &Ciphertext,
+) -> Ciphertext {
+    let mut vals: Vec<Option<Ciphertext>> = Vec::with_capacity(w.graph.num_nodes());
+    for (_, node) in w.graph.iter() {
+        let at = |id: NodeId| vals[id.0 as usize].as_ref().expect("ciphertext operand");
+        let v = match node.op {
+            HeOp::Input => Some(x.clone()),
+            HeOp::PlainInput => None,
+            HeOp::Add(a, b) => Some(ctx.try_add(at(a), at(b)).expect("add")),
+            HeOp::MulPlain(a, p) => {
+                let ct = at(a);
+                let q_drop = ctx.rns().modulus_value((ct.level() - 1) as u32) as f64;
+                let pt = ctx.encode(&w.plain[&p], q_drop, ct.level());
+                Some(ctx.try_mul_plain(ct, &pt).expect("mul_plain"))
+            }
+            HeOp::Rotate(a, step) => {
+                let key = keys.try_rot_key(ctx, step).expect("rotation key");
+                Some(ctx.try_rotate(at(a), step, key.as_ref()).expect("rotate"))
+            }
+            HeOp::Rescale(a) => Some(ctx.try_rescale(at(a)).expect("rescale")),
+            HeOp::Output(a) => return at(a).clone(),
+            ref other => panic!("the layer graph does not use {other:?}"),
+        };
+        vals.push(v);
+    }
+    panic!("graph has no Output node")
+}
+
+/// A compiled BSGS layer above the grain — 16 diagonals in four giant
+/// groups, each group's inner sum run by the executor as one fused step —
+/// gives the graph's node-by-node evaluation in limbs, level, scale and
+/// noise estimate, with the trace counts `predict_program` charges for the
+/// op-by-op run, on every backend at 1, 2 and 4 threads.
+#[test]
+fn fused_inner_sums_above_the_grain_match_node_by_node_everywhere() {
+    let held = hold_threads();
+    let level = 8;
+    let ctx = grain_ctx(level, 8).with_policy(GuardrailPolicy::Strict {
+        min_budget_bits: -60.0,
+    });
+    let slots = ctx.params().slots();
+    let w = lola_layer_runnable(slots, level, 16, 1, false);
+    let lowered = lower_to_program(
+        &w.graph,
+        &LowerOptions {
+            slots,
+            plain: w.plain.clone(),
+            reorder: true,
+            auto_bootstrap: None,
+            max_live_cts: None,
+        },
+    )
+    .expect("layer lowers");
+    let prepared = PreparedProgram::borrowed(&ctx, &lowered.program);
+    assert_eq!(
+        prepared.inner_sums().len(),
+        4,
+        "one inner sum per giant group"
+    );
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A5);
+    let sk = ctx.keygen(&mut rng);
+    let kind = KeySwitchKind::Standard;
+    let keys = BootstrapKeys::generate(&ctx, &sk, kind, &lowered.rotation_steps, &mut rng);
+    let vals: Vec<f64> = (0..slots)
+        .map(|i| ((i * 5) % 17) as f64 / 17.0 - 0.4)
+        .collect();
+    let x = ctx.encrypt(
+        &ctx.encode(&vals, ctx.default_scale(), level),
+        &sk,
+        &mut rng,
+    );
+    let direct = ct_bits(&eval_graph_direct(&ctx, &keys, &w, &x));
+    let predicted =
+        predict_program(level, kind, &[level], &lowered.program).expect("program predicts");
+    let run = || {
+        let config = ExecutorConfig {
+            checkpoint_every: 0,
+            max_retries: 0,
+            checkpoint_dir: None,
+        };
+        let mut exec = PipelineExecutor::new(&ctx, &keys, config).expect("executor");
+        match exec
+            .run_prepared(std::slice::from_ref(&x), &prepared)
+            .expect("compiled run")
+        {
+            RunOutcome::Completed(out) => (out, exec.telemetry().peak_live_cts),
+            RunOutcome::Crashed => unreachable!("no fault plan attached"),
+        }
+    };
+    // One warm-up run materializes every hint.
+    run();
+    assert_backend_invariant(&held, || {
+        let before = cl_trace::OpSnapshot::capture();
+        let (out, peak) = run();
+        let ops = cl_trace::OpSnapshot::capture().delta_since(&before);
+        assert_eq!(
+            ct_bits(&out),
+            direct,
+            "fused inner sums must match node-by-node evaluation"
+        );
+        assert_eq!(peak, lowered.predicted_peak_live, "live-ciphertext peak");
+        if cl_trace::enabled() {
+            let fields = |s: &cl_trace::OpSnapshot| {
+                [
+                    s.ntt,
+                    s.intt,
+                    s.mult,
+                    s.add,
+                    s.base_conv,
+                    s.automorph,
+                    s.rotations,
+                    s.pt_mults,
+                ]
+            };
+            assert_eq!(
+                fields(&ops),
+                fields(&predicted),
+                "trace counts vs the op-by-op prediction"
             );
         }
         (ct_bits(&out), ops)

@@ -2,7 +2,9 @@
 //! reference count, so a run allocates payload bytes only for what it
 //! computes or is handed — one ciphertext per compute op, one per bound
 //! input — and nothing for `Store`/`Load`/`Free` or for the per-op
-//! `last_good` boundary, however many slots are live.
+//! `last_good` boundary, however many slots are live. A BSGS inner sum,
+//! which the executor runs as one step accumulating in place, allocates
+//! one ciphertext for the whole sum and one plaintext per term.
 //!
 //! The whole binary runs under a counting allocator, so it holds exactly
 //! one test: a concurrently scheduled test would bill its allocations here.
@@ -10,9 +12,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use craterlake::apps::inner_sum_runnable;
 use craterlake::boot::BootstrapKeys;
 use craterlake::ckks::{CkksContext, CkksParams, GuardrailPolicy, KeySwitchKind};
-use craterlake::runtime::{ExecutorConfig, PipelineExecutor, PipelineOp, Program, RunOutcome};
+use craterlake::compiler::{lower_to_program, LowerOptions};
+use craterlake::runtime::{
+    ExecutorConfig, PipelineExecutor, PipelineOp, PreparedProgram, Program, RunOutcome,
+};
 use rand::SeedableRng;
 
 /// Bytes requested from the system allocator so far (frees not subtracted:
@@ -142,5 +148,54 @@ fn a_run_allocates_one_ciphertext_per_compute_op_not_per_boundary() {
          ({compute_ops} compute ops + {inputs} input + 2)",
         spent as f64 / ct_bytes as f64,
         bound / ct_bytes,
+    );
+
+    // A lowered 8-diagonal inner sum, run through a prepared program whose
+    // memo holds every operand's coefficients: the step allocates the sum
+    // once and a plaintext (one polynomial, half a ciphertext) per term,
+    // where op by op each term built a product and a new sum.
+    const TERMS: u64 = 8;
+    let slots = ctx.params().slots();
+    let w = inner_sum_runnable(slots, ctx.max_level(), TERMS as usize);
+    let lowered = lower_to_program(
+        &w.graph,
+        &LowerOptions {
+            slots,
+            plain: w.plain.clone(),
+            reorder: true,
+            auto_bootstrap: None,
+            max_live_cts: None,
+        },
+    )
+    .unwrap();
+    let prepared = PreparedProgram::new(&ctx, lowered.program);
+    assert_eq!(
+        prepared.inner_sums().len(),
+        1,
+        "the diagonals form one inner sum"
+    );
+    let mut run_sum = || {
+        let before = ALLOCATED.load(Ordering::Relaxed);
+        let outcome = exec
+            .run_prepared(std::slice::from_ref(&input), &prepared)
+            .unwrap();
+        let spent = ALLOCATED.load(Ordering::Relaxed) - before;
+        let RunOutcome::Completed(out) = outcome else {
+            unreachable!("no fault plan attached")
+        };
+        (out, spent)
+    };
+    // The first run fills the coefficient memo.
+    let (warm, _) = run_sum();
+    let (out, spent) = run_sum();
+    assert_eq!(out, warm);
+    let pt_bytes = ct_bytes / 2;
+    let bound = (inputs + 1) * ct_bytes + TERMS * pt_bytes + ct_bytes / 8;
+    assert!(
+        spent <= bound,
+        "an 8-term inner sum allocated {spent} bytes = {:.2} ciphertexts; bound is {:.2} \
+         ({inputs} input + 1 sum + {TERMS} plaintexts + 1/8 for bookkeeping)",
+        spent as f64 / ct_bytes as f64,
+        bound as f64 / ct_bytes as f64,
     );
 }

@@ -8,13 +8,16 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use cl_apps::inner_sum_runnable;
 use cl_boot::{try_bsgs_transform, BootstrapKeys, PrecomputedTransform};
 use cl_ckks::bgv::BgvContext;
 use cl_ckks::{
     faults, CkksContext, CkksParams, FheError, FheResult, GuardrailPolicy, HintCache,
     KeySwitchKey, KeySwitchKind, SecretKey,
 };
+use cl_compiler::{lower_to_program, LowerOptions};
 use cl_math::Complex;
+use cl_runtime::{ExecutorConfig, PipelineExecutor, PreparedProgram};
 use rand::SeedableRng;
 
 fn setup() -> (CkksContext, SecretKey, rand::rngs::StdRng) {
@@ -345,5 +348,101 @@ fn fallible_api_reports_structured_errors_across_the_workspace() {
             matches!(result, Err(FheError::LevelMismatch { op: seen, got: 0, want: 3 }) if seen == op),
             "try_{op} on a level-0 operand gave {result:?}"
         );
+    }
+}
+
+/// A Strict `min_budget_bits` that the k-th term of an inner sum crosses:
+/// the executor, which runs the sum as one fused step, fails with the
+/// `BudgetExhausted` the graph's direct evaluation returns, field for
+/// field, whichever term k is.
+#[test]
+fn budget_crossed_inside_an_inner_sum_fails_as_direct_evaluation_does() {
+    let params = CkksParams::builder()
+        .ring_degree(128)
+        .levels(4)
+        .special_limbs(4)
+        .limb_bits(45)
+        .scale_bits(40)
+        .build()
+        .expect("test parameters are valid");
+    let mut ctx = CkksContext::new(params).expect("test context builds");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let sk = ctx.keygen(&mut rng);
+    let keys = BootstrapKeys::generate(&ctx, &sk, KeySwitchKind::Standard, &[], &mut rng);
+    let level = 4;
+    let slots = ctx.params().slots();
+    let w = inner_sum_runnable(slots, level, 6);
+    let lowered = lower_to_program(
+        &w.graph,
+        &LowerOptions {
+            slots,
+            plain: w.plain.clone(),
+            reorder: true,
+            auto_bootstrap: None,
+            max_live_cts: None,
+        },
+    )
+    .expect("inner sum lowers");
+    assert_eq!(
+        PreparedProgram::borrowed(&ctx, &lowered.program)
+            .inner_sums()
+            .len(),
+        1
+    );
+    let vals: Vec<f64> = (0..slots).map(|i| (i % 9) as f64 / 9.0 - 0.4).collect();
+    let x = ctx.encrypt(
+        &ctx.encode(&vals, ctx.default_scale(), level),
+        &sk,
+        &mut rng,
+    );
+
+    // The graph's direct evaluation, `sum = try_add(sum, term)` per
+    // diagonal, returning every partial sum.
+    let direct = |ctx: &CkksContext| -> FheResult<Vec<cl_ckks::Ciphertext>> {
+        let q_drop = ctx.rns().modulus_value((level - 1) as u32) as f64;
+        let mut sums: Vec<cl_ckks::Ciphertext> = Vec::new();
+        for diag in w.plain.values() {
+            let term = ctx.try_mul_plain(&x, &ctx.encode(diag, q_drop, level))?;
+            let next = match sums.last() {
+                None => term,
+                Some(sum) => ctx.try_add(sum, &term)?,
+            };
+            sums.push(next);
+        }
+        Ok(sums)
+    };
+    let budgets: Vec<f64> = direct(&ctx)
+        .expect("no threshold yet")
+        .iter()
+        .map(|sum| ctx.budget_bits(sum))
+        .collect();
+    assert!(
+        budgets.windows(2).all(|b| b[1] < b[0]),
+        "each term spends budget: {budgets:?}"
+    );
+    assert!(
+        budgets.last().is_some_and(|&b| b > 0.0),
+        "budgets stay positive: {budgets:?}"
+    );
+
+    for k in 1..budgets.len() {
+        ctx.set_policy(GuardrailPolicy::Strict {
+            min_budget_bits: (budgets[k - 1] + budgets[k]) / 2.0,
+        });
+        let want = direct(&ctx).expect_err("the k-th term crosses the threshold");
+        assert!(
+            matches!(want, FheError::BudgetExhausted { op: "add", .. }),
+            "{want:?}"
+        );
+        let config = ExecutorConfig {
+            checkpoint_every: 0,
+            max_retries: 1,
+            checkpoint_dir: None,
+        };
+        let mut exec = PipelineExecutor::new(&ctx, &keys, config).expect("strict executor");
+        let got = exec
+            .run_graph(std::slice::from_ref(&x), &lowered.program)
+            .expect_err("the executor crosses it too");
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "term {k}");
     }
 }
