@@ -7,7 +7,7 @@
 //! executor (`exec_inner_sum_{1k,8k}`) — and writes ns/op as JSON so `scripts/bench.sh`
 //! can track the serial-vs-parallel trajectory across commits. Both transforms are also
 //! reported as a roofline rate: radix-2 butterflies per ns,
-//! `(n/2) * log2(n) * limbs` over the timed call, the Strict residue
+//! `(n/2) * log2(n) * limbs` over the timed call, the guardrails' residue
 //! scan (`ct_validate`) as GB/s over the ciphertext it reads, and base
 //! conversion at the N = 1K shapes as eight-word multiply-accumulate
 //! vectors per ns. A grain sweep (`grain_*` rows) times four kernel
@@ -20,6 +20,12 @@
 //!
 //! `--smoke` runs tiny shapes with one timed iteration each — just enough
 //! for `scripts/verify.sh` to prove the harness still builds and runs.
+//!
+//! Every `CkksContext` runs its guardrails on every `try_*` call, so the
+//! CKKS rows (`keyswitch`, `rotate`, `rescale`, the hoisted and
+//! linear-transform rows, `bootstrap_step`) include the operand residue
+//! scans, the hint digest and the budget check; `key_verify` and
+//! `ct_validate` are the rows that price those checks on their own.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -329,7 +335,7 @@ fn main() {
                 std::hint::black_box(ctx.try_keyswitch(&msg, &relin).expect("keyswitch"));
             }),
         ));
-        // The check the Strict policy runs once per hint application: the
+        // The check every context runs once per hint application: the
         // integrity digest over the whole relinearization hint.
         results.push((
             "key_verify",
@@ -337,7 +343,7 @@ fn main() {
                 std::hint::black_box(relin.verify_integrity());
             }),
         ));
-        // The check the Strict policy runs on every operand and every
+        // The check every context runs on every operand and every
         // result: the residue-range scan over one level-L ciphertext.
         results.push((
             "ct_validate",

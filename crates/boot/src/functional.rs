@@ -52,6 +52,14 @@ use cl_ckks::{
 use cl_math::{Cache, Complex, SpecialFft};
 use rand::Rng;
 
+/// Taylor degree of EvalMod's `exp(2πi·y/2^r)`. Tied to the power tree in
+/// `try_eval_sin`, which builds exactly `y^1..y^7` (its power array is
+/// typed by this constant, so a different value fails to compile there).
+const TAYLOR_DEGREE: usize = 7;
+
+/// Multiplicative depth of the power tree: `y^d` needs `⌈log2 d⌉` levels.
+const POWER_TREE_DEPTH: usize = TAYLOR_DEGREE.next_power_of_two().trailing_zeros() as usize;
+
 /// Key material for one bootstrapping configuration: rotation keys for the
 /// BSGS baby/giant steps, a conjugation key, and a relinearization key.
 ///
@@ -554,8 +562,6 @@ pub struct Bootstrapper {
     sts: [Diagonals; 2],
     /// Double-angle iterations.
     r: u32,
-    /// Taylor degree for `exp(2πi·y/2^r)`.
-    taylor_degree: usize,
     /// Input range bound `|y| <= k` for EvalMod.
     k_bound: f64,
     /// Encoded transform plaintexts, cached per context, stage, part and
@@ -567,7 +573,6 @@ impl std::fmt::Debug for Bootstrapper {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Bootstrapper")
             .field("r", &self.r)
-            .field("taylor_degree", &self.taylor_degree)
             .field("k_bound", &self.k_bound)
             .finish()
     }
@@ -975,18 +980,18 @@ impl Bootstrapper {
             cts,
             sts,
             r,
-            taylor_degree: 7,
             k_bound,
             precompute: BootstrapPrecompute::unbounded(),
         }
     }
 
     /// Levels the pipeline consumes before SlotToCoeff: CoeffToSlot's two
-    /// radix stages (2) + EvalMod's Taylor powers (3), Taylor sum (1), `r`
-    /// squarings and final constant (1). SlotToCoeff's two stages follow,
-    /// so a bootstrap from `l_max` exits at level `l_max − depth() − 2`.
+    /// radix stages (2) + EvalMod's Taylor powers (`POWER_TREE_DEPTH`,
+    /// 3), Taylor sum (1), `r` squarings and final constant (1).
+    /// SlotToCoeff's two stages follow, so a bootstrap from `l_max` exits
+    /// at level `l_max − depth() − 2`.
     pub fn depth(&self) -> usize {
-        7 + self.r as usize
+        2 + POWER_TREE_DEPTH + 1 + self.r as usize + 1
     }
 
     /// The two radix stages of `stage`, in application order.
@@ -1089,10 +1094,10 @@ impl Bootstrapper {
         let two_pi = 2.0 * std::f64::consts::PI;
         let theta = two_pi / 2f64.powi(self.r as i32);
         // Taylor coefficients of exp(i·theta·y) in y.
-        let mut coeffs = Vec::with_capacity(self.taylor_degree + 1);
+        let mut coeffs = Vec::with_capacity(TAYLOR_DEGREE + 1);
         let mut term = Complex::new(1.0, 0.0);
         coeffs.push(term);
-        for k in 1..=self.taylor_degree {
+        for k in 1..=TAYLOR_DEGREE {
             term = term * Complex::new(0.0, theta) / k as f64;
             coeffs.push(term);
         }
@@ -1107,7 +1112,7 @@ impl Bootstrapper {
         // Align all powers at the deepest level/scale and combine:
         // E0 = sum_k coeffs[k] * y^k.
         let target_level = y7.level();
-        let powers = [y1, y2, y3, y4, y5, y6, y7];
+        let powers: [Ciphertext; TAYLOR_DEGREE] = [y1, y2, y3, y4, y5, y6, y7];
         // The first term is a fresh product; the rest accumulate into it.
         let mut acc: Option<Ciphertext> = None;
         for (k, p) in powers.iter().enumerate() {
@@ -1321,7 +1326,7 @@ impl Bootstrapper {
         // slots). Re-seed the tracked estimate so downstream budget
         // accounting reflects the refreshed state, not the pre-EvalMod
         // bound.
-        let approx_bits = out.scale().log2() - self.taylor_degree as f64;
+        let approx_bits = out.scale().log2() - TAYLOR_DEGREE as f64;
         let est = out.noise_estimate_bits().min(approx_bits);
         Ok(BootState::Done {
             ct: out.with_noise_bits(est),

@@ -193,22 +193,15 @@ impl<'a> BgvContext<'a> {
     /// # Errors
     ///
     /// [`FheError::LevelMismatch`] when levels differ, plus any guardrail
-    /// failure (including [`FheError::CorruptKey`] for a tampered hint
-    /// under the strict policy).
+    /// failure (including [`FheError::CorruptKey`] for a tampered hint).
     pub fn try_mul(
         &self,
         a: &Ciphertext,
         b: &Ciphertext,
         relin: &KeySwitchKey,
     ) -> FheResult<Ciphertext> {
+        self.inner.try_check_same_level("bgv_mul", a, b)?;
         self.inner.guard_operands("bgv_mul", &[a, b])?;
-        if a.level() != b.level() {
-            return Err(FheError::LevelMismatch {
-                op: "bgv_mul",
-                got: b.level(),
-                want: a.level(),
-            });
-        }
         let rns = self.inner.rns();
         let d0 = rns.mul(a.c0(), b.c0());
         let mut d1 = rns.mul(a.c0(), b.c1());
@@ -588,7 +581,7 @@ mod tests {
     #[test]
     fn bgv_noise_tracking_feeds_the_budget() {
         // The t-scaled noise must be reflected in the estimate so the
-        // budget accounting (and the strict guardrails) see it.
+        // budget accounting (and the guardrails) see it.
         let (ctx, sk, mut rng) = setup(3);
         let bgv = BgvContext::new(&ctx, T).unwrap();
         let relin = bgv.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);

@@ -34,7 +34,7 @@ impl Plaintext {
 /// (`log2` of the absolute noise magnitude), updated analytically by every
 /// homomorphic operation and consumed by
 /// [`CkksContext::budget_bits`](crate::CkksContext::budget_bits) and the
-/// [`GuardrailPolicy`](crate::GuardrailPolicy) runtime checks. The estimate
+/// [`GuardrailPolicy`](crate::GuardrailPolicy)'s budget floor. The estimate
 /// is metadata: it does not participate in equality comparisons.
 #[derive(Debug, Clone)]
 pub struct Ciphertext {

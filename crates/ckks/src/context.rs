@@ -53,21 +53,19 @@ impl From<ParamsError> for CkksError {
 pub(crate) const SCALE_REL_TOLERANCE: f64 = 1e-6;
 
 /// Runtime guardrail policy: what a context checks on every fallible
-/// (`try_*`) homomorphic operation. Levels and rescales are the caller's
-/// (or the compiler's) to manage under either policy.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// (`try_*`) homomorphic operation. Every context validates operand
+/// conformance (residue ranges, bases, NTT form, scales) and verifies
+/// keyswitch-hint integrity digests; the policy sets only the noise-budget
+/// floor. Levels and rescales are the caller's (or the compiler's) to
+/// manage.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GuardrailPolicy {
-    /// Legacy behaviour: no runtime checks beyond the basic shape
-    /// assertions. The default.
-    #[default]
-    Permissive,
-    /// Validate operand conformance (residue ranges, bases, NTT form,
-    /// scales), verify keyswitch-hint integrity digests, and fail with
-    /// [`FheError::BudgetExhausted`](crate::FheError::BudgetExhausted)
+    /// Fail with [`FheError::BudgetExhausted`](crate::FheError::BudgetExhausted)
     /// when an operation's result would have less than `min_budget_bits`
-    /// of estimated (signed) noise budget left.
+    /// of estimated (signed) noise budget left, or a NaN budget.
     Strict {
-        /// Minimum acceptable signed budget (bits) after each operation.
+        /// Minimum acceptable signed budget (bits) after each operation;
+        /// a new context starts at `f64::NEG_INFINITY` (no floor).
         min_budget_bits: f64,
     },
 }
@@ -117,7 +115,9 @@ impl CkksContext {
             rns,
             fft,
             converters: Cache::unbounded(),
-            policy: GuardrailPolicy::default(),
+            policy: GuardrailPolicy::Strict {
+                min_budget_bits: f64::NEG_INFINITY,
+            },
             i_monomial: OnceLock::new(),
         })
     }
@@ -125,11 +125,6 @@ impl CkksContext {
     /// The parameter set.
     pub fn params(&self) -> &CkksParams {
         &self.params
-    }
-
-    /// The active guardrail policy.
-    pub fn policy(&self) -> GuardrailPolicy {
-        self.policy
     }
 
     /// Sets the guardrail policy for all subsequent `try_*` operations.
@@ -503,9 +498,12 @@ impl CkksContext {
     // Guardrails
     // ------------------------------------------------------------------
 
-    /// Checks that two ciphertexts agree in level and (within
-    /// [`SCALE_REL_TOLERANCE`]) in scale.
-    pub(crate) fn try_check_same_shape(
+    /// Checks that two ciphertext operands sit at one level. Every
+    /// two-ciphertext operation runs it before it scans its operands, so
+    /// operands at different levels — a level-0 (limbless) one included —
+    /// fail as a [`FheError::LevelMismatch`], not as the out-of-range level
+    /// the scan would report.
+    pub(crate) fn try_check_same_level(
         &self,
         op: &'static str,
         a: &Ciphertext,
@@ -518,7 +516,7 @@ impl CkksContext {
                 want: a.level,
             });
         }
-        self.try_check_scale(op, b.scale, a.scale)
+        Ok(())
     }
 
     /// Checks that `got` is within [`SCALE_REL_TOLERANCE`] of `want`.
@@ -537,7 +535,7 @@ impl CkksContext {
     /// NTT form, scale sanity, and — the expensive part — every residue
     /// below its modulus. A random bit flip in a limb word is
     /// overwhelmingly likely to push the residue out of range, so this
-    /// scan is the strict policy's detector for payload corruption. Each
+    /// scan is the guardrails' detector for payload corruption. Each
     /// limb is scanned by [`cl_math::Modulus::first_unreduced`], one
     /// lane-parallel pass on the active SIMD backend.
     ///
@@ -590,37 +588,31 @@ impl CkksContext {
         Ok(())
     }
 
-    /// Strict-policy operand validation: conformance-checks every operand
-    /// ciphertext. No-op under other policies.
+    /// Operand validation: conformance-checks every operand ciphertext.
     pub(crate) fn guard_operands(&self, op: &'static str, cts: &[&Ciphertext]) -> FheResult<()> {
-        if let GuardrailPolicy::Strict { .. } = self.policy {
-            for ct in cts {
-                self.validate_ciphertext(op, ct)?;
-            }
+        for ct in cts {
+            self.validate_ciphertext(op, ct)?;
         }
         Ok(())
     }
 
-    /// Strict-policy key validation: verifies the hint's integrity digest.
-    /// Called once per hint application, where the hint is consumed
+    /// Key validation: verifies the hint's integrity digest. Called once
+    /// per hint application, where the hint is consumed
     /// (`HoistedDecomposition::apply_ext`, which every CKKS keyswitch
     /// passes through, and BGV `try_mul`), never by the operations above
-    /// it. No-op under other policies.
+    /// it.
     pub(crate) fn guard_key(&self, op: &'static str, ksk: &KeySwitchKey) -> FheResult<()> {
-        if let GuardrailPolicy::Strict { .. } = self.policy {
-            if !ksk.verify_integrity() {
-                return Err(FheError::CorruptKey {
-                    op,
-                    reason: "integrity digest does not match the payload".into(),
-                });
-            }
+        if !ksk.verify_integrity() {
+            return Err(FheError::CorruptKey {
+                op,
+                reason: "integrity digest does not match the payload".into(),
+            });
         }
         Ok(())
     }
 
-    /// Strict-policy budget check on an operation's result: errors when
-    /// the estimated signed budget falls below the policy threshold.
-    /// No-op under other policies.
+    /// Budget check on an operation's result: errors when the estimated
+    /// signed budget falls below the policy's floor or is NaN.
     pub(crate) fn guard_budget(&self, op: &'static str, ct: &Ciphertext) -> FheResult<()> {
         self.guard_budget_of(op, ct.level, ct.scale, ct.noise_bits_est)
     }
@@ -634,15 +626,14 @@ impl CkksContext {
         scale: f64,
         noise_bits: f64,
     ) -> FheResult<()> {
-        if let GuardrailPolicy::Strict { min_budget_bits } = self.policy {
-            let budget_bits = self.budget_bits_signed_of(level, scale, noise_bits);
-            if budget_bits < min_budget_bits || budget_bits.is_nan() {
-                return Err(FheError::BudgetExhausted {
-                    op,
-                    budget_bits,
-                    required_bits: min_budget_bits,
-                });
-            }
+        let GuardrailPolicy::Strict { min_budget_bits } = self.policy;
+        let budget_bits = self.budget_bits_signed_of(level, scale, noise_bits);
+        if budget_bits < min_budget_bits || budget_bits.is_nan() {
+            return Err(FheError::BudgetExhausted {
+                op,
+                budget_bits,
+                required_bits: min_budget_bits,
+            });
         }
         Ok(())
     }

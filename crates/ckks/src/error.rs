@@ -3,8 +3,8 @@
 //! Every `try_*` operation returns [`FheError`], which wraps the layer
 //! errors ([`CkksError`], [`RnsError`], [`MathError`], [`ParamsError`]) and
 //! adds structured operation-level failures: level/scale mismatches, noise
-//! budget exhaustion, and integrity violations detected by the
-//! [`crate::GuardrailPolicy`] runtime checks.
+//! budget exhaustion, and integrity violations detected by every
+//! context's runtime guardrails.
 
 use std::fmt;
 
@@ -51,8 +51,8 @@ pub enum FheError {
         /// The relative deviation `|got - want| / max(got, want)`.
         rel: f64,
     },
-    /// The estimated noise budget dropped below the strict policy's
-    /// threshold: further computation would decrypt incorrectly.
+    /// The estimated noise budget dropped below the policy's floor (or
+    /// became NaN): further computation would decrypt incorrectly.
     BudgetExhausted {
         /// The operation whose output exhausted the budget.
         op: &'static str,
@@ -69,7 +69,7 @@ pub enum FheError {
         /// Why the arguments are invalid.
         reason: String,
     },
-    /// A ciphertext failed the strict policy's conformance validation
+    /// A ciphertext failed the guardrails' conformance validation
     /// (out-of-range residue, wrong basis, non-NTT form, bad scale).
     CorruptCiphertext {
         /// The operation that validated the ciphertext.

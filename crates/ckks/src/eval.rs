@@ -2,9 +2,8 @@
 //!
 //! Every operation has one entry point, named `try_*`: it returns
 //! [`FheResult`], never panics on operand mismatch, and runs the context's
-//! [`GuardrailPolicy`](crate::GuardrailPolicy) checks (conformance
-//! validation, hint integrity and budget thresholds under
-//! [`GuardrailPolicy::Strict`](crate::GuardrailPolicy::Strict)). Levels and
+//! guardrail checks (operand conformance, hint integrity and the
+//! [`GuardrailPolicy`](crate::GuardrailPolicy)'s budget floor). Levels and
 //! rescales are explicit: operands at different levels are rejected, never
 //! aligned, and no operation rescales on its own. A caller that treats a
 //! failure as a bug says why with `.expect(..)`.
@@ -18,8 +17,7 @@ use cl_rns::{mod_down_ntt, Basis, RnsPoly};
 use crate::error::{FheError, FheResult};
 use crate::noise::log2_add;
 use crate::{
-    Ciphertext, CkksContext, GuardrailPolicy, HoistedDecomposition, KeySwitchKey, KeySwitchKind,
-    Plaintext,
+    Ciphertext, CkksContext, HoistedDecomposition, KeySwitchKey, KeySwitchKind, Plaintext,
 };
 
 impl CkksContext {
@@ -30,8 +28,9 @@ impl CkksContext {
     /// [`FheError::LevelMismatch`] / [`FheError::ScaleMismatch`] when the
     /// operand shapes differ, plus any guardrail failure.
     pub fn try_add(&self, a: &Ciphertext, b: &Ciphertext) -> FheResult<Ciphertext> {
+        self.try_check_same_level("add", a, b)?;
         self.guard_operands("add", &[a, b])?;
-        self.try_check_same_shape("add", a, b)?;
+        self.try_check_scale("add", b.scale, a.scale)?;
         let out = Ciphertext {
             c0: self.rns().add(&a.c0, &b.c0),
             c1: self.rns().add(&a.c1, &b.c1),
@@ -49,8 +48,9 @@ impl CkksContext {
     ///
     /// Same contract as [`CkksContext::try_add`].
     pub fn try_sub(&self, a: &Ciphertext, b: &Ciphertext) -> FheResult<Ciphertext> {
+        self.try_check_same_level("sub", a, b)?;
         self.guard_operands("sub", &[a, b])?;
-        self.try_check_same_shape("sub", a, b)?;
+        self.try_check_scale("sub", b.scale, a.scale)?;
         let out = Ciphertext {
             c0: self.rns().sub(&a.c0, &b.c0),
             c1: self.rns().sub(&a.c1, &b.c1),
@@ -175,14 +175,13 @@ impl CkksContext {
     /// left operand (a compiled `AddSlot` adds the running sum in its slot
     /// to the product in the accumulator): the same checks in the same
     /// order with the same errors (`mul_plain`'s for the operand `a`, the
-    /// plaintext's level and the product's budget; `add`'s for the
-    /// product's bookkeeping, `acc`, the shapes and the sum's budget), the
-    /// same trace counts, and the sum's limbs, scale (the product's) and
+    /// plaintext's level and the product's budget; `add`'s for the levels,
+    /// the product's bookkeeping, `acc`, the scales and the sum's budget),
+    /// the same trace counts, and the sum's limbs, scale (the product's) and
     /// noise estimate. Every check runs before the first limb is written,
-    /// so on error `acc` is unchanged. The product is never built: under
-    /// Strict, of the checks `try_add` runs on it only the bookkeeping ones
-    /// apply (its residues are canonical by the multiply kernel's
-    /// contract).
+    /// so on error `acc` is unchanged. The product is never built: of the
+    /// checks `try_add` runs on it only the bookkeeping ones apply (its
+    /// residues are canonical by the multiply kernel's contract).
     ///
     /// # Errors
     ///
@@ -208,10 +207,6 @@ impl CkksContext {
         let scale = a.scale * p.scale;
         let term_noise = self.est_mul_plain(a, p.scale);
         self.guard_budget_of("mul_plain", a.level, scale, term_noise)?;
-        if matches!(self.policy(), GuardrailPolicy::Strict { .. }) {
-            self.validate_metadata("add", a.level, scale)?;
-        }
-        self.guard_operands("add", &[acc])?;
         if acc.level != a.level {
             return Err(FheError::LevelMismatch {
                 op: "add",
@@ -219,6 +214,8 @@ impl CkksContext {
                 want: a.level,
             });
         }
+        self.validate_metadata("add", a.level, scale)?;
+        self.guard_operands("add", &[acc])?;
         self.try_check_scale("add", acc.scale, scale)?;
         let noise = log2_add(term_noise, acc.noise_bits_est);
         self.guard_budget_of("add", a.level, scale, noise)?;
@@ -264,8 +261,7 @@ impl CkksContext {
     ///
     /// [`FheError::LevelMismatch`] when levels differ, plus any guardrail
     /// failure (including [`FheError::CorruptKey`] for a tampered
-    /// relinearization key under
-    /// [`GuardrailPolicy::Strict`](crate::GuardrailPolicy::Strict)).
+    /// relinearization key).
     pub fn try_mul(
         &self,
         a: &Ciphertext,
@@ -273,14 +269,8 @@ impl CkksContext {
         relin_key: &KeySwitchKey,
     ) -> FheResult<Ciphertext> {
         cl_trace::record_ct_mult();
+        self.try_check_same_level("mul", a, b)?;
         self.guard_operands("mul", &[a, b])?;
-        if a.level != b.level {
-            return Err(FheError::LevelMismatch {
-                op: "mul",
-                got: b.level,
-                want: a.level,
-            });
-        }
         let rns = self.rns();
         // Tensor: (d0, d1, d2) = (a0 b0, a0 b1 + a1 b0, a1 b1).
         let d0 = rns.mul(&a.c0, &b.c0);
@@ -404,8 +394,7 @@ impl CkksContext {
     /// # Errors
     ///
     /// Guardrail failures (including [`FheError::CorruptKey`] for a
-    /// tampered rotation key under
-    /// [`GuardrailPolicy::Strict`](crate::GuardrailPolicy::Strict)). A key
+    /// tampered rotation key). A key
     /// generated for a different rotation amount is not detectable here —
     /// the result simply decrypts wrong.
     pub fn try_rotate(
@@ -573,8 +562,9 @@ impl CkksContext {
         // its special limbs.
         let mut ext: Option<(KeySwitchKind, RnsPoly, RnsPoly)> = None;
         for &(ct, k, key) in terms {
+            self.try_check_same_level(OP, head, ct)?;
             self.guard_operands(OP, &[ct])?;
-            self.try_check_same_shape(OP, head, ct)?;
+            self.try_check_scale(OP, ct.scale, head.scale)?;
             if k == 0 {
                 rns.add_assign(&mut base0, &ct.c0);
                 rns.add_assign(&mut base1, &ct.c1);
@@ -1338,7 +1328,7 @@ mod tests {
         let rlk = ctx.relin_keygen(&sk, KIND, &mut rng);
         let ct = ctx.encrypt(&ctx.encode(&[0.9], ctx.default_scale(), 3), &sk, &mut rng);
         // Squaring without rescaling squares the scale each time; the
-        // estimated budget collapses and the strict policy reports it
+        // estimated budget collapses and a 0-bit floor reports it
         // before the result decrypts to garbage.
         let once = ctx.try_square(&ct, &rlk).expect("one un-rescaled square fits");
         match ctx.try_square(&once, &rlk) {

@@ -1,9 +1,8 @@
 //! Fault-injection harness (test-only).
 //!
 //! Deliberately corrupts ciphertexts and keyswitch hints so tests can
-//! verify that the [`GuardrailPolicy::Strict`](crate::GuardrailPolicy)
-//! runtime checks catch each corruption class instead of silently
-//! producing garbage:
+//! verify that the runtime guardrails every context runs catch each
+//! corruption class instead of silently producing garbage:
 //!
 //! | injected fault | detector | reported as |
 //! |---|---|---|
@@ -39,7 +38,7 @@ pub(crate) fn count_digest() {
 }
 
 /// Keyswitch-hint integrity digests computed on the calling thread so far
-/// (keygen, expansion, loading and every Strict hint check). Per thread, so
+/// (keygen, expansion, loading and every hint check). Per thread, so
 /// concurrently running tests do not see each other's digests; an
 /// operation fanned out across the worker pool ([`crate::try_par_map`]) counts
 /// its tasks' digests on the thread that called it.
@@ -288,7 +287,7 @@ mod tests {
 
     #[test]
     fn bit_flip_in_ciphertext_is_caught_by_strict_guardrails() {
-        let (mut ctx, sk, mut rng) = setup(2);
+        let (ctx, sk, mut rng) = setup(2);
         let clean = ctx.encrypt(&ctx.encode(&[1.0, 2.0], ctx.default_scale(), 2), &sk, &mut rng);
         let mut bad = clean.clone();
         flip_ciphertext_word(&mut bad, 1, 0, 3);
@@ -297,8 +296,7 @@ mod tests {
             ctx.validate_ciphertext("audit", &bad),
             Err(FheError::CorruptCiphertext { op: "audit", .. })
         ));
-        // ...and under Strict every op runs it on its operands.
-        ctx.set_policy(STRICT);
+        // ...and every op runs it on its operands.
         match ctx.try_add(&clean, &bad) {
             Err(FheError::CorruptCiphertext { op, reason }) => {
                 assert_eq!(op, "add");
@@ -306,24 +304,6 @@ mod tests {
             }
             other => panic!("expected CorruptCiphertext, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn bit_flip_passes_through_under_permissive() {
-        // Permissive skips conformance scans (the legacy cost model): the
-        // corrupted operand clears the guard and flows into arithmetic —
-        // exactly the silent-garbage failure mode the strict policy
-        // exists to prevent. (The arithmetic itself is not run here: the
-        // out-of-range residue would trip cl-math's debug assertions long
-        // after the guardrail's chance to object has passed.)
-        let (ctx, sk, mut rng) = setup(2);
-        assert_eq!(ctx.policy(), GuardrailPolicy::Permissive);
-        let clean = ctx.encrypt(&ctx.encode(&[1.0, 2.0], ctx.default_scale(), 2), &sk, &mut rng);
-        let mut bad = clean.clone();
-        flip_ciphertext_word(&mut bad, 0, 0, 0);
-        assert!(ctx.guard_operands("add", &[&clean, &bad]).is_ok());
-        // The corruption is real — an explicit scan still sees it.
-        assert!(ctx.validate_ciphertext("audit", &bad).is_err());
     }
 
     #[test]
@@ -390,23 +370,19 @@ mod tests {
 
     #[test]
     fn corrupted_hint_is_caught_by_integrity_digest() {
-        let (mut ctx, sk, mut rng) = setup(3);
+        let (ctx, sk, mut rng) = setup(3);
         let rlk = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
         let ct = ctx.encrypt(&ctx.encode(&[1.0, -1.0], ctx.default_scale(), 3), &sk, &mut rng);
         let mut bad_key = rlk.clone();
         corrupt_hint_word(&mut bad_key, 0, 0, 2, 5);
         assert!(rlk.verify_integrity());
         assert!(!bad_key.verify_integrity());
-        // Permissive trusts the key (legacy behaviour): the guard waves
-        // the tampered hint through...
-        assert!(ctx.guard_key("mul", &bad_key).is_ok());
-        // ...Strict refuses to use it.
-        ctx.set_policy(STRICT);
+        // The guardrails refuse to use the tampered hint...
         match ctx.try_mul(&ct, &ct, &bad_key) {
             Err(FheError::CorruptKey { op, .. }) => assert_eq!(op, "mul"),
             other => panic!("expected CorruptKey, got {other:?}"),
         }
-        // The pristine key still passes the same strict checks.
+        // ...and the pristine key still passes the same checks.
         assert!(ctx.try_mul(&ct, &ct, &rlk).is_ok());
     }
 

@@ -53,7 +53,7 @@ pub struct KeySwitchKey {
     /// analytic noise model.
     pub(crate) error_bits: f64,
     /// Integrity digest over the hint payload and every metadata field
-    /// above, computed at keygen; the strict guardrail policy re-verifies
+    /// above, computed at keygen; every context's guardrails re-verify
     /// it once per hint application, where the keyswitch consumes the
     /// hint, so a corrupted hint is caught instead of silently destroying
     /// the result.

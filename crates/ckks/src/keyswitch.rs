@@ -168,13 +168,6 @@ impl CkksContext {
         key
     }
 
-    /// Regenerates the pseudo-random half of digit `d` of a keyswitch key
-    /// from its seed — the operation the KSHGen unit performs on the fly.
-    pub fn regenerate_prandom_half(&self, ksk: &KeySwitchKey, d: usize) -> RnsPoly {
-        let basis = ksk.elems[d].1.basis().clone();
-        prandom_poly(self.rns(), &basis, ksk.seed, d as u64)
-    }
-
     /// Fallible keyswitch of a single polynomial `c` (NTT form, level-`L`
     /// basis), returning the pair `(ks0, ks1)` such that
     /// `ks0 + ks1·s ≈ c·s'`.
@@ -185,8 +178,7 @@ impl CkksContext {
     ///
     /// [`FheError::InvalidParams`] when `c` is not in NTT form or not over
     /// a prefix of the ciphertext-modulus chain;
-    /// [`FheError::CorruptKey`] when the hint fails its integrity check
-    /// under [`crate::GuardrailPolicy::Strict`].
+    /// [`FheError::CorruptKey`] when the hint fails its integrity check.
     pub fn try_keyswitch(
         &self,
         c: &RnsPoly,
@@ -483,8 +475,7 @@ impl HoistedDecomposition {
     /// # Errors
     ///
     /// [`FheError::InvalidParams`] when the key's kind does not match the
-    /// decomposition; [`FheError::CorruptKey`] under
-    /// [`crate::GuardrailPolicy::Strict`] for a tampered hint.
+    /// decomposition; [`FheError::CorruptKey`] for a tampered hint.
     pub fn apply(
         &self,
         ctx: &CkksContext,
@@ -535,7 +526,7 @@ impl HoistedDecomposition {
     /// kernel follow the grain rule ([`cl_rns::PAR_GRAIN_WORDS`]).
     ///
     /// Every CKKS hint application passes through here, so this is where
-    /// the Strict policy checks the hint — once per application. The key
+    /// the context checks the hint — once per application. The key
     /// is checked before the first MAC: on error the pair is unchanged.
     pub(crate) fn apply_ext_into(
         &self,
@@ -701,20 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn prandom_half_regenerates_exactly() {
-        let c = ctx(3, 3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let sk = c.keygen(&mut rng);
-        let ksk = c.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
-        for d in 0..ksk.num_digits() {
-            let regen = c.regenerate_prandom_half(&ksk, d);
-            assert_eq!(&regen, &ksk.elems[d].1, "digit {d}");
-        }
-        // Seeded storage is half of full storage.
-        assert_eq!(ksk.num_words_seeded() * 2, ksk.num_words_full());
-    }
-
-    #[test]
     fn hint_sizes_match_paper_ratios() {
         // Sec. 3.1: with 1-digit keyswitching each KSH is the size of 2
         // ciphertexts; with t digits, t+1 ciphertexts.
@@ -734,6 +711,8 @@ mod tests {
                 (ratio - expect).abs() < 1e-9,
                 "digits={digits}: ratio {ratio} vs {expect}"
             );
+            // Seeded storage is half of full storage.
+            assert_eq!(ksk.num_words_seeded() * 2, ksk.num_words_full());
         }
     }
 

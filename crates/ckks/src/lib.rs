@@ -19,7 +19,9 @@
 //!   ciphertext-modulus width (our stand-in for the LWE estimator),
 //! - a fallible `try_*` evaluation API with a unified error type
 //!   ([`FheError`]), per-ciphertext analytic noise tracking, runtime
-//!   noise-budget guardrails ([`GuardrailPolicy`]), and a fault-injection
+//!   guardrails that every context runs on every `try_*` operation
+//!   (operand conformance scans, hint integrity digests, and the noise
+//!   budget floor a [`GuardrailPolicy`] sets), and a fault-injection
 //!   harness ([`faults`], test-only) that validates the guardrails catch
 //!   corrupted ciphertexts, dropped rescales and tampered hints.
 //!

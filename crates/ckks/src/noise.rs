@@ -106,8 +106,8 @@ impl CkksContext {
 
     /// The unclamped budget: negative values mean the noise has overtaken
     /// the modulus headroom and decryption is already unreliable. The
-    /// strict guardrail policy compares this signed figure against its
-    /// threshold so exhaustion is observable (the public
+    /// guardrails compare this signed figure against the policy's
+    /// floor so exhaustion is observable (the public
     /// [`CkksContext::budget_bits`] clamps at zero).
     pub(crate) fn budget_bits_signed(&self, ct: &Ciphertext) -> f64 {
         self.budget_bits_signed_of(ct.level(), ct.scale(), ct.noise_bits_est)

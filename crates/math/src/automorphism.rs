@@ -93,7 +93,6 @@ pub fn apply_automorphism_coeff(a: &[u64], k: u64, modulus: &Modulus) -> Vec<u64
 /// same transpose network as the NTT (Sec. 5.3).
 #[derive(Debug, Clone)]
 pub struct AutomorphismTable {
-    k: u64,
     /// `perm[i]` = source index for destination slot `i`. Aligned so the
     /// vector gather path loads index octets with aligned 256-bit reads.
     perm: AlignedVec<u32>,
@@ -122,7 +121,6 @@ impl AutomorphismTable {
             *p = bit_reverse(src_natural, bits) as u32;
         }
         Self {
-            k,
             perm: AlignedVec::from(perm),
         }
     }
@@ -143,12 +141,6 @@ impl AutomorphismTable {
         static CACHE: LazyLock<Cache<(usize, u64), AutomorphismTable>> =
             LazyLock::new(Cache::unbounded);
         CACHE.get_or_insert_with((n, k), || AutomorphismTable::new(n, k))
-    }
-
-    /// The Galois element this table implements.
-    #[inline]
-    pub fn galois_element(&self) -> u64 {
-        self.k
     }
 
     /// The raw permutation (`perm[i]` = source slot of destination `i`).

@@ -82,15 +82,6 @@ impl Modulus {
         self.q << 1
     }
 
-    /// Lazy addition: plain `a + b` with no reduction. With both operands in
-    /// `[0, 2q)` the result stays in `[0, 4q)`, which the NTT butterflies
-    /// tolerate until the final correction sweep.
-    #[inline]
-    pub fn add_lazy(&self, a: u64, b: u64) -> u64 {
-        debug_assert!(a < self.two_q() && b < self.two_q());
-        a + b
-    }
-
     /// Conditionally subtracts `2q`, mapping `[0, 4q)` into `[0, 2q)`.
     #[inline]
     pub fn reduce_lazy(&self, a: u64) -> u64 {

@@ -1,4 +1,4 @@
-//! The resilient pipeline executor: strict guardrails, periodic durable
+//! The resilient pipeline executor: guarded ops, periodic durable
 //! checkpoints, and restore-and-retry recovery with a bounded budget.
 //!
 //! A program runs one micro-op per step, except its inner sums
@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cl_boot::{BootState, Bootstrapper, BootstrapKeys};
-use cl_ckks::{Ciphertext, CkksContext, FheError, FheResult, GuardrailPolicy, Plaintext};
+use cl_ckks::{Ciphertext, CkksContext, FheError, FheResult, Plaintext};
 use cl_math::Complex;
 
 #[cfg(any(test, feature = "faults"))]
@@ -228,7 +228,7 @@ impl RunControl {
 pub struct RecoveryTelemetry {
     /// Faults injected by the attached [`FaultPlan`] (0 without one).
     pub faults_injected: u64,
-    /// Faults *detected*: op failures under the strict policy, plus
+    /// Faults *detected*: op failures the context's guardrails report, plus
     /// pre-checkpoint validation failures.
     pub faults_detected: u64,
     /// Restore-and-retry attempts consumed.
@@ -350,7 +350,7 @@ fn boundary_of(cp: Checkpoint) -> Boundary {
     (cp.pc, acc, slots)
 }
 
-/// Runs a declared [`Program`] under [`GuardrailPolicy::Strict`],
+/// Runs a declared [`Program`] under its context's guardrails,
 /// checkpointing to disk and recovering from detected faults by restoring
 /// the last good state and re-executing (deterministic ops make the retry
 /// converge bit-identically).
@@ -375,25 +375,14 @@ impl<'a> PipelineExecutor<'a> {
     ///
     /// # Errors
     ///
-    /// [`FheError::InvalidParams`] unless the context runs
-    /// [`GuardrailPolicy::Strict`] (without strict validation, injected
-    /// faults would propagate silently instead of being detected and
-    /// retried), or when durable checkpointing is requested without a
-    /// directory. [`FheError::Serialization`] when the checkpoint
+    /// [`FheError::InvalidParams`] when durable checkpointing is requested
+    /// without a directory. [`FheError::Serialization`] when the checkpoint
     /// directory cannot be created.
     pub fn new(
         ctx: &'a CkksContext,
         keys: &'a BootstrapKeys,
         config: ExecutorConfig,
     ) -> FheResult<Self> {
-        if !matches!(ctx.policy(), GuardrailPolicy::Strict { .. }) {
-            return Err(FheError::InvalidParams {
-                op: "executor",
-                reason: "fault recovery requires GuardrailPolicy::Strict (faults must be \
-                         detected to be retried)"
-                    .into(),
-            });
-        }
         let store = match (&config.checkpoint_dir, config.checkpoint_every) {
             (_, 0) => None,
             (Some(dir), _) => Some(CheckpointStore::open(dir)?),
@@ -1154,7 +1143,7 @@ mod tests {
     use crate::prepared::COEFF_MEMO_BYTES;
     use cl_boot::Bootstrapper;
     use cl_ckks::faults::flip_ciphertext_word;
-    use cl_ckks::CkksParams;
+    use cl_ckks::{CkksParams, GuardrailPolicy};
     use rand::SeedableRng;
     use std::path::Path;
 
@@ -1197,25 +1186,6 @@ mod tests {
             checkpoint_dir: Some(dir.to_path_buf()),
         };
         (sk, keys, ct, config)
-    }
-
-    #[test]
-    fn executor_requires_strict_policy() {
-        let params = CkksParams::builder()
-            .ring_degree(64)
-            .levels(3)
-            .special_limbs(3)
-            .limb_bits(40)
-            .scale_bits(32)
-            .build()
-            .unwrap();
-        let ctx = CkksContext::new(params).unwrap(); // Permissive
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let sk = ctx.keygen_sparse(8, &mut rng);
-        let booter = Bootstrapper::new(&ctx, 8);
-        let keys = booter.keygen(&ctx, &sk, cl_ckks::KeySwitchKind::Standard, &mut rng);
-        let err = PipelineExecutor::new(&ctx, &keys, ExecutorConfig::default()).err();
-        assert!(matches!(err, Some(FheError::InvalidParams { .. })));
     }
 
     #[test]

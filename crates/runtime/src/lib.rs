@@ -18,8 +18,8 @@
 //!   of its plaintext operands' rounded coefficients and a table of its
 //!   BSGS inner sums (each run as one fused step), built once and shared
 //!   by every run of the program;
-//! - [`PipelineExecutor`]: runs a program under
-//!   [`GuardrailPolicy::Strict`], checkpoints every N micro-ops, and on
+//! - [`PipelineExecutor`]: runs a program under the context's
+//!   guardrails, checkpoints every N micro-ops, and on
 //!   any detected fault (corrupt limb, exhausted budget, tampered hint)
 //!   restores the last good checkpoint and retries within a bounded
 //!   budget, recording per-event [`RecoveryTelemetry`];

@@ -168,7 +168,7 @@ pub enum OutcomeCode {
     /// A blob was written for a different parameter set than the
     /// tenant's registered fingerprint.
     ParamsMismatch = 6,
-    /// The strict guardrail rejected the computation (noise budget
+    /// The context's guardrails rejected the computation (noise budget
     /// exhausted, level underflow, scale drift) beyond what retries fixed.
     GuardrailRejected = 7,
     /// The program references a key the bundle does not hold.

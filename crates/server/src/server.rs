@@ -1,8 +1,8 @@
 //! The multi-tenant job server.
 //!
 //! A fixed pool of worker threads drains a bounded, tenant-fair
-//! [`AdmissionQueue`]; every job runs on a [`PipelineExecutor`] under
-//! [`cl_ckks::GuardrailPolicy::Strict`] with durable checkpoints, an
+//! [`AdmissionQueue`]; every job runs on a [`PipelineExecutor`] under its
+//! tenant context's guardrails with durable checkpoints, an
 //! attached [`RunControl`] (cancellation + deadline), and a server-level
 //! retry loop on top of the executor's own restore-and-retry:
 //!
@@ -46,7 +46,7 @@ use std::time::Duration;
 
 use cl_boot::Bootstrapper;
 use cl_ckks::serialize::{peek_header, ObjectTag};
-use cl_ckks::{CkksContext, FheError, FheResult, GuardrailPolicy};
+use cl_ckks::{CkksContext, FheError, FheResult};
 use cl_runtime::{
     sweep_checkpoint_dir, ExecutorConfig, PipelineExecutor, Program, RecoveryTelemetry,
     RunControl, RunOutcome,
@@ -492,9 +492,8 @@ impl JobServer {
     ///
     /// # Errors
     ///
-    /// [`FheError::InvalidParams`] for a duplicate id, an id that is not
-    /// directory-name safe (`[A-Za-z0-9._-]+`), or a context not running
-    /// [`GuardrailPolicy::Strict`] (the executor refuses anything else).
+    /// [`FheError::InvalidParams`] for a duplicate id or an id that is not
+    /// directory-name safe (`[A-Za-z0-9._-]+`).
     /// [`FheError::Serialization`] when the tenant checkpoint directory
     /// cannot be created.
     pub fn register_tenant(&self, id: &str, ctx: Arc<CkksContext>) -> FheResult<()> {
@@ -532,14 +531,6 @@ impl JobServer {
             return Err(FheError::InvalidParams {
                 op: "register_tenant",
                 reason: format!("tenant id {id:?} is not directory-name safe"),
-            });
-        }
-        if !matches!(ctx.policy(), GuardrailPolicy::Strict { .. }) {
-            return Err(FheError::InvalidParams {
-                op: "register_tenant",
-                reason: "served contexts must run GuardrailPolicy::Strict \
-                         (fault recovery needs detection)"
-                    .into(),
             });
         }
         let root = self.shared.config.checkpoint_root.join(id);
@@ -1196,7 +1187,7 @@ fn run_attempts(
 mod tests {
     use super::*;
     use cl_boot::BootstrapKeys;
-    use cl_ckks::{CkksParams, KeySwitchKind};
+    use cl_ckks::{CkksParams, GuardrailPolicy, KeySwitchKind};
     use cl_runtime::PipelineOp;
     use rand::SeedableRng;
 
@@ -1528,7 +1519,7 @@ mod tests {
     }
 
     #[test]
-    fn tenant_registration_enforces_ids_policy_and_uniqueness() {
+    fn tenant_registration_enforces_ids_and_uniqueness() {
         let root = tmp_root("register");
         let server = JobServer::start(ServerConfig {
             checkpoint_root: root.clone(),
@@ -1543,23 +1534,6 @@ mod tests {
         ));
         assert!(matches!(
             server.register_tenant("../escape", Arc::clone(&strict)),
-            Err(FheError::InvalidParams { .. })
-        ));
-        let permissive = Arc::new(
-            CkksContext::new(
-                CkksParams::builder()
-                    .ring_degree(64)
-                    .levels(3)
-                    .special_limbs(3)
-                    .limb_bits(40)
-                    .scale_bits(32)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap(),
-        );
-        assert!(matches!(
-            server.register_tenant("perm", permissive),
             Err(FheError::InvalidParams { .. })
         ));
         assert_eq!(server.tenants(), vec!["t-1".to_string()]);

@@ -14,7 +14,7 @@ fn sigmoid_approx(x: f64) -> f64 {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Two spare levels beyond the circuit's depth: strict guardrails
+    // Two spare levels beyond the circuit's depth: the guardrails
     // account the budget at each op's (pre-rescale) result, so the chain
     // needs headroom above the scale even at the deepest multiply.
     let params = CkksParams::builder()
@@ -24,9 +24,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .limb_bits(45)
         .scale_bits(45)
         .build()?;
-    // A production server wants structured errors, not panics: strict
-    // guardrails validate operands and keys and track the noise budget on
-    // every fallible op.
+    // A production server wants structured errors, not panics: the
+    // guardrails validate operands and keys on every fallible op, and a
+    // 0-bit floor refuses a result whose noise budget has run out.
     let ctx = CkksContext::new(params)?.with_policy(GuardrailPolicy::Strict {
         min_budget_bits: 0.0,
     });

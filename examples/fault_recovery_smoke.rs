@@ -1,6 +1,6 @@
 //! Fault-recovery smoke: a short bootstrapped pipeline, run clean and then
 //! under a fixed-seed fault plan that flips ciphertext bits mid-run. The
-//! executor must detect every hit through the strict guardrails, restore
+//! executor must detect every hit through the context's guardrails, restore
 //! its last good checkpoint, retry, and land on a final ciphertext that is
 //! limb-bit-identical to the clean run's.
 //!
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .limb_bits(45)
         .scale_bits(45)
         .build()?;
-    // Strict validation is what turns an injected bit flip into a
+    // Operand validation is what turns an injected bit flip into a
     // *detected* fault; the generous budget floor keeps the deep
     // squaring chain itself legal at these test-scale parameters.
     let ctx = CkksContext::new(params)?.with_policy(GuardrailPolicy::Strict {

@@ -20,9 +20,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .limb_bits(45)
         .scale_bits(45)
         .build()?;
-    // Run with strict guardrails: every `try_*` op validates its operands,
-    // verifies keyswitch-hint integrity, and fails cleanly (instead of
-    // decrypting garbage) if the tracked noise budget runs out.
+    // Every `try_*` op validates its operands and verifies keyswitch-hint
+    // integrity; with a 0-bit budget floor it also fails cleanly (instead
+    // of decrypting garbage) if the tracked noise budget runs out.
     let ctx = CkksContext::new(params)?.with_policy(GuardrailPolicy::Strict {
         min_budget_bits: 0.0,
     });

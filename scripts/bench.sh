@@ -12,6 +12,11 @@
 # at CL_THREADS=1 and at CL_THREADS=$(nproc) and merges both runs, with
 # the host's nproc, into benchmarks/BENCH_kernels.json.
 #
+# Every CkksContext runs its guardrails, so the CKKS rows (keyswitch,
+# rotate, rescale, the hoisted and linear-transform rows, bootstrap_step)
+# include the operand residue scans, the hint digest and the budget check;
+# key_verify and ct_validate are the rows that price those checks alone.
+#
 # The op-count identities (keyswitch and rescale pass counts vs the cl-isa
 # cost formulas) are asserted exactly by tests/trace_validation.rs, not here.
 #

@@ -1,5 +1,5 @@
 //! Workspace-level integration tests for the fallible evaluation API,
-//! the runtime guardrail policies, and the fault-injection harness —
+//! the runtime guardrails, and the fault-injection harness —
 //! exercised through the public `cl-ckks` surface (with the `faults`
 //! feature) exactly as an external consumer would.
 
@@ -33,6 +33,52 @@ fn setup() -> (CkksContext, SecretKey, rand::rngs::StdRng) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
     let sk = ctx.keygen(&mut rng);
     (ctx, sk, rng)
+}
+
+#[test]
+fn a_new_context_runs_every_check_with_no_budget_floor() {
+    // No policy call: the context as `CkksContext::new` builds it.
+    let (mut ctx, sk, mut rng) = setup();
+    let relin = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
+    let pt = ctx.encode(&[1.0, -2.0, 0.5], ctx.default_scale(), 3);
+    let clean = ctx.encrypt(&pt, &sk, &mut rng);
+
+    // One flipped limb word is caught by the operand scan.
+    let mut flipped = clean.clone();
+    faults::flip_ciphertext_word(&mut flipped, 0, 1, 7);
+    assert!(matches!(
+        ctx.try_add(&clean, &flipped),
+        Err(FheError::CorruptCiphertext { op: "add", .. })
+    ));
+
+    // One flipped hint word is caught by the integrity digest.
+    let mut bad_key = relin.clone();
+    faults::corrupt_hint_word(&mut bad_key, 0, 0, 0, 0);
+    assert!(matches!(
+        ctx.try_keyswitch(clean.c1(), &bad_key),
+        Err(FheError::CorruptKey {
+            op: "keyswitch",
+            ..
+        })
+    ));
+
+    // A multiply chain that never rescales starves its budget, yet runs:
+    // the default floor is -inf.
+    let mut starved = clean;
+    for _ in 0..3 {
+        starved = ctx
+            .try_square(&starved, &relin)
+            .expect("no budget floor by default");
+    }
+    assert_eq!(ctx.budget_bits(&starved), 0.0, "the chain is starved");
+    // The same step under a floor of 0 bits is refused.
+    ctx.set_policy(GuardrailPolicy::Strict {
+        min_budget_bits: 0.0,
+    });
+    assert!(matches!(
+        ctx.try_square(&starved, &relin),
+        Err(FheError::BudgetExhausted { op: "square", .. })
+    ));
 }
 
 #[test]
@@ -71,7 +117,7 @@ fn strict_policy_catches_every_fault_class_through_the_public_api() {
         Err(FheError::CorruptKey { op: "mul", .. })
     ));
 
-    // The pristine pipeline still passes under Strict.
+    // The pristine pipeline still passes under a 0-bit floor.
     let sq = ctx
         .try_square(&clean, &relin)
         .expect("clean square passes strict guardrails");

@@ -62,8 +62,8 @@ const L: usize = 8;
 
 /// A context whose full budget is [`L`] so a full-level polynomial
 /// keyswitches with every digit complete (`l = l_max`), matching the
-/// formulas' operating point. Permissive policy: no guardrail work on the
-/// measured paths.
+/// formulas' operating point. The context's guardrails (residue scans, hint
+/// digests, budget checks) run on the measured paths and add no counted op.
 fn ks_ctx() -> CkksContext {
     let params = CkksParams::builder()
         .ring_degree(64)
