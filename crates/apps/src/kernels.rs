@@ -1,11 +1,12 @@
 //! Shared homomorphic kernels the benchmarks are built from.
 
+use cl_isa::cost::{bsgs_baby_steps, onchip_baby_cap};
 use cl_isa::{HeGraph, NodeId};
 
 /// BSGS (baby-step/giant-step) matrix-vector product with `diags` nonzero
 /// diagonals at stride `stride`: the standard kernel for linear layers
-/// under CKKS packing. Consumes one level (the plaintext multiply +
-/// rescale).
+/// under CKKS packing, emitted by [`HeGraph::bsgs_sum`]. Consumes one level
+/// (the plaintext multiply + rescale).
 ///
 /// Rotation amounts are `stride·i` (baby) and `stride·baby·j` (giant), so
 /// repeated invocations with the same geometry reuse all keyswitch hints.
@@ -29,6 +30,9 @@ pub fn bsgs_matvec(
 /// same plaintext values, so the machine's residency model sees their
 /// reuse.
 ///
+/// The baby steps are capped by [`onchip_baby_cap`] at `N = 2^16`
+/// whatever the benchmark's ring.
+///
 /// # Panics
 ///
 /// Panics if `diags == 0` or the input is at level 1.
@@ -40,56 +44,19 @@ pub fn bsgs_matvec_keyed(
     weights_encrypted: bool,
     weight_key: u64,
 ) -> NodeId {
-    assert!(diags > 0, "matrix with no diagonals");
     let level = g.node(input).level;
     assert!(level >= 2, "bsgs_matvec needs a level to consume");
-    let baby = bsgs_baby_count(diags, level);
-    let giant = diags.div_ceil(baby);
-    let mut babies = vec![input];
-    for i in 1..baby {
-        babies.push(g.rotate(input, stride * i as i64));
-    }
-    let mut acc: Option<NodeId> = None;
-    let mut diag_idx = 0u64;
-    for j in 0..giant {
-        let remaining = diags - j * baby;
-        let mut inner: Option<NodeId> = None;
-        for &b in babies.iter().take(remaining.min(baby)) {
-            let term = if weights_encrypted {
-                let w = g.input(level);
-                g.mul_ct(b, w)
-            } else {
-                let w = g.plain_input_cached(weight_key.wrapping_mul(1_000_003) + diag_idx, level);
-                g.mul_plain(b, w)
-            };
-            diag_idx += 1;
-            inner = Some(match inner {
-                None => term,
-                Some(a) => g.add(a, term),
-            });
-        }
-        let inner = inner.expect("giant step with no work");
-        let rotated = if j == 0 {
-            inner
+    let baby = bsgs_baby_steps(diags, onchip_baby_cap(1 << 16, level));
+    let sum = g.bsgs_sum(input, diags, stride, baby, |g, b, d| {
+        if weights_encrypted {
+            let w = g.input(level);
+            g.mul_ct(b, w)
         } else {
-            g.rotate(inner, stride * (j * baby) as i64)
-        };
-        acc = Some(match acc {
-            None => rotated,
-            Some(a) => g.add(a, rotated),
-        });
-    }
-    g.rescale(acc.expect("empty matvec"))
-}
-
-/// Baby-step count for a BSGS kernel: `sqrt(d)`, capped so the live baby
-/// ciphertexts fit comfortably on chip (~96 MB of the 256 MB register
-/// file) — the paper's compiler tiles transforms into partitions "small
-/// enough to fit on chip" (Sec. 6) for exactly this reason.
-pub fn bsgs_baby_count(diags: usize, level: usize) -> usize {
-    let ct_bytes = 2 * level * (1usize << 16) * 28 / 8;
-    let cap = ((96 << 20) / ct_bytes).max(2);
-    ((diags as f64).sqrt().ceil() as usize).clamp(1, cap)
+            let w = g.plain_input_cached(weight_key.wrapping_mul(1_000_003) + d as u64, level);
+            g.mul_plain(b, w)
+        }
+    });
+    g.rescale(sum)
 }
 
 /// Evaluates a polynomial of multiplicative `depth` on a ciphertext by

@@ -14,6 +14,7 @@
 
 use std::collections::BTreeMap;
 
+use cl_isa::cost::bsgs_baby_steps;
 use cl_isa::{HeGraph, HeOp, NodeId};
 
 /// A workload graph plus everything needed to actually run it: plaintext
@@ -81,8 +82,9 @@ pub fn lola_layer_runnable(
 
 /// A LoLa-MNIST-shaped multi-layer perceptron with real weights. Each
 /// layer is a BSGS (baby-step/giant-step) diagonal matrix-vector product
-/// over `diags` diagonals at `stride`, rescaled once, optionally followed
-/// by the LoLa square activation (`mul_ct(y, y)` + rescale).
+/// over `diags` diagonals at `stride` ([`HeGraph::bsgs_sum`] with uncapped
+/// `⌈√diags⌉` baby steps), rescaled once, optionally followed by the LoLa
+/// square activation (`mul_ct(y, y)` + rescale).
 ///
 /// A layer's baby rotations all rotate the layer input, so the lowering's
 /// hoisting pass turns them into a single decompose-once batch; the giant
@@ -114,40 +116,13 @@ pub fn lola_mlp_runnable(
             stride,
             activate,
         } = *layer;
-        assert!(diags > 0, "matrix with no diagonals");
-        let baby = (diags as f64).sqrt().ceil() as usize;
-        let giant = diags.div_ceil(baby);
-        let mut babies = vec![cur];
-        for i in 1..baby {
-            babies.push(g.rotate(cur, stride * i as i64));
-        }
-        let mut acc: Option<NodeId> = None;
-        let mut d = 0usize;
-        for j in 0..giant {
-            let remaining = diags - j * baby;
-            let mut inner: Option<NodeId> = None;
-            for &b in babies.iter().take(remaining.min(baby)) {
-                let w = g.plain_input(level);
-                plain.insert(w, diagonal_weights(slots, li, d));
-                d += 1;
-                let term = g.mul_plain(b, w);
-                inner = Some(match inner {
-                    None => term,
-                    Some(a) => g.add(a, term),
-                });
-            }
-            let inner = inner.expect("giant step with no work");
-            let rotated = if j == 0 {
-                inner
-            } else {
-                g.rotate(inner, stride * (j * baby) as i64)
-            };
-            acc = Some(match acc {
-                None => rotated,
-                Some(a) => g.add(a, rotated),
-            });
-        }
-        cur = g.rescale(acc.expect("empty matvec"));
+        let baby = bsgs_baby_steps(diags, usize::MAX);
+        let sum = g.bsgs_sum(cur, diags, stride, baby, |g, b, d| {
+            let w = g.plain_input(level);
+            plain.insert(w, diagonal_weights(slots, li, d));
+            g.mul_plain(b, w)
+        });
+        cur = g.rescale(sum);
         level -= 1;
         if activate {
             let sq = g.mul_ct(cur, cur);

@@ -8,7 +8,7 @@
 //! stages per transform (32 + 31 diagonals at `N = 1024`), at one level
 //! each, with `⌈√d⌉` baby steps and no cap, and a Taylor EvalMod where the
 //! plan counts a Chebyshev one. One shape that drives both is ROADMAP.md
-//! item 5.
+//! item 2.
 //!
 //! 1. **ModRaise** — lift the exhausted level-1 ciphertext to the full
 //!    modulus chain. Decryption then yields `m + q0·I(X)` for an integer
@@ -49,6 +49,7 @@ use cl_ckks::{
     try_par_map, Ciphertext, CkksContext, CompactKeySwitchKey, FheError, FheResult, HintCache,
     KeySwitchKey, Plaintext, SecretKey,
 };
+use cl_isa::cost::bsgs_baby_steps;
 use cl_math::{Cache, Complex, SpecialFft};
 use rand::Rng;
 
@@ -619,13 +620,12 @@ impl std::fmt::Debug for PrecomputedTransform {
 }
 
 /// The BSGS baby-step count for a transform with `n_diags` nonzero
-/// diagonals: `ceil(sqrt(n_diags))`, independent of level so the
-/// rotation-key set is stable across the modulus chain.
-/// `BootstrapPlan::bsgs_rotations` starts from the same count but caps it
-/// so the live baby set fits on chip; this one has no cap (ROADMAP.md
-/// item 5).
+/// diagonals: [`bsgs_baby_steps`] with no cap, independent of level so the
+/// rotation-key set is stable across the modulus chain. `BootstrapPlan`
+/// caps the same rule so the live baby set fits on chip (ROADMAP.md
+/// item 2).
 fn bsgs_baby(n_diags: usize) -> i64 {
-    ((n_diags as f64).sqrt().ceil() as i64).max(1)
+    bsgs_baby_steps(n_diags, usize::MAX) as i64
 }
 
 /// The baby-step/giant-step split of a transform's diagonal offsets over

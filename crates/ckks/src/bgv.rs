@@ -57,11 +57,6 @@ impl<'a> BgvContext<'a> {
         Ok(Self { inner, t, pt_ntt })
     }
 
-    /// The plaintext modulus.
-    pub fn plaintext_modulus(&self) -> u64 {
-        self.t
-    }
-
     /// Packs a vector over `Z_t` into a plaintext polynomial (slot
     /// encoding via the inverse plaintext NTT), lifted into the ciphertext
     /// ring at `level`.

@@ -52,12 +52,12 @@ pub const MAGIC: [u8; 4] = *b"CLFH";
 pub const FORMAT_VERSION: u16 = 3;
 
 /// Discriminates what a blob contains, so a ciphertext cannot be loaded as
-/// a key (or vice versa) even when the sizes happen to line up.
+/// a key (or vice versa) even when the sizes happen to line up. Tag `1`
+/// (a retired bare residue-polynomial blob) stays unassigned; tags are
+/// never renumbered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ObjectTag {
-    /// A bare residue polynomial.
-    RnsPoly = 1,
     /// A ciphertext (two polynomials plus level/scale/noise metadata).
     Ciphertext = 2,
     /// A keyswitch hint, stored seeded (only the `k0` halves).
@@ -76,7 +76,6 @@ impl ObjectTag {
     /// Maps a wire byte back to its tag, or `None` for unknown bytes.
     pub fn from_u8(b: u8) -> Option<Self> {
         match b {
-            1 => Some(ObjectTag::RnsPoly),
             2 => Some(ObjectTag::Ciphertext),
             3 => Some(ObjectTag::KeySwitchKey),
             4 => Some(ObjectTag::BootstrapKeys),
@@ -465,29 +464,6 @@ pub fn read_poly(r: &mut Reader<'_>) -> FheResult<RnsPoly> {
 // ---------------------------------------------------------------------
 
 impl CkksContext {
-    /// Serializes a bare residue polynomial.
-    pub fn serialize_rns_poly(&self, p: &RnsPoly) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + p.num_words() * 8 + p.num_limbs() * 12);
-        write_header(&mut out, ObjectTag::RnsPoly, self.params_fingerprint());
-        write_poly(&mut out, p);
-        out
-    }
-
-    /// Loads a residue polynomial written by
-    /// [`CkksContext::serialize_rns_poly`].
-    ///
-    /// # Errors
-    ///
-    /// [`FheError::Serialization`], [`FheError::ChecksumMismatch`], or
-    /// [`FheError::ParamsMismatch`] as described in the module docs.
-    pub fn try_deserialize_rns_poly(&self, bytes: &[u8]) -> FheResult<RnsPoly> {
-        let mut r = Reader::new("load_rns_poly", bytes);
-        r.read_header(ObjectTag::RnsPoly, self.params_fingerprint())?;
-        let p = read_poly(&mut r)?;
-        r.finish()?;
-        Ok(p)
-    }
-
     /// Serializes a ciphertext: checksummed `(level, scale, noise)`
     /// metadata followed by the `c0` and `c1` polynomial blocks.
     pub fn serialize_ciphertext(&self, ct: &Ciphertext) -> Vec<u8> {
@@ -847,16 +823,6 @@ mod tests {
             ct.noise_estimate_bits().to_bits(),
             back.noise_estimate_bits().to_bits()
         );
-    }
-
-    #[test]
-    fn rns_poly_roundtrip() {
-        let c = ctx();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let basis = c.rns().q_basis(2);
-        let p = c.rns().sample_uniform(&basis, &mut rng);
-        let blob = c.serialize_rns_poly(&p);
-        assert_eq!(c.try_deserialize_rns_poly(&blob).unwrap(), p);
     }
 
     #[test]

@@ -96,6 +96,30 @@ pub fn ciphertext_bytes(n: usize, l: usize, word_bits: u32) -> u64 {
     2 * l as u64 * n as u64 * word_bits as u64 / 8
 }
 
+/// Baby steps of a BSGS linear transform over `diags` diagonals:
+/// `⌈√diags⌉`, clamped to `[1, cap]` (pass `usize::MAX` for no cap). The
+/// giant steps are `⌈diags / baby⌉`; see [`crate::HeGraph::bsgs_sum`].
+///
+/// # Panics
+///
+/// Panics if `cap == 0`.
+pub fn bsgs_baby_steps(diags: usize, cap: usize) -> usize {
+    ((diags as f64).sqrt().ceil() as usize).clamp(1, cap)
+}
+
+/// Baby-step cap that keeps a transform's live baby ciphertexts
+/// comfortably on chip (~96 MiB of the 256 MiB register file) at ring
+/// degree `n` and `level` 28-bit limbs, but never below 2: the paper's
+/// compiler tiles transforms into partitions "small enough to fit on
+/// chip" (Sec. 6) for exactly this reason.
+///
+/// # Panics
+///
+/// Panics if `n` or `level` is zero.
+pub fn onchip_baby_cap(n: usize, level: usize) -> usize {
+    ((96u64 << 20) / ciphertext_bytes(n, level, 28)).max(2) as usize
+}
+
 /// Bytes of one keyswitch hint for boosted keyswitching with `digits`
 /// digits at budget `l`: `digits` pairs of polynomials over `l + alpha`
 /// limbs. With `seeded = true` (the KSHGen optimization) only half is

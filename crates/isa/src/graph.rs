@@ -292,6 +292,54 @@ impl HeGraph {
         self.push(HeOp::Output(a), l)
     }
 
+    /// The baby-step/giant-step (BSGS) linear transform over `diags`
+    /// diagonals at `stride`, unrescaled:
+    /// `Σ_j rot_{stride·baby·j}(Σ_i term(rot_{stride·i}(input), j·baby + i))`.
+    /// `term(graph, baby_node, diagonal)` emits one diagonal's product (a
+    /// plaintext or ciphertext multiply) and returns it.
+    ///
+    /// Emission order: the baby rotations `i = 1..baby`; then per giant
+    /// group `j` its `min(baby, diags − j·baby)` terms, left-folded with
+    /// [`HeGraph::add`], and its giant rotation (none at `j = 0`),
+    /// left-folded into the sum. Every rotation amount is `stride·i` or
+    /// `stride·baby·j`, so repeated transforms of the same geometry reuse
+    /// the same keyswitch hints. Pick `baby` with
+    /// [`crate::cost::bsgs_baby_steps`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `diags == 0` or `baby == 0`.
+    pub fn bsgs_sum(
+        &mut self,
+        input: NodeId,
+        diags: usize,
+        stride: i64,
+        baby: usize,
+        mut term: impl FnMut(&mut HeGraph, NodeId, usize) -> NodeId,
+    ) -> NodeId {
+        assert!(diags > 0, "matrix with no diagonals");
+        assert!(baby > 0, "BSGS needs at least one baby step");
+        let babies: Vec<NodeId> = std::iter::once(input)
+            .chain((1..baby).map(|i| self.rotate(input, stride * i as i64)))
+            .collect();
+        let mut acc: Option<NodeId> = None;
+        for j in 0..diags.div_ceil(baby) {
+            let mut inner: Option<NodeId> = None;
+            for (i, &b) in babies.iter().enumerate().take(diags - j * baby) {
+                let t = term(self, b, j * baby + i);
+                inner = Some(inner.map_or(t, |s| self.add(s, t)));
+            }
+            let inner = inner.expect("a giant group has at least one diagonal");
+            let rotated = if j == 0 {
+                inner
+            } else {
+                self.rotate(inner, stride * (j * baby) as i64)
+            };
+            acc = Some(acc.map_or(rotated, |a| self.add(a, rotated)));
+        }
+        acc.expect("at least one giant group")
+    }
+
     /// Counts of each op category (inputs, muls, rotates, ...), useful for
     /// sanity checks and reports.
     pub fn op_histogram(&self) -> OpHistogram {
@@ -489,6 +537,72 @@ mod tests {
         g.validate();
         // The appended input maps to an Input node at the right offset.
         assert!(matches!(g.node(mapping[0]).op, HeOp::Input));
+    }
+
+    #[test]
+    fn bsgs_sum_covers_every_diagonal_including_a_short_last_group() {
+        use crate::cost::bsgs_baby_steps;
+        for diags in 1..=40usize {
+            for stride in [1i64, 3, -2] {
+                for baby in [
+                    bsgs_baby_steps(diags, usize::MAX),
+                    bsgs_baby_steps(diags, 2),
+                ] {
+                    let giants = (0..diags).step_by(baby).count();
+                    let mut g = HeGraph::new();
+                    let x = g.input(3);
+                    let mut seen = Vec::new();
+                    let out = g.bsgs_sum(x, diags, stride, baby, |g, b, d| {
+                        // Diagonal d multiplies baby d mod baby.
+                        let want = (d % baby) as i64 * stride;
+                        match g.node(b).op {
+                            HeOp::Rotate(src, s) => assert_eq!((src, s), (x, want)),
+                            _ => assert_eq!((b, want), (x, 0)),
+                        }
+                        seen.push(d);
+                        let w = g.plain_input(3);
+                        g.mul_plain(b, w)
+                    });
+                    g.validate();
+                    let ctx = format!("diags {diags} stride {stride} baby {baby}");
+                    assert_eq!(seen, (0..diags).collect::<Vec<_>>(), "{ctx}");
+                    let h = g.op_histogram();
+                    assert_eq!(h.rotations, baby - 1 + giants - 1, "{ctx}");
+                    assert_eq!(h.plain_muls, diags, "{ctx}");
+                    assert_eq!(h.adds, diags - 1, "{ctx}");
+                    // Each value as the multiset of input rotations it sums
+                    // (unit weights): the output is Σ_d rot_{stride·d}(x).
+                    let mut terms: Vec<Vec<i64>> = Vec::new();
+                    for (_, n) in g.iter() {
+                        let t = match n.op {
+                            HeOp::Input => vec![0],
+                            HeOp::Rotate(a, s) => {
+                                let (amount, baby, giants) =
+                                    (s / stride, baby as i64, giants as i64);
+                                let baby_step = (1..baby).contains(&amount);
+                                let giant_step =
+                                    amount % baby == 0 && (1..giants).contains(&(amount / baby));
+                                assert!(
+                                    amount * stride == s && (baby_step || giant_step),
+                                    "{ctx}: rotation by {s}"
+                                );
+                                terms[a.0 as usize].iter().map(|r| r + s).collect()
+                            }
+                            HeOp::MulPlain(a, _) => terms[a.0 as usize].clone(),
+                            HeOp::Add(a, b) => {
+                                [terms[a.0 as usize].clone(), terms[b.0 as usize].clone()].concat()
+                            }
+                            _ => Vec::new(),
+                        };
+                        terms.push(t);
+                    }
+                    let mut got = terms[out.0 as usize].clone();
+                    got.sort_unstable_by_key(|r| r / stride);
+                    let want: Vec<i64> = (0..diags as i64).map(|d| stride * d).collect();
+                    assert_eq!(got, want, "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,30 +19,6 @@ pub enum WorkState {
 }
 
 impl WorkState {
-    /// The ciphertext a fault injector corrupts and integrity checks
-    /// validate first: the plain ciphertext, or the first ciphertext of a
-    /// bootstrap stage.
-    pub fn primary_mut(&mut self) -> &mut Ciphertext {
-        match self {
-            WorkState::Ct(ct) => ct,
-            WorkState::Boot(state) => {
-                let mut cts = state.ciphertexts_mut();
-                cts.swap_remove(0)
-            }
-        }
-    }
-
-    /// Conformance-validates every ciphertext this state carries against
-    /// the context (residue ranges, basis, NTT form). The executor runs
-    /// this *before* persisting a checkpoint, so a corrupted state is
-    /// never written as "good".
-    pub fn validate(&self, ctx: &CkksContext) -> FheResult<()> {
-        match self {
-            WorkState::Ct(ct) => ctx.validate_ciphertext("checkpoint", ct),
-            WorkState::Boot(state) => validate_boot_state(ctx, state),
-        }
-    }
-
     fn kind_byte(&self) -> u8 {
         match self {
             WorkState::Ct(_) => 0,

@@ -130,13 +130,6 @@ pub struct JournalReplay {
     blob_spans: HashMap<u64, BlobSpan>,
 }
 
-impl JournalReplay {
-    /// Highest job id seen, for re-seeding the server's id counter.
-    pub fn max_job_id(&self) -> Option<u64> {
-        self.jobs.iter().map(|j| j.id).max()
-    }
-}
-
 /// Append-only write-ahead journal for job lifecycle transitions.
 pub struct Journal {
     dir: PathBuf,
@@ -836,7 +829,7 @@ mod tests {
             assert_eq!(job.deadline_ms, Some(5_000));
             assert_eq!(replay.blobs[&job.input_digest], b"input");
         }
-        assert_eq!(replay.max_job_id(), Some(2));
+        assert_eq!(replay.jobs.iter().map(|j| j.id).collect::<Vec<_>>(), [1, 2]);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -29,8 +29,10 @@
 #     after a kill inside one (examples/compile_run_smoke.rs).
 # 10. The end-to-end benchmark's smoke suite (compiles the detached
 #     benchmarks/e2e package against the workspace and runs it).
-# 11. The simulator-backed tables and figures of the evaluation
-#     regenerate byte-identically to their recorded stdout.
+# 11. The tables and figures of the evaluation (the simulator-backed
+#     ones, the graph walks of Fig. 2 / 3 and the closed forms of Table
+#     1 / 2 and Fig. 4) regenerate byte-identically to their recorded
+#     stdout.
 # 12. Lint gate on every library target, and on cl-trace with its
 #     counters on: warnings are errors and bare `unwrap()` is banned
 #     (tests and binaries are exempt — library code must name the
@@ -160,10 +162,12 @@ bash benchmarks/e2e/run.sh --smoke
 
 echo "== tier-1: evaluation regenerates =="
 # Table 3-5 and Fig. 9-11 are the machine model run over the full
-# benchmarks (a few seconds in all). Their stdout is recorded under
-# crates/bench/golden/: any difference is model drift, which is never a
-# side effect — a PR that means it re-records the file and says so.
-for name in table3 table4 table5 fig9 fig10 fig11; do
+# benchmarks (a few seconds in all); Fig. 2 and 3 walk the LSTM graph and
+# BootstrapPlan's expansion; Table 1 / 2 and Fig. 4 are closed forms.
+# Their stdout is recorded under crates/bench/golden/: any difference is
+# model drift, which is never a side effect — a PR that means it
+# re-records the file and says so.
+for name in table1 table2 table3 table4 table5 fig2 fig3 fig4 fig9 fig10 fig11; do
     if ! cargo run --release -q -p cl-bench --bin "$name" |
         diff "crates/bench/golden/$name.txt" -; then
         echo "verify: $name differs from crates/bench/golden/$name.txt (< recorded, > now)" >&2
