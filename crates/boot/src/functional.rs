@@ -218,7 +218,7 @@ impl BootstrapKeys {
     /// step order). Every nested blob carries its own header, fingerprint,
     /// and per-limb checksums.
     pub fn serialize(&self, ctx: &CkksContext) -> Vec<u8> {
-        use cl_ckks::serialize::{fnv1a, put_i64, put_u32, put_u64, write_header, ObjectTag};
+        use cl_ckks::serialize::{put_i64, put_u32, seal, write_header, ObjectTag};
         let steps = self.rotation_steps();
         let relin = ctx.serialize_compact_keyswitch_key(&self.relin);
         let conj = ctx.serialize_compact_keyswitch_key(&self.conj);
@@ -244,8 +244,7 @@ impl BootstrapKeys {
         for blob in &rots {
             put_u32(&mut out, blob.len() as u32);
         }
-        let cksum = fnv1a(&out[meta_start..]);
-        put_u64(&mut out, cksum);
+        seal(&mut out, meta_start);
         out.extend_from_slice(&relin);
         out.extend_from_slice(&conj);
         for blob in &rots {
@@ -266,11 +265,12 @@ impl BootstrapKeys {
     /// [`cl_ckks::FheError::ChecksumMismatch`], or
     /// [`cl_ckks::FheError::ParamsMismatch`].
     pub fn try_deserialize(ctx: &CkksContext, bytes: &[u8]) -> FheResult<Self> {
-        use cl_ckks::serialize::{fnv1a, ObjectTag, Reader};
+        use cl_ckks::serialize::{ObjectTag, Reader};
         let mut r = Reader::new("load_bootstrap_keys", bytes);
         r.read_header(ObjectTag::BootstrapKeys, ctx.params_fingerprint())?;
         let meta_start = r.pos();
-        let num_rot = r.u32()? as usize;
+        // Each rotation declares a step (i64) and a blob length (u32).
+        let num_rot = r.count(12)?;
         let mut steps = Vec::with_capacity(num_rot);
         for _ in 0..num_rot {
             steps.push(r.i64()?);
@@ -281,16 +281,7 @@ impl BootstrapKeys {
         for _ in 0..num_rot {
             rot_lens.push(r.u32()? as usize);
         }
-        let computed = fnv1a(r.region_since(meta_start));
-        let stored = r.u64()?;
-        if stored != computed {
-            return Err(FheError::ChecksumMismatch {
-                op: "load_bootstrap_keys",
-                section: "bundle framing".into(),
-                stored,
-                computed,
-            });
-        }
+        r.verify_section(meta_start, "bundle framing")?;
         let relin = ctx.try_deserialize_compact_keyswitch_key(r.take(relin_len)?)?;
         let conj = ctx.try_deserialize_compact_keyswitch_key(r.take(conj_len)?)?;
         let slots = ctx.params().slots();
@@ -448,7 +439,7 @@ impl BootState {
     /// (each self-checking; see [`CkksContext::serialize_ciphertext`]).
     /// Headerless — designed to be embedded in a larger checkpoint record.
     pub fn serialize(&self, ctx: &CkksContext) -> Vec<u8> {
-        use cl_ckks::serialize::{fnv1a, put_f64, put_u32, put_u64, put_u8};
+        use cl_ckks::serialize::{put_f64, put_u32, put_u8, seal};
         let blobs: Vec<Vec<u8>> = self
             .ciphertexts()
             .iter()
@@ -462,8 +453,7 @@ impl BootState {
         for blob in &blobs {
             put_u32(&mut out, blob.len() as u32);
         }
-        let cksum = fnv1a(&out[meta_start..]);
-        put_u64(&mut out, cksum);
+        seal(&mut out, meta_start);
         for blob in &blobs {
             out.extend_from_slice(blob);
         }
@@ -477,7 +467,7 @@ impl BootState {
     /// [`FheError::Serialization`], [`FheError::ChecksumMismatch`], or
     /// [`FheError::ParamsMismatch`].
     pub fn try_deserialize(ctx: &CkksContext, bytes: &[u8]) -> FheResult<Self> {
-        use cl_ckks::serialize::{fnv1a, Reader};
+        use cl_ckks::serialize::Reader;
         let mut r = Reader::new("load_boot_state", bytes);
         let meta_start = r.pos();
         let stage = r.u8()?;
@@ -487,16 +477,7 @@ impl BootState {
         for _ in 0..count {
             lens.push(r.u32()? as usize);
         }
-        let computed = fnv1a(r.region_since(meta_start));
-        let stored = r.u64()?;
-        if stored != computed {
-            return Err(FheError::ChecksumMismatch {
-                op: "load_boot_state",
-                section: "boot-state framing".into(),
-                stored,
-                computed,
-            });
-        }
+        r.verify_section(meta_start, "boot-state framing")?;
         let mut cts = Vec::with_capacity(count);
         for len in lens {
             cts.push(ctx.try_deserialize_ciphertext(r.take(len)?)?);
@@ -1369,6 +1350,16 @@ mod tests {
     use cl_ckks::{CkksParams, KeySwitchKind};
     use rand::SeedableRng;
 
+    /// Whether a load failed as a diagnosed integrity rejection.
+    fn is_integrity_rejection<T>(r: &FheResult<T>) -> bool {
+        matches!(
+            r,
+            Err(FheError::Serialization { .. }
+                | FheError::ChecksumMismatch { .. }
+                | FheError::ParamsMismatch { .. })
+        )
+    }
+
     fn boot_ctx() -> CkksContext {
         let params = CkksParams::builder()
             .ring_degree(64)
@@ -1778,10 +1769,16 @@ mod tests {
         let ct = ctx.encrypt(&pt, &sk, &mut rng);
         let state = BootState::Start { ct };
         let blob = state.serialize(&ctx);
-        // Framing byte.
-        let mut bad = blob.clone();
-        bad[0] ^= 1;
-        assert!(BootState::try_deserialize(&ctx, &bad).is_err());
+        // Every byte of the sealed framing section: stage, scale, count,
+        // one blob length, checksum.
+        for i in 0..1 + 8 + 1 + 4 + 8 {
+            let mut bad = blob.clone();
+            bad[i] ^= 1;
+            assert!(
+                is_integrity_rejection(&BootState::try_deserialize(&ctx, &bad)),
+                "framing byte {i} flipped without rejection"
+            );
+        }
         // Payload byte deep in the ciphertext blob.
         let mut bad = blob.clone();
         let off = blob.len() - 20;
@@ -1823,10 +1820,27 @@ mod tests {
         let a = booter.try_bootstrap(&ctx, &ct, &keys).unwrap();
         let b = booter.try_bootstrap(&ctx, &ct, &back).unwrap();
         assert_eq!(a, b);
-        // Single-byte corruption anywhere in the bundle is rejected.
-        let mut bad = blob.clone();
-        bad[30] ^= 0x80; // framing region
-        assert!(BootstrapKeys::try_deserialize(&ctx, &bad).is_err());
+        // Every byte of the header and the sealed framing section: rotation
+        // count, steps, blob lengths, checksum.
+        let framing_end = 16 + 4 + 12 * keys.rotation_steps().len() + 8 + 8;
+        for i in 0..framing_end {
+            let mut bad = blob.clone();
+            bad[i] ^= 0x80;
+            assert!(
+                is_integrity_rejection(&BootstrapKeys::try_deserialize(&ctx, &bad)),
+                "framing byte {i} flipped without rejection"
+            );
+        }
+        // A rotation count beyond the bytes present (20-byte blob) fails
+        // before it sizes anything.
+        for count in [u32::MAX, 1 << 31] {
+            let mut hostile = blob[..16].to_vec();
+            hostile.extend_from_slice(&count.to_le_bytes());
+            assert!(matches!(
+                BootstrapKeys::try_deserialize(&ctx, &hostile),
+                Err(FheError::Serialization { op: "load_bootstrap_keys", .. })
+            ));
+        }
         let mut bad = blob.clone();
         let off = blob.len() / 2; // some nested key's payload
         bad[off] ^= 0x01;

@@ -4,7 +4,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use cl_boot::BootState;
-use cl_ckks::serialize::{fnv1a, put_u32, put_u64, put_u8, write_header, ObjectTag, Reader};
+use cl_ckks::serialize::{put_u32, put_u64, put_u8, seal, write_header, ObjectTag, Reader};
 use cl_ckks::{Ciphertext, CkksContext, FheError, FheResult};
 
 /// The in-flight state of a pipeline at a micro-op boundary: either a
@@ -241,8 +241,7 @@ impl CheckpointStore {
                 put_u32(&mut p, u32::from(*id));
                 put_u32(&mut p, b.len() as u32);
             }
-            let cksum = fnv1a(&p);
-            put_u64(&mut p, cksum);
+            seal(&mut p, 0);
             p.extend_from_slice(&cur);
             for (_, b) in &blobs {
                 p.extend_from_slice(b);
@@ -256,8 +255,7 @@ impl CheckpointStore {
         put_u64(&mut out, cp.binding);
         put_u8(&mut out, kind);
         put_u32(&mut out, payload.len() as u32);
-        let cksum = fnv1a(&out[meta_start..]);
-        put_u64(&mut out, cksum);
+        seal(&mut out, meta_start);
         out.extend_from_slice(&payload);
         out
     }
@@ -283,16 +281,7 @@ impl CheckpointStore {
             let len = r.u32()? as usize;
             meta.push((id, len));
         }
-        let computed = fnv1a(r.region_since(frame_start));
-        let stored = r.u64()?;
-        if stored != computed {
-            return Err(FheError::ChecksumMismatch {
-                op: "load_checkpoint",
-                section: "slot framing".into(),
-                stored,
-                computed,
-            });
-        }
+        r.verify_section(frame_start, "slot framing")?;
         let cur_blob = r.take(cur_len)?;
         let state = match cur_kind {
             0 => WorkState::Ct(ctx.try_deserialize_ciphertext(cur_blob)?),
@@ -331,16 +320,7 @@ impl CheckpointStore {
         let binding = r.u64()?;
         let kind = r.u8()?;
         let payload_len = r.u32()? as usize;
-        let computed = fnv1a(r.region_since(meta_start));
-        let stored = r.u64()?;
-        if stored != computed {
-            return Err(FheError::ChecksumMismatch {
-                op: "load_checkpoint",
-                section: "checkpoint metadata".into(),
-                stored,
-                computed,
-            });
-        }
+        r.verify_section(meta_start, "checkpoint metadata")?;
         let payload = r.take(payload_len)?;
         r.finish()?;
         let (state, slots) = match kind {
@@ -603,6 +583,23 @@ mod tests {
             assert!(
                 CheckpointStore::decode(&c, &bad).is_err(),
                 "flip at byte {i} must not load"
+            );
+        }
+        // Each byte of the header, the sealed record metadata and the
+        // sealed slot framing (kind, count, accumulator length, two slot
+        // entries, checksum), flipped in turn, is a diagnosed rejection.
+        let framing_end = 16 + (8 + 8 + 1 + 4 + 8) + (1 + 4 + 4 + 2 * 8 + 8);
+        for i in 0..framing_end {
+            let mut bad = blob.clone();
+            bad[i] ^= 0x01;
+            assert!(
+                matches!(
+                    CheckpointStore::decode(&c, &bad),
+                    Err(FheError::Serialization { .. }
+                        | FheError::ChecksumMismatch { .. }
+                        | FheError::ParamsMismatch { .. })
+                ),
+                "framing byte {i} flipped without rejection"
             );
         }
         // A slot-free record keeps the legacy kind-0 layout byte-for-byte.

@@ -2,10 +2,9 @@
 
 use cl_boot::BootState;
 use cl_ckks::serialize::{
-    fnv1a, peek_header, put_f64, put_i64, put_u32, put_u64, put_u8, write_header, ObjectTag,
-    Reader,
+    put_f64, put_i64, put_u32, put_u8, seal, write_header, ObjectTag, Reader,
 };
-use cl_ckks::{FheError, FheResult};
+use cl_ckks::FheResult;
 
 /// Hard cap on the declared op count of a deserialized program. A hostile
 /// length prefix must not be able to drive allocation; real pipelines are
@@ -308,8 +307,7 @@ impl Program {
                 }
             }
         }
-        let cksum = fnv1a(&out[body_start..]);
-        put_u64(&mut out, cksum);
+        seal(&mut out, body_start);
         out
     }
 
@@ -320,10 +318,10 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// [`FheError::Serialization`] for structural damage (truncation,
+    /// [`cl_ckks::FheError::Serialization`] for structural damage (truncation,
     /// unknown op tags, hostile lengths, non-finite operands),
-    /// [`FheError::ParamsMismatch`] for a foreign fingerprint, and
-    /// [`FheError::ChecksumMismatch`] for a blob corrupted after writing.
+    /// [`cl_ckks::FheError::ParamsMismatch`] for a foreign fingerprint, and
+    /// [`cl_ckks::FheError::ChecksumMismatch`] for a blob corrupted after writing.
     pub fn try_deserialize(bytes: &[u8], want_fingerprint: u64) -> FheResult<Self> {
         let mut r = Reader::new("load_program", bytes);
         r.read_header(ObjectTag::Program, want_fingerprint)?;
@@ -388,50 +386,17 @@ impl Program {
             };
             ops.push(op);
         }
-        let computed = fnv1a(r.region_since(body_start));
-        let stored = r.u64()?;
-        if stored != computed {
-            return Err(FheError::ChecksumMismatch {
-                op: "load_program",
-                section: "program body".into(),
-                stored,
-                computed,
-            });
-        }
+        r.verify_section(body_start, "program body")?;
         r.finish()?;
         Ok(Self { ops })
-    }
-
-    /// Cheap admission pre-check for an untrusted blob that should contain
-    /// a program: validates the header shape, the object tag, and the
-    /// params fingerprint — without parsing (or allocating for) the body.
-    ///
-    /// # Errors
-    ///
-    /// [`FheError::Serialization`] for a malformed header or a non-program
-    /// tag, [`FheError::ParamsMismatch`] for a foreign fingerprint.
-    pub fn peek(bytes: &[u8], want_fingerprint: u64) -> FheResult<()> {
-        let (tag, fp) = peek_header("peek_program", bytes)?;
-        if tag != ObjectTag::Program {
-            return Err(FheError::Serialization {
-                op: "peek_program",
-                reason: format!("blob holds a {tag:?}, not a Program"),
-            });
-        }
-        if fp != want_fingerprint {
-            return Err(FheError::ParamsMismatch {
-                op: "peek_program",
-                got: fp,
-                want: want_fingerprint,
-            });
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cl_ckks::serialize::check_header;
+    use cl_ckks::FheError;
 
     #[test]
     fn micro_schedule_expands_bootstraps() {
@@ -480,7 +445,7 @@ mod tests {
     fn program_roundtrips_bit_exactly() {
         let p = sample_program();
         let blob = p.serialize(FP);
-        assert!(Program::peek(&blob, FP).is_ok());
+        assert!(check_header("peek_program", &blob, ObjectTag::Program, FP).is_ok());
         let back = Program::try_deserialize(&blob, FP).unwrap();
         assert_eq!(back, p);
         // Empty programs roundtrip too.
@@ -518,7 +483,7 @@ mod tests {
             Err(FheError::ParamsMismatch { .. })
         ));
         assert!(matches!(
-            Program::peek(&blob, FP + 1),
+            check_header("peek_program", &blob, ObjectTag::Program, FP + 1),
             Err(FheError::ParamsMismatch { .. })
         ));
     }
@@ -540,8 +505,7 @@ mod tests {
         put_u32(&mut blob, 1);
         put_u8(&mut blob, 2); // AddPlain
         put_u32(&mut blob, (MAX_PLAIN_VALUES + 1) as u32);
-        let cksum = fnv1a(&blob[body..]);
-        put_u64(&mut blob, cksum);
+        seal(&mut blob, body);
         assert!(Program::try_deserialize(&blob, FP).is_err());
 
         // Non-finite plaintext operands are data-plane poison: rejected.
@@ -557,8 +521,7 @@ mod tests {
         put_u32(&mut blob, 1);
         put_u8(&mut blob, 15); // RotateHoisted
         put_u32(&mut blob, (MAX_HOISTED_STEPS + 1) as u32);
-        let cksum = fnv1a(&blob[body..]);
-        put_u64(&mut blob, cksum);
+        seal(&mut blob, body);
         let err = Program::try_deserialize(&blob, FP).expect_err("hostile batch len");
         assert!(err.to_string().contains("cap"), "{err}");
 
@@ -569,8 +532,7 @@ mod tests {
         put_u32(&mut blob, 1);
         put_u8(&mut blob, 7); // Load
         put_u32(&mut blob, u32::from(u16::MAX) + 1);
-        let cksum = fnv1a(&blob[body..]);
-        put_u64(&mut blob, cksum);
+        seal(&mut blob, body);
         let err = Program::try_deserialize(&blob, FP).expect_err("oversized slot id");
         assert!(err.to_string().contains("u16"), "{err}");
     }
@@ -580,6 +542,6 @@ mod tests {
         // A ciphertext-tagged header must not pass the program peek.
         let mut blob = Vec::new();
         write_header(&mut blob, ObjectTag::Ciphertext, FP);
-        assert!(Program::peek(&blob, FP).is_err());
+        assert!(check_header("peek_program", &blob, ObjectTag::Program, FP).is_err());
     }
 }

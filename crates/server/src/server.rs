@@ -45,11 +45,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cl_boot::Bootstrapper;
-use cl_ckks::serialize::{peek_header, ObjectTag};
+use cl_ckks::serialize::{check_header, ObjectTag};
 use cl_ckks::{CkksContext, FheError, FheResult};
 use cl_runtime::{
-    sweep_checkpoint_dir, ExecutorConfig, PipelineExecutor, Program, RecoveryTelemetry,
-    RunControl, RunOutcome,
+    sweep_checkpoint_dir, ExecutorConfig, PipelineExecutor, RecoveryTelemetry, RunControl,
+    RunOutcome,
 };
 use cl_trace::OpSnapshot;
 
@@ -590,9 +590,10 @@ impl JobServer {
                 retry_after_ms,
             });
         }
-        Program::peek(&spec.program_blob, tenant.fingerprint)?;
-        check_blob_header("submit_input", &spec.input_blob, ObjectTag::Ciphertext, &tenant)?;
-        check_blob_header("submit_keys", &spec.key_blob, ObjectTag::BootstrapKeys, &tenant)?;
+        let fp = tenant.fingerprint;
+        check_header("peek_program", &spec.program_blob, ObjectTag::Program, fp)?;
+        check_header("submit_input", &spec.input_blob, ObjectTag::Ciphertext, fp)?;
+        check_header("submit_keys", &spec.key_blob, ObjectTag::BootstrapKeys, fp)?;
 
         let budget = spec.deadline.or(shared.config.default_deadline);
         let control = match budget {
@@ -824,29 +825,6 @@ fn retry_after_hint(queue_len: usize, workers: usize) -> u64 {
     // Deterministic pressure-proportional hint: one base unit per queued
     // job per worker. Clients treat it as a floor, not a promise.
     RETRY_AFTER_BASE_MS * (1 + queue_len as u64 / workers.max(1) as u64)
-}
-
-fn check_blob_header(
-    op: &'static str,
-    bytes: &[u8],
-    want_tag: ObjectTag,
-    tenant: &TenantState,
-) -> FheResult<()> {
-    let (tag, fingerprint) = peek_header(op, bytes)?;
-    if tag != want_tag {
-        return Err(FheError::Serialization {
-            op,
-            reason: format!("expected a {want_tag:?} blob, found {tag:?}"),
-        });
-    }
-    if fingerprint != tenant.fingerprint {
-        return Err(FheError::ParamsMismatch {
-            op,
-            got: fingerprint,
-            want: tenant.fingerprint,
-        });
-    }
-    Ok(())
 }
 
 fn lock_queue(shared: &Shared) -> std::sync::MutexGuard<'_, AdmissionQueue<QueuedJob>> {
@@ -1188,7 +1166,7 @@ mod tests {
     use super::*;
     use cl_boot::BootstrapKeys;
     use cl_ckks::{CkksParams, GuardrailPolicy, KeySwitchKind};
-    use cl_runtime::PipelineOp;
+    use cl_runtime::{PipelineOp, Program};
     use rand::SeedableRng;
 
     fn strict_ctx(limb_bits: u32) -> CkksContext {

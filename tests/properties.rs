@@ -224,10 +224,15 @@ proptest! {
             KeySwitchKind::Boosted { digits }
         };
         let ksk = ctx.relin_keygen(&sk, kind, &mut rng);
-        let blob = ctx.serialize_keyswitch_key(&ksk);
-        let back = ctx.try_deserialize_keyswitch_key(&blob).unwrap();
+        // One wire path: compact form out, compact load, expand in.
+        let blob = ctx.serialize_compact_keyswitch_key(&ksk.to_compact());
+        let back = ctx
+            .try_deserialize_compact_keyswitch_key(&blob)
+            .unwrap()
+            .expand(&ctx)
+            .unwrap();
         prop_assert!(back.verify_integrity(), "regenerated hint must pass its digest");
-        prop_assert_eq!(ctx.serialize_keyswitch_key(&back), blob);
+        prop_assert_eq!(ctx.serialize_compact_keyswitch_key(&back.to_compact()), blob);
     }
 
     #[test]
@@ -250,11 +255,13 @@ proptest! {
         );
 
         let ksk = ctx.relin_keygen(&sk, craterlake::ckks::KeySwitchKind::Standard, &mut rng);
-        let mut blob = ctx.serialize_keyswitch_key(&ksk);
+        let mut blob = ctx.serialize_compact_keyswitch_key(&ksk.to_compact());
         let i = (ksk_byte as usize) % blob.len();
         blob[i] ^= 0x01;
+        // Every byte sits under a sealed section or a limb checksum, so the
+        // compact load itself rejects the flip; expand never sees it.
         prop_assert!(
-            is_integrity_rejection(&ctx.try_deserialize_keyswitch_key(&blob)),
+            is_integrity_rejection(&ctx.try_deserialize_compact_keyswitch_key(&blob)),
             "flipping keyswitch-hint byte {i} was not rejected"
         );
     }

@@ -24,6 +24,7 @@ use std::time::Duration;
 
 use craterlake::boot::{BootstrapKeys, Bootstrapper};
 use craterlake::ckks::faults::FaultPlan;
+use craterlake::ckks::serialize::seal;
 use craterlake::ckks::{CkksContext, CkksParams, FheError, GuardrailPolicy, KeySwitchKind};
 use craterlake::runtime::{ExecutorConfig, PipelineExecutor, PipelineOp, Program, RunOutcome};
 use craterlake::server::{
@@ -450,7 +451,35 @@ fn fuzzed_blobs_are_rejected_without_collateral_damage() {
         spec.program_blob = program_for(3, 0).serialize(fx.ctx.params_fingerprint() ^ 0xFFFF).into();
         submit_hostile(&server, spec, &mut hostile, &mut good_ids, &good);
     }
-    assert!(hostile >= 40, "sweep must cover a meaningful surface: {hostile}");
+    // Crafted counts: every count field of the input and key blobs set
+    // to a huge value inside a validly resealed section, so only the
+    // count-against-bytes rule stands between the blob and an allocation.
+    for (slot, blob, fields) in [
+        ("input", &fx.input_blob, ciphertext_count_fields(&fx.input_blob)),
+        ("keys", &fx.key_blob, key_bundle_count_fields(&fx.key_blob)),
+    ] {
+        for field in fields {
+            // Resealing the count it already holds reproduces the blob:
+            // the section bounds, and so the crafted checksums, are right.
+            assert_eq!(field.rewrite(blob, u32_at(blob, field.at) as u32), **blob);
+            for value in [u32::MAX, 1 << 31] {
+                let crafted = field.rewrite(blob, value);
+                let mut spec = good();
+                match slot {
+                    "input" => spec.input_blob = crafted.into(),
+                    _ => spec.key_blob = crafted.into(),
+                }
+                // The header is intact, so the job is admitted and its
+                // parse fails as a typed outcome.
+                let id = server.submit(spec).expect("crafted count passes admission").id;
+                let outcome = server.wait(id);
+                assert_eq!(outcome.code, OutcomeCode::Malformed, "{}", outcome.detail);
+                hostile += 1;
+                good_ids.push(server.submit(good()).unwrap().id);
+            }
+        }
+    }
+    assert!(hostile >= 58, "sweep must cover a meaningful surface: {hostile}");
 
     let outcomes = server.shutdown();
     for id in good_ids {
@@ -468,6 +497,67 @@ fn fuzzed_blobs_are_rejected_without_collateral_damage() {
         );
     }
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A `u32` count at byte `at` inside the sealed section `[start, end)`
+/// (its checksum follows at `end`).
+struct CountField {
+    start: usize,
+    end: usize,
+    at: usize,
+}
+
+impl CountField {
+    /// `blob` with the count set to `value` and the section resealed.
+    fn rewrite(&self, blob: &[u8], value: u32) -> Vec<u8> {
+        let mut out = blob[..self.end].to_vec();
+        out[self.at..self.at + 4].copy_from_slice(&value.to_le_bytes());
+        seal(&mut out, self.start);
+        out.extend_from_slice(&blob[self.end + 8..]);
+        out
+    }
+}
+
+fn u32_at(blob: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(blob[at..at + 4].try_into().unwrap()) as usize
+}
+
+/// The ring-degree and limb-count fields of the polynomial block at `at`;
+/// returns them and the offset just past the block.
+fn poly_count_fields(blob: &[u8], at: usize) -> ([CountField; 2], usize) {
+    let (n, limbs) = (u32_at(blob, at), u32_at(blob, at + 4));
+    let field = |off| CountField { start: at, end: at + 9, at: at + off };
+    ([field(0), field(4)], at + 9 + 8 + limbs * (4 + 8 * n + 8))
+}
+
+/// The count fields of a ciphertext blob: `n` and the limb count of `c0`
+/// and of `c1`.
+fn ciphertext_count_fields(blob: &[u8]) -> Vec<CountField> {
+    let (c0, c1_at) = poly_count_fields(blob, 16 + 20 + 8);
+    let (c1, _) = poly_count_fields(blob, c1_at);
+    c0.into_iter().chain(c1).collect()
+}
+
+/// The count fields of a key bundle: the rotation count, and the digit
+/// count, first per-digit limb count, and first `k0` block's `n` and limb
+/// count of the relinearization key.
+fn key_bundle_count_fields(blob: &[u8]) -> Vec<CountField> {
+    let rotations = u32_at(blob, 16);
+    let framing_end = 16 + 4 + 12 * rotations + 8;
+    let meta = framing_end + 8 + 16;
+    let mut end = meta + 1 + 4 + 4 + 8 + 8 + 8;
+    for _ in 0..u32_at(blob, meta + 5) {
+        end += 4 + 4 * u32_at(blob, end);
+    }
+    let ksk_field = |at| CountField { start: meta, end, at };
+    let (k0, _) = poly_count_fields(blob, end + 8);
+    let mut fields = vec![
+        CountField { start: 16, end: framing_end, at: 16 },
+        ksk_field(meta + 5),
+        ksk_field(meta + 33),
+    ];
+    fields.extend(k0);
+    fields
 }
 
 /// Submits one hostile spec: it must be refused at admission or fail as a
