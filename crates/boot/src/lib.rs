@@ -12,12 +12,9 @@
 //!   decomposition into on-chip-sized partitions the paper's compiler
 //!   applies (Sec. 6, "a 4x4 tile"), each emitted by
 //!   [`cl_isa::HeGraph::bsgs_sum`].
-//! - [`functional`]: an executable bootstrapping implementation over the
-//!   `cl-ckks` library at reduced (test-scale) parameters. It runs the
-//!   plan's four phases but not its shape: two radix stages per transform
-//!   with uncapped baby steps, where the plan models three stages of 20
-//!   diagonals with a capped baby set. The [`functional`] module docs list
-//!   the differences; one shape for both is ROADMAP.md item 2.
+//! - [`functional`]: an executable bootstrap over the `cl-ckks` library
+//!   at test-scale parameters, run from one stage table built by
+//!   [`Bootstrapper::new`].
 
 #![warn(missing_docs)]
 // Library code must propagate failures (`FheResult`/`?`) or `expect` with
@@ -29,6 +26,6 @@ mod plan;
 
 pub use functional::{
     try_bsgs_transform, BootState, BootstrapKeys, BootstrapPrecompute, Bootstrapper,
-    PrecomputedTransform, TransformStage,
+    PrecomputedTransform, RadixStage,
 };
 pub use plan::BootstrapPlan;

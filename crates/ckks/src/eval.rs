@@ -227,29 +227,6 @@ impl CkksContext {
         Ok(())
     }
 
-    /// Fallible scalar multiplication by an integer (no level consumed,
-    /// scale unchanged).
-    ///
-    /// # Errors
-    ///
-    /// Only guardrail failures.
-    pub fn try_mul_integer(&self, a: &Ciphertext, k: i64) -> FheResult<Ciphertext> {
-        self.guard_operands("mul_integer", &[a])?;
-        if k < 0 {
-            let pos = self.try_mul_integer(a, -k)?;
-            return self.try_neg_ct(&pos);
-        }
-        let out = Ciphertext {
-            c0: self.rns().scalar_mul(&a.c0, k as u64),
-            c1: self.rns().scalar_mul(&a.c1, k as u64),
-            level: a.level,
-            scale: a.scale,
-            noise_bits_est: a.noise_bits_est + (k.unsigned_abs().max(1) as f64).log2(),
-        };
-        self.guard_budget("mul_integer", &out)?;
-        Ok(out)
-    }
-
     /// Fallible homomorphic multiplication with relinearization (Sec.
     /// 2.2): tensor the two ciphertexts, then keyswitch the degree-2
     /// component back to a 2-polynomial ciphertext.
@@ -793,17 +770,6 @@ mod tests {
         let got = ctx.decode(&ctx.decrypt(&dropped, &sk), 2);
         assert!((got[0] - 5.0).abs() < 1e-3);
         assert!((got[1] + 6.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn mul_integer_scales_values() {
-        let (ctx, sk, mut rng) = setup(2);
-        let vals = vec![1.5, -2.0];
-        let ct = ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), 2), &sk, &mut rng);
-        let tripled = ctx.try_mul_integer(&ct, -3).unwrap();
-        let got = ctx.decode(&ctx.decrypt(&tripled, &sk), 2);
-        assert!((got[0] + 4.5).abs() < 1e-3);
-        assert!((got[1] - 6.0).abs() < 1e-3);
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!   guardrails that every context runs on every `try_*` operation
 //!   (operand conformance scans, hint integrity digests, and the noise
 //!   budget floor a [`GuardrailPolicy`] sets), and a fault-injection
-//!   harness ([`faults`], test-only) that validates the guardrails catch
+//!   harness (the `faults` module, behind the test-only `faults`
+//!   feature) that validates the guardrails catch
 //!   corrupted ciphertexts, dropped rescales and tampered hints.
 //!
 //! # Example

@@ -124,12 +124,6 @@ impl CkksContext {
         log_q - scale.log2() - noise_bits.max(0.0)
     }
 
-    /// Approximate remaining multiplicative depth (levels of budget left).
-    pub fn remaining_depth(&self, ct: &Ciphertext) -> usize {
-        let per_level = self.default_scale().log2();
-        (self.budget_bits(ct) / per_level).floor() as usize
-    }
-
     // ------------------------------------------------------------------
     // Analytic per-operation estimates (no secret key required)
     // ------------------------------------------------------------------
@@ -295,41 +289,40 @@ mod tests {
 
     #[test]
     fn budget_saw_tooths_like_fig2() {
-        // Consuming levels shrinks the budget; the remaining-depth counter
-        // decrements by ~1 per rescale.
+        // Consuming levels shrinks the budget by about one limb per
+        // rescale.
         let (ctx, sk, mut rng) = setup();
         let relin = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
         let pt = ctx.encode(&[1.01], ctx.default_scale(), 4);
         let mut ct = ctx.encrypt(&pt, &sk, &mut rng);
-        let mut budgets = vec![ctx.remaining_depth(&ct)];
+        let mut budgets = vec![ctx.budget_bits(&ct)];
         for _ in 0..3 {
             ct = ctx
                 .try_rescale(&ctx.try_square(&ct, &relin).unwrap())
                 .unwrap();
-            budgets.push(ctx.remaining_depth(&ct));
+            budgets.push(ctx.budget_bits(&ct));
         }
         // Strictly decreasing until exhausted, then pinned at 0.
         assert!(
-            budgets.windows(2).all(|w| w[1] < w[0] || (w[0] == 0 && w[1] == 0)),
+            budgets.windows(2).all(|w| w[1] < w[0] || (w[0] == 0.0 && w[1] == 0.0)),
             "budget must decrease monotonically: {budgets:?}"
         );
-        // 4 limbs just under 2^45 minus a 2^45 scale: conservative floor
-        // gives depth 2 (the true headroom is fractionally below 3).
-        assert_eq!(budgets[0], 2);
-        assert_eq!(*budgets.last().unwrap(), 0);
+        // 4 limbs just under 2^45 minus a 2^45 scale and the fresh noise:
+        // between two and three levels of headroom.
+        assert!((90.0..135.0).contains(&budgets[0]), "{budgets:?}");
+        assert_eq!(*budgets.last().unwrap(), 0.0);
     }
 
     #[test]
     fn budget_estimate_matches_level_accounting() {
+        // One more limb adds exactly its modulus bits; 2 limbs just under
+        // 2^45 minus the 2^45 scale leave fractionally under one level.
         let (ctx, _, _) = setup();
-        let pt = ctx.encode(&[0.5], ctx.default_scale(), 2);
-        let ct = ctx.trivial_encrypt(&pt);
-        // 2 limbs just under 2^45 minus the 2^45 scale: fractionally under
-        // one full level of headroom, so the conservative floor reports 0.
-        assert_eq!(ctx.remaining_depth(&ct), 0);
-        let pt3 = ctx.encode(&[0.5], ctx.default_scale(), 3);
-        let ct3 = ctx.trivial_encrypt(&pt3);
-        assert_eq!(ctx.remaining_depth(&ct3), 1);
+        let scale = ctx.default_scale();
+        let budget = |l| ctx.budget_bits(&ctx.trivial_encrypt(&ctx.encode(&[0.5], scale, l)));
+        let (b2, b3, q2) = (budget(2), budget(3), (ctx.rns().modulus_value(2) as f64).log2());
+        assert!(b2 < 45.0 && (45.0..90.0).contains(&b3), "{b2} {b3}");
+        assert!((b3 - b2 - q2).abs() < 1e-9, "{b2} {b3} {q2}");
     }
 
     #[test]

@@ -53,12 +53,6 @@ impl CkksParams {
         2f64.powi(self.scale_bits as i32)
     }
 
-    /// Total `log2(QP)` in bits (levels + special limbs), the quantity the
-    /// security model constrains.
-    pub fn log_qp(&self) -> u32 {
-        (self.levels + self.special_limbs) as u32 * self.limb_bits
-    }
-
     /// Bytes per ciphertext at level `level`, using the hardware's
     /// `limb_bits`-bit packing (2 polynomials x level limbs x N coefficients).
     pub fn ciphertext_bytes(&self, level: usize) -> usize {
@@ -172,7 +166,6 @@ mod tests {
         assert_eq!(p.special_limbs(), 4);
         assert_eq!(p.limb_bits(), 28);
         assert_eq!(p.slots(), 32);
-        assert_eq!(p.log_qp(), 8 * 28);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! energy with register-file words, network energy with transpose traffic,
 //! and HBM energy with off-chip bytes, plus a constant idle/leakage floor.
 
-use cl_isa::FuKind;
-
 use crate::{ArchConfig, Stats};
 
 /// Energy per scalar multiply-accumulate (28-bit, pipelined to the
@@ -72,31 +70,10 @@ pub fn power_breakdown(cfg: &ArchConfig, stats: &Stats) -> PowerBreakdown {
     }
 }
 
-/// Total energy in joules for an execution (used for the performance-per-
-/// joule comparison against F1+, Sec. 9.2).
-pub fn total_energy_joules(cfg: &ArchConfig, stats: &Stats) -> f64 {
-    let seconds = stats.cycles / (cfg.freq_ghz * 1e9);
-    power_breakdown(cfg, stats).total() * seconds
-}
-
-/// Peak scalar operations per cycle of a configuration (CRB internals plus
-/// all element-wise FU lanes), used for sanity checks.
-pub fn peak_scalar_ops_per_cycle(cfg: &ArchConfig, l_max: usize) -> f64 {
-    // The CRB's internal MAC array is l_max pipelines x E lanes (Sec. 5.1).
-    let crb = cfg.fu_count(FuKind::Crb) * l_max as f64 * cfg.lanes as f64;
-    let pointwise = (cfg.fu_count(FuKind::Mul) + cfg.fu_count(FuKind::Add)) * cfg.lanes as f64;
-    // Each NTT FU performs E/2 butterflies per cycle per stage over log2(N)
-    // stages in a fully pipelined implementation.
-    let ntt = cfg.fu_count(FuKind::Ntt)
-        * (cfg.lanes as f64 / 2.0)
-        * (cfg.n_max as f64).log2();
-    crb + pointwise + ntt
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cl_isa::TrafficClass;
+    use cl_isa::{FuKind, TrafficClass};
 
     #[test]
     fn zero_time_yields_idle_only() {
@@ -125,8 +102,6 @@ mod tests {
         // HBM: 200 GB/s * 60 pJ/B = 12 W.
         assert!((p.hbm - 12.0).abs() < 1e-6);
         assert!(p.total() > p.fu);
-        // Energy = power x time.
-        assert!((total_energy_joules(&cfg, &s) - p.total()).abs() < 1e-9);
     }
 
     #[test]
@@ -136,7 +111,5 @@ mod tests {
         let cfg = ArchConfig::craterlake();
         let crb_macs = cfg.fu_count(FuKind::Crb) * 60.0 * cfg.lanes as f64;
         assert!((crb_macs - 122_880.0).abs() < 1.0);
-        let peak = peak_scalar_ops_per_cycle(&cfg, 60);
-        assert!(peak > crb_macs);
     }
 }

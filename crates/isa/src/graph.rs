@@ -68,11 +68,6 @@ impl HeOp {
             | HeOp::Output(a) => vec![a],
         }
     }
-
-    /// Whether this op requires a keyswitch.
-    pub fn needs_keyswitch(&self) -> bool {
-        matches!(self, HeOp::MulCt(..) | HeOp::Rotate(..) | HeOp::Conjugate(..))
-    }
 }
 
 /// A node: an operation plus the level it executes at and its phase tag.
@@ -603,12 +598,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn keyswitch_classification() {
-        let g = small_graph();
-        let ks_ops = g.iter().filter(|(_, n)| n.op.needs_keyswitch()).count();
-        assert_eq!(ks_ops, 1); // only the rotation
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! A backend is chosen once per process from `is_x86_feature_detected!`,
 //! overridable with `CL_BACKEND=scalar|avx2|avx512` (tests can also switch
-//! in-process via [`set_active`]). Every backend is bit-exact: kernels with
+//! in-process via [`set_active_backend`]). Every backend is bit-exact: kernels with
 //! canonical `[0, q)` outputs return identical words on all backends, and
 //! lazy kernels obey the same `[0, 4q)` / `[0, 2q)` drift bounds the scalar
 //! reference does, so the final correction sweeps land on identical words

@@ -684,32 +684,19 @@ impl RnsContext {
     pub fn apply_automorphism(&self, a: &RnsPoly, galois: u64) -> RnsPoly {
         let mut out = RnsPoly::zero(self.n, a.basis().clone());
         out.set_ntt_form(a.ntt_form());
-        self.apply_automorphism_into(a, galois, &mut out);
-        out
-    }
-
-    /// Allocation-free automorphism: writes `σ_galois(a)` into `out`, which
-    /// must have the same basis and ring degree (its domain flag is set to
-    /// match `a`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out`'s basis differs from `a`'s.
-    pub fn apply_automorphism_into(&self, a: &RnsPoly, galois: u64, out: &mut RnsPoly) {
-        assert_eq!(a.basis(), out.basis(), "automorphism output basis mismatch");
-        out.set_ntt_form(a.ntt_form());
         if a.ntt_form() {
             let table = cl_math::AutomorphismTable::cached(self.n, galois);
-            self.par_limbs(out, |k, _, data| {
+            self.par_limbs(&mut out, |k, _, data| {
                 cl_math::apply_automorphism_ntt_into(a.limb(k), &table, data);
             });
         } else {
-            self.par_limbs(out, |k, limb, data| {
+            self.par_limbs(&mut out, |k, limb, data| {
                 let m = &self.modulus_structs[limb as usize];
                 let mapped = cl_math::apply_automorphism_coeff(a.limb(k), galois, m);
                 data.copy_from_slice(&mapped);
             });
         }
+        out
     }
 
     /// Restricts a polynomial to a sub-basis (drops limbs not in `target`).

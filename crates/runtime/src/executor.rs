@@ -219,7 +219,8 @@ impl RunControl {
 /// Counters describing what the recovery machinery did during a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryTelemetry {
-    /// Faults injected by the attached [`FaultPlan`] (0 without one).
+    /// Faults injected by the attached `cl_ckks::faults::FaultPlan` (0
+    /// without one).
     pub faults_injected: u64,
     /// Faults *detected*: op failures the context's guardrails report, plus
     /// pre-checkpoint validation failures.

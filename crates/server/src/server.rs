@@ -375,11 +375,13 @@ impl JobServer {
             ..RecoveryReport::default()
         };
         for setup in tenants {
-            server.register_tenant_inner(
-                &setup.id,
-                Arc::clone(&setup.ctx),
-                setup.bootstrapper.clone(),
-            )?;
+            let (ctx, booter) = (Arc::clone(&setup.ctx), setup.bootstrapper.clone());
+            if let Err(e) = server.register_tenant_inner(&setup.id, ctx, booter) {
+                // Nothing is re-admitted yet: stop the workers and leave
+                // the journal and checkpoints for a corrected retry.
+                server.kill();
+                return Err(e);
+            }
         }
         let shared = &server.shared;
         let mut live_by_tenant: HashMap<String, HashSet<u64>> = HashMap::new();
@@ -507,7 +509,10 @@ impl JobServer {
     ///
     /// # Errors
     ///
-    /// Same contract as [`JobServer::register_tenant`].
+    /// Same contract as [`JobServer::register_tenant`], plus
+    /// [`FheError::InvalidParams`] when the context's chain cannot cover
+    /// the bootstrap ([`Bootstrapper::try_exit_level`]): every bootstrap
+    /// job of the tenant would fail at ModRaise.
     pub fn register_tenant_with_bootstrapper(
         &self,
         id: &str,
@@ -532,6 +537,9 @@ impl JobServer {
                 op: "register_tenant",
                 reason: format!("tenant id {id:?} is not directory-name safe"),
             });
+        }
+        if let Some(booter) = &booter {
+            booter.try_exit_level(ctx.max_level())?;
         }
         let root = self.shared.config.checkpoint_root.join(id);
         std::fs::create_dir_all(&root).map_err(|e| FheError::Serialization {
@@ -1514,8 +1522,20 @@ mod tests {
             server.register_tenant("../escape", Arc::clone(&strict)),
             Err(FheError::InvalidParams { .. })
         ));
+        // Four levels cannot hold a bootstrap, so every bootstrap job would
+        // fail at ModRaise: refused at registration and on recovery alike.
+        let booter = Arc::new(Bootstrapper::new(&strict, 8));
+        let refused = |r: FheResult<()>| {
+            matches!(r, Err(FheError::InvalidParams { op: "bootstrap", reason })
+                if reason.contains("cannot cover"))
+        };
+        let r = server.register_tenant_with_bootstrapper("t-2", strict.clone(), booter.clone());
+        assert!(refused(r));
         assert_eq!(server.tenants(), vec!["t-1".to_string()]);
         server.shutdown();
+        let config = ServerConfig { checkpoint_root: root.clone(), ..ServerConfig::default() };
+        let setup = TenantSetup { id: "t-2".into(), ctx: strict, bootstrapper: Some(booter) };
+        assert!(refused(JobServer::recover(config, &[setup]).map(|_| ())));
         let _ = std::fs::remove_dir_all(&root);
     }
 }

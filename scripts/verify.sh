@@ -39,6 +39,8 @@
 #     violated invariant via `expect` or propagate with `?`/`FheResult`).
 #     `panic!` is banned in the cl-ckks and cl-boot libraries, where
 #     every operation has one fallible entry point.
+# 13. Rustdoc gate: the workspace's docs build without a warning, so a
+#     deleted or private item that a doc comment still links to fails.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -186,5 +188,8 @@ cargo clippy -p cl-trace --lib --no-deps --features trace -- \
     -D warnings -D clippy::unwrap_used
 # No panicking twin of a `try_*` operation: callers propagate or `expect`.
 cargo clippy -p cl-ckks -p cl-boot --lib --no-deps -- -D clippy::panic
+
+echo "== tier-1: rustdoc gate =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "tier-1 verify: OK"

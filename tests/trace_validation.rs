@@ -24,12 +24,13 @@
 
 use std::sync::{Mutex, MutexGuard};
 
+mod common;
+
 use craterlake::boot::{Bootstrapper, PrecomputedTransform};
 use craterlake::ckks::{CkksContext, CkksParams, GuardrailPolicy, KeySwitchKind};
 use craterlake::isa::cost::{
     boosted_keyswitch_crb_mult, boosted_keyswitch_ops, mul_aux_ops, standard_keyswitch_ops,
 };
-use craterlake::math::{Complex, SpecialFft};
 use cl_trace::OpSnapshot;
 use rand::SeedableRng;
 
@@ -242,28 +243,6 @@ fn mul_plain_acc_counts_match_mul_plain_then_add() {
     assert_eq!((fused.mult, fused.add, fused.pt_mults), (2 * l, 2 * l, 1));
 }
 
-/// The generalized diagonals of `apply` over `m` slots, read column by
-/// column from unit vectors (`diag_d[j] = M[j][(j + d) mod m]`), keeping
-/// the nonzero ones.
-fn dense_diagonals(m: usize, apply: impl Fn(&mut [Complex])) -> Vec<(i64, Vec<Complex>)> {
-    let cols: Vec<Vec<Complex>> = (0..m)
-        .map(|c| {
-            let mut e = vec![Complex::default(); m];
-            e[c] = Complex::new(1.0, 0.0);
-            apply(&mut e);
-            e
-        })
-        .collect();
-    (0..m)
-        .filter_map(|d| {
-            let diag: Vec<Complex> = (0..m).map(|j| cols[(j + d) % m][j]).collect();
-            diag.iter()
-                .any(|v| v.abs() > 1e-12)
-                .then_some((d as i64, diag))
-        })
-        .collect()
-}
-
 #[test]
 fn bootstrap_counts_match_stage_diagonals_exactly() {
     let _g = counter_lock();
@@ -293,36 +272,25 @@ fn bootstrap_counts_match_stage_diagonals_exactly() {
     // Each transform is two radix stages of the special FFT — the coarse
     // and the fine half of its butterfly levels — and a BSGS stage costs
     // one plaintext multiply per diagonal and one rotation per nonzero
-    // baby offset and giant step. The diagonals are read here densely off
-    // the FFT's own stage-range butterflies, independently of how the
-    // library composes them.
-    let slots = ctx.params().slots();
-    let fft = SpecialFft::new(slots);
-    let levels = slots.trailing_zeros();
-    let fine = levels / 2;
+    // baby offset and giant step. The diagonals are read densely off the
+    // FFT's own stage-range butterflies, independently of how the library
+    // composes them, and the bootstrapper's stage table must hold the same
+    // diagonal counts and key steps.
     let (mut stage_rotations, mut stage_pt_muls) = (0u64, 0u64);
-    for (range, forward) in [
-        (fine..levels, false),
-        (0..fine, false),
-        (0..fine, true),
-        (fine..levels, true),
-    ] {
-        let diags = dense_diagonals(slots, |v| {
-            if forward {
-                fft.forward_levels(v, range.clone());
-            } else {
-                fft.inverse_levels(v, range.clone());
-            }
-        });
+    let derived = common::fft_stage_diagonals(ctx.params().slots());
+    for (diags, stage) in derived.iter().zip(booter.stages()) {
+        let steps = PrecomputedTransform::new(&ctx, diags, 2).required_steps();
+        assert_eq!(stage.diagonals().len(), diags.len(), "stage diagonals");
+        assert_eq!(stage.required_steps(), steps, "stage key steps");
         stage_pt_muls += diags.len() as u64;
-        stage_rotations += PrecomputedTransform::new(&ctx, &diags, 2).required_steps().len() as u64;
+        stage_rotations += steps.len() as u64;
     }
     // EvalMod runs twice (real and imaginary halves), each with 6 ct-muls
     // for the degree-7 Taylor power basis plus `r` double-angle squarings,
     // 7 Taylor-coefficient plaintext muls and one closing 1/(2π) mul, and
     // one conjugation. The split adds one more conjugation; it and the
     // recombine multiply by i exactly, with no plaintext.
-    let r = (booter.depth() - 7) as u64;
+    let r = u64::from(booter.r());
     assert_eq!(d.rotations, stage_rotations + 3, "rotations");
     assert_eq!(d.pt_mults, stage_pt_muls + 2 * 8, "pt muls");
     assert_eq!(d.ct_mults, 2 * (6 + r), "ct muls");
