@@ -1012,12 +1012,6 @@ impl Bootstrapper {
         self.r
     }
 
-    /// Levels the pipeline consumes before SlotToCoeff: CoeffToSlot's two
-    /// radix stages and EvalMod.
-    pub fn depth(&self) -> usize {
-        self.stages[SLOT_TO_COEFF[0]].levels_before
-    }
-
     /// The level a bootstrap from a chain of `l_max` levels exits at, one
     /// below its last radix stage. This is the one budget rule for a
     /// bootstrap: every stage needs a level to rescale into.
@@ -1176,7 +1170,7 @@ impl Bootstrapper {
     /// # Errors
     ///
     /// - [`FheError::InvalidParams`] if the context's budget cannot cover
-    ///   the pipeline's depth (see [`Bootstrapper::depth`]).
+    ///   the pipeline's levels (see [`Bootstrapper::try_exit_level`]).
     /// - [`FheError::MissingKey`] if a rotation key for a transform
     ///   diagonal is absent from `keys`.
     /// - Any error the underlying homomorphic ops report under the
@@ -1514,7 +1508,7 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
             let sk = ctx.keygen_sparse(8, &mut rng);
             let booter = Bootstrapper::new(&ctx, 8);
-            assert_eq!((booter.r, booter.depth()), (6, 13), "h = 8");
+            assert_eq!(booter.r, 6, "h = 8");
             let l_max = ctx.max_level();
             let levels = booter.stages.each_ref().map(|stage| l_max - stage.levels_before);
             assert_eq!(levels, [20, 19, 7, 6], "N = {n}");

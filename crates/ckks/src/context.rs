@@ -479,8 +479,9 @@ impl CkksContext {
         }
     }
 
-    /// Builds a trivial (noiseless, insecure) ciphertext of a plaintext —
-    /// useful for testing and for public constants.
+    /// Builds a trivial (noiseless, insecure) ciphertext of a plaintext,
+    /// for tests.
+    #[cfg(test)]
     pub fn trivial_encrypt(&self, pt: &Plaintext) -> Ciphertext {
         let basis = self.rns.q_basis(pt.level);
         let mut c1 = self.rns.zero(&basis);

@@ -1,4 +1,4 @@
-//! Fault-injection harness (test-only).
+//! Fault-injection harness.
 //!
 //! Deliberately corrupts ciphertexts and keyswitch hints so tests can
 //! verify that the runtime guardrails every context runs catch each
@@ -20,8 +20,10 @@
 //! crash between ops — the fault model the cl-runtime pipeline executor's
 //! checkpoint/restore loop is validated against.
 //!
-//! The module is compiled only for tests and under the `faults` cargo
-//! feature; production builds carry none of this code.
+//! The module is compiled in every build, so the library the tests check
+//! is the one that ships. Nothing here is reachable from outside the
+//! process: no blob, journal record or checkpoint carries a plan, so only
+//! code linked into the process can attach one.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};

@@ -171,7 +171,6 @@ impl KeySwitchKey {
     /// payload, in digit, half and limb order. Every step is a bijection,
     /// so a change to any single word or field always changes the digest.
     pub(crate) fn compute_digest(&self) -> u64 {
-        #[cfg(any(test, feature = "faults"))]
         crate::faults::count_digest();
         let kind = match self.kind {
             KeySwitchKind::Standard => 0,

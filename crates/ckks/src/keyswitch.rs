@@ -414,7 +414,7 @@ impl CkksContext {
 /// The noise bound is unchanged because `σ` permutes coefficients without
 /// growing them. In the NTT domain `σ` is a pure index permutation, fused
 /// into the hint inner product as a gather
-/// ([`cl_rns::RnsContext::mul_acc_superset_automorph`]).
+/// ([`cl_rns::RnsContext::mul_acc_pair_superset`]).
 ///
 /// Obtain one via [`CkksContext::try_hoist`]; apply it with
 /// [`HoistedDecomposition::apply`], once per key (a plain keyswitch, or a

@@ -22,8 +22,7 @@
 //!   guardrails that every context runs on every `try_*` operation
 //!   (operand conformance scans, hint integrity digests, and the noise
 //!   budget floor a [`GuardrailPolicy`] sets), and a fault-injection
-//!   harness (the `faults` module, behind the test-only `faults`
-//!   feature) that validates the guardrails catch
+//!   harness (the [`faults`] module) that validates the guardrails catch
 //!   corrupted ciphertexts, dropped rescales and tampered hints.
 //!
 //! # Example
@@ -59,7 +58,6 @@ mod ciphertext;
 mod context;
 mod error;
 mod eval;
-#[cfg(any(test, feature = "faults"))]
 pub mod faults;
 mod hint_cache;
 mod keys;

@@ -126,6 +126,7 @@ pub struct CompileOptions {
     pub reorder: bool,
 }
 
+#[cfg(test)]
 impl CompileOptions {
     /// Default options for the paper's main evaluation: `N = 64K`, 80-bit
     /// security-driven keyswitching.

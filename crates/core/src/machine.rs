@@ -160,6 +160,7 @@ impl Machine {
     }
 
     /// True if the value is currently resident on chip.
+    #[cfg(test)]
     pub fn is_resident(&self, id: ValueId) -> bool {
         self.value(id).is_some_and(|v| v.resident)
     }

@@ -425,32 +425,6 @@ macro_rules! simd_driver {
             unreachable!("the last product accepts every modulus");
         }
 
-        #[target_feature(enable = $tf)]
-        pub(crate) fn gather_mul_acc_slice(m: &Modulus, acc: &mut [u64], src: &[u64], perm: &[u32], b: &[u64]) {
-            debug_assert!(acc.len() == perm.len() && acc.len() == b.len());
-            let mut rank = PRODUCTS;
-            $(rank -= 1; if chosen(rank, $when(m)) {
-                #[target_feature(enable = $ptf)]
-                unsafe fn body(m: &Modulus, acc: &mut [u64], src: &[u64], perm: &[u32], b: &[u64]) {
-                    let c = $pconsts(m);
-                    let n = acc.len() - acc.len() % LANES;
-                    for i in (0..n).step_by(LANES) {
-                        // SAFETY: i + LANES <= n and acc, perm, b have equal
-                        // length; perm indexes src as in gather_slice.
-                        unsafe {
-                            let v = gather_checked(src, perm, i);
-                            let r = $mul_acc(c, ld(acc, i), v, ld(b, i));
-                            st(acc, i, r);
-                        }
-                    }
-                    scalar::gather_mul_acc_slice(m, &mut acc[n..], src, &perm[n..], &b[n..]);
-                }
-                // SAFETY: as mul_mod_slice.
-                return unsafe { body(m, acc, src, perm, b) };
-            })+
-            unreachable!("the last product accepts every modulus");
-        }
-
         #[allow(clippy::too_many_arguments)]
         #[target_feature(enable = $tf)]
         pub(crate) fn gather_mul_acc_pair_slice(

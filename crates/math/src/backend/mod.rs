@@ -444,14 +444,6 @@ kernels! {
         gather_in_range!(src, perm);
     }
 
-    /// Fused automorphism + multiply-accumulate:
-    /// `acc[i] = (acc[i] + src[perm[i]] * b[i]) mod q`, canonical. `perm`
-    /// must be an `AutomorphismTable` permutation.
-    fn gather_mul_acc_slice(m: &Modulus, acc: &mut [u64], src: &[u64], perm: &[u32], b: &[u64]) {
-        same_len!(acc, perm, b);
-        gather_in_range!(src, perm);
-    }
-
     /// Paired fused automorphism + multiply-accumulate, sharing one gather:
     /// `acc0[i] += src[perm[i]] * b0[i]`, `acc1[i] += src[perm[i]] * b1[i]`,
     /// both mod q, canonical. `perm` must be an `AutomorphismTable`

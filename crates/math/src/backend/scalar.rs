@@ -74,12 +74,6 @@ pub(crate) fn first_at_or_above(x: &[u64], bound: u64) -> Option<usize> {
     x.iter().position(|&w| w >= bound)
 }
 
-pub(crate) fn gather_mul_acc_slice(m: &Modulus, acc: &mut [u64], src: &[u64], perm: &[u32], b: &[u64]) {
-    for ((acc, &s), &y) in acc.iter_mut().zip(perm).zip(b) {
-        *acc = m.add(*acc, m.mul(src[s as usize], y));
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gather_mul_acc_pair_slice(
     m: &Modulus,

@@ -349,20 +349,11 @@ impl Modulus {
         crate::backend::first_at_or_above(x, self.q)
     }
 
-    /// `acc[i] = (acc[i] + src[perm[i]] * b[i]) mod q` for `perm` the
-    /// permutation of `table` — fused gather + multiply-accumulate, the
-    /// automorphism hot path. All values canonical.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `acc`, `src` and `b` all have the table's ring degree.
-    #[inline]
-    pub fn gather_mul_acc_slice(&self, acc: &mut [u64], src: &[u64], table: &AutomorphismTable, b: &[u64]) {
-        crate::backend::gather_mul_acc_slice(self, acc, src, table.permutation(), b);
-    }
-
-    /// Like [`Modulus::gather_mul_acc_slice`] but feeds one gather into two
-    /// accumulators (the two halves of a key-switch key).
+    /// `acc0[i] = (acc0[i] + src[perm[i]] * b0[i]) mod q` and likewise
+    /// `acc1` with `b1`, for `perm` the permutation of `table` — fused
+    /// gather + multiply-accumulate feeding one gather into two
+    /// accumulators (the two halves of a key-switch key), the automorphism
+    /// hot path. All values canonical.
     ///
     /// # Panics
     ///
@@ -694,12 +685,6 @@ mod tests {
                         forced::gather_slice(route, &mut out, &src, &perm);
                         prop_assert_eq!(&out, &r, "gather_slice diverged on {}", route);
 
-                        let mut acc = acc_init.clone();
-                        let mut racc = acc_init.clone();
-                        forced::gather_mul_acc_slice(BackendKind::Scalar, &m, &mut racc, &src, &perm, &b);
-                        forced::gather_mul_acc_slice(route, &m, &mut acc, &src, &perm, &b);
-                        prop_assert_eq!(&acc, &racc, "gather_mul_acc_slice diverged on {} at q = {}", route, q);
-
                         let mut p0 = acc_init.clone();
                         let mut p1 = b1.clone();
                         let mut r0 = acc_init.clone();
@@ -774,13 +759,6 @@ mod tests {
             message = payload.downcast_ref::<String>().cloned().unwrap_or_default();
         }
         message
-    }
-
-    #[test]
-    #[should_panic(expected = "gather source length mismatch")]
-    fn gather_mul_acc_rejects_short_src_on_every_backend() {
-        let message = short_src_refusal(|m, acc, src, table, b| m.gather_mul_acc_slice(acc, src, table, b));
-        panic!("{message}");
     }
 
     #[test]

@@ -493,82 +493,23 @@ impl RnsContext {
         });
     }
 
-    /// Multiply-accumulate against a wider polynomial: `acc += a * b`,
-    /// where `b` lives in a superset of `acc`'s basis (e.g. a keyswitch
-    /// hint over the full chain applied at a lower level). Avoids
-    /// materializing `b`'s restriction to the narrower basis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acc` and `a` differ in basis or domain, any operand is in
-    /// coefficient form, or `b` is missing one of `acc`'s limbs.
-    pub fn mul_acc_superset(&self, acc: &mut RnsPoly, a: &RnsPoly, b: &RnsPoly) {
-        self.check_compatible(acc, a);
-        assert!(acc.ntt_form() && b.ntt_form(), "mul_acc requires NTT form");
-        cl_trace::record_mult(acc.basis().len() as u64, self.n);
-        cl_trace::record_add(acc.basis().len() as u64, self.n);
-        let b_basis = &b.basis().0;
-        self.par_limbs(acc, |k, limb, data| {
-            let m = self.modulus_structs[limb as usize];
-            let bk = b_basis
-                .iter()
-                .position(|&l| l == limb)
-                .expect("b's basis must contain every limb of acc");
-            m.mul_acc_mod_slice(data, a.limb(k), b.limb(bk));
-        });
-    }
-
-    /// Like [`RnsContext::mul_acc_superset`], but multiplies the hint by
-    /// `σ_galois(a)` instead of `a`, with the automorphism fused into the
-    /// accumulation as a gather (`acc[i] += a[perm[i]] * b[i]`).
-    ///
-    /// In NTT form an automorphism is a pure index permutation, so hoisted
-    /// rotation keyswitching can rotate the already-decomposed digit
-    /// polynomials without ever materializing the permuted copies. The
-    /// result is bit-identical to `mul_acc_superset(acc,
-    /// apply_automorphism(a, galois), b)`.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`RnsContext::mul_acc_superset`].
-    pub fn mul_acc_superset_automorph(
-        &self,
-        acc: &mut RnsPoly,
-        a: &RnsPoly,
-        galois: u64,
-        b: &RnsPoly,
-    ) {
-        self.check_compatible(acc, a);
-        assert!(acc.ntt_form() && b.ntt_form(), "mul_acc requires NTT form");
-        cl_trace::record_mult(acc.basis().len() as u64, self.n);
-        cl_trace::record_add(acc.basis().len() as u64, self.n);
-        cl_trace::record_automorph(acc.basis().len() as u64, self.n);
-        let table = cl_math::AutomorphismTable::cached(self.n, galois);
-        let b_basis = &b.basis().0;
-        self.par_limbs(acc, |k, limb, data| {
-            let m = self.modulus_structs[limb as usize];
-            let bk = b_basis
-                .iter()
-                .position(|&l| l == limb)
-                .expect("b's basis must contain every limb of acc");
-            m.gather_mul_acc_slice(data, a.limb(k), &table, b.limb(bk));
-        });
-    }
-
     /// Fused pair accumulation `acc0[i] += σ(a)[i]·b0[i]` and
     /// `acc1[i] += σ(a)[i]·b1[i]` — the keyswitch inner-product shape,
     /// where both hint halves multiply the *same* decomposed digit. One
     /// pass per limb shares the (scattered, cache-unfriendly) gather of
     /// `σ(a)` between both accumulators instead of paying it twice.
-    /// `galois` of `None` means the identity automorphism. Bit-identical
-    /// to two [`RnsContext::mul_acc_superset`] /
-    /// [`RnsContext::mul_acc_superset_automorph`] calls.
+    /// `galois` of `None` means the identity automorphism. The hints `b0`
+    /// and `b1` may live in a superset of the accumulators' basis (a
+    /// keyswitch hint over the full chain applied at a lower level); their
+    /// restriction is never materialized. Bit-identical to restricting
+    /// each hint, rotating `a` with [`RnsContext::apply_automorphism`] and
+    /// calling [`RnsContext::mul_acc`] twice.
     ///
     /// # Panics
     ///
-    /// Same contract as [`RnsContext::mul_acc_superset`] for each
-    /// accumulator; additionally `acc0` and `acc1` must share a basis, and
-    /// every operand must have the context's ring degree.
+    /// Panics if `acc0`, `acc1` and `a` differ in basis or domain, any
+    /// operand is in coefficient form or not of the context's ring degree,
+    /// or `b0` or `b1` is missing one of the accumulators' limbs.
     pub fn mul_acc_pair_superset(
         &self,
         acc0: &mut RnsPoly,
@@ -755,23 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_acc_superset_automorph_matches_unfused() {
-        let c = ctx();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let sub = c.q_basis(2);
-        let full = c.q_basis(3).union(&c.p_basis(2));
-        let a = c.sample_uniform(&sub, &mut rng);
-        let b = c.sample_uniform(&full, &mut rng);
-        let mut fused = c.zero(&sub);
-        fused.set_ntt_form(true);
-        let mut unfused = fused.clone();
-        c.mul_acc_superset_automorph(&mut fused, &a, 5, &b);
-        let rotated = c.apply_automorphism(&a, 5);
-        c.mul_acc_superset(&mut unfused, &rotated, &b);
-        assert_eq!(fused, unfused, "fused automorphism gather must be bit-exact");
-    }
-
-    #[test]
     fn mul_acc_pair_matches_two_single_calls() {
         let c = ctx();
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
@@ -787,16 +711,14 @@ mod tests {
             let mut s0 = p0.clone();
             let mut s1 = p0.clone();
             c.mul_acc_pair_superset(&mut p0, &mut p1, &a, galois, &b0, &b1);
-            match galois {
-                Some(g) => {
-                    c.mul_acc_superset_automorph(&mut s0, &a, g, &b0);
-                    c.mul_acc_superset_automorph(&mut s1, &a, g, &b1);
-                }
-                None => {
-                    c.mul_acc_superset(&mut s0, &a, &b0);
-                    c.mul_acc_superset(&mut s1, &a, &b1);
-                }
-            }
+            // The unfused path: restrict each hint, rotate `a`, then two
+            // plain multiply-accumulates.
+            let rotated = match galois {
+                Some(g) => c.apply_automorphism(&a, g),
+                None => a.clone(),
+            };
+            c.mul_acc(&mut s0, &rotated, &c.restrict(&b0, &sub));
+            c.mul_acc(&mut s1, &rotated, &c.restrict(&b1, &sub));
             assert_eq!(p0, s0, "paired acc0 must be bit-exact (galois={galois:?})");
             assert_eq!(p1, s1, "paired acc1 must be bit-exact (galois={galois:?})");
         }

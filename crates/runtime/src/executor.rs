@@ -29,7 +29,6 @@ use cl_boot::{BootState, Bootstrapper, BootstrapKeys};
 use cl_ckks::{Ciphertext, CkksContext, FheError, FheResult, Plaintext};
 use cl_math::Complex;
 
-#[cfg(any(test, feature = "faults"))]
 use cl_ckks::faults::{FaultAction, FaultPlan};
 
 use crate::checkpoint::{validate_boot_state, Checkpoint, CheckpointStore, WorkState};
@@ -244,10 +243,9 @@ pub struct RecoveryTelemetry {
     /// counterpart of the compiler residency plan's predicted peak.
     pub peak_live_cts: u64,
     /// Primitive-op counters accumulated while the executor was driving
-    /// (NTT passes, element-wise mults/adds, base conversions, ...). All
-    /// zero unless the `trace` feature of `cl-trace` is enabled. Counters
-    /// are process-global, so this is only attributable to the run when no
-    /// other FHE work executes concurrently.
+    /// (NTT passes, element-wise mults/adds, base conversions, ...).
+    /// Counters are process-global, so this is only attributable to the
+    /// run when no other FHE work executes concurrently.
     pub ops: cl_trace::OpSnapshot,
 }
 
@@ -309,7 +307,6 @@ impl Acc {
     /// else holds the payload (`last_good`, an aliasing slot) keeps the
     /// clean one, so an injected flip can only ever reach the state it was
     /// aimed at.
-    #[cfg(any(test, feature = "faults"))]
     fn primary_mut(&mut self) -> &mut Ciphertext {
         match self {
             Acc::Ct(ct) => Arc::make_mut(ct),
@@ -363,7 +360,6 @@ pub struct PipelineExecutor<'a> {
     /// into every checkpoint and required back at load, so a reused
     /// checkpoint directory can never resume another job's state.
     binding: u64,
-    #[cfg(any(test, feature = "faults"))]
     plan: Option<FaultPlan>,
 }
 
@@ -399,7 +395,6 @@ impl<'a> PipelineExecutor<'a> {
             telemetry: RecoveryTelemetry::default(),
             control: None,
             binding: 0,
-            #[cfg(any(test, feature = "faults"))]
             plan: None,
         })
     }
@@ -422,7 +417,6 @@ impl<'a> PipelineExecutor<'a> {
     /// Attaches a seeded fault plan. The plan is consulted before every
     /// micro-op and survives a simulated crash, so the fault stream is one
     /// continuous deterministic sequence across run + resume.
-    #[cfg(any(test, feature = "faults"))]
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.plan = Some(plan);
     }
@@ -431,7 +425,6 @@ impl<'a> PipelineExecutor<'a> {
     /// server retrying a job on a fresh executor re-attaches the returned
     /// plan so the fault stream stays one continuous deterministic
     /// sequence across attempts (fired kill points do not re-fire).
-    #[cfg(any(test, feature = "faults"))]
     pub fn take_fault_plan(&mut self) -> Option<FaultPlan> {
         self.plan.take()
     }
@@ -504,27 +497,14 @@ impl<'a> PipelineExecutor<'a> {
     ///
     /// Same contract as [`PipelineExecutor::run`].
     pub fn resume(&mut self, input: &Ciphertext, program: &Program) -> FheResult<RunOutcome> {
-        self.resume_graph(std::slice::from_ref(input), program)
-    }
-
-    /// [`PipelineExecutor::resume`] for multi-input dataflow programs.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PipelineExecutor::run_graph`].
-    pub fn resume_graph(
-        &mut self,
-        inputs: &[Ciphertext],
-        program: &Program,
-    ) -> FheResult<RunOutcome> {
         self.resume_prepared(
-            inputs,
+            std::slice::from_ref(input),
             &PreparedProgram::borrowed_with_memo(self.ctx, program, 0),
         )
     }
 
-    /// [`PipelineExecutor::resume_graph`] of a prepared program (see
-    /// [`PipelineExecutor::run_prepared`]).
+    /// [`PipelineExecutor::resume`] of a prepared, possibly multi-input
+    /// program (see [`PipelineExecutor::run_prepared`]).
     ///
     /// # Errors
     ///
@@ -665,7 +645,6 @@ impl<'a> PipelineExecutor<'a> {
                 control.check("pipeline")?;
             }
 
-            #[cfg(any(test, feature = "faults"))]
             if let Some(plan) = self.plan.as_mut() {
                 let action = plan.on_op(state.primary_mut());
                 self.telemetry.faults_injected = plan.injected();
@@ -770,7 +749,6 @@ impl<'a> PipelineExecutor<'a> {
         slots: &Slots,
         op_by_op_until: &mut u64,
     ) -> Option<(Acc, Slots, u64)> {
-        #[cfg(any(test, feature = "faults"))]
         if self.plan.is_some() {
             return None;
         }
@@ -1607,7 +1585,8 @@ mod tests {
                     exec.run_graph(&inputs, &program).unwrap(),
                     RunOutcome::Crashed
                 ));
-                let got = match exec.resume_graph(&inputs, &program).unwrap() {
+                let prepared = PreparedProgram::borrowed_with_memo(&ctx, &program, 0);
+                let got = match exec.resume_prepared(&inputs, &prepared).unwrap() {
                     RunOutcome::Completed(c) => c,
                     RunOutcome::Crashed => panic!("kill point already consumed"),
                 };

@@ -15,7 +15,6 @@ use cl_ckks::serialize::fnv1a_fast;
 use cl_ckks::FheError;
 use cl_runtime::RecoveryTelemetry;
 
-#[cfg(feature = "faults")]
 use cl_ckks::faults::FaultPlan;
 
 /// An immutable, reference-counted payload blob with a lazily computed,
@@ -118,8 +117,9 @@ pub struct JobSpec {
     pub deadline: Option<Duration>,
     /// Seeded fault plan injected into this job's executor, for chaos
     /// testing. The plan's op counter advances across server-level
-    /// retries, so the fault stream is one deterministic sequence.
-    #[cfg(feature = "faults")]
+    /// retries, so the fault stream is one deterministic sequence. It is
+    /// in-process only: no blob, journal record or checkpoint carries it,
+    /// so a job resumed after a restart runs without one.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -139,7 +139,6 @@ impl JobSpec {
             input_blob: input_blob.into(),
             key_blob: key_blob.into(),
             deadline: None,
-            #[cfg(feature = "faults")]
             fault_plan: None,
         }
     }

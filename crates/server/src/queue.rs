@@ -74,6 +74,7 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Jobs currently queued for `tenant`.
+    #[cfg(test)]
     pub fn tenant_len(&self, tenant: &str) -> usize {
         self.per_tenant.get(tenant).map_or(0, VecDeque::len)
     }

@@ -447,7 +447,6 @@ impl JobServer {
                 input_blob: Blob::with_digest(input_blob.clone(), job.input_digest),
                 key_blob: Blob::with_digest(key_blob.clone(), job.key_digest),
                 deadline,
-                #[cfg(feature = "faults")]
                 fault_plan: None,
             };
             live_by_tenant
@@ -1085,7 +1084,6 @@ fn run_attempts(
     // lock never contends, each job's corruption blast radius is itself,
     // and a restarted server can resume exactly this job's checkpoints.
     let dir = tenant.checkpoint_root.join(format!("job-{}", job.id.0));
-    #[cfg(feature = "faults")]
     let mut plan = job.spec.fault_plan.clone();
 
     let mut attempt = 0u32;
@@ -1102,7 +1100,6 @@ fn run_attempts(
             exec = exec.with_bootstrapper(booter);
         }
         exec.set_control(job.control.clone());
-        #[cfg(feature = "faults")]
         if let Some(p) = plan.take() {
             exec.set_fault_plan(p);
         }
@@ -1112,12 +1109,9 @@ fn run_attempts(
         } else {
             exec.resume_prepared(inputs, &prepared)
         };
-        #[cfg(feature = "faults")]
-        {
-            // Preserve the advanced fault stream across attempts; fired
-            // kill points stay fired.
-            plan = exec.take_fault_plan();
-        }
+        // Preserve the advanced fault stream across attempts; fired kill
+        // points stay fired.
+        plan = exec.take_fault_plan();
         recovery.merge(&exec.take_telemetry());
         drop(exec); // releases the checkpoint-dir owner lock
 

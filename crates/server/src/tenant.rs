@@ -282,8 +282,7 @@ impl TenantState {
 }
 
 /// Per-tenant accounting: job counts, retry spend, recovery counters,
-/// and (with `cl-trace`'s `trace` feature) homomorphic-op deltas
-/// attributed to this tenant's jobs.
+/// and homomorphic-op deltas attributed to this tenant's jobs.
 #[derive(Debug, Clone)]
 pub struct TenantReport {
     /// Tenant identifier.
@@ -300,8 +299,7 @@ pub struct TenantReport {
     pub retry_budget_left: u32,
     /// Executor recovery counters summed over every attempt.
     pub recovery: RecoveryTelemetry,
-    /// Homomorphic-op counters attributed to this tenant (zeros unless
-    /// built with `cl-trace/trace`).
+    /// Homomorphic-op counters attributed to this tenant.
     pub ops: OpSnapshot,
     /// Key-cache behaviour.
     pub key_cache: KeyCacheStats,

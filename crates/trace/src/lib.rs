@@ -22,12 +22,11 @@
 //! `tests/compiled_programs.rs` against `cl_compiler::predict_program`, and
 //! the end-to-end benchmark's traced run reports them per job.
 //!
-//! # The `trace` feature
+//! # Always on
 //!
-//! This crate's `trace` feature is the one switch. Without it every
-//! `record_*` function is an empty `#[inline(always)]` body and
-//! [`OpSnapshot::capture`] returns zeros, so the call sites stay in the hot
-//! paths at no cost.
+//! The counters count in every build: there is no feature that turns them
+//! off, so the library a test checks is the one the benchmark times. A
+//! recorder is one relaxed `fetch_add` on a process-global atomic.
 //!
 //! # Thread-awareness and determinism
 //!
@@ -127,7 +126,7 @@ impl OpSnapshot {
         }
     }
 
-    /// True when every counter is zero (always the case with `trace` off).
+    /// True when every counter is zero.
     pub fn is_zero(&self) -> bool {
         *self == OpSnapshot::default()
     }
@@ -159,8 +158,7 @@ impl OpSnapshot {
         )
     }
 
-    /// Captures the current global counter values (all zero with `trace`
-    /// disabled).
+    /// Captures the current global counter values.
     pub fn capture() -> OpSnapshot {
         OpSnapshot {
             ntt: load(&NTT),
@@ -178,13 +176,14 @@ impl OpSnapshot {
     }
 }
 
-/// True when the crate was compiled with the `trace` feature.
+/// Always `true`: the counters count in every build. Kept only because the
+/// detached benchmark package (`benchmarks/e2e`) still asserts it before a
+/// traced run; it goes when that package next changes.
 pub const fn enabled() -> bool {
-    cfg!(feature = "trace")
+    true
 }
 
-// The counters, one per `OpSnapshot` field. Untraced builds never touch
-// them: every access below sits behind `enabled()`, a compile-time constant.
+// The counters, one per `OpSnapshot` field.
 static NTT: AtomicU64 = AtomicU64::new(0);
 static INTT: AtomicU64 = AtomicU64::new(0);
 static MULT: AtomicU64 = AtomicU64::new(0);
@@ -199,9 +198,7 @@ static HINT_REGEN: AtomicU64 = AtomicU64::new(0);
 
 #[inline(always)]
 fn count(counter: &AtomicU64, k: u64) {
-    if enabled() {
-        counter.fetch_add(k, Ordering::Relaxed);
-    }
+    counter.fetch_add(k, Ordering::Relaxed);
 }
 
 /// Counts `passes` compute passes over `n`-coefficient polynomials, and
@@ -213,11 +210,7 @@ fn count_passes(counter: &AtomicU64, passes: u64, n: usize) {
 }
 
 fn load(counter: &AtomicU64) -> u64 {
-    if enabled() {
-        counter.load(Ordering::Relaxed)
-    } else {
-        0
-    }
+    counter.load(Ordering::Relaxed)
 }
 
 /// Records `passes` forward-NTT passes over `n`-coefficient polynomials.
@@ -287,22 +280,7 @@ pub fn record_hint_regen(passes: u64) {
 mod tests {
     use super::*;
 
-    // Exactly one of these runs per build: `cargo test -p cl-trace` checks
-    // the disabled path, `--features trace` the enabled one.
-
     #[test]
-    #[cfg(not(feature = "trace"))]
-    fn recording_is_a_no_op() {
-        record_ntt(10, 64);
-        record_mult(10, 64);
-        record_rotation();
-        record_hint_regen(3);
-        assert!(OpSnapshot::capture().is_zero());
-        assert!(!enabled());
-    }
-
-    #[test]
-    #[cfg(feature = "trace")]
     fn counters_accumulate_and_delta() {
         let before = OpSnapshot::capture();
         record_ntt(3, 16);
@@ -325,6 +303,5 @@ mod tests {
         // Regen passes must not leak into the compute byte counter.
         assert_eq!(d.bytes, (3 + 1 + 5 + 2 + 7 + 4) * 8 * 16);
         assert_eq!(d.ntt_total(), 4);
-        assert!(enabled());
     }
 }

@@ -39,11 +39,6 @@ const INPUT_LEVEL: usize = 4;
 const DIAGS: usize = 16;
 
 fn main() {
-    assert!(
-        cl_trace::enabled(),
-        "compile_run_smoke needs live counters; the root crate's \
-         dev-dependency enables cl-trace/trace for examples"
-    );
     let params = CkksParams::builder()
         .ring_degree(RING)
         .levels(LEVELS)

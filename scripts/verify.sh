@@ -2,14 +2,15 @@
 # Tier-1 verification gate. The steps, in the order they run:
 #
 #  0. Library code reads exactly three environment variables; every
-#     other setting is a typed field with one setter. The benchmark
-#     package's lockfile must resolve as committed (no new dependency
-#     edge may reach it).
+#     other setting is a typed field with one setter. One build
+#     configuration: no code is compiled in or out by a Cargo feature.
+#     The benchmark package's lockfile must resolve as committed (no new
+#     dependency edge may reach it).
 #  1. Release build of the whole workspace.
 #  2. Every workspace crate's tests (`--workspace`: the root manifest is
 #     also a package, so a bare `cargo test` would test only it), again
 #     under the forced scalar backend; the kernel crates under forced
-#     AVX2, and cl-trace with its counters off.
+#     AVX2.
 #  3. Kernel bench harness smoke: smoke shapes and a presence check
 #     against the recorded kernel baseline (scripts/bench.sh).
 #  4. The release kernel bench binary is disassembled: no AVX-512 helper
@@ -33,8 +34,8 @@
 #     ones, the graph walks of Fig. 2 / 3 and the closed forms of Table
 #     1 / 2 and Fig. 4) regenerate byte-identically to their recorded
 #     stdout.
-# 12. Lint gate on every library target, and on cl-trace with its
-#     counters on: warnings are errors and bare `unwrap()` is banned
+# 12. Lint gate on every library target: warnings are errors and bare
+#     `unwrap()` is banned
 #     (tests and binaries are exempt — library code must name the
 #     violated invariant via `expect` or propagate with `?`/`FheResult`).
 #     `panic!` is banned in the cl-ckks and cl-boot libraries, where
@@ -61,6 +62,24 @@ vendor/rayon/src/lib.rs CL_THREADS'
 if [ "$env_reads" != "$want_reads" ]; then
     echo "verify: library environment reads differ from the allowed three:" >&2
     diff <(echo "$want_reads") <(echo "$env_reads") >&2 || true
+    exit 1
+fi
+
+echo "== tier-1: one build configuration =="
+# Every test builds the library the benchmark times, so no Cargo feature
+# may compile code in or out. cl-trace keeps an empty `trace = []` only
+# because the detached benchmark package (benchmarks/e2e) still names it.
+gated=$(grep -rnF 'feature = "' crates src tests examples vendor || true)
+if [ -n "$gated" ]; then
+    echo "verify: code gated on a Cargo feature:" >&2
+    echo "$gated" >&2
+    exit 1
+fi
+tables=$(grep -l '^\[features\]' Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml || true)
+stub=$(awk '/^\[/ { in_features = ($0 == "[features]"); next }
+    in_features && NF && !/^#/' crates/trace/Cargo.toml)
+if [ "$tables" != "crates/trace/Cargo.toml" ] || [ "$stub" != "trace = []" ]; then
+    echo "verify: the only [features] table allowed is cl-trace's empty \`trace = []\` stub" >&2
     exit 1
 fi
 
@@ -91,12 +110,6 @@ echo "== tier-1: kernel tests (forced avx2 backend) =="
 # dispatch to the 8-lane one only, so the kernel crates run once more pinned
 # to the 4-lane one (a host without AVX2 falls back with a warning).
 CL_BACKEND=avx2 cargo test -q -p cl-math -p cl-rns
-
-echo "== tier-1: trace-disabled tests =="
-# The root test run lights cl-trace's `trace` feature through the root
-# dev-dependency; this standalone run exercises the no-op counter path
-# (recorders that count nothing, all-zero snapshots).
-cargo test -q -p cl-trace
 
 echo "== tier-1: bench harness smoke =="
 # Smoke shapes + presence check vs the recorded kernel baseline (timing
@@ -181,10 +194,6 @@ echo "== tier-1: lint gate (library targets) =="
 cargo clippy -p cl-math -p cl-rns -p cl-ckks -p cl-boot -p cl-runtime \
     -p cl-apps -p cl-baselines -p cl-compiler -p cl-core -p cl-isa \
     -p cl-trace -p cl-server --lib --no-deps -- \
-    -D warnings -D clippy::unwrap_used
-# The gate above builds cl-trace without `trace`; lint the counting build
-# too.
-cargo clippy -p cl-trace --lib --no-deps --features trace -- \
     -D warnings -D clippy::unwrap_used
 # No panicking twin of a `try_*` operation: callers propagate or `expect`.
 cargo clippy -p cl-ckks -p cl-boot --lib --no-deps -- -D clippy::panic

@@ -384,13 +384,11 @@ fn op_counters_are_thread_invariant() {
         serial, parallel,
         "op counters must not depend on the thread count"
     );
-    if cl_trace::enabled() {
-        assert!(!serial.is_zero(), "the workload must have been counted");
-        assert!(serial.ntt + serial.intt > 0);
-        assert!(serial.mult > 0 && serial.add > 0 && serial.base_conv > 0);
-        assert_eq!(serial.ct_mults, 1);
-        assert_eq!(serial.rotations, 1);
-    }
+    assert!(!serial.is_zero(), "the workload must have been counted");
+    assert!(serial.ntt + serial.intt > 0);
+    assert!(serial.mult > 0 && serial.add > 0 && serial.base_conv > 0);
+    assert_eq!(serial.ct_mults, 1);
+    assert_eq!(serial.rotations, 1);
 }
 
 /// Runs `f` once with the scalar backend at 1 thread (the reference), then
@@ -973,25 +971,23 @@ fn fused_inner_sums_above_the_grain_match_node_by_node_everywhere() {
             "fused inner sums must match node-by-node evaluation"
         );
         assert_eq!(peak, lowered.predicted_peak_live, "live-ciphertext peak");
-        if cl_trace::enabled() {
-            let fields = |s: &cl_trace::OpSnapshot| {
-                [
-                    s.ntt,
-                    s.intt,
-                    s.mult,
-                    s.add,
-                    s.base_conv,
-                    s.automorph,
-                    s.rotations,
-                    s.pt_mults,
-                ]
-            };
-            assert_eq!(
-                fields(&ops),
-                fields(&predicted),
-                "trace counts vs the op-by-op prediction"
-            );
-        }
+        let fields = |s: &cl_trace::OpSnapshot| {
+            [
+                s.ntt,
+                s.intt,
+                s.mult,
+                s.add,
+                s.base_conv,
+                s.automorph,
+                s.rotations,
+                s.pt_mults,
+            ]
+        };
+        assert_eq!(
+            fields(&ops),
+            fields(&predicted),
+            "trace counts vs the op-by-op prediction"
+        );
         (ct_bits(&out), ops)
     });
 }

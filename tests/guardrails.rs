@@ -1,7 +1,7 @@
 //! Workspace-level integration tests for the fallible evaluation API,
 //! the runtime guardrails, and the fault-injection harness —
-//! exercised through the public `cl-ckks` surface (with the `faults`
-//! feature) exactly as an external consumer would.
+//! exercised through the public `cl-ckks` surface exactly as an external
+//! consumer would.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
