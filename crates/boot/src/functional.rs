@@ -42,8 +42,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use cl_ckks::{
-    try_par_map, Ciphertext, CkksContext, CompactKeySwitchKey, FheError, FheResult, HintCache,
-    KeySwitchKey, Plaintext, SecretKey,
+    Ciphertext, CkksContext, CompactKeySwitchKey, FheError, FheResult, HintCache, KeySwitchKey,
+    Plaintext, SecretKey,
 };
 use cl_isa::cost::bsgs_baby_steps;
 use cl_math::{Cache, Complex, SpecialFft};
@@ -745,7 +745,7 @@ pub type BootstrapPrecompute = Cache<(u64, usize, usize), PrecomputedTransform>;
 ///
 /// The baby steps and the giant groups' inner sums are independent
 /// operations, so both fan out across the worker pool
-/// ([`cl_ckks::try_par_map`]); results come back in step and group order,
+/// ([`cl_rns::try_par_map`]); results come back in step and group order,
 /// so the output, its noise estimate and the op counts are the serial
 /// run's.
 ///
@@ -809,7 +809,7 @@ pub fn try_bsgs_transform(
     // in place. The groups are independent (each reads the shared babies
     // and writes its own sum), so they fan out across the worker pool, and
     // come back in group order.
-    let inners: Vec<(Ciphertext, i64)> = try_par_map(pre.giants.len(), |g| {
+    let inners: Vec<(Ciphertext, i64)> = cl_rns::try_par_map(pre.giants.len(), |g| {
         let (jb, terms) = &pre.giants[g];
         let mut terms = terms.iter().map(|(i, pt)| {
             let baby = babies
@@ -855,7 +855,7 @@ fn power_products<const K: usize>(
     relin: &KeySwitchKey,
     pairs: [(&Ciphertext, &Ciphertext); K],
 ) -> FheResult<[Ciphertext; K]> {
-    let products: Vec<Ciphertext> = try_par_map(K, |i| {
+    let products: Vec<Ciphertext> = cl_rns::try_par_map(K, |i| {
         let (a, b) = pairs[i];
         ctx.try_rescale(&ctx.try_mul(&ctx.try_mod_drop(a, b.level())?, b, relin)?)
     })?;

@@ -454,7 +454,7 @@ impl CkksContext {
     ///
     /// The steps are independent keyswitches over one shared
     /// decomposition, so they fan out across the worker pool
-    /// ([`crate::try_par_map`]); results, trace counts and the first error
+    /// ([`cl_rns::try_par_map`]); results, trace counts and the first error
     /// (in step order) are the serial run's.
     ///
     /// # Errors
@@ -483,7 +483,7 @@ impl CkksContext {
         let dec = self.hoist_impl(OP, &a.c1, first.kind())?;
         // The steps share only the read-only decomposition: each is an
         // independent keyswitch writing one ciphertext.
-        crate::try_par_map(steps.len(), |i| {
+        cl_rns::try_par_map(steps.len(), |i| {
             let g = cl_math::galois_element_for_rotation(steps[i], n);
             self.galois_from_decomposition(OP, a, &dec, g, keys[i])
         })

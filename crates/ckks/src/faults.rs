@@ -10,9 +10,10 @@
 //! | dropped rescale / tampered scale ([`corrupt_scale`]) | signed noise-budget threshold | [`FheError::BudgetExhausted`](crate::FheError) |
 //! | corrupted hint ([`corrupt_hint_word`]) | keygen-time integrity digest, re-checked once per hint application | [`FheError::CorruptKey`](crate::FheError) |
 //!
-//! [`digests_computed`] counts hint digests per calling thread (a fanned-out
-//! operation's digests included), so tests can pin that each hint
-//! application checks its hint exactly once.
+//! Every digest is counted on the calling thread's `cl-trace` ledger
+//! (`cl_trace::hint_digests`, a fanned-out operation's digests included),
+//! so tests can pin that each hint application checks its hint exactly
+//! once.
 //!
 //! On top of the deterministic primitives, [`FaultPlan`] is a seeded
 //! probabilistic injector for soak-style testing: intermittent bit flips at
@@ -25,44 +26,9 @@
 //! process: no blob, journal record or checkpoint carries a plan, so only
 //! code linked into the process can attach one.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::{Ciphertext, KeySwitchKey};
-
-thread_local! {
-    static DIGESTS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Counts one hint digest on the calling thread.
-pub(crate) fn count_digest() {
-    DIGESTS.with(|c| c.set(c.get() + 1));
-}
-
-/// Keyswitch-hint integrity digests computed on the calling thread so far
-/// (keygen, expansion, loading and every hint check). Per thread, so
-/// concurrently running tests do not see each other's digests; an
-/// operation fanned out across the worker pool ([`crate::try_par_map`]) counts
-/// its tasks' digests on the thread that called it.
-pub fn digests_computed() -> u64 {
-    DIGESTS.with(Cell::get)
-}
-
-/// Runs `f` and returns its result with the digests it computed, taken
-/// back off the running thread's count: a fanned-out task's digests
-/// belong to the thread that fanned it out.
-pub(crate) fn take_digests<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = digests_computed();
-    let out = f();
-    let counted = digests_computed() - before;
-    DIGESTS.with(|c| c.set(before));
-    (out, counted)
-}
-
-/// Adds `n` digests to the calling thread's count.
-pub(crate) fn add_digests(n: u64) {
-    DIGESTS.with(|c| c.set(c.get() + n));
-}
 
 /// Bit flipped into a 64-bit residue word. Bit 62 is above every modulus
 /// this crate accepts (limb widths are < 62 bits), so the flipped residue

@@ -171,7 +171,7 @@ impl KeySwitchKey {
     /// payload, in digit, half and limb order. Every step is a bijection,
     /// so a change to any single word or field always changes the digest.
     pub(crate) fn compute_digest(&self) -> u64 {
-        crate::faults::count_digest();
+        cl_trace::record_hint_digest();
         let kind = match self.kind {
             KeySwitchKind::Standard => 0,
             KeySwitchKind::Boosted { digits } => 1 + digits as u64,

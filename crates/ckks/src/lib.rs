@@ -63,7 +63,6 @@ mod hint_cache;
 mod keys;
 mod keyswitch;
 mod noise;
-mod par;
 mod params;
 pub mod security;
 pub mod serialize;
@@ -76,5 +75,4 @@ pub use cl_math::{Cache, CacheStats};
 pub use hint_cache::{HintCache, HintCacheStats, DEFAULT_HINT_CACHE_BYTES};
 pub use keys::{CompactKeySwitchKey, KeySwitchKey, PublicKey, SecretKey};
 pub use keyswitch::{HoistedDecomposition, KeySwitchKind};
-pub use par::try_par_map;
 pub use params::{CkksParams, CkksParamsBuilder};

@@ -15,9 +15,14 @@
 //! wide lanes, with independent homomorphic operations overlapped.
 //!
 //! Results are collected in index order and tasks share no state, so a
-//! region's output is the serial run's at any thread count.
+//! region's output is the serial run's at any thread count. Work leaves
+//! the calling thread only here, so here its `cl-trace` counts come back:
+//! the caller's captures count a region as if it had run inline.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+use cl_trace::Counts;
 
 /// Words (64-bit residues) each chunk of a limb loop must hold for the
 /// loop to fan out. Read off `bench_kernels`' grain sweep
@@ -34,11 +39,34 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// N = 4K.
 pub const PAR_GRAIN_WORDS: usize = 4096;
 
+/// The `cl-trace` counts of one region's tasks, summed on whichever
+/// threads ran them and added to the thread that started the region.
+#[derive(Default)]
+struct Carry(Mutex<Counts>);
+
+impl Carry {
+    /// Runs one task, taking its counts off the thread that ran it.
+    fn task<T>(&self, f: impl FnOnce() -> T) -> T {
+        let (out, counts) = cl_trace::take_counts(f);
+        let mut sum = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        *sum = sum.plus(&counts);
+        out
+    }
+
+    /// Adds the tasks' counts to the calling thread's.
+    fn land(self) {
+        cl_trace::add_counts(self.0.into_inner().unwrap_or_else(PoisonError::into_inner));
+    }
+}
+
 /// `f(0), …, f(len − 1)` in index order: independent operations, offered
 /// to the worker pool (which runs them inline at one thread, from inside
 /// another region, or while another thread's region is in flight).
 pub fn par_map<T: Send>(len: usize, f: impl Fn(usize) -> T + Sync + Send) -> Vec<T> {
-    rayon::map_collect(len, f)
+    let carry = Carry::default();
+    let out = rayon::map_collect(len, |i| carry.task(|| f(i)));
+    carry.land();
+    out
 }
 
 /// [`par_map`] for fallible operations: all results in index order, or
@@ -79,7 +107,9 @@ pub fn par_chunks_mut<T: Send + Sync>(
     f: impl Fn(usize, &mut [T]) + Sync + Send,
 ) {
     if chunk >= PAR_GRAIN_WORDS {
-        rayon::for_each_chunk_mut(data, chunk, f);
+        let carry = Carry::default();
+        rayon::for_each_chunk_mut(data, chunk, |k, c| carry.task(|| f(k, c)));
+        carry.land();
     } else {
         for (k, c) in data.chunks_mut(chunk).enumerate() {
             f(k, c);

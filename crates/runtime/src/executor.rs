@@ -242,11 +242,6 @@ pub struct RecoveryTelemetry {
     /// accumulator) observed at micro-op boundaries — the measured
     /// counterpart of the compiler residency plan's predicted peak.
     pub peak_live_cts: u64,
-    /// Primitive-op counters accumulated while the executor was driving
-    /// (NTT passes, element-wise mults/adds, base conversions, ...).
-    /// Counters are process-global, so this is only attributable to the
-    /// run when no other FHE work executes concurrently.
-    pub ops: cl_trace::OpSnapshot,
 }
 
 impl RecoveryTelemetry {
@@ -264,7 +259,6 @@ impl RecoveryTelemetry {
         self.ops_executed += other.ops_executed;
         // A high-water mark aggregates by max, not sum.
         self.peak_live_cts = self.peak_live_cts.max(other.peak_live_cts);
-        self.ops = self.ops.plus(&other.ops);
     }
 }
 
@@ -597,19 +591,6 @@ impl<'a> PipelineExecutor<'a> {
     /// configured cadence and recovering detected faults by restoring the
     /// last good state (preferring the durable copy) and re-executing.
     fn drive(
-        &mut self,
-        start: Boundary,
-        prepared: &PreparedProgram<'_>,
-        inputs: &[Ciphertext],
-    ) -> FheResult<RunOutcome> {
-        let at_entry = cl_trace::OpSnapshot::capture();
-        let out = self.drive_inner(start, prepared, inputs);
-        let delta = cl_trace::OpSnapshot::capture().delta_since(&at_entry);
-        self.telemetry.ops = self.telemetry.ops.plus(&delta);
-        out
-    }
-
-    fn drive_inner(
         &mut self,
         start: Boundary,
         prepared: &PreparedProgram<'_>,

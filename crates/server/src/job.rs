@@ -14,6 +14,7 @@ use std::time::Duration;
 use cl_ckks::serialize::fnv1a_fast;
 use cl_ckks::FheError;
 use cl_runtime::RecoveryTelemetry;
+use cl_trace::OpSnapshot;
 
 use cl_ckks::faults::FaultPlan;
 
@@ -268,6 +269,10 @@ pub struct JobOutcome {
     pub detail: String,
     /// Recovery counters accumulated over every attempt of this job.
     pub recovery: RecoveryTelemetry,
+    /// The job's op counts over every attempt: the `cl-trace` delta its
+    /// worker captured around it, its pool tasks included (zero for an
+    /// outcome replayed at recovery).
+    pub ops: OpSnapshot,
     /// Server-level attempts consumed (0 = first try succeeded or failed
     /// terminally; each increment burned one unit of tenant retry budget).
     pub retries: u32,

@@ -823,6 +823,7 @@ fn insert_recovered_outcome(
         output,
         detail,
         recovery: RecoveryTelemetry::default(),
+        ops: OpSnapshot::default(),
         retries: 0,
     };
     lock_outcomes(shared).insert(id, outcome);
@@ -1012,10 +1013,11 @@ fn execute_job(shared: &Shared, job: QueuedJob) -> JobOutcome {
             "worker panicked while executing the job; contained".to_string(),
         ))
     });
-    // Op deltas are attributed from the process-global counters: exact
-    // with one worker, approximate (interleaved) with several.
-    let ops_delta = OpSnapshot::capture().delta_since(&ops_before);
-    tenant.absorb(recovery, ops_delta);
+    // The job's one op ledger: the counters are this worker thread's, and
+    // its pool tasks' counts land here too, so the delta is this job's
+    // alone however many workers run beside it.
+    let ops = OpSnapshot::capture().delta_since(&ops_before);
+    tenant.absorb(recovery, ops);
     match result {
         Ok(output) => {
             tenant.record_ok();
@@ -1026,6 +1028,7 @@ fn execute_job(shared: &Shared, job: QueuedJob) -> JobOutcome {
                 output: Some(output),
                 detail: String::new(),
                 recovery,
+                ops,
                 retries,
             }
         }
@@ -1038,6 +1041,7 @@ fn execute_job(shared: &Shared, job: QueuedJob) -> JobOutcome {
                 output: None,
                 detail,
                 recovery,
+                ops,
                 retries,
             }
         }

@@ -126,8 +126,8 @@ pub struct TenantState {
     jobs_failed: AtomicU64,
     jobs_shed: AtomicU64,
     retries_spent: AtomicU64,
-    recovery: Mutex<RecoveryTelemetry>,
-    ops: Mutex<OpSnapshot>,
+    /// The tenant's jobs' recovery counters and op counts, summed.
+    ledger: Mutex<(RecoveryTelemetry, OpSnapshot)>,
 }
 
 impl TenantState {
@@ -156,8 +156,7 @@ impl TenantState {
             jobs_failed: AtomicU64::new(0),
             jobs_shed: AtomicU64::new(0),
             retries_spent: AtomicU64::new(0),
-            recovery: Mutex::new(RecoveryTelemetry::default()),
-            ops: Mutex::new(OpSnapshot::default()),
+            ledger: Mutex::default(),
         }
     }
 
@@ -238,21 +237,14 @@ impl TenantState {
     }
 
     pub(crate) fn absorb(&self, recovery: RecoveryTelemetry, ops: OpSnapshot) {
-        let mut agg = self
-            .recovery
-            .lock()
-            .expect("tenant telemetry poisoned: a holder panicked mid-update");
-        agg.merge(&recovery);
-        drop(agg);
-        let mut agg_ops = self
-            .ops
-            .lock()
-            .expect("tenant op ledger poisoned: a holder panicked mid-update");
-        *agg_ops = agg_ops.plus(&ops);
+        let mut ledger = self.ledger.lock().expect(LEDGER_POISONED);
+        ledger.0.merge(&recovery);
+        ledger.1 = ledger.1.plus(&ops);
     }
 
     /// A point-in-time accounting snapshot for this tenant.
     pub fn report(&self) -> TenantReport {
+        let (recovery, ops) = *self.ledger.lock().expect(LEDGER_POISONED);
         TenantReport {
             tenant: self.id.clone(),
             jobs_ok: self.jobs_ok.load(Ordering::Relaxed),
@@ -260,14 +252,8 @@ impl TenantState {
             jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
             retries_spent: self.retries_spent.load(Ordering::Relaxed),
             retry_budget_left: self.retry_budget.load(Ordering::Acquire),
-            recovery: *self
-                .recovery
-                .lock()
-                .expect("tenant telemetry poisoned: a holder panicked mid-update"),
-            ops: *self
-                .ops
-                .lock()
-                .expect("tenant op ledger poisoned: a holder panicked mid-update"),
+            recovery,
+            ops,
             key_cache: self.keys.stats(),
             program_cache: self.programs.stats(),
             breaker: self
@@ -280,6 +266,8 @@ impl TenantState {
         }
     }
 }
+
+const LEDGER_POISONED: &str = "tenant ledger poisoned: a holder panicked mid-update";
 
 /// Per-tenant accounting: job counts, retry spend, recovery counters,
 /// and homomorphic-op deltas attributed to this tenant's jobs.
@@ -299,7 +287,9 @@ pub struct TenantReport {
     pub retry_budget_left: u32,
     /// Executor recovery counters summed over every attempt.
     pub recovery: RecoveryTelemetry,
-    /// Homomorphic-op counters attributed to this tenant.
+    /// The sum of this tenant's jobs' op counts
+    /// ([`JobOutcome::ops`](crate::JobOutcome::ops)), each its own however
+    /// many workers run at once.
     pub ops: OpSnapshot,
     /// Key-cache behaviour.
     pub key_cache: KeyCacheStats,

@@ -20,30 +20,38 @@
 //! Scoped counts are two captures and a [`OpSnapshot::delta_since`].
 //! `tests/trace_validation.rs` checks them against the Table 1 formulas,
 //! `tests/compiled_programs.rs` against `cl_compiler::predict_program`, and
-//! the end-to-end benchmark's traced run reports them per job.
+//! the end-to-end benchmark's traced run reports them per job. Beside the
+//! eleven, the thread's ledger keeps a twelfth count, the keyswitch-hint
+//! integrity digests ([`hint_digests`]), outside [`OpSnapshot`]: a cold
+//! hint's digests depend on cache state, and a snapshot is compared for
+//! equality against closed-form predictions.
 //!
 //! # Always on
 //!
 //! The counters count in every build: there is no feature that turns them
 //! off, so the library a test checks is the one the benchmark times. A
-//! recorder is one relaxed `fetch_add` on a process-global atomic.
+//! recorder is one add to a field of a thread-local ledger.
 //!
 //! # Thread-awareness and determinism
 //!
-//! Counters are process-global relaxed atomics. Every counted pass is
-//! data-independent work dispatched over the `cl-rns` limb engine, so the
-//! *totals* are bit-identical at any `CL_THREADS` setting: only the
-//! interleaving differs, which relaxed addition is insensitive to. This is
-//! tested in `tests/differential.rs`. A delta attributes the global totals
-//! to a scope; it is exact when no other homomorphic work runs
-//! concurrently (one op at a time, limb-parallel inside).
+//! Every thread keeps its own ledger, and a capture reads the calling
+//! thread's. Work leaves the calling thread only through the worker pool
+//! (`cl_rns::par_map`, `try_par_map` and the fanned-out branch of
+//! `par_chunks_mut`), which runs each task under [`take_counts`] wherever
+//! the pool ran it and hands the sum to [`add_counts`] on the thread that
+//! started the region. So a capture counts everything the calling thread
+//! asked for, its pool tasks included, and nothing another thread did:
+//! two server workers, or two tests, running at once each read their own
+//! work. Every counted pass is data-independent work, so the counts are
+//! the same at any `CL_THREADS` setting; `tests/differential.rs` checks
+//! both (serial against fanned out, and two threads at once).
 
 #![warn(missing_docs)]
 // Library code must propagate failures or `expect` with the violated
 // invariant; tests are exempt. Enforced by scripts/verify.sh.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Accumulated operation counts, captured with [`OpSnapshot::capture`].
 ///
@@ -158,21 +166,10 @@ impl OpSnapshot {
         )
     }
 
-    /// Captures the current global counter values.
+    /// The calling thread's counts so far, the pool tasks it fanned out
+    /// included.
     pub fn capture() -> OpSnapshot {
-        OpSnapshot {
-            ntt: load(&NTT),
-            intt: load(&INTT),
-            mult: load(&MULT),
-            add: load(&ADD),
-            base_conv: load(&BASE_CONV),
-            automorph: load(&AUTOMORPH),
-            bytes: load(&BYTES),
-            rotations: load(&ROTATIONS),
-            ct_mults: load(&CT_MULTS),
-            pt_mults: load(&PT_MULTS),
-            hint_regen: load(&HINT_REGEN),
-        }
+        LEDGER.with(Cell::get).ops
     }
 }
 
@@ -183,89 +180,124 @@ pub const fn enabled() -> bool {
     true
 }
 
-// The counters, one per `OpSnapshot` field.
-static NTT: AtomicU64 = AtomicU64::new(0);
-static INTT: AtomicU64 = AtomicU64::new(0);
-static MULT: AtomicU64 = AtomicU64::new(0);
-static ADD: AtomicU64 = AtomicU64::new(0);
-static BASE_CONV: AtomicU64 = AtomicU64::new(0);
-static AUTOMORPH: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static ROTATIONS: AtomicU64 = AtomicU64::new(0);
-static CT_MULTS: AtomicU64 = AtomicU64::new(0);
-static PT_MULTS: AtomicU64 = AtomicU64::new(0);
-static HINT_REGEN: AtomicU64 = AtomicU64::new(0);
-
-#[inline(always)]
-fn count(counter: &AtomicU64, k: u64) {
-    counter.fetch_add(k, Ordering::Relaxed);
+/// Everything one thread's ledger holds: the [`OpSnapshot`] counters and
+/// the hint-digest count. The worker pool moves it from the thread that
+/// ran a task to the thread that asked for it ([`take_counts`],
+/// [`add_counts`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Counts {
+    ops: OpSnapshot,
+    hint_digests: u64,
 }
 
-/// Counts `passes` compute passes over `n`-coefficient polynomials, and
-/// their bytes.
-#[inline(always)]
-fn count_passes(counter: &AtomicU64, passes: u64, n: usize) {
-    count(counter, passes);
-    count(&BYTES, passes * 8 * n as u64);
+impl Counts {
+    /// Field-wise sum.
+    #[must_use]
+    pub fn plus(&self, other: &Counts) -> Counts {
+        Counts {
+            ops: self.ops.plus(&other.ops),
+            hint_digests: self.hint_digests + other.hint_digests,
+        }
+    }
 }
 
-fn load(counter: &AtomicU64) -> u64 {
-    counter.load(Ordering::Relaxed)
+thread_local! {
+    static LEDGER: Cell<Counts> = Cell::default();
+}
+
+#[inline(always)]
+fn bump(f: impl FnOnce(&mut Counts)) {
+    LEDGER.with(|ledger| {
+        let mut counts = ledger.get();
+        f(&mut counts);
+        ledger.set(counts);
+    });
+}
+
+/// Runs `f` and returns its result with the counts it made, taken back off
+/// the running thread's ledger: a pool task's counts belong to the thread
+/// that fanned it out, which adds them with [`add_counts`].
+pub fn take_counts<T>(f: impl FnOnce() -> T) -> (T, Counts) {
+    let before = LEDGER.with(Cell::take);
+    let out = f();
+    (out, LEDGER.with(|ledger| ledger.replace(before)))
+}
+
+/// Adds `counts` to the calling thread's ledger.
+pub fn add_counts(counts: Counts) {
+    bump(|c| *c = c.plus(&counts));
+}
+
+/// Keyswitch-hint integrity digests computed on the calling thread so far
+/// (keygen, expansion, loading and every hint check), its pool tasks'
+/// included.
+pub fn hint_digests() -> u64 {
+    LEDGER.with(Cell::get).hint_digests
+}
+
+/// Counts `passes` compute passes over `n`-coefficient polynomials in the
+/// field `field` picks, and their bytes.
+#[inline(always)]
+fn count_passes(passes: u64, n: usize, field: impl FnOnce(&mut OpSnapshot) -> &mut u64) {
+    bump(|c| {
+        *field(&mut c.ops) += passes;
+        c.ops.bytes += passes * 8 * n as u64;
+    });
 }
 
 /// Records `passes` forward-NTT passes over `n`-coefficient polynomials.
 #[inline(always)]
 pub fn record_ntt(passes: u64, n: usize) {
-    count_passes(&NTT, passes, n);
+    count_passes(passes, n, |o| &mut o.ntt);
 }
 
 /// Records `passes` inverse-NTT passes over `n`-coefficient polynomials.
 #[inline(always)]
 pub fn record_intt(passes: u64, n: usize) {
-    count_passes(&INTT, passes, n);
+    count_passes(passes, n, |o| &mut o.intt);
 }
 
 /// Records `passes` element-wise multiplication passes.
 #[inline(always)]
 pub fn record_mult(passes: u64, n: usize) {
-    count_passes(&MULT, passes, n);
+    count_passes(passes, n, |o| &mut o.mult);
 }
 
 /// Records `passes` element-wise addition/subtraction passes.
 #[inline(always)]
 pub fn record_add(passes: u64, n: usize) {
-    count_passes(&ADD, passes, n);
+    count_passes(passes, n, |o| &mut o.add);
 }
 
 /// Records `passes` base-conversion limb conversions (source limb →
 /// destination limb multiply-accumulate passes).
 #[inline(always)]
 pub fn record_base_conv(passes: u64, n: usize) {
-    count_passes(&BASE_CONV, passes, n);
+    count_passes(passes, n, |o| &mut o.base_conv);
 }
 
 /// Records `passes` automorphism applications.
 #[inline(always)]
 pub fn record_automorph(passes: u64, n: usize) {
-    count_passes(&AUTOMORPH, passes, n);
+    count_passes(passes, n, |o| &mut o.automorph);
 }
 
 /// Records one homomorphic rotation or conjugation.
 #[inline(always)]
 pub fn record_rotation() {
-    count(&ROTATIONS, 1);
+    bump(|c| c.ops.rotations += 1);
 }
 
 /// Records one homomorphic ciphertext-ciphertext multiplication.
 #[inline(always)]
 pub fn record_ct_mult() {
-    count(&CT_MULTS, 1);
+    bump(|c| c.ops.ct_mults += 1);
 }
 
 /// Records one homomorphic plaintext multiplication.
 #[inline(always)]
 pub fn record_pt_mult() {
-    count(&PT_MULTS, 1);
+    bump(|c| c.ops.pt_mults += 1);
 }
 
 /// Records `passes` seeded hint-regeneration passes (one per residue
@@ -273,7 +305,13 @@ pub fn record_pt_mult() {
 /// to `bytes`: regen is accounted as key-management work, not compute.
 #[inline(always)]
 pub fn record_hint_regen(passes: u64) {
-    count(&HINT_REGEN, passes);
+    bump(|c| c.ops.hint_regen += passes);
+}
+
+/// Records one keyswitch-hint integrity digest.
+#[inline(always)]
+pub fn record_hint_digest() {
+    bump(|c| c.hint_digests += 1);
 }
 
 #[cfg(test)]
@@ -303,5 +341,21 @@ mod tests {
         // Regen passes must not leak into the compute byte counter.
         assert_eq!(d.bytes, (3 + 1 + 5 + 2 + 7 + 4) * 8 * 16);
         assert_eq!(d.ntt_total(), 4);
+    }
+
+    #[test]
+    fn taken_counts_leave_the_thread_until_added_back() {
+        let (before, digests) = (OpSnapshot::capture(), hint_digests());
+        let ((), taken) = take_counts(|| {
+            record_rotation();
+            record_hint_digest();
+        });
+        assert_eq!((OpSnapshot::capture(), hint_digests()), (before, digests));
+        // Another thread's ledger is its own.
+        std::thread::spawn(move || add_counts(taken)).join().expect("joins");
+        assert_eq!((OpSnapshot::capture(), hint_digests()), (before, digests));
+        add_counts(taken);
+        assert_eq!(OpSnapshot::capture().delta_since(&before).rotations, 1);
+        assert_eq!(hint_digests() - digests, 1);
     }
 }

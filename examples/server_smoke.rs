@@ -1,8 +1,10 @@
 //! Server smoke: a multi-tenant load against the job server — three
 //! clean tenants plus one poisoned tenant whose jobs carry a seeded
 //! fault plan and the occasional corrupted input blob. Every surviving
-//! job must come back limb-bit-identical to a serial fault-free run, and
-//! every poisoned failure must surface as a structured outcome code.
+//! job must come back limb-bit-identical to a serial fault-free run, every
+//! poisoned failure must surface as a structured outcome code, and every
+//! clean tenant's op ledger must equal its jobs' serial counts although
+//! two workers run at once.
 //!
 //! `scripts/verify.sh` runs this as a tier-1 gate.
 //!
@@ -15,6 +17,7 @@ use craterlake::ckks::faults::FaultPlan;
 use craterlake::ckks::{CkksContext, CkksParams, FheError, GuardrailPolicy, KeySwitchKind};
 use craterlake::runtime::{ExecutorConfig, PipelineExecutor, PipelineOp, Program, RunOutcome};
 use craterlake::server::{JobServer, JobSpec, OutcomeCode, ServerConfig};
+use cl_trace::OpSnapshot;
 
 const TENANTS: usize = 4;
 const JOBS: usize = 6;
@@ -42,6 +45,8 @@ struct Tenant {
     key_blob: Vec<u8>,
     input_blob: Vec<u8>,
     expected: Vec<Vec<u8>>,
+    /// The op counts of the serial reference runs, summed.
+    serial_ops: OpSnapshot,
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -73,8 +78,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
         )?;
         let mut expected = Vec::with_capacity(JOBS);
+        let mut serial_ops = OpSnapshot::default();
         for j in 0..JOBS {
-            match reference.run(&ct, &program_for(j))? {
+            let before = OpSnapshot::capture();
+            let run = reference.run(&ct, &program_for(j))?;
+            serial_ops = serial_ops.plus(&OpSnapshot::capture().delta_since(&before));
+            match run {
                 RunOutcome::Completed(out) => expected.push(ctx.serialize_ciphertext(&out)),
                 RunOutcome::Crashed => unreachable!("reference runs have no fault plan"),
             }
@@ -84,6 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             key_blob: keys.serialize(&ctx),
             input_blob: ctx.serialize_ciphertext(&ct),
             expected,
+            serial_ops,
             ctx,
         });
     }
@@ -179,6 +189,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if t != POISONED {
             assert_eq!(report.jobs_failed, 0, "clean tenant {t} was damaged");
             assert_eq!(report.recovery.faults_injected, 0);
+            // Each job's counts are its own however many workers run
+            // beside it. Hint regeneration follows the shared hint cache's
+            // state, not the job, so it is left out.
+            let compute = |ops: OpSnapshot| OpSnapshot { hint_regen: 0, ..ops };
+            assert_eq!(
+                compute(report.ops),
+                compute(tenants[t].serial_ops),
+                "clean tenant {t}: op ledger must equal its jobs' serial counts"
+            );
         }
         println!(
             "  {}: ok={} failed={} shed={} retries={} injected={} detected={} \

@@ -18,7 +18,8 @@
 #  5. Fault-recovery smoke: a bootstrapped pipeline under a fixed-seed
 #     fault plan must converge, with >= 1 recorded recovery, to the clean
 #     run's bit-identical output (examples/fault_recovery_smoke.rs).
-#  6. Server smoke: multi-tenant load with one poisoned tenant
+#  6. Server smoke: multi-tenant load with one poisoned tenant, and
+#     per-job op counts that are each job's own
 #     (examples/server_smoke.rs).
 #  7. Server restart smoke: a server killed mid-batch recovers from its
 #     journal bit-identically (examples/server_restart_smoke.rs).
@@ -141,8 +142,9 @@ cargo run --release --example fault_recovery_smoke
 
 echo "== tier-1: server smoke =="
 # Multi-tenant load with one poisoned tenant: clean tenants must stay
-# bit-identical to their serial references, poisoned failures must land
-# as structured outcomes (examples/server_smoke.rs).
+# bit-identical to their serial references, and each one's op ledger
+# must equal its jobs' serial counts with two workers running; poisoned
+# failures must land as structured outcomes (examples/server_smoke.rs).
 cargo run --release --example server_smoke
 
 echo "== tier-1: server restart smoke =="

@@ -20,8 +20,6 @@
 //! at any micro-op inside one resumes to the same output with the op-by-op
 //! run's counts.
 
-use std::sync::{Mutex, MutexGuard};
-
 use craterlake::apps::{
     eval_plain, lola_layer_runnable, lola_mlp_runnable, DenseLayer, RunnableWorkload,
 };
@@ -33,15 +31,6 @@ use craterlake::isa::{HeOp, NodeId};
 use craterlake::runtime::{ExecutorConfig, PipelineExecutor, PreparedProgram, RunOutcome};
 use cl_trace::OpSnapshot;
 use rand::SeedableRng;
-
-/// Counters are process-global; every test in this binary holds this lock
-/// for its entire body so a concurrently scheduled test cannot leak passes
-/// into another test's measured delta.
-static COUNTERS: Mutex<()> = Mutex::new(());
-
-fn counter_lock() -> MutexGuard<'static, ()> {
-    COUNTERS.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 /// Ring-64 strict context: 32 slots, 6 limbs — the executor fixture
 /// geometry. Strict policy is required by `PipelineExecutor`.
@@ -184,7 +173,6 @@ fn direct_layer(
 
 #[test]
 fn compiled_layer_is_bit_identical_to_direct_evaluation() {
-    let _g = counter_lock();
     let ctx = strict_ctx();
     let w = layer();
     let lowered = compile(&w);
@@ -210,7 +198,6 @@ fn compiled_layer_is_bit_identical_to_direct_evaluation() {
 
 #[test]
 fn predicted_op_counts_match_measured_exactly() {
-    let _g = counter_lock();
     let ctx = strict_ctx();
     let w = layer();
     let lowered = compile(&w);
@@ -259,7 +246,6 @@ fn predicted_op_counts_match_measured_exactly() {
 
 #[test]
 fn residency_plan_matches_executor_high_water_mark() {
-    let _g = counter_lock();
     let ctx = strict_ctx();
     let w = layer();
     let lowered = compile(&w);
@@ -279,7 +265,6 @@ fn residency_plan_matches_executor_high_water_mark() {
 
 #[test]
 fn prediction_holds_on_a_second_layer_shape() {
-    let _g = counter_lock();
     let ctx = strict_ctx();
     // 4 diagonals at stride 2, no activation: baby = giant = 2, different
     // rotation steps (2 and 4), one rescale only.
@@ -365,7 +350,6 @@ fn eval_graph_direct(
 
 #[test]
 fn compiled_three_layer_mlp_is_bit_identical_to_node_by_node_evaluation() {
-    let _g = counter_lock();
     const MLP_SLOTS: usize = 128;
     let params = CkksParams::builder()
         .ring_degree(2 * MLP_SLOTS)
@@ -424,7 +408,6 @@ fn compiled_three_layer_mlp_is_bit_identical_to_node_by_node_evaluation() {
 /// uninterrupted run's checkpoint count and the predicted peak.
 #[test]
 fn runs_killed_inside_an_inner_sum_resume_bit_identically() {
-    let _g = counter_lock();
     let ctx = strict_ctx();
     let w = layer();
     let lowered = compile(&w);

@@ -24,12 +24,13 @@
 //! - a compiled BSGS layer whose inner sums the executor runs as fused
 //!   steps computes the graph's node-by-node evaluation bit for bit.
 //!
-//! Thread count, backend selection and the `cl-trace` op counters are all
-//! process-global, so every test in this binary holds [`THREADS`] for its
-//! whole body — set-up included: a keygen or NTT running beside
-//! `op_counters_are_thread_invariant` would leak into its measured delta.
+//! Thread count and backend selection are process-global, so every test
+//! in this binary holds [`THREADS`] for its whole body. The `cl-trace` op
+//! counters are not: each thread counts its own work, its pool tasks
+//! included.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Barrier, Mutex, MutexGuard};
+use std::thread;
 
 use cl_apps::{lola_layer_runnable, RunnableWorkload};
 use cl_boot::{try_bsgs_transform, BootState, BootstrapKeys, Bootstrapper, PrecomputedTransform};
@@ -358,12 +359,13 @@ fn ckks_pipeline_thread_invariant() {
 /// The op-level telemetry totals are bit-identical at any thread count:
 /// every counted pass is data-independent limb work dispatched over the
 /// worker pool, so scheduling changes the interleaving but never the
-/// counts. (Relies on every test in this binary doing all of its work
-/// under the [`THREADS`] lock.)
+/// counts. And a capture is its own thread's: two threads running the
+/// pipeline at once, sharing the pool, each count the serial run's work.
 #[test]
 fn op_counters_are_thread_invariant() {
     let held = hold_threads();
-    let run = || {
+    // `ready` runs after set-up, just before the measured workload.
+    let run = |ready: &dyn Fn()| {
         let ctx = hoist_ctx();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x7AC3);
         let sk = ctx.keygen(&mut rng);
@@ -372,6 +374,7 @@ fn op_counters_are_thread_invariant() {
         let rot = ctx.rotation_keygen(&sk, 3, kind, &mut rng);
         let pt = ctx.encode(&[0.5, -0.25, 0.125], ctx.default_scale(), ctx.max_level());
         let ct = ctx.encrypt(&pt, &sk, &mut rng);
+        ready();
         // Measure only the fixed homomorphic workload, not the setup.
         let before = cl_trace::OpSnapshot::capture();
         let prod = ctx.try_mul(&ct, &ct, &relin).expect("mul");
@@ -379,10 +382,23 @@ fn op_counters_are_thread_invariant() {
         let _ = ctx.try_rotate(&rescaled, 3, &rot).expect("rotate");
         cl_trace::OpSnapshot::capture().delta_since(&before)
     };
-    let (serial, parallel) = serial_vs_parallel(&held, 4, run);
+    let (serial, parallel) = serial_vs_parallel(&held, 4, || run(&|| ()));
     assert_eq!(
         serial, parallel,
         "op counters must not depend on the thread count"
+    );
+    rayon::set_num_threads(2);
+    let both_set_up = Barrier::new(2);
+    let wait = || drop(both_set_up.wait());
+    let concurrent = thread::scope(|s| {
+        let pipelines = [(); 2].map(|()| s.spawn(|| run(&wait)));
+        pipelines.map(|p| p.join().expect("pipeline thread finishes"))
+    });
+    rayon::set_num_threads(1);
+    assert_eq!(
+        concurrent,
+        [serial; 2],
+        "each thread's counts must be its own work, with another thread counting beside it"
     );
     assert!(!serial.is_zero(), "the workload must have been counted");
     assert!(serial.ntt + serial.intt > 0);
@@ -725,7 +741,7 @@ fn ct_bits(ct: &Ciphertext) -> CtBits {
 /// Limb loops at a ring degree of [`PAR_GRAIN_WORDS`] fan out one limb per
 /// task: every `par_limbs` kernel, both NTT directions and the fused pair
 /// MAC (written through a raw pointer) stay bit-identical at 1, 2 and 4
-/// threads.
+/// threads, and the calling thread counts the same ops.
 #[test]
 fn limb_loops_at_the_grain_are_thread_invariant() {
     let held = hold_threads();
@@ -735,6 +751,7 @@ fn limb_loops_at_the_grain_are_thread_invariant() {
     let b = poly_from_seed(&ctx, &basis, 2);
     let g = cl_math::galois_element_for_rotation(3, PAR_GRAIN_WORDS);
     let run = || {
+        let before = cl_trace::OpSnapshot::capture();
         let mut acc = a.clone();
         for op in 0..6 {
             apply_op(&ctx, &mut acc, &b, op);
@@ -743,7 +760,8 @@ fn limb_loops_at_the_grain_are_thread_invariant() {
         let mut acc1 = b.clone();
         ctx.mul_acc_pair_superset(&mut acc, &mut acc1, &a, Some(g), &b, &a);
         let rotated = ctx.apply_automorphism(&acc, g);
-        (acc, acc1, rotated)
+        let ops = cl_trace::OpSnapshot::capture().delta_since(&before);
+        (acc, acc1, rotated, ops)
     };
     let reference = serial_vs_parallel(&held, 2, run).0;
     for threads in [2, 4] {
@@ -1086,12 +1104,12 @@ fn corrupt_hint_mid_batch_fails_as_the_serial_run_does() {
     rayon::set_num_threads(1);
     let cost = |keys: &[&KeySwitchKey]| {
         let ops = cl_trace::OpSnapshot::capture();
-        let digests = faults::digests_computed();
+        let digests = cl_trace::hint_digests();
         let result = ctx.try_rotate_hoisted_many(&ct, &steps[..keys.len()], keys);
         assert!(result.is_err(), "a batch holding a bad key must fail");
         (
             cl_trace::OpSnapshot::capture().delta_since(&ops),
-            faults::digests_computed() - digests,
+            cl_trace::hint_digests() - digests,
         )
     };
     let failing = batches[0].0;

@@ -186,10 +186,10 @@ fn strict_checks_each_hint_application_once_at_every_entry_point() {
     for (entry, op, applications, key) in entry_points {
         // Exactly one digest per hint application: the operation and the
         // keyswitch under it must not both check the hint.
-        let before = faults::digests_computed();
+        let before = cl_trace::hint_digests();
         apply(entry, key).unwrap_or_else(|e| panic!("{entry}: clean hint rejected: {e}"));
         assert_eq!(
-            faults::digests_computed() - before,
+            cl_trace::hint_digests() - before,
             applications,
             "{entry}: digests per call"
         );
@@ -222,14 +222,15 @@ static THREADS: Mutex<()> = Mutex::new(());
 /// The row above the pool's grain: at N = 1K with 16 limbs a ciphertext
 /// is 32K words, and `try_rotate_hoisted_many` fans its steps out across
 /// the worker pool, so each hint check may run on a pool thread. The
-/// count still lands on the calling thread: one digest per application.
+/// counts still land on the calling thread: one digest per application
+/// and one rotation per step.
 ///
 /// Whether a given call fans out is up to the pool (it runs a region
 /// inline while another thread's is in flight), so the batch also runs as
 /// the second task of a two-task region whose first task waits for the
 /// second to start: that task runs on a pool worker, which the test
-/// checks, retrying a region that stayed inline. Its digests must still
-/// land on the test thread.
+/// checks, retrying a region that stayed inline. Its digests and
+/// rotations must still land on the test thread.
 #[test]
 fn strict_counts_fanned_out_hint_checks_on_the_calling_thread() {
     let _threads = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
@@ -252,17 +253,20 @@ fn strict_counts_fanned_out_hint_checks_on_the_calling_thread() {
         min_budget_bits: 0.0,
     });
     let batch = || ctx.try_rotate_hoisted_many(&ct, &[1, 1], &[&rot, &rot]);
+    // (hint digests, rotations) counted on this thread.
+    let counts = || (cl_trace::hint_digests(), cl_trace::OpSnapshot::capture().rotations);
+    let since = |(d, r): (u64, u64)| (counts().0 - d, counts().1 - r);
     let previous = rayon::current_num_threads();
     rayon::set_num_threads(2);
-    let before = faults::digests_computed();
+    let before = counts();
     batch().expect("clean hints pass");
-    let direct = faults::digests_computed() - before;
+    let direct = since(before);
     let caller = thread::current().id();
     let mut on_worker = None;
     for _ in 0..20 {
         let started = AtomicBool::new(false);
-        let before = faults::digests_computed();
-        let ran_on = cl_ckks::try_par_map(2, |i| {
+        let before = counts();
+        let ran_on = cl_rns::try_par_map(2, |i| {
             if i == 0 {
                 let deadline = Instant::now() + Duration::from_millis(500);
                 while !started.load(Ordering::Acquire) && Instant::now() < deadline {
@@ -275,16 +279,17 @@ fn strict_counts_fanned_out_hint_checks_on_the_calling_thread() {
         })
         .expect("clean hints pass")[1];
         if ran_on != Some(caller) {
-            on_worker = Some(faults::digests_computed() - before);
+            on_worker = Some(since(before));
             break;
         }
     }
     rayon::set_num_threads(previous);
-    assert_eq!(direct, 2, "digests per call");
+    assert_eq!(direct, (2, 2), "digests and rotations per call");
     assert_eq!(
         on_worker,
-        Some(2),
-        "digests per call run on a pool worker (None: the region never fanned out)"
+        Some((2, 2)),
+        "digests and rotations per call run on a pool worker (None: the region never \
+         fanned out)"
     );
 }
 

@@ -2,7 +2,7 @@
 //! paper's closed-form cost model (`cl_isa::cost`, Table 1).
 //!
 //! These tests close the loop between the two op-accounting systems in the
-//! repo: the *measured* side (relaxed atomic counters bumped by the
+//! repo: the *measured* side (per-thread counters bumped by the
 //! functional substrate as it executes) and the *analytic* side (the
 //! closed-form residue-polynomial counts the accelerator model is built
 //! on). Where the formulas are exact, the measured counts must match them
@@ -18,8 +18,6 @@
 //! compare `base_conv` against `boosted_keyswitch_crb_mult` and `mult`
 //! against the formula's *non-CRB* multiplies.
 
-use std::sync::{Mutex, MutexGuard};
-
 mod common;
 
 use craterlake::boot::{Bootstrapper, PrecomputedTransform};
@@ -30,17 +28,7 @@ use craterlake::isa::cost::{
 use cl_trace::OpSnapshot;
 use rand::SeedableRng;
 
-/// Counters are process-global; every test in this binary holds this lock
-/// for its entire body so a concurrently scheduled test cannot leak passes
-/// into another test's measured delta.
-static COUNTERS: Mutex<()> = Mutex::new(());
-
-fn counter_lock() -> MutexGuard<'static, ()> {
-    COUNTERS.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// Runs `f` and returns its result plus the counter delta it produced.
-/// Call only while holding [`counter_lock`].
 fn measure<R>(f: impl FnOnce() -> R) -> (R, OpSnapshot) {
     let before = OpSnapshot::capture();
     let out = f();
@@ -70,7 +58,6 @@ fn ks_ctx() -> CkksContext {
 
 #[test]
 fn standard_keyswitch_counts_cross_validate() {
-    let _g = counter_lock();
     let ctx = ks_ctx();
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let sk = ctx.keygen(&mut rng);
@@ -100,7 +87,6 @@ fn standard_keyswitch_counts_cross_validate() {
 
 #[test]
 fn boosted_keyswitch_counts_cross_validate_digits_1_4_and_max() {
-    let _g = counter_lock();
     let ctx = ks_ctx();
     let mut rng = rand::rngs::StdRng::seed_from_u64(12);
     let sk = ctx.keygen(&mut rng);
@@ -142,7 +128,6 @@ fn boosted_keyswitch_counts_cross_validate_digits_1_4_and_max() {
 
 #[test]
 fn rescale_counts_match_mul_aux_formula() {
-    let _g = counter_lock();
     let ctx = ks_ctx();
     let mut rng = rand::rngs::StdRng::seed_from_u64(13);
     let sk = ctx.keygen(&mut rng);
@@ -168,7 +153,6 @@ fn rescale_counts_match_mul_aux_formula() {
 
 #[test]
 fn mul_decomposes_into_tensor_plus_keyswitch_and_matches_formulas() {
-    let _g = counter_lock();
     let ctx = ks_ctx();
     let mut rng = rand::rngs::StdRng::seed_from_u64(14);
     let sk = ctx.keygen(&mut rng);
@@ -210,7 +194,6 @@ fn mul_decomposes_into_tensor_plus_keyswitch_and_matches_formulas() {
 
 #[test]
 fn mul_plain_acc_counts_match_mul_plain_then_add() {
-    let _g = counter_lock();
     let ctx = ks_ctx();
     let mut rng = rand::rngs::StdRng::seed_from_u64(15);
     let sk = ctx.keygen(&mut rng);
@@ -236,7 +219,6 @@ fn mul_plain_acc_counts_match_mul_plain_then_add() {
 
 #[test]
 fn bootstrap_counts_match_stage_diagonals_exactly() {
-    let _g = counter_lock();
     let params = CkksParams::builder()
         .ring_degree(64)
         .levels(20)
