@@ -3,8 +3,9 @@
 //! Times the functional hot paths the parallel execution engine targets —
 //! NTT, RNS element-wise ops, base conversion, keyswitch, the hint integrity
 //! digest, the ciphertext residue scan, rescale, one bootstrap step (an
-//! EvalMod square+rescale) and one compiled BSGS inner sum through the
-//! executor (`exec_inner_sum_{1k,8k}`) — and writes ns/op as JSON so `scripts/bench.sh`
+//! EvalMod square+rescale), one compiled BSGS inner sum through the
+//! executor (`exec_inner_sum_{1k,8k}`) and one compiled layer whose eight
+//! giant groups run as a wave (`exec_wave_8k`) — and writes ns/op as JSON so `scripts/bench.sh`
 //! can track the serial-vs-parallel trajectory across commits. Both transforms are also
 //! reported as a roofline rate: radix-2 butterflies per ns,
 //! `(n/2) * log2(n) * limbs` over the timed call, the guardrails' residue
@@ -759,6 +760,79 @@ fn main() {
                     std::hint::black_box(
                         exec.run_graph(std::slice::from_ref(&sx), &lowered.program)
                             .expect("inner sum run"),
+                    );
+                }),
+            ));
+        }
+
+        // --- One wave of giant groups through the executor ----------------
+        // A lowered 64-diagonal BSGS layer (8 baby steps, 8 giant groups,
+        // no activation) at N = 8K, `limbs` levels, prepared once and run
+        // through `run_prepared`: one hoisted baby batch, then one wave
+        // whose 8 bodies (a group's inner sum and giant rotation each) run
+        // side by side on the pool. Smoke: the same layer at the smoke
+        // ring.
+        {
+            let n_wave = if cfg.smoke { n } else { 1 << 13 };
+            let params = CkksParams::builder()
+                .ring_degree(n_wave)
+                .levels(limbs)
+                .special_limbs(limbs)
+                .limb_bits(bits)
+                .scale_bits(bits - 4)
+                .build()
+                .expect("params");
+            let ctx = CkksContext::new(params).expect("ckks context").with_policy(
+                GuardrailPolicy::Strict {
+                    min_budget_bits: -200.0,
+                },
+            );
+            let slots = ctx.params().slots();
+            let w = cl_apps::lola_layer_runnable(slots, limbs, 64, 1, false);
+            let lowered = cl_compiler::lower_to_program(
+                &w.graph,
+                &cl_compiler::LowerOptions {
+                    slots,
+                    plain: w.plain.clone(),
+                    reorder: true,
+                    auto_bootstrap: None,
+                    max_live_cts: None,
+                },
+            )
+            .expect("layer lowers");
+            let prepared = cl_runtime::PreparedProgram::new(&ctx, lowered.program);
+            assert_eq!(
+                prepared.waves().iter().map(|w| w.bodies().count()).collect::<Vec<_>>(),
+                [8],
+                "the layer's giant groups form one wave"
+            );
+            let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+            let sk = ctx.keygen(&mut rng);
+            let wkeys = cl_boot::BootstrapKeys::generate(
+                &ctx,
+                &sk,
+                KeySwitchKind::Boosted { digits: 1 },
+                &lowered.rotation_steps,
+                &mut rng,
+            );
+            let img: Vec<f64> = (0..slots).map(|i| (i % 7) as f64 * 0.1 - 0.3).collect();
+            let wx = ctx.encrypt(&ctx.encode(&img, ctx.default_scale(), limbs), &sk, &mut rng);
+            let mut exec = PipelineExecutor::new(
+                &ctx,
+                &wkeys,
+                ExecutorConfig {
+                    checkpoint_every: 0,
+                    max_retries: 0,
+                    checkpoint_dir: None,
+                },
+            )
+            .expect("executor");
+            results.push((
+                "exec_wave_8k",
+                time_ns(cfg.smoke, || {
+                    std::hint::black_box(
+                        exec.run_prepared(std::slice::from_ref(&wx), &prepared)
+                            .expect("wave run"),
                     );
                 }),
             ));

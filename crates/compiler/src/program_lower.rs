@@ -19,7 +19,9 @@
 //!    is released (`Free`) at its value's last use — Belady's "farthest
 //!    next use" collapses to free-at-last-use here because the schedule is
 //!    fixed, which makes the residency plan optimal for that order. The
-//!    resulting live-ciphertext high-water mark is reported as
+//!    resulting live-ciphertext high-water mark, read from
+//!    [`cl_runtime::peak_live_cts`] (the executor's own accounting, with
+//!    the program's waves run side by side), is reported as
 //!    [`LoweredProgram::predicted_peak_live`] and can be bounded with
 //!    [`LowerOptions::max_live_cts`].
 //! 4. **Auto-bootstrap** (opt-in): for linear slot-free programs, a tracked
@@ -160,8 +162,9 @@ pub struct LowerOptions {
     /// When set, insert [`PipelineOp::Bootstrap`] automatically from the
     /// tracked noise estimate. Only valid for linear slot-free chains.
     pub auto_bootstrap: Option<AutoBootstrap>,
-    /// Upper bound on the residency plan's live-ciphertext high-water mark;
-    /// lowering fails with [`LowerError::ResidencyExceeded`] beyond it.
+    /// Upper bound on the live-ciphertext high-water mark the program runs
+    /// at ([`cl_runtime::peak_live_cts`]); lowering fails with
+    /// [`LowerError::ResidencyExceeded`] beyond it.
     pub max_live_cts: Option<u64>,
 }
 
@@ -187,10 +190,10 @@ pub struct ScheduleCounts {
 pub struct LoweredProgram {
     /// The runnable pipeline program.
     pub program: Program,
-    /// Live-ciphertext high-water mark the residency plan predicts —
-    /// replayed with the executor's own accounting (live slots + the
-    /// accumulator), so it must equal the measured
-    /// `RecoveryTelemetry::peak_live_cts` exactly.
+    /// Live-ciphertext high-water mark of the program as the executor runs
+    /// it, waves side by side: [`cl_runtime::peak_live_cts`], the function
+    /// the executor's accounting follows, so it equals the
+    /// `RecoveryTelemetry::peak_live_cts` of a run by construction.
     pub predicted_peak_live: u64,
     /// Distinct canonical rotation steps the program needs keys for.
     pub rotation_steps: Vec<i64>,
@@ -469,24 +472,9 @@ pub fn lower_to_program(graph: &HeGraph, opts: &LowerOptions) -> Result<LoweredP
     }
     cg.slot_of.clear();
 
-    // --- residency replay (the executor's own accounting) --------------
-    let mut live: std::collections::BTreeSet<u16> = std::collections::BTreeSet::new();
-    let mut peak: u64 = 1; // note_live at program start: empty slots + acc
-    for op in &cg.ops {
-        match op {
-            PipelineOp::Store(s) => {
-                live.insert(*s);
-            }
-            PipelineOp::Free(s) => {
-                live.remove(s);
-            }
-            PipelineOp::RotateHoisted { dsts, .. } => {
-                live.extend(dsts.iter().copied());
-            }
-            _ => {}
-        }
-        peak = peak.max(live.len() as u64 + 1);
-    }
+    // --- residency: the executor's own accounting, waves included ------
+    let program = Program::from_ops(cg.ops);
+    let peak = cl_runtime::peak_live_cts(&program);
     if let Some(bound) = opts.max_live_cts {
         if peak > bound {
             return Err(LowerError::ResidencyExceeded { predicted: peak, bound });
@@ -497,7 +485,7 @@ pub fn lower_to_program(graph: &HeGraph, opts: &LowerOptions) -> Result<LoweredP
     let mut counts = ScheduleCounts::default();
     let mut rotation_steps: Vec<i64> = Vec::new();
     let mut needs_conjugation = false;
-    for op in &cg.ops {
+    for op in program.ops() {
         match op {
             PipelineOp::Rotate(s) => {
                 counts.rotations += 1;
@@ -525,7 +513,7 @@ pub fn lower_to_program(graph: &HeGraph, opts: &LowerOptions) -> Result<LoweredP
     }
 
     Ok(LoweredProgram {
-        program: Program::from_ops(cg.ops),
+        program,
         predicted_peak_live: peak,
         rotation_steps,
         needs_conjugation,

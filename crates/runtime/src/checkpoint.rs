@@ -375,7 +375,10 @@ impl CheckpointStore {
         Ok(len)
     }
 
-    /// Blocks until the last accepted checkpoint is durably in its slot.
+    /// Blocks until the last accepted checkpoint's background write has
+    /// landed in its slot: written to a temporary file and renamed over
+    /// the slot. No `fsync` runs, on the file or its directory, so the
+    /// record survives a process crash but not necessarily a power loss.
     ///
     /// # Errors
     ///

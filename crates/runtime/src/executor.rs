@@ -1,22 +1,48 @@
 //! The resilient pipeline executor: guarded ops, periodic durable
 //! checkpoints, and restore-and-retry recovery with a bounded budget.
 //!
-//! A program runs one micro-op per step, except its inner sums
-//! ([`PreparedProgram::inner_sums`]): each runs as one step that
-//! accumulates a BSGS giant group's plaintext products in place into one
-//! private ciphertext ([`CkksContext::try_mul_plain_acc`]), as the
-//! bootstrap's transforms do, instead of building a product and a new sum
-//! per term. The step keeps every check the op-by-op run makes on a value
-//! it builds — each baby's `Load` boundary validation and `mul_plain`
-//! guard, `add`'s guard on the running sum at every term, the published
-//! sum's boundary validation — and skips only those on values it never
-//! builds: the products and the interior copies of the sum. Its interior
-//! boundaries still count toward `ops_executed` and `peak_live_cts`, and
-//! still consult the [`RunControl`]. An inner sum runs op by op when a
-//! checkpoint falls due inside it, when a fault plan is attached, when a
-//! run resumes inside it, and after its step failed: the op-by-op run then
-//! reports the error, so a failure is the op-by-op one in every field (the
-//! discarded step's work still shows in the trace counters).
+//! A program runs in steps from one micro-op boundary to the next: one
+//! micro-op, or one of the fused steps its [`PreparedProgram`] lists.
+//!
+//! - A *wave* ([`PreparedProgram::waves`]) runs as one step: each body
+//!   from the wave-start state on its own copy of the slot map (payloads
+//!   shared), side by side through `cl_rns::try_par_map` (inline at one
+//!   thread, in program order), limb loops inside a body inline; then, in
+//!   program order, each body's slot writes land, its accumulator becomes
+//!   current and its tail runs. A body reads nothing an earlier segment of
+//!   the wave writes, so the result is the op-by-op run's, bit for bit, at
+//!   any thread count. On `lola_mlp_8k` a wave is one layer's giant
+//!   groups, each body a group's inner sum and giant rotation.
+//! - An *inner sum* ([`PreparedProgram::inner_sums`]), inside a body or
+//!   on its own, runs as one step that accumulates a BSGS giant group's
+//!   plaintext products in place into one private ciphertext
+//!   ([`CkksContext::try_mul_plain_acc`]), as the bootstrap's transforms
+//!   do, instead of building a product and a new sum per term. It keeps
+//!   every check the op-by-op run makes on a value it builds — each baby's
+//!   `Load` boundary validation and `mul_plain` guard, `add`'s guard on the
+//!   running sum at every term, the published sum's boundary validation —
+//!   and skips only those on values it never builds: the products and the
+//!   interior copies of the sum.
+//!
+//! Inside a fused step every op's output is validated and the
+//! [`RunControl`] is consulted at each op, and the step counts all its
+//! micro-ops toward `ops_executed`. A fused step runs only where it may:
+//! no fault plan attached, no checkpoint due strictly inside it, and not
+//! entered mid-way by a resume; otherwise it runs op by op. A step that
+//! fails with a control's verdict (cancelled, past the deadline, stalled)
+//! returns it; any other failure discards the step and runs its range
+//! again op by op, which reports the error, so errors, retries and
+//! telemetry are the op-by-op run's in every field (the discarded step's
+//! work still shows in the trace counters).
+//!
+//! `peak_live_cts` follows one function of the program, not the path a
+//! run takes: at each boundary a run passes it records the live count of
+//! the prepared program's schedule ([`crate::peak_live_cts`] is its
+//! maximum, the figure the compiler predicts). Outside waves that is every
+//! slot plus the accumulator; at a wave's interior boundaries it is the
+//! wave's peak, with every body's accumulator and writes held. So a wave
+//! run op by op reports the same figure, and the figure is the same at
+//! any thread count.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -32,7 +58,7 @@ use cl_math::Complex;
 use cl_ckks::faults::{FaultAction, FaultPlan};
 
 use crate::checkpoint::{validate_boot_state, Checkpoint, CheckpointStore, WorkState};
-use crate::prepared::PreparedProgram;
+use crate::prepared::{PreparedProgram, Wave};
 use crate::program::{PipelineOp, Program};
 
 /// Executor configuration.
@@ -238,9 +264,12 @@ pub struct RecoveryTelemetry {
     /// Micro-ops that executed successfully (including re-executions
     /// after a restore).
     pub ops_executed: u64,
-    /// High-water mark of live ciphertexts (named slots + the
-    /// accumulator) observed at micro-op boundaries — the measured
-    /// counterpart of the compiler residency plan's predicted peak.
+    /// High-water mark of live ciphertexts over the micro-op boundaries
+    /// the run passed, as the executor's schedule holds them: named slots
+    /// plus the accumulator, and at a wave's interior boundaries the
+    /// wave's peak. A run that passes every boundary reports
+    /// [`crate::peak_live_cts`] of its program, which the compiler
+    /// predicts.
     pub peak_live_cts: u64,
 }
 
@@ -326,6 +355,15 @@ impl Acc {
             Acc::Boot(state) => WorkState::Boot(Box::new(BootState::clone(state))),
         }
     }
+}
+
+/// Whether `e` is a run control's verdict (cancelled, past the deadline,
+/// stalled) rather than a fault: it ends the run, never retried.
+fn is_verdict(e: &FheError) -> bool {
+    matches!(
+        e,
+        FheError::Cancelled { .. } | FheError::DeadlineExceeded { .. } | FheError::Stalled { .. }
+    )
 }
 
 /// Takes ownership of a loaded record's payloads (no copy).
@@ -612,10 +650,11 @@ impl<'a> PipelineExecutor<'a> {
         // it), so holding a reference *is* the snapshot.
         let mut last_good: Boundary = (pc, state.clone(), slots.clone());
         let mut retries_left = self.config.max_retries;
-        // Inner sums starting before this pc run op by op: one whose step
-        // failed is run again that way, so the error is the op-by-op one.
+        // Steps starting before this pc run op by op: a wave or inner sum
+        // whose step failed is run again that way, so the error is the
+        // op-by-op one.
         let mut op_by_op_until = 0u64;
-        self.note_live(&slots);
+        self.note_peak(prepared.live_peak(pc, pc));
 
         while pc < end {
             // Abort requests are checked first, before any fault injection
@@ -637,7 +676,9 @@ impl<'a> PipelineExecutor<'a> {
                 }
             }
 
-            let step = match self.try_inner_sum(prepared, pc, &state, &slots, &mut op_by_op_until) {
+            let fused =
+                self.try_fused(prepared, pc, &state, &slots, inputs, &mut op_by_op_until)?;
+            let step = match fused {
                 Some((next, next_slots, ran)) => {
                     slots = next_slots;
                     Ok((next, ran))
@@ -658,9 +699,9 @@ impl<'a> PipelineExecutor<'a> {
             match step {
                 Ok((next, ran)) => {
                     state = next;
+                    self.note_peak(prepared.live_peak(pc + 1, pc + ran));
                     pc += ran;
                     self.telemetry.ops_executed += ran;
-                    self.note_live(&slots);
                     let due = self.config.checkpoint_every > 0
                         && (pc.is_multiple_of(self.config.checkpoint_every) || pc == end);
                     if due {
@@ -672,12 +713,7 @@ impl<'a> PipelineExecutor<'a> {
                     // Abort verdicts escaping through an op are terminal,
                     // never retried locally (a stall mark persists until
                     // the *owner* clears it, so retrying here would spin).
-                    if matches!(
-                        fault,
-                        FheError::Cancelled { .. }
-                            | FheError::DeadlineExceeded { .. }
-                            | FheError::Stalled { .. }
-                    ) {
+                    if is_verdict(&fault) {
                         return Err(fault);
                     }
                     self.telemetry.faults_detected += 1;
@@ -704,59 +740,128 @@ impl<'a> PipelineExecutor<'a> {
         }
     }
 
-    /// Records the live-ciphertext count at a micro-op boundary (named
-    /// slots plus the accumulator) into the telemetry high-water mark.
-    fn note_live(&mut self, slots: &Slots) {
-        self.note_peak(slots.len() as u64 + 1);
-    }
-
     fn note_peak(&mut self, live: u64) {
         self.telemetry.peak_live_cts = self.telemetry.peak_live_cts.max(live);
     }
 
-    /// Runs the inner sum starting at `pc` as one step
-    /// ([`PipelineExecutor::exec_inner_sum`]) when it may: no fault plan is
+    /// Runs the wave or, failing that, the inner sum starting at `pc` as
+    /// one step ([`PipelineExecutor::exec_wave`],
+    /// [`PipelineExecutor::exec_inner_sum`]) when it may: no fault plan is
     /// attached, no checkpoint falls due at one of its interior boundaries,
     /// and it starts at or after `op_by_op_until`. On success returns the
     /// accumulator and slots it leaves and the micro-ops it ran, with the
-    /// published sum validated as any step's output is. On failure it
-    /// leaves the state untouched, marks the sum to run op by op and
-    /// returns `None`, as for a pc that starts no inner sum.
-    fn try_inner_sum(
+    /// accumulator validated as any step's output is. On any failure but
+    /// a verdict (cancelled, past the deadline, stalled), which it returns,
+    /// it leaves the state untouched, marks the range to run op by op and
+    /// returns `None`, as for a pc that starts neither.
+    fn try_fused(
         &mut self,
         prepared: &PreparedProgram<'_>,
         pc: u64,
         state: &Acc,
         slots: &Slots,
+        inputs: &[Ciphertext],
         op_by_op_until: &mut u64,
-    ) -> Option<(Acc, Slots, u64)> {
-        if self.plan.is_some() {
-            return None;
+    ) -> FheResult<Option<(Acc, Slots, u64)>> {
+        if self.plan.is_some() || pc < *op_by_op_until {
+            return Ok(None);
         }
-        if pc < *op_by_op_until {
-            return None;
-        }
-        let range = prepared.inner_sum_at(pc)?.clone();
+        // A range with a checkpoint due strictly inside runs op by op; a
+        // wave's first inner sum may still fit.
         let every = self.config.checkpoint_every;
-        if every > 0 && (range.start / every + 1) * every < range.end {
-            return None;
+        let fits = |r: &Range<u64>| every == 0 || (r.start / every + 1) * every >= r.end;
+        let wave = prepared.wave_at(pc).filter(|w| fits(&w.range()));
+        let range = match (wave, prepared.inner_sum_at(pc).filter(|r| fits(r))) {
+            (Some(wave), _) => wave.range(),
+            (None, Some(sum)) => sum.clone(),
+            (None, None) => return Ok(None),
+        };
+        let step = match wave {
+            Some(wave) => self.exec_wave(prepared, wave, state, slots, inputs),
+            None => self.exec_inner_sum(prepared, range.clone(), state, slots),
         }
-        let step = self
-            .exec_inner_sum(prepared, range.clone(), state, slots)
-            .and_then(|(next, slots, peak)| {
-                next.validate(self.ctx)?;
-                Ok((next, slots, peak))
-            });
+        .and_then(|(next, slots)| {
+            next.validate(self.ctx)?;
+            Ok((next, slots))
+        });
         match step {
-            Ok((next, slots, peak)) => {
-                self.note_peak(peak);
-                Some((next, slots, range.end - range.start))
-            }
+            Ok((next, slots)) => Ok(Some((next, slots, range.end - range.start))),
+            Err(verdict) if is_verdict(&verdict) => Err(verdict),
             Err(_) => {
                 *op_by_op_until = range.end;
-                None
+                Ok(None)
             }
         }
+    }
+
+    /// Executes `wave` ([`PreparedProgram::waves`]) as one step: each body
+    /// from the wave-start state on its own copy of the slots (payloads
+    /// shared), side by side through the worker pool; then, in program
+    /// order, each body's slot writes land on the wave's slots, its
+    /// accumulator becomes current and its tail runs. The first error in
+    /// program order among the bodies, else the first among the tails, is
+    /// returned, and the caller runs the wave again op by op.
+    fn exec_wave(
+        &self,
+        prepared: &PreparedProgram<'_>,
+        wave: &Wave,
+        state: &Acc,
+        slots: &Slots,
+        inputs: &[Ciphertext],
+    ) -> FheResult<(Acc, Slots)> {
+        let segments = wave.segments();
+        let bodies = cl_rns::try_par_map(segments.len(), |i| -> FheResult<(Acc, Slots)> {
+            let mut own = slots.clone();
+            let acc =
+                self.exec_range(prepared, segments[i].body.clone(), state, &mut own, inputs)?;
+            Ok((acc, own))
+        })?;
+        let mut slots = slots.clone();
+        let mut state = state.clone();
+        for (segment, (acc, own)) in segments.iter().zip(bodies) {
+            for s in &segment.writes {
+                match own.get(s) {
+                    Some(ct) => slots.insert(*s, Arc::clone(ct)),
+                    None => slots.remove(s),
+                };
+            }
+            state = self.exec_range(prepared, segment.tail.clone(), &acc, &mut slots, inputs)?;
+        }
+        Ok((state, slots))
+    }
+
+    /// Runs the micro-ops `range` from `state` on `slots`, consulting the
+    /// run control before each: each inner sum that lies inside the range
+    /// as one step, every other micro-op as the op-by-op run does, each
+    /// output validated. Returns the accumulator it leaves.
+    fn exec_range(
+        &self,
+        prepared: &PreparedProgram<'_>,
+        range: Range<u64>,
+        state: &Acc,
+        slots: &mut Slots,
+        inputs: &[Ciphertext],
+    ) -> FheResult<Acc> {
+        let mut state = state.clone();
+        let mut pc = range.start;
+        while pc < range.end {
+            if let Some(control) = &self.control {
+                control.check("pipeline")?;
+            }
+            match prepared.inner_sum_at(pc).filter(|sum| sum.end <= range.end) {
+                Some(sum) => {
+                    (state, *slots) = self.exec_inner_sum(prepared, sum.clone(), &state, slots)?;
+                    pc = sum.end;
+                }
+                None => {
+                    let (op_idx, stage) = prepared.schedule()[pc as usize];
+                    state = self.exec_micro(prepared, op_idx, stage, &state, slots, inputs)?;
+                    pc += 1;
+                }
+            }
+            state.validate(self.ctx)?;
+        }
+        Ok(state)
     }
 
     /// Executes the inner sum at `range` of the schedule as one step:
@@ -765,17 +870,16 @@ impl<'a> PipelineExecutor<'a> {
     /// order ([`CkksContext::try_mul_plain_acc`], the product as `add`'s
     /// left operand, as `AddSlot` runs), and applies the slot ops. The
     /// running sum stays private: a slot that holds it between terms is
-    /// tracked by id and counted live, and only the sum the step publishes
-    /// is wrapped (and stored, when the last term parks it). Returns the
-    /// new accumulator, the new slots and the live-ciphertext peak of the
-    /// interior boundaries, each of which also consults the run control.
+    /// tracked by id, and only the sum the step publishes is wrapped (and
+    /// stored, when the last term parks it). Returns the new accumulator
+    /// and the new slots; each interior boundary consults the run control.
     fn exec_inner_sum(
         &self,
         prepared: &PreparedProgram<'_>,
         range: Range<u64>,
         state: &Acc,
         slots: &Slots,
-    ) -> FheResult<(Acc, Slots, u64)> {
+    ) -> FheResult<(Acc, Slots)> {
         let Acc::Ct(outer) = state else {
             return Err(FheError::InvalidParams {
                 op: "executor",
@@ -790,7 +894,6 @@ impl<'a> PipelineExecutor<'a> {
         let mut sum: Option<Ciphertext> = None;
         let mut sum_slot: Option<u16> = None;
         let mut term: Option<Plaintext> = None;
-        let mut peak = 0;
         for pc in range.clone() {
             let op_idx = prepared.schedule()[pc as usize].0;
             match (&ops[op_idx], sum.as_mut()) {
@@ -824,14 +927,13 @@ impl<'a> PipelineExecutor<'a> {
                 if let Some(control) = &self.control {
                     control.check("pipeline")?;
                 }
-                peak = peak.max(slots.len() as u64 + u64::from(sum_slot.is_some()) + 1);
             }
         }
         let sum = Arc::new(sum.ok_or_else(|| Self::off_pattern("inner sum"))?);
         if let Some(s) = sum_slot {
             slots.insert(s, Arc::clone(&sum));
         }
-        Ok((Acc::Ct(sum), slots, peak))
+        Ok((Acc::Ct(sum), slots))
     }
 
     /// An op the inner-sum pattern does not allow where it stands. Never
@@ -1766,6 +1868,41 @@ mod tests {
         let s = prepared.memo_stats();
         assert_eq!(s.hits + s.misses, 6 * 4, "one lookup per operand per run");
         assert_eq!(prepared.memo_stats().bytes_resident, 4 * 64 * 8);
+    }
+
+    /// Each hand-built wave (`prepared::tests`) runs as a wave and lands
+    /// on the op-by-op run (forced by an attached fault plan that injects
+    /// nothing) in limbs, scale, noise estimate, `ops_executed`, trace
+    /// counts and peak: a wave that fell back to op by op would count its
+    /// discarded work twice.
+    #[test]
+    fn hand_built_waves_run_as_their_op_by_op_runs_do() {
+        use crate::prepared::tests::{input_opens_a_segment, read_after_write, write_after_read};
+        let ctx = strict_ctx();
+        let (sk, keys) = graph_keys(&ctx, &[1, 2, 3, 5]);
+        let inputs = dataflow_inputs(&ctx, &sk, 17);
+        for program in [write_after_read(), read_after_write(), input_opens_a_segment()] {
+            let prepared = PreparedProgram::borrowed(&ctx, &program);
+            assert_eq!(prepared.waves().len(), 1, "{program:?}");
+            let run = |op_by_op: bool| {
+                let mut exec = PipelineExecutor::new(&ctx, &keys, no_ckpt()).unwrap();
+                if op_by_op {
+                    exec.set_fault_plan(FaultPlan::new(0, 0.0));
+                }
+                let before = cl_trace::OpSnapshot::capture();
+                let out = completed(exec.run_prepared(&inputs, &prepared));
+                let ops = cl_trace::OpSnapshot::capture().delta_since(&before);
+                let t = exec.telemetry();
+                let digest = cl_ckks::serialize::fnv1a_fast(&ctx.serialize_ciphertext(&out));
+                let bits = (out.scale().to_bits(), out.noise_estimate_bits().to_bits());
+                (digest, bits, ops, t.ops_executed, t.peak_live_cts)
+            };
+            // The first run materializes the seeded hints.
+            run(true);
+            let (waved, op_by_op) = (run(false), run(true));
+            assert_eq!(waved, op_by_op, "{program:?}");
+            assert_eq!(waved.3, program.len() as u64);
+        }
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!   *rejected at load time* by checksum/fingerprint checks, never
 //!   resumed from;
 //! - [`PreparedProgram`]: a program with its micro-op schedule, a memo
-//!   of its plaintext operands' rounded coefficients and a table of its
-//!   BSGS inner sums (each run as one fused step), built once and shared
-//!   by every run of the program;
+//!   of its plaintext operands' rounded coefficients and what its def/use
+//!   says about how it runs — its BSGS inner sums (each one fused step),
+//!   its waves (independent bodies run side by side on the worker pool)
+//!   and the live-ciphertext count at each boundary ([`peak_live_cts`]) —
+//!   built once and shared by every run of the program;
 //! - [`PipelineExecutor`]: runs a program under the context's
 //!   guardrails, checkpoints every N micro-ops, and on
 //!   any detected fault (corrupt limb, exhausted budget, tampered hint)
@@ -46,5 +48,5 @@ pub use checkpoint::{sweep_checkpoint_dir, Checkpoint, CheckpointStore, WorkStat
 pub use executor::{
     ExecutorConfig, PipelineExecutor, RecoveryTelemetry, RunControl, RunOutcome,
 };
-pub use prepared::{PreparedProgram, COEFF_MEMO_BYTES};
+pub use prepared::{peak_live_cts, PreparedProgram, Wave, COEFF_MEMO_BYTES};
 pub use program::{PipelineOp, Program, MAX_PLAIN_VALUES, MAX_PROGRAM_OPS};

@@ -10,13 +10,34 @@
 //! that depends on the ciphertext's level. The compiler of the paper makes
 //! this kind of reuse statically (Sec. 6); here it is made on first use.
 //!
-//! It also holds the program's first def/use table: its *inner sums*, the
-//! micro-op runs the lowering emits for one BSGS giant group's sum of
-//! plaintext products. The executor runs each as one fused step
-//! (`PipelineExecutor`'s inner-sum step), found here once per program
-//! rather than matched at every run.
+//! It also holds what the program's def/use says about how it may run,
+//! derived once from what each op reads and writes of the accumulator and
+//! the slots:
+//!
+//! - its *inner sums* ([`PreparedProgram::inner_sums`]): the micro-op runs
+//!   the lowering emits for one BSGS giant group's sum of plaintext
+//!   products, each run as one fused step;
+//! - its *waves* ([`PreparedProgram::waves`]). A *segment* starts at an op
+//!   that overwrites the accumulator without reading it (`Load`, `Input`)
+//!   or at an inner sum, and runs to the next. A wave is a run of two or
+//!   more segments, none holding a `Bootstrap`, of which only the first
+//!   may read the accumulator it starts with. Each segment's *body* is its
+//!   prefix up to its first read of a slot that an earlier segment of the
+//!   wave writes (or nothing, when that prefix only moves references); its
+//!   *tail* is the rest. A segment whose very first op reads such a slot
+//!   has nothing to overlap, so it starts the next wave instead. Bodies
+//!   read nothing an earlier segment writes, so the executor runs them
+//!   side by side from the wave-start state, then applies each body's
+//!   slot writes and runs its tail in program order; on `lola_mlp_8k` a
+//!   wave is one layer's giant groups, each body a group's inner sum and
+//!   giant rotation;
+//! - the live-ciphertext count at every micro-op boundary, as that
+//!   schedule holds them ([`peak_live_cts`] is its maximum): the figure
+//!   the executor reports and the compiler predicts, one function for
+//!   both.
 
 use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::mem::{size_of, size_of_val};
 use std::ops::Range;
 use std::sync::Arc;
@@ -49,13 +70,15 @@ pub const COEFF_MEMO_BYTES: usize = 8 << 20;
 /// performs each operand's reduction and NTT, so op counts stay what
 /// `predict_program` charges.
 ///
-/// Its inner-sum table ([`PreparedProgram::inner_sums`]) lists the
-/// schedule ranges the executor runs as one step each.
+/// Its inner sums ([`PreparedProgram::inner_sums`]) and waves
+/// ([`PreparedProgram::waves`]) list the schedule ranges the executor runs
+/// as one step each, and its live table the live-ciphertext count at every
+/// boundary of that schedule.
 #[derive(Debug)]
 pub struct PreparedProgram<'p> {
     program: Cow<'p, Program>,
     schedule: Vec<(usize, usize)>,
-    inner_sums: Vec<Range<u64>>,
+    dataflow: Dataflow,
     ring_degree: usize,
     /// Ops before this index have their operands memoized.
     memo_end: usize,
@@ -106,7 +129,7 @@ impl<'p> PreparedProgram<'p> {
             .sum();
         Self {
             schedule: program.micro_schedule(),
-            inner_sums: inner_sums(ops),
+            dataflow: Dataflow::of(ops),
             resident_bytes: size_of_val(ops) + values + memo_bytes,
             program,
             ring_degree,
@@ -146,13 +169,33 @@ impl<'p> PreparedProgram<'p> {
     /// Every op in the pattern is one micro-op, so a range spans exactly
     /// its ops.
     pub fn inner_sums(&self) -> &[Range<u64>] {
-        &self.inner_sums
+        &self.dataflow.inner_sums
     }
 
     /// The inner sum starting at program counter `pc`, if one does.
     pub(crate) fn inner_sum_at(&self, pc: u64) -> Option<&Range<u64>> {
-        let i = self.inner_sums.partition_point(|r| r.start < pc);
-        self.inner_sums.get(i).filter(|r| r.start == pc)
+        starting_at(&self.dataflow.inner_sums, pc, |r| r.start)
+    }
+
+    /// The program's waves (see the module docs), in program order.
+    pub fn waves(&self) -> &[Wave] {
+        &self.dataflow.waves
+    }
+
+    /// The wave starting at program counter `pc`, if one does.
+    pub(crate) fn wave_at(&self, pc: u64) -> Option<&Wave> {
+        starting_at(&self.dataflow.waves, pc, |w| w.range().start)
+    }
+
+    /// The most ciphertexts live at any boundary in `from..=to` (program
+    /// counters) as the executor's schedule holds them: every slot plus
+    /// the accumulator, and inside a wave the wave's peak.
+    pub(crate) fn live_peak(&self, from: u64, to: u64) -> u64 {
+        self.dataflow.live[from as usize..=to as usize]
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(0)
     }
 
     /// The rounded coefficients of op `op`'s plaintext operand at `scale`,
@@ -184,21 +227,287 @@ impl<'p> PreparedProgram<'p> {
     }
 }
 
+/// The most ciphertexts live at any micro-op boundary of `program` as the
+/// executor runs it, waves side by side: every slot plus the accumulator
+/// at each boundary, and inside each wave the wave's peak. It is the
+/// executor's own accounting ([`crate::RecoveryTelemetry::peak_live_cts`]
+/// of a run that passes every boundary), so a compiler that predicts a
+/// program's residency calls this rather than replaying the program
+/// itself.
+pub fn peak_live_cts(program: &Program) -> u64 {
+    Dataflow::of(program.ops())
+        .live
+        .into_iter()
+        .max()
+        .unwrap_or(1)
+}
+
+/// A wave of a prepared program (see the module docs): two or more
+/// segments whose bodies the executor runs side by side from the
+/// wave-start state, then each body's slot writes and its tail in program
+/// order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Wave {
+    segments: Vec<Segment>,
+    /// The most ciphertexts the wave's schedule holds at once.
+    peak: u64,
+}
+
+/// One segment of a wave, in program counters.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Segment {
+    /// Run side by side with the wave's other bodies.
+    pub(crate) body: Range<u64>,
+    /// Run after the body's writes land, in program order; starts where
+    /// the body ends.
+    pub(crate) tail: Range<u64>,
+    /// The slots the body writes (stores, hoists into or frees), each
+    /// once: what the body's own copy of the slots hands back.
+    pub(crate) writes: Vec<u16>,
+}
+
+impl Wave {
+    /// The program counters the wave spans.
+    pub fn range(&self) -> Range<u64> {
+        let (first, last) = (&self.segments[0], &self.segments[self.segments.len() - 1]);
+        first.body.start..last.tail.end
+    }
+
+    /// Each segment's body, in program order; none is empty.
+    pub fn bodies(&self) -> impl Iterator<Item = Range<u64>> + '_ {
+        self.segments.iter().map(|s| s.body.clone())
+    }
+
+    /// Each segment's tail, in program order; a tail may be empty.
+    pub fn tails(&self) -> impl Iterator<Item = Range<u64>> + '_ {
+        self.segments.iter().map(|s| s.tail.clone())
+    }
+
+    pub(crate) fn segments(&self) -> &[Segment] {
+        &self.segments
+    }
+}
+
+/// The entry of `table` (sorted by `start`) that starts at `pc`, if one
+/// does.
+fn starting_at<T>(table: &[T], pc: u64, start: impl Fn(&T) -> u64) -> Option<&T> {
+    let i = table.partition_point(|t| start(t) < pc);
+    table.get(i).filter(|t| start(t) == pc)
+}
+
+/// What a program's def/use says about how it runs, in program counters.
+#[derive(Debug)]
+struct Dataflow {
+    inner_sums: Vec<Range<u64>>,
+    waves: Vec<Wave>,
+    /// Live ciphertexts at each micro-op boundary, `0..=micro-ops`.
+    live: Vec<u64>,
+}
+
+impl Dataflow {
+    fn of(ops: &[PipelineOp]) -> Self {
+        let mut pc_of = Vec::with_capacity(ops.len() + 1);
+        pc_of.push(0u64);
+        for op in ops {
+            pc_of.push(pc_of[pc_of.len() - 1] + op.micro_ops() as u64);
+        }
+        let pcs = |r: &Range<usize>| pc_of[r.start]..pc_of[r.end];
+        let sums = inner_sums(ops);
+        let waves = waves(ops, &segments(ops, &sums));
+
+        // Every slot plus the accumulator after each boundary, op by op;
+        // each wave's peak from the slots live at its start.
+        let mut live = vec![1u64];
+        let mut names = BTreeSet::new();
+        let mut peaks = Vec::with_capacity(waves.len());
+        let mut next_wave = waves.iter().peekable();
+        for (i, op) in ops.iter().enumerate() {
+            if let Some(wave) = next_wave.next_if(|w| w[0].0.start == i) {
+                peaks.push(wave_peak(ops, &names, wave));
+            }
+            op.apply_to_names(&mut names);
+            live.extend(std::iter::repeat_n(names.len() as u64 + 1, op.micro_ops()));
+        }
+        let waves: Vec<Wave> = waves
+            .iter()
+            .zip(peaks)
+            .map(|(segs, peak)| Wave {
+                segments: segs
+                    .iter()
+                    .map(|(body, tail)| {
+                        let writes: BTreeSet<u16> = ops[body.clone()]
+                            .iter()
+                            .flat_map(|op| op.slot_defs())
+                            .copied()
+                            .collect();
+                        Segment {
+                            body: pcs(body),
+                            tail: pcs(tail),
+                            writes: writes.into_iter().collect(),
+                        }
+                    })
+                    .collect(),
+                peak,
+            })
+            .collect();
+        // Inside a wave no boundary of the op-by-op run exists on its own:
+        // each interior boundary stands for the wave's schedule.
+        for wave in &waves {
+            let r = wave.range();
+            live[r.start as usize + 1..r.end as usize].fill(wave.peak);
+        }
+        Self {
+            inner_sums: sums.iter().map(pcs).collect(),
+            waves,
+            live,
+        }
+    }
+}
+
+/// The segments of `ops` as op ranges (see the module docs): a segment
+/// starts at op 0, at each inner sum and at each `Load` or `Input` outside
+/// one.
+fn segments(ops: &[PipelineOp], sums: &[Range<usize>]) -> Vec<Range<usize>> {
+    let mut starts = Vec::new();
+    let mut sums = sums.iter().peekable();
+    for (i, op) in ops.iter().enumerate() {
+        while sums.next_if(|r| r.end <= i).is_some() {}
+        let starts_here = match sums.peek() {
+            Some(r) if r.start == i => true,
+            Some(r) if r.start < i => false,
+            _ => i == 0 || !op.reads_acc(),
+        };
+        if starts_here {
+            starts.push(i);
+        }
+    }
+    let ends = starts.iter().skip(1).copied().chain([ops.len()]);
+    starts.iter().zip(ends).map(|(&a, b)| a..b).collect()
+}
+
+/// The waves among `segments`, each as its segments' `(body, tail)` op
+/// ranges. A segment joins the wave before it when it holds no bootstrap,
+/// overwrites the accumulator before reading it, and its body is not empty
+/// for reading an earlier segment's write at its first op; otherwise it
+/// starts the next wave. A body is cut at its first read of a slot that an
+/// earlier segment of the wave writes and not the body itself, and is
+/// empty when it would only move references: such a segment joins the
+/// tail before it, or, leading a wave, runs before it. A wave keeps two or
+/// more bodies.
+fn waves(ops: &[PipelineOp], segments: &[Range<usize>]) -> Vec<Vec<(Range<usize>, Range<usize>)>> {
+    let mut out = Vec::new();
+    let mut wave: Vec<(Range<usize>, Range<usize>)> = Vec::new();
+    // Slots the wave's segments so far write.
+    let mut written = BTreeSet::<u16>::new();
+    for seg in segments {
+        let boot_free = !ops[seg.clone()].contains(&PipelineOp::Bootstrap);
+        let joins = !wave.is_empty() && boot_free && !ops[seg.start].reads_acc();
+        let mut cut = joins
+            .then(|| first_exposed_read(ops, seg, &written))
+            .flatten();
+        if !joins || cut == Some(seg.start) {
+            if wave.len() >= 2 {
+                out.push(std::mem::take(&mut wave));
+            } else {
+                wave.clear();
+            }
+            written.clear();
+            if !boot_free {
+                continue;
+            }
+            cut = None;
+        }
+        let mut cut = cut.unwrap_or(seg.end);
+        if ops[seg.start..cut].iter().all(PipelineOp::moves_only) {
+            cut = seg.start;
+        }
+        written.extend(ops[seg.clone()].iter().flat_map(|op| op.slot_defs()));
+        if cut > seg.start {
+            wave.push((seg.start..cut, cut..seg.end));
+        } else if let Some((_, tail)) = wave.last_mut() {
+            tail.end = seg.end;
+        }
+        // (A leading segment with nothing to overlap runs before the wave:
+        // the next segment starts it afresh.)
+    }
+    if wave.len() >= 2 {
+        out.push(wave);
+    }
+    out
+}
+
+/// The first op of `seg` that reads a slot in `written` which no earlier
+/// op of `seg` writes.
+fn first_exposed_read(
+    ops: &[PipelineOp],
+    seg: &Range<usize>,
+    written: &BTreeSet<u16>,
+) -> Option<usize> {
+    let mut own = BTreeSet::<u16>::new();
+    seg.clone().find(|&i| {
+        let exposed = ops[i]
+            .slot_uses()
+            .iter()
+            .any(|s| written.contains(s) && !own.contains(s));
+        own.extend(ops[i].slot_defs());
+        exposed
+    })
+}
+
+/// The most ciphertexts a wave's schedule holds at once, counted as the
+/// executor counts a boundary — every slot name plus one per accumulator —
+/// with `start` the slots live when the wave starts. The wave-start slots
+/// and accumulator stay held throughout (the run's last good boundary).
+/// Bodies run in program order, as at one thread: each holds its own
+/// accumulator and the slots it has written, and a finished body's
+/// accumulator and slots stay held until its tail. Then each body's
+/// writes land and its tail runs, with the later bodies' results held.
+fn wave_peak(
+    ops: &[PipelineOp],
+    start: &BTreeSet<u16>,
+    segments: &[(Range<usize>, Range<usize>)],
+) -> u64 {
+    let base = start.len() + 1;
+    let mut peak = base;
+    let mut held = Vec::with_capacity(segments.len());
+    let mut done = 0;
+    for (body, _) in segments {
+        let mut own = BTreeSet::new();
+        for op in &ops[body.clone()] {
+            op.apply_to_names(&mut own);
+            peak = peak.max(base + done + 1 + own.len());
+        }
+        held.push(1 + own.len());
+        done += 1 + own.len();
+    }
+    // Slots written since the wave started; the rest are the start's.
+    let mut fresh = BTreeSet::new();
+    let mut pending = done;
+    for ((body, tail), held) in segments.iter().zip(held) {
+        pending -= held;
+        for op in &ops[body.clone()] {
+            op.apply_to_names(&mut fresh);
+        }
+        peak = peak.max(base + fresh.len() + 1 + pending);
+        for op in &ops[tail.clone()] {
+            op.apply_to_names(&mut fresh);
+            peak = peak.max(base + fresh.len() + 1 + pending);
+        }
+    }
+    peak as u64
+}
+
 /// The inner sums of `ops` ([`PreparedProgram::inner_sums`]), matched left
-/// to right, as ranges of program counters.
-fn inner_sums(ops: &[PipelineOp]) -> Vec<Range<u64>> {
-    let (mut out, mut i, mut pc) = (Vec::new(), 0, 0u64);
+/// to right, as op ranges.
+fn inner_sums(ops: &[PipelineOp]) -> Vec<Range<usize>> {
+    let (mut out, mut i) = (Vec::new(), 0);
     while i < ops.len() {
         match inner_sum_len(&ops[i..]) {
             Some(len) => {
-                out.push(pc..pc + len as u64);
+                out.push(i..i + len);
                 i += len;
-                pc += len as u64;
             }
-            None => {
-                pc += ops[i].micro_ops() as u64;
-                i += 1;
-            }
+            None => i += 1,
         }
     }
     out
@@ -249,10 +558,182 @@ fn inner_sum_len(ops: &[PipelineOp]) -> Option<usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cl_boot::BootState;
-    use PipelineOp::{AddSlot, Bootstrap, Free, Load, MulPlain, Rotate, Store};
+    use PipelineOp::{
+        AddSlot, Bootstrap, Free, Input, Load, MulPlain, Rotate, RotateHoisted, Store,
+    };
+
+    /// Rotations by 1 and 2 of the input in slots 1 and 2, then two
+    /// segments that rotate one each. The second frees and re-stores slot
+    /// 1, which the first reads: a write after a read, which splits
+    /// nothing.
+    pub(crate) fn write_after_read() -> Program {
+        Program::from_ops(vec![
+            RotateHoisted {
+                steps: vec![1, 2],
+                dsts: vec![1, 2],
+            },
+            Load(1),
+            Rotate(3),
+            Store(3),
+            Load(2),
+            Rotate(5),
+            Free(1),
+            Store(1),
+            Load(3),
+            AddSlot(1),
+            Free(1),
+            Free(2),
+            Free(3),
+        ])
+    }
+
+    /// Two segments after a hoisted batch: the first overwrites slot 2,
+    /// which the second adds after its own rotation, so the second body
+    /// is cut at that `AddSlot` (running it on the wave-start slots would
+    /// read the old slot 2, silently).
+    pub(crate) fn read_after_write() -> Program {
+        Program::from_ops(vec![
+            RotateHoisted {
+                steps: vec![1, 2],
+                dsts: vec![1, 2],
+            },
+            Load(1),
+            Rotate(3),
+            Free(2),
+            Store(2),
+            Load(1),
+            Rotate(5),
+            AddSlot(2),
+            Store(3),
+            Load(3),
+            Free(1),
+            Free(2),
+            Free(3),
+        ])
+    }
+
+    /// A rotation of input 0 parked in slot 0, then a segment opened by
+    /// `Input(1)` that rotates the second input and adds slot 0.
+    pub(crate) fn input_opens_a_segment() -> Program {
+        Program::from_ops(vec![
+            Rotate(1),
+            Store(0),
+            Input(1),
+            Rotate(2),
+            AddSlot(0),
+            Free(0),
+        ])
+    }
+
+    fn ranges(r: &[Range<u64>]) -> Vec<Range<u64>> {
+        r.to_vec()
+    }
+
+    /// `(range, bodies, tails)` of each wave of `program`.
+    fn table(program: &Program) -> Vec<(Range<u64>, Vec<Range<u64>>, Vec<Range<u64>>)> {
+        Dataflow::of(program.ops())
+            .waves
+            .iter()
+            .map(|w| (w.range(), w.bodies().collect(), w.tails().collect()))
+            .collect()
+    }
+
+    #[test]
+    fn a_later_segment_may_rewrite_a_slot_an_earlier_body_reads() {
+        // The batch's segment leads alone: the next one loads its output.
+        // The two rotations run side by side; the final `Load(3)` reads
+        // the wave's write, so it starts afresh and stays alone.
+        assert_eq!(
+            table(&write_after_read()),
+            vec![(1..8, ranges(&[1..4, 4..8]), ranges(&[4..4, 8..8]))]
+        );
+    }
+
+    #[test]
+    fn a_body_is_cut_at_its_read_of_an_earlier_segments_write() {
+        let program = read_after_write();
+        assert_eq!(
+            table(&program),
+            vec![(1..9, ranges(&[1..5, 5..7]), ranges(&[5..5, 7..9]))]
+        );
+        let wave = &Dataflow::of(program.ops()).waves[0];
+        let writes: Vec<&[u16]> = wave.segments().iter().map(|s| &s.writes[..]).collect();
+        assert_eq!(
+            writes,
+            [&[2][..], &[]],
+            "each body hands back what it wrote"
+        );
+    }
+
+    #[test]
+    fn an_input_opens_a_segment() {
+        assert_eq!(
+            table(&input_opens_a_segment()),
+            vec![(0..6, ranges(&[0..2, 2..4]), ranges(&[2..2, 4..6]))]
+        );
+    }
+
+    #[test]
+    fn no_wave_spans_a_bootstrap() {
+        let program = Program::from_ops(vec![
+            Rotate(1),
+            Store(0),
+            Input(1),
+            Rotate(2),
+            Store(1),
+            // Starts at a read of the wave's write and holds a bootstrap:
+            // it ends the first wave and joins none.
+            Load(0),
+            AddSlot(1),
+            Bootstrap,
+            Store(2),
+            // After it, a wave starts afresh.
+            Input(1),
+            Rotate(3),
+            Store(3),
+            Load(2),
+            Rotate(4),
+            AddSlot(3),
+            Free(3),
+            Free(2),
+            Free(1),
+            Free(0),
+        ]);
+        let pc = |op: u64| {
+            if op > 7 {
+                op + BootState::NUM_STAGES as u64 - 1
+            } else {
+                op
+            }
+        };
+        assert_eq!(
+            table(&program),
+            vec![
+                (0..5, ranges(&[0..2, 2..5]), ranges(&[2..2, 5..5])),
+                (
+                    pc(9)..pc(19),
+                    ranges(&[pc(9)..pc(12), pc(12)..pc(14)]),
+                    ranges(&[pc(12)..pc(12), pc(14)..pc(19)])
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_live_table_holds_each_waves_peak_inside_it() {
+        // Op by op: 1, then slots {1, 2} and the accumulator (3), ... The
+        // wave 1..8 starts with slots {1, 2}: its first body adds an
+        // accumulator and slot 3, the second an accumulator and slot 1.
+        let program = write_after_read();
+        let live = Dataflow::of(program.ops()).live;
+        assert_eq!(live[..2], [1, 3]);
+        assert!(live[2..8].iter().all(|&l| l == 7), "{live:?}");
+        assert_eq!(live[8..], [4, 4, 4, 3, 2, 1]);
+        assert_eq!(peak_live_cts(&program), 7);
+    }
 
     #[test]
     fn inner_sums_are_the_lowered_giant_groups_and_nothing_else() {
@@ -289,7 +770,8 @@ mod tests {
             AddSlot(4),
             Free(4),
         ];
+        assert_eq!(inner_sums(&ops), vec![1..13]);
         let start = BootState::NUM_STAGES as u64;
-        assert_eq!(inner_sums(&ops), vec![start..start + 12]);
+        assert_eq!(Dataflow::of(&ops).inner_sums, vec![start..start + 12]);
     }
 }

@@ -1,5 +1,7 @@
 //! Declared pipelines: the unit of work the executor runs and checkpoints.
 
+use std::collections::BTreeSet;
+
 use cl_boot::BootState;
 use cl_ckks::serialize::{
     put_f64, put_i64, put_u32, put_u8, seal, write_header, ObjectTag, Reader,
@@ -103,6 +105,55 @@ impl PipelineOp {
             | PipelineOp::MulPlain(vals)
             | PipelineOp::MulPlainRescale(vals) => Some(vals),
             _ => None,
+        }
+    }
+
+    /// Whether the op reads the accumulator. Only `Load` and `Input`
+    /// overwrite it without reading it.
+    pub(crate) fn reads_acc(&self) -> bool {
+        !matches!(self, PipelineOp::Load(_) | PipelineOp::Input(_))
+    }
+
+    /// The slots the op reads: the slot it loads or combines with, and the
+    /// slot a `Free` requires to be live.
+    pub(crate) fn slot_uses(&self) -> &[u16] {
+        match self {
+            PipelineOp::Load(s)
+            | PipelineOp::Free(s)
+            | PipelineOp::AddSlot(s)
+            | PipelineOp::SubSlot(s)
+            | PipelineOp::MulCtSlot(s) => std::slice::from_ref(s),
+            _ => &[],
+        }
+    }
+
+    /// The slots the op writes: those it stores or hoists into, and the
+    /// slot a `Free` empties.
+    pub(crate) fn slot_defs(&self) -> &[u16] {
+        match self {
+            PipelineOp::Store(s) | PipelineOp::Free(s) => std::slice::from_ref(s),
+            PipelineOp::RotateHoisted { dsts, .. } => dsts,
+            _ => &[],
+        }
+    }
+
+    /// Whether the op only moves references (`Load`, `Store`, `Free`,
+    /// `Input`) and computes no ciphertext.
+    pub(crate) fn moves_only(&self) -> bool {
+        matches!(
+            self,
+            PipelineOp::Load(_) | PipelineOp::Store(_) | PipelineOp::Free(_) | PipelineOp::Input(_)
+        )
+    }
+
+    /// Applies the op's effect on the set of live slot names: a `Store`
+    /// or hoisted batch makes its slots live, a `Free` ends its slot.
+    pub(crate) fn apply_to_names(&self, names: &mut BTreeSet<u16>) {
+        match self {
+            PipelineOp::Free(s) => {
+                names.remove(s);
+            }
+            op => names.extend(op.slot_defs()),
         }
     }
 

@@ -182,7 +182,7 @@ impl Journal {
             None => {
                 let gen = 0;
                 let path = gen_path(dir, gen);
-                write_file_header(&path)?;
+                create_generation(dir, &path)?;
                 (gen, path)
             }
         };
@@ -578,10 +578,18 @@ fn newest_generation(dir: &Path) -> Option<(u64, PathBuf)> {
     best
 }
 
-fn write_file_header(path: &Path) -> FheResult<()> {
+/// Creates the first generation file in `dir`, holding only its header,
+/// and syncs both the file and the directory entry, as compaction does for
+/// the generation it renames into place: a record acknowledged under
+/// `FsyncPolicy::Always` must not land in a file a power loss can drop.
+fn create_generation(dir: &Path, path: &Path) -> FheResult<()> {
     let mut out = Vec::with_capacity(16);
     write_header(&mut out, ObjectTag::Journal, 0);
-    fs::write(path, &out).map_err(|e| io_err("journal_open", &e.to_string()))
+    let err = |e: io::Error| io_err("journal_open", &e.to_string());
+    let mut file = File::create(path).map_err(err)?;
+    file.write_all(&out).map_err(err)?;
+    file.sync_data().map_err(err)?;
+    File::open(dir).and_then(|d| d.sync_all()).map_err(err)
 }
 
 fn io_err(op: &'static str, reason: &str) -> FheError {

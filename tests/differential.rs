@@ -21,8 +21,10 @@
 //!   (`cl_rns::PAR_GRAIN_WORDS`), and independent operations: hoisted
 //!   steps, BSGS inner sums, EvalMod's power tree — results, noise
 //!   estimates, trace counts and the first error are the serial run's,
-//! - a compiled BSGS layer whose inner sums the executor runs as fused
-//!   steps computes the graph's node-by-node evaluation bit for bit.
+//! - a compiled BSGS layer, and a three-layer MLP, whose giant groups the
+//!   executor runs side by side as waves (each group's inner sum a fused
+//!   step) compute the graph's node-by-node evaluation bit for bit, with
+//!   the op-by-op run's counts, `ops_executed` and live peak.
 //!
 //! Thread count and backend selection are process-global, so every test
 //! in this binary holds [`THREADS`] for its whole body. The `cl-trace` op
@@ -32,7 +34,7 @@
 use std::sync::{Barrier, Mutex, MutexGuard};
 use std::thread;
 
-use cl_apps::{lola_layer_runnable, RunnableWorkload};
+use cl_apps::{lola_layer_runnable, lola_mlp_runnable, DenseLayer, RunnableWorkload};
 use cl_boot::{try_bsgs_transform, BootState, BootstrapKeys, Bootstrapper, PrecomputedTransform};
 use cl_ckks::{
     faults, Ciphertext, CkksContext, CkksParams, FheResult, GuardrailPolicy, KeySwitchKey,
@@ -908,8 +910,12 @@ fn eval_graph_direct(
                 Some(ctx.try_rotate(at(a), step, key.as_ref()).expect("rotate"))
             }
             HeOp::Rescale(a) => Some(ctx.try_rescale(at(a)).expect("rescale")),
+            HeOp::MulCt(a, b) if a == b => {
+                let relin = keys.try_relin(ctx).expect("relinearization key");
+                Some(ctx.try_square(at(a), relin.as_ref()).expect("square"))
+            }
             HeOp::Output(a) => return at(a).clone(),
-            ref other => panic!("the layer graph does not use {other:?}"),
+            ref other => panic!("the MLP graphs do not use {other:?}"),
         };
         vals.push(v);
     }
@@ -917,10 +923,12 @@ fn eval_graph_direct(
 }
 
 /// A compiled BSGS layer above the grain — 16 diagonals in four giant
-/// groups, each group's inner sum run by the executor as one fused step —
-/// gives the graph's node-by-node evaluation in limbs, level, scale and
-/// noise estimate, with the trace counts `predict_program` charges for the
-/// op-by-op run, on every backend at 1, 2 and 4 threads.
+/// groups, run by the executor as one wave whose bodies each run their
+/// group's inner sum as one fused step — gives the graph's node-by-node
+/// evaluation in limbs, level, scale and noise estimate, with the trace
+/// counts `predict_program` charges for the op-by-op run, every micro-op
+/// executed once and the predicted peak, on every backend at 1, 2 and 4
+/// threads.
 #[test]
 fn fused_inner_sums_above_the_grain_match_node_by_node_everywhere() {
     let held = hold_threads();
@@ -928,8 +936,41 @@ fn fused_inner_sums_above_the_grain_match_node_by_node_everywhere() {
     let ctx = grain_ctx(level, 8).with_policy(GuardrailPolicy::Strict {
         min_budget_bits: -60.0,
     });
+    let w = lola_layer_runnable(ctx.params().slots(), level, 16, 1, false);
+    assert_compiled_matches_node_by_node(&held, &ctx, &w, 4, &[4]);
+}
+
+/// The three-layer MLP (9 / 16 / 4 diagonals, square activations) above
+/// the grain, its three waves of 3, 4 and 2 bodies run side by side:
+/// bit for bit the graph's node-by-node evaluation, with the op-by-op
+/// run's trace counts, `ops_executed` and the predicted peak, on every
+/// backend at 1, 2 and 4 threads.
+#[test]
+fn waves_above_the_grain_match_node_by_node_everywhere() {
+    let held = hold_threads();
+    let level = 6;
+    // Scale = limb (45 bits), so the squares spend more budget than the
+    // layer test's floor allows; the floor still runs every check.
+    let ctx = grain_ctx(level, 8).with_policy(GuardrailPolicy::Strict {
+        min_budget_bits: -200.0,
+    });
+    let layer = |diags, stride, activate| DenseLayer { diags, stride, activate };
+    let layers = [layer(9, 1, true), layer(16, 2, true), layer(4, 4, false)];
+    let w = lola_mlp_runnable(ctx.params().slots(), level, &layers);
+    assert_compiled_matches_node_by_node(&held, &ctx, &w, 3 + 4 + 2, &[3, 4, 2]);
+}
+
+/// Lowers `w`, checks its inner-sum count and the bodies of its waves, and
+/// runs it through a prepared program under the backend × thread matrix,
+/// comparing against `eval_graph_direct` and `predict_program`.
+fn assert_compiled_matches_node_by_node(
+    held: &Held,
+    ctx: &CkksContext,
+    w: &RunnableWorkload,
+    inner_sums: usize,
+    bodies: &[usize],
+) {
     let slots = ctx.params().slots();
-    let w = lola_layer_runnable(slots, level, 16, 1, false);
     let lowered = lower_to_program(
         &w.graph,
         &LowerOptions {
@@ -940,13 +981,15 @@ fn fused_inner_sums_above_the_grain_match_node_by_node_everywhere() {
             max_live_cts: None,
         },
     )
-    .expect("layer lowers");
-    let prepared = PreparedProgram::borrowed(&ctx, &lowered.program);
+    .expect("graph lowers");
+    let prepared = PreparedProgram::borrowed(ctx, &lowered.program);
     assert_eq!(
         prepared.inner_sums().len(),
-        4,
+        inner_sums,
         "one inner sum per giant group"
     );
+    let got: Vec<usize> = prepared.waves().iter().map(|w| w.bodies().count()).collect();
+    assert_eq!(got, bodies, "one wave per layer, one body per giant group");
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A5);
     let sk = ctx.keygen(&mut rng);
     let kind = KeySwitchKind::Standard;
@@ -955,13 +998,13 @@ fn fused_inner_sums_above_the_grain_match_node_by_node_everywhere() {
         .map(|i| ((i * 5) % 17) as f64 / 17.0 - 0.4)
         .collect();
     let x = ctx.encrypt(
-        &ctx.encode(&vals, ctx.default_scale(), level),
+        &ctx.encode(&vals, ctx.default_scale(), w.input_level),
         &sk,
         &mut rng,
     );
-    let direct = ct_bits(&eval_graph_direct(&ctx, &keys, &w, &x));
-    let predicted =
-        predict_program(level, kind, &[level], &lowered.program).expect("program predicts");
+    let direct = ct_bits(&eval_graph_direct(&ctx, &keys, w, &x));
+    let predicted = predict_program(ctx.max_level(), kind, &[w.input_level], &lowered.program)
+        .expect("program predicts");
     let run = || {
         let config = ExecutorConfig {
             checkpoint_every: 0,
@@ -973,22 +1016,27 @@ fn fused_inner_sums_above_the_grain_match_node_by_node_everywhere() {
             .run_prepared(std::slice::from_ref(&x), &prepared)
             .expect("compiled run")
         {
-            RunOutcome::Completed(out) => (out, exec.telemetry().peak_live_cts),
+            RunOutcome::Completed(out) => (out, exec.telemetry()),
             RunOutcome::Crashed => unreachable!("no fault plan attached"),
         }
     };
     // One warm-up run materializes every hint.
     run();
-    assert_backend_invariant(&held, || {
+    assert_backend_invariant(held, || {
         let before = cl_trace::OpSnapshot::capture();
-        let (out, peak) = run();
+        let (out, t) = run();
         let ops = cl_trace::OpSnapshot::capture().delta_since(&before);
         assert_eq!(
             ct_bits(&out),
             direct,
-            "fused inner sums must match node-by-node evaluation"
+            "the compiled run must match node-by-node evaluation"
         );
-        assert_eq!(peak, lowered.predicted_peak_live, "live-ciphertext peak");
+        assert_eq!(t.peak_live_cts, lowered.predicted_peak_live, "live-ciphertext peak");
+        assert_eq!(
+            t.ops_executed,
+            lowered.program.num_micro_ops() as u64,
+            "every micro-op once"
+        );
         let fields = |s: &cl_trace::OpSnapshot| {
             [
                 s.ntt,
@@ -998,6 +1046,7 @@ fn fused_inner_sums_above_the_grain_match_node_by_node_everywhere() {
                 s.base_conv,
                 s.automorph,
                 s.rotations,
+                s.ct_mults,
                 s.pt_mults,
             ]
         };
@@ -1006,7 +1055,7 @@ fn fused_inner_sums_above_the_grain_match_node_by_node_everywhere() {
             fields(&predicted),
             "trace counts vs the op-by-op prediction"
         );
-        (ct_bits(&out), ops)
+        (ct_bits(&out), ops, t.ops_executed, t.peak_live_cts)
     });
 }
 
