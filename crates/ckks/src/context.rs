@@ -10,7 +10,7 @@ use rand::Rng;
 use crate::error::{FheError, FheResult};
 use crate::params::ParamsError;
 use crate::serialize::{FNV_OFFSET, FNV_PRIME};
-use crate::{Ciphertext, CkksParams, KeySwitchKey, Plaintext, PublicKey, SecretKey};
+use crate::{Ciphertext, CkksParams, KeySwitchKey, Plaintext, SecretKey};
 
 /// Errors produced by CKKS operations.
 #[derive(Debug)]
@@ -368,18 +368,6 @@ impl CkksContext {
         SecretKey { s }
     }
 
-    /// Derives a public encryption key from a secret key.
-    pub fn keygen_public<R: Rng + ?Sized>(&self, sk: &SecretKey, rng: &mut R) -> PublicKey {
-        let basis = self.rns.q_basis(self.params.levels);
-        let a = self.rns.sample_uniform(&basis, rng);
-        let mut e = self.rns.sample_error(&basis, rng);
-        self.rns.to_ntt(&mut e);
-        let s = self.rns.restrict(&sk.s, &basis);
-        let mut pk0 = self.rns.neg(&self.rns.mul(&a, &s));
-        self.rns.add_assign(&mut pk0, &e);
-        PublicKey { pk0, pk1: a }
-    }
-
     /// Encrypts a plaintext under the secret key (symmetric encryption).
     pub fn encrypt<R: Rng + ?Sized>(
         &self,
@@ -401,36 +389,6 @@ impl CkksContext {
             level: pt.level,
             scale: pt.scale,
             noise_bits_est: self.est_fresh_bits(),
-        }
-    }
-
-    /// Encrypts a plaintext under a public key.
-    pub fn encrypt_public<R: Rng + ?Sized>(
-        &self,
-        pt: &Plaintext,
-        pk: &PublicKey,
-        rng: &mut R,
-    ) -> Ciphertext {
-        let basis = self.rns.q_basis(pt.level);
-        let mut u = self.rns.sample_ternary(&basis, rng);
-        self.rns.to_ntt(&mut u);
-        let mut e0 = self.rns.sample_error(&basis, rng);
-        let mut e1 = self.rns.sample_error(&basis, rng);
-        self.rns.to_ntt(&mut e0);
-        self.rns.to_ntt(&mut e1);
-        let pk0 = self.rns.restrict(&pk.pk0, &basis);
-        let pk1 = self.rns.restrict(&pk.pk1, &basis);
-        let mut c0 = self.rns.mul(&pk0, &u);
-        self.rns.add_assign(&mut c0, &e0);
-        self.rns.add_assign(&mut c0, &pt.poly);
-        let mut c1 = self.rns.mul(&pk1, &u);
-        self.rns.add_assign(&mut c1, &e1);
-        Ciphertext {
-            c0,
-            c1,
-            level: pt.level,
-            scale: pt.scale,
-            noise_bits_est: self.est_public_bits(),
         }
     }
 
@@ -599,9 +557,8 @@ impl CkksContext {
 
     /// Key validation: verifies the hint's integrity digest. Called once
     /// per hint application, where the hint is consumed
-    /// (`HoistedDecomposition::apply_ext`, which every CKKS keyswitch
-    /// passes through, and BGV `try_mul`), never by the operations above
-    /// it.
+    /// (`HoistedDecomposition::apply_ext`, which every keyswitch passes
+    /// through), never by the operations above it.
     pub(crate) fn guard_key(&self, op: &'static str, ksk: &KeySwitchKey) -> FheResult<()> {
         if !ksk.verify_integrity() {
             return Err(FheError::CorruptKey {
@@ -690,21 +647,6 @@ mod tests {
         let back = c.decode(&c.decrypt(&ct, &sk), 4);
         for (a, b) in back.iter().zip(&vals) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn encrypt_decrypt_public() {
-        let c = ctx();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let sk = c.keygen(&mut rng);
-        let pk = c.keygen_public(&sk, &mut rng);
-        let vals = vec![0.5, -0.25, 8.0];
-        let pt = c.encode(&vals, c.default_scale(), 3);
-        let ct = c.encrypt_public(&pt, &pk, &mut rng);
-        let back = c.decode(&c.decrypt(&ct, &sk), 3);
-        for (a, b) in back.iter().zip(&vals) {
-            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
     }
 

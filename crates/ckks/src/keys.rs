@@ -1,5 +1,5 @@
-//! Key material: secret keys, public keys, and keyswitch keys (hints) in
-//! both materialized and compact (seeded) resident forms.
+//! Key material: secret keys and keyswitch keys (hints) in both
+//! materialized and compact (seeded) resident forms.
 
 use cl_rns::RnsPoly;
 
@@ -22,14 +22,6 @@ impl SecretKey {
     }
 }
 
-/// A public encryption key `(pk0, pk1) = (-a·s + e, a)` over the full
-/// ciphertext-modulus chain.
-#[derive(Debug, Clone)]
-pub struct PublicKey {
-    pub(crate) pk0: RnsPoly,
-    pub(crate) pk1: RnsPoly,
-}
-
 /// A keyswitch key — the paper's *keyswitch hint* (KSH).
 ///
 /// For boosted keyswitching with `t` digits this is `t` pairs of
@@ -48,9 +40,8 @@ pub struct KeySwitchKey {
     pub(crate) digit_limbs: Vec<Vec<u32>>,
     /// Seed regenerating every `k1` (the pseudo-random half).
     pub(crate) seed: u64,
-    /// `log2` of the hint error magnitude (the sampler's σ times any
-    /// error scaling, e.g. BGV's plaintext modulus `t`) — consumed by the
-    /// analytic noise model.
+    /// `log2` of the hint error magnitude (the sampler's σ) — consumed by
+    /// the analytic noise model.
     pub(crate) error_bits: f64,
     /// Integrity digest over the hint payload and every metadata field
     /// above, computed at keygen; every context's guardrails re-verify

@@ -97,21 +97,6 @@ impl CkksContext {
         kind: KeySwitchKind,
         rng: &mut R,
     ) -> KeySwitchKey {
-        self.keyswitch_keygen_with_error_scale(s_prime, sk, kind, 1, rng)
-    }
-
-    /// Like [`CkksContext::keyswitch_keygen`], with the hint errors scaled
-    /// by `error_scale`. BGV requires hints whose noise is a multiple of
-    /// the plaintext modulus `t` so keyswitching stays exact mod `t`; such
-    /// hints remain valid for CKKS (the noise is merely `t` times larger).
-    pub fn keyswitch_keygen_with_error_scale<R: Rng + ?Sized>(
-        &self,
-        s_prime: &RnsPoly,
-        sk: &SecretKey,
-        kind: KeySwitchKind,
-        error_scale: u64,
-        rng: &mut R,
-    ) -> KeySwitchKey {
         let rns = self.rns();
         let digit_limbs = self.digit_partition(kind);
         let special = self.special_for(kind);
@@ -127,9 +112,6 @@ impl CkksContext {
             let k1 = prandom_poly(rns, &key_basis, seed, d as u64);
             let mut e = rns.sample_error(&key_basis, rng);
             rns.to_ntt(&mut e);
-            if error_scale != 1 {
-                e = rns.scalar_mul(&e, error_scale);
-            }
             // k0 = -k1*s + e + w_d * s_prime, where w_d is P mod q_i on the
             // digit's limbs and 0 elsewhere (P = 1 for standard keyswitching,
             // where w_d is the CRT indicator itself).
@@ -161,7 +143,7 @@ impl CkksContext {
             elems,
             digit_limbs,
             seed,
-            error_bits: (SIGMA * error_scale as f64).log2(),
+            error_bits: SIGMA.log2(),
             digest: 0,
         };
         key.digest = key.compute_digest();

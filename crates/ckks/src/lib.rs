@@ -53,7 +53,6 @@
 // the violated invariant; tests are exempt. Enforced by scripts/verify.sh.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod bgv;
 mod ciphertext;
 mod context;
 mod error;
@@ -73,6 +72,6 @@ pub use error::{FheError, FheResult};
 /// The shared cache type under [`HintCache`], for the crates above this one.
 pub use cl_math::{Cache, CacheStats};
 pub use hint_cache::{HintCache, HintCacheStats, DEFAULT_HINT_CACHE_BYTES};
-pub use keys::{CompactKeySwitchKey, KeySwitchKey, PublicKey, SecretKey};
+pub use keys::{CompactKeySwitchKey, KeySwitchKey, SecretKey};
 pub use keyswitch::{HoistedDecomposition, KeySwitchKind};
 pub use params::{CkksParams, CkksParamsBuilder};

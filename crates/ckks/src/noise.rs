@@ -135,12 +135,6 @@ impl CkksContext {
         (SIGMA * (2.0 * (2.0 * n).ln()).sqrt()).log2()
     }
 
-    /// Noise of a public-key encryption: the pk error convolves with the
-    /// ternary ephemeral secret, adding a `sqrt(n)` growth factor.
-    pub(crate) fn est_public_bits(&self) -> f64 {
-        self.est_fresh_bits() + 0.5 * (self.params().ring_degree() as f64).log2()
-    }
-
     /// Noise after adding/subtracting two ciphertexts.
     pub(crate) fn est_add(a: &Ciphertext, b: &Ciphertext) -> f64 {
         log2_add(a.noise_bits_est, b.noise_bits_est)

@@ -582,14 +582,8 @@ impl RnsContext {
         });
     }
 
-    /// Multiplies every coefficient by a small scalar.
-    pub fn scalar_mul(&self, a: &RnsPoly, s: u64) -> RnsPoly {
-        let mut out = a.clone();
-        self.scalar_mul_assign(&mut out, s);
-        out
-    }
-
-    /// In-place scalar multiplication.
+    /// Multiplies every coefficient by the scalar `s` (reduced per limb),
+    /// in place.
     pub fn scalar_mul_assign(&self, a: &mut RnsPoly, s: u64) {
         cl_trace::record_mult(a.basis().len() as u64, self.n);
         self.par_limbs(a, |_, limb, data| {

@@ -24,7 +24,7 @@
 //! let basis = ctx.q_basis(3);
 //! let a = ctx.sample_uniform(&basis, &mut rand::thread_rng());
 //! let sum = ctx.add(&a, &a);
-//! let two_a = ctx.scalar_mul(&a, 2);
+//! let two_a = ctx.scalar_mul_per_limb(&a, &[2; 3]);
 //! assert_eq!(sum, two_a);
 //! ```
 

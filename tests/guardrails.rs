@@ -10,7 +10,6 @@ use std::time::{Duration, Instant};
 
 use cl_apps::inner_sum_runnable;
 use cl_boot::{try_bsgs_transform, BootstrapKeys, PrecomputedTransform};
-use cl_ckks::bgv::BgvContext;
 use cl_ckks::{
     faults, CkksContext, CkksParams, FheError, FheResult, GuardrailPolicy, HintCache,
     KeySwitchKey, KeySwitchKind, SecretKey,
@@ -132,19 +131,11 @@ fn strict_checks_each_hint_application_once_at_every_entry_point() {
     let relin = ctx.relin_keygen(&sk, kind, &mut rng);
     let rot = ctx.rotation_keygen(&sk, 1, kind, &mut rng);
     let conj = ctx.conjugation_keygen(&sk, kind, &mut rng);
-    let t = 65537;
-    let bgv_relin = BgvContext::new(&ctx, t)
-        .expect("65537 is an NTT-friendly plaintext prime")
-        .relin_keygen(&sk, kind, &mut rng);
-    let bgv_ct = BgvContext::new(&ctx, t)
-        .expect("65537 is an NTT-friendly plaintext prime")
-        .encrypt(&[3, 4], 3, &sk, &mut rng);
     let pt = ctx.encode(&[0.5, -0.25], ctx.default_scale(), 3);
     let ct = ctx.encrypt(&pt, &sk, &mut rng);
     ctx.set_policy(GuardrailPolicy::Strict {
         min_budget_bits: 0.0,
     });
-    let bgv = BgvContext::new(&ctx, t).expect("65537 is an NTT-friendly plaintext prime");
     let n = ctx.params().ring_degree();
     let g = cl_math::galois_element_for_rotation(1, n);
     let dec = ctx.try_hoist(ct.c1(), kind).expect("hoist");
@@ -165,13 +156,12 @@ fn strict_checks_each_hint_application_once_at_every_entry_point() {
             "try_rotate_sum" => ctx
                 .try_rotate_sum(&[(&ct, 1, Some(k)), (&ct, 1, Some(k))])
                 .map(drop),
-            "bgv try_mul" => bgv.try_mul(&bgv_ct, &bgv_ct, k).map(drop),
             other => unreachable!("no entry point {other}"),
         }
     };
     // (entry point, op name its errors carry, hint applications per call,
     // clean hint)
-    let entry_points: [(&str, &str, u64, &KeySwitchKey); 10] = [
+    let entry_points: [(&str, &str, u64, &KeySwitchKey); 9] = [
         ("try_keyswitch", "keyswitch", 1, &relin),
         ("apply(None)", "keyswitch_hoisted", 1, &relin),
         ("apply(Some(g))", "keyswitch_hoisted", 1, &rot),
@@ -181,7 +171,6 @@ fn strict_checks_each_hint_application_once_at_every_entry_point() {
         ("try_conjugate", "conjugate", 1, &conj),
         ("try_rotate_hoisted_many", "rotate_hoisted", 2, &rot),
         ("try_rotate_sum", "rotate_sum", 2, &rot),
-        ("bgv try_mul", "bgv_mul", 1, &bgv_relin),
     ];
     for (entry, op, applications, key) in entry_points {
         // Exactly one digest per hint application: the operation and the

@@ -265,30 +265,6 @@ proptest! {
             "flipping keyswitch-hint byte {i} was not rejected"
         );
     }
-
-    #[test]
-    fn bgv_roundtrip_random_vectors(seed in any::<u64>()) {
-        use craterlake::ckks::bgv::BgvContext;
-        use craterlake::ckks::{CkksContext, CkksParams};
-        use rand::SeedableRng;
-        let params = CkksParams::builder()
-            .ring_degree(128)
-            .levels(2)
-            .special_limbs(2)
-            .limb_bits(45)
-            .scale_bits(40)
-            .build()
-            .unwrap();
-        let ctx = CkksContext::new(params).unwrap();
-        let bgv = BgvContext::new(&ctx, 65537).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let sk = ctx.keygen(&mut rng);
-        let vals: Vec<u64> = (0..128)
-            .map(|_| rand::Rng::gen_range(&mut rng, 0..65537u64))
-            .collect();
-        let ct = bgv.encrypt(&vals, 2, &sk, &mut rng);
-        prop_assert_eq!(bgv.decrypt(&ct, &sk), vals);
-    }
 }
 
 // ---------------------------------------------------------------------------
