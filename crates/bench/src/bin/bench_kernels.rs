@@ -4,10 +4,12 @@
 //! NTT, RNS element-wise ops, base conversion, keyswitch, the hint integrity
 //! digest, the ciphertext residue scan, rescale, one bootstrap step (an
 //! EvalMod square+rescale), one compiled BSGS inner sum through the
-//! executor (`exec_inner_sum_{1k,8k}`) and one compiled layer whose eight
-//! giant groups run as a wave (`exec_wave_8k`) — and writes ns/op as JSON so `scripts/bench.sh`
-//! can track the serial-vs-parallel trajectory across commits. Both transforms are also
-//! reported as a roofline rate: radix-2 butterflies per ns,
+//! executor (`exec_inner_sum_{1k,8k}`), one compiled layer whose eight
+//! giant groups run as a wave (`exec_wave_8k`) and the bootstrap's EvalMod
+//! step, both sine chains side by side (`eval_mod_1k`) — and writes ns/op
+//! as JSON so `scripts/bench.sh` can track the serial-vs-parallel
+//! trajectory across commits. Both transforms are also reported as a
+//! roofline rate: radix-2 butterflies per ns,
 //! `(n/2) * log2(n) * limbs` over the timed call, the guardrails' residue
 //! scan (`ct_validate`) as GB/s over the ciphertext it reads, and base
 //! conversion at the N = 1K shapes as eight-word multiply-accumulate
@@ -31,7 +33,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use cl_boot::{try_bsgs_transform, BootstrapKeys, PrecomputedTransform};
+use cl_boot::{try_bsgs_transform, BootState, BootstrapKeys, Bootstrapper, PrecomputedTransform};
 use cl_ckks::{Ciphertext, CkksContext, CkksParams, HintCache, KeySwitchKey, KeySwitchKind};
 use cl_math::Complex;
 use cl_rns::{BaseConverter, Basis, RnsContext};
@@ -833,6 +835,44 @@ fn main() {
                     std::hint::black_box(
                         exec.run_prepared(std::slice::from_ref(&wx), &prepared)
                             .expect("wave run"),
+                    );
+                }),
+            ));
+        }
+
+        // --- EvalMod: the bootstrap's two sine chains ----------------------
+        // The `Split → EvalBoth` step at the boot_chain_1k shape (N = 1K,
+        // 20 + 20 45-bit limbs, a sparse secret of weight 8): the real and
+        // imaginary chains are the two tasks of one pool region, so the
+        // serial pass against the `nproc` pass shows what running them
+        // side by side buys. Smoke: N = 256.
+        {
+            let n_boot = if cfg.smoke { 1 << 8 } else { 1 << 10 };
+            let params = CkksParams::builder()
+                .ring_degree(n_boot)
+                .levels(20)
+                .special_limbs(20)
+                .limb_bits(45)
+                .scale_bits(45)
+                .build()
+                .expect("params");
+            let ctx = CkksContext::new(params).expect("ckks context");
+            let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+            let sk = ctx.keygen_sparse(8, &mut rng);
+            let booter = Bootstrapper::new(&ctx, 8);
+            let keys = booter.keygen(&ctx, &sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
+            let slots = ctx.params().slots();
+            let vals: Vec<f64> = (0..slots).map(|i| (i % 13) as f64 / 13.0 - 0.5).collect();
+            let ct = ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), 1), &sk, &mut rng);
+            let mut split = BootState::Start { ct };
+            for _ in 0..2 {
+                split = booter.try_step(&ctx, split, &keys).expect("bootstrap stage");
+            }
+            results.push((
+                "eval_mod_1k",
+                time_ns(cfg.smoke, || {
+                    std::hint::black_box(
+                        booter.try_step(&ctx, split.clone(), &keys).expect("EvalMod step"),
                     );
                 }),
             ));

@@ -25,12 +25,18 @@
 //!    `(q0/2π)·sin(2πx/q0)` on each slot: a degree-7 Taylor expansion of
 //!    `exp(2πi·x/(q0·2^r))` followed by `r` repeated squarings (the
 //!    double-angle iteration of the state-of-the-art algorithm \[11\]),
-//!    applied separately to the real and imaginary slot components. It
-//!    works slot by slot, so the bit-reversed order does not matter.
+//!    applied to the real and imaginary slot components as two independent
+//!    chains that run side by side on the worker pool. It works slot by
+//!    slot, so the bit-reversed order does not matter.
 //! 4. **SlotToCoeff** — recombine `m_re + i·m_im` (again the exact
 //!    monomial), then the forward special FFT back to coefficients: fine
 //!    stage, then coarse stage, on bit-reversed input, so the two
 //!    permutations cancel.
+//!
+//! [`Bootstrapper::try_step`] runs these as five checkpointable steps
+//! (see [`BootState`]): ModRaise; CoeffToSlot with the split; both
+//! EvalMod chains; the recombine with SlotToCoeff's fine stage; its
+//! coarse stage.
 //!
 //! The exact multiplications by `i` cost no level, so the two radix
 //! stages per transform cost what one stage with plaintext `±i` products
@@ -306,7 +312,7 @@ impl BootstrapKeys {
 ///
 /// [`Bootstrapper::try_step`] advances one stage per call:
 ///
-/// `Start → Raised → Split → EvalRe → EvalBoth → Done`
+/// `Start → Raised → Split → EvalBoth → SlotHalf → Done`
 ///
 /// Each state owns only ciphertexts plus the input scale, so it can be
 /// serialized at any stage boundary ([`BootState::serialize`]) — the unit
@@ -337,15 +343,6 @@ pub enum BootState {
         /// The input scale.
         orig_scale: f64,
     },
-    /// After EvalMod on the real component.
-    EvalRe {
-        /// `sin`-reduced real component.
-        m_re: Ciphertext,
-        /// Imaginary component still awaiting EvalMod.
-        y_im: Ciphertext,
-        /// The input scale.
-        orig_scale: f64,
-    },
     /// After EvalMod on both components.
     EvalBoth {
         /// `sin`-reduced real component.
@@ -355,6 +352,12 @@ pub enum BootState {
         /// The input scale.
         orig_scale: f64,
     },
+    /// After the recombine and SlotToCoeff's fine radix stage.
+    SlotHalf {
+        /// The recombined ciphertext, at the input scale, one radix stage
+        /// into SlotToCoeff.
+        ct: Ciphertext,
+    },
     /// Pipeline complete.
     Done {
         /// The refreshed ciphertext.
@@ -362,20 +365,26 @@ pub enum BootState {
     },
 }
 
+/// The wire tag a retired state carried: EvalMod's real half alone, from
+/// when the two halves ran as two stages. Refused on load, so a checkpoint
+/// that holds one restarts its job instead of resuming it.
+const RETIRED_EVAL_RE_TAG: u8 = 3;
+
 impl BootState {
     /// Number of `try_step` transitions from [`BootState::Start`] to
     /// [`BootState::Done`].
     pub const NUM_STAGES: usize = 5;
 
-    /// 0-based index of the current stage (`Start` = 0, `Done` = 5).
-    fn stage_index(&self) -> usize {
+    /// The state's wire tag: one fixed byte per state kind, never reused
+    /// for another kind.
+    fn tag(&self) -> u8 {
         match self {
             BootState::Start { .. } => 0,
             BootState::Raised { .. } => 1,
             BootState::Split { .. } => 2,
-            BootState::EvalRe { .. } => 3,
             BootState::EvalBoth { .. } => 4,
             BootState::Done { .. } => 5,
+            BootState::SlotHalf { .. } => 6,
         }
     }
 
@@ -385,8 +394,8 @@ impl BootState {
             BootState::Start { .. } => "Start",
             BootState::Raised { .. } => "Raised",
             BootState::Split { .. } => "Split",
-            BootState::EvalRe { .. } => "EvalRe",
             BootState::EvalBoth { .. } => "EvalBoth",
+            BootState::SlotHalf { .. } => "SlotHalf",
             BootState::Done { .. } => "Done",
         }
     }
@@ -399,10 +408,11 @@ impl BootState {
     /// The ciphertexts this state owns, in a stage-defined order.
     pub fn ciphertexts(&self) -> Vec<&Ciphertext> {
         match self {
-            BootState::Start { ct } | BootState::Done { ct } => vec![ct],
+            BootState::Start { ct } | BootState::SlotHalf { ct } | BootState::Done { ct } => {
+                vec![ct]
+            }
             BootState::Raised { raised, .. } => vec![raised],
             BootState::Split { y_re, y_im, .. } => vec![y_re, y_im],
-            BootState::EvalRe { m_re, y_im, .. } => vec![m_re, y_im],
             BootState::EvalBoth { m_re, m_im, .. } => vec![m_re, m_im],
         }
     }
@@ -412,25 +422,25 @@ impl BootState {
     /// that corrupt in-flight bootstrap state.
     pub fn ciphertexts_mut(&mut self) -> Vec<&mut Ciphertext> {
         match self {
-            BootState::Start { ct } | BootState::Done { ct } => vec![ct],
+            BootState::Start { ct } | BootState::SlotHalf { ct } | BootState::Done { ct } => {
+                vec![ct]
+            }
             BootState::Raised { raised, .. } => vec![raised],
             BootState::Split { y_re, y_im, .. } => vec![y_re, y_im],
-            BootState::EvalRe { m_re, y_im, .. } => vec![m_re, y_im],
             BootState::EvalBoth { m_re, m_im, .. } => vec![m_re, m_im],
         }
     }
 
     fn orig_scale(&self) -> f64 {
         match self {
-            BootState::Start { .. } | BootState::Done { .. } => 0.0,
+            BootState::Start { .. } | BootState::SlotHalf { .. } | BootState::Done { .. } => 0.0,
             BootState::Raised { orig_scale, .. }
             | BootState::Split { orig_scale, .. }
-            | BootState::EvalRe { orig_scale, .. }
             | BootState::EvalBoth { orig_scale, .. } => *orig_scale,
         }
     }
 
-    /// Serializes the state: a checksummed `(stage, orig_scale, blob
+    /// Serializes the state: a checksummed `(tag, orig_scale, blob
     /// lengths)` framing section followed by the stage's ciphertext blobs
     /// (each self-checking; see [`CkksContext::serialize_ciphertext`]).
     /// Headerless — designed to be embedded in a larger checkpoint record.
@@ -443,7 +453,7 @@ impl BootState {
             .collect();
         let mut out = Vec::new();
         let meta_start = out.len();
-        put_u8(&mut out, self.stage_index() as u8);
+        put_u8(&mut out, self.tag());
         put_f64(&mut out, self.orig_scale());
         put_u8(&mut out, blobs.len() as u8);
         for blob in &blobs {
@@ -460,13 +470,13 @@ impl BootState {
     ///
     /// # Errors
     ///
-    /// [`FheError::Serialization`], [`FheError::ChecksumMismatch`], or
-    /// [`FheError::ParamsMismatch`].
+    /// [`FheError::Serialization`] (an unknown or retired tag among them),
+    /// [`FheError::ChecksumMismatch`], or [`FheError::ParamsMismatch`].
     pub fn try_deserialize(ctx: &CkksContext, bytes: &[u8]) -> FheResult<Self> {
         use cl_ckks::serialize::Reader;
         let mut r = Reader::new("load_boot_state", bytes);
         let meta_start = r.pos();
-        let stage = r.u8()?;
+        let tag = r.u8()?;
         let orig_scale = r.f64()?;
         let count = r.u8()? as usize;
         let mut lens = Vec::with_capacity(count);
@@ -474,34 +484,34 @@ impl BootState {
             lens.push(r.u32()? as usize);
         }
         r.verify_section(meta_start, "boot-state framing")?;
+        let refuse = |reason: String| FheError::Serialization {
+            op: "load_boot_state",
+            reason,
+        };
+        let want = match tag {
+            0 | 1 | 5 | 6 => 1,
+            2 | 4 => 2,
+            RETIRED_EVAL_RE_TAG => {
+                return Err(refuse(format!(
+                    "bootstrap stage tag {tag} is retired (EvalMod's real half alone, \
+                     from before both halves ran as one stage)"
+                )))
+            }
+            _ => return Err(refuse(format!("unknown bootstrap stage tag {tag}"))),
+        };
+        if count != want {
+            return Err(refuse(format!(
+                "stage tag {tag} carries {count} ciphertexts, expected {want}"
+            )));
+        }
         let mut cts = Vec::with_capacity(count);
         for len in lens {
             cts.push(ctx.try_deserialize_ciphertext(r.take(len)?)?);
         }
         r.finish()?;
-        let want = match stage {
-            0 | 5 => 1,
-            1 => 1,
-            2..=4 => 2,
-            _ => {
-                return Err(FheError::Serialization {
-                    op: "load_boot_state",
-                    reason: format!("unknown bootstrap stage {stage}"),
-                })
-            }
-        };
-        if cts.len() != want {
-            return Err(FheError::Serialization {
-                op: "load_boot_state",
-                reason: format!(
-                    "stage {stage} carries {} ciphertexts, expected {want}",
-                    cts.len()
-                ),
-            });
-        }
         let mut it = cts.into_iter();
         let mut next = || it.next().expect("count checked above");
-        Ok(match stage {
+        Ok(match tag {
             0 => BootState::Start { ct: next() },
             1 => BootState::Raised {
                 raised: next(),
@@ -512,16 +522,12 @@ impl BootState {
                 y_im: next(),
                 orig_scale,
             },
-            3 => BootState::EvalRe {
-                m_re: next(),
-                y_im: next(),
-                orig_scale,
-            },
             4 => BootState::EvalBoth {
                 m_re: next(),
                 m_im: next(),
                 orig_scale,
             },
+            6 => BootState::SlotHalf { ct: next() },
             _ => BootState::Done { ct: next() },
         })
     }
@@ -1066,9 +1072,20 @@ impl Bootstrapper {
         })
     }
 
-    /// A special-FFT transform as its two radix stages in turn, each a
-    /// BSGS transform over cached precomputed plaintexts. Consumes two
-    /// levels.
+    /// Radix stage `i` of the stage table on `ct`: a BSGS transform over
+    /// the stage's cached plaintexts at `ct`'s level. Consumes one level.
+    fn try_radix_stage(
+        &self,
+        ctx: &CkksContext,
+        ct: &Ciphertext,
+        i: usize,
+        keys: &BootstrapKeys,
+    ) -> FheResult<Ciphertext> {
+        try_bsgs_transform(ctx, ct, &self.precomputed(ctx, i, ct.level()), keys)
+    }
+
+    /// A special-FFT transform as its two radix stages in turn. Consumes
+    /// two levels.
     fn try_linear_transform(
         &self,
         ctx: &CkksContext,
@@ -1076,8 +1093,8 @@ impl Bootstrapper {
         [first, second]: [usize; 2],
         keys: &BootstrapKeys,
     ) -> FheResult<Ciphertext> {
-        let mid = try_bsgs_transform(ctx, ct, &self.precomputed(ctx, first, ct.level()), keys)?;
-        try_bsgs_transform(ctx, &mid, &self.precomputed(ctx, second, mid.level()), keys)
+        let mid = self.try_radix_stage(ctx, ct, first, keys)?;
+        self.try_radix_stage(ctx, &mid, second, keys)
     }
 
     /// EvalMod on the *real part* interpretation: input `ct` decodes to
@@ -1089,9 +1106,12 @@ impl Bootstrapper {
         ct: &Ciphertext,
         keys: &BootstrapKeys,
     ) -> FheResult<Ciphertext> {
-        // One cache fetch serves the whole squaring chain.
+        // One cache fetch per hint serves the whole chain; both come
+        // before the first operation, so a bad hint fails the chain
+        // before it computes anything.
         let relin = keys.try_relin(ctx)?;
         let relin = relin.as_ref();
+        let conj = keys.try_conj(ctx)?;
         let two_pi = 2.0 * std::f64::consts::PI;
         let theta = two_pi / 2f64.powi(self.r as i32);
         // Taylor coefficients of exp(i·theta·y) in y.
@@ -1155,17 +1175,28 @@ impl Bootstrapper {
             e.level(),
         );
         let w = ctx.try_rescale(&ctx.try_mul_plain(&e, &pt)?)?;
-        let wc = ctx.try_conjugate(&w, keys.try_conj(ctx)?.as_ref())?;
+        let wc = ctx.try_conjugate(&w, conj.as_ref())?;
         ctx.try_add(&w, &wc)
     }
 
-    /// Advances a bootstrap by exactly one stage.
+    /// Advances a bootstrap by exactly one stage:
+    ///
+    /// 1. `Start → Raised`: ModRaise.
+    /// 2. `Raised → Split`: CoeffToSlot and the real/imaginary split.
+    /// 3. `Split → EvalBoth`: EvalMod on both halves, two independent
+    ///    chains side by side on the worker pool (one after the other at
+    ///    one thread; a failed real chain starts no imaginary one).
+    /// 4. `EvalBoth → SlotHalf`: the recombine, then SlotToCoeff's fine
+    ///    radix stage.
+    /// 5. `SlotHalf → Done`: SlotToCoeff's coarse radix stage, then the
+    ///    noise-estimate re-seed.
     ///
     /// This is the checkpointable unit of the pipeline: a caller (e.g. the
     /// cl-runtime executor) can serialize the returned [`BootState`]
     /// between stages, survive a crash mid-bootstrap, and resume at the
     /// stage boundary instead of restarting the whole pipeline. Passing a
-    /// [`BootState::Done`] state returns it unchanged.
+    /// [`BootState::Done`] state returns it unchanged. Every result is
+    /// bit-identical at any thread count.
     ///
     /// # Errors
     ///
@@ -1174,7 +1205,8 @@ impl Bootstrapper {
     /// - [`FheError::MissingKey`] if a rotation key for a transform
     ///   diagonal is absent from `keys`.
     /// - Any error the underlying homomorphic ops report under the
-    ///   context's guardrail policy.
+    ///   context's guardrail policy; from step 3, the real chain's error
+    ///   when both chains fail.
     pub fn try_step(
         &self,
         ctx: &CkksContext,
@@ -1186,23 +1218,28 @@ impl Bootstrapper {
             BootState::Raised { raised, orig_scale } => {
                 self.step_coeff_to_slot_split(ctx, raised, orig_scale, keys)
             }
-            // EvalMod on the real component, then on the imaginary one at
-            // the level the real one started from.
-            BootState::Split { y_re, y_im, orig_scale } => Ok(BootState::EvalRe {
-                m_re: self.try_eval_sin(ctx, &y_re, keys)?,
+            BootState::Split {
+                y_re,
                 y_im,
                 orig_scale,
-            }),
-            BootState::EvalRe { m_re, y_im, orig_scale } => Ok(BootState::EvalBoth {
-                m_re,
-                m_im: self.try_eval_sin(ctx, &y_im, keys)?,
-                orig_scale,
-            }),
+            } => {
+                let halves = [&y_re, &y_im];
+                let [m_re, m_im]: [Ciphertext; 2] =
+                    cl_rns::try_par_map(2, |i| self.try_eval_sin(ctx, halves[i], keys))?
+                        .try_into()
+                        .expect("one chain per half");
+                Ok(BootState::EvalBoth {
+                    m_re,
+                    m_im,
+                    orig_scale,
+                })
+            }
             BootState::EvalBoth {
                 m_re,
                 m_im,
                 orig_scale,
             } => self.step_recombine(ctx, m_re, m_im, orig_scale, keys),
+            BootState::SlotHalf { ct } => self.step_slot_to_coeff_coarse(ctx, ct, keys),
             done @ BootState::Done { .. } => Ok(done),
         }
     }
@@ -1273,7 +1310,8 @@ impl Bootstrapper {
         })
     }
 
-    /// Stage 5 — recombine the EvalMod outputs and SlotToCoeff back.
+    /// Stage 4 — recombine the EvalMod outputs, then SlotToCoeff's fine
+    /// radix stage.
     fn step_recombine(
         &self,
         ctx: &CkksContext,
@@ -1295,7 +1333,19 @@ impl Bootstrapper {
         let scale = combined.scale() * orig_scale / q0;
         let restored = combined.with_scale(scale);
         // ---- SlotToCoeff (bit-reversed slots in, coefficients out).
-        let out = self.try_linear_transform(ctx, &restored, SLOT_TO_COEFF, keys)?;
+        Ok(BootState::SlotHalf {
+            ct: self.try_radix_stage(ctx, &restored, SLOT_TO_COEFF[0], keys)?,
+        })
+    }
+
+    /// Stage 5 — SlotToCoeff's coarse radix stage, then the noise re-seed.
+    fn step_slot_to_coeff_coarse(
+        &self,
+        ctx: &CkksContext,
+        half: Ciphertext,
+        keys: &BootstrapKeys,
+    ) -> FheResult<BootState> {
+        let out = self.try_radix_stage(ctx, &half, SLOT_TO_COEFF[1], keys)?;
         // EvalMod removed the `q0·I` term the analytic estimate has been
         // carrying since ModRaise; the refreshed ciphertext's error is
         // dominated by the sine-approximation instead (a degree-d Taylor
@@ -1522,10 +1572,14 @@ mod tests {
                 match &state {
                     BootState::Split { y_re, y_im, .. } => {
                         assert_eq!(y_re.level(), levels[1] - 1, "N = {n}");
-                        assert_eq!(y_im.level(), y_re.level(), "N = {n}: EvalIm at EvalRe's level");
+                        let both = "both halves at Split's level";
+                        assert_eq!(y_im.level(), y_re.level(), "N = {n}: {both}");
                     }
                     BootState::EvalBoth { m_re, m_im, .. } => {
                         assert_eq!([m_re.level(), m_im.level()], [levels[2]; 2], "N = {n}");
+                    }
+                    BootState::SlotHalf { ct } => {
+                        assert_eq!(ct.level(), levels[3], "N = {n}");
                     }
                     _ => {}
                 }
@@ -1727,17 +1781,30 @@ mod tests {
         // boundary — the exact path the checkpointing executor takes.
         let mut state = BootState::Start { ct: ct.clone() };
         let mut stages = Vec::new();
-        while !state.is_done() {
-            stages.push(state.stage_index());
+        loop {
+            stages.push((state.stage_name(), state.tag()));
             let blob = state.serialize(&ctx);
             let restored = BootState::try_deserialize(&ctx, &blob).unwrap();
-            assert_eq!(restored.stage_index(), state.stage_index());
-            for (a, b) in state.ciphertexts().iter().zip(restored.ciphertexts()) {
-                assert_eq!(*a, b, "roundtrip must be bit-identical");
+            assert_eq!(restored.tag(), state.tag());
+            let cts = state.ciphertexts();
+            assert_eq!(restored.ciphertexts(), cts, "roundtrip must be bit-identical");
+            if state.is_done() {
+                break;
             }
             state = booter.try_step(&ctx, restored, &keys).unwrap();
         }
-        assert_eq!(stages, vec![0, 1, 2, 3, 4]);
+        assert_eq!(
+            stages,
+            [
+                ("Start", 0),
+                ("Raised", 1),
+                ("Split", 2),
+                ("EvalBoth", 4),
+                ("SlotHalf", 6),
+                ("Done", 5)
+            ]
+        );
+        assert_eq!(stages.len(), BootState::NUM_STAGES + 1);
         match state {
             BootState::Done { ct: stepped } => {
                 assert_eq!(stepped, direct, "stepwise result must be bit-identical");
@@ -1770,6 +1837,36 @@ mod tests {
         let off = blob.len() - 20;
         bad[off] ^= 0x10;
         assert!(BootState::try_deserialize(&ctx, &bad).is_err());
+    }
+
+    #[test]
+    fn boot_state_refuses_the_retired_eval_re_tag() {
+        // A sealed, well-formed state under tag 3 — two ciphertexts, the
+        // shape the retired real-half-only state had — is refused as a
+        // typed error, not decoded as the two-ciphertext state beside it.
+        let ctx = boot_ctx();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20);
+        let sk = ctx.keygen_sparse(8, &mut rng);
+        let mut ct = |v: f64| ctx.encrypt(&ctx.encode(&[v], ctx.default_scale(), 7), &sk, &mut rng);
+        let state = BootState::EvalBoth {
+            m_re: ct(0.25),
+            m_im: ct(-0.5),
+            orig_scale: ctx.default_scale(),
+        };
+        let mut blob = state.serialize(&ctx);
+        assert!(BootState::try_deserialize(&ctx, &blob).is_ok());
+        // Re-seal the framing (tag, scale, count, two lengths) under tag 3.
+        let framing = 1 + 8 + 1 + 2 * 4;
+        let mut resealed = vec![RETIRED_EVAL_RE_TAG];
+        resealed.extend_from_slice(&blob[1..framing]);
+        cl_ckks::serialize::seal(&mut resealed, 0);
+        blob.splice(..framing + 8, resealed);
+        match BootState::try_deserialize(&ctx, &blob) {
+            Err(FheError::Serialization { op: "load_boot_state", reason }) => {
+                assert!(reason.contains("retired"), "{reason}");
+            }
+            other => panic!("tag 3 must be refused, got {other:?}"),
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   [`cl_isa::HeGraph::bsgs_sum`].
 //! - [`functional`]: an executable bootstrap over the `cl-ckks` library
 //!   at test-scale parameters, run from one stage table built by
-//!   [`Bootstrapper::new`].
+//!   [`Bootstrapper::new`] in five checkpointable [`BootState`] steps, the
+//!   real and imaginary EvalMod chains side by side in one of them.
 
 #![warn(missing_docs)]
 // Library code must propagate failures (`FheResult`/`?`) or `expect` with

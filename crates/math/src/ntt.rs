@@ -278,18 +278,6 @@ impl NttTable {
         }
     }
 
-    /// Element-wise product in the evaluation domain: `a[i] = a[i] * b[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ from the ring degree.
-    pub fn pointwise_mul(&self, a: &mut [u64], b: &[u64]) {
-        assert_eq!(a.len(), self.n);
-        assert_eq!(b.len(), self.n);
-        cl_trace::record_mult(1, self.n);
-        crate::backend::mul_mod_slice(&self.modulus, a, b);
-    }
-
     /// Reference negacyclic convolution in the coefficient domain, `O(N^2)`.
     /// Used by tests to validate the NTT-based path.
     pub fn negacyclic_convolution_reference(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
@@ -380,7 +368,7 @@ mod tests {
         let mut fb = b.clone();
         t.forward(&mut fa);
         t.forward(&mut fb);
-        t.pointwise_mul(&mut fa, &fb);
+        crate::backend::mul_mod_slice(t.modulus(), &mut fa, &fb);
         t.inverse(&mut fa);
         assert_eq!(fa, expect);
     }
@@ -395,7 +383,7 @@ mod tests {
         let mut fa = a.clone();
         t.forward(&mut fa);
         let fa_copy = fa.clone();
-        t.pointwise_mul(&mut fa, &fa_copy);
+        crate::backend::mul_mod_slice(t.modulus(), &mut fa, &fa_copy);
         t.inverse(&mut fa);
         let mut expect = vec![0u64; n];
         expect[0] = t.modulus().value() - 1; // -1

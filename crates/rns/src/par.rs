@@ -8,14 +8,14 @@
 //! loop at N = 1K runs serially and the pool is left to independent
 //! operations ([`par_map`], [`try_par_map`]), which always offer their
 //! tasks to it: the digits of a ModUp, the steps of a hoisted rotation
-//! batch, the giant-group inner sums of a BSGS transform, EvalMod's power
-//! tree, and the bodies of a compiled program's wave (`cl-runtime`'s
-//! executor: each body a run of ops, on a lowered layer one giant group's
-//! inner sum and rotation). Each of those is a whole keyswitch, multiply
-//! or base extension, far above a dispatch at every shape the workloads
-//! run. This is the CPU form of CraterLake's schedule (Sec. 6): one
-//! instruction stream over wide lanes, with independent homomorphic
-//! operations overlapped.
+//! batch, the giant-group inner sums of a BSGS transform, a bootstrap's two
+//! EvalMod chains and each one's power tree, and the bodies of a compiled
+//! program's wave (`cl-runtime`'s executor: each body a run of ops, on a
+//! lowered layer one giant group's inner sum and rotation). Each of those
+//! is a whole keyswitch, multiply or base extension, far above a dispatch
+//! at every shape the workloads run. This is the CPU form of CraterLake's
+//! schedule (Sec. 6): one instruction stream over wide lanes, with
+//! independent homomorphic operations overlapped.
 //!
 //! Results are collected in index order and tasks share no state, so a
 //! region's output is the serial run's at any thread count. Work leaves

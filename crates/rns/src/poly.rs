@@ -16,32 +16,17 @@ pub struct RnsPoly {
     basis: Basis,
     coeffs: Vec<u64>,
     ntt_form: bool,
-    /// Bitmap of global limb indices `< 128` present in `basis`, kept in sync
-    /// by the constructors and [`RnsPoly::push_limb`]. Makes the duplicate
-    /// check in `push_limb` O(1) for the common case instead of an O(limbs)
-    /// scan per pushed limb.
-    limb_mask: u128,
-}
-
-fn mask_of(basis: &Basis) -> u128 {
-    basis
-        .0
-        .iter()
-        .filter(|&&l| l < 128)
-        .fold(0u128, |acc, &l| acc | (1u128 << l))
 }
 
 impl RnsPoly {
     /// An all-zero polynomial over `basis` in coefficient form.
     pub fn zero(n: usize, basis: Basis) -> Self {
         let len = n * basis.len();
-        let limb_mask = mask_of(&basis);
         Self {
             n,
             basis,
             coeffs: vec![0; len],
             ntt_form: false,
-            limb_mask,
         }
     }
 
@@ -73,13 +58,13 @@ impl RnsPoly {
                 basis.len()
             )));
         }
-        let limb_mask = mask_of(&basis);
-        // The bitmap covers global indices < 128; a duplicate collapses two
+        // A bitmap of the global indices < 128: a duplicate collapses two
         // bits into one, so a popcount mismatch detects it. Indices >= 128
         // (never produced by our parameter sets) get an exact scan.
-        let small = basis.0.iter().filter(|&&l| l < 128).count();
-        let mut dup = limb_mask.count_ones() as usize != small;
-        if !dup && small != basis.len() {
+        let small = || basis.0.iter().filter(|&&l| l < 128);
+        let mask = small().fold(0u128, |acc, &l| acc | (1u128 << l));
+        let mut dup = mask.count_ones() as usize != small().count();
+        if !dup && small().count() != basis.len() {
             let mut seen = basis.0.clone();
             seen.sort_unstable();
             dup = seen.windows(2).any(|w| w[0] == w[1]);
@@ -94,7 +79,6 @@ impl RnsPoly {
             basis,
             coeffs,
             ntt_form,
-            limb_mask,
         })
     }
 
@@ -173,29 +157,6 @@ impl RnsPoly {
         (&self.basis, &mut self.coeffs)
     }
 
-    /// Appends a residue polynomial for global limb `limb`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != self.n()` or the limb is already present.
-    pub fn push_limb(&mut self, limb: u32, data: &[u64]) {
-        assert_eq!(data.len(), self.n);
-        // O(1) membership via the cached bitmap for global indices < 128
-        // (q-limbs then p-limbs — always small in practice); indices beyond
-        // the bitmap fall back to an exact scan.
-        let dup = if limb < 128 {
-            self.limb_mask & (1u128 << limb) != 0
-        } else {
-            self.basis.0.contains(&limb)
-        };
-        assert!(!dup, "limb {limb} already present");
-        if limb < 128 {
-            self.limb_mask |= 1u128 << limb;
-        }
-        self.basis.0.push(limb);
-        self.coeffs.extend_from_slice(data);
-    }
-
     /// Keeps the first `limbs` limbs and releases the rest, storage
     /// included: the slab is shrunk in place, so a polynomial built over a
     /// wide basis (an extended-basis accumulator) can become its own
@@ -207,7 +168,6 @@ impl RnsPoly {
     pub fn truncate_limbs(&mut self, limbs: usize) {
         assert!(limbs <= self.basis.len(), "cannot keep more limbs than present");
         self.basis.0.truncate(limbs);
-        self.limb_mask = mask_of(&self.basis);
         self.coeffs.truncate(limbs * self.n);
         self.coeffs.shrink_to_fit();
     }
@@ -244,21 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn push_limb_extends_basis() {
-        let mut p = RnsPoly::zero(4, Basis(vec![0]));
-        p.push_limb(3, &[9, 9, 9, 9]);
-        assert_eq!(p.basis().0, vec![0, 3]);
-        assert_eq!(p.limb(1), &[9, 9, 9, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "already present")]
-    fn push_duplicate_limb_panics() {
-        let mut p = RnsPoly::zero(4, Basis(vec![0]));
-        p.push_limb(0, &[1, 1, 1, 1]);
-    }
-
-    #[test]
     fn from_raw_parts_validates_shape() {
         let p = RnsPoly::from_raw_parts(2, Basis(vec![0, 3]), vec![1, 2, 3, 4], true).unwrap();
         assert_eq!(p.limb(1), &[3, 4]);
@@ -278,9 +223,6 @@ mod tests {
         p.truncate_limbs(2);
         let want = RnsPoly::from_raw_parts(2, Basis(vec![0, 3]), vec![1, 2, 3, 4], true).unwrap();
         assert_eq!(p, want);
-        // The dropped limb is gone from the membership bitmap too.
-        p.push_limb(5, &[7, 8]);
-        assert_eq!(p.limb(2), &[7, 8]);
     }
 
     #[test]

@@ -1651,40 +1651,97 @@ mod tests {
         }
     }
 
+    /// Kills a run before each of `program`'s micro-ops in turn and
+    /// resumes it from what the checkpoint cadence made durable: every
+    /// resume lands on `want` bit for bit, and at cadence 1 it reloads the
+    /// boundary it was killed at and re-executes nothing.
+    fn kill_at_every_pc(
+        ctx: &CkksContext,
+        keys: &BootstrapKeys,
+        booter: Option<&Bootstrapper>,
+        inputs: &[Ciphertext],
+        program: &Program,
+        want: &Ciphertext,
+    ) {
+        let n = program.num_micro_ops() as u64;
+        for every in [0u64, 1, 4] {
+            for kill_at in 0..n {
+                let dir = tmpdir(&format!("kill-{n}-{every}-{kill_at}"));
+                let mut exec =
+                    PipelineExecutor::new(ctx, keys, cadence_config(&dir, every)).unwrap();
+                if let Some(booter) = booter {
+                    exec = exec.with_bootstrapper(booter);
+                }
+                exec.set_fault_plan(FaultPlan::new(kill_at, 0.0).with_kill_point(kill_at));
+                assert!(matches!(
+                    exec.run_graph(inputs, program).unwrap(),
+                    RunOutcome::Crashed
+                ));
+                let prepared = PreparedProgram::borrowed_with_memo(ctx, program, 0);
+                let got = match exec.resume_prepared(inputs, &prepared).unwrap() {
+                    RunOutcome::Completed(c) => c,
+                    RunOutcome::Crashed => panic!("kill point already consumed"),
+                };
+                assert_eq!(&got, want, "cadence {every}, killed before micro-op {kill_at}");
+                if every == 1 {
+                    let t = exec.telemetry();
+                    assert_eq!(t.restores >= 1, kill_at > 0);
+                    assert_eq!(t.ops_executed, n);
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
+    /// The dataflow program (at cadence 1 a resume reloads the whole
+    /// live-slot environment, three slots at pc 4), then a chain whose
+    /// bootstrap puts a kill before each of its five stages and a resume
+    /// at each of the four boundaries inside it.
     #[test]
     fn kill_at_every_pc_resumes_bit_identically() {
         let ctx = strict_ctx();
         let (sk, keys) = graph_keys(&ctx, &[1, -1]);
         let inputs = dataflow_inputs(&ctx, &sk, 6);
-        let program = dataflow_program();
         let want = dataflow_direct(&ctx, &keys, &inputs[0], &inputs[1]);
-        for every in [0u64, 1, 4] {
-            for kill_at in 0..program.len() as u64 {
-                let dir = tmpdir(&format!("kill-{every}-{kill_at}"));
-                let mut exec =
-                    PipelineExecutor::new(&ctx, &keys, cadence_config(&dir, every)).unwrap();
-                exec.set_fault_plan(FaultPlan::new(kill_at, 0.0).with_kill_point(kill_at));
-                assert!(matches!(
-                    exec.run_graph(&inputs, &program).unwrap(),
-                    RunOutcome::Crashed
-                ));
-                let prepared = PreparedProgram::borrowed_with_memo(&ctx, &program, 0);
-                let got = match exec.resume_prepared(&inputs, &prepared).unwrap() {
-                    RunOutcome::Completed(c) => c,
-                    RunOutcome::Crashed => panic!("kill point already consumed"),
-                };
-                assert_eq!(got, want, "cadence {every}, killed before op {kill_at}");
-                if every == 1 {
-                    // Every boundary is durable: the resume reloads the
-                    // whole live-slot environment from disk (three slots
-                    // at pc 4) and re-executes nothing.
-                    let t = exec.telemetry();
-                    assert_eq!(t.restores >= 1, kill_at > 0);
-                    assert_eq!(t.ops_executed, program.len() as u64);
-                }
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-        }
+        kill_at_every_pc(&ctx, &keys, None, &inputs, &dataflow_program(), &want);
+
+        let params = CkksParams::builder()
+            .ring_degree(64)
+            .levels(20)
+            .special_limbs(20)
+            .limb_bits(45)
+            .scale_bits(45)
+            .build()
+            .unwrap();
+        // The floor sits below the refresh's tracked worst case at these
+        // test-scale parameters.
+        let ctx = CkksContext::new(params)
+            .unwrap()
+            .with_policy(GuardrailPolicy::Strict {
+                min_budget_bits: -5000.0,
+            });
+        let mut rng = rand::rngs::StdRng::seed_from_u64(78);
+        let sk = ctx.keygen_sparse(8, &mut rng);
+        let booter = Bootstrapper::new(&ctx, 8);
+        let kind = cl_ckks::KeySwitchKind::Boosted { digits: 1 };
+        let keys = booter.keygen(&ctx, &sk, kind, &mut rng);
+        let pt = ctx.encode(&[0.5, -0.25, 0.125], ctx.default_scale(), 2);
+        let input = ctx.encrypt(&pt, &sk, &mut rng);
+        let program = Program::new()
+            .then(PipelineOp::Square)
+            .then(PipelineOp::Rescale)
+            .then(PipelineOp::Bootstrap)
+            .then(PipelineOp::Square)
+            .then(PipelineOp::Rescale);
+        assert_eq!(program.num_micro_ops(), 4 + BootState::NUM_STAGES);
+        let relin = keys.try_relin(&ctx).unwrap();
+        let square = |ct: &Ciphertext| {
+            ctx.try_rescale(&ctx.try_square(ct, &relin).unwrap())
+                .unwrap()
+        };
+        let refreshed = booter.try_bootstrap(&ctx, &square(&input), &keys).unwrap();
+        let want = square(&refreshed);
+        kill_at_every_pc(&ctx, &keys, Some(&booter), &[input], &program, &want);
     }
 
     /// Every plaintext-operand op form: `AddPlain` (twice) at the

@@ -6,7 +6,8 @@
 # rescale, BSGS linear transform, one bootstrap step, key-residency tiers
 # eager/compact/hot with warm hint-cache variants, one compiled BSGS inner
 # sum through the executor at N in {1K, 8K}, one compiled layer whose eight
-# giant groups run as one wave (exec_wave_8k), and the grain sweep:
+# giant groups run as one wave (exec_wave_8k), the bootstrap's EvalMod step
+# with its two sine chains side by side (eval_mod_1k), and the grain sweep:
 # element-wise, NTT, CRB and MAC limb loops fanned out over the pool at
 # N in {1K, 8K} x limbs in {1, 4, 8, 20, 40}, the table cl_rns's
 # PAR_GRAIN_WORDS is read from)

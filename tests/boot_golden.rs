@@ -54,8 +54,8 @@ const PRECOMPUTE: [(usize, &[i64]); 4] = [
 const STATES: [(&str, usize, u64); BootState::NUM_STAGES] = [
     ("Raised", 21060, 0x6daddad1229623e7),
     ("Split", 37910, 0xe306a6eca5e927f4),
-    ("EvalRe", 26382, 0x6d0da8bc8307f3cb),
     ("EvalBoth", 14854, 0xb57a8152b9cd0009),
+    ("SlotHalf", 6388, 0xc84b113e6c7b4959),
     ("Done", 5340, 0xd4b76ef89046b2fc),
 ];
 

@@ -9,7 +9,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use cl_apps::inner_sum_runnable;
-use cl_boot::{try_bsgs_transform, BootstrapKeys, PrecomputedTransform};
+use cl_boot::{try_bsgs_transform, BootState, BootstrapKeys, Bootstrapper, PrecomputedTransform};
 use cl_ckks::{
     faults, CkksContext, CkksParams, FheError, FheResult, GuardrailPolicy, HintCache,
     KeySwitchKey, KeySwitchKind, SecretKey,
@@ -484,5 +484,98 @@ fn budget_crossed_inside_an_inner_sum_fails_as_direct_evaluation_does() {
             .run_graph(std::slice::from_ref(&x), &lowered.program)
             .expect_err("the executor crosses it too");
         assert_eq!(format!("{got:?}"), format!("{want:?}"), "term {k}");
+    }
+}
+
+/// A corrupt relinearization hint, then a corrupt conjugation hint, in the
+/// bundle the bootstrap's EvalMod step runs on. Each of its two chains
+/// fetches both hints before its first operation, so the serial run —
+/// the real chain, then the imaginary one — fails at the real chain's
+/// fetches. At two threads, where the chains may run side by side, the
+/// step fails with the serial run's error; at one thread it also stops
+/// where the serial run stops: the same op counts and hint digests, so
+/// the imaginary chain never started.
+#[test]
+fn a_corrupt_hint_fails_both_eval_mod_chains_as_the_serial_run_does() {
+    let _threads = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+    let params = CkksParams::builder()
+        .ring_degree(64)
+        .levels(20)
+        .special_limbs(20)
+        .limb_bits(45)
+        .scale_bits(45)
+        .build()
+        .expect("test parameters are valid");
+    let ctx = CkksContext::new(params).expect("test context builds");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xE7A1);
+    let sk = ctx.keygen_sparse(8, &mut rng);
+    let booter = Bootstrapper::new(&ctx, 8);
+    let keys = booter.keygen(&ctx, &sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
+    let slots = ctx.params().slots();
+    let vals: Vec<f64> = (0..slots).map(|i| (i % 5) as f64 / 10.0 - 0.2).collect();
+    let ct = ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), 1), &sk, &mut rng);
+    let mut split = BootState::Start { ct };
+    for _ in 0..2 {
+        split = booter.try_step(&ctx, split, &keys).expect("clean stage");
+    }
+    assert_eq!(split.stage_name(), "Split");
+
+    // The bundle's blob: header and sealed framing, then the relin blob,
+    // the conjugation blob and the rotation blobs.
+    let blob = keys.serialize(&ctx);
+    let relin_at = 16 + 4 + 12 * keys.rotation_steps().len() + 8 + 8;
+    let relin_len = ctx.serialize_compact_keyswitch_key(keys.relin_compact()).len();
+    let previous = rayon::current_num_threads();
+    for (hint, compact, at) in [
+        ("relin", keys.relin_compact(), relin_at),
+        ("conjugation", keys.conj_compact(), relin_at + relin_len),
+    ] {
+        // Flip a word of the hint's stored `k0` half and splice it back in
+        // under fresh limb checksums: the bundle loads, and the hint fails
+        // its integrity digest when it is expanded.
+        let mut bad = compact.expand(&ctx).expect("clean hint expands");
+        faults::corrupt_hint_word(&mut bad, 0, 0, 2, 5);
+        let bad = ctx.serialize_compact_keyswitch_key(&bad.to_compact());
+        let mut bad_blob = blob.clone();
+        bad_blob[at..at + bad.len()].copy_from_slice(&bad);
+        // A fresh cache per run, so every run expands the hint itself.
+        let bad_keys = || {
+            BootstrapKeys::try_deserialize(&ctx, &bad_blob)
+                .expect("the spliced bundle loads")
+                .with_cache(Arc::new(HintCache::new(usize::MAX)))
+        };
+        let counted = |f: &dyn Fn() -> FheError| {
+            let (ops, digests) = (cl_trace::OpSnapshot::capture(), cl_trace::hint_digests());
+            let err = f();
+            let op = match &err {
+                FheError::CorruptKey { op, .. } => *op,
+                other => panic!("{hint}: expected CorruptKey, got {other:?}"),
+            };
+            (
+                err.to_string(),
+                op,
+                cl_trace::OpSnapshot::capture().delta_since(&ops),
+                cl_trace::hint_digests() - digests,
+            )
+        };
+        let serial = counted(&|| {
+            let keys = bad_keys();
+            keys.try_relin(&ctx)
+                .and_then(|_| keys.try_conj(&ctx))
+                .expect_err("a corrupt hint fails its fetch")
+        });
+        let step = || {
+            let keys = bad_keys();
+            booter
+                .try_step(&ctx, split.clone(), &keys)
+                .expect_err("a corrupt hint fails the step")
+        };
+        rayon::set_num_threads(2);
+        let fanned = counted(&step);
+        rayon::set_num_threads(1);
+        let inline = counted(&step);
+        rayon::set_num_threads(previous);
+        assert_eq!((&fanned.0, fanned.1), (&serial.0, serial.1), "{hint}: two threads");
+        assert_eq!(inline, serial, "{hint}: one thread");
     }
 }
