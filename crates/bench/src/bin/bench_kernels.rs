@@ -5,8 +5,10 @@
 //! digest, the ciphertext residue scan, rescale, one bootstrap step (an
 //! EvalMod square+rescale), one compiled BSGS inner sum through the
 //! executor (`exec_inner_sum_{1k,8k}`), one compiled layer whose eight
-//! giant groups run as a wave (`exec_wave_8k`) and the bootstrap's EvalMod
-//! step, both sine chains side by side (`eval_mod_1k`) — and writes ns/op
+//! giant groups run as a wave (`exec_wave_8k`), and at the boot_chain_1k
+//! shape one keyswitch at levels 20, 12 and 5 (`keyswitch_1k_l{20,12,5}`),
+//! the bootstrap's EvalMod step, both sine chains side by side
+//! (`eval_mod_1k`), and one whole bootstrap (`bootstrap_1k`) — and writes ns/op
 //! as JSON so `scripts/bench.sh` can track the serial-vs-parallel
 //! trajectory across commits. Both transforms are also reported as a
 //! roofline rate: radix-2 butterflies per ns,
@@ -840,12 +842,15 @@ fn main() {
             ));
         }
 
-        // --- EvalMod: the bootstrap's two sine chains ----------------------
-        // The `Split → EvalBoth` step at the boot_chain_1k shape (N = 1K,
-        // 20 + 20 45-bit limbs, a sparse secret of weight 8): the real and
-        // imaginary chains are the two tasks of one pool region, so the
-        // serial pass against the `nproc` pass shows what running them
-        // side by side buys. Smoke: N = 256.
+        // --- The boot_chain_1k shape: keyswitch, EvalMod, bootstrap -------
+        // N = 1K, 20 + 20 45-bit limbs, a sparse secret of weight 8; smoke:
+        // N = 256. One `try_keyswitch` (the relinearization hint) at levels
+        // 20, 12 and 5: below the top it extends into `l + 1` of the hint's
+        // 20 special limbs, and its two ModDown halves run side by side.
+        // The `Split → EvalBoth` step: the real and imaginary chains are
+        // the two tasks of one pool region, so the serial pass against the
+        // `nproc` pass shows what running them side by side buys. One whole
+        // `try_bootstrap`, level 1 to the exit level.
         {
             let n_boot = if cfg.smoke { 1 << 8 } else { 1 << 10 };
             let params = CkksParams::builder()
@@ -864,7 +869,23 @@ fn main() {
             let slots = ctx.params().slots();
             let vals: Vec<f64> = (0..slots).map(|i| (i % 13) as f64 / 13.0 - 0.5).collect();
             let ct = ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), 1), &sk, &mut rng);
-            let mut split = BootState::Start { ct };
+            let relin = keys.try_relin(&ctx).expect("relinearization hint");
+            for (name, level) in [
+                ("keyswitch_1k_l20", 20),
+                ("keyswitch_1k_l12", 12),
+                ("keyswitch_1k_l5", 5),
+            ] {
+                let poly = ctx
+                    .rns()
+                    .sample_uniform(&ctx.rns().q_basis(level), &mut rng);
+                results.push((
+                    name,
+                    time_ns(cfg.smoke, || {
+                        std::hint::black_box(ctx.try_keyswitch(&poly, &relin).expect("keyswitch"));
+                    }),
+                ));
+            }
+            let mut split = BootState::Start { ct: ct.clone() };
             for _ in 0..2 {
                 split = booter.try_step(&ctx, split, &keys).expect("bootstrap stage");
             }
@@ -873,6 +894,14 @@ fn main() {
                 time_ns(cfg.smoke, || {
                     std::hint::black_box(
                         booter.try_step(&ctx, split.clone(), &keys).expect("EvalMod step"),
+                    );
+                }),
+            ));
+            results.push((
+                "bootstrap_1k",
+                time_ns(cfg.smoke, || {
+                    std::hint::black_box(
+                        booter.try_bootstrap(&ctx, &ct, &keys).expect("bootstrap"),
                     );
                 }),
             ));

@@ -400,6 +400,20 @@ impl BootState {
         }
     }
 
+    /// The number of [`Bootstrapper::try_step`] transitions that led
+    /// from [`BootState::Start`] (0) to this state
+    /// ([`BootState::NUM_STAGES`] for [`BootState::Done`]).
+    pub fn steps_taken(&self) -> usize {
+        match self {
+            BootState::Start { .. } => 0,
+            BootState::Raised { .. } => 1,
+            BootState::Split { .. } => 2,
+            BootState::EvalBoth { .. } => 3,
+            BootState::SlotHalf { .. } => 4,
+            BootState::Done { .. } => 5,
+        }
+    }
+
     /// Whether the pipeline has produced its output.
     pub fn is_done(&self) -> bool {
         matches!(self, BootState::Done { .. })

@@ -318,12 +318,18 @@ impl CkksContext {
         // NTT-domain rescale through the cached drop-limb -> kept-limbs
         // converter: only the dropped limb leaves the NTT domain and only
         // the converted correction re-enters it, instead of round-tripping
-        // all `level` limbs per polynomial.
+        // all `level` limbs per polynomial. The two polynomials are
+        // independent, so they run as the two tasks of one
+        // [`cl_rns::par_map`] region.
         let keep = rns.q_basis(a.level - 1);
         let drop = Basis(vec![(a.level - 1) as u32]);
         let conv = self.converter(&drop, &keep);
-        let r0 = mod_down_ntt(rns, a.c0.clone(), &keep, &drop, &conv);
-        let r1 = mod_down_ntt(rns, a.c1.clone(), &keep, &drop, &conv);
+        let [r0, r1]: [RnsPoly; 2] = cl_rns::par_map(2, |i| {
+            let c = if i == 0 { &a.c0 } else { &a.c1 };
+            mod_down_ntt(rns, c.clone(), &keep, &drop, &conv)
+        })
+        .try_into()
+        .expect("one result per polynomial");
         let out = Ciphertext {
             c0: r0,
             c1: r1,
@@ -498,17 +504,26 @@ impl CkksContext {
     /// covers — this is the extended-basis accumulation the BSGS
     /// giant-step loop of `cl-boot` runs on.
     ///
-    /// One extended-basis pair, allocated at the first nonzero step,
-    /// takes every term's hint inner product in place (the hint MACs
-    /// write straight into it), and the result's two polynomials take the
-    /// step-0 terms, each `σ(c0)` and the closing ModDown's output. So each
-    /// further term allocates only its own hoisted decomposition and its
-    /// `σ(c0)`, never an extended-basis polynomial.
+    /// Every term's checks run first, in term order. Then the
+    /// nonzero-step terms run as two contiguous half-sums, the two tasks
+    /// of one [`cl_rns::try_par_map`] region: each half takes its terms'
+    /// hint inner products into one extended-basis pair of its own (the
+    /// hint MACs write straight into it) and sums their `σ(c0)`. The
+    /// halves are added and pay one ModDown. Every sum is of canonical
+    /// residues modulo each limb, so the result is bit-identical to one
+    /// serial sum in term order, and the split is fixed (the first
+    /// `⌈m/2⌉` of `m` terms, then the rest), so the output and the op
+    /// counts do not depend on the thread count. Each further term
+    /// allocates only its own hoisted decomposition and its `σ(c0)`,
+    /// never an extended-basis polynomial.
     ///
     /// Terms with step 0 are added directly (no key needed; a key given
     /// for step 0 is ignored). All terms must share level and scale, and
     /// all keys one keyswitch kind; a key of another kind is rejected
-    /// before its term is hoisted or touches the shared pair.
+    /// before its term is hoisted or touches an extended-basis pair. The
+    /// error returned is the serial run's first: a failed check at term
+    /// `f` is returned only after the terms before `f` have run without
+    /// error, and the noise estimate adds the terms in term order.
     ///
     /// # Errors
     ///
@@ -528,58 +543,52 @@ impl CkksContext {
             });
         };
         let rns = self.rns();
-        let n = self.params().ring_degree();
         let level = head.level;
         let qb = rns.q_basis(level);
         let mut base0 = rns.zero(&qb);
         base0.set_ntt_form(true);
         let mut base1 = base0.clone();
         let mut noise = f64::NEG_INFINITY;
-        // The shared extended-basis pair and the keyswitch kind that fixes
-        // its special limbs.
-        let mut ext: Option<(KeySwitchKind, RnsPoly, RnsPoly)> = None;
+        // The nonzero-step terms before the first failed check.
+        let mut rotated: Vec<(&Ciphertext, i64, &KeySwitchKey)> = Vec::new();
+        let mut failed = None;
         for &(ct, k, key) in terms {
-            self.try_check_same_level(OP, head, ct)?;
-            self.guard_operands(OP, &[ct])?;
-            self.try_check_scale(OP, ct.scale, head.scale)?;
-            if k == 0 {
-                rns.add_assign(&mut base0, &ct.c0);
-                rns.add_assign(&mut base1, &ct.c1);
-                noise = log2_add(noise, ct.noise_bits_est);
-                continue;
-            }
-            let Some(key) = key else {
-                return Err(FheError::MissingKey {
-                    what: format!("rotation key for step {k}"),
-                });
-            };
-            if let Some((kind, ..)) = &ext {
-                if *kind != key.kind() {
-                    return Err(FheError::InvalidParams {
-                        op: OP,
-                        reason: format!(
-                            "mixed keyswitch kinds {kind:?} and {:?} in one rotate-sum",
-                            key.kind()
-                        ),
-                    });
+            let kind = rotated.first().map(|&(.., first)| first.kind());
+            match self.check_rotate_sum_term(head, ct, k, key, kind) {
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+                Ok(None) => {
+                    rns.add_assign(&mut base0, &ct.c0);
+                    rns.add_assign(&mut base1, &ct.c1);
+                    noise = log2_add(noise, ct.noise_bits_est);
+                }
+                Ok(Some(key)) => {
+                    rotated.push((ct, k, key));
+                    noise = log2_add(
+                        noise,
+                        log2_add(ct.noise_bits_est, self.est_keyswitch_bits(level, key)),
+                    );
                 }
             }
-            cl_trace::record_rotation();
-            let g = cl_math::galois_element_for_rotation(k, n);
-            let dec = self.hoist_impl(OP, &ct.c1, key.kind())?;
-            let (_, acc0, acc1) = ext.get_or_insert_with(|| {
-                let (acc0, acc1) = dec.zero_ext_pair(self);
-                (key.kind(), acc0, acc1)
-            });
-            dec.apply_ext_into(self, OP, Some(g), key, acc0, acc1)?;
-            rns.add_assign(&mut base0, &rns.apply_automorphism(&ct.c0, g));
-            noise = log2_add(
-                noise,
-                log2_add(ct.noise_bits_est, self.est_keyswitch_bits(level, key)),
-            );
         }
-        if let Some((kind, acc0, acc1)) = ext {
-            let (ks0, ks1) = self.mod_down_pair(level, kind, acc0, acc1);
+        let (lo, hi) = rotated.split_at(rotated.len().div_ceil(2));
+        let halves: Vec<_> = [lo, hi].into_iter().filter(|h| !h.is_empty()).collect();
+        let mut sums =
+            cl_rns::try_par_map(halves.len(), |h| self.rotate_sum_half(OP, level, halves[h]))?
+                .into_iter();
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        if let Some((sigma, mut acc0, mut acc1)) = sums.next() {
+            rns.add_assign(&mut base0, &sigma);
+            for (sigma, a0, a1) in sums {
+                rns.add_assign(&mut base0, &sigma);
+                rns.add_assign(&mut acc0, &a0);
+                rns.add_assign(&mut acc1, &a1);
+            }
+            let (ks0, ks1) = self.mod_down_pair(level, rotated[0].2.kind(), acc0, acc1);
             rns.add_assign(&mut base0, &ks0);
             rns.add_assign(&mut base1, &ks1);
         }
@@ -592,6 +601,71 @@ impl CkksContext {
         };
         self.guard_budget(OP, &out)?;
         Ok(out)
+    }
+
+    /// The checks one rotate-sum term passes before any work, in the order
+    /// the serial run meets them: level, operand scan and scale against
+    /// the head term, then (for a nonzero step) a key, of `kind` once an
+    /// earlier nonzero-step term has fixed one. Returns the key a
+    /// nonzero-step term is rotated with, `None` for a step-0 term.
+    fn check_rotate_sum_term<'k>(
+        &self,
+        head: &Ciphertext,
+        ct: &Ciphertext,
+        k: i64,
+        key: Option<&'k KeySwitchKey>,
+        kind: Option<KeySwitchKind>,
+    ) -> FheResult<Option<&'k KeySwitchKey>> {
+        const OP: &str = "rotate_sum";
+        self.try_check_same_level(OP, head, ct)?;
+        self.guard_operands(OP, &[ct])?;
+        self.try_check_scale(OP, ct.scale, head.scale)?;
+        if k == 0 {
+            return Ok(None);
+        }
+        let Some(key) = key else {
+            return Err(FheError::MissingKey {
+                what: format!("rotation key for step {k}"),
+            });
+        };
+        if let Some(kind) = kind.filter(|&kind| kind != key.kind()) {
+            return Err(FheError::InvalidParams {
+                op: OP,
+                reason: format!(
+                    "mixed keyswitch kinds {kind:?} and {:?} in one rotate-sum",
+                    key.kind()
+                ),
+            });
+        }
+        Ok(Some(key))
+    }
+
+    /// One half-sum of [`CkksContext::try_rotate_sum`] over checked
+    /// nonzero-step terms, in term order: each term's hint inner product
+    /// accumulated into one extended-basis pair, allocated at the first
+    /// term, and the sum of the terms' `σ(c0)`. Returns `(Σ σ(c0), acc0,
+    /// acc1)`, or the first term's error.
+    fn rotate_sum_half(
+        &self,
+        op: &'static str,
+        level: usize,
+        terms: &[(&Ciphertext, i64, &KeySwitchKey)],
+    ) -> FheResult<(RnsPoly, RnsPoly, RnsPoly)> {
+        let rns = self.rns();
+        let n = self.params().ring_degree();
+        let mut sigma = rns.zero(&rns.q_basis(level));
+        sigma.set_ntt_form(true);
+        let mut ext: Option<(RnsPoly, RnsPoly)> = None;
+        for &(ct, k, key) in terms {
+            cl_trace::record_rotation();
+            let g = cl_math::galois_element_for_rotation(k, n);
+            let dec = self.hoist_impl(op, &ct.c1, key.kind())?;
+            let (acc0, acc1) = ext.get_or_insert_with(|| dec.zero_ext_pair(self));
+            dec.apply_ext_into(self, op, Some(g), key, acc0, acc1)?;
+            rns.add_assign(&mut sigma, &rns.apply_automorphism(&ct.c0, g));
+        }
+        let (acc0, acc1) = ext.expect("a half-sum holds at least one term");
+        Ok((sigma, acc0, acc1))
     }
 }
 
@@ -1204,6 +1278,167 @@ mod tests {
                 other => panic!("expected InvalidParams, got {other:?}"),
             }
         }
+    }
+
+    /// The rotate-sum as one serial loop in term order: each term's
+    /// checks, then its hoist and hint product into one extended-basis
+    /// pair and its `σ(c0)` into the sum, and one ModDown at the end. The
+    /// two half-sums must reproduce its output bit for bit, its noise
+    /// estimate, its first error and, where it fails, its op counts.
+    fn serial_rotate_sum(
+        ctx: &CkksContext,
+        terms: &[(&Ciphertext, i64, Option<&KeySwitchKey>)],
+    ) -> FheResult<Ciphertext> {
+        const OP: &str = "rotate_sum";
+        let rns = ctx.rns();
+        let head = terms[0].0;
+        let level = head.level;
+        let mut base0 = rns.zero(&rns.q_basis(level));
+        base0.set_ntt_form(true);
+        let mut base1 = base0.clone();
+        let mut noise = f64::NEG_INFINITY;
+        let mut ext: Option<(RnsPoly, RnsPoly)> = None;
+        let mut first: Option<&KeySwitchKey> = None;
+        for &(ct, k, key) in terms {
+            let kind = first.map(KeySwitchKey::kind);
+            let Some(key) = ctx.check_rotate_sum_term(head, ct, k, key, kind)? else {
+                rns.add_assign(&mut base0, &ct.c0);
+                rns.add_assign(&mut base1, &ct.c1);
+                noise = log2_add(noise, ct.noise_bits_est);
+                continue;
+            };
+            first.get_or_insert(key);
+            cl_trace::record_rotation();
+            let g = cl_math::galois_element_for_rotation(k, ctx.params().ring_degree());
+            let dec = ctx.hoist_impl(OP, &ct.c1, key.kind())?;
+            let (acc0, acc1) = ext.get_or_insert_with(|| dec.zero_ext_pair(ctx));
+            dec.apply_ext_into(ctx, OP, Some(g), key, acc0, acc1)?;
+            rns.add_assign(&mut base0, &rns.apply_automorphism(&ct.c0, g));
+            noise = log2_add(
+                noise,
+                log2_add(ct.noise_bits_est, ctx.est_keyswitch_bits(level, key)),
+            );
+        }
+        if let (Some((acc0, acc1)), Some(key)) = (ext, first) {
+            let (ks0, ks1) = ctx.mod_down_pair(level, key.kind(), acc0, acc1);
+            rns.add_assign(&mut base0, &ks0);
+            rns.add_assign(&mut base1, &ks1);
+        }
+        let out = Ciphertext {
+            c0: base0,
+            c1: base1,
+            level,
+            scale: head.scale,
+            noise_bits_est: noise,
+        };
+        ctx.guard_budget(OP, &out)?;
+        Ok(out)
+    }
+
+    /// Held by the tests that set the worker pool's thread count, a
+    /// process-wide setting.
+    static THREADS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Everything a ciphertext carries, bit for bit (its equality leaves
+    /// out the noise estimate).
+    fn ct_bits(ct: &Ciphertext) -> (RnsPoly, RnsPoly, usize, u64, u64) {
+        (
+            ct.c0.clone(),
+            ct.c1.clone(),
+            ct.level,
+            ct.scale.to_bits(),
+            ct.noise_bits_est.to_bits(),
+        )
+    }
+
+    /// Seven terms at level 3, two of them step 0, with a rotation key per
+    /// nonzero step.
+    fn rotate_sum_terms(
+        ctx: &CkksContext,
+        sk: &SecretKey,
+        rng: &mut rand::rngs::StdRng,
+    ) -> (Vec<i64>, Vec<Ciphertext>, Vec<Option<KeySwitchKey>>) {
+        let steps = vec![1i64, 0, -2, 5, 0, 3, 2];
+        let slots = ctx.params().slots();
+        let cts = (0..steps.len())
+            .map(|t| {
+                let vals: Vec<f64> = (0..slots)
+                    .map(|i| ((i * 5 + t) % 9) as f64 / 4.0 - 1.0)
+                    .collect();
+                ctx.encrypt(&ctx.encode(&vals, ctx.default_scale(), 3), sk, rng)
+            })
+            .collect();
+        let keys = steps
+            .iter()
+            .map(|&s| (s != 0).then(|| ctx.rotation_keygen(sk, s, KIND, rng)))
+            .collect();
+        (steps, cts, keys)
+    }
+
+    #[test]
+    fn rotate_sum_halves_match_the_serial_sum() {
+        let _held = THREADS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let previous = rayon::current_num_threads();
+        let (ctx, sk, mut rng) = setup(3);
+        let (steps, cts, keys) = rotate_sum_terms(&ctx, &sk, &mut rng);
+        for len in 1..=steps.len() {
+            let terms: Vec<_> = (0..len)
+                .map(|t| (&cts[t], steps[t], keys[t].as_ref()))
+                .collect();
+            let want = ct_bits(&serial_rotate_sum(&ctx, &terms).unwrap());
+            for threads in [1, 2] {
+                rayon::set_num_threads(threads);
+                let got = ct_bits(&ctx.try_rotate_sum(&terms).unwrap());
+                assert_eq!(got, want, "{len} terms at {threads} threads");
+            }
+        }
+        rayon::set_num_threads(previous);
+    }
+
+    /// A corrupt hint at the first term of the second half (the fourth of
+    /// five nonzero steps), and a missing key at its last term: at two
+    /// threads the rotate-sum fails with the serial run's error; at one
+    /// thread it also stops where the serial run stops, with its op counts
+    /// and hint digests (the terms before the failure ran, none after it).
+    #[test]
+    fn a_failure_in_the_second_half_is_the_serial_runs() {
+        let _held = THREADS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let previous = rayon::current_num_threads();
+        let (ctx, sk, mut rng) = setup(3);
+        let (steps, cts, mut keys) = rotate_sum_terms(&ctx, &sk, &mut rng);
+        let corrupt = {
+            let mut keys = keys.clone();
+            let key = keys[5].as_mut().expect("step 3 has a key");
+            crate::faults::corrupt_hint_word(key, 0, 0, 1, 7);
+            keys
+        };
+        keys[6] = None;
+        for (case, keys) in [("corrupt hint", &corrupt), ("missing key", &keys)] {
+            let terms: Vec<_> = (0..steps.len())
+                .map(|t| (&cts[t], steps[t], keys[t].as_ref()))
+                .collect();
+            let counted = |f: &dyn Fn() -> FheResult<Ciphertext>| {
+                let (ops, digests) = (cl_trace::OpSnapshot::capture(), cl_trace::hint_digests());
+                let err = f().expect_err("the sum fails");
+                (
+                    err.to_string(),
+                    cl_trace::OpSnapshot::capture().delta_since(&ops),
+                    cl_trace::hint_digests() - digests,
+                )
+            };
+            let serial = counted(&|| serial_rotate_sum(&ctx, &terms));
+            rayon::set_num_threads(2);
+            let fanned = counted(&|| ctx.try_rotate_sum(&terms));
+            rayon::set_num_threads(1);
+            let inline = counted(&|| ctx.try_rotate_sum(&terms));
+            assert_eq!(fanned.0, serial.0, "{case}: two threads");
+            assert_eq!(inline, serial, "{case}: one thread");
+        }
+        rayon::set_num_threads(previous);
     }
 
     // ------------------------------------------------------------------

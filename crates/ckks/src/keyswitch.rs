@@ -15,6 +15,22 @@
 //!   "hybrid" algorithm with `t` digits and special moduli `P`. Expands the
 //!   input to base `Q·P` via fast base conversion, applies a hint that is
 //!   only `t+1` ciphertexts big, and divides by `P`. `O(L)` NTTs.
+//!
+//! **Special limbs per level.** A hint carries `α` special limbs (its
+//! product is `P`), sized for the top level, where the largest digit holds
+//! `α` limbs. A level-`l` keyswitch uses only the first
+//! `k = min(α, l + 1)` of them ([`KeySwitchKind::special_at`]; `P′` their
+//! product, `R = P / P′` the product of the unused ones): it first
+//! multiplies its input per limb by `R⁻¹ mod q_i`, then extends into
+//! `Q_l·P′` and divides by `P′`. The same hints serve every level, because
+//! `ĉ·R ≡ c (mod Q_l)` gives `ĉ·P·s′ ≡ P′·c·s′ (mod Q_l·P′)`. The one new
+//! error term is `ĉ·e/P′`, with `|ĉ|` below the largest digit's product
+//! times its limb count: `P′` holds one limb more than that digit, so the
+//! term is about a limb's width below the ModDown rounding beside it. At the top level `k = α` and the
+//! keyswitch is what it was before the rule. ModUp's converted limbs, the
+//! hint product and ModDown all shrink from `α` to `k` special limbs.
+
+use std::sync::{Mutex, PoisonError};
 
 use cl_rns::{mod_down_ntt, Basis, RnsPoly};
 use rand::Rng;
@@ -39,6 +55,32 @@ pub enum KeySwitchKind {
     },
 }
 
+impl KeySwitchKind {
+    /// Special limbs a hint of this kind carries, for a chain of `levels`
+    /// ciphertext limbs: one for [`KeySwitchKind::Standard`], the digit
+    /// width `⌈levels / t⌉` for `t`-digit boosted keyswitching.
+    pub fn special_limbs(self, levels: usize) -> usize {
+        match self {
+            // Standard RNS keyswitching uses a single rescaling modulus
+            // (this matches the paper's standard-keyswitch cost accounting:
+            // L digits x (L+1)-limb hints ≈ 2L^2 N words, L^2 NTTs).
+            KeySwitchKind::Standard => 1,
+            KeySwitchKind::Boosted { digits } => levels.div_ceil(digits),
+        }
+    }
+
+    /// Special limbs a keyswitch of a level-`level` input extends into
+    /// (module doc, "Special limbs per level"): one more than the largest
+    /// digit present at `level`, capped at the hint's
+    /// [`KeySwitchKind::special_limbs`]. The largest digit holds
+    /// `min(α, level)` limbs (digits are `α`-limb groups from the bottom
+    /// of the chain; standard digits are single limbs with `α = 1`), so
+    /// this is `min(α, level + 1)`.
+    pub fn special_at(self, levels: usize, level: usize) -> usize {
+        self.special_limbs(levels).min(level + 1)
+    }
+}
+
 impl CkksContext {
     /// Partition of the full modulus chain into digit limb-groups for the
     /// given keyswitch kind.
@@ -54,7 +96,7 @@ impl CkksContext {
             }
             KeySwitchKind::Boosted { digits } => {
                 assert!(digits >= 1, "digit count must be >= 1");
-                let alpha = l_max.div_ceil(digits);
+                let alpha = kind.special_limbs(l_max);
                 assert!(
                     self.params().special_limbs() >= alpha,
                     "boosted keyswitching with {digits} digits needs {alpha} special limbs, \
@@ -69,15 +111,38 @@ impl CkksContext {
         }
     }
 
-    /// Number of special limbs a keyswitch kind uses.
+    /// Number of special limbs a hint of `kind` carries.
     pub(crate) fn special_for(&self, kind: KeySwitchKind) -> usize {
-        match kind {
-            // Standard RNS keyswitching uses a single rescaling modulus
-            // (this matches the paper's standard-keyswitch cost accounting:
-            // L digits x (L+1)-limb hints ≈ 2L^2 N words, L^2 NTTs).
-            KeySwitchKind::Standard => 1,
-            KeySwitchKind::Boosted { digits } => self.params().levels().div_ceil(digits),
+        kind.special_limbs(self.params().levels())
+    }
+
+    /// Number of special limbs a level-`level` keyswitch of `kind` extends
+    /// into ([`KeySwitchKind::special_at`]).
+    pub(crate) fn special_at(&self, kind: KeySwitchKind, level: usize) -> usize {
+        kind.special_at(self.params().levels(), level)
+    }
+
+    /// `R⁻¹ mod q_i` for each limb `q_i` of the level-`level` prefix, `R`
+    /// the product of the special limbs a level-`level` keyswitch of
+    /// `kind` leaves unused; `None` when it uses them all (`R = 1`).
+    fn unused_special_inv(&self, kind: KeySwitchKind, level: usize) -> Option<Vec<u64>> {
+        let rns = self.rns();
+        let (used, all) = (self.special_at(kind, level), self.special_for(kind));
+        if used == all {
+            return None;
         }
+        let unused = &rns.p_basis(all).0[used..];
+        Some(
+            (0..level as u32)
+                .map(|limb| {
+                    let m = rns.modulus(limb);
+                    let r = unused
+                        .iter()
+                        .fold(1, |r, &p| m.mul(r, m.reduce(rns.modulus_value(p))));
+                    m.inv(r)
+                })
+                .collect(),
+        )
     }
 
     /// Generates a keyswitch key (hint) that moves ciphertexts from secret
@@ -184,9 +249,12 @@ impl CkksContext {
 
     /// Phase one of keyswitching, split out so it can be *hoisted*: digit
     /// decomposition plus ModUp base extension of `c` (NTT form, level-`L`
-    /// prefix basis). The result depends only on the polynomial and the
-    /// keyswitch kind — not on which key is applied — so one decomposition
-    /// can feed many [`HoistedDecomposition::apply`] calls.
+    /// prefix basis) into the level's special limbs
+    /// ([`KeySwitchKind::special_at`]; below them, `c` is first scaled by
+    /// the unused special limbs' inverse). The result depends only on the
+    /// polynomial and the keyswitch kind — not on which key is applied —
+    /// so one decomposition can feed many [`HoistedDecomposition::apply`]
+    /// calls.
     ///
     /// This is Listing 1, lines 1-3, amortized the way CraterLake amortizes
     /// boosted keyswitching across the BSGS rotations of its bootstrapping
@@ -236,10 +304,16 @@ impl CkksContext {
             });
         }
         let digit_limbs = self.digit_partition(kind);
-        let special = self.special_for(kind);
-        let target = qb.union(&rns.p_basis(special));
+        let target = qb.union(&rns.p_basis(self.special_at(kind, level)));
+        // Below the top level the input is pre-scaled to `ĉ = c·R⁻¹`
+        // (module doc): the coefficient-form clone here, and each digit's
+        // own NTT-form limbs where they are copied into its slab.
+        let r_inv = self.unused_special_inv(kind, level);
         let mut c_coeff = c.clone();
         rns.from_ntt(&mut c_coeff);
+        if let Some(r_inv) = &r_inv {
+            rns.scalar_mul_per_limb_assign(&mut c_coeff, r_inv);
+        }
         // ModUp each digit as an independent operation: every digit's
         // restrict + base conversion + NTT is independent of the others
         // (the CraterLake schedule overlaps them across functional units
@@ -276,7 +350,7 @@ impl CkksContext {
             // writes anything: in the other order a freed temporary
             // fragments the worker's arena, and `lola_mlp_8k`'s peak
             // RSS rose by 1 %.
-            let coeffs = if digit_basis == qb {
+            let mut coeffs = if digit_basis == qb {
                 // The digit is the whole input (every single-digit
                 // keyswitch, and a multi-digit one at a low level): the
                 // slab is the input's limbs followed by the special
@@ -311,6 +385,17 @@ impl CkksContext {
                 }
                 coeffs
             };
+            if let Some(r_inv) = &r_inv {
+                // The digit's own limbs are contiguous in the slab, at their
+                // chain positions (the target basis starts with the prefix).
+                let lo = present[0] as usize;
+                let own = lo..lo + present.len();
+                rns.scalar_mul_limbs(
+                    &present,
+                    &r_inv[own.clone()],
+                    &mut coeffs[own.start * c.n()..own.end * c.n()],
+                );
+            }
             Some(
                 RnsPoly::from_raw_parts(c.n(), target.clone(), coeffs, true)
                     .expect("one limb of the ring degree per target-basis entry"),
@@ -326,8 +411,10 @@ impl CkksContext {
 
     /// Closing ModDown of a pair of extended-basis accumulators (Listing
     /// 1, lines 7-10), entirely in the NTT domain: divides by the special
-    /// modulus of `kind` and returns the pair over the level-`level`
-    /// prefix basis. Each accumulator becomes its result in place.
+    /// limbs a level-`level` keyswitch of `kind` extends into and returns
+    /// the pair over the level-`level` prefix basis. Each accumulator
+    /// becomes its result in place. The two halves are independent, so
+    /// they run as the two tasks of one [`cl_rns::par_map`] region.
     pub(crate) fn mod_down_pair(
         &self,
         level: usize,
@@ -337,10 +424,20 @@ impl CkksContext {
     ) -> (RnsPoly, RnsPoly) {
         let rns = self.rns();
         let qb = rns.q_basis(level);
-        let pb = rns.p_basis(self.special_for(kind));
+        let pb = rns.p_basis(self.special_at(kind, level));
         let conv = self.converter(&pb, &qb);
-        let ks0 = mod_down_ntt(rns, acc0, &qb, &pb, &conv);
-        let ks1 = mod_down_ntt(rns, acc1, &qb, &pb, &conv);
+        // Each task takes its accumulator out of its own cell.
+        let accs = [Mutex::new(Some(acc0)), Mutex::new(Some(acc1))];
+        let [ks0, ks1]: [RnsPoly; 2] = cl_rns::par_map(2, |i| {
+            let acc = accs[i]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+                .expect("each accumulator is taken by one task");
+            mod_down_ntt(rns, acc, &qb, &pb, &conv)
+        })
+        .try_into()
+        .expect("one result per accumulator");
         (ks0, ks1)
     }
 
@@ -670,6 +767,104 @@ mod tests {
                 .max()
                 .unwrap();
             assert!(max_noise < 1 << 30, "level {level}: noise {max_noise}");
+        }
+    }
+
+    /// Every kind at every level 1..=L: the hoisted decomposition spans
+    /// the level's limbs plus [`KeySwitchKind::special_at`] special limbs
+    /// (all of the hint's at the top); a keyswitch of a uniformly random
+    /// polynomial (the pre-scaled input is as large as it gets) decrypts
+    /// within the bound of `keyswitch_below_max_level`, and where it drops
+    /// special limbs its exact noise stays at or below the analytic
+    /// estimate; and a hoisted rotation batch equals one `try_rotate` per
+    /// step.
+    #[test]
+    fn every_kind_keyswitches_at_every_level() {
+        const L: usize = 8;
+        let kinds = [
+            KeySwitchKind::Boosted { digits: 1 },
+            KeySwitchKind::Boosted { digits: 2 },
+            KeySwitchKind::Boosted { digits: 4 },
+            KeySwitchKind::Standard,
+        ];
+        for kind in kinds {
+            let alpha = kind.special_limbs(L);
+            let c = ctx(L, alpha);
+            let rns = c.rns();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+            let sk = c.keygen(&mut rng);
+            let s_prime = {
+                let mut s = rns.sample_ternary(&c.full_basis(), &mut rng);
+                rns.to_ntt(&mut s);
+                s
+            };
+            let ksk = c.keyswitch_keygen(&s_prime, &sk, kind, &mut rng);
+            let steps = [1i64, -3];
+            let rot_keys: Vec<KeySwitchKey> = steps
+                .iter()
+                .map(|&k| c.rotation_keygen(&sk, k, kind, &mut rng))
+                .collect();
+            let key_refs: Vec<&KeySwitchKey> = rot_keys.iter().collect();
+            let vals: Vec<f64> = (0..c.params().slots())
+                .map(|i| (i as f64 * 0.3).sin())
+                .collect();
+            assert_eq!(
+                kind.special_at(L, L),
+                alpha,
+                "{kind:?}: the top level uses every limb"
+            );
+            for level in 1..=L {
+                let qb = rns.q_basis(level);
+                let x = rns.sample_uniform(&qb, &mut rng);
+                let dec = c.try_hoist(&x, kind).unwrap();
+                let special = kind.special_at(L, level);
+                assert_eq!(dec.target.len(), level + special, "{kind:?} level {level}");
+                assert!(dec
+                    .digits
+                    .iter()
+                    .flatten()
+                    .all(|d| d.basis() == &dec.target));
+
+                let (ks0, ks1) = c.try_keyswitch(&x, &ksk).unwrap();
+                let mut got = rns.mul(&ks1, &rns.restrict(&sk.s, &qb));
+                rns.add_assign(&mut got, &ks0);
+                let mut diff = rns.sub(&got, &rns.mul(&x, &rns.restrict(&s_prime, &qb)));
+                rns.from_ntt(&mut diff);
+                let moduli: Vec<u64> = qb.0.iter().map(|&l| rns.modulus_value(l)).collect();
+                let q_big = cl_math::BigUint::product(&moduli);
+                let max_noise = (0..c.params().ring_degree())
+                    .map(|i| {
+                        let residues: Vec<u64> = (0..level).map(|k| diff.limb(k)[i]).collect();
+                        let big = cl_math::BigUint::crt_combine(&residues, &moduli);
+                        big.centered(&q_big).1.to_f64()
+                    })
+                    .fold(1f64, f64::max);
+                assert!(
+                    max_noise < 2f64.powi(30),
+                    "{kind:?} level {level}: noise {max_noise}"
+                );
+                // Where the keyswitch drops special limbs, the hint term is
+                // a limb's width under the rounding floor, and the estimate
+                // covers the exact maximum. With every special limb in use
+                // (`P` no larger than the top digit) the typical-case model
+                // reads up to 2.2 bits under the maximum coefficient at
+                // this ring degree; those keyswitches are unchanged by the
+                // per-level rule.
+                let (est, exact) = (c.est_keyswitch_bits(level, &ksk), max_noise.log2());
+                let margin = if special < alpha { 0.0 } else { 3.0 };
+                assert!(
+                    est + margin >= exact,
+                    "{kind:?} level {level}: estimate {est} vs exact {exact}"
+                );
+
+                let ct = c.encrypt(&c.encode(&vals, c.default_scale(), level), &sk, &mut rng);
+                let batch = c.try_rotate_hoisted_many(&ct, &steps, &key_refs).unwrap();
+                for ((&k, key), hoisted) in steps.iter().zip(&rot_keys).zip(&batch) {
+                    let naive = c.try_rotate(&ct, k, key).unwrap();
+                    assert_eq!(hoisted, &naive, "{kind:?} level {level} step {k}");
+                    assert_eq!(hoisted.noise_estimate_bits(), naive.noise_estimate_bits());
+                }
+            }
         }
     }
 

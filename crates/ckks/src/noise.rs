@@ -185,15 +185,16 @@ impl CkksContext {
 
     /// Noise a keyswitch (relinearization, rotation, conjugation) adds at
     /// `level`: per-digit hint-error products scaled down by the special
-    /// modulus `P`, floored by the ModDown rounding.
+    /// modulus `P′` of the limbs the keyswitch extends into at that level
+    /// ([`crate::KeySwitchKind::special_at`]), floored by the ModDown
+    /// rounding.
     pub(crate) fn est_keyswitch_bits(&self, level: usize, ksk: &KeySwitchKey) -> f64 {
         let rns = self.rns();
-        let special = self.special_for(ksk.kind());
-        let log_p: f64 = (0..special)
-            .map(|k| {
-                let pl = rns.p_basis(special).0[k];
-                (rns.modulus_value(pl) as f64).log2()
-            })
+        let log_p: f64 = rns
+            .p_basis(self.special_at(ksk.kind(), level))
+            .0
+            .iter()
+            .map(|&pl| (rns.modulus_value(pl) as f64).log2())
             .sum();
         let conv = 0.5 * (self.params().ring_degree() as f64).log2();
         let mut digits = 0usize;

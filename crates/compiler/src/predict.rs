@@ -12,9 +12,10 @@
 //! The recipes mirror `cl-ckks`'s implementation exactly:
 //!
 //! - keyswitching hoists the target polynomial (one inverse NTT over its
-//!   limbs, then per-digit base extension into the special basis), runs the
-//!   hint inner product over the extended basis, and mod-downs both result
-//!   halves;
+//!   limbs, a pre-scale by the unused special limbs' inverse below the
+//!   top level, then per-digit base extension into the level's special
+//!   limbs, [`KeySwitchKind::special_at`]), runs the hint inner product
+//!   over the extended basis, and mod-downs both result halves;
 //! - rescale is a pair of exact single-limb mod-downs over the cached base
 //!   converter;
 //! - plaintext ops pay one encode (forward NTT over the ciphertext's basis).
@@ -101,36 +102,31 @@ impl std::error::Error for PredictError {}
 /// partitions the modulus chain for `kind` over a context with `l_max`
 /// levels.
 struct KsLayout {
-    /// Special-basis limb count `K` (the extension every digit is raised
-    /// into).
+    /// Special-basis limb count `K` at this level (the extension every
+    /// digit is raised into).
     special: usize,
+    /// Whether `K` is below the hint's special count, so the input is
+    /// pre-scaled first.
+    prescale: bool,
     /// Limb count of each digit that intersects `[0, l)`.
     present: Vec<usize>,
 }
 
 fn ks_layout(l: usize, l_max: usize, kind: KeySwitchKind) -> KsLayout {
-    match kind {
-        KeySwitchKind::Standard => KsLayout {
-            special: 1,
-            present: vec![1; l.min(l_max)],
-        },
-        KeySwitchKind::Boosted { digits } => {
-            let alpha = l_max.div_ceil(digits);
-            let mut present = Vec::new();
-            let mut start = 0;
-            while start < l_max {
-                let end = (start + alpha).min(l_max);
-                let in_ct = end.min(l).saturating_sub(start);
-                if in_ct > 0 {
-                    present.push(in_ct);
-                }
-                start = end;
-            }
-            KsLayout {
-                special: alpha,
-                present,
-            }
-        }
+    let alpha = kind.special_limbs(l_max);
+    let special = kind.special_at(l_max, l);
+    let present = match kind {
+        KeySwitchKind::Standard => vec![1; l.min(l_max)],
+        KeySwitchKind::Boosted { .. } => (0..l_max)
+            .step_by(alpha)
+            .map(|start| (start + alpha).min(l_max).min(l).saturating_sub(start))
+            .filter(|&in_ct| in_ct > 0)
+            .collect(),
+    };
+    KsLayout {
+        special,
+        prescale: special < alpha,
+        present,
     }
 }
 
@@ -146,6 +142,10 @@ fn mod_down(s: &mut OpSnapshot, q: usize, p: usize) {
 /// Hoisting: decompose a level-`l` polynomial into per-digit extended form.
 fn hoist(s: &mut OpSnapshot, l: usize, lay: &KsLayout) {
     s.intt += l as u64;
+    if lay.prescale {
+        // The coefficient-form input, and each digit's own NTT-form limbs.
+        s.mult += 2 * l as u64;
+    }
     for &sd in &lay.present {
         let ext = (l + lay.special) - sd;
         s.mult += sd as u64;

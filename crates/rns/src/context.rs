@@ -607,11 +607,30 @@ impl RnsContext {
     ///
     /// Panics if `consts.len()` differs from the number of limbs.
     pub fn scalar_mul_per_limb_assign(&self, a: &mut RnsPoly, consts: &[u64]) {
-        assert_eq!(consts.len(), a.basis().len());
-        cl_trace::record_mult(a.basis().len() as u64, self.n);
-        self.par_limbs(a, |k, limb, data| {
-            let m = self.modulus_structs[limb as usize];
-            m.mul_scalar_shoup_slice(data, consts[k], m.shoup_precompute(consts[k]));
+        let (basis, coeffs) = a.parts_mut();
+        self.scalar_mul_limbs(&basis.0, consts, coeffs);
+    }
+
+    /// [`RnsContext::scalar_mul_per_limb_assign`] of a bare limb-major
+    /// slab, as [`RnsContext::to_ntt_limbs`]: the `k`-th `n`-word limb of
+    /// `data` is multiplied by `consts[k]` modulo global limb `limbs[k]`
+    /// (in either domain: the multiplication commutes with the NTT).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `consts` is not one constant per entry of `limbs`, or
+    /// `data` is not exactly `limbs.len()` limbs of the ring degree.
+    pub fn scalar_mul_limbs(&self, limbs: &[u32], consts: &[u64], data: &mut [u64]) {
+        assert_eq!(consts.len(), limbs.len());
+        assert_eq!(
+            data.len(),
+            limbs.len() * self.n,
+            "slab is not one limb per entry"
+        );
+        cl_trace::record_mult(limbs.len() as u64, self.n);
+        par_chunks_mut(data, self.n, |k, chunk| {
+            let m = self.modulus_structs[limbs[k] as usize];
+            m.mul_scalar_shoup_slice(chunk, consts[k], m.shoup_precompute(consts[k]));
         });
     }
 

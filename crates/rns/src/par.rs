@@ -7,13 +7,17 @@
 //! (publish, wake, claim, join) costs about as much as the limb, so a limb
 //! loop at N = 1K runs serially and the pool is left to independent
 //! operations ([`par_map`], [`try_par_map`]), which always offer their
-//! tasks to it: the digits of a ModUp, the steps of a hoisted rotation
-//! batch, the giant-group inner sums of a BSGS transform, a bootstrap's two
-//! EvalMod chains and each one's power tree, and the bodies of a compiled
-//! program's wave (`cl-runtime`'s executor: each body a run of ops, on a
-//! lowered layer one giant group's inner sum and rotation). Each of those
-//! is a whole keyswitch, multiply or base extension, far above a dispatch
-//! at every shape the workloads run. This is the CPU form of CraterLake's
+//! tasks to it: the digits of a ModUp, the two ModDown halves closing a
+//! keyswitch and the two polynomials of a rescale ([`mod_down_ntt`]
+//! each), the steps of a hoisted rotation batch, the two half-sums of a
+//! rotate-sum, the giant-group inner sums of a BSGS transform, a
+//! bootstrap's two EvalMod chains and each one's power tree, and the
+//! bodies of a compiled program's wave (`cl-runtime`'s executor: each
+//! body a run of ops, on a lowered layer one giant group's inner sum and
+//! rotation). Each of those is a whole keyswitch, multiply, base extension
+//! or ModDown, far above a dispatch at every shape the workloads run.
+//!
+//! [`mod_down_ntt`]: crate::mod_down_ntt This is the CPU form of CraterLake's
 //! schedule (Sec. 6): one instruction stream over wide lanes, with
 //! independent homomorphic operations overlapped.
 //!

@@ -26,6 +26,15 @@ impl WorkState {
         }
     }
 
+    /// What the state holds, for error reports: `ciphertext`, or the
+    /// bootstrap state's stage name.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            WorkState::Ct(_) => "ciphertext",
+            WorkState::Boot(state) => state.stage_name(),
+        }
+    }
+
     fn serialize(&self, ctx: &CkksContext) -> Vec<u8> {
         match self {
             WorkState::Ct(ct) => ctx.serialize_ciphertext(ct),
@@ -414,7 +423,10 @@ impl CheckpointStore {
     /// but were *rejected* by integrity checks. `Ok(None)` means no slot
     /// file exists yet. Intact records written by a different job (their
     /// binding differs) are skipped silently — they are healthy leftovers
-    /// in a reused directory, not corruption.
+    /// in a reused directory, not corruption. A record of this job whose
+    /// state does not `fit` its program counter (the caller's check, e.g.
+    /// a bootstrap state from an older stage layout) is damaged: rejected
+    /// and counted like a failed checksum.
     ///
     /// # Errors
     ///
@@ -426,6 +438,7 @@ impl CheckpointStore {
         &mut self,
         ctx: &CkksContext,
         binding: u64,
+        fits: impl Fn(&Checkpoint) -> bool,
     ) -> FheResult<(Option<Checkpoint>, u64)> {
         // Reads must observe every accepted write: drain the in-flight one
         // (a failed background write is reported here rather than lost).
@@ -439,7 +452,16 @@ impl CheckpointStore {
                 continue;
             }
             existing += 1;
-            match self.load_slot(ctx, path) {
+            let loaded = self.load_slot(ctx, path).and_then(|cp| {
+                if cp.binding != binding || fits(&cp) {
+                    return Ok(cp);
+                }
+                Err(FheError::Serialization {
+                    op: "load_checkpoint",
+                    reason: format!("{} does not fit its pc {}", cp.state.name(), cp.pc),
+                })
+            });
+            match loaded {
                 Ok(cp) => {
                     if cp.binding == binding && best.as_ref().is_none_or(|b| cp.pc > b.pc) {
                         best = Some(cp);
@@ -526,7 +548,7 @@ mod tests {
         let ct = c.encrypt(&c.encode(&[1.0, 2.0], c.default_scale(), 3), &sk, &mut rng);
         let dir = tmpdir("rotation");
         let mut store = CheckpointStore::open(&dir).unwrap();
-        assert!(store.load_latest(&c, 0xB1D1).unwrap().0.is_none());
+        assert!(store.load_latest(&c, 0xB1D1, |_| true).unwrap().0.is_none());
         for pc in 0..3u64 {
             store
                 .write(
@@ -540,7 +562,7 @@ mod tests {
                 )
                 .unwrap();
         }
-        let (latest, rejects) = store.load_latest(&c, 0xB1D1).unwrap();
+        let (latest, rejects) = store.load_latest(&c, 0xB1D1, |_| true).unwrap();
         assert_eq!(rejects, 0);
         let latest = latest.unwrap();
         assert_eq!(latest.pc, 2);
@@ -684,7 +706,7 @@ mod tests {
             !dir.join("ckpt.tmp").exists(),
             "orphaned tmp must be swept at open"
         );
-        let (latest, rejects) = store.load_latest(&c, 0xB1D1).unwrap();
+        let (latest, rejects) = store.load_latest(&c, 0xB1D1, |_| true).unwrap();
         assert_eq!(rejects, 0);
         assert_eq!(latest.unwrap().pc, 9);
         let _ = fs::remove_dir_all(&dir);
@@ -738,7 +760,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         fs::write(&victim, &bytes).unwrap();
-        let (latest, rejects) = store.load_latest(&c, 0xB1D1).unwrap();
+        let (latest, rejects) = store.load_latest(&c, 0xB1D1, |_| true).unwrap();
         assert_eq!(rejects, 1);
         assert_eq!(latest.unwrap().pc, 5);
         // Both slots corrupted: the load surfaces the integrity error.
@@ -746,7 +768,7 @@ mod tests {
         let mut bytes = fs::read(&victim).unwrap();
         bytes[10] ^= 0xff;
         fs::write(&victim, &bytes).unwrap();
-        assert!(store.load_latest(&c, 0xB1D1).is_err());
+        assert!(store.load_latest(&c, 0xB1D1, |_| true).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -366,6 +366,28 @@ fn is_verdict(e: &FheError) -> bool {
     )
 }
 
+/// Whether a loaded checkpoint's state is what the micro-op at its pc
+/// expects: a plain ciphertext before an ordinary op, a bootstrap's first
+/// stage or the program's end, and a bootstrap state that has taken
+/// exactly `s` steps before a bootstrap's stage `s > 0`. A record that
+/// does not fit (a pc past the end, or a bootstrap state written under
+/// another stage layout) would fail every retry, so the load skips it as
+/// damaged.
+fn fits(prepared: &PreparedProgram<'_>, cp: &Checkpoint) -> bool {
+    let stage = match prepared.schedule().get(cp.pc as usize) {
+        Some(&(op, stage)) => match prepared.program().ops()[op] {
+            PipelineOp::Bootstrap => stage,
+            _ => 0,
+        },
+        None if cp.pc == prepared.schedule().len() as u64 => 0,
+        None => return false,
+    };
+    match &cp.state {
+        WorkState::Ct(_) => stage == 0,
+        WorkState::Boot(state) => stage > 0 && state.steps_taken() == stage,
+    }
+}
+
 /// Takes ownership of a loaded record's payloads (no copy).
 fn boundary_of(cp: Checkpoint) -> Boundary {
     let acc = match cp.state {
@@ -550,7 +572,8 @@ impl<'a> PipelineExecutor<'a> {
         self.binding = self.job_binding(inputs, prepared.program());
         let fresh = || (0, Acc::ct(first.clone()), Slots::new());
         let start = match &mut self.store {
-            Some(store) => match store.load_latest(self.ctx, self.binding) {
+            Some(store) => match store.load_latest(self.ctx, self.binding, |cp| fits(prepared, cp))
+            {
                 Ok((found, rejects)) => {
                     self.telemetry.faults_detected += rejects;
                     match found {
@@ -636,13 +659,9 @@ impl<'a> PipelineExecutor<'a> {
     ) -> FheResult<RunOutcome> {
         let schedule = prepared.schedule();
         let end = schedule.len() as u64;
+        // A loaded checkpoint's pc and state were checked to fit the
+        // schedule (`fits`).
         let (mut pc, mut state, mut slots) = start;
-        if pc > end {
-            return Err(FheError::InvalidParams {
-                op: "executor",
-                reason: format!("checkpoint pc {pc} beyond program end {end}"),
-            });
-        }
         // The boundary to fall back to shares its payloads with the live
         // state; an op never writes a payload in place (it wraps a fresh
         // output, or moves references; an inner-sum step writes only its
@@ -722,7 +741,7 @@ impl<'a> PipelineExecutor<'a> {
                     }
                     retries_left -= 1;
                     self.telemetry.retries += 1;
-                    (pc, state, slots) = self.restore(&last_good);
+                    (pc, state, slots) = self.restore(&last_good, prepared);
                 }
             }
         }
@@ -950,9 +969,11 @@ impl<'a> PipelineExecutor<'a> {
     /// on-disk copy when it is at least as fresh (this exercises the full
     /// load path — fingerprint and checksum verification — on every
     /// recovery), falling back to the in-memory boundary.
-    fn restore(&mut self, last_good: &Boundary) -> Boundary {
+    fn restore(&mut self, last_good: &Boundary, prepared: &PreparedProgram<'_>) -> Boundary {
         if let Some(store) = &mut self.store {
-            if let Ok((Some(cp), _)) = store.load_latest(self.ctx, self.binding) {
+            if let Ok((Some(cp), _)) =
+                store.load_latest(self.ctx, self.binding, |cp| fits(prepared, cp))
+            {
                 if cp.pc >= last_good.0 {
                     self.telemetry.restores += 1;
                     return boundary_of(cp);
@@ -1705,6 +1726,22 @@ mod tests {
         let want = dataflow_direct(&ctx, &keys, &inputs[0], &inputs[1]);
         kill_at_every_pc(&ctx, &keys, None, &inputs, &dataflow_program(), &want);
 
+        let (ctx, booter, keys, input, program, want) = boot_chain();
+        kill_at_every_pc(&ctx, &keys, Some(&booter), &[input], &program, &want);
+    }
+
+    /// A Square, Rescale, Bootstrap, Square, Rescale chain at N = 64 with
+    /// 20 levels: its context, bootstrapper, keys, input and clean output.
+    /// Its micro-ops are Square 0, Rescale 1, the bootstrap's five stages
+    /// 2..=6, Square 7 and Rescale 8.
+    fn boot_chain() -> (
+        CkksContext,
+        Bootstrapper,
+        BootstrapKeys,
+        Ciphertext,
+        Program,
+        Ciphertext,
+    ) {
         let params = CkksParams::builder()
             .ring_degree(64)
             .levels(20)
@@ -1741,7 +1778,57 @@ mod tests {
         };
         let refreshed = booter.try_bootstrap(&ctx, &square(&input), &keys).unwrap();
         let want = square(&refreshed);
-        kill_at_every_pc(&ctx, &keys, Some(&booter), &[input], &program, &want);
+        (ctx, booter, keys, input, program, want)
+    }
+
+    /// A record whose state does not fit its pc — an `EvalBoth` at the
+    /// bootstrap's fourth boundary (pc 6), which expects `SlotHalf`: what
+    /// a record written under the older stage layout holds there — is
+    /// skipped as damaged. The resume takes the other slot (`EvalBoth` at
+    /// pc 5), or restarts from the input when neither slot fits, and
+    /// matches the clean run bit for bit.
+    #[test]
+    fn a_checkpoint_that_does_not_fit_its_pc_is_skipped_as_damaged() {
+        let (ctx, booter, keys, input, program, want) = boot_chain();
+        let inputs = std::slice::from_ref(&input);
+        for neither_fits in [false, true] {
+            let dir = tmpdir(&format!("misfit-{neither_fits}"));
+            let mut exec = PipelineExecutor::new(&ctx, &keys, cadence_config(&dir, 1))
+                .unwrap()
+                .with_bootstrapper(&booter);
+            // Killed before pc 5: the slots hold Split at pc 4 and
+            // EvalBoth at pc 5, and the next write replaces pc 4.
+            exec.set_fault_plan(FaultPlan::new(5, 0.0).with_kill_point(5));
+            assert!(matches!(
+                exec.run_graph(inputs, &program).unwrap(),
+                RunOutcome::Crashed
+            ));
+            let binding = exec.binding;
+            let store = exec.store.as_mut().unwrap();
+            let mut cp = store
+                .load_latest(&ctx, binding, |_| true)
+                .unwrap()
+                .0
+                .unwrap();
+            assert_eq!((cp.pc, cp.state.name()), (5, "EvalBoth"));
+            cp.pc = 6;
+            store.write(&ctx, &cp).unwrap();
+            if neither_fits {
+                store.write(&ctx, &cp).unwrap();
+            }
+            store.sync().unwrap();
+            let prepared = PreparedProgram::borrowed_with_memo(&ctx, &program, 0);
+            let got = completed(exec.resume_prepared(inputs, &prepared));
+            assert_eq!(got, want, "neither slot fits: {neither_fits}");
+            let t = exec.telemetry();
+            assert_eq!(
+                (t.faults_detected, t.restores),
+                (1, u64::from(!neither_fits))
+            );
+            assert_eq!(t.retries, 0);
+            drop(exec);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// Every plaintext-operand op form: `AddPlain` (twice) at the

@@ -53,10 +53,10 @@ const PRECOMPUTE: [(usize, &[i64]); 4] = [
 #[rustfmt::skip]
 const STATES: [(&str, usize, u64); BootState::NUM_STAGES] = [
     ("Raised", 21060, 0x6daddad1229623e7),
-    ("Split", 37910, 0xe306a6eca5e927f4),
-    ("EvalBoth", 14854, 0xb57a8152b9cd0009),
-    ("SlotHalf", 6388, 0xc84b113e6c7b4959),
-    ("Done", 5340, 0xd4b76ef89046b2fc),
+    ("Split", 37910, 0x4782a54565c67769),
+    ("EvalBoth", 14854, 0x0595ee00ed13b0fc),
+    ("SlotHalf", 6388, 0x8b4c9a1ce6b57acf),
+    ("Done", 5340, 0xc7cf61e5aa2d0ceb),
 ];
 
 #[test]

@@ -313,6 +313,63 @@ fn prediction_holds_on_a_second_layer_shape() {
     }
 }
 
+/// Boosted keyswitching below the top level: the layer's rotations run at
+/// level 4 and its relinearized square at level 3 of a 6-level chain, so
+/// with one digit each keyswitch extends into `l + 1` of the hints' six
+/// special limbs after a pre-scale (with two digits only the 1-limb
+/// extension of level 1 would shrink, and none runs there). Predicted ==
+/// measured, field by field, for both digit counts.
+#[test]
+fn prediction_holds_for_boosted_keyswitches_below_the_top() {
+    let ctx = strict_ctx();
+    let w = layer();
+    let lowered = compile(&w);
+    for kind in [
+        KeySwitchKind::Boosted { digits: 1 },
+        KeySwitchKind::Boosted { digits: 2 },
+    ] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(78);
+        let sk = ctx.keygen_sparse(8, &mut rng);
+        let keys = BootstrapKeys::generate(&ctx, &sk, kind, &lowered.rotation_steps, &mut rng);
+        let x = encrypt_input(&ctx, &sk);
+        let (warm, _) = run_compiled(&ctx, &keys, &x, &lowered);
+        let before = OpSnapshot::capture();
+        let (out, _) = run_compiled(&ctx, &keys, &x, &lowered);
+        let measured = OpSnapshot::capture().delta_since(&before);
+        assert_eq!(out, warm, "{kind:?}: warm and measured runs must agree");
+        let predicted =
+            predict_program(ctx.max_level(), kind, &[INPUT_LEVEL], &lowered.program).unwrap();
+        assert_eq!(measured.ntt, predicted.ntt, "{kind:?}: ntt");
+        assert_eq!(measured.intt, predicted.intt, "{kind:?}: intt");
+        assert_eq!(measured.mult, predicted.mult, "{kind:?}: mult");
+        assert_eq!(measured.add, predicted.add, "{kind:?}: add");
+        assert_eq!(
+            measured.base_conv, predicted.base_conv,
+            "{kind:?}: base_conv"
+        );
+        assert_eq!(
+            measured.automorph, predicted.automorph,
+            "{kind:?}: automorph"
+        );
+        assert_eq!(
+            measured.rotations, predicted.rotations,
+            "{kind:?}: rotations"
+        );
+        assert_eq!(measured.ct_mults, predicted.ct_mults, "{kind:?}: ct_mults");
+        assert_eq!(measured.pt_mults, predicted.pt_mults, "{kind:?}: pt_mults");
+        assert_eq!(
+            measured.hint_regen, 0,
+            "{kind:?}: warm run must not regenerate hints"
+        );
+
+        let reference = eval_plain(&w, &[input_slots()]);
+        let got = ctx.decode(&ctx.decrypt(&out, &sk), SLOTS);
+        for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
+            assert!((g - r).abs() < 1e-3, "{kind:?} slot {i}: {g} vs {r}");
+        }
+    }
+}
+
 /// Evaluates the *graph* node by node in construction order with the
 /// public `try_*` ops — no lowering, no reordering, no hoisting, no slots,
 /// no executor. Plaintexts are encoded at the to-be-dropped modulus, the

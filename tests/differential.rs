@@ -19,8 +19,9 @@
 //!   exactly as a bootstrapper of its own does,
 //! - where the worker pool fans out — limb loops above its grain
 //!   (`cl_rns::PAR_GRAIN_WORDS`), and independent operations: hoisted
-//!   steps, BSGS inner sums, EvalMod's power tree — results, noise
-//!   estimates, trace counts and the first error are the serial run's,
+//!   steps, BSGS inner sums, EvalMod's power tree, a rotate-sum's two
+//!   half-sums — results, noise estimates, trace counts and the first
+//!   error are the serial run's,
 //! - a compiled BSGS layer, and a three-layer MLP, whose giant groups the
 //!   executor runs side by side as waves (each group's inner sum a fused
 //!   step) compute the graph's node-by-node evaluation bit for bit, with
@@ -879,6 +880,51 @@ fn bsgs_transform_above_the_grain_matches_serial_everywhere() {
         }
         (ct_bits(&out), ops)
     });
+}
+
+/// A rotate-sum over one to seven terms, two of them step 0, at a level
+/// below the top (so its keyswitches extend into fewer special limbs than
+/// the hints carry): its two half-sums and the ModDown pair are the tasks
+/// of pool regions, and the sum is bit-identical, noise estimate and trace
+/// counts included, on every backend and thread count.
+#[test]
+fn rotate_sum_halves_are_backend_and_thread_invariant() {
+    let held = hold_threads();
+    let ctx = grain_ctx(8, 8);
+    let level = 5;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5A17);
+    let sk = ctx.keygen(&mut rng);
+    let kind = KeySwitchKind::Boosted { digits: 1 };
+    let steps = [3i64, 0, 1, -7, 0, 12, 2];
+    let keys: Vec<Option<KeySwitchKey>> = steps
+        .iter()
+        .map(|&s| (s != 0).then(|| ctx.rotation_keygen(&sk, s, kind, &mut rng)))
+        .collect();
+    let cts: Vec<Ciphertext> = (0..steps.len())
+        .map(|t| {
+            let vals: Vec<f64> = (0..128)
+                .map(|i| ((i * 3 + t) % 11) as f64 / 11.0 - 0.5)
+                .collect();
+            ctx.encrypt(
+                &ctx.encode(&vals, ctx.default_scale(), level),
+                &sk,
+                &mut rng,
+            )
+        })
+        .collect();
+    for len in 1..=steps.len() {
+        let terms: Vec<(&Ciphertext, i64, Option<&KeySwitchKey>)> = (0..len)
+            .map(|t| (&cts[t], steps[t], keys[t].as_ref()))
+            .collect();
+        assert_backend_invariant(&held, || {
+            let before = cl_trace::OpSnapshot::capture();
+            let out = ctx.try_rotate_sum(&terms).expect("rotate-sum");
+            (
+                ct_bits(&out),
+                cl_trace::OpSnapshot::capture().delta_since(&before),
+            )
+        });
+    }
 }
 
 /// Evaluates a runnable graph node by node in construction order with the

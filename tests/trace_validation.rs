@@ -20,12 +20,12 @@
 
 mod common;
 
+use cl_trace::OpSnapshot;
 use craterlake::boot::{Bootstrapper, PrecomputedTransform};
 use craterlake::ckks::{CkksContext, CkksParams, GuardrailPolicy, KeySwitchKind};
 use craterlake::isa::cost::{
     boosted_keyswitch_crb_mult, boosted_keyswitch_ops, mul_aux_ops, standard_keyswitch_ops,
 };
-use cl_trace::OpSnapshot;
 use rand::SeedableRng;
 
 /// Runs `f` and returns its result plus the counter delta it produced.
@@ -126,6 +126,42 @@ fn boosted_keyswitch_counts_cross_validate_digits_1_4_and_max() {
     }
 }
 
+/// One single-digit keyswitch two levels below the top (`l = L − 2`): it
+/// extends into `k = l + 1` special limbs, not the hint's `L`, after
+/// scaling the input by the unused special limb's inverse (its `l`
+/// coefficient-form limbs and its `l` NTT-form limbs copied into the
+/// digit). Per pass: `l` input INTTs and `k` extension NTTs in ModUp,
+/// `k` INTTs and `l` NTTs per ModDown half; an `l → k` conversion in
+/// ModUp and a `k → l` one per half. The same closed forms with `k = L`
+/// and no pre-scale are the top-level keyswitch's counts, which the
+/// Table 1 identities above fix.
+#[test]
+fn boosted_keyswitch_two_levels_below_the_top_counts_exactly() {
+    let ctx = ks_ctx();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+    let sk = ctx.keygen(&mut rng);
+    let ksk = ctx.relin_keygen(&sk, KeySwitchKind::Boosted { digits: 1 }, &mut rng);
+    for (level, k, prescale) in [(L - 2, L - 1, 2 * (L - 2)), (L, L, 0)] {
+        let c = ctx
+            .rns()
+            .sample_uniform(&ctx.rns().q_basis(level), &mut rng);
+        let (res, d) = measure(|| ctx.try_keyswitch(&c, &ksk));
+        res.expect("boosted keyswitch");
+        let (l, k, prescale) = (level as u64, k as u64, prescale as u64);
+        assert_eq!(d.ntt_total(), 3 * (l + k), "level {l}: NTT passes");
+        assert_eq!(d.base_conv, 3 * l * k, "level {l}: CRB conversions");
+        assert_eq!(d.mult, 7 * l + 4 * k + prescale, "level {l}: mult passes");
+        assert_eq!(d.add, 6 * l + 2 * k, "level {l}: add passes");
+        assert_eq!((d.rotations, d.automorph), (0, 0), "level {l}");
+    }
+    let top = boosted_keyswitch_ops(L, 1);
+    assert_eq!(
+        top.ntt,
+        6 * L as u64,
+        "Table 1's single-digit NTT count at the top"
+    );
+}
+
 #[test]
 fn rescale_counts_match_mul_aux_formula() {
     let ctx = ks_ctx();
@@ -166,9 +202,7 @@ fn mul_decomposes_into_tensor_plus_keyswitch_and_matches_formulas() {
     let (ks_res, ks) = measure(|| ctx.try_keyswitch(ct.c1(), &ksk));
     ks_res.expect("reference keyswitch");
 
-    let (res, d) = measure(|| {
-        ctx.try_rescale(&ctx.try_mul(&ct, &ct, &ksk)?)
-    });
+    let (res, d) = measure(|| ctx.try_rescale(&ctx.try_mul(&ct, &ct, &ksk)?));
     res.expect("mul + rescale");
 
     let l = L as u64;
